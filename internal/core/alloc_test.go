@@ -1,0 +1,56 @@
+package core
+
+import (
+	"slices"
+	"testing"
+
+	"dsssp/internal/graph"
+	"dsssp/internal/simnet"
+)
+
+// TestTracedRunDeterministic: a run is a pure function of its inputs, so
+// repeated traced runs must record the identical per-message trace — entry
+// order included, which follows every node's send order.
+func TestTracedRunDeterministic(t *testing.T) {
+	g := graph.RandomConnected(48, 96, graph.UniformWeights(48, 3), 3)
+	var first []simnet.TraceEntry
+	for run := 0; run < 3; run++ {
+		_, _, _, tr, err := RunCSSPTraced(g, map[graph.NodeID]int64{0: 0}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = tr
+			continue
+		}
+		if !slices.Equal(first, tr) {
+			diff := 0
+			for i := range min(len(first), len(tr)) {
+				if first[i] != tr[i] {
+					diff++
+				}
+			}
+			t.Fatalf("run %d: trace differs from run 0 (%d vs %d entries, %d positions differ)", run, len(tr), len(first), diff)
+		}
+	}
+}
+
+// TestCongestAllocsPerResume guards the allocation-free message path: a
+// CONGEST SSSP run may allocate at most half an object per awake resume
+// (message bodies that do not fit an interface word still box; tags,
+// mailbox queues, and forest child sets must not allocate per message).
+func TestCongestAllocsPerResume(t *testing.T) {
+	g := graph.RandomConnected(64, 128, graph.UniformWeights(64, 7), 7)
+	var met simnet.Metrics
+	allocs := testing.AllocsPerRun(1, func() {
+		var err error
+		if _, _, met, err = RunSSSP(g, 0, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perResume := allocs / float64(met.TotalAwake)
+	t.Logf("%.0f allocs over %d awake resumes = %.3f per resume", allocs, met.TotalAwake, perResume)
+	if perResume > 0.5 {
+		t.Errorf("%.3f allocations per awake resume, want <= 0.5", perResume)
+	}
+}

@@ -38,7 +38,7 @@ package forest
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"dsssp/internal/graph"
 	"dsssp/internal/proto"
@@ -155,13 +155,13 @@ type node struct {
 	compID   graph.NodeID
 	color    int64
 	hasOut   bool
-	parent   int // nbIndex or -1
-	children map[int]bool
+	parent   int   // nbIndex or -1
+	children []int // sorted nbIndexes; doubles as the tree's Children
 	depth    int64
 
 	nbComp     []graph.NodeID // per edge, neighbor's component this phase
 	chosenEdge int            // my adjacency index of my component's chosen edge, or -1
-	incoming   map[int]bool   // edges on which a chooser registered this phase
+	incoming   []int          // edges on which a chooser registered this phase (reused)
 
 	// adopt bookkeeping (per sub-step)
 	pathChild int
@@ -171,13 +171,24 @@ type node struct {
 
 func (f *node) tag(off int) uint64 { return f.p.Tag + uint64(off) }
 
+// tree returns the node's current tree view. Children aliases f.children:
+// sweeps only read it, and the final Result outlives the construction.
 func (f *node) tree() proto.Tree {
-	t := proto.Tree{InTree: true, Root: f.compID, Parent: f.parent, Depth: f.depth}
-	for ch := range f.children {
-		t.Children = append(t.Children, ch)
+	return proto.Tree{InTree: true, Root: f.compID, Parent: f.parent, Children: f.children, Depth: f.depth}
+}
+
+// addChild inserts edge i into the sorted child set (a no-op if present).
+func (f *node) addChild(i int) {
+	if k, found := slices.BinarySearch(f.children, i); !found {
+		f.children = slices.Insert(f.children, k, i)
 	}
-	sort.Ints(t.Children)
-	return t
+}
+
+// removeChild deletes edge i from the sorted child set (a no-op if absent).
+func (f *node) removeChild(i int) {
+	if k, found := slices.BinarySearch(f.children, i); found {
+		f.children = slices.Delete(f.children, k, k+1)
+	}
 }
 
 // Build runs the construction. Only participants call it; each returns its
@@ -194,7 +205,6 @@ func Build(mb *proto.Mailbox, p Params) Result {
 		compID:     mb.C.ID(),
 		color:      int64(mb.C.ID()),
 		parent:     -1,
-		children:   make(map[int]bool),
 		chosenEdge: -1,
 	}
 	f.eligible = make([]bool, f.deg)
@@ -286,14 +296,14 @@ func (f *node) phase(r0 int64) {
 
 	// (3) Choice notification.
 	a3 := r0 + 2*s + 6
-	f.incoming = make(map[int]bool)
+	f.incoming = f.incoming[:0]
 	mb.AdvanceTo(a3)
 	if f.chosenEdge >= 0 {
 		mb.Send(f.chosenEdge, f.tag(tagChosen), struct{}{})
 	}
 	mb.SleepUntil(a3 + 1)
 	for _, m := range mb.Take(f.tag(tagChosen)) {
-		f.incoming[m.NbIndex] = true
+		f.incoming = append(f.incoming, m.NbIndex)
 	}
 
 	// (4) Cole–Vishkin coloring of the chooser pseudo-forest.
@@ -320,7 +330,7 @@ func (f *node) cvIter(b int64) {
 	s := f.s
 	if len(f.incoming) > 0 || f.chosenEdge >= 0 {
 		mb.AdvanceTo(b)
-		for e := range f.incoming {
+		for _, e := range f.incoming {
 			mb.Send(e, f.tag(tagColor), f.color)
 		}
 		mb.SleepUntil(b + 1)
@@ -394,7 +404,7 @@ func (f *node) subStep(c, sc int64) {
 				mb.Send(m.NbIndex, f.tag(tagAck), ackBody{
 					Verdict: ackOK, Comp: f.compID, Color: f.color, HasOut: f.hasOut, Depth: f.depth,
 				})
-				f.children[m.NbIndex] = true
+				f.addChild(m.NbIndex)
 			}
 		}
 	}
@@ -457,7 +467,7 @@ func (f *node) subStep(c, sc int64) {
 		}
 	}
 	if body.Noop {
-		for ch := range f.children {
+		for _, ch := range f.children {
 			mb.Send(ch, f.tag(tagAdoptDown), body)
 		}
 		return
@@ -471,7 +481,7 @@ func (f *node) subStep(c, sc int64) {
 	}
 	fwd := body
 	fwd.ParentDepth = newDepth
-	for ch := range f.children {
+	for _, ch := range f.children {
 		mb.Send(ch, f.tag(tagAdoptDown), fwd)
 	}
 	// Apply the move: flip the path, adopt identity.
@@ -480,13 +490,13 @@ func (f *node) subStep(c, sc int64) {
 	case chooserNow && f.marker != nil:
 		f.parent = f.chosenEdge
 		if oldParent >= 0 {
-			f.children[oldParent] = true
+			f.addChild(oldParent)
 		}
 	case f.pathChild >= 0:
 		f.parent = f.pathChild
-		delete(f.children, f.pathChild)
+		f.removeChild(f.pathChild)
 		if oldParent >= 0 {
-			f.children[oldParent] = true
+			f.addChild(oldParent)
 		}
 	}
 	f.compID = body.Adopt.Comp

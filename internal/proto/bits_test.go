@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -9,9 +10,10 @@ import (
 )
 
 func TestMessageBitsSizing(t *testing.T) {
-	cases := []struct {
+	// Bodies are sized by information content; MessageBits adds the tag.
+	bodies := []struct {
 		name string
-		msg  any
+		body any
 		want int64
 	}{
 		{"bool", true, 1},
@@ -21,20 +23,33 @@ func TestMessageBitsSizing(t *testing.T) {
 		{"uint", uint64(1024), 11},   // Len64(1024)
 		{"struct", struct{ A, B int64 }{3, 4}, (1 + 2) + (1 + 3)},
 		{"empty struct", struct{}{}, 0},
-		{"envelope", Envelope{Tag: 7, Body: int64(1)}, 3 + 2}, // Len64(7) + (sign+1)
-		{"nil body", Envelope{Tag: 1, Body: nil}, 1 + 1},
 		{"slice charges elements", []int64{1, 1, 1, 1}, 8 + 4*2},
 		{"string", "ab", 8 + 16},
 	}
-	for _, c := range cases {
-		if got := MessageBits(c.msg); got != c.want {
-			t.Errorf("%s: MessageBits(%v) = %d, want %d", c.name, c.msg, got, c.want)
+	for _, c := range bodies {
+		if got := valueBits(reflect.ValueOf(c.body)); got != c.want {
+			t.Errorf("%s: body %v sized at %d bits, want %d", c.name, c.body, got, c.want)
+		}
+	}
+	tagged := []struct {
+		name string
+		tag  uint64
+		body any
+		want int64
+	}{
+		{"tagged", 7, int64(1), 3 + 2}, // Len64(7) + (sign+1)
+		{"nil body", 1, nil, 1 + 1},
+		{"tag 0", 0, true, 1 + 1},
+	}
+	for _, c := range tagged {
+		if got := MessageBits(c.tag, c.body); got != c.want {
+			t.Errorf("%s: MessageBits(%d, %v) = %d, want %d", c.name, c.tag, c.body, got, c.want)
 		}
 	}
 	// A Θ(n) payload must be charged Θ(n) bits — no smuggling a vector
 	// inside "one message".
 	big := make([]int64, 1000)
-	if got := MessageBits(big); got < 1000 {
+	if got := MessageBits(1, big); got < 1000 {
 		t.Errorf("1000-element slice sized at only %d bits", got)
 	}
 }
@@ -63,37 +78,39 @@ func TestStrictBudgetEnforced(t *testing.T) {
 	eng := simnet.New(g, simnet.Config{Model: simnet.Congest, MessageBits: MessageBits, MaxMessageBits: 64})
 	res, err := eng.Run(func(c *simnet.Ctx) {
 		if c.ID() == 0 {
-			c.Send(0, Envelope{Tag: 1, Body: int64(42)})
+			c.SendTagged(0, 1, int64(42))
 		}
 		c.Next()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics.MaxMessageBits == 0 {
-		t.Error("MaxMessageBits not measured")
+	if got := res.Metrics.MaxMessageBits; got != 1+(1+6) { // tag 1 + (sign + Len64(42))
+		t.Errorf("MaxMessageBits = %d, want 8", got)
 	}
 
-	// Oversized: loud failure naming the offender.
+	// Oversized: loud failure naming the offender's tag and body type.
 	eng = simnet.New(g, simnet.Config{Model: simnet.Congest, MessageBits: MessageBits, MaxMessageBits: 64})
 	_, err = eng.Run(func(c *simnet.Ctx) {
 		if c.ID() == 0 {
-			c.Send(0, Envelope{Tag: 1, Body: make([]int64, 64)})
+			c.SendTagged(0, 5, make([]int64, 64))
 		}
 		c.Next()
 	})
 	if err == nil {
 		t.Fatal("oversized message accepted")
 	}
-	if !strings.Contains(err.Error(), "strict CONGEST violation") || !strings.Contains(err.Error(), "64-bit budget") {
-		t.Errorf("violation not descriptive: %v", err)
+	for _, want := range []string{"strict CONGEST violation", "64-bit budget", "(tag 5, []int64)"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("violation %q does not mention %q", err, want)
+		}
 	}
 
 	// No budget: sizing only, never fails.
 	eng = simnet.New(g, simnet.Config{Model: simnet.Congest, MessageBits: MessageBits})
 	res, err = eng.Run(func(c *simnet.Ctx) {
 		if c.ID() == 0 {
-			c.Send(0, Envelope{Tag: 1, Body: make([]int64, 64)})
+			c.SendTagged(0, 1, make([]int64, 64))
 		}
 		c.Next()
 	})

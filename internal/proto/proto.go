@@ -20,12 +20,6 @@ import (
 	"dsssp/internal/simnet"
 )
 
-// Envelope is the wire format of every message sent through a Mailbox.
-type Envelope struct {
-	Tag  uint64
-	Body any
-}
-
 // Msg is a received, tag-matched message.
 type Msg struct {
 	From    graph.NodeID
@@ -35,38 +29,83 @@ type Msg struct {
 }
 
 // Mailbox wraps a simnet.Ctx with tag-based buffering.
+//
+// Ownership: a slice returned by Take, WaitTag, or Exchange is valid until
+// the node's next receive (Next, SleepUntil, SleepUntilAtLeast, AdvanceTo,
+// WaitTag, WaitTagCount, Pump, or any helper that calls them) — the mailbox
+// may then refill its backing array as a queue buffer, the same rule
+// simnet.Ctx.Next documents for inbound slices. Consume the messages before
+// receiving again, or copy them.
 type Mailbox struct {
 	C *simnet.Ctx
 
-	byTag map[uint64][]Msg
+	// byTag holds one non-empty queue per buffered tag. Few tags are ever
+	// pending at once (the current phase plus drift), so a linear scan beats
+	// a map and never reallocates in the steady state.
+	byTag []tagQueue
+	// free holds the buffers of drained queues. Take returns a buffer here
+	// as it hands it out; only pump refills buffers, and pump runs only at a
+	// receive, so the handed-out slice stays intact until then.
+	free [][]Msg
+}
+
+type tagQueue struct {
+	tag  uint64
+	msgs []Msg
 }
 
 // NewMailbox creates a mailbox over ctx.
 func NewMailbox(ctx *simnet.Ctx) *Mailbox {
-	return &Mailbox{C: ctx, byTag: make(map[uint64][]Msg)}
+	return &Mailbox{C: ctx}
 }
 
-// Send queues an Envelope{tag, body} on incident edge i.
+// Send queues body on incident edge i under tag; the tag travels beside the
+// body (simnet.Ctx.SendTagged) and selects the receiver's queue.
 func (m *Mailbox) Send(i int, tag uint64, body any) {
-	m.C.Send(i, Envelope{Tag: tag, Body: body})
+	m.C.SendTagged(i, tag, body)
 }
 
 // Round returns the current round.
 func (m *Mailbox) Round() int64 { return m.C.Round() }
 
+// pump files the arrivals of one receive under their tags.
 func (m *Mailbox) pump(in []simnet.Inbound) {
+	q := -1
 	for _, ib := range in {
-		env, ok := ib.Msg.(Envelope)
-		if !ok {
-			panic(fmt.Sprintf("proto: node %d received non-Envelope message %T", m.C.ID(), ib.Msg))
+		if q < 0 || m.byTag[q].tag != ib.Tag {
+			q = m.queue(ib.Tag)
 		}
-		m.byTag[env.Tag] = append(m.byTag[env.Tag], Msg{
+		m.byTag[q].msgs = append(m.byTag[q].msgs, Msg{
 			From:    ib.From,
 			NbIndex: ib.NbIndex,
 			Round:   ib.Round,
-			Body:    env.Body,
+			Body:    ib.Msg,
 		})
 	}
+}
+
+// find returns the index of tag's queue in byTag, or -1.
+func (m *Mailbox) find(tag uint64) int {
+	for i := range m.byTag {
+		if m.byTag[i].tag == tag {
+			return i
+		}
+	}
+	return -1
+}
+
+// queue returns the index of tag's queue, opening one on a recycled buffer
+// if the tag has nothing buffered.
+func (m *Mailbox) queue(tag uint64) int {
+	if i := m.find(tag); i >= 0 {
+		return i
+	}
+	var buf []Msg
+	if k := len(m.free); k > 0 {
+		buf, m.free = m.free[k-1], m.free[:k-1]
+	}
+	m.byTag = append(m.byTag, tagQueue{tag: tag, msgs: buf})
+	return len(m.byTag) - 1
 }
 
 // Next advances one round, buffering arrivals.
@@ -109,22 +148,36 @@ func (m *Mailbox) Span(name string, depth int, f func()) {
 	f()
 }
 
-// Take drains and returns all buffered messages with the given tag.
+// Take drains and returns all buffered messages with the given tag, in
+// arrival order, or nil if there are none. The slice is valid until the
+// node's next receive (see Mailbox).
 func (m *Mailbox) Take(tag uint64) []Msg {
-	q := m.byTag[tag]
-	if len(q) > 0 {
-		delete(m.byTag, tag)
+	i := m.find(tag)
+	if i < 0 {
+		return nil
 	}
+	q := m.byTag[i].msgs
+	last := len(m.byTag) - 1
+	m.byTag[i] = m.byTag[last]
+	m.byTag[last] = tagQueue{}
+	m.byTag = m.byTag[:last]
+	m.free = append(m.free, q[:0])
 	return q
 }
 
 // Pending reports how many messages are buffered for tag.
-func (m *Mailbox) Pending(tag uint64) int { return len(m.byTag[tag]) }
+func (m *Mailbox) Pending(tag uint64) int {
+	if i := m.find(tag); i >= 0 {
+		return len(m.byTag[i].msgs)
+	}
+	return 0
+}
 
 // WaitTag blocks (event-driven; Congest mode only) until at least one
 // message with the given tag is buffered or the deadline round passes, then
 // drains and returns them. A negative deadline waits indefinitely (the
-// engine's deadlock detection is the backstop).
+// engine's deadlock detection is the backstop). The slice is valid until
+// the node's next receive (see Mailbox).
 func (m *Mailbox) WaitTag(tag uint64, deadline int64) []Msg {
 	for {
 		if q := m.Take(tag); len(q) > 0 {
@@ -314,7 +367,8 @@ func SweepDown(m *Mailbox, t Tree, tag uint64, windowStart int64, rootVal any, t
 // Exchange sends a value on each incident edge selected by pick (pick
 // returns the value and true to send) in the current round, advances one
 // round, and returns the messages received with the tag. All participating
-// neighbors must call Exchange in the same round.
+// neighbors must call Exchange in the same round. The slice is valid until
+// the node's next receive (see Mailbox).
 func Exchange(m *Mailbox, tag uint64, pick func(i int) (any, bool)) []Msg {
 	for i := 0; i < m.C.Degree(); i++ {
 		if v, ok := pick(i); ok {

@@ -52,11 +52,16 @@ func (c *Ctx) NeighborIndex(v graph.NodeID) int {
 
 // Send queues a message on incident edge i for delivery at the end of the
 // current round. The destination receives it iff it is awake this round.
-func (c *Ctx) Send(i int, msg any) {
+func (c *Ctx) Send(i int, msg any) { c.SendTagged(i, 0, msg) }
+
+// SendTagged is Send with a dispatch tag that travels beside the body and
+// arrives as Inbound.Tag — the model's "tag plus O(log n) bits" message
+// without boxing the pair into one interface value.
+func (c *Ctx) SendTagged(i int, tag uint64, body any) {
 	if i < 0 || i >= c.Degree() {
 		panic(fmt.Sprintf("simnet: node %d: Send to invalid neighbor index %d (degree %d)", c.ns.id, i, c.Degree()))
 	}
-	om := outMsg{nbIndex: i, msg: msg}
+	om := outMsg{nbIndex: int32(i), tag: tag, msg: body}
 	if c.eng.cfg.RecordSpans {
 		om.span = c.ns.curSpan()
 	}

@@ -17,11 +17,12 @@ func splitmix64(x uint64) uint64 {
 }
 
 // scriptProgram returns a deterministic pseudo-random Program: every node
-// derives an op stream (sends, Next, SleepUntil jumps near and far,
-// WaitMessage with and without deadline, early halts) from (seed, id) and
-// folds everything it receives into a hash it outputs. The stream reacts to
-// received payloads, so scheduling divergences between engines cascade into
-// different outputs, metrics, and traces.
+// derives an op stream (untagged and tagged sends, Next, SleepUntil jumps
+// near and far, WaitMessage with and without deadline, early halts) from
+// (seed, id) and folds everything it receives — tags included — into a
+// hash it outputs. The stream reacts to received payloads, so scheduling
+// divergences between engines cascade into different outputs, metrics,
+// and traces.
 func scriptProgram(seed int64, model Model, steps int) Program {
 	return func(c *Ctx) {
 		x := splitmix64(uint64(seed) ^ (uint64(c.ID())+1)*0x9e3779b97f4a7c15)
@@ -31,6 +32,7 @@ func scriptProgram(seed int64, model Model, steps int) Program {
 			for _, m := range in {
 				mix(uint64(m.From))
 				mix(uint64(m.Round))
+				mix(m.Tag)
 				mix(m.Msg.(uint64))
 			}
 		}
@@ -39,7 +41,12 @@ func scriptProgram(seed int64, model Model, steps int) Program {
 			if c.Degree() > 0 && x%3 != 0 {
 				k := int(x>>8)%2 + 1
 				for j := 0; j < k; j++ {
-					c.Send(int(x>>uint(16+4*j))%c.Degree(), h^x)
+					i := int(x>>uint(16+4*j)) % c.Degree()
+					if j == 0 {
+						c.Send(i, h^x)
+					} else {
+						c.SendTagged(i, x>>48, h^x)
+					}
 				}
 			}
 			x = splitmix64(x)

@@ -14,8 +14,9 @@ import (
 // the scheduler rewrite.
 //
 // Do not "improve" this code: its value is being the old semantics. (The
-// only edits since freezing are mechanical field relocations tracking the
-// struct-of-arrays layout change — ns.kind → e.kind[id] and friends.)
+// only edits since freezing are mechanical: field relocations tracking the
+// struct-of-arrays layout change — ns.kind → e.kind[id] and friends — and
+// carrying the message tag beside the body.)
 func (e *Engine) runOracle(p Program) (*Result, error) {
 	res := e.start(p)
 	defer e.shutdown()
@@ -110,14 +111,14 @@ func (e *Engine) runOracle(p Program) (*Result, error) {
 				met.Messages++
 				met.PerEdgeMessages[h.ID]++
 				if e.cfg.MessageBits != nil {
-					b := e.cfg.MessageBits(om.msg)
+					b := e.cfg.MessageBits(om.tag, om.msg)
 					if b > met.MaxMessageBits {
 						met.MaxMessageBits = b
 					}
 					if e.cfg.MaxMessageBits > 0 && b > e.cfg.MaxMessageBits {
 						return nil, fmt.Errorf(
-							"simnet: strict CONGEST violation: node %d sent a %d-bit message (%T) over edge %d in round %d, exceeding the %d-bit budget",
-							id, b, om.msg, h.ID, cur, e.cfg.MaxMessageBits)
+							"simnet: strict CONGEST violation: node %d sent a %d-bit message (tag %d, %T) over edge %d in round %d, exceeding the %d-bit budget",
+							id, b, om.tag, om.msg, h.ID, cur, e.cfg.MaxMessageBits)
 					}
 				}
 				dirBit := int64(0)
@@ -150,6 +151,7 @@ func (e *Engine) runOracle(p Program) (*Result, error) {
 						From:    id,
 						NbIndex: int(e.revFlat[e.revOff[id]+int32(om.nbIndex)]),
 						Round:   cur,
+						Tag:     om.tag,
 						Msg:     om.msg,
 					})
 					if e.kind[h.To] == yieldPark {

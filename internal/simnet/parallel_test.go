@@ -108,7 +108,7 @@ func TestParallelMatchesOracle(t *testing.T) {
 // measurement on so per-span MaxMessageBits attribution is covered too.
 func TestParallelSpanLedgerMatchesSequential(t *testing.T) {
 	forceTinyBatches(t)
-	bits := func(msg any) int64 { return int64(msg.(uint64)%512) + 1 }
+	bits := func(_ uint64, msg any) int64 { return int64(msg.(uint64)%512) + 1 }
 	for seed := int64(0); seed < 30; seed++ {
 		for _, model := range []Model{Congest, Sleeping} {
 			n := int(splitmix64(uint64(seed)+77)%22) + 2

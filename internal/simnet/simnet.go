@@ -56,7 +56,8 @@
 // three shared degree-proportional arenas — at n=10^5 that is three
 // allocations instead of ~3n, and growth past a node's carve falls back to
 // the heap transparently. The trace buffer is preallocated from the edge
-// count.
+// count. A message's dispatch tag travels as a plain field beside its body
+// (Ctx.SendTagged → Inbound.Tag), so tagging a message allocates nothing.
 package simnet
 
 import (
@@ -107,9 +108,10 @@ type Config struct {
 	// and rely on megaround accounting (Section 3.1.3).
 	StrictCongest bool
 	// MessageBits, if non-nil, estimates the wire size of every sent
-	// message in bits; the maximum is reported in Metrics.MaxMessageBits.
-	// Leave nil to skip the (reflection-heavy) measurement on hot paths.
-	MessageBits func(msg any) int64
+	// message — its tag (0 for Ctx.Send) plus its body — in bits; the
+	// maximum is reported in Metrics.MaxMessageBits. Leave nil to skip the
+	// (reflection-heavy) measurement on hot paths.
+	MessageBits func(tag uint64, body any) int64
 	// MaxMessageBits, when > 0 and MessageBits is set, is the strict
 	// CONGEST bandwidth budget: the run fails loudly as soon as any single
 	// message exceeds it. The paper's model allows O(log n)-bit messages;
@@ -141,7 +143,9 @@ type Inbound struct {
 	NbIndex int
 	// Round is the round in which the message was sent (and received).
 	Round int64
-	Msg   any
+	// Tag is the sender's dispatch tag (see Ctx.SendTagged; 0 for Send).
+	Tag uint64
+	Msg any
 }
 
 // TraceEntry records one message for scheduling analysis.
@@ -219,11 +223,12 @@ const (
 )
 
 type outMsg struct {
-	nbIndex int
+	nbIndex int32
 	// span is the sender's open span at Send time (0 unless
 	// Config.RecordSpans) — message attribution must not shift when a node
 	// switches phases between sending and the end-of-round flush.
 	span int32
+	tag  uint64
 	msg  any
 }
 
@@ -574,7 +579,7 @@ func (e *Engine) Run(p Program) (*Result, error) {
 					e.spans[om.span].Messages++
 				}
 				if e.cfg.MessageBits != nil {
-					b := e.cfg.MessageBits(om.msg)
+					b := e.cfg.MessageBits(om.tag, om.msg)
 					if b > met.MaxMessageBits {
 						met.MaxMessageBits = b
 					}
@@ -583,8 +588,8 @@ func (e *Engine) Run(p Program) (*Result, error) {
 					}
 					if e.cfg.MaxMessageBits > 0 && b > e.cfg.MaxMessageBits {
 						return nil, fmt.Errorf(
-							"simnet: strict CONGEST violation: node %d sent a %d-bit message (%T) over edge %d in round %d, exceeding the %d-bit budget",
-							id, b, om.msg, h.ID, cur, e.cfg.MaxMessageBits)
+							"simnet: strict CONGEST violation: node %d sent a %d-bit message (tag %d, %T) over edge %d in round %d, exceeding the %d-bit budget",
+							id, b, om.tag, om.msg, h.ID, cur, e.cfg.MaxMessageBits)
 					}
 				}
 				dirBit := int64(0)
@@ -617,6 +622,7 @@ func (e *Engine) Run(p Program) (*Result, error) {
 						From:    id,
 						NbIndex: int(rev[om.nbIndex]),
 						Round:   cur,
+						Tag:     om.tag,
 						Msg:     om.msg,
 					})
 					if e.kind[h.To] == yieldPark {
