@@ -194,7 +194,7 @@ func runCSSP(g *graph.Graph, sources map[graph.NodeID]int64, opts Options, trace
 	if err != nil {
 		return nil, Stats{}, simnet.Metrics{}, nil, err
 	}
-	pr, err := prepareProblem(g, sortedSources(sources))
+	pr, err := prepareProblem(g, sortedSources(sources), epsNum, epsDen)
 	if err != nil {
 		return nil, Stats{}, simnet.Metrics{}, nil, err
 	}

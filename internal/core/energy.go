@@ -231,7 +231,7 @@ func RunEnergyCSSP(g *graph.Graph, sources map[graph.NodeID]int64, opts Options)
 	if opts.StrictCongest {
 		return nil, Stats{}, simnet.Metrics{}, fmt.Errorf("core: StrictCongest applies to the CONGEST model, not the sleeping model")
 	}
-	pr, err := prepareProblem(g, sortedSources(sources))
+	pr, err := prepareProblem(g, sortedSources(sources), epsNum, epsDen)
 	if err != nil {
 		return nil, Stats{}, simnet.Metrics{}, err
 	}

@@ -18,6 +18,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"dsssp/internal/bfs"
@@ -223,35 +224,48 @@ type problem struct {
 }
 
 // prepareProblem validates the sources, applies the Theorem 2.7 zero-weight
-// rescaling, and derives the initial power-of-two threshold D0.
-func prepareProblem(g *graph.Graph, srcs []sourceOffset) (problem, error) {
+// rescaling, and derives the initial power-of-two threshold D0. Weights,
+// offsets or an ε that would push the threshold arithmetic past
+// graph.MaxThreshold or int64 are an error, not a wrong answer.
+func prepareProblem(g *graph.Graph, srcs []sourceOffset, epsNum, epsDen int64) (problem, error) {
+	var maxOff int64
 	for _, s := range srcs {
 		if s.off < 0 {
 			return problem{}, fmt.Errorf("core: negative offset %d at source %d", s.off, s.v)
 		}
+		maxOff = max(maxOff, s.off)
 	}
 	pr := problem{run: g, scale: 1}
+	n := max(int64(g.N()), 1)
 	for _, e := range g.Edges() {
 		if e.W == 0 {
-			// Scaling every weight by n+1 (zeros to 1) preserves exact
-			// distances: a shortest path gains less than n+1 from the
-			// zero-weight perturbation.
-			pr.scale = int64(g.N()) + 1
-			pr.run = g.Reweight(func(_ graph.EdgeID, w int64) int64 {
-				if w == 0 {
-					return 1
-				}
-				return w * pr.scale
-			})
+			pr.scale = n + 1
 			break
 		}
 	}
-	for _, s := range srcs {
-		if s.off*pr.scale > pr.maxOff {
-			pr.maxOff = s.off * pr.scale
-		}
+	// D0 is the power of two above (n·maxW + maxOff)·scale: it must not
+	// exceed graph.MaxThreshold. Checked before any product can overflow.
+	lim := (graph.MaxThreshold - 2) / pr.scale
+	if maxW := max(g.MaxWeight(), 1); maxW > lim/n || maxOff > lim-n*maxW {
+		return problem{}, fmt.Errorf("core: weights too large for exact distances: n=%d, max weight %d, max offset %d; n·maxW+maxOff must be at most %d",
+			g.N(), maxW, maxOff, lim)
 	}
+	if pr.scale > 1 {
+		// Scaling every weight by n+1 (zeros to 1) preserves exact
+		// distances: a shortest path gains less than n+1 from the
+		// zero-weight perturbation.
+		pr.run = g.Reweight(func(_ graph.EdgeID, w int64) int64 {
+			if w == 0 {
+				return 1
+			}
+			return w * pr.scale
+		})
+	}
+	pr.maxOff = maxOff * pr.scale
 	pr.d0, pr.levels = startThreshold(pr.run, pr.maxOff)
+	if pr.d0 > math.MaxInt64/(epsDen+epsNum) || epsDen > math.MaxInt64/(n+1) {
+		return problem{}, fmt.Errorf("core: ε = %d/%d overflows the threshold arithmetic at D0 = %d", epsNum, epsDen, pr.d0)
+	}
 	return pr, nil
 }
 

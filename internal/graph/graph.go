@@ -21,6 +21,26 @@ type EdgeID int32
 // Inf is the distance value used for "unreachable / above threshold".
 const Inf = int64(1) << 62
 
+// MaxThreshold is the largest start threshold D0 the CSSP engine's distance
+// arithmetic supports. D0 is the power of two above n·maxW + maxOff on the
+// engine's graph; every answer it can produce is below D0, and Inf (2·D0
+// here) is the not-found sentinel, so D0 = Inf would turn every distance,
+// the source's included, into Inf. The recursion's V1 test compares
+// approx·εDen with D·(εDen+εNum) — 3·D at the default ε = 1/2 — and the
+// sleeping cutter's depth is 2·D/ρ; both stay inside int64 at D = 2^61.
+const MaxThreshold = Inf / 2
+
+// MaxSafeWeight returns the largest edge weight for which every SSSP on an
+// n-node graph stays exact: n·(n+1)·w + 1 < MaxThreshold. The factor n+1 is
+// the engine's zero-weight rescaling (Theorem 2.7: with a zero weight
+// present every weight is multiplied by n+1), the factor n bounds a
+// shortest path's hop count, and the +1 makes the start threshold a power
+// of two strictly above every finite distance.
+func MaxSafeWeight(n int) int64 {
+	n64 := max(int64(n), 1)
+	return (MaxThreshold - 2) / (n64 * (n64 + 1))
+}
+
 // Half is one directed half of an undirected edge as seen from one endpoint.
 type Half struct {
 	To NodeID

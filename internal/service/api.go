@@ -245,6 +245,7 @@ func parseDeltas(ds []DeltaJSON, n int) ([]graph.EdgeDelta, error) {
 		return nil, badf("deltas must be a non-empty array")
 	}
 	out := make([]graph.EdgeDelta, len(ds))
+	limit := graph.MaxSafeWeight(n)
 	for i, d := range ds {
 		var op graph.DeltaOp
 		switch d.Op {
@@ -264,6 +265,8 @@ func parseDeltas(ds []DeltaJSON, n int) ([]graph.EdgeDelta, error) {
 			return nil, badf("delta %d: endpoints {%d,%d} out of range [0,%d)", i, d.U, d.V, n)
 		case op != graph.DeltaDelete && d.W < 0:
 			return nil, badf("delta %d: negative weight %d", i, d.W)
+		case op != graph.DeltaDelete && d.W > limit:
+			return nil, badf("delta %d: weight %d exceeds the limit %d for n=%d", i, d.W, limit, n)
 		}
 		out[i] = graph.EdgeDelta{Op: op, U: graph.NodeID(d.U), V: graph.NodeID(d.V), W: d.W}
 	}
@@ -303,6 +306,7 @@ func buildGraph(spec GraphSpec, maxN, maxEdges int) (*graph.Graph, error) {
 		return nil, badf("graph has %d edges, limit %d", len(spec.Edges), maxEdges)
 	}
 	edges := make([][3]int64, len(spec.Edges))
+	limit := graph.MaxSafeWeight(spec.N)
 	for i, e := range spec.Edges {
 		u, v, w := e[0], e[1], e[2]
 		if u > v {
@@ -315,6 +319,8 @@ func buildGraph(spec GraphSpec, maxN, maxEdges int) (*graph.Graph, error) {
 			return nil, badf("edge %d: endpoints {%d,%d} out of range [0,%d)", i, e[0], e[1], spec.N)
 		case w < 0:
 			return nil, badf("edge %d: negative weight %d", i, w)
+		case w > limit:
+			return nil, badf("edge %d: weight %d exceeds the limit %d for n=%d", i, w, limit, spec.N)
 		}
 		edges[i] = [3]int64{u, v, w}
 	}
@@ -367,16 +373,18 @@ func buildGeneratorGraph(spec GraphSpec, maxN int) (*graph.Graph, error) {
 		wseed := weightSeed(spec)
 		switch spec.Weights.Kind {
 		case "", string(harness.WeightUnit):
-		case string(harness.WeightUniform):
+		case string(harness.WeightUniform), string(harness.WeightZeroHeavy):
 			if spec.Weights.MaxW < 1 {
-				return nil, badf("uniform weights need max_w >= 1")
+				return nil, badf("%s weights need max_w >= 1", spec.Weights.Kind)
 			}
-			w = graph.UniformWeights(spec.Weights.MaxW, wseed)
-		case string(harness.WeightZeroHeavy):
-			if spec.Weights.MaxW < 1 {
-				return nil, badf("zero-heavy weights need max_w >= 1")
+			if limit := graph.MaxSafeWeight(spec.N); spec.Weights.MaxW > limit {
+				return nil, badf("max_w %d exceeds the weight limit %d for n=%d", spec.Weights.MaxW, limit, spec.N)
 			}
-			w = graph.ZeroHeavyWeights(spec.Weights.MaxW, wseed)
+			if spec.Weights.Kind == string(harness.WeightUniform) {
+				w = graph.UniformWeights(spec.Weights.MaxW, wseed)
+			} else {
+				w = graph.ZeroHeavyWeights(spec.Weights.MaxW, wseed)
+			}
 		default:
 			return nil, badf("unknown weight kind %q (unit, uniform, zero-heavy)", spec.Weights.Kind)
 		}

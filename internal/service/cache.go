@@ -112,17 +112,6 @@ func (c *Cache) GetOrCompute(key string, compute func() ([]byte, error)) (body [
 	return body, out != cacheMiss, err
 }
 
-// GetOrComputeEx is GetOrCompute for computations that decide at run time
-// whether their bytes are cacheable: compute additionally returns store —
-// false means the body is served (and shared with concurrent identical
-// waiters) but not inserted, for responses that are not pure functions of
-// the key (the incremental-APSP assembly, whose reuse split depends on
-// what happened to be cached).
-func (c *Cache) GetOrComputeEx(key string, compute func() ([]byte, bool, error)) (body []byte, hit bool, err error) {
-	body, out, err := c.getOrCompute(key, compute)
-	return body, out != cacheMiss, err
-}
-
 func (c *Cache) getOrCompute(key string, compute func() ([]byte, bool, error)) (body []byte, out cacheOutcome, err error) {
 	for {
 		c.mu.Lock()

@@ -117,55 +117,16 @@ func RunLoad(ctx context.Context, client *http.Client, baseURL string, opt LoadO
 		bodies[i] = b
 	}
 
-	var (
-		mu      sync.Mutex
-		rep     = LoadReport{Options: opt, Requests: opt.Requests}
-		samples []TraceRef
-		wg      sync.WaitGroup
-	)
-	idx := make(chan int)
-	start := time.Now()
-	for c := 0; c < opt.Concurrency; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				reqStart := time.Now()
-				hit, _, traceID, err := oneLoadRequest(ctx, client, baseURL, bodies[i%len(bodies)])
-				latNS := time.Since(reqStart).Nanoseconds()
-				mu.Lock()
-				switch {
-				case err != nil:
-					rep.Errors++
-					if rep.FirstError == "" {
-						rep.FirstError = err.Error()
-					}
-				case hit:
-					rep.Hits++
-				default:
-					rep.Misses++
-				}
-				if err == nil {
-					served := "miss"
-					if hit {
-						served = "hit"
-					}
-					samples = append(samples, TraceRef{TraceID: traceID, LatencyNS: latNS, Served: served})
-				}
-				mu.Unlock()
+	lr := runLoadPool(ctx, client, baseURL, opt.Concurrency, opt.Requests,
+		func(i int) []byte { return bodies[i%len(bodies)] },
+		func(hit bool, _ string) string {
+			if hit {
+				return "hit"
 			}
-		}()
-	}
-	for i := 0; i < opt.Requests; i++ {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			i = opt.Requests // stop dispatching; workers drain
-		}
-	}
-	close(idx)
-	wg.Wait()
-	rep.WallNS = time.Since(start).Nanoseconds()
+			return "miss"
+		}, nil)
+	rep := LoadReport{Options: opt, Errors: lr.errors, FirstError: lr.firstErr, WallNS: lr.wall.Nanoseconds()}
+	rep.Hits, rep.Misses = len(lr.latencies("hit")), len(lr.latencies("miss"))
 	rep.Requests = rep.Hits + rep.Misses + rep.Errors
 	if rep.Requests > 0 {
 		rep.HitRate = float64(rep.Hits) / float64(rep.Requests)
@@ -173,15 +134,89 @@ func RunLoad(ctx context.Context, client *http.Client, baseURL string, opt LoadO
 	if rep.WallNS > 0 {
 		rep.RPS = float64(rep.Requests) / (float64(rep.WallNS) / 1e9)
 	}
-	if len(samples) > 0 {
-		lats := make([]time.Duration, len(samples))
-		for i, s := range samples {
-			lats[i] = time.Duration(s.LatencyNS)
-		}
-		rep.P50NS, _ = percentiles(lats)
-		rep.P99NS, rep.P99Traces = p99TraceRefs(samples)
-	}
+	rep.P50NS, _ = percentiles(lr.latencies(""))
+	rep.P99NS, rep.P99Traces = p99TraceRefs(lr.samples)
 	return rep, ctx.Err()
+}
+
+// loadRun is what the closed-loop client pool leaves behind: every
+// successful request as a TraceRef labelled with how it was served, and
+// the failures.
+type loadRun struct {
+	mu       sync.Mutex
+	samples  []TraceRef
+	errors   int
+	firstErr string
+	wall     time.Duration
+}
+
+// fail counts a failed request (or PATCH), keeping the first error text.
+func (lr *loadRun) fail(err error) {
+	lr.mu.Lock()
+	defer lr.mu.Unlock()
+	lr.errors++
+	if lr.firstErr == "" {
+		lr.firstErr = err.Error()
+	}
+}
+
+// latencies returns the latencies of the samples served as label (every
+// sample for "").
+func (lr *loadRun) latencies(label string) []time.Duration {
+	var out []time.Duration
+	for _, s := range lr.samples {
+		if label == "" || s.Served == label {
+			out = append(out, time.Duration(s.LatencyNS))
+		}
+	}
+	return out
+}
+
+// runLoadPool is the closed-loop client pool both load drivers share:
+// concurrency workers take request indices 0..requests-1 from the
+// dispatcher, fire body(i) at /v1/sssp with a minted traceparent, and record
+// the latency under label(hit, incr). before, when non-nil, runs on the
+// dispatcher ahead of request i (the dynamic driver PATCHes there). A
+// cancelled ctx stops the dispatch; in-flight requests drain.
+func runLoadPool(ctx context.Context, client *http.Client, baseURL string, concurrency, requests int,
+	body func(i int) []byte, label func(hit bool, incr string) string, before func(lr *loadRun, i int)) *loadRun {
+	lr := &loadRun{}
+	var wg sync.WaitGroup
+	idx := make(chan int)
+	start := time.Now()
+	for c := 0; c < concurrency; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				t0 := time.Now()
+				hit, incr, traceID, err := oneLoadRequest(ctx, client, baseURL, body(i))
+				d := time.Since(t0)
+				if err != nil {
+					lr.fail(err)
+					continue
+				}
+				lr.mu.Lock()
+				lr.samples = append(lr.samples, TraceRef{TraceID: traceID, LatencyNS: d.Nanoseconds(), Served: label(hit, incr)})
+				lr.mu.Unlock()
+			}
+		}()
+	}
+dispatch:
+	for i := 0; i < requests; i++ {
+		if before != nil {
+			before(lr, i)
+		}
+		select {
+		case idx <- i:
+		case <-ctx.Done():
+			break dispatch
+		}
+	}
+	close(idx)
+	wg.Wait()
+	lr.wall = time.Since(start)
+	return lr
 }
 
 // oneLoadRequest fires a single SSSP query and reports how it was

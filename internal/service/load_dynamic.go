@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"net/http"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -123,7 +122,7 @@ func RunLoadDynamic(ctx context.Context, client *http.Client, baseURL string, op
 	}
 	edges := g.Edges()
 	var info GraphInfo
-	if err := postJSON(ctx, client, baseURL+"/v1/graphs", RegisterRequest{Graph: spec}, &info); err != nil {
+	if err := doJSON(ctx, client, http.MethodPost, baseURL+"/v1/graphs", RegisterRequest{Graph: spec}, &info); err != nil {
 		return rep, fmt.Errorf("registering graph: %w", err)
 	}
 	rep.GraphID = info.ID
@@ -138,51 +137,6 @@ func RunLoadDynamic(ctx context.Context, client *http.Client, baseURL string, op
 		queryBodies[s] = b
 	}
 
-	var (
-		mu                           sync.Mutex
-		reused, repaired, recomputed []time.Duration
-		samples                      []TraceRef
-		wg                           sync.WaitGroup
-	)
-	idx := make(chan int)
-	start := time.Now()
-	for c := 0; c < opt.Concurrency; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				t0 := time.Now()
-				hit, incr, traceID, err := oneLoadRequest(ctx, client, baseURL, queryBodies[i%len(queryBodies)])
-				d := time.Since(t0)
-				mu.Lock()
-				switch {
-				case err != nil:
-					rep.Errors++
-					if rep.FirstError == "" {
-						rep.FirstError = err.Error()
-					}
-				case hit:
-					reused = append(reused, d)
-				case incr == "repaired":
-					repaired = append(repaired, d)
-				default:
-					recomputed = append(recomputed, d)
-				}
-				if err == nil {
-					served := "recomputed"
-					switch {
-					case hit:
-						served = "reused"
-					case incr == "repaired":
-						served = "repaired"
-					}
-					samples = append(samples, TraceRef{TraceID: traceID, LatencyNS: d.Nanoseconds(), Served: served})
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-
 	// The dispatcher owns the PATCH stream: every PatchEvery queries it
 	// reweights one random edge (alternating +1 / back to original), so
 	// queries and mutations genuinely interleave. Weight changes of ±1
@@ -190,48 +144,43 @@ func RunLoadDynamic(ctx context.Context, client *http.Client, baseURL string, op
 	// sources, decreases keep sources the new weight cannot improve.
 	rng := rand.New(rand.NewSource(opt.Seed))
 	bumped := make(map[int]bool)
-	dispatch := func(i int) bool {
-		select {
-		case idx <- i:
-			return true
-		case <-ctx.Done():
-			return false
+	patch := func(lr *loadRun, i int) {
+		if i == 0 || i%opt.PatchEvery != 0 || len(edges) == 0 {
+			return
 		}
+		ei := rng.Intn(len(edges))
+		e := edges[ei]
+		w := e.W + 1
+		if bumped[ei] {
+			w = e.W
+		}
+		bumped[ei] = !bumped[ei]
+		var pi PatchInfo
+		err := doJSON(ctx, client, http.MethodPatch, fmt.Sprintf("%s/v1/graphs/%s/edges", baseURL, info.ID), PatchRequest{
+			Deltas: []DeltaJSON{{Op: "reweight", U: int64(e.U), V: int64(e.V), W: w}},
+		}, &pi)
+		if err != nil {
+			lr.fail(fmt.Errorf("patch: %w", err))
+			return
+		}
+		rep.Patches++
+		rep.FinalRevision = pi.Revision
+		rep.DirtiedSources += pi.SourcesRepairable
 	}
-	for i := 0; i < opt.Requests; i++ {
-		if i > 0 && i%opt.PatchEvery == 0 && len(edges) > 0 {
-			ei := rng.Intn(len(edges))
-			e := edges[ei]
-			w := e.W + 1
-			if bumped[ei] {
-				w = e.W
+	lr := runLoadPool(ctx, client, baseURL, opt.Concurrency, opt.Requests,
+		func(i int) []byte { return queryBodies[i%len(queryBodies)] },
+		func(hit bool, incr string) string {
+			switch {
+			case hit:
+				return "reused"
+			case incr == "repaired":
+				return "repaired"
 			}
-			bumped[ei] = !bumped[ei]
-			var pi PatchInfo
-			err := patchJSON(ctx, client, fmt.Sprintf("%s/v1/graphs/%s/edges", baseURL, info.ID), PatchRequest{
-				Deltas: []DeltaJSON{{Op: "reweight", U: int64(e.U), V: int64(e.V), W: w}},
-			}, &pi)
-			mu.Lock()
-			if err != nil {
-				rep.Errors++
-				if rep.FirstError == "" {
-					rep.FirstError = fmt.Sprintf("patch: %v", err)
-				}
-			} else {
-				rep.Patches++
-				rep.FinalRevision = pi.Revision
-				rep.DirtiedSources += pi.SourcesRepairable
-			}
-			mu.Unlock()
-		}
-		if !dispatch(i) {
-			break
-		}
-	}
-	close(idx)
-	wg.Wait()
+			return "recomputed"
+		}, patch)
 
-	rep.WallNS = time.Since(start).Nanoseconds()
+	reused, repaired, recomputed := lr.latencies("reused"), lr.latencies("repaired"), lr.latencies("recomputed")
+	rep.Errors, rep.FirstError, rep.WallNS = lr.errors, lr.firstErr, lr.wall.Nanoseconds()
 	rep.Reused, rep.Repaired, rep.Recomputed = len(reused), len(repaired), len(recomputed)
 	rep.Requests = rep.Reused + rep.Repaired + rep.Recomputed + rep.Errors
 	if served := rep.Reused + rep.Repaired + rep.Recomputed; served > 0 {
@@ -242,7 +191,7 @@ func RunLoadDynamic(ctx context.Context, client *http.Client, baseURL string, op
 	rep.ReusedP50NS, rep.ReusedP99NS = percentiles(reused)
 	rep.RepairedP50NS, rep.RepairedP99NS = percentiles(repaired)
 	rep.RecomputedP50NS, rep.RecomputedP99NS = percentiles(recomputed)
-	_, rep.P99Traces = p99TraceRefs(samples)
+	_, rep.P99Traces = p99TraceRefs(lr.samples)
 	if rep.WallNS > 0 {
 		rep.RPS = float64(rep.Requests) / (float64(rep.WallNS) / 1e9)
 	}
@@ -266,14 +215,6 @@ func percentiles(ds []time.Duration) (p50, p99 int64) {
 		return sorted[i].Nanoseconds()
 	}
 	return at(0.50), at(0.99)
-}
-
-func postJSON(ctx context.Context, client *http.Client, url string, in, out any) error {
-	return doJSON(ctx, client, http.MethodPost, url, in, out)
-}
-
-func patchJSON(ctx context.Context, client *http.Client, url string, in, out any) error {
-	return doJSON(ctx, client, http.MethodPatch, url, in, out)
 }
 
 func doJSON(ctx context.Context, client *http.Client, method, url string, in, out any) error {

@@ -22,7 +22,7 @@ func TestRegistryRepairableLifecycle(t *testing.T) {
 	r.Record(info.ID, digest, 0, dist, parent, "sssp|src=0")
 
 	// Exact head trace: repairable with zero changes.
-	tr, changes, ok := r.Repairable(info.ID, digest, 0)
+	tr, changes, _, ok := r.sourceTrace(info.ID, digest, 0)
 	if !ok || len(changes) != 0 {
 		t.Fatalf("exact trace: ok=%v changes=%v", ok, changes)
 	}
@@ -39,7 +39,7 @@ func TestRegistryRepairableLifecycle(t *testing.T) {
 		t.Fatalf("patch info = %+v", pi)
 	}
 	ng, d2, _, _ := r.Resolve(info.ID)
-	tr2, changes2, ok := r.Repairable(info.ID, d2, 0)
+	tr2, changes2, _, ok := r.sourceTrace(info.ID, d2, 0)
 	if !ok || len(changes2) != 1 {
 		t.Fatalf("stale trace: ok=%v changes=%v", ok, changes2)
 	}
@@ -47,7 +47,7 @@ func TestRegistryRepairableLifecycle(t *testing.T) {
 		t.Fatalf("ledger resolved to %+v, want 10→1 on {0,2}", changes2[0])
 	}
 	// The old digest must not resolve anything.
-	if _, _, ok := r.Repairable(info.ID, digest, 0); ok {
+	if _, _, _, ok := r.sourceTrace(info.ID, digest, 0); ok {
 		t.Fatal("stale digest accepted")
 	}
 
@@ -86,7 +86,7 @@ func TestRegistryStaleLedgerStacks(t *testing.T) {
 		}
 	}
 	ng, d3, _, _ := r.Resolve(info.ID)
-	tr, changes, ok := r.Repairable(info.ID, d3, 0)
+	tr, changes, _, ok := r.sourceTrace(info.ID, d3, 0)
 	if !ok || len(changes) != 1 || changes[0].OldW != 10 || changes[0].NewW != 1 {
 		t.Fatalf("stacked ledger: ok=%v changes=%+v, want one {0,2} 10→1", ok, changes)
 	}
@@ -150,7 +150,7 @@ func TestRegistryPersistenceRoundTrip(t *testing.T) {
 		t.Fatalf("restored trace census = %+v", gi)
 	}
 	// The restored stale trace repairs to the oracle.
-	tr, changes, ok := r2.Repairable(info.ID, d2b, 0)
+	tr, changes, _, ok := r2.sourceTrace(info.ID, d2b, 0)
 	if !ok || len(changes) != 1 {
 		t.Fatalf("restored stale: ok=%v changes=%v", ok, changes)
 	}
@@ -159,7 +159,7 @@ func TestRegistryPersistenceRoundTrip(t *testing.T) {
 		t.Fatalf("restored repair diverges (ok=%v)", ok)
 	}
 	// The restored exact trace serves with zero changes.
-	if _, changes, ok := r2.Repairable(info.ID, d2b, 1); !ok || len(changes) != 0 {
+	if _, changes, _, ok := r2.sourceTrace(info.ID, d2b, 1); !ok || len(changes) != 0 {
 		t.Fatalf("restored exact trace: ok=%v changes=%v", ok, changes)
 	}
 }

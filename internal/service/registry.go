@@ -457,24 +457,6 @@ func (r *GraphRegistry) Record(id string, digest [32]byte, src graph.NodeID, dis
 	r.evictLocked(rg)
 }
 
-// RecordRows batch-records per-source traces (an APSP run's yield) plus
-// the whole-body entry under the apspTraceKey pseudo-source.
-func (r *GraphRegistry) RecordRows(id string, digest [32]byte, rows map[graph.NodeID]incr.Trace, bodyParts string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rg, ok := r.graphs[id]
-	if !ok || rg.head.digest != digest {
-		return
-	}
-	for src, tr := range rows {
-		r.recordLocked(rg, src, tr.Dist, tr.Parent, "")
-	}
-	if bodyParts != "" {
-		r.recordLocked(rg, apspTraceKey, nil, nil, bodyParts)
-	}
-	r.evictLocked(rg)
-}
-
 func (r *GraphRegistry) recordLocked(rg *regGraph, src graph.NodeID, dist []int64, parent []graph.NodeID, parts string) {
 	tr, ok := rg.head.traces[src]
 	if !ok {
@@ -513,47 +495,26 @@ func (r *GraphRegistry) recordLocked(rg *regGraph, src graph.NodeID, dist []int6
 	}
 }
 
-// Repairable returns what the repair path needs for a source at the given
-// head digest: its remembered trace and the net changes separating the
-// trace's graph from the head. An exact head trace (with a witness tree)
-// returns zero changes — repair degenerates to serving the trace in O(n),
-// no simulation. A stale trace returns its resolved ledger. ok=false
-// means no usable structure: full recomputation is the only option. The
-// returned slices are shared immutable state — callers must not write
-// through them (incr.Repair copies before writing).
-func (r *GraphRegistry) Repairable(id string, digest [32]byte, src graph.NodeID) (incr.Trace, []incr.NetChange, bool) {
+// sourceTrace returns what the head revision at digest remembers about
+// src: its exact trace (exact=true, no changes; Parent is nil when the row
+// was traced without its tree), or its stale trace plus the net changes
+// separating the trace's graph from the head. ok=false means no usable
+// structure. The returned slices are shared immutable state — callers must
+// not write through them (incr.Repair copies before writing).
+func (r *GraphRegistry) sourceTrace(id string, digest [32]byte, src graph.NodeID) (tr incr.Trace, changes []incr.NetChange, exact, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rg, ok := r.graphs[id]
-	if !ok || rg.head.digest != digest {
-		return incr.Trace{}, nil, false
+	rg, found := r.graphs[id]
+	if !found || rg.head.digest != digest {
+		return incr.Trace{}, nil, false, false
 	}
-	if tr, ok := rg.head.traces[src]; ok && tr.dist != nil && tr.parent != nil {
-		return incr.Trace{Dist: tr.dist, Parent: tr.parent}, nil, true
+	if t, found := rg.head.traces[src]; found && t.dist != nil {
+		return incr.Trace{Dist: t.dist, Parent: t.parent}, nil, true, true
 	}
-	if st, ok := rg.head.stale[src]; ok {
-		return incr.Trace{Dist: st.dist, Parent: st.parent}, incr.NetChanges(st.base, rg.head.g), true
+	if st, found := rg.head.stale[src]; found {
+		return incr.Trace{Dist: st.dist, Parent: st.parent}, incr.NetChanges(st.base, rg.head.g), false, true
 	}
-	return incr.Trace{}, nil, false
-}
-
-// Rows snapshots the distance rows valid at the given revision digest
-// (nil when the digest is stale or unknown). The rows are shared immutable
-// slices — callers must not write through them.
-func (r *GraphRegistry) Rows(id string, digest [32]byte) map[graph.NodeID][]int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rg, ok := r.graphs[id]
-	if !ok || rg.head.digest != digest {
-		return nil
-	}
-	out := make(map[graph.NodeID][]int64, len(rg.head.traces))
-	for src, tr := range rg.head.traces {
-		if src != apspTraceKey && tr.dist != nil {
-			out[src] = tr.dist
-		}
-	}
-	return out
+	return incr.Trace{}, nil, false, false
 }
 
 // touchLocked marks a graph most-recently-used.

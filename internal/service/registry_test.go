@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dsssp/internal/graph"
-	"dsssp/internal/incr"
 )
 
 // ciGraph is the square-plus-slack-chord graph the CI smoke test also
@@ -134,13 +133,12 @@ func TestRegistryWholeAPSPBodySurvival(t *testing.T) {
 	g, digest, _, _ := r.Resolve(info.ID)
 
 	// Trace all four sources plus the whole-APSP body.
-	rows := make(map[graph.NodeID]incr.Trace, g.N())
 	for s := 0; s < g.N(); s++ {
-		rows[graph.NodeID(s)] = incr.Trace{Dist: graph.Dijkstra(g, graph.NodeID(s))}
+		r.Record(info.ID, digest, graph.NodeID(s), graph.Dijkstra(g, graph.NodeID(s)), nil, "")
 	}
 	const apspParts = "apsp|seed=0"
 	cache.GetOrCompute(keyFromDigest(digest, apspParts), miss())
-	r.RecordRows(info.ID, digest, rows, apspParts)
+	r.Record(info.ID, digest, apspTraceKey, nil, nil, apspParts)
 
 	// An increase of the slack chord touches no source at all: every trace
 	// and the whole-APSP body survive into revision 2.

@@ -26,9 +26,9 @@ import (
 	"dsssp"
 	"dsssp/internal/graph"
 	"dsssp/internal/harness"
-	"dsssp/internal/incr"
 	"dsssp/internal/obs"
 	"dsssp/internal/obs/trace"
+	"dsssp/internal/simnet"
 )
 
 // Config tunes a Server. The zero value serves with sane defaults except
@@ -290,145 +290,33 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 		s.replyError(w, badf("source %d out of range [0,%d)", req.Source, g.N()))
 		return
 	}
-	parts := queryKeyParts("sssp", req.Options, fmt.Sprintf("src=%d", req.Source))
-	repaired := false
-	hit, ok := s.finishQuery(w, r, keyFromDigest(digest, parts), func(sp *trace.Span) ([]byte, bool, error) {
-		// A cache miss on a registered graph first tries affected-region
-		// repair of the source's remembered trace — skipped when the
-		// request wants the per-phase breakdown, which only a real
-		// simulation can produce. Repaired bodies are deliberately NOT
-		// cached: they carry the incr block and no simulation metrics, so
-		// they are not the key's canonical bytes; a later full recompute
-		// (or the next cache hit on an already-canonical entry) re-mints
-		// those.
-		if !req.Options.RecordPhases {
-			if rr := s.tryRepair(sp, ref, digest, g, graph.NodeID(req.Source)); rr != nil {
-				repaired = true
-				w.Header().Set("X-Dsssp-Incr", "repaired")
-				resp := SSSPResponse{
-					N: g.N(), M: g.M(),
-					Dist:        rr.Dist,
-					Unreachable: countUnreachable(rr.Dist),
-					Incr:        queryIncr(rr, g.N()),
-				}
-				b, err := json.Marshal(resp)
-				return b, false, err
+	var res *dsssp.Result
+	s.serveRows(w, r, rowQuery{
+		g: g, digest: digest, ref: ref,
+		sources:      []graph.NodeID{graph.NodeID(req.Source)},
+		parts:        queryKeyParts("sssp", req.Options, fmt.Sprintf("src=%d", req.Source)),
+		recordPhases: req.Options.RecordPhases,
+		engine: func(missing []graph.NodeID) ([]row, []simnet.SpanMetrics, error) {
+			var err error
+			if res, err = dsssp.SSSP(g, missing[0], opts); err != nil {
+				return nil, nil, err
+			}
+			return []row{{dist: res.Dist}}, res.Metrics.Spans, nil
+		},
+	}, func(rs rowSet) ([]byte, error) {
+		rw := rs.rows[0]
+		resp := SSSPResponse{N: g.N(), M: g.M(), Dist: rw.dist, Unreachable: countUnreachable(rw.dist)}
+		if rw.served == rowRepaired {
+			resp.Incr = queryIncr(rw, g.N())
+		} else {
+			resp.SubproblemsMax = res.SubproblemsMax
+			resp.Metrics = metricsJSON(res.Metrics)
+			if req.Options.RecordPhases {
+				resp.Phases = rs.phases
 			}
 		}
-		if ref != nil {
-			w.Header().Set("X-Dsssp-Incr", "recomputed")
-		}
-		eng := sp.StartChild("engine")
-		res, err := dsssp.SSSP(g, graph.NodeID(req.Source), opts)
-		if err != nil {
-			eng.SetError(err.Error())
-			eng.End()
-			return nil, false, err
-		}
-		phases := harness.PhasesFromSpans(res.Metrics.Spans)
-		graftEnginePhases(eng, phases)
-		eng.End()
-		s.metrics.observePhases(phases, sp.TraceIDString())
-		if ref != nil {
-			// The distance row is what a future PATCH classifies this
-			// source against; the witness tree is what a repair restarts
-			// from; the parts string is how a PATCH re-addresses or
-			// invalidates this response's cache entry.
-			s.registry.Record(ref.id, digest, graph.NodeID(req.Source), res.Dist,
-				graph.WitnessParents(g, graph.NodeID(req.Source), res.Dist), parts)
-		}
-		resp := SSSPResponse{
-			N: g.N(), M: g.M(),
-			Dist:           res.Dist,
-			Unreachable:    countUnreachable(res.Dist),
-			SubproblemsMax: res.SubproblemsMax,
-			Metrics:        metricsJSON(res.Metrics),
-		}
-		if req.Options.RecordPhases {
-			resp.Phases = phases
-		}
-		b, err := json.Marshal(resp)
-		return b, true, err
+		return json.Marshal(resp)
 	})
-	if ok && ref != nil {
-		s.countReuse(hit, repaired, 1)
-	}
-}
-
-// tryRepair attempts affected-region repair for one source of a registered
-// graph: resolve the remembered trace and its net changes, bound the
-// affected region by the configured fraction of n, and run incr.Repair.
-// nil means the caller must fall back to the full computation (no usable
-// trace, repair disabled, or the region outgrew the cutoff). On success
-// the repaired trace is promoted to the head revision, so the next PATCH
-// classifies it and the next query serves it in O(n).
-//
-// A sampled request gets a repair span under sp, with the four repair
-// phases (carve/seed/settle/witness) grafted as children carrying their
-// measured wall times, and the affected-region sizes as attributes; the
-// same per-phase split feeds dsssp_repair_phase_seconds so repaired
-// queries have a breakdown story like computed ones.
-func (s *Server) tryRepair(sp *trace.Span, ref *graphRef, digest [32]byte, g *graph.Graph, src graph.NodeID) *incr.RepairResult {
-	if ref == nil || s.cfg.RepairMaxAffected < 0 {
-		return nil
-	}
-	tr, changes, ok := s.registry.Repairable(ref.id, digest, src)
-	if !ok {
-		return nil
-	}
-	limit := 0
-	if s.cfg.RepairMaxAffected > 0 {
-		limit = int(s.cfg.RepairMaxAffected * float64(g.N()))
-		if limit < 1 {
-			limit = 1
-		}
-	}
-	rsp := sp.StartChild("repair")
-	rsp.SetAttr("source", int64(src))
-	rsp.SetAttr("changes", len(changes))
-	start := time.Now()
-	rr, ok := incr.Repair(g, src, tr, changes, limit)
-	s.metrics.repairSeconds.Observe(time.Since(start).Seconds())
-	if !ok {
-		s.metrics.incrRepairFallbacks.Inc()
-		rsp.SetAttr("outcome", "fallback")
-		rsp.End()
-		return nil
-	}
-	s.metrics.incrSourcesRepaired.Inc()
-	s.metrics.repairAffectedFraction.Observe(float64(rr.Affected) / float64(g.N()))
-	rsp.SetAttr("outcome", "repaired")
-	rsp.SetAttr("affected", rr.Affected)
-	rsp.SetAttr("orphaned", rr.Orphaned)
-	rsp.SetAttr("affected_fraction", float64(rr.Affected)/float64(g.N()))
-	cursor := rsp.StartTime()
-	for i, ns := range rr.PhaseNS {
-		s.metrics.repairPhaseSeconds.With(incr.RepairPhaseNames[i]).Observe(float64(ns) / 1e9)
-		rsp.Graft("repair:"+incr.RepairPhaseNames[i], cursor, time.Duration(ns))
-		cursor = cursor.Add(time.Duration(ns))
-	}
-	rsp.End()
-	s.registry.Record(ref.id, digest, src, rr.Dist, rr.Parent, "")
-	return rr
-}
-
-func queryIncr(rr *incr.RepairResult, n int) *QueryIncrJSON {
-	return &QueryIncrJSON{
-		Served:           "repaired",
-		AffectedVertices: rr.Affected,
-		AffectedFraction: float64(rr.Affected) / float64(n),
-	}
-}
-
-// countReuse feeds the registered-graph reuse counters: a cache hit is a
-// source served without recomputation, a repaired miss was counted by
-// tryRepair already, and everything else is a recompute.
-func (s *Server) countReuse(hit, repaired bool, sources int64) {
-	if hit {
-		s.metrics.incrSourcesReused.Add(sources)
-	} else if !repaired {
-		s.metrics.incrSourcesRecomputed.Add(sources)
-	}
 }
 
 // wantTrace reports whether the query string asks for the span-level
@@ -451,83 +339,52 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	for name, v := range map[string]int64{"source": req.Source, "target": req.Target} {
-		if v < 0 || v >= int64(g.N()) {
-			s.replyError(w, badf("%s %d out of range [0,%d)", name, v, g.N()))
+	for _, op := range []struct {
+		name string
+		v    int64
+	}{{"source", req.Source}, {"target", req.Target}} {
+		if op.v < 0 || op.v >= int64(g.N()) {
+			s.replyError(w, badf("%s %d out of range [0,%d)", op.name, op.v, g.N()))
 			return
 		}
 	}
-	parts := queryKeyParts("path", req.Options, fmt.Sprintf("src=%d|dst=%d", req.Source, req.Target))
-	repaired := false
-	hit, ok := s.finishQuery(w, r, keyFromDigest(digest, parts), func(sp *trace.Span) ([]byte, bool, error) {
-		// A repaired trace answers a path query directly: the witness tree
-		// IS the shortest-path tree, so the path is a parent walk from the
-		// target — no simulation, no tree extraction.
-		if !req.Options.RecordPhases {
-			if rr := s.tryRepair(sp, ref, digest, g, graph.NodeID(req.Source)); rr != nil {
-				repaired = true
-				w.Header().Set("X-Dsssp-Incr", "repaired")
-				resp := PathResponse{Dist: rr.Dist[req.Target], Path: []int64{}, Incr: queryIncr(rr, g.N())}
-				if resp.Dist != graph.Inf {
-					nodes := walkParents(rr.Parent, graph.NodeID(req.Source), graph.NodeID(req.Target))
-					for _, v := range nodes {
-						resp.Path = append(resp.Path, int64(v))
-					}
-				}
-				b, err := json.Marshal(resp)
-				return b, false, err
+	var res *dsssp.TreeResult
+	s.serveRows(w, r, rowQuery{
+		g: g, digest: digest, ref: ref,
+		sources:      []graph.NodeID{graph.NodeID(req.Source)},
+		parts:        queryKeyParts("path", req.Options, fmt.Sprintf("src=%d|dst=%d", req.Source, req.Target)),
+		recordPhases: req.Options.RecordPhases,
+		engine: func(missing []graph.NodeID) ([]row, []simnet.SpanMetrics, error) {
+			var err error
+			if res, err = dsssp.SSSPTree(g, missing[0], opts); err != nil {
+				return nil, nil, err
 			}
+			return []row{{dist: res.Dist, parent: res.Parent}}, res.Metrics.Spans, nil
+		},
+	}, func(rs rowSet) ([]byte, error) {
+		// The row's witness tree IS the shortest-path tree, computed or
+		// repaired alike: the path is a parent walk from the target.
+		rw := rs.rows[0]
+		resp := PathResponse{Dist: rw.dist[req.Target], Path: []int64{}}
+		if rw.served == rowRepaired {
+			resp.Incr = queryIncr(rw, g.N())
+		} else {
+			resp.Metrics = metricsJSON(res.Metrics)
 		}
-		if ref != nil {
-			w.Header().Set("X-Dsssp-Incr", "recomputed")
-		}
-		eng := sp.StartChild("engine")
-		tr, err := dsssp.SSSPTree(g, graph.NodeID(req.Source), opts)
-		if err != nil {
-			eng.SetError(err.Error())
-			eng.End()
-			return nil, false, err
-		}
-		pathPhases := harness.PhasesFromSpans(tr.Metrics.Spans)
-		graftEnginePhases(eng, pathPhases)
-		eng.End()
-		s.metrics.observePhases(pathPhases, sp.TraceIDString())
-		if ref != nil {
-			// A path query is an SSSP from its source under the covers, so
-			// its trace classifies (and migrates/invalidates) like one —
-			// and it already carries the witness tree repair needs.
-			s.registry.Record(ref.id, digest, graph.NodeID(req.Source), tr.Dist, tr.Parent, parts)
-		}
-		resp := PathResponse{Dist: tr.Dist[req.Target], Path: []int64{}, Metrics: metricsJSON(tr.Metrics)}
 		if resp.Dist != graph.Inf {
 			// Unreachable targets are an answer (dist = +Inf sentinel,
 			// empty path), not an error.
-			nodes, err := tr.PathTo(graph.NodeID(req.Target))
+			tree := dsssp.TreeResult{Result: dsssp.Result{Dist: rw.dist}, Parent: rw.parent}
+			nodes, err := tree.PathTo(graph.NodeID(req.Target))
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
 			for _, v := range nodes {
 				resp.Path = append(resp.Path, int64(v))
 			}
 		}
-		b, err := json.Marshal(resp)
-		return b, true, err
+		return json.Marshal(resp)
 	})
-	if ok && ref != nil {
-		s.countReuse(hit, repaired, 1)
-	}
-}
-
-// walkParents reconstructs target → … → source from a witness parent tree
-// — the exact orientation dsssp.TreeResult.PathTo returns, so a repaired
-// path response is byte-identical to a computed one.
-func walkParents(parent []graph.NodeID, source, target graph.NodeID) []graph.NodeID {
-	path := []graph.NodeID{target}
-	for v := target; v != source && parent[v] >= 0; {
-		v = parent[v]
-		path = append(path, v)
-	}
-	return path
 }
 
 func (s *Server) handleAPSP(w http.ResponseWriter, r *http.Request) {
@@ -540,124 +397,61 @@ func (s *Server) handleAPSP(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	parts := queryKeyParts("apsp", req.Options, fmt.Sprintf("seed=%d", req.Seed))
-	var rowsReused, rowsRecomputed int64
-	hit, ok := s.finishQuery(w, r, keyFromDigest(digest, parts), func(sp *trace.Span) ([]byte, bool, error) {
-		// For a registered graph, fan out only to sources without a traced
-		// row at this revision — and before fanning out, try affected-region
-		// repair on each untraced source that still has a stale trace.
-		// Per-source SSSP instances are independent, so a reused or repaired
-		// row is byte-identical to what a re-run would produce; only the
-		// Composition (which describes the instances actually run this time)
-		// and the Incr split distinguish a partially-reused response from a
-		// from-scratch one.
-		var traced map[graph.NodeID][]int64
-		if ref != nil {
-			traced = s.registry.Rows(ref.id, digest)
+	sources := make([]graph.NodeID, g.N())
+	for v := range sources {
+		sources[v] = graph.NodeID(v)
+	}
+	// Per-source SSSP instances are independent, so a reused or repaired row
+	// is byte-identical to what a re-run would produce; only the Composition
+	// (which describes the instances actually run this time) and the Incr
+	// split distinguish a partially-reused response from a from-scratch one.
+	var res *dsssp.APSPResult
+	s.serveRows(w, r, rowQuery{
+		g: g, digest: digest, ref: ref,
+		sources:      sources,
+		parts:        queryKeyParts("apsp", req.Options, fmt.Sprintf("seed=%d", req.Seed)),
+		allPairs:     true,
+		recordPhases: req.Options.RecordPhases,
+		engine: func(missing []graph.NodeID) ([]row, []simnet.SpanMetrics, error) {
+			var err error
+			if res, err = dsssp.APSPFrom(g, missing, opts, req.Seed); err != nil {
+				return nil, nil, err
+			}
+			rows := make([]row, len(missing))
+			for k, src := range missing {
+				rows[k].dist = res.Dist[src]
+			}
+			return rows, res.Composition.Spans, nil
+		},
+	}, func(rs rowSet) ([]byte, error) {
+		resp := APSPResponse{N: g.N(), M: g.M(), Dist: make([][]int64, g.N())}
+		for v, rw := range rs.rows {
+			resp.Dist[v] = rw.dist
 		}
-		missing := make([]graph.NodeID, 0, g.N())
-		dist := make([][]int64, g.N())
-		for v := 0; v < g.N(); v++ {
-			if row, ok := traced[graph.NodeID(v)]; ok {
-				dist[v] = row
-			} else {
-				missing = append(missing, graph.NodeID(v))
-			}
-		}
-		repairedRows := 0
-		if ref != nil && len(missing) > 0 {
-			still := missing[:0]
-			for _, src := range missing {
-				if rr := s.tryRepair(sp, ref, digest, g, src); rr != nil {
-					dist[src] = rr.Dist
-					repairedRows++
-				} else {
-					still = append(still, src)
-				}
-			}
-			missing = still
-		}
-		reused := g.N() - len(missing) - repairedRows
-		resp := APSPResponse{N: g.N(), M: g.M(), Dist: dist}
-		if len(missing) > 0 {
-			eng := sp.StartChild("engine")
-			eng.SetAttr("sources", len(missing))
-			res, err := dsssp.APSPFrom(g, missing, opts, req.Seed)
-			if err != nil {
-				eng.SetError(err.Error())
-				eng.End()
-				return nil, false, err
-			}
-			for _, src := range missing {
-				dist[src] = res.Dist[src]
-			}
+		if res != nil {
 			comp := res.Composition
-			phases := harness.PhasesFromSpans(comp.Spans)
-			graftEnginePhases(eng, phases)
-			eng.End()
-			s.metrics.observePhases(phases, sp.TraceIDString())
 			resp.Composition = CompositionJSON{
 				Dilation: comp.Dilation, Congestion: comp.Congestion,
 				MakespanAligned: comp.MakespanAligned, MakespanRandom: comp.MakespanRandom,
 				MakespanSequential: comp.MakespanSequential, MaxMessageBits: comp.MaxMessageBits,
 			}
 			if req.Options.RecordPhases {
-				resp.Phases = phases
+				resp.Phases = rs.phases
 			}
 		}
-		if ref != nil {
-			// Recomputed rows are recorded with their witness trees so a
-			// later PATCH demotes them to repairable stale traces instead of
-			// forgetting them. (Repaired rows were promoted by tryRepair.)
-			newRows := make(map[graph.NodeID]incr.Trace, len(missing))
-			for _, src := range missing {
-				newRows[src] = incr.Trace{Dist: dist[src], Parent: graph.WitnessParents(g, src, dist[src])}
-			}
-			// The whole-body entry is recorded only for a from-scratch run:
-			// a partially-reused or repaired body is history-dependent (its
-			// Composition and Incr depend on what happened to be traced), so
-			// it must not become this key's cached bytes.
-			bodyParts := parts
-			if reused > 0 || repairedRows > 0 {
-				bodyParts = ""
-			}
-			s.registry.RecordRows(ref.id, digest, newRows, bodyParts)
+		if !rs.all(rowComputed) {
+			resp.Incr = &IncrJSON{SourcesReused: rs.count[rowReused], SourcesRepaired: rs.count[rowRepaired], SourcesRecomputed: rs.count[rowComputed]}
 		}
-		if reused > 0 || repairedRows > 0 {
-			resp.Incr = &IncrJSON{SourcesReused: reused, SourcesRepaired: repairedRows, SourcesRecomputed: len(missing)}
-			rowsReused, rowsRecomputed = int64(reused), int64(len(missing))
-			if repairedRows > 0 {
-				w.Header().Set("X-Dsssp-Incr", fmt.Sprintf("reused=%d repaired=%d recomputed=%d", reused, repairedRows, len(missing)))
-			} else {
-				w.Header().Set("X-Dsssp-Incr", fmt.Sprintf("reused=%d recomputed=%d", reused, len(missing)))
-			}
-			b, err := json.Marshal(resp)
-			return b, false, err
-		}
-		b, err := json.Marshal(resp)
-		return b, true, err
+		return json.Marshal(resp)
 	})
-	if ok && ref != nil {
-		// A body-cache hit means every source was served without recompute;
-		// a miss splits per the incremental assembly above (all-recompute
-		// when nothing was traced; repaired rows were counted by tryRepair).
-		if hit {
-			s.metrics.incrSourcesReused.Add(int64(g.N()))
-		} else {
-			s.metrics.incrSourcesReused.Add(rowsReused)
-			s.metrics.incrSourcesRecomputed.Add(rowsRecomputed)
-		}
-	}
 }
 
 // graphRef identifies the registered graph a query resolved (nil for
-// inline/generator specs): the handle plus the head revision the query is
-// pinned to. The resolved snapshot is immutable, so the query is
-// consistent even if a PATCH lands mid-computation — it answers for the
-// revision it resolved.
+// inline/generator specs). The query is pinned to the head revision it
+// resolved — its snapshot and digest — and that snapshot is immutable, so
+// the query is consistent even if a PATCH lands mid-computation.
 type graphRef struct {
-	id       string
-	revision int
+	id string
 }
 
 // prepare resolves the graph (inline, generator, or registered handle)
@@ -694,7 +488,7 @@ func (s *Server) prepare(w http.ResponseWriter, r *http.Request, spec GraphSpec,
 		sp.SetAttr("revision", rev)
 		sp.SetAttr("n", g.N())
 		sp.End()
-		return g, digest, opts, &graphRef{id: spec.ID, revision: rev}, true
+		return g, digest, opts, &graphRef{id: spec.ID}, true
 	}
 	g, err := buildGraph(spec, s.cfg.MaxN, s.cfg.MaxEdges)
 	if err != nil {
