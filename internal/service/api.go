@@ -85,7 +85,7 @@ type QueryOptions struct {
 	StrictCongest bool `json:"strict_congest,omitempty"`
 	// MaxRounds caps the simulation (0 = a generous default).
 	MaxRounds int64 `json:"max_rounds,omitempty"`
-	// RecordPhases attaches the per-phase breakdown to the response.
+	// RecordPhases attaches the per-phase breakdown (sssp, apsp; path ignores it).
 	RecordPhases bool `json:"record_phases,omitempty"`
 	// Workers requests intra-round parallel simulation for this query,
 	// clamped to the server's MaxIntraWorkers cap (0 = sequential, the

@@ -275,11 +275,24 @@ func TestRepairServing(t *testing.T) {
 	if w.Header().Get("X-Dsssp-Incr") != "repaired" || repairedPath.Incr == nil {
 		t.Fatalf("path repair: incr=%s block=%+v", w.Header().Get("X-Dsssp-Incr"), repairedPath.Incr)
 	}
+	// The path body carries no phases, so record_phases is ignored like
+	// ?trace=1: it neither steps repair aside nor forks the cache key.
+	phasedPathBody := `,"source":0,"target":2,"options":{"record_phases":true}}`
+	w = do(t, s, "POST", "/v1/path", fmt.Sprintf(`{"graph":{"graph_id":%q}`, info.ID)+phasedPathBody)
+	var phasedPath PathResponse
+	decodeBody(t, w, http.StatusOK, &phasedPath)
+	if w.Header().Get("X-Dsssp-Incr") != "repaired" || phasedPath.Dist != repairedPath.Dist || !reflect.DeepEqual(phasedPath.Path, repairedPath.Path) {
+		t.Fatalf("record_phases path: incr=%s dist %d path %v, want repaired dist %d path %v",
+			w.Header().Get("X-Dsssp-Incr"), phasedPath.Dist, phasedPath.Path, repairedPath.Dist, repairedPath.Path)
+	}
 	var freshPath PathResponse
 	decodeBody(t, do(t, s, "POST", "/v1/path", `{"graph":`+ciGraphPatchedJSON+`,"source":0,"target":2}`), http.StatusOK, &freshPath)
 	if repairedPath.Dist != freshPath.Dist || !reflect.DeepEqual(repairedPath.Path, freshPath.Path) {
 		t.Fatalf("repaired path diverges: dist %d path %v, want dist %d path %v",
 			repairedPath.Dist, repairedPath.Path, freshPath.Dist, freshPath.Path)
+	}
+	if w = do(t, s, "POST", "/v1/path", `{"graph":`+ciGraphPatchedJSON+phasedPathBody); w.Header().Get("X-Dsssp-Cache") != "hit" {
+		t.Fatalf("record_phases path forked the cache key: cache=%s", w.Header().Get("X-Dsssp-Cache"))
 	}
 
 	// The serving split is visible at /v1/stats.

@@ -35,7 +35,6 @@ func TestEndToEnd(t *testing.T) {
 		e2eTrends(t, ts, srv)
 	})
 	t.Run("sweep-cancellation", func(t *testing.T) { e2eSweepCancel(t, ts) })
-	t.Run("service-load", func(t *testing.T) { e2eLoad(t, ts) })
 }
 
 func e2eConcurrentQueries(t *testing.T, ts *httptest.Server) {
@@ -246,24 +245,6 @@ func e2eSweepCancel(t *testing.T, ts *httptest.Server) {
 	}
 	if job.Error == "" || !strings.Contains(job.Error, "cancel") {
 		t.Fatalf("cancelled job error %q is not descriptive", job.Error)
-	}
-}
-
-func e2eLoad(t *testing.T, ts *httptest.Server) {
-	rep, err := RunLoad(t.Context(), ts.Client(), ts.URL, LoadOptions{
-		Concurrency: 4, Requests: 40, Graphs: 2, N: 24,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors > 0 {
-		t.Fatalf("load errors: %d (first: %s)", rep.Errors, rep.FirstError)
-	}
-	if rep.Requests != 40 || rep.Hits < rep.Requests/2 {
-		t.Fatalf("load report = %+v (want hit-dominated)", rep)
-	}
-	if rep.RPS <= 0 || rep.WallNS <= 0 {
-		t.Fatalf("load throughput = %+v", rep)
 	}
 }
 

@@ -335,6 +335,9 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
+	// A path body carries no phases: ignore record_phases like ?trace=1, so
+	// it neither forks the cache key nor steps repair aside.
+	req.Options.RecordPhases = false
 	g, digest, opts, ref, ok := s.prepare(w, r, req.Graph, req.Options)
 	if !ok {
 		return
@@ -351,9 +354,8 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 	var res *dsssp.TreeResult
 	s.serveRows(w, r, rowQuery{
 		g: g, digest: digest, ref: ref,
-		sources:      []graph.NodeID{graph.NodeID(req.Source)},
-		parts:        queryKeyParts("path", req.Options, fmt.Sprintf("src=%d|dst=%d", req.Source, req.Target)),
-		recordPhases: req.Options.RecordPhases,
+		sources: []graph.NodeID{graph.NodeID(req.Source)},
+		parts:   queryKeyParts("path", req.Options, fmt.Sprintf("src=%d|dst=%d", req.Source, req.Target)),
 		engine: func(missing []graph.NodeID) ([]row, []simnet.SpanMetrics, error) {
 			var err error
 			if res, err = dsssp.SSSPTree(g, missing[0], opts); err != nil {
@@ -821,13 +823,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // --- plumbing ---
 
-// decode parses a JSON request body strictly: unknown fields, trailing
-// garbage, and oversized bodies are 400s with a JSON error body.
+// decode parses a JSON request body strictly: unknown fields and trailing
+// garbage are 400s, a body over MaxBodyBytes a 413, all with JSON errors.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
-		writeError(w, http.StatusBadRequest, "parsing request body: %v", err)
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, "parsing request body: %v", err)
 		return false
 	}
 	if dec.More() {

@@ -17,9 +17,13 @@ import (
 	"dsssp/internal/harness"
 )
 
-func testServer(t *testing.T) *Server {
+func testServer(t *testing.T) *Server { return testServerBodyCap(t, 0) }
+
+// testServerBodyCap is testServer with request bodies capped at bodyCap
+// bytes (0 = the default cap).
+func testServerBodyCap(t *testing.T, bodyCap int64) *Server {
 	t.Helper()
-	s, err := New(Config{HistoryDir: t.TempDir(), Workers: 4, SweepParallel: 2, Rev: "test"})
+	s, err := New(Config{HistoryDir: t.TempDir(), Workers: 4, SweepParallel: 2, Rev: "test", MaxBodyBytes: bodyCap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +68,14 @@ func wantErrorJSON(t *testing.T, w *httptest.ResponseRecorder, status int, subst
 	}
 }
 
+// testBodyCap is the request-body cap of the error-vocabulary tests, and
+// oversizedBody a well-formed SSSP request just over it.
+const testBodyCap = 1 << 10
+
+var oversizedBody = `{"graph":{"n":4,"edges":[` + strings.Repeat(`[0,1,1],`, testBodyCap/8) + `[1,2,1]]}}`
+
 func TestBadInputsAre4xxJSON(t *testing.T) {
-	s := testServer(t)
+	s := testServerBodyCap(t, testBodyCap)
 	cases := []struct {
 		name, method, path, body string
 		status                   int
@@ -74,6 +84,7 @@ func TestBadInputsAre4xxJSON(t *testing.T) {
 		{"malformed-json", "POST", "/v1/sssp", `{"graph": nope}`, 400, "parsing request body"},
 		{"unknown-field", "POST", "/v1/sssp", `{"grap": {}}`, 400, "unknown field"},
 		{"trailing-garbage", "POST", "/v1/sssp", `{"graph":{"family":"path","n":8}} trailing`, 400, "trailing data"},
+		{"body-too-large", "POST", "/v1/sssp", oversizedBody, 413, "request body too large"},
 		{"no-edges", "POST", "/v1/sssp", `{"graph":{"n":4}}`, 400, "no edges"},
 		{"unknown-family", "POST", "/v1/sssp", `{"graph":{"family":"hypercube","n":8}}`, 400, "unknown graph family"},
 		{"n-too-small", "POST", "/v1/sssp", `{"graph":{"family":"path","n":2}}`, 400, "n in [4,"},
@@ -505,12 +516,13 @@ func TestMuxErrorsAreJSON(t *testing.T) {
 
 // TestErrorCodes pins the stable machine-readable code per status class.
 func TestErrorCodes(t *testing.T) {
-	s := testServer(t)
+	s := testServerBodyCap(t, testBodyCap)
 	cases := []struct {
 		method, path, body, code string
 	}{
 		{"POST", "/v1/sssp", `{"graph": nope}`, "bad_request"},
 		{"GET", "/v1/sweeps/sweep-9999", "", "not_found"},
+		{"POST", "/v1/sssp", oversizedBody, "body_too_large"},
 		{"POST", "/v1/sssp", `{"graph":{"family":"path","n":8},"options":{"model":"sleeping","strict_congest":true}}`, "unprocessable"},
 	}
 	for _, tc := range cases {
