@@ -33,6 +33,14 @@
 // Energy per node is O(1) per phase section (every wake is one of: the
 // exchange, two rounds of a sweep, or a bridge round), giving O(log n)
 // total — within Theorem 3.1's O(log^2 n) budget.
+//
+// Because every wake is statically scheduled, the construction runs as an
+// engine-driven step machine (simnet.Ctx.Drive): a per-node cursor over the
+// sections above, which the engine calls directly at each wake instead of
+// switching to the node's coroutine. The machine keeps every wake, every
+// send and its order; only the coroutine switch per wake is gone. The
+// sweeps follow proto's schedule (proto.UpSlot, proto.DownSlot), the one
+// the coroutine helpers proto.SweepUp/SweepDown use.
 package forest
 
 import (
@@ -42,6 +50,7 @@ import (
 
 	"dsssp/internal/graph"
 	"dsssp/internal/proto"
+	"dsssp/internal/simnet"
 )
 
 // Params configures one forest construction. All participants must pass
@@ -143,18 +152,24 @@ func Duration(sizeBound int64) int64 {
 	return Phases(sizeBound)*phaseLen(sizeBound) + 2*(sizeBound+2) + 2
 }
 
-// node is the per-node construction state.
+// node is the per-node construction state: the tree view the phases
+// build, and the cursor of the step machine that runs them. Small fields
+// are grouped so the struct (one allocation per Build) stays compact.
 type node struct {
-	mb  *proto.Mailbox
-	p   Params
-	s   int64 // SizeBound
-	deg int
+	mb *proto.Mailbox
+	p  Params
+	s  int64 // SizeBound
 
 	eligible []bool
 
-	compID   graph.NodeID
+	compID graph.NodeID
+	hasOut bool
+	// merge sub-step bookkeeping
+	attempting bool // this component tries to move in the current sub-step
+	chooserNow bool // ... and this node owns its chosen edge
+	marked     bool // this node holds the adopt marker
+
 	color    int64
-	hasOut   bool
 	parent   int   // nbIndex or -1
 	children []int // sorted nbIndexes; doubles as the tree's Children
 	depth    int64
@@ -163,10 +178,33 @@ type node struct {
 	chosenEdge int            // my adjacency index of my component's chosen edge, or -1
 	incoming   []int          // edges on which a chooser registered this phase (reused)
 
-	// adopt bookkeeping (per sub-step)
+	// adopt bookkeeping (per sub-step; marker is valid when marked)
 	pathChild int
 	pathHops  int64
-	marker    *markerBody
+	marker    markerBody
+
+	// Step machine cursor (see Step): the state to run next, the phase and
+	// its start round, the CV iteration or merge color within the phase,
+	// and the base round of that iteration's section.
+	st   state
+	act  state // see the sweep fields below
+	ret  state
+	ph   int64
+	r0   int64
+	iter int64
+	at   int64
+
+	// The sweep in flight: its tag, this node's slot, the state to run in
+	// its act round (act) and, after a plain up/down act, the one to
+	// continue at (ret). val carries the sweep's value: the node's own
+	// contribution (up) or the root's value (down) in, the root's aggregate
+	// (up; nil elsewhere) or the received value (down) out.
+	swTag   uint64
+	slot    proto.SweepSlot
+	val     any
+	combine proto.Combine
+
+	size int64
 }
 
 func (f *node) tag(off int) uint64 { return f.p.Tag + uint64(off) }
@@ -201,167 +239,407 @@ func Build(mb *proto.Mailbox, p Params) Result {
 		mb:         mb,
 		p:          p,
 		s:          p.SizeBound,
-		deg:        mb.C.Degree(),
 		compID:     mb.C.ID(),
 		color:      int64(mb.C.ID()),
 		parent:     -1,
 		chosenEdge: -1,
+		st:         stPhase,
 	}
-	f.eligible = make([]bool, f.deg)
-	for i := 0; i < f.deg; i++ {
+	deg := mb.C.Degree()
+	f.eligible = make([]bool, deg)
+	for i := range f.eligible {
 		f.eligible[i] = p.Eligible == nil || p.Eligible(i)
 	}
-	f.nbComp = make([]graph.NodeID, f.deg)
-
-	phases := Phases(f.s)
-	for ph := int64(0); ph < phases; ph++ {
-		f.phase(p.StartRound + ph*phaseLen(f.s))
-	}
-
-	// Final size agreement.
-	fin := p.StartRound + phases*phaseLen(f.s)
-	agg, isRoot := proto.SweepUp(mb, f.tree(), f.tag(tagSizeUp), fin, f.s, int64(1),
-		func(a, b any) any { return a.(int64) + b.(int64) })
-	var rv any
-	if isRoot {
-		rv = agg
-	}
-	size := proto.SweepDown(mb, f.tree(), f.tag(tagSizeDown), fin+f.s+2, rv, nil).(int64)
-	mb.AdvanceTo(p.StartRound + Duration(f.s))
-	return Result{Tree: f.tree(), CompID: f.compID, Size: size}
+	f.nbComp = make([]graph.NodeID, deg)
+	mb.C.Drive(f)
+	return Result{Tree: f.tree(), CompID: f.compID, Size: f.size}
 }
 
-func (f *node) phase(r0 int64) {
+// state is a position of the step machine. Each state runs the code
+// between two receives of the phase schedule (see the package comment)
+// and names the round the next state runs in. Rounds below are relative to
+// the phase start r0 and to at, the start of the current CV iteration or
+// merge sub-step.
+type state int8
+
+const (
+	stPhase     state = iota // phase start, or the size sweeps after the last
+	stExchange               // r0: send the component ID
+	stExchanged              // r0+1: record neighbor IDs, sweep the min edge up
+	stMinDown                // sweep the min edge down
+	stChosen                 // adopt the chosen edge
+	stNotify                 // r0+2s+6: notify the chosen edge's far endpoint
+	stNotified               // r0+2s+7: register incoming bridges
+	stCV                     // CV iteration iter, or the palette check after the last
+	stCVSend                 // at: send the color over incoming bridges
+	stCVColor                // at+1: derive the new color, sweep it up
+	stCVDown                 // sweep the new color down
+	stCVDone                 // adopt it
+	stMerge                  // merge sub-step iter, or the next phase after the last
+	stReq                    // at: send the join request
+	stAck                    // at+1: answer requests
+	stAdopt                  // sweep the adopt marker up
+	stMark                   // marker act round
+	stBroadcast              // adopt broadcast act round: rebase, apply the move
+	stSizeDown               // sweep the component size down
+	stSized                  // record it, advance to the end
+	stListen                 // a sweep's listen round
+	stUpAct                  // a plain sweep-up act round
+	stDownAct                // a plain sweep-down act round
+	stDone
+)
+
+// Step is the construction's simnet.Stepper: it files the wake's
+// arrivals in the mailbox and runs states until one needs a later round.
+// A state continues in round r either by AdvanceTo (inline when the node is
+// in round r already) or, with sleep set, by SleepUntil — the receives of
+// the phase schedule, so each wake sends and takes what the schedule
+// prescribes, in order (TestBuildMatchesOracle holds the machine to a
+// straight-line copy of the schedule).
+func (f *node) Step(in []simnet.Inbound) (int64, bool) {
+	f.mb.Pump(in)
+	for f.st != stDone {
+		r, sleep := f.exec()
+		if sleep || !f.mb.At(r) {
+			return r, false
+		}
+	}
+	return 0, true
+}
+
+// advance continues at state next in round r, reached by AdvanceTo.
+func (f *node) advance(r int64, next state) (int64, bool) {
+	f.st = next
+	return r, false
+}
+
+// sleep continues at state next in round r, reached by SleepUntil.
+func (f *node) sleep(r int64, next state) (int64, bool) {
+	f.st = next
+	return r, true
+}
+
+// then continues at state next in the current wake.
+func (f *node) then(next state) (int64, bool) {
+	f.st = next
+	return f.mb.Round(), false
+}
+
+// reach runs state act in the act round of sweep slot s.
+func (f *node) reach(s proto.SweepSlot, act state) (int64, bool) {
+	f.slot = s
+	if s.Listen {
+		f.act = act
+		return f.advance(s.Act-1, stListen)
+	}
+	return f.advance(s.Act, act)
+}
+
+// up sweeps mine up the tree (proto.SweepUp) in the window starting at
+// start, then continues at ret with f.val holding the root's aggregate.
+func (f *node) up(tag int, start int64, mine any, combine proto.Combine, ret state) (int64, bool) {
+	f.swTag, f.val, f.combine, f.ret = f.tag(tag), mine, combine, ret
+	return f.reach(proto.UpSlot(f.mb, f.tree(), start, f.s), stUpAct)
+}
+
+// down sweeps the root's f.val down the tree (proto.SweepDown) in the
+// window starting at start, then continues at ret with f.val holding the
+// received value.
+func (f *node) down(tag int, start int64, ret state) (int64, bool) {
+	f.swTag, f.ret = f.tag(tag), ret
+	return f.reach(proto.DownSlot(f.tree(), start), stDownAct)
+}
+
+// exec runs the current state.
+func (f *node) exec() (int64, bool) {
 	mb := f.mb
 	s := f.s
-
-	// Colors restart from the (component-wide unique) component ID: CV
-	// properness needs distinct inputs, and last phase's 6-color palette
-	// is not distinct across components.
-	f.color = int64(f.compID)
+	switch f.st {
+	case stPhase:
+		if f.ph == Phases(s) {
+			// Final size agreement.
+			f.at = f.p.StartRound + f.ph*phaseLen(s)
+			return f.up(tagSizeUp, f.at, int64(1), addSizes, stSizeDown)
+		}
+		f.r0 = f.p.StartRound + f.ph*phaseLen(s)
+		// Colors restart from the (component-wide unique) component ID: CV
+		// properness needs distinct inputs, and last phase's 6-color
+		// palette is not distinct across components.
+		f.color = int64(f.compID)
+		return f.advance(f.r0, stExchange)
 
 	// (1) Component-ID exchange.
-	mb.AdvanceTo(r0)
-	for i := 0; i < f.deg; i++ {
-		if f.eligible[i] {
-			mb.Send(i, f.tag(tagExch), f.compID)
-		}
-	}
-	mb.SleepUntil(r0 + 1)
-	for i := range f.nbComp {
-		f.nbComp[i] = -1
-	}
-	for _, m := range mb.Take(f.tag(tagExch)) {
-		f.nbComp[m.NbIndex] = m.Body.(graph.NodeID)
-	}
-
-	// (2) Minimum outgoing edge via two sweeps.
-	mine := minVal{}
-	for i := 0; i < f.deg; i++ {
-		if f.eligible[i] && f.nbComp[i] >= 0 && f.nbComp[i] != f.compID {
-			id := mb.C.EdgeID(i)
-			if !mine.Valid || id < mine.Edge {
-				mine = minVal{Valid: true, Edge: id}
+	case stExchange:
+		for i, ok := range f.eligible {
+			if ok {
+				mb.Send(i, f.tag(tagExch), f.compID)
 			}
 		}
-	}
-	combineMin := func(a, b any) any {
-		x, y := a.(minVal), b.(minVal)
-		if !x.Valid {
-			return y
+		return f.sleep(f.r0+1, stExchanged)
+	case stExchanged:
+		for i := range f.nbComp {
+			f.nbComp[i] = -1
 		}
-		if !y.Valid {
-			return x
+		for _, m := range mb.Take(f.tag(tagExch)) {
+			f.nbComp[m.NbIndex] = m.Body.(graph.NodeID)
 		}
-		if y.Edge < x.Edge {
-			return y
-		}
-		return x
-	}
-	agg, isRoot := proto.SweepUp(mb, f.tree(), f.tag(tagMinUp), r0+2, s, mine, combineMin)
-	var rv any
-	if isRoot {
-		rv = agg
-	}
-	chosen := proto.SweepDown(mb, f.tree(), f.tag(tagMinDown), r0+s+4, rv, nil).(minVal)
-	f.hasOut = chosen.Valid
-	f.chosenEdge = -1
-	if chosen.Valid {
-		for i := 0; i < f.deg; i++ {
-			if f.eligible[i] && f.nbComp[i] >= 0 && f.nbComp[i] != f.compID && mb.C.EdgeID(i) == chosen.Edge {
-				f.chosenEdge = i
+		// (2) Minimum outgoing edge via two sweeps.
+		mine := minVal{}
+		for i := range f.eligible {
+			if f.outgoing(i) {
+				id := mb.C.EdgeID(i)
+				if !mine.Valid || id < mine.Edge {
+					mine = minVal{Valid: true, Edge: id}
+				}
 			}
 		}
-	}
+		return f.up(tagMinUp, f.r0+2, mine, minEdge, stMinDown)
+	case stMinDown:
+		return f.down(tagMinDown, f.r0+s+4, stChosen)
+	case stChosen:
+		chosen := f.val.(minVal)
+		f.hasOut = chosen.Valid
+		f.chosenEdge = -1
+		if chosen.Valid {
+			for i := range f.eligible {
+				if f.outgoing(i) && mb.C.EdgeID(i) == chosen.Edge {
+					f.chosenEdge = i
+				}
+			}
+		}
+		// (3) Choice notification.
+		f.incoming = f.incoming[:0]
+		return f.advance(f.r0+2*s+6, stNotify)
+	case stNotify:
+		if f.chosenEdge >= 0 {
+			mb.Send(f.chosenEdge, f.tag(tagChosen), struct{}{})
+		}
+		return f.sleep(f.r0+2*s+7, stNotified)
+	case stNotified:
+		for _, m := range mb.Take(f.tag(tagChosen)) {
+			f.incoming = append(f.incoming, m.NbIndex)
+		}
+		f.iter = 0
+		return f.then(stCV)
 
-	// (3) Choice notification.
-	a3 := r0 + 2*s + 6
-	f.incoming = f.incoming[:0]
-	mb.AdvanceTo(a3)
-	if f.chosenEdge >= 0 {
-		mb.Send(f.chosenEdge, f.tag(tagChosen), struct{}{})
-	}
-	mb.SleepUntil(a3 + 1)
-	for _, m := range mb.Take(f.tag(tagChosen)) {
-		f.incoming = append(f.incoming, m.NbIndex)
-	}
-
-	// (4) Cole–Vishkin coloring of the chooser pseudo-forest.
-	a4 := r0 + 2*s + 8
-	for t := 0; t < cvIters; t++ {
-		f.cvIter(a4 + int64(t)*(2*s+6))
-	}
-	if f.hasOut && f.color >= numColors {
-		panic(fmt.Sprintf("forest: node %d: CV color %d out of palette", mb.C.ID(), f.color))
-	}
-
-	// (5) Merge sub-steps, one per color.
-	a5 := a4 + cvIters*(2*s+6)
-	for c := int64(0); c < numColors; c++ {
-		f.subStep(c, a5+c*(2*s+6))
-	}
-}
-
-// cvIter performs one Cole–Vishkin iteration starting at round b: targets
-// send their component's current color over incoming bridges; the chooser
-// computes the new color; two sweeps distribute it component-wide.
-func (f *node) cvIter(b int64) {
-	mb := f.mb
-	s := f.s
-	if len(f.incoming) > 0 || f.chosenEdge >= 0 {
-		mb.AdvanceTo(b)
+	// (4) Cole–Vishkin coloring of the chooser pseudo-forest: per
+	// iteration, targets send their component's current color over
+	// incoming bridges, the chooser computes the new color, and two sweeps
+	// distribute it component-wide.
+	case stCV:
+		if f.iter == cvIters {
+			if f.hasOut && f.color >= numColors {
+				panic(fmt.Sprintf("forest: node %d: CV color %d out of palette", mb.C.ID(), f.color))
+			}
+			f.iter = 0
+			return f.then(stMerge)
+		}
+		f.at = f.r0 + 2*s + 8 + f.iter*(2*s+6)
+		if len(f.incoming) > 0 || f.chosenEdge >= 0 {
+			return f.advance(f.at, stCVSend)
+		}
+		return f.then(stCVColor)
+	case stCVSend:
 		for _, e := range f.incoming {
 			mb.Send(e, f.tag(tagColor), f.color)
 		}
-		mb.SleepUntil(b + 1)
-	}
-	if !f.hasOut {
-		// Static components keep their color; they never move, so their
-		// palette membership is irrelevant (see package comment).
-		mb.Take(f.tag(tagColor))
-		return
-	}
-	var myNew any
-	if f.chosenEdge >= 0 {
-		msgs := mb.Take(f.tag(tagColor))
-		var tColor int64 = -1
-		for _, m := range msgs {
-			if m.NbIndex == f.chosenEdge {
-				tColor = m.Body.(int64)
+		return f.sleep(f.at+1, stCVColor)
+	case stCVColor:
+		if !f.hasOut {
+			// Static components keep their color; they never move, so
+			// their palette membership is irrelevant (see package comment).
+			mb.Take(f.tag(tagColor))
+			f.iter++
+			return f.then(stCV)
+		}
+		var myNew any
+		if f.chosenEdge >= 0 {
+			var tColor int64 = -1
+			for _, m := range mb.Take(f.tag(tagColor)) {
+				if m.NbIndex == f.chosenEdge {
+					tColor = m.Body.(int64)
+				}
+			}
+			if tColor < 0 {
+				panic(fmt.Sprintf("forest: node %d: missing target color on bridge", mb.C.ID()))
+			}
+			myNew = cvStep(f.color, tColor)
+		}
+		return f.up(tagCVUp, f.at+2, myNew, pickNonNil, stCVDown)
+	case stCVDown:
+		return f.down(tagCVDown, f.at+s+4, stCVDone)
+	case stCVDone:
+		f.color = f.val.(int64)
+		f.iter++
+		return f.then(stCV)
+
+	// (5) Merge sub-steps, one per color.
+	case stMerge:
+		if f.iter == numColors {
+			f.ph++
+			return f.then(stPhase)
+		}
+		f.at = f.r0 + 2*s + 8 + cvIters*(2*s+6) + f.iter*(2*s+6)
+		f.attempting = f.hasOut && f.color == f.iter
+		f.chooserNow = f.attempting && f.chosenEdge >= 0
+		if f.chooserNow || len(f.incoming) > 0 {
+			return f.advance(f.at, stReq)
+		}
+		return f.then(stAdopt)
+	case stReq:
+		if f.chooserNow {
+			mb.Send(f.chosenEdge, f.tag(tagReq), f.compID)
+		}
+		return f.sleep(f.at+1, stAck)
+	case stAck:
+		for _, m := range mb.Take(f.tag(tagReq)) {
+			switch {
+			case m.Body.(graph.NodeID) == f.compID:
+				mb.Send(m.NbIndex, f.tag(tagAck), ackBody{Verdict: ackSelf})
+			case f.hasOut && f.color == f.iter:
+				mb.Send(m.NbIndex, f.tag(tagAck), ackBody{Verdict: ackBusy})
+			default:
+				mb.Send(m.NbIndex, f.tag(tagAck), ackBody{
+					Verdict: ackOK, Comp: f.compID, Color: f.color, HasOut: f.hasOut, Depth: f.depth,
+				})
+				f.addChild(m.NbIndex)
 			}
 		}
-		if tColor < 0 {
-			panic(fmt.Sprintf("forest: node %d: missing target color on bridge", mb.C.ID()))
+		return f.then(stAdopt)
+	case stAdopt:
+		if !f.attempting {
+			f.iter++
+			return f.then(stMerge)
 		}
-		myNew = cvStep(f.color, tColor)
+		// Adopt sweep A: the marker climbs the old tree on the old depths.
+		f.marked = false
+		f.pathChild = -1
+		f.pathHops = 0
+		return f.reach(proto.UpSlot(mb, f.tree(), f.at+2, s), stMark)
+	case stMark:
+		if f.chooserNow {
+			// The chooser is awake at at+1, so the ACK (sent in round
+			// at+1) is in the mailbox by now.
+			for _, m := range mb.Take(f.tag(tagAck)) {
+				ack := m.Body.(ackBody)
+				if ack.Verdict == ackOK {
+					f.marked, f.marker = true, markerBody{Hops: 0, Adopt: ack, UDepth: ack.Depth + 1}
+				}
+			}
+		}
+		for _, m := range mb.Take(f.tag(tagAdoptUp)) {
+			mk := m.Body.(markerBody)
+			f.pathChild = m.NbIndex
+			f.pathHops = mk.Hops
+			f.marked, f.marker = true, mk
+		}
+		if f.marked && f.parent >= 0 {
+			mb.Send(f.parent, f.tag(tagAdoptUp), markerBody{
+				Hops: f.marker.Hops + 1, Adopt: f.marker.Adopt, UDepth: f.marker.UDepth,
+			})
+		}
+		// Adopt sweep B: the broadcast descends the old tree.
+		return f.reach(proto.DownSlot(f.tree(), f.at+s+3), stBroadcast)
+	case stBroadcast:
+		f.broadcast()
+		f.iter++
+		return f.then(stMerge)
+
+	case stSizeDown:
+		return f.down(tagSizeDown, f.at+s+2, stSized)
+	case stSized:
+		f.size = f.val.(int64)
+		return f.advance(f.p.StartRound+Duration(s), stDone)
+
+	case stListen:
+		return f.sleep(f.slot.Act, f.act)
+	case stUpAct:
+		f.val, _ = proto.UpAct(mb, f.tree(), f.swTag, f.slot, f.val, f.combine)
+		return f.then(f.ret)
+	case stDownAct:
+		f.val = proto.DownAct(mb, f.tree(), f.swTag, f.slot, f.val, nil)
+		return f.then(f.ret)
 	}
-	up, isRoot := proto.SweepUp(mb, f.tree(), f.tag(tagCVUp), b+2, s, myNew, pickNonNil)
-	var rv any
-	if isRoot {
-		rv = up
-	}
-	f.color = proto.SweepDown(mb, f.tree(), f.tag(tagCVDown), b+s+4, rv, nil).(int64)
+	panic(fmt.Sprintf("forest: node %d: bad machine state %d", mb.C.ID(), f.st))
 }
+
+// outgoing reports whether edge i leads out of the node's component.
+func (f *node) outgoing(i int) bool {
+	return f.eligible[i] && f.nbComp[i] >= 0 && f.nbComp[i] != f.compID
+}
+
+// broadcast is adopt sweep B's act round: take the old parent's broadcast
+// (the old root makes it), forward it rebased, and apply the move — flip
+// the marked path and adopt the target's identity.
+func (f *node) broadcast() {
+	mb := f.mb
+	var body adoptDownBody
+	if f.parent >= 0 {
+		msgs := mb.Take(f.tag(tagAdoptDown))
+		if len(msgs) == 0 {
+			panic(fmt.Sprintf("forest: node %d: missing adopt broadcast", mb.C.ID()))
+		}
+		body = msgs[0].Body.(adoptDownBody)
+	} else if !f.marked {
+		body = adoptDownBody{Noop: true}
+	} else {
+		body = adoptDownBody{Adopt: f.marker.Adopt, UDepth: f.marker.UDepth}
+	}
+	if body.Noop {
+		for _, ch := range f.children {
+			mb.Send(ch, f.tag(tagAdoptDown), body)
+		}
+		return
+	}
+	onPath := f.pathChild >= 0 || (f.marked && f.pathChild < 0 && f.chooserNow)
+	var newDepth int64
+	if onPath {
+		newDepth = body.UDepth + f.pathHops
+	} else {
+		newDepth = body.ParentDepth + 1
+	}
+	fwd := body
+	fwd.ParentDepth = newDepth
+	for _, ch := range f.children {
+		mb.Send(ch, f.tag(tagAdoptDown), fwd)
+	}
+	oldParent := f.parent
+	switch {
+	case f.chooserNow && f.marked:
+		f.parent = f.chosenEdge
+		if oldParent >= 0 {
+			f.addChild(oldParent)
+		}
+	case f.pathChild >= 0:
+		f.parent = f.pathChild
+		f.removeChild(f.pathChild)
+		if oldParent >= 0 {
+			f.addChild(oldParent)
+		}
+	}
+	f.compID = body.Adopt.Comp
+	f.color = body.Adopt.Color
+	f.hasOut = body.Adopt.HasOut
+	f.depth = newDepth
+	f.chosenEdge = -1
+}
+
+// minEdge combines two minVal candidates into the smaller valid edge.
+func minEdge(a, b any) any {
+	x, y := a.(minVal), b.(minVal)
+	if !x.Valid {
+		return y
+	}
+	if !y.Valid {
+		return x
+	}
+	if y.Edge < x.Edge {
+		return y
+	}
+	return x
+}
+
+func addSizes(a, b any) any { return a.(int64) + b.(int64) }
 
 // cvStep maps (mine, target) to the next color. When the colors coincide
 // (possible only against a static target, which never conflicts), any
@@ -379,129 +657,4 @@ func pickNonNil(a, b any) any {
 		return b
 	}
 	return a
-}
-
-// subStep executes merge sub-step c starting at round sc.
-func (f *node) subStep(c, sc int64) {
-	mb := f.mb
-	s := f.s
-	attempting := f.hasOut && f.color == c
-	chooserNow := attempting && f.chosenEdge >= 0
-
-	if chooserNow || len(f.incoming) > 0 {
-		mb.AdvanceTo(sc)
-		if chooserNow {
-			mb.Send(f.chosenEdge, f.tag(tagReq), f.compID)
-		}
-		mb.SleepUntil(sc + 1)
-		for _, m := range mb.Take(f.tag(tagReq)) {
-			switch {
-			case m.Body.(graph.NodeID) == f.compID:
-				mb.Send(m.NbIndex, f.tag(tagAck), ackBody{Verdict: ackSelf})
-			case f.hasOut && f.color == c:
-				mb.Send(m.NbIndex, f.tag(tagAck), ackBody{Verdict: ackBusy})
-			default:
-				mb.Send(m.NbIndex, f.tag(tagAck), ackBody{
-					Verdict: ackOK, Comp: f.compID, Color: f.color, HasOut: f.hasOut, Depth: f.depth,
-				})
-				f.addChild(m.NbIndex)
-			}
-		}
-	}
-	if !attempting {
-		return
-	}
-
-	// Adopt sweep A (marker up the old tree, old-depth schedule).
-	f.marker = nil
-	f.pathChild = -1
-	f.pathHops = 0
-	upStart := sc + 2
-	sendRound := upStart + s - f.depth
-	if len(f.children) > 0 {
-		mb.AdvanceTo(sendRound - 1)
-		mb.SleepUntil(sendRound)
-	} else {
-		mb.AdvanceTo(sendRound)
-	}
-	if chooserNow {
-		// The chooser is awake at sc+1, so the ACK (sent in round sc+1) is
-		// in the mailbox by now.
-		for _, m := range mb.Take(f.tag(tagAck)) {
-			ack := m.Body.(ackBody)
-			if ack.Verdict == ackOK {
-				f.marker = &markerBody{Hops: 0, Adopt: ack, UDepth: ack.Depth + 1}
-			}
-		}
-	}
-	for _, m := range mb.Take(f.tag(tagAdoptUp)) {
-		mk := m.Body.(markerBody)
-		f.pathChild = m.NbIndex
-		f.pathHops = mk.Hops
-		f.marker = &markerBody{Hops: mk.Hops, Adopt: mk.Adopt, UDepth: mk.UDepth}
-	}
-	if f.marker != nil && f.parent >= 0 {
-		mb.Send(f.parent, f.tag(tagAdoptUp), markerBody{
-			Hops: f.marker.Hops + 1, Adopt: f.marker.Adopt, UDepth: f.marker.UDepth,
-		})
-	}
-
-	// Adopt sweep B (broadcast down the old tree, old-depth schedule).
-	dwStart := sc + s + 3
-	var body adoptDownBody
-	if f.parent >= 0 {
-		recvRound := dwStart + f.depth - 1
-		mb.AdvanceTo(recvRound)
-		mb.SleepUntil(recvRound + 1)
-		msgs := mb.Take(f.tag(tagAdoptDown))
-		if len(msgs) == 0 {
-			panic(fmt.Sprintf("forest: node %d: missing adopt broadcast", mb.C.ID()))
-		}
-		body = msgs[0].Body.(adoptDownBody)
-	} else {
-		mb.AdvanceTo(dwStart)
-		if f.marker == nil {
-			body = adoptDownBody{Noop: true}
-		} else {
-			body = adoptDownBody{Adopt: f.marker.Adopt, UDepth: f.marker.UDepth}
-		}
-	}
-	if body.Noop {
-		for _, ch := range f.children {
-			mb.Send(ch, f.tag(tagAdoptDown), body)
-		}
-		return
-	}
-	onPath := f.pathChild >= 0 || (f.marker != nil && f.pathChild < 0 && chooserNow)
-	var newDepth int64
-	if onPath {
-		newDepth = body.UDepth + f.pathHops
-	} else {
-		newDepth = body.ParentDepth + 1
-	}
-	fwd := body
-	fwd.ParentDepth = newDepth
-	for _, ch := range f.children {
-		mb.Send(ch, f.tag(tagAdoptDown), fwd)
-	}
-	// Apply the move: flip the path, adopt identity.
-	oldParent := f.parent
-	switch {
-	case chooserNow && f.marker != nil:
-		f.parent = f.chosenEdge
-		if oldParent >= 0 {
-			f.addChild(oldParent)
-		}
-	case f.pathChild >= 0:
-		f.parent = f.pathChild
-		f.removeChild(f.pathChild)
-		if oldParent >= 0 {
-			f.addChild(oldParent)
-		}
-	}
-	f.compID = body.Adopt.Comp
-	f.color = body.Adopt.Color
-	f.hasOut = body.Adopt.HasOut
-	f.depth = newDepth
-	f.chosenEdge = -1
 }

@@ -121,15 +121,20 @@ func (m *Mailbox) SleepUntilAtLeast(r int64) { m.pump(m.C.SleepUntilAtLeast(r)) 
 // AdvanceTo sleeps until round r; it is a no-op if the node is already in
 // round r and panics if the node has overrun r (a scheduling bug).
 func (m *Mailbox) AdvanceTo(r int64) {
-	cur := m.C.Round()
-	switch {
-	case cur == r:
-		return
-	case cur > r:
-		panic(fmt.Sprintf("proto: node %d overran scheduled round %d (now at %d)", m.C.ID(), r, cur))
-	default:
+	if !m.At(r) {
 		m.SleepUntil(r)
 	}
+}
+
+// At reports whether the node is in round r (false: r is still ahead). It
+// panics if the node has overrun r — AdvanceTo's check, for code that books
+// its own wakes (a simnet.Ctx.Drive step).
+func (m *Mailbox) At(r int64) bool {
+	cur := m.C.Round()
+	if cur > r {
+		panic(fmt.Sprintf("proto: node %d overran scheduled round %d (now at %d)", m.C.ID(), r, cur))
+	}
+	return cur == r
 }
 
 // Pump buffers externally received inbounds (e.g. from a direct
@@ -298,30 +303,57 @@ func Barrier(m *Mailbox, t Tree, tag uint64, sizeBound int64, deadline int64) in
 	return start
 }
 
-// SweepUp performs a one-shot depth-indexed convergecast inside the window
-// starting at windowStart: the node at depth d listens in round
-// windowStart+depthBound-d-1 and sends to its parent in round
-// windowStart+depthBound-d. Every node is awake for at most 2 rounds
-// (Section 3.1.1's schedule, one-shot form). depthBound must be >= the tree
-// depth. Works in both models. The root returns (aggregate, true) once the
-// window completes; all nodes return after round windowStart+depthBound.
-func SweepUp(m *Mailbox, t Tree, tag uint64, windowStart, depthBound int64, mine any, combine Combine) (any, bool) {
-	if !t.InTree {
-		return nil, false
-	}
+// SweepSlot is one node's place in a depth-indexed sweep window (SweepUp,
+// SweepDown): the node acts — folds what it received and sends on — in
+// round Act. If Listen, it is also awake in round Act-1, when its children
+// (up) or its parent (down) send to it, and reaches Act by SleepUntil from
+// there; otherwise it reaches Act by AdvanceTo. Either way at most 2 awake
+// rounds per node per sweep.
+type SweepSlot struct {
+	Act    int64
+	Listen bool
+}
+
+// UpSlot is the node's SweepUp slot in the window starting at windowStart:
+// the node at depth d acts in round windowStart+depthBound-d and listens
+// the round before iff it has children. It panics if the tree is deeper
+// than depthBound.
+func UpSlot(m *Mailbox, t Tree, windowStart, depthBound int64) SweepSlot {
 	if t.Depth > depthBound {
 		panic(fmt.Sprintf("proto: node %d: SweepUp depth %d exceeds bound %d", m.C.ID(), t.Depth, depthBound))
 	}
-	sendRound := windowStart + depthBound - t.Depth
+	return SweepSlot{Act: windowStart + depthBound - t.Depth, Listen: len(t.Children) > 0}
+}
+
+// DownSlot is the node's SweepDown slot in the window starting at
+// windowStart: the root acts in round windowStart, the node at depth d >= 1
+// in round windowStart+d after listening the round before.
+func DownSlot(t Tree, windowStart int64) SweepSlot {
+	if t.Parent < 0 {
+		return SweepSlot{Act: windowStart}
+	}
+	return SweepSlot{Act: windowStart + t.Depth, Listen: true}
+}
+
+// reach takes the node to its slot's act round.
+func (m *Mailbox) reach(s SweepSlot) {
+	if s.Listen {
+		m.AdvanceTo(s.Act - 1)
+		m.SleepUntil(s.Act)
+	} else {
+		m.AdvanceTo(s.Act)
+	}
+}
+
+// UpAct is a SweepUp node's act round: it folds its children's values into
+// mine and sends the result to its parent. The root returns
+// (aggregate, true) instead; other nodes return (nil, false).
+func UpAct(m *Mailbox, t Tree, tag uint64, s SweepSlot, mine any, combine Combine) (any, bool) {
 	acc := mine
-	if len(t.Children) > 0 {
-		m.AdvanceTo(sendRound - 1) // awake while children send
-		m.SleepUntil(sendRound)
+	if s.Listen {
 		for _, msg := range m.Take(tag) {
 			acc = combine(acc, msg.Body)
 		}
-	} else {
-		m.AdvanceTo(sendRound)
 	}
 	if t.Parent < 0 {
 		return acc, true
@@ -332,28 +364,17 @@ func SweepUp(m *Mailbox, t Tree, tag uint64, windowStart, depthBound int64, mine
 	return nil, false
 }
 
-// SweepDown performs a one-shot depth-indexed broadcast in the window
-// starting at windowStart: the node at depth d receives in round
-// windowStart+d-1 and sends to its children in round windowStart+d. The
-// transform hook (optional) rewrites the value as it descends: it receives
-// the value from the parent and returns the value to forward. Every node
-// returns its (possibly transformed) value; at most 2 awake rounds per node.
-func SweepDown(m *Mailbox, t Tree, tag uint64, windowStart int64, rootVal any, transform func(any) any) any {
-	if !t.InTree {
-		return nil
-	}
+// DownAct is a SweepDown node's act round: it takes its parent's value
+// (the root uses rootVal), applies transform if non-nil, sends the result
+// to its children and returns it.
+func DownAct(m *Mailbox, t Tree, tag uint64, s SweepSlot, rootVal any, transform func(any) any) any {
 	val := rootVal
-	if t.Parent >= 0 {
-		recvRound := windowStart + t.Depth - 1
-		m.AdvanceTo(recvRound)
-		m.SleepUntil(recvRound + 1)
+	if s.Listen {
 		msgs := m.Take(tag)
 		if len(msgs) == 0 {
-			panic(fmt.Sprintf("proto: node %d: SweepDown(tag=%d) missed parent message in round %d", m.C.ID(), tag, recvRound))
+			panic(fmt.Sprintf("proto: node %d: SweepDown(tag=%d) missed parent message in round %d", m.C.ID(), tag, s.Act-1))
 		}
 		val = msgs[0].Body
-	} else {
-		m.AdvanceTo(windowStart)
 	}
 	if transform != nil {
 		val = transform(val)
@@ -362,6 +383,34 @@ func SweepDown(m *Mailbox, t Tree, tag uint64, windowStart int64, rootVal any, t
 		m.Send(ch, tag, val)
 	}
 	return val
+}
+
+// SweepUp performs a one-shot depth-indexed convergecast inside the window
+// starting at windowStart, on UpSlot's schedule (Section 3.1.1's, one-shot
+// form). depthBound must be >= the tree depth. Works in both models. The
+// root returns (aggregate, true) once the window completes; all nodes
+// return after round windowStart+depthBound.
+func SweepUp(m *Mailbox, t Tree, tag uint64, windowStart, depthBound int64, mine any, combine Combine) (any, bool) {
+	if !t.InTree {
+		return nil, false
+	}
+	s := UpSlot(m, t, windowStart, depthBound)
+	m.reach(s)
+	return UpAct(m, t, tag, s, mine, combine)
+}
+
+// SweepDown performs a one-shot depth-indexed broadcast in the window
+// starting at windowStart, on DownSlot's schedule. The transform hook
+// (optional) rewrites the value as it descends: it receives the value from
+// the parent and returns the value to forward. Every node returns its
+// (possibly transformed) value.
+func SweepDown(m *Mailbox, t Tree, tag uint64, windowStart int64, rootVal any, transform func(any) any) any {
+	if !t.InTree {
+		return nil
+	}
+	s := DownSlot(t, windowStart)
+	m.reach(s)
+	return DownAct(m, t, tag, s, rootVal, transform)
 }
 
 // Exchange sends a value on each incident edge selected by pick (pick

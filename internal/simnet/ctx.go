@@ -9,7 +9,8 @@ import (
 
 // Ctx is a node program's handle to the simulated world. All methods must
 // be called only from within the node's own Program invocation (the node's
-// coroutine); handing a Ctx to another goroutine is not supported.
+// coroutine, or a step it runs under Drive); handing a Ctx to another
+// goroutine is not supported.
 type Ctx struct {
 	eng *Engine
 	ns  *nodeState
@@ -100,7 +101,7 @@ func (c *Ctx) Next() []Inbound {
 // lost). r must be strictly greater than the current round.
 func (c *Ctx) SleepUntil(r int64) []Inbound {
 	if r <= c.eng.wakeRound[c.ns.id] {
-		panic(fmt.Sprintf("simnet: node %d: SleepUntil(%d) not after current round %d", c.ns.id, r, c.eng.wakeRound[c.ns.id]))
+		panic(notAfter(c.ns.id, r, c.eng.wakeRound[c.ns.id]))
 	}
 	c.eng.wakeRound[c.ns.id] = r
 	c.yield(yieldRun)
@@ -150,12 +151,70 @@ func (c *Ctx) take() []Inbound {
 	return b
 }
 
+// notAfter is the panic text for a wake requested at or before the
+// current round, shared by SleepUntil and Drive steps.
+func notAfter(id graph.NodeID, r, cur int64) string {
+	return fmt.Sprintf("simnet: node %d: SleepUntil(%d) not after current round %d", id, r, cur)
+}
+
+// A Stepper runs a node program's wakes under Ctx.Drive, typically a
+// statically scheduled loop kept as a cursor in node-local state.
+type Stepper interface {
+	// Step is one wake. It receives the messages that arrived for this
+	// wake (nil on the first call) and returns the round of the node's
+	// next wake, or done once the driven part of the program is over.
+	Step(in []Inbound) (next int64, done bool)
+}
+
+// Drive hands the node's wakes to s until its Step reports done, then
+// returns in the round of that last wake. Step is first called at once, in
+// the current wake; after that the engine calls it directly at each wake
+// it asks for, while the program's coroutine stays suspended — a method
+// call instead of a coroutine switch, for loops whose every wake is known
+// in advance (forest.Build).
+//
+// Every wake still counts as an awake round, and the receive rules are
+// those of SleepUntil: next must be after the current round (the same
+// panic), and in Sleeping mode messages sent while the node sleeps are
+// lost. Inside Step the node may send and use the read-only accessors, but
+// not receive: Next, SleepUntil, SleepUntilAtLeast, WaitMessage and Drive
+// panic there — a step cannot park. A panic inside Step fails the run exactly as
+// a panic in the program does.
+func (c *Ctx) Drive(s Stepper) {
+	c.notInStep()
+	c.ns.step = s
+	next, done := s.Step(nil)
+	if done {
+		c.ns.step = nil
+		return
+	}
+	if cur := c.eng.wakeRound[c.ns.id]; next <= cur {
+		panic(notAfter(c.ns.id, next, cur))
+	}
+	c.eng.wakeRound[c.ns.id] = next
+	c.eng.kind[c.ns.id] = yieldRun
+	// The engine clears ns.step when Step reports done, then resumes the
+	// coroutine here, in the round of that wake.
+	if !c.ns.yieldFn(struct{}{}) {
+		panic(errKilled)
+	}
+}
+
 // yield switches control back to the engine until the node's next resume —
 // a direct coroutine switch, not a Go-scheduler round trip. A false return
 // from the coroutine yield means the engine shut the run down.
 func (c *Ctx) yield(kind yieldKind) {
+	c.notInStep()
 	c.eng.kind[c.ns.id] = kind
 	if !c.ns.yieldFn(struct{}{}) {
 		panic(errKilled)
+	}
+}
+
+// notInStep panics if called from a Drive step: only the coroutine can
+// yield, so a step can neither receive nor start another Drive.
+func (c *Ctx) notInStep() {
+	if c.ns.step != nil {
+		panic(fmt.Sprintf("simnet: node %d: cannot receive inside a Drive step", c.ns.id))
 	}
 }

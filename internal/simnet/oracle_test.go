@@ -15,8 +15,9 @@ import (
 //
 // Do not "improve" this code: its value is being the old semantics. (The
 // only edits since freezing are mechanical: field relocations tracking the
-// struct-of-arrays layout change — ns.kind → e.kind[id] and friends — and
-// carrying the message tag beside the body.)
+// struct-of-arrays layout change — ns.kind → e.kind[id] and friends —,
+// carrying the message tag beside the body, and ns.resume() → e.dispatch,
+// the engine's one choice between a coroutine resume and a Drive step.)
 func (e *Engine) runOracle(p Program) (*Result, error) {
 	res := e.start(p)
 	defer e.shutdown()
@@ -77,7 +78,7 @@ func (e *Engine) runOracle(p Program) (*Result, error) {
 			met.PerNodeAwake[id]++
 			met.TotalAwake++
 			e.wakeRound[id] = cur
-			ns.resume()
+			e.dispatch(ns, cur)
 			if ns.perr != nil {
 				e.halted[id] = true // goroutine has exited
 				return nil, ns.perr

@@ -7,11 +7,14 @@ import (
 	"dsssp/internal/graph"
 )
 
-// resumePool fans one round's coroutine resumes out over a persistent set
-// of workers. The engine goroutine publishes the round's batch, releases
-// the workers through the start channel, works a share itself, and joins
-// them at the WaitGroup barrier — after which it alone replays every
-// cross-node effect in node-ID order (see Engine.Run). The channel send
+// resumePool fans one round's wakes out over a persistent set of workers.
+// A worker runs each of its nodes' wakes in whichever form the node is in
+// (Engine.dispatch): a coroutine resume, or a direct call of the node's
+// Drive stepper — which, when the stepper is done, resumes the coroutine
+// on that same worker. The engine goroutine publishes the round's batch,
+// releases the workers through the start channel, works a share itself,
+// and joins them at the WaitGroup barrier — after which it alone replays
+// every cross-node effect in node-ID order (see Engine.Run). The channel send
 // happens-before the worker's receive and each worker's writes happen-
 // before the engine's Wait return, so the pool adds no ordering beyond the
 // barrier itself; workers touch only per-node state (resumeOne) plus the
@@ -19,9 +22,9 @@ import (
 //
 // iter.Pull coroutines explicitly support sequential resumes from
 // different goroutines, so a node migrating between workers round to round
-// is fine; what would not be fine — two concurrent resumes of one node —
-// cannot happen because the batch partition assigns each node to exactly
-// one worker per round.
+// is fine, and a stepper touches only its own node's state; what would not
+// be fine — two concurrent wakes of one node — cannot happen because the
+// batch partition assigns each node to exactly one worker per round.
 type resumePool struct {
 	e *Engine
 	// workers counts the engine goroutine itself; workers-1 goroutines run.

@@ -25,21 +25,37 @@
 //
 // The scheduler is a calendar (bucket) queue: wakes in the near window are
 // O(1) ring-bucket appends, and only far-future SleepUntil/WaitMessage
-// deadlines fall back to a typed binary heap (see wakeQueue). Node programs
-// are iter.Pull coroutines rather than channel-synchronized goroutines, so
-// a resume/yield pair is a direct coroutine switch — no Go-scheduler round
-// trip, channel locks, or park/unpark — and a node that merely calls Next()
-// on an empty inbox costs little more than a function call.
+// deadlines fall back to a typed binary heap (see wakeQueue).
+//
+// A wake takes one of two forms, chosen in one place (Engine.dispatch):
+//
+//   - Coroutine resume, the default. Node programs are iter.Pull coroutines
+//     rather than channel-synchronized goroutines, so a resume/yield pair is
+//     a direct coroutine switch — no Go-scheduler round trip, channel locks,
+//     or park/unpark. It still costs ≈165 ns, and it is the only form that
+//     can receive from anywhere in straight-line code or park in
+//     WaitMessage.
+//   - Step call, while the program is inside Ctx.Drive. The engine calls
+//     the program's Stepper directly — a few nanoseconds — and the
+//     coroutine stays suspended until the stepper reports done, when it
+//     resumes in that same wake. Statically scheduled loops whose every wake
+//     is known in advance use it; forest.Build runs this way, which covers
+//     most of the wakes of a CONGEST SSSP run.
+//
+// Both forms count the same awake rounds, see the same arrivals and follow
+// the same loss rules, so a program's Metrics, Outputs and Trace do not
+// depend on which form it uses.
 //
 // # Intra-round parallelism
 //
 // The model gives rounds no internal ordering semantics: within a round
 // every awake node acts on the state it held at the round's start, and all
 // sends land at the end of the round. The engine exploits exactly that
-// independence when Config.Workers > 1: each round's batch of resumes fans
-// out over a persistent worker pool (see resumePool), while everything with
-// cross-node effects — queue updates, halt accounting, span attribution,
-// message delivery, error selection — is deferred to a deterministic
+// independence when Config.Workers > 1: each round's batch of wakes
+// (resumes and step calls alike) fans out over a persistent worker pool
+// (see resumePool), while everything with cross-node effects — queue
+// updates, halt accounting, span attribution, message delivery, error
+// selection — is deferred to a deterministic
 // barrier that replays it on the engine goroutine in node-ID order. A
 // parallel run is therefore byte-identical to a sequential one in Metrics,
 // Outputs, Trace, span ledger, and error text (enforced by the oracle
@@ -125,10 +141,10 @@ type Config struct {
 	RecordSpans bool
 	// Workers sets the intra-round worker pool for this run. Within a
 	// round every awake node acts independently, so the engine fans the
-	// round's coroutine resumes out over Workers goroutines and re-merges
-	// at a deterministic per-round barrier: queue updates, halts, span
-	// attribution, and message delivery all replay on the engine goroutine
-	// in node-ID order. Metrics, Outputs, Trace, the span ledger, and
+	// round's wakes (resumes and step calls) out over Workers goroutines
+	// and re-merges at a deterministic per-round barrier: queue updates,
+	// halts, span attribution, and message delivery all replay on the
+	// engine goroutine in node-ID order. Metrics, Outputs, Trace, the span ledger, and
 	// error text are byte-identical to the sequential engine for every
 	// value. 0 or 1 means sequential (the default); values above
 	// runtime.GOMAXPROCS rarely help.
@@ -248,6 +264,10 @@ type nodeState struct {
 	resume  func() (struct{}, bool)
 	stop    func()
 	yieldFn func(struct{}) bool
+	// step, while non-nil, is the program's Drive stepper: the engine calls
+	// it directly at the node's wakes instead of resuming the coroutine,
+	// which stays suspended inside Drive until it reports done.
+	step Stepper
 
 	// ctx is the node's handle, embedded to avoid a separate allocation
 	// per node.
@@ -425,10 +445,10 @@ func (e *Engine) start(p Program) *Result {
 }
 
 // resumeOne performs the node-local half of one wake: epoch/awake counters,
-// the span snapshot, the round stamp, and the coroutine switch itself. It
-// touches only state owned by node id (distinct array elements, the node's
-// own struct), which is what makes it safe to run for all batched nodes
-// concurrently; every cross-node effect waits for the post-barrier pass.
+// the span snapshot, the round stamp, and the wake itself. It touches only
+// state owned by node id (distinct array elements, the node's own struct),
+// which is what makes it safe to run for all batched nodes concurrently;
+// every cross-node effect waits for the post-barrier pass.
 func (e *Engine) resumeOne(id graph.NodeID, cur int64) {
 	ns := &e.nodes[id]
 	e.awakeEpoch[id] = cur
@@ -437,7 +457,41 @@ func (e *Engine) resumeOne(id graph.NodeID, cur int64) {
 		ns.resumeSpan = ns.curSpan()
 	}
 	e.wakeRound[id] = cur
+	e.dispatch(ns, cur)
+}
+
+// dispatch runs one wake of a node whose round stamp is already cur: a
+// direct call of its Drive step if it has one, else a coroutine resume.
+// When the step reports done, the coroutine resumes in the same wake and
+// Drive returns there.
+func (e *Engine) dispatch(ns *nodeState, cur int64) {
+	if ns.step != nil && !e.runStep(ns, cur) {
+		return
+	}
 	ns.resume()
+}
+
+// runStep calls ns's Drive stepper with the wake's arrivals and reports
+// whether it is done (clearing it). Otherwise it books the next wake, which
+// must be after cur. A panic fails the node the way a coroutine panic does.
+func (e *Engine) runStep(ns *nodeState, cur int64) (done bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			ns.perr = fmt.Errorf("node %d panicked: %v", ns.id, r)
+			e.kind[ns.id] = yieldHalt
+			done = false
+		}
+	}()
+	next, done := ns.step.Step(ns.ctx.take())
+	if done {
+		ns.step = nil
+		return true
+	}
+	if next <= cur {
+		panic(notAfter(ns.id, next, cur))
+	}
+	e.wakeRound[ns.id] = next
+	return false
 }
 
 // Run executes the program on all nodes until every node halts (or an error
@@ -521,9 +575,8 @@ func (e *Engine) Run(p Program) (*Result, error) {
 			spanPrev = cur
 		}
 		// Resume phase: within the round every batched node acts
-		// independently, so the coroutine resumes may run concurrently.
-		// Small batches stay inline — the barrier handoff would cost more
-		// than it buys.
+		// independently, so its wakes may run concurrently. Small batches
+		// stay inline — the barrier handoff would cost more than it buys.
 		if e.pool != nil && len(batch) >= e.pool.minBatch {
 			e.pool.runRound(batch, cur)
 		} else {
