@@ -19,7 +19,6 @@
 package decomp
 
 import (
-	"container/heap"
 	"fmt"
 	"math/bits"
 
@@ -111,6 +110,7 @@ func Build(g *graph.Graph, participants []bool, weight WeightFn, maxDist int64) 
 	var homes [][]int32
 	// centers[c] = center node of cluster c; layerOf[c] = its layer.
 	var centers []graph.NodeID
+	b := newBall(n)
 
 	for layer := 0; ; layer++ {
 		meta := LayerMeta{Radius: radius}
@@ -128,19 +128,19 @@ func Build(g *graph.Graph, participants []bool, weight WeightFn, maxDist int64) 
 			}
 			r := radius
 			for {
-				inner := ballSize(g, graph.NodeID(v), r, inSet, w)
-				outer := ballSize(g, graph.NodeID(v), r+2*radius, inSet, w)
-				if outer <= 2*inner || r >= 2*stretch*radius {
+				b.grow(g, graph.NodeID(v), r, inSet, w)
+				inner := b.size()
+				b.grow(g, graph.NodeID(v), r+2*radius, inSet, w)
+				if b.size() <= 2*inner || r >= 2*stretch*radius {
 					break
 				}
 				r += 2 * radius
 			}
 			cr := r + 2*radius
-			dist, parent := ballTree(g, graph.NodeID(v), cr, inSet, w)
-			for _, d := range dist {
-				if d > maxActualRadius {
-					maxActualRadius = d
-				}
+			b.grow(g, graph.NodeID(v), cr, inSet, w)
+			dist, parent := b.dist, b.parent
+			for _, u := range b.reached {
+				maxActualRadius = max(maxActualRadius, dist[u])
 			}
 			id := clusterID
 			clusterID++
@@ -219,36 +219,47 @@ func Build(g *graph.Graph, participants []bool, weight WeightFn, maxDist int64) 
 	return cv, nil
 }
 
-// ballSize counts participant nodes within metric distance r of v.
-func ballSize(g *graph.Graph, v graph.NodeID, r int64, inSet func(graph.NodeID) bool, w WeightFn) int64 {
-	dist, _ := ballTree(g, v, r, inSet, w)
-	var c int64
-	for _, d := range dist {
-		if d >= 0 {
-			c++
-		}
-	}
-	return c
+// ball is the bounded-Dijkstra scratch one Build reuses across all its
+// balls: after grow, dist[u] is u's metric distance from the center (-1
+// outside the ball), parent[u] its tree-parent adjacency index (-1 at the
+// center and outside), and reached lists the ball's nodes.
+type ball struct {
+	dist    []int64
+	parent  []int
+	reached []graph.NodeID
+	heap    []distEntry
 }
 
-// ballTree runs bounded Dijkstra from v over participants and returns
-// (metric distance or -1, BFS-tree parent adjacency index or -1).
-func ballTree(g *graph.Graph, v graph.NodeID, r int64, inSet func(graph.NodeID) bool, w WeightFn) ([]int64, []int) {
-	n := g.N()
-	dist := make([]int64, n)
-	parent := make([]int, n)
-	for i := range dist {
-		dist[i] = -1
-		parent[i] = -1
+func newBall(n int) *ball {
+	b := &ball{dist: make([]int64, n), parent: make([]int, n)}
+	for i := range b.dist {
+		b.dist[i] = -1
+		b.parent[i] = -1
 	}
+	return b
+}
+
+// size is the number of participant nodes in the last grown ball.
+func (b *ball) size() int64 { return int64(len(b.reached)) }
+
+// grow runs bounded Dijkstra from v over participants up to metric
+// distance r, clearing only the entries the previous ball set.
+func (b *ball) grow(g *graph.Graph, v graph.NodeID, r int64, inSet func(graph.NodeID) bool, w WeightFn) {
+	for _, u := range b.reached {
+		b.dist[u] = -1
+		b.parent[u] = -1
+	}
+	b.reached = b.reached[:0]
 	if !inSet(v) {
-		return dist, parent
+		return
 	}
-	dist[v] = 0
-	pq := &distHeap{{v, 0}}
-	for pq.Len() > 0 {
-		top := heap.Pop(pq).(distEntry)
-		if top.d > dist[top.v] {
+	b.dist[v] = 0
+	b.reached = append(b.reached, v)
+	b.heap = append(b.heap[:0], distEntry{v, 0})
+	for len(b.heap) > 0 {
+		var top distEntry
+		top, b.heap = heapPopDist(b.heap)
+		if top.d > b.dist[top.v] {
 			continue
 		}
 		for i, h := range g.Adj(top.v) {
@@ -263,15 +274,17 @@ func ballTree(g *graph.Graph, v graph.NodeID, r int64, inSet func(graph.NodeID) 
 			if nd > r {
 				continue
 			}
-			if dist[h.To] < 0 || nd < dist[h.To] {
-				dist[h.To] = nd
+			if d := b.dist[h.To]; d < 0 || nd < d {
+				if d < 0 {
+					b.reached = append(b.reached, h.To)
+				}
+				b.dist[h.To] = nd
 				// Record the parent as h.To's index of this edge.
-				parent[h.To] = indexOfNeighborEdge(g, h.To, h.ID)
-				heap.Push(pq, distEntry{h.To, nd})
+				b.parent[h.To] = indexOfNeighborEdge(g, h.To, h.ID)
+				b.heap = heapPushDist(b.heap, distEntry{h.To, nd})
 			}
 		}
 	}
-	return dist, parent
 }
 
 type distEntry struct {
@@ -279,18 +292,44 @@ type distEntry struct {
 	d int64
 }
 
-type distHeap []distEntry
+// heapPushDist / heapPopDist implement a binary min-heap on d over a typed
+// slice, so the frontier does not box its entries.
+func heapPushDist(h []distEntry, e distEntry) []distEntry {
+	h = append(h, e)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[i].d >= h[p].d {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	return h
+}
 
-func (h distHeap) Len() int            { return len(h) }
-func (h distHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
-func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(distEntry)) }
-func (h *distHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func heapPopDist(h []distEntry) (distEntry, []distEntry) {
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		s := i
+		if l < len(h) && h[l].d < h[s].d {
+			s = l
+		}
+		if r < len(h) && h[r].d < h[s].d {
+			s = r
+		}
+		if s == i {
+			break
+		}
+		h[i], h[s] = h[s], h[i]
+		i = s
+	}
+	return top, h
 }
 
 // hopDepth follows parent adjacency indexes to the root counting hops.

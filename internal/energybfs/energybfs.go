@@ -15,8 +15,13 @@
 //     provably outruns the frontier (Lemma 3.7's condition): a layer-j
 //     cluster is fully awake before any of its nodes can be reached.
 //   - A node listens at BFS step rounds while one of its layer-0 clusters
-//     is active, so token messages are never lost — the tests assert
-//     LostMessages == 0 and exact distances.
+//     is active, so token messages are meant never to be lost — the tests
+//     assert LostMessages == 0 and exact distances on hop and light
+//     metrics. Known gap: with heavy metric edges (random graphs with
+//     weights near n, e.g. n=24 with weights up to 24) a token can reach a
+//     node whose layer-0 cluster is not yet awake, so messages are lost
+//     and distances come out wrong; Lemma 3.7's condition does not hold
+//     for such edges under the current pace. The fix is pending.
 //
 // Tokens carry the receiver's distance; an edge of metric weight w relays
 // from a node at distance d in the round of step d+w (a sleeping-model
@@ -91,7 +96,18 @@ func Duration(cv *decomp.Cover, threshold int64) int64 {
 
 // membership tracks runtime state of one cluster membership.
 type membership struct {
-	m decomp.Membership
+	m *decomp.Membership
+	// period is the layer's cycle period P_j.
+	period int64
+	// duty[:nDuty] are the wake rounds within a cycle window, as ascending
+	// offsets from the window start (see dutyOffsets).
+	duty  [4]int64
+	nDuty int
+	// initWindow is the start of this layer's initialization window.
+	initWindow int64
+	// parent is this node's membership of the parent cluster (nil at the
+	// top layer).
+	parent *membership
 	// containsSource is learned during initialization.
 	containsSource bool
 	active         bool
@@ -103,44 +119,57 @@ type membership struct {
 	rootAgg agg
 }
 
-type agg struct {
-	AnyReached  bool
-	ChildActive bool
-	AllReached  bool
-	AnySource   bool
-}
+// agg is a cluster convergecast value: a set of the flags below, one byte
+// so that boxing it as a message body does not allocate.
+type agg uint8
 
-func combineAgg(a, b agg) agg {
-	return agg{
-		AnyReached:  a.AnyReached || b.AnyReached,
-		ChildActive: a.ChildActive && b.ChildActive,
-		AllReached:  a.AllReached && b.AllReached,
-		AnySource:   a.AnySource || b.AnySource,
-	}
-}
+const (
+	aggAnyReached agg = 1 << iota
+	aggChildActive
+	aggAllReached
+	aggAnySource
 
-type downMsg struct {
-	Reached    bool
-	Deactivate bool
-	Source     bool
+	// aggAny are the flags combined by OR, the rest by AND.
+	aggAny = aggAnyReached | aggAnySource
+)
+
+func combineAgg(a, b agg) agg { return (a|b)&aggAny | (a&b)&^aggAny }
+
+// downMsg is a cluster broadcast value: a set of the flags below.
+type downMsg uint8
+
+const (
+	downReached downMsg = 1 << iota
+	downDeactivate
+	downSource
+)
+
+// edgeState is one incident edge's metric weight, eligibility, and whether
+// the token for the node's current distance has been relayed over it.
+type edgeState struct {
+	w    int64
+	elig bool
+	sent bool
 }
 
 // runner is the per-node event loop state.
 type runner struct {
-	mb        *proto.Mailbox
-	p         Params
-	cv        *decomp.Cover
-	ms        []*membership
-	byCluster map[int32]*membership
+	mb *proto.Mailbox
+	p  Params
+	cv *decomp.Cover
+	ms []membership
+	// live lists the active, not yet deactivated memberships in ms order;
+	// liveStale marks it for rebuilding after an activation change.
+	live      []*membership
+	liveStale bool
 
 	bfsStart int64
 	stepI    int64
 	end      int64
 
-	dist    int64
-	weights []int64
-	elig    []bool
-	sent    []bool
+	isSource bool
+	dist     int64
+	edges    []edgeState
 }
 
 // Run executes the thresholded energy BFS; only participants (nodes the
@@ -151,31 +180,46 @@ func Run(mb *proto.Mailbox, p Params) int64 {
 		panic(fmt.Sprintf("energybfs: threshold %d exceeds cover MaxDist %d", p.Threshold, p.Cover.MaxDist))
 	}
 	c := mb.C
+	cv := p.Cover
 	r := &runner{
-		mb: mb, p: p, cv: p.Cover,
-		byCluster: make(map[int32]*membership),
-		dist:      graph.Inf,
-		bfsStart:  p.StartRound + 1 + initLen(p.Cover),
-		stepI:     StepInterval(p.Cover),
+		mb: mb, p: p, cv: cv,
+		dist:     graph.Inf,
+		bfsStart: p.StartRound + 1 + initLen(cv),
+		stepI:    StepInterval(cv),
+		isSource: p.SourceOffset >= 0 && p.SourceOffset <= p.Threshold,
 	}
-	r.end = p.StartRound + Duration(p.Cover, p.Threshold)
-	for _, m := range p.Cover.Node[c.ID()] {
-		mm := &membership{m: m}
-		r.ms = append(r.ms, mm)
-		r.byCluster[m.Cluster] = mm
-	}
-	r.weights = make([]int64, c.Degree())
-	r.elig = make([]bool, c.Degree())
-	r.sent = make([]bool, c.Degree())
-	for i := 0; i < c.Degree(); i++ {
-		r.elig[i] = p.Eligible == nil || p.Eligible(i)
-		if p.WeightOf != nil {
-			r.weights[i] = p.WeightOf(i)
-		} else {
-			r.weights[i] = 1
+	r.end = p.StartRound + Duration(cv, p.Threshold)
+	nodeMs := cv.Node[c.ID()]
+	r.ms = make([]membership, len(nodeMs))
+	r.live = make([]*membership, 0, len(nodeMs))
+	for i := range nodeMs {
+		m := &nodeMs[i]
+		mm := &r.ms[i]
+		mm.m = m
+		l := cv.Layers[m.Layer]
+		mm.period = l.Period
+		mm.nDuty = dutyOffsets(&mm.duty, l.MaxDepth, m.Depth, len(m.Children) > 0)
+		// Initialization windows run top-down from StartRound+1.
+		mm.initWindow = p.StartRound + 1
+		for j := len(cv.Layers) - 1; j > m.Layer; j-- {
+			mm.initWindow += cv.Layers[j].Period
 		}
-		if r.weights[i] < 1 {
-			panic(fmt.Sprintf("energybfs: node %d edge %d has metric weight %d", c.ID(), i, r.weights[i]))
+		for k := range r.ms {
+			if nodeMs[k].Cluster == m.ParentCluster {
+				mm.parent = &r.ms[k]
+			}
+		}
+	}
+	r.edges = make([]edgeState, c.Degree())
+	for i := range r.edges {
+		e := &r.edges[i]
+		e.elig = p.Eligible == nil || p.Eligible(i)
+		e.w = 1
+		if p.WeightOf != nil {
+			e.w = p.WeightOf(i)
+		}
+		if e.w < 1 {
+			panic(fmt.Sprintf("energybfs: node %d edge %d has metric weight %d", c.ID(), i, e.w))
 		}
 	}
 
@@ -196,77 +240,100 @@ func (r *runner) tagDown(cl int32) uint64 { return r.p.Tag + 2 + 2*uint64(cl) }
 // whose parent contains a source (or top-layer clusters containing one)
 // start active (the paper's initialization, Section 3.3).
 func (r *runner) initPhase() {
-	top := len(r.cv.Layers) - 1
-	isSource := r.p.SourceOffset >= 0 && r.p.SourceOffset <= r.p.Threshold
-	// Window start per layer, top-down.
-	starts := make([]int64, len(r.cv.Layers))
-	at := r.p.StartRound + 1
-	for j := top; j >= 0; j-- {
-		starts[j] = at
-		at += r.cv.Layers[j].Period
-	}
 	// Event loop over this node's init duties.
 	for {
+		now := r.mb.Round()
 		next := r.end
-		for _, mm := range r.ms {
-			for _, d := range r.dutyRounds(mm, starts[mm.m.Layer]) {
-				if d > r.mb.Round() && d < next {
-					next = d
-				}
+		for i := range r.ms {
+			mm := &r.ms[i]
+			if d, ok := mm.dutyAfter(mm.initWindow, now); ok && d < next {
+				next = d
 			}
 		}
 		if next >= r.bfsStart {
 			break
 		}
 		r.mb.SleepUntil(next)
-		now := r.mb.Round()
-		for _, mm := range r.ms {
-			r.serveWindow(mm, starts[mm.m.Layer], now, agg{AnySource: isSource, ChildActive: true, AllReached: true}, true)
+		now = r.mb.Round()
+		for i := range r.ms {
+			r.serveWindow(&r.ms[i], r.ms[i].initWindow, now, true)
 		}
 	}
 	// Pre-activation: top-layer clusters containing sources; below, any
 	// cluster whose parent contains a source.
-	for _, mm := range r.ms {
+	top := len(r.cv.Layers) - 1
+	for i := range r.ms {
+		mm := &r.ms[i]
 		pre := false
 		if mm.m.Layer == top {
 			pre = mm.containsSource
-		} else if pm, ok := r.byCluster[mm.m.ParentCluster]; ok {
-			pre = pm.containsSource
+		} else if mm.parent != nil {
+			pre = mm.parent.containsSource
 		}
 		if pre {
 			mm.active = true
 			mm.firstWindow = 0
 		}
 	}
-	if isSource {
+	if r.isSource {
 		r.dist = r.p.SourceOffset
 	}
 }
 
-// dutyRounds lists this membership's wake rounds within the cycle window
-// starting at w (four depth-indexed rounds; leaves and the root skip some).
-func (r *runner) dutyRounds(mm *membership, w int64) []int64 {
-	ld := r.cv.Layers[mm.m.Layer].MaxDepth
-	d := mm.m.Depth
-	rounds := make([]int64, 0, 4)
-	if len(mm.m.Children) > 0 {
-		rounds = append(rounds, w+ld-d-1)
+// dutyOffsets fills duty with a membership's wake rounds within a cycle
+// window, as offsets from the window start, and returns their count: for a
+// node at depth d of a layer with depth bound ld, a listen round before the
+// upward send (only with children), the upward send at ld-d, and the
+// broadcast at bStart+d with bStart = ld+1 (preceded by a listen round
+// below the root). The offsets ascend and stay below the period 2ld+4, so
+// every duty round lies inside its own window.
+func dutyOffsets(duty *[4]int64, ld, d int64, hasChildren bool) int {
+	n := 0
+	if hasChildren {
+		duty[n] = ld - d - 1
+		n++
 	}
-	rounds = append(rounds, w+ld-d)
-	bStart := w + ld + 1
+	duty[n] = ld - d
+	n++
+	bStart := ld + 1
 	if d > 0 {
-		rounds = append(rounds, bStart+d-1, bStart+d)
-	} else {
-		rounds = append(rounds, bStart)
+		duty[n] = bStart + d - 1
+		n++
 	}
-	return rounds
+	duty[n] = bStart + d
+	return n + 1
+}
+
+// dutyAfter returns the membership's first duty round after now within the
+// window starting at w.
+func (mm *membership) dutyAfter(w, now int64) (int64, bool) {
+	for _, o := range mm.duty[:mm.nDuty] {
+		if w+o > now {
+			return w + o, true
+		}
+	}
+	return 0, false
+}
+
+// nextDuty returns the membership's first BFS-phase duty round after now:
+// windows are indexed from bfsStart, and the membership serves those from
+// firstWindow on.
+func (r *runner) nextDuty(mm *membership, now int64) int64 {
+	k := mm.firstWindow
+	if now >= r.bfsStart {
+		k = max(k, (now-r.bfsStart)/mm.period)
+	}
+	w := r.bfsStart + k*mm.period
+	if d, ok := mm.dutyAfter(w, now); ok {
+		return d
+	}
+	return w + mm.period + mm.duty[0]
 }
 
 // serveWindow performs whatever duty round `now` is within the window
-// starting at w. own is this node's convergecast contribution; init
-// selects the initialization semantics (aggregate AnySource, apply nothing
-// but containsSource).
-func (r *runner) serveWindow(mm *membership, w int64, now int64, own agg, init bool) {
+// starting at w. init selects the initialization semantics (aggregate
+// AnySource, apply nothing but containsSource).
+func (r *runner) serveWindow(mm *membership, w int64, now int64, init bool) {
 	ld := r.cv.Layers[mm.m.Layer].MaxDepth
 	d := mm.m.Depth
 	upSend := w + ld - d
@@ -274,7 +341,7 @@ func (r *runner) serveWindow(mm *membership, w int64, now int64, own agg, init b
 	cl := mm.m.Cluster
 	switch now {
 	case upSend:
-		a := own
+		a := r.ownAgg(mm, init)
 		for _, msg := range r.mb.Take(r.tagUp(cl)) {
 			a = combineAgg(a, msg.Body.(agg))
 		}
@@ -303,97 +370,121 @@ func (r *runner) serveWindow(mm *membership, w int64, now int64, own agg, init b
 	// is the point.
 }
 
+// ownAgg is this node's convergecast contribution to mm's cluster.
+func (r *runner) ownAgg(mm *membership, init bool) agg {
+	if init {
+		a := aggChildActive | aggAllReached
+		if r.isSource {
+			a |= aggAnySource
+		}
+		return a
+	}
+	var a agg
+	if r.dist != graph.Inf {
+		a |= aggAnyReached | aggAllReached
+	}
+	if r.childClustersActive(mm) {
+		a |= aggChildActive
+	}
+	return a
+}
+
 func (r *runner) decide(mm *membership, init bool) downMsg {
 	a := mm.rootAgg
 	if init {
-		return downMsg{Source: a.AnySource}
+		if a&aggAnySource != 0 {
+			return downSource
+		}
+		return 0
+	}
+	var dm downMsg
+	if a&aggAnyReached != 0 {
+		dm |= downReached
 	}
 	deact := false
 	if mm.m.Layer == 0 {
-		deact = a.AllReached
+		deact = a&aggAllReached != 0
 	} else {
-		deact = a.AnyReached && a.ChildActive
+		deact = a&aggAnyReached != 0 && a&aggChildActive != 0
 	}
-	return downMsg{Reached: a.AnyReached, Deactivate: deact}
+	if deact {
+		dm |= downDeactivate
+	}
+	return dm
 }
 
 func (r *runner) apply(mm *membership, dm downMsg, w int64, init bool) {
 	if init {
-		mm.containsSource = dm.Source
+		mm.containsSource = dm&downSource != 0
 		return
 	}
-	if dm.Reached {
+	if dm&downReached != 0 {
 		// Activate the child clusters this node belongs to.
-		layer := mm.m.Layer
-		p := r.cv.Layers[layer].Period
-		kEnd := w + p // parent window end
-		for _, other := range r.ms {
-			if other.m.Layer == layer-1 && other.m.ParentCluster == mm.m.Cluster && !other.active && !other.deactivated {
-				pc := r.cv.Layers[layer-1].Period
+		kEnd := w + mm.period // parent window end
+		for i := range r.ms {
+			other := &r.ms[i]
+			if other.parent == mm && !other.active && !other.deactivated {
 				other.active = true
-				other.firstWindow = (kEnd - r.bfsStart + pc - 1) / pc
+				other.firstWindow = (kEnd - r.bfsStart + other.period - 1) / other.period
+				r.liveStale = true
 			}
 		}
 	}
-	if dm.Deactivate {
+	if dm&downDeactivate != 0 {
 		mm.deactivated = true
+		r.liveStale = true
 	}
+}
+
+// refreshLive rebuilds the live list after activations or deactivations.
+func (r *runner) refreshLive() {
+	r.live = r.live[:0]
+	for i := range r.ms {
+		if mm := &r.ms[i]; mm.active && !mm.deactivated {
+			r.live = append(r.live, mm)
+		}
+	}
+	r.liveStale = false
 }
 
 // bfsPhase runs the main loop: cluster cycles plus BFS steps.
 func (r *runner) bfsPhase() {
-	c := r.mb.C
 	lastStepRound := r.bfsStart + (r.p.Threshold+1)*r.stepI
+	r.refreshLive()
 	for {
 		now := r.mb.Round()
 		// Process tokens (pumped by the last sleep).
 		r.drainTokens()
-		// Serve cluster windows scheduled for this round.
-		for _, mm := range r.ms {
-			if !mm.active || mm.deactivated {
-				continue
+		// Serve cluster windows scheduled for this round. A membership
+		// activated here starts at a later window, so serving the list as
+		// it stood at the wake is exact.
+		if now >= r.bfsStart {
+			for _, mm := range r.live {
+				k := (now - r.bfsStart) / mm.period
+				if k < mm.firstWindow {
+					continue
+				}
+				r.serveWindow(mm, r.bfsStart+k*mm.period, now, false)
 			}
-			p := r.cv.Layers[mm.m.Layer].Period
-			if now < r.bfsStart {
-				continue
-			}
-			k := (now - r.bfsStart) / p
-			if k < mm.firstWindow {
-				continue
-			}
-			w := r.bfsStart + k*p
-			r.serveWindow(mm, w, now, agg{
-				AnyReached:  r.dist != graph.Inf,
-				ChildActive: r.childClustersActive(mm),
-				AllReached:  r.dist != graph.Inf,
-				AnySource:   false,
-			}, false)
+		}
+		if r.liveStale {
+			r.refreshLive()
 		}
 		// Send relays due now (step rounds).
 		if r.dist != graph.Inf && r.isStepRound(now) {
 			step := (now - r.bfsStart) / r.stepI
-			for i := 0; i < c.Degree(); i++ {
-				if r.elig[i] && !r.sent[i] && r.dist+r.weights[i] == step && step <= r.p.Threshold {
+			for i := range r.edges {
+				e := &r.edges[i]
+				if e.elig && !e.sent && r.dist+e.w == step && step <= r.p.Threshold {
 					r.mb.Send(i, r.p.Tag, step)
-					r.sent[i] = true
+					e.sent = true
 				}
 			}
 		}
 		// Next wake.
 		next := r.end
-		for _, mm := range r.ms {
-			if !mm.active || mm.deactivated {
-				continue
-			}
-			p := r.cv.Layers[mm.m.Layer].Period
-			base := r.bfsStart + maxI64(mm.firstWindow, (maxI64(now+1-r.bfsStart, 0))/p)*p
-			for w := base; w <= base+p; w += p {
-				for _, d := range r.dutyRounds(mm, w) {
-					if d > now && d < next {
-						next = d
-					}
-				}
-			}
+		for _, mm := range r.live {
+			next = min(next, r.nextDuty(mm, now))
 		}
 		if r.listening() || r.dist != graph.Inf {
 			if s := r.nextStepRound(now); s < next && s <= lastStepRound {
@@ -412,29 +503,26 @@ func (r *runner) drainTokens() {
 		d := msg.Body.(int64)
 		if d < r.dist {
 			r.dist = d
-			for i := range r.sent {
-				r.sent[i] = false
+			for i := range r.edges {
+				r.edges[i].sent = false
 			}
 		}
 	}
 }
 
 func (r *runner) childClustersActive(mm *membership) bool {
-	layer := mm.m.Layer
-	if layer == 0 {
-		return true
-	}
-	for _, other := range r.ms {
-		if other.m.Layer == layer-1 && other.m.ParentCluster == mm.m.Cluster && !other.active && !other.deactivated {
+	for i := range r.ms {
+		if other := &r.ms[i]; other.parent == mm && !other.active && !other.deactivated {
 			return false
 		}
 	}
 	return true
 }
 
+// listening reports whether one of this node's layer-0 clusters is live.
 func (r *runner) listening() bool {
-	for _, mm := range r.ms {
-		if mm.m.Layer == 0 && mm.active && !mm.deactivated {
+	for _, mm := range r.live {
+		if mm.m.Layer == 0 {
 			return true
 		}
 	}
@@ -450,13 +538,6 @@ func (r *runner) nextStepRound(now int64) int64 {
 		return r.bfsStart
 	}
 	return now + r.stepI - (now-r.bfsStart)%r.stepI
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // RunBFS is the standalone whole-graph wrapper (Theorem 3.13/3.14 shape):

@@ -118,3 +118,50 @@ func TestStepIntervalCondition(t *testing.T) {
 		}
 	}
 }
+
+// nextDuty must pick the earliest duty round after now over every window
+// from firstWindow on, as a scan listing each window's duty rounds does:
+// a listen round before the upward send (with children), the send at
+// w+ld-d, and the broadcast round bStart+d (with a listen round before it
+// below the root), bStart = w+ld+1.
+func TestNextDutyMatchesWindowScan(t *testing.T) {
+	const bfsStart = 17
+	for ld := int64(0); ld <= 4; ld++ {
+		for d := int64(0); d <= ld; d++ {
+			for _, hasChildren := range []bool{false, true} {
+				if hasChildren && d == ld {
+					continue
+				}
+				mm := &membership{period: 2*ld + 4}
+				mm.nDuty = dutyOffsets(&mm.duty, ld, d, hasChildren)
+				r := &runner{bfsStart: bfsStart}
+				for fw := int64(0); fw <= 3; fw++ {
+					mm.firstWindow = fw
+					for now := int64(0); now < bfsStart+6*mm.period; now++ {
+						want := int64(-1)
+						for k := fw; want < 0; k++ {
+							w := bfsStart + k*mm.period
+							var rounds []int64
+							if hasChildren {
+								rounds = append(rounds, w+ld-d-1)
+							}
+							rounds = append(rounds, w+ld-d)
+							if d > 0 {
+								rounds = append(rounds, w+ld+d)
+							}
+							rounds = append(rounds, w+ld+1+d)
+							for _, x := range rounds {
+								if x > now && (want < 0 || x < want) {
+									want = x
+								}
+							}
+						}
+						if got := r.nextDuty(mm, now); got != want {
+							t.Fatalf("ld=%d d=%d children=%v firstWindow=%d now=%d: nextDuty %d, want %d", ld, d, hasChildren, fw, now, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
