@@ -20,8 +20,7 @@
 // A chain writes one labeled markdown section per pair; -json emits a
 // single Diff object for one pair and a JSON array for a chain. -trend
 // renders the whole chain as one history-aware table — per-scenario and
-// per-phase measured/envelope ratio series with end-to-end drift (the same
-// view a running dsssp-serve exposes at /v1/trends).
+// per-phase measured/envelope ratio series with end-to-end drift.
 //
 // Exit status: 0 when every comparison passes, 1 on a regression, 2 on a
 // usage or input error.

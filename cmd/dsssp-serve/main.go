@@ -1,15 +1,15 @@
 // Command dsssp-serve is the long-running serving daemon over the dsssp
-// stack: an HTTP API answering SSSP/APSP/path queries from a bounded
-// worker pool behind a content-addressed result cache, running scenario
-// sweeps as cancellable async jobs whose reports accumulate in an
-// append-only history directory, and serving history-aware bench trends
-// chained through the same machinery as cmd/dsssp-diff.
+// stack: an HTTP API answering SSSP/APSP/path queries — on inline graphs,
+// generator specs, or registered graphs updated by PATCH — from a bounded
+// worker pool behind a content-addressed result cache. It only answers
+// queries: scenario sweeps and their trends are the offline tools
+// cmd/dsssp-bench (-json) and cmd/dsssp-diff (-trend).
 //
 // Usage:
 //
-//	dsssp-serve                             # serve on :8080, history in ./dsssp-history
-//	dsssp-serve -addr :9000 -history /var/lib/dsssp -cache-bytes 268435456
-//	dsssp-serve -rev $(git rev-parse --short HEAD)   # label stored reports
+//	dsssp-serve                                      # serve on :8080
+//	dsssp-serve -addr :9000 -cache-bytes 268435456 -registry-dir /var/lib/dsssp
+//	dsssp-serve -rev $(git rev-parse --short HEAD)   # label /v1/stats
 //	dsssp-serve -debug-addr 127.0.0.1:6060           # pprof + metrics debug listener
 //
 // Endpoints:
@@ -17,11 +17,9 @@
 //	POST   /v1/sssp        exact SSSP (graph inline or by generator spec; ?trace=1 for phases)
 //	POST   /v1/apsp        all-pairs via the Section 1.1 composition (?trace=1 for phases)
 //	POST   /v1/path        distance + one shortest path source→target
-//	POST   /v1/sweeps      submit an async scenario sweep → job ID
-//	GET    /v1/sweeps      list jobs; GET /v1/sweeps/{id} live progress
-//	DELETE /v1/sweeps/{id} cancel a job
-//	GET    /v1/trends      envelope-ratio time series over stored reports
-//	GET    /v1/stats       cache/pool/jobs/store snapshot
+//	POST   /v1/graphs      register a graph → handle; GET lists, GET/DELETE /v1/graphs/{id}
+//	PATCH  /v1/graphs/{id}/edges  apply an edge-delta batch → new revision
+//	GET    /v1/stats       cache/registry/incr/pool snapshot
 //	GET    /metrics        Prometheus text exposition
 //	GET    /healthz        liveness
 //
@@ -36,8 +34,8 @@
 // W3C traceparent is echoed/minted so client traces link to server spans.
 //
 // The process shuts down cleanly on SIGINT/SIGTERM: the listener drains,
-// running sweep jobs are cancelled (partial sweeps are not stored), and
-// the exit status is 0 — which is what the CI smoke job asserts.
+// the registry flushes to -registry-dir, and the exit status is 0 — which
+// is what the CI smoke job asserts.
 package main
 
 import (
@@ -60,15 +58,13 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
-		history     = flag.String("history", "dsssp-history", "append-only bench history directory")
 		cacheBytes  = flag.Int64("cache-bytes", 64<<20, "result cache byte budget")
 		graphBytes  = flag.Int64("graph-bytes", 256<<20, "dynamic-graph registry byte budget (registered graphs + per-source traces)")
 		registryDir = flag.String("registry-dir", "", "spill registered graphs and their traces to this directory and warm-start from it on boot (empty = in-memory only)")
-		repairMax   = flag.Float64("repair-max-affected", 0.5, "repair a dirty source only while the affected region stays under this fraction of the graph (0 = no cutoff, negative = disable repair)")
+		repairMax   = flag.Float64("repair-max-affected", 0.5, "repair a dirty source only while the affected region stays under this fraction of the graph (1 = no cutoff, negative = disable repair)")
 		workers     = flag.Int("workers", 0, "query worker pool size (0 = NumCPU)")
 		intraCap    = flag.Int("max-intra", 0, "cap on a query's intra-round simulation workers (0 = NumCPU, 1 = force sequential; results are byte-identical either way)")
-		sweeps      = flag.Int("max-sweeps", 1, "sweep jobs allowed to run concurrently")
-		rev         = flag.String("rev", "", "git revision label for stored reports (default: git rev-parse --short HEAD, else \"unknown\")")
+		rev         = flag.String("rev", "", "git revision label reported by /v1/stats (default: git rev-parse --short HEAD, else \"unknown\")")
 		maxN        = flag.Int("max-n", 4096, "largest accepted graph size")
 		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof, /metrics, and /debug/traces on this private address (empty = disabled)")
 		traceSample = flag.Float64("trace-sample", 1.0, "fraction of requests recorded into the trace flight recorder (1 = all, 0 = none; unsampled requests pay no tracing cost)")
@@ -77,6 +73,9 @@ func main() {
 		slowQuery   = flag.Duration("slow-query", time.Second, "log requests slower than this at Warn")
 		logLevel    = flag.String("log-level", "info", "minimum log level (debug, info, warn, error)")
 	)
+	// Deprecated: -history is parsed and ignored, since the daemon no longer
+	// stores sweep reports. It goes once the benchmark stops passing it.
+	flag.String("history", "", "ignored (the daemon no longer stores sweep reports)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -91,21 +90,19 @@ func main() {
 	}
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 	srv, err := service.New(service.Config{
-		HistoryDir:          *history,
-		CacheBytes:          *cacheBytes,
-		GraphBytes:          *graphBytes,
-		RegistryDir:         *registryDir,
-		RepairMaxAffected:   *repairMax,
-		Workers:             *workers,
-		MaxIntraWorkers:     *intraCap,
-		MaxConcurrentSweeps: *sweeps,
-		Rev:                 *rev,
-		MaxN:                *maxN,
-		Logger:              logger,
-		SlowQueryThreshold:  *slowQuery,
-		TraceSampleRate:     resolveSampleRate(*traceSample),
-		TraceRecent:         *traceRecent,
-		TraceRetained:       *traceKept,
+		CacheBytes:         *cacheBytes,
+		GraphBytes:         *graphBytes,
+		RegistryDir:        *registryDir,
+		RepairMaxAffected:  *repairMax,
+		Workers:            *workers,
+		MaxIntraWorkers:    *intraCap,
+		Rev:                *rev,
+		MaxN:               *maxN,
+		Logger:             logger,
+		SlowQueryThreshold: *slowQuery,
+		TraceSampleRate:    resolveSampleRate(*traceSample),
+		TraceRecent:        *traceRecent,
+		TraceRetained:      *traceKept,
 	})
 	if err != nil {
 		die(err)
@@ -135,7 +132,7 @@ func main() {
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() {
-		logger.Info("listening", "addr", *addr, "history", srv.Store().Dir(), "rev", *rev)
+		logger.Info("listening", "addr", *addr, "rev", *rev)
 		errc <- httpSrv.ListenAndServe()
 	}()
 
@@ -146,7 +143,7 @@ func main() {
 	}
 
 	// Graceful shutdown: stop accepting, drain in-flight requests (bounded),
-	// then cancel sweep jobs and wait for their goroutines.
+	// then flush the registry.
 	logger.Info("signal received, shutting down")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
@@ -167,7 +164,7 @@ func resolveSampleRate(rate float64) float64 {
 }
 
 // gitRev best-effort resolves the working tree's short revision for
-// labeling stored reports; services deployed from tarballs pass -rev.
+// labeling /v1/stats; services deployed from tarballs pass -rev.
 func gitRev() string {
 	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
 	if err != nil {

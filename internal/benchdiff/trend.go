@@ -8,8 +8,7 @@ import (
 	"dsssp/internal/harness"
 )
 
-// TrendSchema versions the trend JSON (the /v1/trends payload and the
-// dsssp-diff -trend artifact).
+// TrendSchema versions the trend JSON.
 const TrendSchema = "dsssp-trend/v1"
 
 // Trend is the history-aware view of a chain of reports: where Compare
@@ -224,7 +223,7 @@ func (s *TrendSeries) empty() bool {
 
 // WriteTrendMarkdown renders the trend table: one row per scenario×metric
 // (and scenario×phase), ratio columns oldest → newest, and the net drift
-// over the chain. The CI artifact and the /v1/trends?format=markdown view.
+// over the chain: the dsssp-diff -trend output.
 func WriteTrendMarkdown(w io.Writer, t Trend) error {
 	var b strings.Builder
 	b.WriteString("# Bench trends\n\n")

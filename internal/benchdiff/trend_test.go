@@ -192,7 +192,7 @@ func TestTrendMarkdownAndJSON(t *testing.T) {
 			t.Fatalf("markdown missing %q:\n%s", want, out)
 		}
 	}
-	// The trend must survive a JSON round trip (the /v1/trends payload).
+	// The trend must survive a JSON round trip.
 	raw, err := json.Marshal(tr)
 	if err != nil {
 		t.Fatal(err)

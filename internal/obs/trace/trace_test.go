@@ -27,8 +27,32 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
+// validTraceparents and malformedTraceparents are the parser's accept and
+// reject tables; they also seed FuzzParseTraceparent.
+var validTraceparents = []string{
+	"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
+	"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-00",       // unsampled
+	"01-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-extra", // future version, extra field
+}
+
+var malformedTraceparents = []string{
+	"",
+	"00",
+	"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331",     // missing flags
+	"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-1",   // short flags
+	"00-0AF7651916CD43DD8448EB211C80319C-b7ad6b7169203331-01",  // uppercase hex
+	"00-0af7651916cd43dd8448eb211c80319c-B7AD6B7169203331-01",  // uppercase span
+	"00-00000000000000000000000000000000-b7ad6b7169203331-01",  // zero trace ID
+	"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01",  // zero span ID
+	"00-0af7651916cd43dd8448eb211c80319g-b7ad6b7169203331-01",  // non-hex
+	"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",  // forbidden version
+	"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01x", // version-00 trailing junk
+	"0x-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",  // non-hex version
+	"00_0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",  // wrong separator
+}
+
 func TestTraceparentParseValid(t *testing.T) {
-	c, ok := ParseTraceparent("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")
+	c, ok := ParseTraceparent(validTraceparents[0])
 	if !ok {
 		t.Fatal("valid traceparent rejected")
 	}
@@ -41,36 +65,46 @@ func TestTraceparentParseValid(t *testing.T) {
 	if !c.Sampled {
 		t.Fatal("flags 01 must parse as sampled")
 	}
-	if c2, ok := ParseTraceparent("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-00"); !ok || c2.Sampled {
+	if c2, ok := ParseTraceparent(validTraceparents[1]); !ok || c2.Sampled {
 		t.Fatal("flags 00 must parse as unsampled")
 	}
 	// A future version may append fields after the flags.
-	if _, ok := ParseTraceparent("01-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-extra"); !ok {
+	if _, ok := ParseTraceparent(validTraceparents[2]); !ok {
 		t.Fatal("future-version traceparent with extra field must parse")
 	}
 }
 
 func TestTraceparentParseMalformed(t *testing.T) {
-	bad := []string{
-		"",
-		"00",
-		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331",     // missing flags
-		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-1",   // short flags
-		"00-0AF7651916CD43DD8448EB211C80319C-b7ad6b7169203331-01",  // uppercase hex
-		"00-0af7651916cd43dd8448eb211c80319c-B7AD6B7169203331-01",  // uppercase span
-		"00-00000000000000000000000000000000-b7ad6b7169203331-01",  // zero trace ID
-		"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01",  // zero span ID
-		"00-0af7651916cd43dd8448eb211c80319g-b7ad6b7169203331-01",  // non-hex
-		"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",  // forbidden version
-		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01x", // version-00 trailing junk
-		"0x-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",  // non-hex version
-		"00_0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",  // wrong separator
-	}
-	for _, h := range bad {
+	for _, h := range malformedTraceparents {
 		if _, ok := ParseTraceparent(h); ok {
 			t.Errorf("ParseTraceparent(%q) accepted, want reject", h)
 		}
 	}
+}
+
+// FuzzParseTraceparent checks the parser on arbitrary header values: it
+// never panics, an accepted context is Valid, and an accepted context
+// survives a render/parse round trip unchanged. Plain `go test` replays
+// the seed tables; `go test -fuzz FuzzParseTraceparent` explores further.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, h := range validTraceparents {
+		f.Add(h)
+	}
+	for _, h := range malformedTraceparents {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		c, ok := ParseTraceparent(h)
+		if !ok {
+			return
+		}
+		if !c.Valid() {
+			t.Fatalf("ParseTraceparent(%q) accepted an invalid context %+v", h, c)
+		}
+		if got, ok := ParseTraceparent(c.Traceparent()); !ok || got != c {
+			t.Fatalf("round trip of %q: got (%+v, %v), want (%+v, true)", h, got, ok, c)
+		}
+	})
 }
 
 func TestMintIDsUnique(t *testing.T) {

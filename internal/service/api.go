@@ -402,7 +402,7 @@ func buildGeneratorGraph(spec GraphSpec, maxN int) (*graph.Graph, error) {
 // exactly one reproducible graph in the service's namespace. (Harness
 // scenarios additionally fold the scenario *name* into their seeds, so a
 // spec does not reproduce a named scenario's graph — replay those through
-// /v1/sweeps instead.)
+// dsssp-bench -scenarios instead.)
 //
 // The derivation is part of the wire contract and pinned by
 // TestWeightSeedContract: changing it silently repoints every cached

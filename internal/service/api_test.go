@@ -102,12 +102,12 @@ func TestQueryKeyIgnoresWorkers(t *testing.T) {
 // parallel request, asserting byte-identical response bodies — the
 // property that justifies keeping Workers out of the cache key.
 func TestParallelQueryBytesMatchSequential(t *testing.T) {
-	seqSrv, err := New(Config{HistoryDir: t.TempDir(), Workers: 2, MaxIntraWorkers: 1, Rev: "test"})
+	seqSrv, err := New(Config{Workers: 2, MaxIntraWorkers: 1, Rev: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(seqSrv.Close)
-	parSrv, err := New(Config{HistoryDir: t.TempDir(), Workers: 2, MaxIntraWorkers: 4, Rev: "test"})
+	parSrv, err := New(Config{Workers: 2, MaxIntraWorkers: 4, Rev: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -315,7 +315,7 @@ func TestRepairServing(t *testing.T) {
 // TestRepairDisabled pins the -repair-max-affected=-1 escape hatch: the
 // dirty source recomputes from scratch, never touching the repair path.
 func TestRepairDisabled(t *testing.T) {
-	s, err := New(Config{HistoryDir: t.TempDir(), Workers: 4, Rev: "test", RepairMaxAffected: -1})
+	s, err := New(Config{Workers: 4, Rev: "test", RepairMaxAffected: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestRepairWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	mk := func() *Server {
 		t.Helper()
-		s, err := New(Config{HistoryDir: t.TempDir(), Workers: 4, Rev: "test", RegistryDir: dir})
+		s, err := New(Config{Workers: 4, Rev: "test", RegistryDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,7 +10,7 @@ import (
 // serverMetrics is the server's telemetry surface, rendered at
 // GET /metrics. Event-shaped signals are counters/histograms updated
 // inline on the hot paths; level-shaped signals owned by other subsystems
-// (cache occupancy, history size) are read at scrape time from those
+// (cache occupancy, registry size) are read at scrape time from those
 // subsystems' own stats, so there is exactly one source of truth per
 // number — /v1/stats and /metrics can never disagree.
 type serverMetrics struct {
@@ -29,10 +29,6 @@ type serverMetrics struct {
 	// Per-phase round distribution (the paper's envelope structure, per
 	// live query): one histogram series per pipeline phase key.
 	phaseRounds *obs.HistogramVec // phase
-
-	// Sweep-job lifecycle.
-	jobsActive   *obs.GaugeVec   // state ∈ {queued, running}
-	jobsFinished *obs.CounterVec // state ∈ {done, failed, cancelled}
 
 	slowQueries *obs.Counter
 
@@ -59,7 +55,7 @@ type serverMetrics struct {
 	repairPhaseSeconds *obs.HistogramVec // phase
 }
 
-func newServerMetrics(cfg *Config, cache *Cache, store *Store, registry *GraphRegistry) *serverMetrics {
+func newServerMetrics(cfg *Config, cache *Cache, registry *GraphRegistry) *serverMetrics {
 	r := obs.NewRegistry()
 	m := &serverMetrics{
 		reg: r,
@@ -78,10 +74,6 @@ func newServerMetrics(cfg *Config, cache *Cache, store *Store, registry *GraphRe
 		phaseRounds: r.HistogramVec("dsssp_phase_rounds",
 			"Per-query simulated rounds attributed to each pipeline phase.",
 			obs.ExpBuckets(1, 2, 18), "phase"),
-		jobsActive: r.GaugeVec("dsssp_sweep_jobs_active",
-			"Sweep jobs currently queued or running, by state.", "state"),
-		jobsFinished: r.CounterVec("dsssp_sweep_jobs_finished_total",
-			"Sweep jobs reaching a terminal state, by state.", "state"),
 		slowQueries: r.Counter("dsssp_slow_queries_total",
 			"Requests slower than the configured slow-query threshold."),
 		incrSourcesReused: r.Counter("dsssp_incr_sources_reused_total",
@@ -123,7 +115,7 @@ func newServerMetrics(cfg *Config, cache *Cache, store *Store, registry *GraphRe
 		"Approximate resident bytes of registered graphs and their traces.",
 		func() float64 { return float64(registry.Stats().BytesUsed) })
 
-	// Cache and store counters live in their subsystems (they predate the
+	// Cache counters live in their subsystem (they predate the
 	// registry and also feed /v1/stats); surface them at scrape time.
 	r.CounterFunc("dsssp_cache_hits_total",
 		"Result-cache hits, including singleflight-shared computations.",
@@ -146,18 +138,6 @@ func newServerMetrics(cfg *Config, cache *Cache, store *Store, registry *GraphRe
 	r.GaugeFunc("dsssp_cache_bytes_budget",
 		"Result-cache byte budget.",
 		func() float64 { return float64(cache.Stats().Budget) })
-	r.CounterFunc("dsssp_store_appends_total",
-		"Sweep reports appended to the history store by this process.",
-		func() float64 { return float64(store.Appends()) })
-	r.CounterFunc("dsssp_store_append_bytes_total",
-		"Bytes of sweep reports appended by this process.",
-		func() float64 { return float64(store.AppendBytes()) })
-	r.GaugeFunc("dsssp_store_reports",
-		"Report files in the history directory (scrape-time directory scan).",
-		func() float64 { st, _ := store.Stats(); return float64(st.Reports) })
-	r.GaugeFunc("dsssp_store_bytes",
-		"Total bytes of report files in the history directory.",
-		func() float64 { st, _ := store.Stats(); return float64(st.Bytes) })
 	return m
 }
 
@@ -178,15 +158,12 @@ func (m *serverMetrics) observePhases(phases []harness.PhaseStat, traceID string
 // attacker spraying random paths cannot mint unbounded metric series.
 func endpointLabel(path string) string {
 	switch path {
-	case "/v1/sssp", "/v1/apsp", "/v1/path", "/v1/sweeps", "/v1/trends", "/v1/stats", "/v1/graphs":
+	case "/v1/sssp", "/v1/apsp", "/v1/path", "/v1/stats", "/v1/graphs":
 		return strings.TrimPrefix(path, "/v1/")
 	case "/healthz":
 		return "healthz"
 	case "/metrics":
 		return "metrics"
-	}
-	if strings.HasPrefix(path, "/v1/sweeps/") {
-		return "sweeps/{id}"
 	}
 	if strings.HasPrefix(path, "/v1/graphs/") {
 		return "graphs/{id}"

@@ -151,7 +151,7 @@ const TraceparentHeader = "Traceparent"
 
 // rootSpanName names the root span for the bounded endpoint vocabulary.
 // The query endpoints return constants so the unsampled fast path does
-// not pay a concatenation allocation; everything else (debug, sweeps,
+// not pay a concatenation allocation; everything else (graphs, stats,
 // health) allocates once, off the pinned path.
 func rootSpanName(endpoint string) string {
 	switch endpoint {

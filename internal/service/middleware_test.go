@@ -66,7 +66,7 @@ func (w *brokenWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
 func TestWriteErrorLogged(t *testing.T) {
 	var buf syncBuffer
 	s, err := New(Config{
-		HistoryDir: t.TempDir(), Workers: 2, Rev: "test",
+		Workers: 2, Rev: "test",
 		Logger: slog.New(slog.NewJSONHandler(&buf, nil)), SlowQueryThreshold: time.Hour,
 	})
 	if err != nil {

@@ -64,7 +64,7 @@ func TestQueryPathsPinned(t *testing.T) {
 // appends one block per step to out.
 func pinEndpoint(t *testing.T, out *strings.Builder, ep string, repairMax float64) {
 	t.Helper()
-	s, err := New(Config{HistoryDir: t.TempDir(), Workers: 4, SweepParallel: 2, Rev: "test", RepairMaxAffected: repairMax})
+	s, err := New(Config{Workers: 4, Rev: "test", RepairMaxAffected: repairMax})
 	if err != nil {
 		t.Fatal(err)
 	}

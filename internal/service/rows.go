@@ -211,10 +211,9 @@ func (s *Server) remembered(sp *trace.Span, q rowQuery, src graph.NodeID) (row, 
 // per-phase split feeds dsssp_repair_phase_seconds.
 func (s *Server) repair(sp *trace.Span, q rowQuery, src graph.NodeID, tr incr.Trace, changes []incr.NetChange, exact bool) (row, bool) {
 	n := q.g.N()
-	limit := 0
-	if s.cfg.RepairMaxAffected > 0 {
-		limit = max(1, int(s.cfg.RepairMaxAffected*float64(n)))
-	}
+	// remembered already declined a negative cutoff, and applyDefaults
+	// turned 0 into 0.5, so the fraction here is positive.
+	limit := max(1, int(s.cfg.RepairMaxAffected*float64(n)))
 	rsp := sp.StartChild("repair")
 	rsp.SetAttr("source", int64(src))
 	rsp.SetAttr("changes", len(changes))

@@ -1,13 +1,11 @@
 // Package service is the long-running serving layer over the whole stack:
 // an HTTP API that answers SSSP/APSP/path queries (inline graphs or
-// generator specs) from a bounded worker pool behind a content-addressed
-// result cache, runs scenario sweeps as cancellable async jobs whose
-// reports land in an append-only history store, and chains that history
-// through internal/benchdiff into per-scenario and per-phase envelope-ratio
-// trends. The determinism the bench harness guarantees is what makes this
-// sound: a query result is a pure function of (canonical graph, options),
-// so cached bytes are indistinguishable from recomputation, and stored
-// reports from different moments in history are directly comparable.
+// generator specs or registered, PATCHable graphs) from a bounded worker
+// pool behind a content-addressed result cache. The determinism the bench
+// harness guarantees is what makes this sound: a query result is a pure
+// function of (canonical graph, options), so cached bytes are
+// indistinguishable from recomputation. Scenario sweeps and their trends
+// are offline tools (dsssp-bench -json, dsssp-diff -trend), not endpoints.
 package service
 
 import (
@@ -20,7 +18,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"dsssp"
@@ -31,10 +28,12 @@ import (
 	"dsssp/internal/simnet"
 )
 
-// Config tunes a Server. The zero value serves with sane defaults except
-// HistoryDir, which is required.
+// Config tunes a Server. The zero value serves with sane defaults.
 type Config struct {
-	// HistoryDir is the append-only bench history directory (required).
+	// HistoryDir is ignored: the daemon no longer stores sweep reports.
+	//
+	// Deprecated: it stays only because the benchmark harness still sets
+	// it, and goes once a benchmark change stops doing so.
 	HistoryDir string
 	// CacheBytes is the result cache's byte budget (default 64 MiB; <= 0
 	// after defaulting disables storage but keeps request deduplication).
@@ -51,8 +50,8 @@ type Config struct {
 	// of n: a dirty source is repaired from its stale trace only while the
 	// affected region stays within the fraction; past it the repair
 	// abandons ship and the source recomputes from scratch (which also
-	// re-mints a cacheable canonical body). 0 defaults to 0.5; negative
-	// disables repair entirely.
+	// re-mints a cacheable canonical body). 0 defaults to 0.5, 1 means no
+	// cutoff, and negative disables repair entirely.
 	RepairMaxAffected float64
 	// Workers bounds concurrently executing queries (default NumCPU).
 	Workers int
@@ -64,13 +63,8 @@ type Config struct {
 	// workers can oversubscribe the machine, so busy deployments should
 	// keep one of the two at 1.
 	MaxIntraWorkers int
-	// SweepParallel is the worker-pool size handed to sweeps that do not
-	// set their own (default NumCPU).
-	SweepParallel int
-	// MaxConcurrentSweeps bounds sweeps running at once (default 1);
-	// queued jobs wait their turn.
-	MaxConcurrentSweeps int
-	// Rev labels stored reports (a git revision; default "unknown").
+	// Rev labels the deployment in GET /v1/stats (a git revision; default
+	// "unknown").
 	Rev string
 	// MaxN caps requested graph sizes (default 4096).
 	MaxN int
@@ -119,12 +113,6 @@ func (c *Config) applyDefaults() {
 	if c.MaxIntraWorkers <= 0 {
 		c.MaxIntraWorkers = runtime.NumCPU()
 	}
-	if c.SweepParallel <= 0 {
-		c.SweepParallel = runtime.NumCPU()
-	}
-	if c.MaxConcurrentSweeps <= 0 {
-		c.MaxConcurrentSweeps = 1
-	}
 	if c.Rev == "" {
 		c.Rev = "unknown"
 	}
@@ -156,44 +144,30 @@ func (c *Config) applyDefaults() {
 type Server struct {
 	cfg      Config
 	cache    *Cache
-	store    *Store
 	registry *GraphRegistry
-	jobs     *jobSet
 	querySem chan struct{}
-	sweepSem chan struct{}
 	mux      *http.ServeMux
 	metrics  *serverMetrics
 	tracer   *trace.Tracer
 	logger   *slog.Logger
 	started  time.Time
-
-	// baseCtx parents every job so Close can cancel them; jobsWG waits for
-	// their goroutines to observe it.
-	baseCtx   context.Context
-	cancelAll context.CancelFunc
-	jobsWG    sync.WaitGroup
 }
 
-// New builds a Server (opening the history store) without binding a port.
+// New builds a Server (restoring the persisted registry, if configured)
+// without binding a port.
 func New(cfg Config) (*Server, error) {
 	cfg.applyDefaults()
-	store, err := OpenStore(cfg.HistoryDir)
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithCancel(context.Background())
 	cache := NewCache(cfg.CacheBytes)
 	registry := NewGraphRegistry(cfg.GraphBytes, cache, cfg.now)
 	if cfg.RegistryDir != "" {
 		restored, err := registry.EnablePersistence(cfg.RegistryDir)
 		if err != nil {
-			cancel()
 			return nil, fmt.Errorf("registry persistence: %w", err)
 		}
 		cfg.Logger.Info("registry persistence enabled",
 			"dir", cfg.RegistryDir, "graphs_restored", restored)
 	}
-	metrics := newServerMetrics(&cfg, cache, store, registry)
+	metrics := newServerMetrics(&cfg, cache, registry)
 	registry.bindMetrics(metrics)
 	tracer := trace.New(trace.Config{
 		SampleRate:    cfg.TraceSampleRate,
@@ -202,20 +176,15 @@ func New(cfg Config) (*Server, error) {
 		SlowThreshold: cfg.SlowQueryThreshold,
 	})
 	s := &Server{
-		cfg:       cfg,
-		cache:     cache,
-		store:     store,
-		registry:  registry,
-		jobs:      newJobSet(),
-		querySem:  make(chan struct{}, cfg.Workers),
-		sweepSem:  make(chan struct{}, cfg.MaxConcurrentSweeps),
-		mux:       http.NewServeMux(),
-		metrics:   metrics,
-		tracer:    tracer,
-		logger:    cfg.Logger,
-		started:   cfg.now(),
-		baseCtx:   ctx,
-		cancelAll: cancel,
+		cfg:      cfg,
+		cache:    cache,
+		registry: registry,
+		querySem: make(chan struct{}, cfg.Workers),
+		mux:      http.NewServeMux(),
+		metrics:  metrics,
+		tracer:   tracer,
+		logger:   cfg.Logger,
+		started:  cfg.now(),
 	}
 	s.mux.Handle("GET /metrics", s.metrics.reg.Handler())
 	s.mux.HandleFunc("POST /v1/sssp", s.handleSSSP)
@@ -226,11 +195,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/graphs/{id}", s.handleGraphGet)
 	s.mux.HandleFunc("DELETE /v1/graphs/{id}", s.handleGraphDelete)
 	s.mux.HandleFunc("PATCH /v1/graphs/{id}/edges", s.handleGraphPatch)
-	s.mux.HandleFunc("POST /v1/sweeps", s.handleSweepSubmit)
-	s.mux.HandleFunc("GET /v1/sweeps", s.handleSweepList)
-	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweepGet)
-	s.mux.HandleFunc("DELETE /v1/sweeps/{id}", s.handleSweepCancel)
-	s.mux.HandleFunc("GET /v1/trends", s.handleTrends)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return s, nil
@@ -253,21 +217,15 @@ func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
 // the flight recorder through it).
 func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 
-// Close cancels every running job, waits for them to finish, and flushes
-// the registry to its persistence directory (traces accumulated by queries
-// since the last register/PATCH spill included). Call after the HTTP
-// listener has drained (http.Server.Shutdown) so in-flight requests see
-// consistent state.
+// Close flushes the registry to its persistence directory (traces
+// accumulated by queries since the last register/PATCH spill included).
+// Call after the HTTP listener has drained (http.Server.Shutdown) so
+// in-flight requests see consistent state.
 func (s *Server) Close() {
-	s.cancelAll()
-	s.jobsWG.Wait()
 	if err := s.registry.Flush(); err != nil {
 		s.logger.Error("registry flush failed", "err", err)
 	}
 }
-
-// Store exposes the history store (the daemon reports its location).
-func (s *Server) Store() *Store { return s.store }
 
 func (s *Server) now() time.Time { return s.cfg.now() }
 
@@ -682,90 +640,18 @@ func (s *Server) handleGraphPatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, pi)
 }
 
-// --- sweep endpoints ---
-
-func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	// Normalize the filter exactly like RunScenariosWith will: trim each
-	// pattern, drop blanks, and treat an empty (or all-blank) list as "the
-	// whole suite" — the pre-validation below must not enforce a stricter
-	// grammar than the sweep itself.
-	cleaned := req.Patterns[:0:0]
-	for _, p := range req.Patterns {
-		if p = strings.TrimSpace(p); p != "" {
-			cleaned = append(cleaned, p)
-		}
-	}
-	if len(cleaned) == 0 {
-		cleaned = nil
-	}
-	req.Patterns = cleaned
-	// Reject unknown patterns up front (cheap registry check) so a typo is
-	// a 400, not a failed job discovered by polling.
-	if req.Patterns != nil {
-		if _, err := harness.Default(req.Quick).Select(req.Patterns); err != nil {
-			s.replyError(w, badRequest{err})
-			return
-		}
-	}
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	j, err := s.jobs.add(JobStatus{
-		State:       JobQueued,
-		Patterns:    req.Patterns,
-		Quick:       req.Quick,
-		SubmittedAt: s.now(),
-	}, cancel)
-	if err != nil {
-		cancel()
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	s.metrics.jobsActive.With(string(JobQueued)).Inc()
-	s.jobsWG.Add(1)
-	go s.runJob(ctx, j, req)
-	writeJSON(w, http.StatusAccepted, j.snapshot())
-}
-
-func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.jobs.snapshots())
-}
-
-func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "no sweep job %q", r.PathValue("id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, j.snapshot())
-}
-
-func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "no sweep job %q", r.PathValue("id"))
-		return
-	}
-	j.cancel()
-	writeJSON(w, http.StatusOK, j.snapshot())
-}
-
 // --- observability endpoints ---
 
 // StatsResponse is the GET /v1/stats body: a full operational snapshot —
-// cache, worker pool, jobs by state, and history store — not cache-only.
+// cache, registry, incremental serving split, and worker pool — not
+// cache-only.
 type StatsResponse struct {
-	Rev            string           `json:"rev"`
-	UptimeNS       int64            `json:"uptime_ns"`
-	Cache          CacheStats       `json:"cache"`
-	Registry       RegistryStats    `json:"registry"`
-	Incr           IncrStats        `json:"incr"`
-	Pool           PoolStats        `json:"pool"`
-	Jobs           map[JobState]int `json:"jobs"`
-	Store          StoreStats       `json:"store"`
-	HistoryReports int              `json:"history_reports"`
+	Rev      string        `json:"rev"`
+	UptimeNS int64         `json:"uptime_ns"`
+	Cache    CacheStats    `json:"cache"`
+	Registry RegistryStats `json:"registry"`
+	Incr     IncrStats     `json:"incr"`
+	Pool     PoolStats     `json:"pool"`
 }
 
 // IncrStats is the registered-graph serving split since process start:
@@ -790,11 +676,6 @@ type PoolStats struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	storeStats, err := s.store.Stats()
-	if err != nil {
-		s.replyError(w, err)
-		return
-	}
 	writeJSON(w, http.StatusOK, StatsResponse{
 		Rev:      s.cfg.Rev,
 		UptimeNS: s.now().Sub(s.started).Nanoseconds(),
@@ -811,9 +692,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			InFlight: int(s.metrics.poolBusy.Value()),
 			Queued:   int(s.metrics.queueDepth.Value()),
 		},
-		Jobs:           s.jobs.counts(),
-		Store:          storeStats,
-		HistoryReports: storeStats.Reports,
 	})
 }
 

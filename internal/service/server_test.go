@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,7 +25,7 @@ func testServer(t *testing.T) *Server { return testServerBodyCap(t, 0) }
 // bytes (0 = the default cap).
 func testServerBodyCap(t *testing.T, bodyCap int64) *Server {
 	t.Helper()
-	s, err := New(Config{HistoryDir: t.TempDir(), Workers: 4, SweepParallel: 2, Rev: "test", MaxBodyBytes: bodyCap})
+	s, err := New(Config{Workers: 4, Rev: "test", MaxBodyBytes: bodyCap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,9 +101,6 @@ func TestBadInputsAre4xxJSON(t *testing.T) {
 		{"bad-eps", "POST", "/v1/sssp", `{"graph":{"family":"path","n":8},"options":{"eps_num":3,"eps_den":2}}`, 400, "ε must be in (0,1)"},
 		{"path-target-range", "POST", "/v1/path", `{"graph":{"family":"path","n":8},"target":-1}`, 400, "target -1 out of range"},
 		{"strict-sleeping", "POST", "/v1/sssp", `{"graph":{"family":"path","n":8},"options":{"model":"sleeping","strict_congest":true}}`, 422, "StrictCongest"},
-		{"sweep-bad-pattern", "POST", "/v1/sweeps", `{"patterns":["no-such-scenario*"],"quick":true}`, 400, "matches no scenario"},
-		{"sweep-unknown-job", "GET", "/v1/sweeps/sweep-9999", "", 404, "no sweep job"},
-		{"trends-empty-history", "GET", "/v1/trends", "", 404, "at least 2 stored reports"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -263,15 +262,31 @@ func TestStatsAndHealthz(t *testing.T) {
 	if st.Rev != "test" || st.Cache.Hits != 1 || st.Cache.Misses != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	// The snapshot is full-stack: pool and store sections, not cache-only.
+	// The snapshot is full-stack: a pool section, not cache-only.
 	if st.Pool.Workers != 4 || st.Pool.InFlight != 0 || st.Pool.Queued != 0 {
 		t.Fatalf("pool stats = %+v", st.Pool)
 	}
-	if st.Store.Reports != 0 || st.Store.Appends != 0 {
-		t.Fatalf("store stats = %+v", st.Store)
+	// Pin the top-level key set, so a section can be neither dropped nor
+	// added silently.
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(w.Body.Bytes(), &top); err != nil {
+		t.Fatal(err)
 	}
-	if st.Jobs == nil {
-		t.Fatal("stats lacks the jobs-by-state section")
+	keys := slices.Sorted(maps.Keys(top))
+	if want := []string{"cache", "incr", "pool", "registry", "rev", "uptime_ns"}; !slices.Equal(keys, want) {
+		t.Fatalf("stats keys = %v, want %v", keys, want)
+	}
+}
+
+// TestConfigDefaults pins applyDefaults on the repair cutoff: 0 means the
+// 0.5 default, while 1 (no cutoff) and negative (repair disabled) are kept.
+func TestConfigDefaults(t *testing.T) {
+	for _, tc := range []struct{ in, want float64 }{{0, 0.5}, {1, 1}, {-1, -1}, {0.25, 0.25}} {
+		c := Config{RepairMaxAffected: tc.in}
+		c.applyDefaults()
+		if c.RepairMaxAffected != tc.want {
+			t.Errorf("RepairMaxAffected %v defaults to %v, want %v", tc.in, c.RepairMaxAffected, tc.want)
+		}
 	}
 }
 
@@ -426,7 +441,7 @@ func TestRequestLogging(t *testing.T) {
 	var buf syncBuffer
 	logger := slog.New(slog.NewJSONHandler(&buf, nil))
 	s, err := New(Config{
-		HistoryDir: t.TempDir(), Workers: 2, Rev: "test",
+		Workers: 2, Rev: "test",
 		Logger: logger, SlowQueryThreshold: time.Nanosecond,
 	})
 	if err != nil {
@@ -496,21 +511,29 @@ func (b *syncBuffer) String() string {
 
 // TestMuxErrorsAreJSON asserts the mux-generated replies (wrong method,
 // unknown route) are converted into the same JSON error shape as handler
-// errors — every non-2xx body is machine-readable.
+// errors — every non-2xx body is machine-readable. The retired sweep and
+// trend routes are unknown routes like any other.
 func TestMuxErrorsAreJSON(t *testing.T) {
 	s := testServer(t)
-	w := do(t, s, "GET", "/v1/sssp", "")
-	wantErrorJSON(t, w, http.StatusMethodNotAllowed, "Method Not Allowed")
-	var e ErrorResponse
-	json.Unmarshal(w.Body.Bytes(), &e)
-	if e.Code != "method_not_allowed" {
-		t.Fatalf("code = %q", e.Code)
+	cases := []struct {
+		method, path string
+		status       int
+		substr, code string
+	}{
+		{"GET", "/v1/sssp", http.StatusMethodNotAllowed, "Method Not Allowed", "method_not_allowed"},
+		{"GET", "/no/such/route", http.StatusNotFound, "Not Found", "not_found"},
+		{"POST", "/v1/sweeps", http.StatusNotFound, "Not Found", "not_found"},
+		{"GET", "/v1/sweeps/x", http.StatusNotFound, "Not Found", "not_found"},
+		{"GET", "/v1/trends", http.StatusNotFound, "Not Found", "not_found"},
 	}
-	w = do(t, s, "GET", "/no/such/route", "")
-	wantErrorJSON(t, w, http.StatusNotFound, "Not Found")
-	json.Unmarshal(w.Body.Bytes(), &e)
-	if e.Code != "not_found" {
-		t.Fatalf("code = %q", e.Code)
+	for _, tc := range cases {
+		w := do(t, s, tc.method, tc.path, "")
+		wantErrorJSON(t, w, tc.status, tc.substr)
+		var e ErrorResponse
+		json.Unmarshal(w.Body.Bytes(), &e)
+		if e.Code != tc.code {
+			t.Fatalf("%s %s: code = %q, want %q", tc.method, tc.path, e.Code, tc.code)
+		}
 	}
 }
 
@@ -521,7 +544,7 @@ func TestErrorCodes(t *testing.T) {
 		method, path, body, code string
 	}{
 		{"POST", "/v1/sssp", `{"graph": nope}`, "bad_request"},
-		{"GET", "/v1/sweeps/sweep-9999", "", "not_found"},
+		{"GET", "/v1/graphs/g-00000000", "", "not_found"},
 		{"POST", "/v1/sssp", oversizedBody, "body_too_large"},
 		{"POST", "/v1/sssp", `{"graph":{"family":"path","n":8},"options":{"model":"sleeping","strict_congest":true}}`, "unprocessable"},
 	}

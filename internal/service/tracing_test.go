@@ -17,7 +17,7 @@ import (
 func tracingServer(t *testing.T, sampleRate float64, recent, retained int) *Server {
 	t.Helper()
 	s, err := New(Config{
-		HistoryDir: t.TempDir(), Workers: 4, SweepParallel: 2, Rev: "test",
+		Workers: 4, Rev: "test",
 		TraceSampleRate: sampleRate, TraceRecent: recent, TraceRetained: retained,
 	})
 	if err != nil {
@@ -362,7 +362,7 @@ func BenchmarkCachedHit(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			s, err := New(Config{
-				HistoryDir: b.TempDir(), Workers: 4, SweepParallel: 2, Rev: "bench",
+				Workers: 4, Rev: "bench",
 				TraceSampleRate: bc.rate,
 			})
 			if err != nil {

@@ -9,33 +9,12 @@ import (
 )
 
 // ScenarioResult is one scenario's machine-readable outcome; ScenarioReport
-// is a whole sweep. They alias the internal harness types so tests, the
-// dsssp-bench CLI, and the serving layer all consume the same schema.
+// is a whole sweep. They alias the internal harness types so library
+// callers, tests, and the dsssp-bench CLI all consume the same schema.
 type (
 	ScenarioResult = harness.Result
 	ScenarioReport = harness.Report
 )
-
-// SweepCancelError is the descriptive error a cancelled sweep returns
-// alongside its partial report: Completed/Skipped/Total count the scenarios
-// that ran versus those abandoned, and it unwraps to the context's error.
-type SweepCancelError = harness.CancelError
-
-// SweepOptions tunes RunScenariosWith.
-type SweepOptions struct {
-	// Quick shrinks scenario sizes to smoke-test scale.
-	Quick bool
-	// Parallel bounds the worker pool (0 = runtime.NumCPU()).
-	Parallel int
-	// Perf attaches the machine-dependent wall-time sidecar to every
-	// result (see harness.RunOptions.Perf).
-	Perf bool
-	// Progress, if non-nil, is called after each scenario completes with
-	// (completed count, total, that scenario's result). Calls are
-	// serialized but arrive in completion order — the hook long-running
-	// services use to surface live sweep progress.
-	Progress func(done, total int, r ScenarioResult)
-}
 
 // ScenarioNames lists the default suite's scenario names (the values
 // accepted by RunScenarios patterns and dsssp-bench -scenarios).
@@ -55,19 +34,13 @@ func ScenarioNames(quick bool) []string {
 // — the same arguments yield a byte-identical report at any parallelism —
 // and each scenario is verified against its sequential reference, so a
 // report with Failures == 0 (and Scenarios > 0) is both a benchmark and a
-// correctness check.
-func RunScenarios(ctx context.Context, patterns []string, quick bool, parallel int) (ScenarioReport, error) {
-	return RunScenariosWith(ctx, patterns, SweepOptions{Quick: quick, Parallel: parallel})
-}
-
-// RunScenariosWith is RunScenarios with the full option set: per-scenario
-// progress callbacks and the perf sidecar, on top of the quick/parallel
-// knobs. Cancelling the context stops the sweep at scenario granularity:
-// the partial report is still returned (undispatched scenarios appear as
-// explicitly skipped failures) together with a *SweepCancelError naming
-// how many scenarios completed, so a cancelled sweep never reads as an
+// correctness check. Cancelling the context stops the sweep at scenario
+// granularity: the partial report is still returned (undispatched
+// scenarios appear as explicitly skipped failures) together with a
+// descriptive error that counts the completed and skipped scenarios and
+// unwraps to the context's error, so a cancelled sweep never reads as an
 // ordinary short one.
-func RunScenariosWith(ctx context.Context, patterns []string, opt SweepOptions) (ScenarioReport, error) {
+func RunScenarios(ctx context.Context, patterns []string, quick bool, parallel int) (ScenarioReport, error) {
 	if patterns != nil {
 		cleaned := patterns[:0:0]
 		for _, p := range patterns {
@@ -81,7 +54,7 @@ func RunScenariosWith(ctx context.Context, patterns []string, opt SweepOptions) 
 		}
 		patterns = cleaned
 	}
-	reg := harness.Default(opt.Quick)
+	reg := harness.Default(quick)
 	scns, err := reg.Select(patterns)
 	if err != nil {
 		return ScenarioReport{}, err
@@ -89,6 +62,6 @@ func RunScenariosWith(ctx context.Context, patterns []string, opt SweepOptions) 
 	if len(scns) == 0 {
 		return ScenarioReport{}, fmt.Errorf("dsssp: scenario filter %v selected nothing — an empty report would masquerade as success", patterns)
 	}
-	results, err := harness.Run(ctx, scns, harness.RunOptions{Parallel: opt.Parallel, Perf: opt.Perf, Progress: opt.Progress})
-	return harness.BuildReport("default", opt.Quick, results), err
+	results, err := harness.Run(ctx, scns, harness.RunOptions{Parallel: parallel})
+	return harness.BuildReport("default", quick, results), err
 }

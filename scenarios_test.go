@@ -2,9 +2,12 @@ package dsssp
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
+
+	"dsssp/internal/harness"
 )
 
 // TestInvalidModelErrorConsistent: SSSP, CSSP, and BFS must reject an
@@ -103,5 +106,21 @@ func TestRunScenariosEmptyFilter(t *testing.T) {
 	rep, err := RunScenarios(context.Background(), []string{names[0]}, true, 1)
 	if err != nil || rep.Scenarios != 1 {
 		t.Fatalf("single-name filter failed: %+v, %v", rep, err)
+	}
+}
+
+// TestRunScenariosCancelled: a cancelled sweep returns its partial report
+// (every unrun scenario skipped) with a *harness.CancelError that unwraps
+// to the context's error, never a clean short report.
+func TestRunScenariosCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rep, err := RunScenarios(ctx, []string{"congest-bellman-ford/*"}, true, 1)
+	var ce *harness.CancelError
+	if !errors.As(err, &ce) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want a *harness.CancelError wrapping context.Canceled", err)
+	}
+	if rep.Scenarios == 0 || ce.Skipped != rep.Scenarios || rep.Failures != rep.Scenarios {
+		t.Fatalf("report = %d scenarios, %d failures; cancel error = %+v", rep.Scenarios, rep.Failures, ce)
 	}
 }
