@@ -40,27 +40,6 @@ func BenchmarkE1CongestCSSP(b *testing.B) {
 	}
 }
 
-// BenchmarkE1CongestCSSPIntra — the same E1 run under intra-round
-// parallelism (simnet worker pool). Results are byte-identical at every
-// worker count (see internal/simnet parallel differential tests); this
-// benchmark measures only the wall-time effect, and feeds the speedup
-// table in EXPERIMENTS.md ("Intra-round parallel speedup").
-func BenchmarkE1CongestCSSPIntra(b *testing.B) {
-	for _, n := range []int{64, 256} {
-		g := graph.RandomConnected(n, 2*n, graph.UniformWeights(int64(n), 7), 7)
-		for _, w := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, _, _, err := core.RunSSSP(g, 0, core.Options{Workers: w}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkE1Baselines — the comparison points of Section 1.1.
 func BenchmarkE1Baselines(b *testing.B) {
 	g := graph.RandomConnected(128, 256, graph.UniformWeights(128, 7), 7)

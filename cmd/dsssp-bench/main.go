@@ -15,21 +15,17 @@
 //	dsssp-bench -list                         # print scenario names
 //	dsssp-bench -scenarios 'congest-sssp/*'   # glob subset
 //	dsssp-bench -parallel 4                   # bound the worker pool
-//	dsssp-bench -parallel 1 -intra 4          # parallelize within each run
 //	dsssp-bench -quick -json BENCH_quick.json # machine-readable report
 //	dsssp-bench -markdown EXPERIMENTS.md      # regenerate the tables
 //	dsssp-bench -breakdown BREAKDOWN.md       # per-phase round breakdowns
-//	dsssp-bench -quick -perf -parallel 1      # + wall_ns/allocs sidecar
 //	dsssp-bench -quick -cpuprofile cpu.pprof  # profile a sweep's hot spots
 //	dsssp-bench -quick -memprofile mem.pprof  # heap profile on exit
 //
 // Reports are deterministic, so cmd/dsssp-diff can gate regressions by
 // comparing two of them (CI diffs each PR's quick report against the
-// checked-in baseline under internal/benchdiff/testdata). The -perf flag
-// adds a per-scenario wall-time/allocation sidecar on top — machine-
-// dependent by design, ignored by the diff gate — so BENCH_*.json carries
-// a perf trajectory across PRs; -quick also prints the sweep's total wall
-// time and scenarios/sec to stderr.
+// checked-in baseline under internal/benchdiff/testdata). Reports carry no
+// wall times: those are the benchmark's (bench/). -quick prints the
+// sweep's total wall time and scenarios/sec to stderr.
 package main
 
 import (
@@ -51,14 +47,12 @@ func main() {
 	var (
 		scenarios  = flag.String("scenarios", "all", "comma-separated scenario names or globs (see -list)")
 		parallel   = flag.Int("parallel", 0, "worker pool size (0 = NumCPU)")
-		intra      = flag.Int("intra", 0, "intra-round simulation workers per scenario (0 = auto: NumCPU at -parallel 1, else sequential; results are byte-identical for any value)")
 		quick      = flag.Bool("quick", false, "smaller sizes (used for smoke tests)")
 		jsonOut    = flag.String("json", "", "write the JSON report to this file ('-' for stdout)")
 		mdOut      = flag.String("markdown", "", "write the markdown tables to this file ('-' for stdout)")
 		breakdown  = flag.String("breakdown", "", "write the per-phase round breakdown markdown to this file ('-' for stdout)")
 		list       = flag.Bool("list", false, "list scenario names and exit")
 		quiet      = flag.Bool("q", false, "suppress the per-scenario summary")
-		perf       = flag.Bool("perf", false, "attach the wall-time/allocation sidecar to every result (allocations need -parallel 1; model metrics stay byte-identical)")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file (chase phase hot spots found in -breakdown)")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile on exit to this file (pairs with -cpuprofile; chase allocation hot spots)")
 	)
@@ -95,7 +89,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	opt := harness.RunOptions{Parallel: *parallel, IntraWorkers: *intra, Perf: *perf}
+	opt := harness.RunOptions{Parallel: *parallel}
 	if !*quiet {
 		opt.Progress = func(done, total int, r harness.Result) {
 			status := "ok"
@@ -152,16 +146,6 @@ func main() {
 			len(results), elapsed.Round(time.Millisecond), float64(len(results))/elapsed.Seconds())
 	}
 	rep := harness.BuildReport("default", *quick, results)
-	if *perf {
-		// The stderr line above vanishes with the terminal; the perf block
-		// keeps the sweep-level trajectory in the JSON artifact alongside
-		// the per-scenario sidecars (and is ignored by diff gating, like
-		// them).
-		rep.Perf = &harness.SweepPerf{
-			WallNS:          elapsed.Nanoseconds(),
-			ScenariosPerSec: float64(len(results)) / elapsed.Seconds(),
-		}
-	}
 
 	if *jsonOut != "" {
 		if err := writeTo(*jsonOut, func(f *os.File) error { return harness.WriteJSON(f, rep) }); err != nil {

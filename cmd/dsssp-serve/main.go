@@ -1,9 +1,11 @@
 // Command dsssp-serve is the long-running serving daemon over the dsssp
 // stack: an HTTP API answering SSSP/APSP/path queries — on inline graphs,
 // generator specs, or registered graphs updated by PATCH — from a bounded
-// worker pool behind a content-addressed result cache. It only answers
-// queries: scenario sweeps and their trends are the offline tools
-// cmd/dsssp-bench (-json) and cmd/dsssp-diff (-trend).
+// worker pool (-workers queries at a time; each simulation runs on one
+// goroutine, and APSP fans its sources out over the pool's size) behind a
+// content-addressed result cache. It only answers queries: scenario sweeps
+// and their trends are the offline tools cmd/dsssp-bench (-json) and
+// cmd/dsssp-diff (-trend).
 //
 // Usage:
 //
@@ -63,7 +65,6 @@ func main() {
 		registryDir = flag.String("registry-dir", "", "spill registered graphs and their traces to this directory and warm-start from it on boot (empty = in-memory only)")
 		repairMax   = flag.Float64("repair-max-affected", 0.5, "repair a dirty source only while the affected region stays under this fraction of the graph (1 = no cutoff, negative = disable repair)")
 		workers     = flag.Int("workers", 0, "query worker pool size (0 = NumCPU)")
-		intraCap    = flag.Int("max-intra", 0, "cap on a query's intra-round simulation workers (0 = NumCPU, 1 = force sequential; results are byte-identical either way)")
 		rev         = flag.String("rev", "", "git revision label reported by /v1/stats (default: git rev-parse --short HEAD, else \"unknown\")")
 		maxN        = flag.Int("max-n", 4096, "largest accepted graph size")
 		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof, /metrics, and /debug/traces on this private address (empty = disabled)")
@@ -95,7 +96,6 @@ func main() {
 		RegistryDir:        *registryDir,
 		RepairMaxAffected:  *repairMax,
 		Workers:            *workers,
-		MaxIntraWorkers:    *intraCap,
 		Rev:                *rev,
 		MaxN:               *maxN,
 		Logger:             logger,

@@ -129,16 +129,14 @@ type Options struct {
 	// Result.Metrics.MaxMessageBits then reports the largest message seen.
 	StrictCongest bool
 	// Workers bounds the worker pool used by APSP's per-source instances
-	// (0 = runtime.NumCPU(); 1 = sequential). SSSP/CSSP/BFS ignore it; use
-	// IntraWorkers to parallelize a single simulation.
+	// (0 = runtime.NumCPU(); 1 = sequential). SSSP/CSSP/BFS ignore it:
+	// a single simulation always runs sequentially.
 	Workers int
-	// IntraWorkers parallelizes a single simulation across cores: each
-	// round's node resumes fan out over this many goroutines and re-merge
-	// at a deterministic barrier, so results — Metrics, span ledger, error
-	// text — are byte-identical to a sequential run for every value. 0 or
-	// 1 means sequential. Applies to SSSP/CSSP (and each APSP instance;
-	// compose with Workers carefully — the two pools multiply). The BFS
-	// baselines stay sequential.
+	// IntraWorkers is ignored: a simulation runs each round's wakes on one
+	// goroutine.
+	//
+	// Deprecated: it stays only because the benchmark harness still sets
+	// it, and goes once a benchmark change stops doing so.
 	IntraWorkers int
 	// RecordPhases attaches the per-phase span ledger: on SSSP/CSSP runs
 	// Result.Metrics.Spans breaks the run's rounds/messages/awake rounds
@@ -160,7 +158,7 @@ func (o *Options) resolved() (Model, core.Options, error) {
 		if o.Model != 0 {
 			m = o.Model
 		}
-		copt = core.Options{EpsNum: o.EpsNum, EpsDen: o.EpsDen, MaxRounds: o.MaxRounds, StrictCongest: o.StrictCongest, RecordPhases: o.RecordPhases, Workers: o.IntraWorkers}
+		copt = core.Options{EpsNum: o.EpsNum, EpsDen: o.EpsDen, MaxRounds: o.MaxRounds, StrictCongest: o.StrictCongest, RecordPhases: o.RecordPhases}
 	}
 	switch m {
 	case ModelCongest, ModelSleeping:

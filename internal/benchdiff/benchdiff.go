@@ -7,10 +7,9 @@
 // Because harness reports are deterministic — same scenario list ⇒ byte-
 // identical results on any machine at any parallelism — every non-zero
 // delta is a real behavior change, not noise; the thresholds only decide
-// which changes are large enough to block a merge. The one exception is
-// the opt-in perf sidecar (harness.Result.Perf, wall_ns/allocs): it is
-// machine-dependent by design and deliberately excluded from comparison
-// and gating, so perf-annotated reports diff clean against plain ones.
+// which changes are large enough to block a merge. Wall-time and
+// allocation figures are the benchmark's job (bench/), not this package's;
+// the `perf` blocks older reports carry are ignored on decode.
 package benchdiff
 
 import (

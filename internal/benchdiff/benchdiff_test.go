@@ -251,22 +251,35 @@ func TestCompareBitsRatio(t *testing.T) {
 	}
 }
 
-// TestComparePerfSidecarIgnored: the wall-time/allocation sidecar is
-// machine-dependent, so a report annotated with -perf must diff as
-// unchanged against the plain baseline — and perf drift must never gate.
+// TestComparePerfSidecarIgnored: reports written by older dsssp-bench
+// -perf runs carry machine-dependent wall_ns/allocs blocks, per result and
+// per sweep. They must still decode and diff as unchanged against a plain
+// report, in both directions.
 func TestComparePerfSidecarIgnored(t *testing.T) {
 	old := report(res("a", 1000, 10000))
-	annotated := res("a", 1000, 10000)
-	annotated.Perf = &harness.Perf{WallNS: 123456789, Allocs: 42, AllocBytes: 4096}
-	d, err := Compare(old, report(annotated), DefaultThresholds())
+	var buf bytes.Buffer
+	if err := harness.WriteJSON(&buf, old); err != nil {
+		t.Fatal(err)
+	}
+	raw := strings.Replace(buf.String(), `"ok": true`,
+		`"ok": true, "perf": {"wall_ns": 123456789, "allocs": 42, "alloc_bytes": 4096}`, 1)
+	raw = strings.Replace(raw, `"quick": true`,
+		`"quick": true, "perf": {"wall_ns": 987654321, "scenarios_per_sec": 3.5}`, 1)
+	if raw == buf.String() || strings.Count(raw, `"perf"`) != 2 {
+		t.Fatalf("failed to annotate the report:\n%s", raw)
+	}
+	annotated, err := harness.ReadJSON(strings.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Compare(old, annotated, DefaultThresholds())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !d.OK || d.Unchanged != 1 || d.Changed+d.Regressed != 0 {
 		t.Fatalf("perf sidecar leaked into the diff: %+v", d)
 	}
-	// And in the other direction (baseline has perf, new run does not).
-	d, err = Compare(report(annotated), old, DefaultThresholds())
+	d, err = Compare(annotated, old, DefaultThresholds())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,15 +60,9 @@ type Options struct {
 	// round/message/awake/bit breakdown (an exact partition of the run's
 	// totals). Opt-in, like trace recording: the ledger costs a little
 	// bookkeeping in the engine's hot loop. The harness always enables it
-	// (its reports carry the breakdown, so its perf sidecars measure the
-	// instrumented engine); leave it off in micro-benchmarks that want the
-	// bare engine.
+	// (its reports carry the breakdown); leave it off in micro-benchmarks
+	// that want the bare engine.
 	RecordPhases bool
-	// Workers sets the engine's intra-round worker pool (simnet's
-	// Config.Workers): 0 or 1 runs the simulation sequentially, larger
-	// values resume each round's nodes concurrently with byte-identical
-	// results.
-	Workers int
 }
 
 func (o Options) eps() (int64, int64) {
@@ -199,7 +193,7 @@ func runCSSP(g *graph.Graph, sources map[graph.NodeID]int64, opts Options, trace
 		return nil, Stats{}, simnet.Metrics{}, nil, err
 	}
 
-	cfg := simnet.Config{Model: simnet.Congest, MaxRounds: opts.MaxRounds, RecordTrace: trace, RecordSpans: opts.RecordPhases, Workers: opts.Workers}
+	cfg := simnet.Config{Model: simnet.Congest, MaxRounds: opts.MaxRounds, RecordTrace: trace, RecordSpans: opts.RecordPhases}
 	if opts.StrictCongest {
 		// The budget covers distance-sized payloads up to n·maxW+maxOff on
 		// the (possibly zero-weight-rescaled) graph the engine actually runs.

@@ -237,7 +237,7 @@ func RunEnergyCSSP(g *graph.Graph, sources map[graph.NodeID]int64, opts Options)
 	}
 
 	provider := newCoverProvider(pr.run)
-	eng := simnet.New(pr.run, simnet.Config{Model: simnet.Sleeping, MaxRounds: opts.MaxRounds, RecordSpans: opts.RecordPhases, Workers: opts.Workers})
+	eng := simnet.New(pr.run, simnet.Config{Model: simnet.Sleeping, MaxRounds: opts.MaxRounds, RecordSpans: opts.RecordPhases})
 	res, err := eng.Run(func(c *simnet.Ctx) {
 		mb := proto.NewMailbox(c)
 		st := &cssp{mb: mb, epsNum: epsNum, epsDen: epsDen, v: energyVariant{}, provider: provider}

@@ -350,53 +350,3 @@ func TestAPSPInnerPoolDeterministic(t *testing.T) {
 		t.Fatalf("inner pool changed the result:\nseq: %+v\npar: %+v", seq, par)
 	}
 }
-
-// TestPerfSidecarKeepsMetricsIdentical runs the same scenarios with and
-// without RunOptions.Perf and asserts the model-level results are exactly
-// equal — the sidecar must only add wall_ns/allocs, never perturb the
-// deterministic fields — and that allocations are measured only at
-// Parallel == 1.
-func TestPerfSidecarKeepsMetricsIdentical(t *testing.T) {
-	scns, err := Default(true).Select([]string{"congest-bfs/*", "congest-bellman-ford/random/*"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scns) == 0 {
-		t.Fatal("empty selection")
-	}
-	plain, err := Run(context.Background(), scns, RunOptions{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	perf, err := Run(context.Background(), scns, RunOptions{Parallel: 1, Perf: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range plain {
-		p := perf[i]
-		if p.Perf == nil {
-			t.Fatalf("%s: missing perf sidecar", p.Scenario)
-		}
-		if p.Perf.WallNS <= 0 || p.Perf.Allocs <= 0 {
-			t.Fatalf("%s: implausible perf sidecar %+v", p.Scenario, p.Perf)
-		}
-		p.Perf = nil
-		if !reflect.DeepEqual(plain[i], p) {
-			t.Fatalf("%s: perf run perturbed model metrics:\nplain: %+v\nperf:  %+v", p.Scenario, plain[i], p)
-		}
-	}
-	// Parallel > 1: wall time only; the global allocation counters cannot
-	// be attributed to a single scenario.
-	wide, err := Run(context.Background(), scns, RunOptions{Parallel: 4, Perf: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range wide {
-		if r.Perf == nil || r.Perf.WallNS <= 0 {
-			t.Fatalf("%s: missing wall time at Parallel=4: %+v", r.Scenario, r.Perf)
-		}
-		if r.Perf.Allocs != 0 || r.Perf.AllocBytes != 0 {
-			t.Fatalf("%s: allocs reported under concurrency: %+v", r.Scenario, r.Perf)
-		}
-	}
-}

@@ -314,8 +314,7 @@ func Default(quick bool) *Registry {
 	})
 
 	// Large-n scenarios (full suite only): n=10^5 graphs exercising the
-	// engine's memory engineering and the intra-round worker pool at real
-	// scale — the sizes where comparisons against Forster–Nanongkai-style
+	// engine's memory engineering at real scale — the sizes where comparisons against Forster–Nanongkai-style
 	// algorithms become meaningful. Low-diameter families keep the
 	// always-awake BFS at O(n·diameter) total work; the CSSP pipelines stay
 	// at the regular sizes (their Õ(n) rounds don't sweep at 10^5 yet).

@@ -12,16 +12,14 @@ import (
 // so downstream diff tooling (internal/benchdiff, cmd/dsssp-diff) can
 // refuse mixed comparisons. v2 added the ε / strict-CONGEST / unreachable
 // dimensions and the per-message bit metrics; v3 added the per-phase
-// `phases` breakdown and the sweep-level perf block.
+// `phases` breakdown. Older v3 reports may also carry a `perf` wall-time
+// block, since removed; decoding ignores it.
 const ReportSchema = "dsssp-bench/v3"
 
 // Report is the machine-readable output of a sweep (the BENCH_*.json
-// artifact). Every model-level field is deterministic for a given scenario
-// list, so two runs of the same suite on any machine at any parallelism
-// produce identical bytes — unless the opt-in perf sidecar (RunOptions.Perf
-// / dsssp-bench -perf) is enabled, which adds per-scenario wall_ns/allocs
-// fields that are machine-dependent by design and ignored by the diff
-// tooling's gating.
+// artifact). Every field is deterministic for a given scenario list, so two
+// runs of the same suite on any machine at any parallelism produce
+// identical bytes.
 type Report struct {
 	Schema    string   `json:"schema"`
 	Suite     string   `json:"suite"`
@@ -29,21 +27,6 @@ type Report struct {
 	Scenarios int      `json:"scenarios"`
 	Failures  int      `json:"failures"`
 	Results   []Result `json:"results"`
-	// Perf is the sweep-level wall-time sidecar (set by dsssp-bench when
-	// -perf is on). Machine-dependent by design, so — like the per-result
-	// Perf sidecar — it is absent from golden reports and ignored by the
-	// diff tooling's gating.
-	Perf *SweepPerf `json:"perf,omitempty"`
-}
-
-// SweepPerf records how long the whole sweep took on the machine that ran
-// it — previously printed to stderr for -quick runs but never persisted in
-// the JSON sidecar.
-type SweepPerf struct {
-	// WallNS is the sweep's total wall time in nanoseconds.
-	WallNS int64 `json:"wall_ns"`
-	// ScenariosPerSec is the sweep's throughput.
-	ScenariosPerSec float64 `json:"scenarios_per_sec"`
 }
 
 // BuildReport assembles a report from sweep results.
@@ -242,8 +225,7 @@ func okMark(r Result) string {
 }
 
 // WriteSummary prints the human one-line-per-scenario view used by the CLI
-// default output. When the perf sidecar is present, each line carries the
-// scenario's wall time.
+// default output.
 func WriteSummary(w io.Writer, rep Report) error {
 	fmt.Fprintf(w, "suite %s: %d scenarios, %d failures\n", rep.Suite, rep.Scenarios, rep.Failures)
 	for _, r := range rep.Results {
@@ -251,12 +233,8 @@ func WriteSummary(w io.Writer, rep Report) error {
 		if !r.OK {
 			status = "FAIL " + r.Err
 		}
-		perf := ""
-		if r.Perf != nil {
-			perf = fmt.Sprintf(" wall=%.1fms", float64(r.Perf.WallNS)/1e6)
-		}
-		fmt.Fprintf(w, "  %-44s n=%-5d rounds=%-8d maxEdge=%-6d maxAwake=%-6d %s%s\n",
-			r.Scenario, r.N, r.Rounds, r.MaxEdgeMessages, r.MaxAwake, status, perf)
+		fmt.Fprintf(w, "  %-44s n=%-5d rounds=%-8d maxEdge=%-6d maxAwake=%-6d %s\n",
+			r.Scenario, r.N, r.Rounds, r.MaxEdgeMessages, r.MaxAwake, status)
 	}
 	return nil
 }

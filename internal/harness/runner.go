@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"runtime"
 	"sync"
-	"time"
 
 	"dsssp/internal/baseline"
 	"dsssp/internal/core"
@@ -16,13 +15,10 @@ import (
 	"dsssp/internal/simnet"
 )
 
-// Result is the machine-readable outcome of one scenario run. Every
-// model-level field is a pure function of the Scenario — so reports from
-// parallel and sequential sweeps (and from different machines) are
-// byte-identical and diffable across PRs. The one deliberate exception is
-// the opt-in Perf sidecar, which exists precisely to carry the
-// non-deterministic wall-time/allocation trajectory and is ignored by all
-// determinism machinery (dist hashes, golden files, diff gating).
+// Result is the machine-readable outcome of one scenario run. Every field
+// is a pure function of the Scenario — so reports from parallel and
+// sequential sweeps (and from different machines) are byte-identical and
+// diffable across PRs.
 type Result struct {
 	Scenario    string `json:"scenario"`
 	Description string `json:"description,omitempty"`
@@ -75,26 +71,6 @@ type Result struct {
 	DistHash string `json:"dist_hash"`
 	OK       bool   `json:"ok"`
 	Err      string `json:"err,omitempty"`
-
-	// Perf is the opt-in wall-time/allocation sidecar (RunOptions.Perf /
-	// dsssp-bench -perf). It is machine- and load-dependent by nature, so
-	// it is excluded from everything determinism relies on: it never feeds
-	// DistHash, it is omitted from reports when the flag is off (keeping
-	// golden bytes stable), and cmd/dsssp-diff ignores it when gating.
-	Perf *Perf `json:"perf,omitempty"`
-}
-
-// Perf records how expensive one scenario run was on the machine that ran
-// it — the wall-time trajectory BENCH_*.json deliberately lacked before.
-type Perf struct {
-	// WallNS is the scenario's wall time in nanoseconds.
-	WallNS int64 `json:"wall_ns"`
-	// Allocs/AllocBytes are the heap allocations the scenario performed.
-	// The runtime counters are process-global, so they are measured only
-	// when the sweep runs with Parallel == 1 (as the CI perf job does) and
-	// reported as 0 otherwise.
-	Allocs     int64 `json:"allocs,omitempty"`
-	AllocBytes int64 `json:"alloc_bytes,omitempty"`
 }
 
 // RunOptions tunes a sweep.
@@ -106,18 +82,6 @@ type RunOptions struct {
 	// (completed count, total, that scenario's result). Calls are
 	// serialized but arrive in completion order, not input order.
 	Progress func(done, total int, r Result)
-	// Perf attaches the wall-time/allocation sidecar to every result (see
-	// Result.Perf). All model-level metrics stay byte-identical with the
-	// flag off or on; only the perf fields differ between machines.
-	Perf bool
-	// IntraWorkers sets the simulator's intra-round worker pool for every
-	// scenario (results are byte-identical for any value). 0 means auto:
-	// when the sweep pool is a single worker (Parallel == 1) the otherwise
-	// idle cores go to the run itself (runtime.NumCPU() intra workers);
-	// any wider sweep keeps runs sequential, since scenario-level
-	// parallelism already saturates the machine. Set to 1 to force
-	// sequential simulation everywhere.
-	IntraWorkers int
 }
 
 // Run executes the scenarios over a worker pool and returns results in
@@ -144,13 +108,6 @@ func Run(ctx context.Context, scenarios []Scenario, opt RunOptions) ([]Result, e
 	if workers < 1 {
 		workers = 1
 	}
-	// The allocation counters are process-global; attributing them to one
-	// scenario is only meaningful when nothing else runs concurrently.
-	measureAllocs := opt.Perf && workers == 1
-	intra := opt.IntraWorkers
-	if intra == 0 && workers == 1 {
-		intra = runtime.NumCPU()
-	}
 	results := make([]Result, len(scenarios))
 	var (
 		wg      sync.WaitGroup
@@ -166,12 +123,9 @@ func Run(ctx context.Context, scenarios []Scenario, opt RunOptions) ([]Result, e
 			for i := range idx {
 				wasSkipped := false
 				s := scenarios[i]
-				s.IntraWorkers = intra
 				if ctx.Err() != nil {
 					results[i] = skipped(s, ctx.Err())
 					wasSkipped = true
-				} else if opt.Perf {
-					results[i] = executeWithPerf(s, measureAllocs)
 				} else {
 					results[i] = Execute(s)
 				}
@@ -216,25 +170,6 @@ func (e *CancelError) Error() string {
 
 func (e *CancelError) Unwrap() error { return e.Cause }
 
-// executeWithPerf runs a scenario under the perf sidecar. The Result's
-// model-level fields are exactly Execute's; only the Perf sidecar is added.
-func executeWithPerf(s Scenario, measureAllocs bool) Result {
-	var m0, m1 runtime.MemStats
-	if measureAllocs {
-		runtime.ReadMemStats(&m0)
-	}
-	start := time.Now()
-	r := Execute(s)
-	perf := &Perf{WallNS: time.Since(start).Nanoseconds()}
-	if measureAllocs {
-		runtime.ReadMemStats(&m1)
-		perf.Allocs = int64(m1.Mallocs - m0.Mallocs)
-		perf.AllocBytes = int64(m1.TotalAlloc - m0.TotalAlloc)
-	}
-	r.Perf = perf
-	return r
-}
-
 func skipped(s Scenario, err error) Result {
 	return Result{
 		Scenario: s.Name, Description: s.Description,
@@ -278,7 +213,7 @@ func executeUnvalidated(s Scenario) (r Result) {
 	// RecordPhases: every pipeline scenario reports its per-phase
 	// breakdown (Result.Phases); the ledger's cost is engine bookkeeping
 	// only and never moves the model-level metrics.
-	copt := core.Options{EpsNum: s.EpsNum, EpsDen: s.EpsDen, StrictCongest: s.Strict, RecordPhases: true, Workers: s.IntraWorkers}
+	copt := core.Options{EpsNum: s.EpsNum, EpsDen: s.EpsDen, StrictCongest: s.Strict, RecordPhases: true}
 
 	switch s.Alg {
 	case AlgSSSP, AlgCSSP:

@@ -106,13 +106,6 @@ type Scenario struct {
 	// Workers bounds AlgAPSP's inner per-source pool (0 = 1, sequential;
 	// the sweep-level pool in Run is usually the better lever).
 	Workers int `json:"-"`
-	// IntraWorkers is an execution knob, not part of the scenario's
-	// identity: it sets the simulator's intra-round worker pool
-	// (simnet.Config.Workers) for the pipeline algorithms. Results are
-	// byte-identical for every value, so it is never serialized and never
-	// feeds the name, seeds, or envelope. Set by the runner (see
-	// RunOptions.IntraWorkers); the BFS and classic baselines ignore it.
-	IntraWorkers int `json:"-"`
 }
 
 // Validate rejects scenarios the generators or algorithms would panic on.

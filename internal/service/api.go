@@ -87,13 +87,6 @@ type QueryOptions struct {
 	MaxRounds int64 `json:"max_rounds,omitempty"`
 	// RecordPhases attaches the per-phase breakdown (sssp, apsp; path ignores it).
 	RecordPhases bool `json:"record_phases,omitempty"`
-	// Workers requests intra-round parallel simulation for this query,
-	// clamped to the server's MaxIntraWorkers cap (0 = sequential, the
-	// default). Purely an execution knob: results are byte-identical for
-	// every value, so it is deliberately excluded from the cache key — a
-	// sequential and a parallel request for the same computation share one
-	// cache entry.
-	Workers int `json:"workers,omitempty"`
 }
 
 // SSSPRequest is the POST /v1/sssp body. Source defaults to node 0.
@@ -422,24 +415,14 @@ func weightSeed(spec GraphSpec) int64 {
 // schedule (pinned since PR 4), and every computed query feeds the
 // per-phase round histograms in /metrics; the wire RecordPhases flag only
 // controls whether the breakdown travels in the response (and, because it
-// changes the bytes, the cache key). The wire Workers knob maps onto
-// IntraWorkers clamped to the server's cap; it cannot affect response
-// bytes, so it stays out of the cache key (asserted by the hash tests).
-func resolveOptions(o QueryOptions, workers, intraCap int) (*dsssp.Options, error) {
-	if o.Workers < 0 {
-		return nil, badf("workers must be >= 0, got %d", o.Workers)
-	}
-	intra := o.Workers
-	if intra > intraCap {
-		intra = intraCap
-	}
+// changes the bytes, the cache key).
+func resolveOptions(o QueryOptions, workers int) (*dsssp.Options, error) {
 	opts := &dsssp.Options{
 		EpsNum: o.EpsNum, EpsDen: o.EpsDen,
 		MaxRounds:     o.MaxRounds,
 		StrictCongest: o.StrictCongest,
 		RecordPhases:  true,
 		Workers:       workers,
-		IntraWorkers:  intra,
 	}
 	switch o.Model {
 	case "", "congest":

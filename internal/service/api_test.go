@@ -77,74 +77,6 @@ func weightMultiset(g *graph.Graph) map[string]int64 {
 	return map[string]int64{"sum": sum, "xor": xor}
 }
 
-// TestQueryKeyIgnoresWorkers pins the cache-key contract for the
-// intra-round parallelism knob: QueryOptions.Workers cannot change
-// response bytes, so it must not split cache entries.
-func TestQueryKeyIgnoresWorkers(t *testing.T) {
-	g := graph.Path(8, graph.UnitWeights)
-	for _, o := range []QueryOptions{
-		{},
-		{Model: "sleeping", EpsNum: 1, EpsDen: 4},
-		{StrictCongest: true, RecordPhases: true},
-	} {
-		seq := o
-		seq.Workers = 0
-		par := o
-		par.Workers = 8
-		if queryKey("sssp", g, seq, "src=0") != queryKey("sssp", g, par, "src=0") {
-			t.Fatalf("queryKey differs across Workers for options %+v", o)
-		}
-	}
-}
-
-// TestParallelQueryBytesMatchSequential runs the same query against a
-// server that forces sequential simulation and one allowed to honor the
-// parallel request, asserting byte-identical response bodies — the
-// property that justifies keeping Workers out of the cache key.
-func TestParallelQueryBytesMatchSequential(t *testing.T) {
-	seqSrv, err := New(Config{Workers: 2, MaxIntraWorkers: 1, Rev: "test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(seqSrv.Close)
-	parSrv, err := New(Config{Workers: 2, MaxIntraWorkers: 4, Rev: "test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(parSrv.Close)
-
-	body := `{"graph":{"family":"expander","n":48,"seed":5,"weights":{"kind":"uniform","max_w":48}},"source":3,"options":{"record_phases":true,"workers":4}}`
-	ws := do(t, seqSrv, "POST", "/v1/sssp", body)
-	wp := do(t, parSrv, "POST", "/v1/sssp", body)
-	if ws.Code != 200 || wp.Code != 200 {
-		t.Fatalf("status sequential=%d parallel=%d", ws.Code, wp.Code)
-	}
-	if ws.Body.String() != wp.Body.String() {
-		t.Fatalf("parallel simulation changed response bytes:\nsequential: %s\nparallel:   %s", ws.Body.String(), wp.Body.String())
-	}
-
-	// And on one server, a request differing only in workers is the same
-	// computation: the second is a cache hit serving the first's bytes.
-	again := do(t, parSrv, "POST", "/v1/sssp",
-		`{"graph":{"family":"expander","n":48,"seed":5,"weights":{"kind":"uniform","max_w":48}},"source":3,"options":{"record_phases":true}}`)
-	if again.Header().Get("X-Dsssp-Cache") != "hit" {
-		t.Fatal("request differing only in options.workers missed the cache")
-	}
-	if again.Body.String() != wp.Body.String() {
-		t.Fatal("cache hit served different bytes")
-	}
-
-	// Out-of-range worker requests are the client's fault.
-	bad := do(t, parSrv, "POST", "/v1/sssp", `{"graph":{"family":"path","n":8},"options":{"workers":-1}}`)
-	if bad.Code != 400 {
-		t.Fatalf("negative workers: status %d, want 400", bad.Code)
-	}
-	var e ErrorResponse
-	if err := json.Unmarshal(bad.Body.Bytes(), &e); err != nil {
-		t.Fatalf("non-JSON 400 body: %v", err)
-	}
-}
-
 // TestWeightLimitRejected checks the weight limit at every place a weight
 // enters the service — inline edges, generator max_w, PATCH insert and
 // reweight — in both models: at graph.MaxSafeWeight(n) the answer matches

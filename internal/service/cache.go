@@ -22,7 +22,7 @@ func entryCost(key string, body []byte) int64 {
 }
 
 // Cache is the content-addressed result cache: finished response bodies
-// keyed by queryKey, evicted LRU under a byte budget, with in-flight
+// keyed by keyFromDigest, evicted LRU under a byte budget, with in-flight
 // deduplication — concurrent identical misses run the computation once and
 // every waiter gets the same bytes. The whole-graph answers the paper's
 // APSP ramification makes expensive are exactly cacheable (deterministic

@@ -66,24 +66,13 @@ func queryKeyParts(endpoint string, o QueryOptions, operands string) string {
 		endpoint, model, en, ed, o.StrictCongest, o.MaxRounds, o.RecordPhases, operands)
 }
 
-// keyFromDigest addresses one query result by graph-revision digest plus
-// the normalized parts string.
+// keyFromDigest is the content address of one query result: canonical
+// graph (its revision digest) × the normalized parts string (endpoint ×
+// options × operands). Two requests with the same key are the same
+// computation, so the cache may serve either's bytes for both.
 func keyFromDigest(digest [32]byte, parts string) string {
 	h := sha256.Sum256(fmt.Appendf(nil, "%x|%s", digest, parts))
 	return hex.EncodeToString(h[:])
-}
-
-// queryKey is the content address of one query result: endpoint ×
-// canonical graph (its revision digest, for registered graphs) ×
-// normalized options × query operands. Two requests with the same key are
-// the same computation, so the cache may serve either's bytes for both.
-// Only options that can change the response bytes participate:
-// QueryOptions.Workers (intra-round parallelism) is deliberately absent,
-// because the parallel engine is byte-identical to the sequential one —
-// folding it in would split one computation across cache entries for no
-// reason (pinned by TestQueryKeyIgnoresWorkers).
-func queryKey(endpoint string, g *graph.Graph, o QueryOptions, operands string) string {
-	return keyFromDigest(canonicalGraphDigest(g), queryKeyParts(endpoint, o, operands))
 }
 
 func gcd(a, b int64) int64 {

@@ -55,14 +55,6 @@ type Config struct {
 	RepairMaxAffected float64
 	// Workers bounds concurrently executing queries (default NumCPU).
 	Workers int
-	// MaxIntraWorkers caps a query's requested intra-round simulation
-	// workers (QueryOptions.Workers); requests above the cap are clamped,
-	// not rejected — the knob cannot change result bytes, only wall time.
-	// Default NumCPU; set 1 to force sequential simulation. Note the cap
-	// composes with Workers: a saturated query pool times per-query intra
-	// workers can oversubscribe the machine, so busy deployments should
-	// keep one of the two at 1.
-	MaxIntraWorkers int
 	// Rev labels the deployment in GET /v1/stats (a git revision; default
 	// "unknown").
 	Rev string
@@ -109,9 +101,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.NumCPU()
-	}
-	if c.MaxIntraWorkers <= 0 {
-		c.MaxIntraWorkers = runtime.NumCPU()
 	}
 	if c.Rev == "" {
 		c.Rev = "unknown"
@@ -212,10 +201,6 @@ func (s *Server) Handler() http.Handler {
 // Metrics exposes the telemetry registry (the daemon mounts it on the
 // debug listener too; tests scrape it directly).
 func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
-
-// Tracer exposes the request tracer (the load generators and tests reach
-// the flight recorder through it).
-func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 
 // Close flushes the registry to its persistence directory (traces
 // accumulated by queries since the last register/PATCH spill included).
@@ -429,7 +414,7 @@ func (s *Server) prepare(w http.ResponseWriter, r *http.Request, spec GraphSpec,
 		s.replyError(w, err)
 		return nil, [32]byte{}, nil, nil, false
 	}
-	opts, err := resolveOptions(qo, s.cfg.Workers, s.cfg.MaxIntraWorkers)
+	opts, err := resolveOptions(qo, s.cfg.Workers)
 	if err != nil {
 		return fail(err)
 	}

@@ -100,6 +100,7 @@ func TestBadInputsAre4xxJSON(t *testing.T) {
 		{"bad-model", "POST", "/v1/sssp", `{"graph":{"family":"path","n":8},"options":{"model":"quantum"}}`, 400, "unknown model"},
 		{"bad-eps", "POST", "/v1/sssp", `{"graph":{"family":"path","n":8},"options":{"eps_num":3,"eps_den":2}}`, 400, "ε must be in (0,1)"},
 		{"path-target-range", "POST", "/v1/path", `{"graph":{"family":"path","n":8},"target":-1}`, 400, "target -1 out of range"},
+		{"workers-removed", "POST", "/v1/sssp", `{"graph":{"family":"path","n":8},"options":{"workers":4}}`, 400, "unknown field"},
 		{"strict-sleeping", "POST", "/v1/sssp", `{"graph":{"family":"path","n":8},"options":{"model":"sleeping","strict_congest":true}}`, 422, "StrictCongest"},
 	}
 	for _, tc := range cases {

@@ -101,14 +101,11 @@ func driveScript(seed int64, model Model, driven bool) Program {
 	}
 }
 
-// TestParallelDriveMatchesCoroutine diffs Drive against the coroutine
-// form of the same logic: identical Metrics (per-node awake rounds,
-// per-edge messages, spans, strict rounds), Outputs and Trace, in both
-// models, sequentially and through the worker pool — steps run on the
-// workers like resumes do. The frozen oracle scheduler, which shares the
-// engine's dispatch, must agree as well.
-func TestParallelDriveMatchesCoroutine(t *testing.T) {
-	forceTinyBatches(t)
+// TestDriveMatchesCoroutine diffs Drive against the coroutine form of the
+// same logic: identical Metrics (per-node awake rounds, per-edge messages,
+// spans, strict rounds), Outputs and Trace, in both models. The frozen
+// oracle scheduler, which shares the engine's dispatch, must agree as well.
+func TestDriveMatchesCoroutine(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		for _, model := range []Model{Congest, Sleeping} {
 			n := int(splitmix64(uint64(seed)+5)%22) + 3
@@ -118,23 +115,19 @@ func TestParallelDriveMatchesCoroutine(t *testing.T) {
 			if werr != nil {
 				t.Fatalf("seed=%d %s: coroutine run: %v", seed, model, werr)
 			}
-			for _, w := range []int{1, 4} {
-				wcfg := cfg
-				wcfg.Workers = w
-				got, gerr := New(g, wcfg).Run(driveScript(seed, model, true))
-				name := fmt.Sprintf("seed=%d model=%s n=%d workers=%d", seed, model, n, w)
-				if gerr != nil {
-					t.Fatalf("%s: driven run: %v", name, gerr)
-				}
-				if !reflect.DeepEqual(want.Metrics, got.Metrics) {
-					t.Fatalf("%s: metrics divergence:\ncoroutine: %+v\ndriven:    %+v", name, want.Metrics, got.Metrics)
-				}
-				if !reflect.DeepEqual(want.Outputs, got.Outputs) {
-					t.Fatalf("%s: outputs divergence", name)
-				}
-				if !reflect.DeepEqual(want.Trace, got.Trace) {
-					t.Fatalf("%s: trace divergence (%d vs %d entries)", name, len(want.Trace), len(got.Trace))
-				}
+			got, gerr := New(g, cfg).Run(driveScript(seed, model, true))
+			name := fmt.Sprintf("seed=%d model=%s n=%d", seed, model, n)
+			if gerr != nil {
+				t.Fatalf("%s: driven run: %v", name, gerr)
+			}
+			if !reflect.DeepEqual(want.Metrics, got.Metrics) {
+				t.Fatalf("%s: metrics divergence:\ncoroutine: %+v\ndriven:    %+v", name, want.Metrics, got.Metrics)
+			}
+			if !reflect.DeepEqual(want.Outputs, got.Outputs) {
+				t.Fatalf("%s: outputs divergence", name)
+			}
+			if !reflect.DeepEqual(want.Trace, got.Trace) {
+				t.Fatalf("%s: trace divergence (%d vs %d entries)", name, len(want.Trace), len(got.Trace))
 			}
 			ocfg := cfg
 			ocfg.RecordSpans = false
@@ -147,13 +140,12 @@ func TestParallelDriveMatchesCoroutine(t *testing.T) {
 	}
 }
 
-// TestParallelDrivePanicText: a step that panics, or asks for a wake that
+// TestDrivePanicText: a step that panics, or asks for a wake that
 // is not in the future, fails the run with exactly the error its coroutine
 // twin gives — at a later wake through the engine, and on the first,
 // inline call through Drive itself. Receiving (or driving) inside a step
 // is refused.
-func TestParallelDrivePanicText(t *testing.T) {
-	forceTinyBatches(t)
+func TestDrivePanicText(t *testing.T) {
 	// at returns a stepper that wakes at round r, then runs last there.
 	at := func(r int64, last func(c *Ctx) (int64, bool)) func(c *Ctx) Stepper {
 		return func(c *Ctx) Stepper {
@@ -207,11 +199,9 @@ func TestParallelDrivePanicText(t *testing.T) {
 			if werr == nil {
 				t.Fatalf("%s: coroutine run did not fail", tc.name)
 			}
-			for _, w := range []int{1, 4} {
-				_, gerr := New(g, Config{Model: model, Workers: w}).Run(func(c *Ctx) { c.Drive(tc.driven(c)) })
-				if gerr == nil || gerr.Error() != werr.Error() {
-					t.Fatalf("%s %s workers=%d: error text divergence:\ncoroutine: %v\ndriven:    %v", tc.name, model, w, werr, gerr)
-				}
+			_, gerr := New(g, Config{Model: model}).Run(func(c *Ctx) { c.Drive(tc.driven(c)) })
+			if gerr == nil || gerr.Error() != werr.Error() {
+				t.Fatalf("%s %s: error text divergence:\ncoroutine: %v\ndriven:    %v", tc.name, model, werr, gerr)
 			}
 		}
 	}
@@ -228,53 +218,49 @@ func TestParallelDrivePanicText(t *testing.T) {
 	}
 }
 
-// TestParallelDriveDoneResumesSameRound: a step that reports done hands the
-// node back to its program in the round of that wake — no extra awake
-// round, and what the program sends there goes out that round — and a
-// step done on its first call returns from Drive without yielding.
-func TestParallelDriveDoneResumesSameRound(t *testing.T) {
-	forceTinyBatches(t)
+// TestDriveDoneResumesSameRound: a step that reports done hands the node
+// back to its program in the round of that wake — no extra awake round,
+// and what the program sends there goes out that round — and a step done
+// on its first call returns from Drive without yielding.
+func TestDriveDoneResumesSameRound(t *testing.T) {
 	g := graph.RandomConnected(30, 40, graph.UnitWeights, 2)
 	for _, model := range []Model{Congest, Sleeping} {
-		for _, w := range []int{1, 4} {
-			res, err := New(g, Config{Model: model, Workers: w}).Run(func(c *Ctx) {
-				c.Drive(stepFunc(func([]Inbound) (int64, bool) { return 0, true }))
-				inline := c.Round()
-				woke := false
-				c.Drive(stepFunc(func([]Inbound) (int64, bool) {
-					if woke {
-						return 0, true
-					}
-					woke = true
-					return 4, false
-				}))
-				returned := c.Round()
-				for i := 0; i < c.Degree(); i++ {
-					c.Send(i, uint64(returned))
+		res, err := New(g, Config{Model: model}).Run(func(c *Ctx) {
+			c.Drive(stepFunc(func([]Inbound) (int64, bool) { return 0, true }))
+			inline := c.Round()
+			woke := false
+			c.Drive(stepFunc(func([]Inbound) (int64, bool) {
+				if woke {
+					return 0, true
 				}
-				got := len(c.Next())
-				c.SetOutput([3]int64{inline, returned, int64(c.Degree() - got)})
-			})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", model, w, err)
+				woke = true
+				return 4, false
+			}))
+			returned := c.Round()
+			for i := 0; i < c.Degree(); i++ {
+				c.Send(i, uint64(returned))
 			}
-			for v, out := range res.Outputs {
-				if out != [3]int64{0, 4, 0} {
-					t.Fatalf("%s workers=%d: node %d (inline round, returned round, missing messages) = %v, want [0 4 0]", model, w, v, out)
-				}
-				if a := res.Metrics.PerNodeAwake[v]; a != 3 {
-					t.Fatalf("%s workers=%d: node %d awake %d rounds, want 3 (rounds 0, 4, 5)", model, w, v, a)
-				}
+			got := len(c.Next())
+			c.SetOutput([3]int64{inline, returned, int64(c.Degree() - got)})
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", model, err)
+		}
+		for v, out := range res.Outputs {
+			if out != [3]int64{0, 4, 0} {
+				t.Fatalf("%s: node %d (inline round, returned round, missing messages) = %v, want [0 4 0]", model, v, out)
+			}
+			if a := res.Metrics.PerNodeAwake[v]; a != 3 {
+				t.Fatalf("%s: node %d awake %d rounds, want 3 (rounds 0, 4, 5)", model, v, a)
 			}
 		}
 	}
 }
 
-// TestParallelDriveErrorLeaksNoGoroutines: a run that fails while nodes are
+// TestDriveErrorLeaksNoGoroutines: a run that fails while nodes are
 // suspended inside Drive — by a step panic or by MaxRounds — unwinds every
-// node coroutine and pool worker before Run returns its error.
-func TestParallelDriveErrorLeaksNoGoroutines(t *testing.T) {
-	forceTinyBatches(t)
+// node coroutine before Run returns its error.
+func TestDriveErrorLeaksNoGoroutines(t *testing.T) {
 	sleeper := func(fail bool) Program {
 		return func(c *Ctx) {
 			c.Drive(stepFunc(func([]Inbound) (int64, bool) {
@@ -291,8 +277,8 @@ func TestParallelDriveErrorLeaksNoGoroutines(t *testing.T) {
 		prog Program
 		want string
 	}{
-		{"step-panic", Config{Model: Sleeping, Workers: 4}, sleeper(true), "node 7 panicked: boom"},
-		{"max-rounds", Config{Model: Congest, Workers: 4, MaxRounds: 50}, sleeper(false), "exceeded MaxRounds=50"},
+		{"step-panic", Config{Model: Sleeping}, sleeper(true), "node 7 panicked: boom"},
+		{"max-rounds", Config{Model: Congest, MaxRounds: 50}, sleeper(false), "exceeded MaxRounds=50"},
 	}
 	g := graph.Path(64, graph.UnitWeights)
 	for _, tc := range cases {
@@ -301,7 +287,7 @@ func TestParallelDriveErrorLeaksNoGoroutines(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: got error %v, want %q", tc.name, err, tc.want)
 		}
-		// Pool workers exit asynchronously after close; give them a moment.
+		// Give the runtime a moment to retire the unwound coroutines.
 		deadline := time.Now().Add(2 * time.Second)
 		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)

@@ -3,6 +3,8 @@ package simnet
 import (
 	"fmt"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"dsssp/internal/graph"
@@ -77,6 +79,33 @@ func scriptProgram(seed int64, model Model, steps int) Program {
 	}
 }
 
+// spanScriptProgram wraps scriptProgram with pseudo-random span open/close
+// activity, so the randomized corpus also covers ledger interning, per-span
+// attribution and first-open ordering.
+func spanScriptProgram(seed int64, model Model, steps int) Program {
+	inner := scriptProgram(seed, model, steps)
+	return func(c *Ctx) {
+		x := splitmix64(uint64(seed)*0x9e3779b97f4a7c15 + uint64(c.ID()))
+		depth := 0
+		for s := 0; s < 3; s++ {
+			x = splitmix64(x)
+			switch x % 3 {
+			case 0:
+				c.OpenSpan(fmt.Sprintf("phase%d", x>>8%5), depth)
+				depth++
+			case 1:
+				if depth > 0 {
+					c.CloseSpan()
+					depth--
+				}
+			case 2:
+				c.Next()
+			}
+		}
+		inner(c)
+	}
+}
+
 func equivGraph(seed int64, n int) *graph.Graph {
 	switch seed % 4 {
 	case 0:
@@ -90,52 +119,145 @@ func equivGraph(seed int64, n int) *graph.Graph {
 	}
 }
 
-// TestSchedulerMatchesOracle runs randomized programs through both the
-// production scheduler (bucket queue, batched handshakes, pooled buffers)
-// and the frozen pre-rewrite oracle scheduler, asserting exactly equal
-// Metrics, Outputs, Trace, and error text in both models.
-func TestSchedulerMatchesOracle(t *testing.T) {
+// oracleDivergence runs one entry of the randomized differential corpus
+// through both the production scheduler (bucket queue, batched handshakes,
+// pooled buffers) and the frozen pre-rewrite oracle scheduler, and describes
+// the first difference in Metrics, Outputs, Trace or error text; it returns
+// "" when the two runs agree exactly.
+func oracleDivergence(seed int64, model Model, strict bool) string {
+	n := int(splitmix64(uint64(seed))%22) + 2
+	g := equivGraph(seed, n)
+	cfg := Config{Model: model, RecordTrace: true, StrictCongest: strict, MaxRounds: 1 << 20}
+	p := scriptProgram(seed, model, 12)
+
+	want, werr := New(g, cfg).runOracle(p)
+	got, gerr := New(g, cfg).Run(p)
+
+	name := fmt.Sprintf("seed=%d model=%s strict=%v n=%d", seed, model, strict, n)
+	if (werr == nil) != (gerr == nil) {
+		return fmt.Sprintf("%s: error divergence: oracle=%v new=%v", name, werr, gerr)
+	}
+	if werr != nil {
+		if werr.Error() != gerr.Error() {
+			return fmt.Sprintf("%s: error text divergence:\noracle: %v\nnew:    %v", name, werr, gerr)
+		}
+		return ""
+	}
+	if !reflect.DeepEqual(want.Metrics, got.Metrics) {
+		return fmt.Sprintf("%s: metrics divergence:\noracle: %+v\nnew:    %+v", name, want.Metrics, got.Metrics)
+	}
+	if !reflect.DeepEqual(want.Outputs, got.Outputs) {
+		return fmt.Sprintf("%s: outputs divergence:\noracle: %v\nnew:    %v", name, want.Outputs, got.Outputs)
+	}
+	if !reflect.DeepEqual(want.Trace, got.Trace) {
+		return fmt.Sprintf("%s: trace divergence (oracle %d entries, new %d)", name, len(want.Trace), len(got.Trace))
+	}
+	return ""
+}
+
+// oracleCorpusEntry is one (seed, model, strict) point of the matrix the
+// oracle tests sweep; oracleCorpus lists them all.
+type oracleCorpusEntry struct {
+	seed   int64
+	model  Model
+	strict bool
+}
+
+func oracleCorpus() []oracleCorpusEntry {
+	var out []oracleCorpusEntry
 	for seed := int64(0); seed < 60; seed++ {
 		for _, model := range []Model{Congest, Sleeping} {
-			n := int(splitmix64(uint64(seed))%22) + 2
-			g := equivGraph(seed, n)
-			cfg := Config{Model: model, RecordTrace: true, MaxRounds: 1 << 20}
-			p := scriptProgram(seed, model, 12)
+			for _, strict := range []bool{false, true} {
+				out = append(out, oracleCorpusEntry{seed, model, strict})
+			}
+		}
+	}
+	return out
+}
 
-			want, werr := New(g, cfg).runOracle(p)
-			got, gerr := New(g, cfg).Run(p)
-
-			name := fmt.Sprintf("seed=%d model=%s n=%d", seed, model, n)
-			if (werr == nil) != (gerr == nil) {
-				t.Fatalf("%s: error divergence: oracle=%v new=%v", name, werr, gerr)
-			}
-			if werr != nil {
-				if werr.Error() != gerr.Error() {
-					t.Fatalf("%s: error text divergence:\noracle: %v\nnew:    %v", name, werr, gerr)
-				}
-				continue
-			}
-			if !reflect.DeepEqual(want.Metrics, got.Metrics) {
-				t.Fatalf("%s: metrics divergence:\noracle: %+v\nnew:    %+v", name, want.Metrics, got.Metrics)
-			}
-			if !reflect.DeepEqual(want.Outputs, got.Outputs) {
-				t.Fatalf("%s: outputs divergence:\noracle: %v\nnew:    %v", name, want.Outputs, got.Outputs)
-			}
-			if !reflect.DeepEqual(want.Trace, got.Trace) {
-				t.Fatalf("%s: trace divergence (oracle %d entries, new %d)", name, len(want.Trace), len(got.Trace))
-			}
+// TestSchedulerMatchesOracle asserts the production scheduler reproduces
+// the oracle exactly over the randomized corpus, in both models, with and
+// without strict-CONGEST enforcement.
+func TestSchedulerMatchesOracle(t *testing.T) {
+	for _, c := range oracleCorpus() {
+		if d := oracleDivergence(c.seed, c.model, c.strict); d != "" {
+			t.Fatal(d)
 		}
 	}
 }
 
-// TestSchedulerMatchesOracleOnErrors pins the scheduler-visible error paths
-// (deadlock, MaxRounds, node panic) to the oracle's exact behavior.
-func TestSchedulerMatchesOracleOnErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  Config
-		prog Program
-	}{
+// concurrentEngines is how many goroutines the concurrent-engine tests run
+// engines on at once, the way sched.APSPParallel runs one engine per source.
+const concurrentEngines = 4
+
+// TestParallelMatchesOracle runs the oracle corpus with several engines
+// live on separate goroutines at once. The simulator's parallelism is
+// across independent runs (per-source APSP), so engines must share no
+// mutable state: each concurrent run has to match the oracle exactly, as
+// a lone run does. Under -race this also checks for data races between
+// engines.
+func TestParallelMatchesOracle(t *testing.T) {
+	corpus := oracleCorpus()
+	divergences := make([]string, len(corpus))
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < concurrentEngines; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				c := corpus[i]
+				divergences[i] = oracleDivergence(c.seed, c.model, c.strict)
+			}
+		}()
+	}
+	for i := range corpus {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
+	for _, d := range divergences {
+		if d != "" {
+			t.Fatal(d)
+		}
+	}
+}
+
+// TestSpanScriptConservation runs the span-scripted corpus in both models
+// with message sizing on, so every run opens, nests and closes spans while
+// sending, and asserts the ledger partitions the run's totals exactly.
+func TestSpanScriptConservation(t *testing.T) {
+	bits := func(_ uint64, msg any) int64 { return int64(msg.(uint64)%512) + 1 }
+	for seed := int64(0); seed < 30; seed++ {
+		for _, model := range []Model{Congest, Sleeping} {
+			n := int(splitmix64(uint64(seed)+77)%22) + 2
+			g := equivGraph(seed, n)
+			cfg := Config{Model: model, RecordSpans: true, MessageBits: bits, MaxRounds: 1 << 20}
+			res, err := New(g, cfg).Run(spanScriptProgram(seed, model, 10))
+			if err != nil {
+				t.Fatalf("seed=%d model=%s n=%d: %v", seed, model, n, err)
+			}
+			if len(res.Metrics.Spans) == 0 || res.Metrics.Spans[0].Name != RootSpanName {
+				t.Fatalf("seed=%d model=%s n=%d: ledger does not start at the root span: %+v", seed, model, n, res.Metrics.Spans)
+			}
+			checkSpanConservation(t, res.Metrics)
+		}
+	}
+}
+
+// errorCase is one scheduler-visible error path: a config and a program
+// that must fail.
+type errorCase struct {
+	name string
+	cfg  Config
+	prog Program
+}
+
+// errorCases covers deadlock, MaxRounds, node panic (including every node
+// panicking at once, where the lowest ID must win) and strict-CONGEST
+// overload.
+func errorCases() []errorCase {
+	return []errorCase{
 		{
 			name: "deadlock",
 			cfg:  Config{Model: Congest},
@@ -161,8 +283,30 @@ func TestSchedulerMatchesOracleOnErrors(t *testing.T) {
 				c.SleepUntil(50)
 			},
 		},
+		{
+			name: "panic-lowest-id-wins",
+			cfg:  Config{Model: Congest},
+			prog: func(c *Ctx) {
+				// Every node panics in round 0; the error names node 0.
+				panic(fmt.Sprintf("boom from %d", c.ID()))
+			},
+		},
+		{
+			name: "strict-congest",
+			cfg:  Config{Model: Congest, StrictCongest: true},
+			prog: func(c *Ctx) {
+				c.Send(0, uint64(1))
+				c.Send(0, uint64(2))
+				c.Next()
+			},
+		},
 	}
-	for _, tc := range cases {
+}
+
+// TestSchedulerMatchesOracleOnErrors pins the scheduler-visible error paths
+// to the oracle's exact behavior.
+func TestSchedulerMatchesOracleOnErrors(t *testing.T) {
+	for _, tc := range errorCases() {
 		g := graph.Path(4, graph.UnitWeights)
 		_, werr := New(g, tc.cfg).runOracle(tc.prog)
 		_, gerr := New(g, tc.cfg).Run(tc.prog)
@@ -171,6 +315,42 @@ func TestSchedulerMatchesOracleOnErrors(t *testing.T) {
 		}
 		if werr.Error() != gerr.Error() {
 			t.Fatalf("%s: error text divergence:\noracle: %v\nnew:    %v", tc.name, werr, gerr)
+		}
+		if tc.name == "panic-lowest-id-wins" && !strings.HasPrefix(gerr.Error(), "node 0 panicked") {
+			t.Fatalf("%s: error %q does not name node 0", tc.name, gerr)
+		}
+	}
+}
+
+// TestParallelErrorPaths runs every error case on several engines at once,
+// on separate goroutines, and asserts each reports the same error text as
+// a lone run: a failing engine (deadlock, MaxRounds, a panicking node, a
+// strict-CONGEST overload) must not disturb, or be disturbed by, the
+// engines running beside it.
+func TestParallelErrorPaths(t *testing.T) {
+	for _, tc := range errorCases() {
+		g := graph.Path(40, graph.UnitWeights)
+		_, werr := New(g, tc.cfg).Run(tc.prog)
+		if werr == nil {
+			t.Fatalf("%s: expected an error from a lone run", tc.name)
+		}
+		errs := make([]error, concurrentEngines)
+		var wg sync.WaitGroup
+		for w := range errs {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				_, errs[w] = New(g, tc.cfg).Run(tc.prog)
+			}(w)
+		}
+		wg.Wait()
+		for w, gerr := range errs {
+			if gerr == nil {
+				t.Fatalf("%s engine %d: expected an error", tc.name, w)
+			}
+			if werr.Error() != gerr.Error() {
+				t.Fatalf("%s engine %d: error text divergence:\nlone:       %v\nconcurrent: %v", tc.name, w, werr, gerr)
+			}
 		}
 	}
 }

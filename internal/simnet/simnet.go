@@ -46,20 +46,15 @@
 // the same loss rules, so a program's Metrics, Outputs and Trace do not
 // depend on which form it uses.
 //
-// # Intra-round parallelism
+// # Round structure
 //
 // The model gives rounds no internal ordering semantics: within a round
 // every awake node acts on the state it held at the round's start, and all
-// sends land at the end of the round. The engine exploits exactly that
-// independence when Config.Workers > 1: each round's batch of wakes
-// (resumes and step calls alike) fans out over a persistent worker pool
-// (see resumePool), while everything with cross-node effects — queue
-// updates, halt accounting, span attribution, message delivery, error
-// selection — is deferred to a deterministic
-// barrier that replays it on the engine goroutine in node-ID order. A
-// parallel run is therefore byte-identical to a sequential one in Metrics,
-// Outputs, Trace, span ledger, and error text (enforced by the oracle
-// differential tests in this package).
+// sends land at the end of the round. The engine runs each round in two
+// passes: first every batched node's wake (a resume or a step call), which
+// touches only that node's own state, then — after all of the round's
+// wakes — every cross-node effect (queue updates, halt accounting, span
+// attribution, message delivery, error selection) in node-ID order.
 //
 // # Memory layout
 //
@@ -80,7 +75,6 @@ import (
 	"fmt"
 	"iter"
 	"slices"
-	"sync"
 
 	"dsssp/internal/graph"
 )
@@ -139,16 +133,6 @@ type Config struct {
 	// round, message, awake round, and message bit measurement to exactly
 	// one open span, reported in Metrics.Spans.
 	RecordSpans bool
-	// Workers sets the intra-round worker pool for this run. Within a
-	// round every awake node acts independently, so the engine fans the
-	// round's wakes (resumes and step calls) out over Workers goroutines
-	// and re-merges at a deterministic per-round barrier: queue updates,
-	// halts, span attribution, and message delivery all replay on the
-	// engine goroutine in node-ID order. Metrics, Outputs, Trace, the span ledger, and
-	// error text are byte-identical to the sequential engine for every
-	// value. 0 or 1 means sequential (the default); values above
-	// runtime.GOMAXPROCS rarely help.
-	Workers int
 }
 
 // Inbound is a received message.
@@ -286,13 +270,10 @@ type nodeState struct {
 	// spanStack holds the node's open ledger spans (innermost last); empty
 	// means the root span. Unused unless Config.RecordSpans.
 	spanStack []int32
-	// openSeq counts this node's OpenSpan calls; combined with the wake
-	// round and node ID it forms the deterministic first-open key that
-	// lets parallel runs reproduce the sequential ledger order (span.go).
-	openSeq int64
 	// resumeSpan is the span the node was in when the engine resumed it
-	// this round, captured before the resume runs so the post-barrier pass
-	// can attribute the awake round without re-reading mutated state.
+	// this round, captured before the resume runs so the round's
+	// cross-node pass can attribute the awake round without re-reading
+	// mutated state.
 	resumeSpan int32
 }
 
@@ -304,8 +285,6 @@ type Engine struct {
 	nodes []nodeState
 
 	// Struct-of-arrays scheduling state, indexed by node ID (see nodeState).
-	// During a parallel resume phase workers write only their own nodes'
-	// elements; everything else happens on the engine goroutine.
 	kind         []yieldKind
 	halted       []bool
 	wakeRound    []int64
@@ -323,20 +302,10 @@ type Engine struct {
 	revOff  []int32
 	revFlat []int32
 
-	// pool is the intra-round worker pool, non-nil only while a parallel
-	// Run drives the round loop (Config.Workers > 1).
-	pool *resumePool
-
 	// Span ledger (Config.RecordSpans): interned (name, depth) spans and
-	// their counters; index 0 is the root span every node starts in. In a
-	// parallel run spanMu guards interning (the one engine-shared mutation
-	// node programs perform) and spanFirst tracks each span's minimal
-	// (round, node, open-seq) key, which reproduces the sequential
-	// first-open order at ledger-emit time.
-	spanIDs   map[spanKey]int32
-	spans     []SpanMetrics
-	spanMu    sync.Mutex
-	spanFirst []spanFirstKey
+	// their counters; index 0 is the root span every node starts in.
+	spanIDs map[spanKey]int32
+	spans   []SpanMetrics
 }
 
 // New creates an engine for one run over g. The graph must have sorted
@@ -446,9 +415,8 @@ func (e *Engine) start(p Program) *Result {
 
 // resumeOne performs the node-local half of one wake: epoch/awake counters,
 // the span snapshot, the round stamp, and the wake itself. It touches only
-// state owned by node id (distinct array elements, the node's own struct),
-// which is what makes it safe to run for all batched nodes concurrently;
-// every cross-node effect waits for the post-barrier pass.
+// state owned by node id (its array elements, its own struct); every
+// cross-node effect waits for the pass after the round's wakes.
 func (e *Engine) resumeOne(id graph.NodeID, cur int64) {
 	ns := &e.nodes[id]
 	e.awakeEpoch[id] = cur
@@ -501,16 +469,6 @@ func (e *Engine) Run(p Program) (*Result, error) {
 	res := e.start(p)
 	defer e.shutdown()
 	e.met = &res.Metrics
-
-	if e.cfg.Workers > 1 {
-		e.pool = newResumePool(e, e.cfg.Workers)
-		defer e.pool.close()
-		if e.cfg.RecordSpans {
-			// The root span was interned in start, before parallel keying
-			// was active; pin it to the minimal key so it stays first.
-			e.spanFirst = append(e.spanFirst, spanFirstKey{round: -1, node: -1})
-		}
-	}
 
 	n := e.g.N()
 	met := &res.Metrics
@@ -574,21 +532,13 @@ func (e *Engine) Run(p Program) (*Result, error) {
 			e.spans[e.nodes[batch[0]].curSpan()].Rounds += cur - spanPrev
 			spanPrev = cur
 		}
-		// Resume phase: within the round every batched node acts
-		// independently, so its wakes may run concurrently. Small batches
-		// stay inline — the barrier handoff would cost more than it buys.
-		if e.pool != nil && len(batch) >= e.pool.minBatch {
-			e.pool.runRound(batch, cur)
-		} else {
-			for _, id := range batch {
-				e.resumeOne(id, cur)
-			}
+		// Wake phase: every batched node acts on its own state only.
+		for _, id := range batch {
+			e.resumeOne(id, cur)
 		}
-		// Post-barrier pass in node-ID order: exactly the engine-side
-		// effects the sequential engine interleaves with the resumes —
-		// error selection (lowest node ID wins, matching the order the
-		// sequential engine hits a panic in), awake/span accounting, halt
-		// bookkeeping, and wake-queue pushes.
+		// Cross-node pass in node-ID order, after all of the round's wakes:
+		// error selection (the lowest panicking node ID wins), awake/span
+		// accounting, halt bookkeeping, and wake-queue pushes.
 		for _, id := range batch {
 			ns := &e.nodes[id]
 			if ns.perr != nil {
@@ -704,7 +654,7 @@ func (e *Engine) Run(p Program) (*Result, error) {
 		}
 	}
 	if e.cfg.RecordSpans {
-		met.Spans = e.ledger()
+		met.Spans = e.spans // creation order is first-open order
 	}
 	return res, nil
 }

@@ -433,3 +433,53 @@ func TestManyNodesStress(t *testing.T) {
 		}
 	}
 }
+
+// floodProgram is an O(m) broadcast: node 0 seeds a token, every other
+// node parks until one arrives, forwards it once with the hop count
+// raised, and halts with the hop count it received as its output.
+func floodProgram(c *Ctx) {
+	if c.ID() == 0 {
+		for i := 0; i < c.Degree(); i++ {
+			c.Send(i, uint64(1))
+		}
+		c.Next()
+		c.SetOutput(int64(0))
+		return
+	}
+	in := c.WaitMessage(-1)
+	hops := in[0].Msg.(uint64)
+	for i := 0; i < c.Degree(); i++ {
+		c.Send(i, hops+1)
+	}
+	c.Next()
+	c.SetOutput(int64(hops))
+}
+
+// TestLargeNFloodSmoke floods n=10^5 path, random and star graphs — n
+// singleton rounds, a few wide rounds, one full-width round — walking the
+// engine's arena-carved memory layout at scale, and checks that every
+// node outputs its hop distance from node 0. Skipped with -short: the
+// point of the run is the large allocation footprint.
+func TestLargeNFloodSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("large-n smoke test skipped with -short")
+	}
+	const n = 100_000
+	graphs := map[string]*graph.Graph{
+		"path":   graph.Path(n, graph.UnitWeights),
+		"random": graph.RandomConnected(n, 2*n, graph.UnitWeights, 7),
+		"star":   graph.Star(n, graph.UnitWeights),
+	}
+	for name, g := range graphs {
+		res, err := New(g, Config{Model: Congest, MaxRounds: 1 << 20}).Run(floodProgram)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ref := graph.BFSDist(g, 0)
+		for v, out := range res.Outputs {
+			if out.(int64) != ref[v] {
+				t.Fatalf("%s: node %d output %v, want hop distance %d", name, v, out, ref[v])
+			}
+		}
+	}
+}

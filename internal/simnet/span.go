@@ -3,8 +3,6 @@ package simnet
 import (
 	"fmt"
 	"sort"
-
-	"dsssp/internal/graph"
 )
 
 // Span ledger: named, depth-indexed execution regions whose complexity
@@ -69,73 +67,6 @@ func (e *Engine) internSpan(name string, depth int) int32 {
 	return id
 }
 
-// spanFirstKey is the position of one OpenSpan call in the sequential
-// execution order: rounds ascend, nodes resume in ID order within a round,
-// and a node's opens within one wake ascend by its open counter. The
-// minimum key over a span's opens is therefore the span's sequential
-// first-open position — keys are unique (each open increments seq), so the
-// ordering is total.
-type spanFirstKey struct {
-	round int64
-	node  graph.NodeID
-	seq   int64
-}
-
-func (a spanFirstKey) less(b spanFirstKey) bool {
-	if a.round != b.round {
-		return a.round < b.round
-	}
-	if a.node != b.node {
-		return a.node < b.node
-	}
-	return a.seq < b.seq
-}
-
-// internSpanPar is internSpan for parallel runs: interning is the one
-// engine-shared mutation node programs perform during a concurrent resume
-// phase, so it takes the ledger mutex, and it tracks each span's minimal
-// first-open key so ledger can emit the spans in the order a sequential run
-// would have created them.
-func (e *Engine) internSpanPar(name string, depth int, k spanFirstKey) int32 {
-	e.spanMu.Lock()
-	defer e.spanMu.Unlock()
-	sk := spanKey{name, int32(depth)}
-	if id, ok := e.spanIDs[sk]; ok {
-		if k.less(e.spanFirst[id]) {
-			e.spanFirst[id] = k
-		}
-		return id
-	}
-	id := int32(len(e.spans))
-	e.spanIDs[sk] = id
-	e.spans = append(e.spans, SpanMetrics{Name: name, Depth: depth})
-	e.spanFirst = append(e.spanFirst, k)
-	return id
-}
-
-// ledger returns the run's Metrics.Spans. Sequential runs hand the interned
-// slice out as-is (creation order is first-open order); parallel runs
-// reorder by first-open key, which reproduces the sequential order exactly
-// — span IDs on the stacks stay internal, so only this final view needs the
-// permutation.
-func (e *Engine) ledger() []SpanMetrics {
-	if e.pool == nil {
-		return e.spans
-	}
-	order := make([]int32, len(e.spans))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return e.spanFirst[order[a]].less(e.spanFirst[order[b]])
-	})
-	out := make([]SpanMetrics, len(order))
-	for i, id := range order {
-		out[i] = e.spans[id]
-	}
-	return out
-}
-
 // curSpan is the node's innermost open span (the root span if none).
 func (ns *nodeState) curSpan() int32 {
 	if n := len(ns.spanStack); n > 0 {
@@ -152,21 +83,7 @@ func (c *Ctx) OpenSpan(name string, depth int) {
 	if !c.eng.cfg.RecordSpans {
 		return
 	}
-	e := c.eng
-	var id int32
-	if e.pool != nil {
-		// wakeRound[id] always equals the node's current round while its
-		// program runs (resumeOne stamps it before the coroutine switch).
-		c.ns.openSeq++
-		id = e.internSpanPar(name, depth, spanFirstKey{
-			round: e.wakeRound[c.ns.id],
-			node:  c.ns.id,
-			seq:   c.ns.openSeq,
-		})
-	} else {
-		id = e.internSpan(name, depth)
-	}
-	c.ns.spanStack = append(c.ns.spanStack, id)
+	c.ns.spanStack = append(c.ns.spanStack, c.eng.internSpan(name, depth))
 }
 
 // CloseSpan closes the node's innermost open span, restoring the enclosing
