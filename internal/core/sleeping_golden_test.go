@@ -27,11 +27,12 @@ func sleepingGraph() *graph.Graph {
 // rounds, messages, awake rounds (total, max, per node), lost messages,
 // per-edge message counts and the phase span ledger of RunEnergySSSP on the
 // sim-sleeping graph (sources 0-3), the same counts of energybfs.RunBFS on
-// a path and a grid (n=64), and a digest of the layered cover those runs
-// use. Performance work on energybfs and decomp must leave every line
-// unchanged; a change to the schedule itself (a correctness fix) regenerates
-// the file with `go test ./internal/core -run TestSleepingMetricsPinned
-// -update`.
+// a path and a grid (n=64), a digest of the layered cover those runs use,
+// and the counts of four more RunBFS inputs (offset sources, a low
+// threshold, no sources, two components). Performance work on energybfs and
+// decomp must leave every line unchanged; a change to the schedule itself
+// (a correctness fix) regenerates the file with `go test ./internal/core
+// -run TestSleepingMetricsPinned -update`.
 func TestSleepingMetricsPinned(t *testing.T) {
 	var out strings.Builder
 	g := sleepingGraph()
@@ -66,6 +67,28 @@ func TestSleepingMetricsPinned(t *testing.T) {
 	}
 	fmt.Fprintf(&out, "cover random n=64 maxw=8 weighted maxDist=64\n")
 	writeCoverDigest(&out, cv)
+	// Hop BFS inputs that reach the runner's other transitions: a second,
+	// offset source; a threshold below the eccentricity (some nodes end
+	// unreached); no sources at all; and a component with no source.
+	for _, c := range []struct {
+		name      string
+		g         *graph.Graph
+		sources   map[graph.NodeID]int64
+		threshold int64
+	}{
+		{"expander n=64", graph.Make(graph.FamilyExpander, 64, graph.UnitWeights, 1), map[graph.NodeID]int64{0: 0, 40: 3}, 16},
+		{"path n=64", graph.Make(graph.FamilyPath, 64, graph.UnitWeights, 1), map[graph.NodeID]int64{0: 0}, 20},
+		{"path n=12", graph.Make(graph.FamilyPath, 12, graph.UnitWeights, 1), nil, 11},
+		{"disconnected 2x8", graph.Disconnected(2, 8, 2, graph.UnitWeights, 5), map[graph.NodeID]int64{0: 0}, 10},
+	} {
+		dist, met, err := energybfs.RunBFS(c.g, c.sources, c.threshold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&out, "bfs %s threshold=%d sources=%v\n", c.name, c.threshold, c.sources)
+		fmt.Fprintf(&out, "  dist %v\n", dist)
+		writeSleepingMetrics(&out, met)
+	}
 
 	golden := filepath.Join("testdata", "sleeping_metrics.golden")
 	if *updateGolden {
