@@ -27,6 +27,11 @@
 // from a node at distance d in the round of step d+w (a sleeping-model
 // Dial scheme supporting the rounded weights and source offsets the energy
 // CSSP of Theorem 3.15 needs).
+//
+// Every wake is fixed in advance (duty rounds recur every P_j, step rounds
+// every I), so Run is an engine-driven step machine (simnet.Ctx.Drive): at
+// each wake the engine calls the runner's Step, a method call instead of a
+// switch to the node's coroutine; the schedule above is unchanged by it.
 package energybfs
 
 import (
@@ -152,7 +157,7 @@ type edgeState struct {
 	sent bool
 }
 
-// runner is the per-node event loop state.
+// runner is the per-node state of the step machine.
 type runner struct {
 	mb *proto.Mailbox
 	p  Params
@@ -166,6 +171,7 @@ type runner struct {
 	bfsStart int64
 	stepI    int64
 	end      int64
+	st       state
 
 	isSource bool
 	dist     int64
@@ -223,9 +229,7 @@ func Run(mb *proto.Mailbox, p Params) int64 {
 		}
 	}
 
-	r.initPhase()
-	r.bfsPhase()
-	mb.AdvanceTo(r.end)
+	c.Drive(r)
 	if r.dist > p.Threshold {
 		return graph.Inf
 	}
@@ -235,14 +239,34 @@ func Run(mb *proto.Mailbox, p Params) int64 {
 func (r *runner) tagUp(cl int32) uint64   { return r.p.Tag + 1 + 2*uint64(cl) }
 func (r *runner) tagDown(cl int32) uint64 { return r.p.Tag + 2 + 2*uint64(cl) }
 
-// initPhase runs one convergecast+broadcast cycle per cluster (top layer
-// first) so every member learns which clusters contain sources; clusters
-// whose parent contains a source (or top-layer clusters containing one)
-// start active (the paper's initialization, Section 3.3).
-func (r *runner) initPhase() {
-	// Event loop over this node's init duties.
-	for {
-		now := r.mb.Round()
+// state is a position of the runner's step machine. The initialization
+// runs one convergecast+broadcast cycle per cluster, top layer first, so
+// every member learns which clusters contain sources (Section 3.3); the
+// BFS phase runs the cluster cycles plus BFS steps.
+type state int8
+
+const (
+	stStart state = iota // the call to Run: book the first init duty
+	stInit               // an init duty round
+	stBFS                // a BFS-phase wake
+	stEnd                // the closing wake at end
+)
+
+// Step is the runner's simnet.Stepper, one wake of the node: it files the
+// wake's arrivals in the mailbox, runs the phase's loop body and returns
+// the round of the next wake. The initialization hands over to the BFS
+// phase in the round of its last duty, and the BFS phase over to the
+// closing wake at end.
+func (r *runner) Step(in []simnet.Inbound) (int64, bool) {
+	r.mb.Pump(in)
+	now := r.mb.Round()
+	switch r.st {
+	case stInit:
+		for i := range r.ms {
+			r.serveWindow(&r.ms[i], r.ms[i].initWindow, now, true)
+		}
+		fallthrough
+	case stStart:
 		next := r.end
 		for i := range r.ms {
 			mm := &r.ms[i]
@@ -250,17 +274,27 @@ func (r *runner) initPhase() {
 				next = d
 			}
 		}
-		if next >= r.bfsStart {
-			break
+		if next < r.bfsStart {
+			r.st = stInit
+			return next, false
 		}
-		r.mb.SleepUntil(next)
-		now = r.mb.Round()
-		for i := range r.ms {
-			r.serveWindow(&r.ms[i], r.ms[i].initWindow, now, true)
+		r.preActivate()
+		r.st = stBFS
+		fallthrough
+	case stBFS:
+		if next := r.bfsWake(now); next < r.end {
+			return next, false
 		}
+		// Every wake lies before end, so the closing wake is ahead.
+		r.st = stEnd
+		return r.end, false
 	}
-	// Pre-activation: top-layer clusters containing sources; below, any
-	// cluster whose parent contains a source.
+	return 0, true
+}
+
+// preActivate closes the initialization: top-layer clusters containing
+// sources start active; below, any cluster whose parent contains a source.
+func (r *runner) preActivate() {
 	top := len(r.cv.Layers) - 1
 	for i := range r.ms {
 		mm := &r.ms[i]
@@ -278,6 +312,7 @@ func (r *runner) initPhase() {
 	if r.isSource {
 		r.dist = r.p.SourceOffset
 	}
+	r.refreshLive()
 }
 
 // dutyOffsets fills duty with a membership's wake rounds within a cycle
@@ -447,55 +482,49 @@ func (r *runner) refreshLive() {
 	r.liveStale = false
 }
 
-// bfsPhase runs the main loop: cluster cycles plus BFS steps.
-func (r *runner) bfsPhase() {
-	lastStepRound := r.bfsStart + (r.p.Threshold+1)*r.stepI
-	r.refreshLive()
-	for {
-		now := r.mb.Round()
-		// Process tokens (pumped by the last sleep).
-		r.drainTokens()
-		// Serve cluster windows scheduled for this round. A membership
-		// activated here starts at a later window, so serving the list as
-		// it stood at the wake is exact.
-		if now >= r.bfsStart {
-			for _, mm := range r.live {
-				k := (now - r.bfsStart) / mm.period
-				if k < mm.firstWindow {
-					continue
-				}
-				r.serveWindow(mm, r.bfsStart+k*mm.period, now, false)
-			}
-		}
-		if r.liveStale {
-			r.refreshLive()
-		}
-		// Send relays due now (step rounds).
-		if r.dist != graph.Inf && r.isStepRound(now) {
-			step := (now - r.bfsStart) / r.stepI
-			for i := range r.edges {
-				e := &r.edges[i]
-				if e.elig && !e.sent && r.dist+e.w == step && step <= r.p.Threshold {
-					r.mb.Send(i, r.p.Tag, step)
-					e.sent = true
-				}
-			}
-		}
-		// Next wake.
-		next := r.end
+// bfsWake is one wake of the main phase, cluster cycles plus BFS steps:
+// it returns the round of the next wake, or end if the node has none left.
+func (r *runner) bfsWake(now int64) int64 {
+	// Process tokens (pumped at this wake).
+	r.drainTokens()
+	// Serve cluster windows scheduled for this round. A membership
+	// activated here starts at a later window, so serving the list as it
+	// stood at the wake is exact.
+	if now >= r.bfsStart {
 		for _, mm := range r.live {
-			next = min(next, r.nextDuty(mm, now))
+			k := (now - r.bfsStart) / mm.period
+			if k < mm.firstWindow {
+				continue
+			}
+			r.serveWindow(mm, r.bfsStart+k*mm.period, now, false)
 		}
-		if r.listening() || r.dist != graph.Inf {
-			if s := r.nextStepRound(now); s < next && s <= lastStepRound {
-				next = s
+	}
+	if r.liveStale {
+		r.refreshLive()
+	}
+	// Send relays due now (step rounds).
+	if r.dist != graph.Inf && r.isStepRound(now) {
+		step := (now - r.bfsStart) / r.stepI
+		for i := range r.edges {
+			e := &r.edges[i]
+			if e.elig && !e.sent && r.dist+e.w == step && step <= r.p.Threshold {
+				r.mb.Send(i, r.p.Tag, step)
+				e.sent = true
 			}
 		}
-		if next >= r.end {
-			return
-		}
-		r.mb.SleepUntil(next)
 	}
+	// Next wake.
+	next := r.end
+	for _, mm := range r.live {
+		next = min(next, r.nextDuty(mm, now))
+	}
+	if r.listening() || r.dist != graph.Inf {
+		lastStepRound := r.bfsStart + (r.p.Threshold+1)*r.stepI
+		if s := r.nextStepRound(now); s < next && s <= lastStepRound {
+			next = s
+		}
+	}
+	return next
 }
 
 func (r *runner) drainTokens() {

@@ -159,3 +159,28 @@ func TestDurationExact(t *testing.T) {
 		}
 	}
 }
+
+// TestEnergyBFSAllocsPerResume guards the allocation-free BFS: a RunBFS on
+// a path and a grid (n=64) may allocate at most 0.3 objects per awake
+// resume, the bound of core's TestSleepingAllocsPerResume. The wakes run
+// as Step calls on the runner, so they allocate nothing; what remains is
+// mostly the cover build (about 0.08 per resume on the path, 0.18 on the
+// grid). A closure or boxed state per wake would add 1.0 per resume.
+func TestEnergyBFSAllocsPerResume(t *testing.T) {
+	for _, fam := range []graph.Family{graph.FamilyPath, graph.FamilyGrid} {
+		g := graph.Make(fam, 64, graph.UnitWeights, 1)
+		var awake int64
+		allocs := testing.AllocsPerRun(1, func() {
+			_, met, err := RunBFS(g, map[graph.NodeID]int64{0: 0}, int64(g.N()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			awake = met.TotalAwake
+		})
+		perResume := allocs / float64(awake)
+		t.Logf("%s: %.0f allocs over %d awake resumes = %.3f per resume", fam, allocs, awake, perResume)
+		if perResume > 0.3 {
+			t.Errorf("%s: %.3f allocations per awake resume, want <= 0.3", fam, perResume)
+		}
+	}
+}

@@ -30,12 +30,12 @@ type Msg struct {
 
 // Mailbox wraps a simnet.Ctx with tag-based buffering.
 //
-// Ownership: a slice returned by Take, WaitTag, or Exchange is valid until
-// the node's next receive (Next, SleepUntil, SleepUntilAtLeast, AdvanceTo,
-// WaitTag, WaitTagCount, Pump, or any helper that calls them) — the mailbox
-// may then refill its backing array as a queue buffer, the same rule
-// simnet.Ctx.Next documents for inbound slices. Consume the messages before
-// receiving again, or copy them.
+// Ownership: a slice returned by Take or WaitTag is valid until the node's
+// next receive (Next, SleepUntil, SleepUntilAtLeast, AdvanceTo, WaitTag,
+// WaitTagCount, Pump, or any helper that calls them) — the mailbox may then
+// refill its backing array as a queue buffer, the same rule simnet.Ctx.Next
+// documents for inbound slices. Consume the messages before receiving
+// again, or copy them.
 type Mailbox struct {
 	C *simnet.Ctx
 
@@ -273,17 +273,6 @@ func BroadcastDown(m *Mailbox, t Tree, tag uint64, rootVal any, deadline int64) 
 	return val
 }
 
-// AggregateBroadcast runs AggregateUp then BroadcastDown of the aggregate,
-// so every tree node learns the tree-wide aggregate.
-func AggregateBroadcast(m *Mailbox, t Tree, tag uint64, mine any, combine Combine, deadline int64) any {
-	agg, isRoot := AggregateUp(m, t, tag, mine, combine, deadline)
-	var rootVal any
-	if isRoot {
-		rootVal = agg
-	}
-	return BroadcastDown(m, t, tag+1, rootVal, deadline)
-}
-
 // Barrier implements the paper's component synchronization (Section 2.3,
 // step 4): each node enters when it is locally done; the root picks a common
 // start round sizeBound+slack ahead and broadcasts it; every node sleeps
@@ -411,19 +400,4 @@ func SweepDown(m *Mailbox, t Tree, tag uint64, windowStart int64, rootVal any, t
 	s := DownSlot(t, windowStart)
 	m.reach(s)
 	return DownAct(m, t, tag, s, rootVal, transform)
-}
-
-// Exchange sends a value on each incident edge selected by pick (pick
-// returns the value and true to send) in the current round, advances one
-// round, and returns the messages received with the tag. All participating
-// neighbors must call Exchange in the same round. The slice is valid until
-// the node's next receive (see Mailbox).
-func Exchange(m *Mailbox, tag uint64, pick func(i int) (any, bool)) []Msg {
-	for i := 0; i < m.C.Degree(); i++ {
-		if v, ok := pick(i); ok {
-			m.Send(i, tag, v)
-		}
-	}
-	m.Next()
-	return m.Take(tag)
 }

@@ -54,8 +54,13 @@ func TestAggregateBroadcastSum(t *testing.T) {
 	e := simnet.New(g, simnet.Config{Model: simnet.Congest})
 	res, err := e.Run(func(c *simnet.Ctx) {
 		m := NewMailbox(c)
-		total := AggregateBroadcast(m, tv(c), 10, int64(c.ID()), sum, -1)
-		c.SetOutput(total)
+		tr := tv(c)
+		agg, isRoot := AggregateUp(m, tr, 10, int64(c.ID()), sum, -1)
+		var rootVal any
+		if isRoot {
+			rootVal = agg
+		}
+		c.SetOutput(BroadcastDown(m, tr, 11, rootVal, -1))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -210,30 +215,6 @@ func TestMailboxBuffersOutOfPhaseMessages(t *testing.T) {
 	}
 	if res.Outputs[1].(int) != 1 {
 		t.Fatal("tag buffering failed")
-	}
-}
-
-func TestExchange(t *testing.T) {
-	g := graph.Cycle(4, graph.UnitWeights)
-	e := simnet.New(g, simnet.Config{Model: simnet.Congest})
-	res, err := e.Run(func(c *simnet.Ctx) {
-		m := NewMailbox(c)
-		got := Exchange(m, 5, func(i int) (any, bool) { return int64(c.ID()), true })
-		total := int64(0)
-		for _, msg := range got {
-			total += msg.Body.(int64)
-		}
-		c.SetOutput(total)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// On a cycle each node hears both neighbors.
-	want := []int64{1 + 3, 0 + 2, 1 + 3, 0 + 2}
-	for v, out := range res.Outputs {
-		if out.(int64) != want[v] {
-			t.Fatalf("node %d sum %v, want %d", v, out, want[v])
-		}
 	}
 }
 

@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"fmt"
-	"sort"
 
 	"dsssp/internal/graph"
 )
@@ -40,17 +39,6 @@ func (c *Ctx) Weight(i int) int64 { return c.eng.g.Adj(c.ns.id)[i].W }
 // EdgeID returns the global edge identifier of incident edge i.
 func (c *Ctx) EdgeID(i int) graph.EdgeID { return c.eng.g.Adj(c.ns.id)[i].ID }
 
-// NeighborIndex returns the adjacency index of the (first) edge to node v,
-// or -1 if v is not a neighbor.
-func (c *Ctx) NeighborIndex(v graph.NodeID) int {
-	adj := c.eng.g.Adj(c.ns.id)
-	i := sort.Search(len(adj), func(k int) bool { return adj[k].To >= v })
-	if i < len(adj) && adj[i].To == v {
-		return i
-	}
-	return -1
-}
-
 // Send queues a message on incident edge i for delivery at the end of the
 // current round. The destination receives it iff it is awake this round.
 func (c *Ctx) Send(i int, msg any) { c.SendTagged(i, 0, msg) }
@@ -67,15 +55,6 @@ func (c *Ctx) SendTagged(i int, tag uint64, body any) {
 		om.span = c.ns.curSpan()
 	}
 	c.ns.outbox = append(c.ns.outbox, om)
-}
-
-// SendID sends to neighbor v (panics if v is not adjacent).
-func (c *Ctx) SendID(v graph.NodeID, msg any) {
-	i := c.NeighborIndex(v)
-	if i < 0 {
-		panic(fmt.Sprintf("simnet: node %d: SendID to non-neighbor %d", c.ns.id, v))
-	}
-	c.Send(i, msg)
 }
 
 // SetOutput records this node's output value, returned from Engine.Run.
@@ -171,7 +150,7 @@ type Stepper interface {
 // the current wake; after that the engine calls it directly at each wake
 // it asks for, while the program's coroutine stays suspended — a method
 // call instead of a coroutine switch, for loops whose every wake is known
-// in advance (forest.Build).
+// in advance (forest.Build, energybfs.Run).
 //
 // Every wake still counts as an awake round, and the receive rules are
 // those of SleepUntil: next must be after the current round (the same

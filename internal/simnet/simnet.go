@@ -39,8 +39,9 @@
 //     the program's Stepper directly — a few nanoseconds — and the
 //     coroutine stays suspended until the stepper reports done, when it
 //     resumes in that same wake. Statically scheduled loops whose every wake
-//     is known in advance use it; forest.Build runs this way, which covers
-//     most of the wakes of a CONGEST SSSP run.
+//     is known in advance use it; forest.Build and energybfs.Run run this
+//     way, which covers most of the wakes of a CONGEST or sleeping-model
+//     SSSP run.
 //
 // Both forms count the same awake rounds, see the same arrivals and follow
 // the same loss rules, so a program's Metrics, Outputs and Trace do not

@@ -268,7 +268,8 @@ func TestNeighborIndexAndReverse(t *testing.T) {
 	e := New(g, Config{Model: Congest})
 	res, err := e.Run(func(c *Ctx) {
 		if c.ID() == 2 {
-			c.SendID(0, "hi")
+			// A leaf's only edge, index 0, leads to the center.
+			c.Send(0, "hi")
 		}
 		msgs := c.Next()
 		for _, m := range msgs {
