@@ -11,24 +11,24 @@
 //
 //	dsssp-serve                                      # serve on :8080
 //	dsssp-serve -addr :9000 -cache-bytes 268435456 -registry-dir /var/lib/dsssp
-//	dsssp-serve -rev $(git rev-parse --short HEAD)   # label /v1/stats
+//	dsssp-serve -rev $(git rev-parse --short HEAD)   # label the listening log line
 //	dsssp-serve -debug-addr 127.0.0.1:6060           # pprof + metrics debug listener
 //
 // Endpoints:
 //
-//	POST   /v1/sssp        exact SSSP (graph inline or by generator spec; ?trace=1 for phases)
-//	POST   /v1/apsp        all-pairs via the Section 1.1 composition (?trace=1 for phases)
+//	POST   /v1/sssp        exact SSSP (graph inline, by generator spec, or by handle)
+//	POST   /v1/apsp        all-pairs via the Section 1.1 composition
 //	POST   /v1/path        distance + one shortest path source→target
 //	POST   /v1/graphs      register a graph → handle; GET lists, GET/DELETE /v1/graphs/{id}
 //	PATCH  /v1/graphs/{id}/edges  apply an edge-delta batch → new revision
-//	GET    /v1/stats       cache/registry/incr/pool snapshot
-//	GET    /metrics        Prometheus text exposition
+//	GET    /metrics        Prometheus text exposition (every serving counter)
 //	GET    /healthz        liveness
 //
 // With -debug-addr set, a second listener (keep it private) serves
 // net/http/pprof under /debug/pprof/, a second /metrics mount, and the
 // trace flight recorder under /debug/traces (list with filters, single
-// trace by ID, JSONL export).
+// trace by ID, JSONL export). A sampled query's trace carries its
+// per-phase breakdown as phase:* spans under its engine span.
 //
 // Every request gets an X-Dsssp-Request-Id (the request's trace ID unless
 // the client supplied its own), echoed in error JSON bodies and in the
@@ -65,7 +65,7 @@ func main() {
 		registryDir = flag.String("registry-dir", "", "spill registered graphs and their traces to this directory and warm-start from it on boot (empty = in-memory only)")
 		repairMax   = flag.Float64("repair-max-affected", 0.5, "repair a dirty source only while the affected region stays under this fraction of the graph (1 = no cutoff, negative = disable repair)")
 		workers     = flag.Int("workers", 0, "query worker pool size (0 = NumCPU)")
-		rev         = flag.String("rev", "", "git revision label reported by /v1/stats (default: git rev-parse --short HEAD, else \"unknown\")")
+		rev         = flag.String("rev", "", "git revision label on the startup log line (default: git rev-parse --short HEAD, else \"unknown\")")
 		maxN        = flag.Int("max-n", 4096, "largest accepted graph size")
 		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof, /metrics, and /debug/traces on this private address (empty = disabled)")
 		traceSample = flag.Float64("trace-sample", 1.0, "fraction of requests recorded into the trace flight recorder (1 = all, 0 = none; unsampled requests pay no tracing cost)")
@@ -96,7 +96,6 @@ func main() {
 		RegistryDir:        *registryDir,
 		RepairMaxAffected:  *repairMax,
 		Workers:            *workers,
-		Rev:                *rev,
 		MaxN:               *maxN,
 		Logger:             logger,
 		SlowQueryThreshold: *slowQuery,
@@ -164,7 +163,7 @@ func resolveSampleRate(rate float64) float64 {
 }
 
 // gitRev best-effort resolves the working tree's short revision for
-// labeling /v1/stats; services deployed from tarballs pass -rev.
+// labeling the startup log line; services deployed from tarballs pass -rev.
 func gitRev() string {
 	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
 	if err != nil {

@@ -48,8 +48,8 @@ func PhasesFromSpans(spans []simnet.SpanMetrics) []PhaseStat {
 
 // PhaseRounds sums the per-phase round attribution. Because the span
 // ledger partitions the engine's metrics exactly, this equals the run's
-// total rounds — the conservation law the serving layer's ?trace=1
-// consumers (and tests) rely on.
+// total rounds — the conservation law the serving layer's phase:* trace
+// spans (and tests) rely on.
 func PhaseRounds(phases []PhaseStat) int64 {
 	var total int64
 	for _, ph := range phases {

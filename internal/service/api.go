@@ -85,8 +85,6 @@ type QueryOptions struct {
 	StrictCongest bool `json:"strict_congest,omitempty"`
 	// MaxRounds caps the simulation (0 = a generous default).
 	MaxRounds int64 `json:"max_rounds,omitempty"`
-	// RecordPhases attaches the per-phase breakdown (sssp, apsp; path ignores it).
-	RecordPhases bool `json:"record_phases,omitempty"`
 }
 
 // SSSPRequest is the POST /v1/sssp body. Source defaults to node 0.
@@ -139,14 +137,13 @@ func metricsJSON(m simnet.Metrics) MetricsJSON {
 // simulation ran, so there are no rounds/messages to report — the
 // distances are still byte-identical to a full run's.
 type SSSPResponse struct {
-	N              int                 `json:"n"`
-	M              int                 `json:"m"`
-	Dist           []int64             `json:"dist"`
-	Unreachable    int                 `json:"unreachable"`
-	SubproblemsMax int                 `json:"subproblems_max,omitempty"`
-	Metrics        MetricsJSON         `json:"metrics,omitzero"`
-	Phases         []harness.PhaseStat `json:"phases,omitempty"`
-	Incr           *QueryIncrJSON      `json:"incr,omitempty"`
+	N              int            `json:"n"`
+	M              int            `json:"m"`
+	Dist           []int64        `json:"dist"`
+	Unreachable    int            `json:"unreachable"`
+	SubproblemsMax int            `json:"subproblems_max,omitempty"`
+	Metrics        MetricsJSON    `json:"metrics,omitzero"`
+	Incr           *QueryIncrJSON `json:"incr,omitempty"`
 }
 
 // QueryIncrJSON is the incremental-serving block of a single-source
@@ -187,12 +184,11 @@ type CompositionJSON struct {
 // to a from-scratch run either way; the composition of instances that were
 // never re-run is unknowable without re-running them).
 type APSPResponse struct {
-	N           int                 `json:"n"`
-	M           int                 `json:"m"`
-	Dist        [][]int64           `json:"dist"`
-	Composition CompositionJSON     `json:"composition"`
-	Phases      []harness.PhaseStat `json:"phases,omitempty"`
-	Incr        *IncrJSON           `json:"incr,omitempty"`
+	N           int             `json:"n"`
+	M           int             `json:"m"`
+	Dist        [][]int64       `json:"dist"`
+	Composition CompositionJSON `json:"composition"`
+	Incr        *IncrJSON       `json:"incr,omitempty"`
 }
 
 // IncrJSON is the incremental-serving split of an APSP response: how many
@@ -411,11 +407,9 @@ func weightSeed(spec GraphSpec) int64 {
 }
 
 // resolveOptions maps wire options onto dsssp.Options. The engine always
-// records phases server-side — the span ledger does not change the
-// schedule (pinned since PR 4), and every computed query feeds the
-// per-phase round histograms in /metrics; the wire RecordPhases flag only
-// controls whether the breakdown travels in the response (and, because it
-// changes the bytes, the cache key).
+// records phases — the span ledger does not change the schedule — so every
+// computed query gets phase:* spans in its trace and feeds the per-phase
+// round histograms in /metrics; no response carries the breakdown inline.
 func resolveOptions(o QueryOptions, workers int) (*dsssp.Options, error) {
 	opts := &dsssp.Options{
 		EpsNum: o.EpsNum, EpsDen: o.EpsDen,

@@ -233,21 +233,21 @@ func (c *Cache) removeLocked(el *list.Element) {
 	c.used -= entryCost(e.key, e.body)
 }
 
-// CacheStats is the observable cache state (GET /v1/stats and the
-// dsssp_cache_* metrics).
+// CacheStats is the observable cache state, read by the dsssp_cache_*
+// metrics at scrape time.
 type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
+	Hits      int64
+	Misses    int64
+	Evictions int64
 	// SingleflightDedup counts hits served by another request's in-flight
 	// computation (concurrent identical misses collapsed); ⊆ Hits.
-	SingleflightDedup int64 `json:"singleflight_dedup"`
-	Entries           int   `json:"entries"`
+	SingleflightDedup int64
+	Entries           int
 	// BytesUsed is the charged footprint: bodies plus keys plus the fixed
 	// per-entry overhead (see entryOverhead), so it tracks real memory,
 	// not just payload bytes.
-	BytesUsed int64 `json:"bytes_used"`
-	Budget    int64 `json:"bytes_budget"`
+	BytesUsed int64
+	Budget    int64
 }
 
 // Stats snapshots the counters.

@@ -106,10 +106,8 @@ func TestDynamicGraphLifecycle(t *testing.T) {
 			if len(list.Graphs) != 1 || list.Graphs[0].Revision != 2 {
 				t.Fatalf("list = %+v", list)
 			}
-			var st StatsResponse
-			decodeBody(t, do(t, s, "GET", "/v1/stats", ""), http.StatusOK, &st)
-			if st.Registry.Graphs != 1 || st.Registry.Revisions != 2 {
-				t.Fatalf("stats registry = %+v", st.Registry)
+			if st := s.registry.Stats(); st.Graphs != 1 || st.Revisions != 2 {
+				t.Fatalf("registry stats = %+v", st)
 			}
 			if w := do(t, s, "DELETE", "/v1/graphs/"+info.ID, ""); w.Code != http.StatusOK {
 				t.Fatalf("delete: %d %s", w.Code, w.Body.Bytes())
@@ -207,6 +205,21 @@ func TestDynamicAPSPIncremental(t *testing.T) {
 	if !reflect.DeepEqual(full.Dist, scratch.Dist) {
 		t.Fatal("fully-reused APSP distances differ from scratch")
 	}
+
+	// A from-scratch APSP on a fresh handle recomputes every source, and
+	// counts each of them as recomputed.
+	var fresh GraphInfo
+	decodeBody(t, do(t, s, "POST", "/v1/graphs", `{"graph":`+ciGraphPatchedJSON+`}`), http.StatusCreated, &fresh)
+	before := s.metrics.incrSourcesRecomputed.Value()
+	w = do(t, s, "POST", "/v1/apsp", fmt.Sprintf(`{"graph":{"graph_id":%q}}`, fresh.ID))
+	var first APSPResponse
+	decodeBody(t, w, http.StatusOK, &first)
+	if w.Header().Get("X-Dsssp-Cache") != "miss" || first.Incr != nil {
+		t.Fatalf("from-scratch APSP: cache=%s incr=%+v", w.Header().Get("X-Dsssp-Cache"), first.Incr)
+	}
+	if got := s.metrics.incrSourcesRecomputed.Value() - before; got != int64(fresh.N) {
+		t.Fatalf("from-scratch APSP moved sources_recomputed by %d, want n = %d", got, fresh.N)
+	}
 }
 
 // ciGraphPatchedJSON is ciGraph() after the chord reweight {0,2}: 10 → 1,
@@ -215,7 +228,7 @@ const ciGraphPatchedJSON = `{"n":4,"edges":[[0,1,1],[1,2,1],[2,3,1],[0,3,1],[0,2
 
 // TestRepairServing walks the affected-region repair path over the wire:
 // a query traces a source, a PATCH dirties it (stale trace kept), and the
-// re-query is served by repair — flagged in header, body, and /v1/stats —
+// re-query is served by repair — flagged in header, body, and /metrics —
 // with distances byte-identical to a from-scratch run of the new content.
 func TestRepairServing(t *testing.T) {
 	s := testServer(t)
@@ -242,6 +255,9 @@ func TestRepairServing(t *testing.T) {
 	if pi.SourcesRepairable != 1 {
 		t.Fatalf("patch info = %+v", pi)
 	}
+	if got := scrapeMetrics(t, s)["dsssp_graph_stale_traces"]; got != 1 {
+		t.Fatalf("dsssp_graph_stale_traces = %v after the PATCH, want 1", got)
+	}
 
 	// The re-query is served by repair, not recomputation.
 	w, repaired := query(0)
@@ -250,6 +266,9 @@ func TestRepairServing(t *testing.T) {
 	}
 	if repaired.Incr == nil || repaired.Incr.Served != "repaired" || repaired.Incr.AffectedVertices == 0 {
 		t.Fatalf("repair incr block = %+v", repaired.Incr)
+	}
+	if got := scrapeMetrics(t, s)["dsssp_graph_stale_traces"]; got != 0 {
+		t.Fatalf("dsssp_graph_stale_traces = %v after the repair, want 0", got)
 	}
 	// The repair promoted the trace to the head revision: the next query is
 	// served from the exact trace (Affected == 0), still without simulation.
@@ -275,47 +294,23 @@ func TestRepairServing(t *testing.T) {
 	if w.Header().Get("X-Dsssp-Incr") != "repaired" || repairedPath.Incr == nil {
 		t.Fatalf("path repair: incr=%s block=%+v", w.Header().Get("X-Dsssp-Incr"), repairedPath.Incr)
 	}
-	// The path body carries no phases, so record_phases is ignored like
-	// ?trace=1: it neither steps repair aside nor forks the cache key.
-	phasedPathBody := `,"source":0,"target":2,"options":{"record_phases":true}}`
-	w = do(t, s, "POST", "/v1/path", fmt.Sprintf(`{"graph":{"graph_id":%q}`, info.ID)+phasedPathBody)
-	var phasedPath PathResponse
-	decodeBody(t, w, http.StatusOK, &phasedPath)
-	if w.Header().Get("X-Dsssp-Incr") != "repaired" || phasedPath.Dist != repairedPath.Dist || !reflect.DeepEqual(phasedPath.Path, repairedPath.Path) {
-		t.Fatalf("record_phases path: incr=%s dist %d path %v, want repaired dist %d path %v",
-			w.Header().Get("X-Dsssp-Incr"), phasedPath.Dist, phasedPath.Path, repairedPath.Dist, repairedPath.Path)
-	}
 	var freshPath PathResponse
 	decodeBody(t, do(t, s, "POST", "/v1/path", `{"graph":`+ciGraphPatchedJSON+`,"source":0,"target":2}`), http.StatusOK, &freshPath)
 	if repairedPath.Dist != freshPath.Dist || !reflect.DeepEqual(repairedPath.Path, freshPath.Path) {
 		t.Fatalf("repaired path diverges: dist %d path %v, want dist %d path %v",
 			repairedPath.Dist, repairedPath.Path, freshPath.Dist, freshPath.Path)
 	}
-	if w = do(t, s, "POST", "/v1/path", `{"graph":`+ciGraphPatchedJSON+phasedPathBody); w.Header().Get("X-Dsssp-Cache") != "hit" {
-		t.Fatalf("record_phases path forked the cache key: cache=%s", w.Header().Get("X-Dsssp-Cache"))
-	}
 
-	// The serving split is visible at /v1/stats.
-	var st StatsResponse
-	decodeBody(t, do(t, s, "GET", "/v1/stats", ""), http.StatusOK, &st)
-	if st.Incr.SourcesRepaired < 2 {
-		t.Fatalf("stats incr = %+v, want sources_repaired >= 2", st.Incr)
-	}
-
-	// ?trace=1 asks for the per-phase breakdown only a real simulation can
-	// produce: repair must step aside.
-	w = do(t, s, "POST", "/v1/sssp?trace=1", fmt.Sprintf(`{"graph":{"graph_id":%q},"source":0}`, info.ID))
-	var traced SSSPResponse
-	decodeBody(t, w, http.StatusOK, &traced)
-	if traced.Incr != nil || len(traced.Phases) == 0 {
-		t.Fatalf("trace=1 served by repair: incr=%+v phases=%d", traced.Incr, len(traced.Phases))
+	// The serving split is visible at /metrics.
+	if got := scrapeMetrics(t, s)["dsssp_incr_sources_repaired_total"]; got < 2 {
+		t.Fatalf("dsssp_incr_sources_repaired_total = %v, want >= 2", got)
 	}
 }
 
 // TestRepairDisabled pins the -repair-max-affected=-1 escape hatch: the
 // dirty source recomputes from scratch, never touching the repair path.
 func TestRepairDisabled(t *testing.T) {
-	s, err := New(Config{Workers: 4, Rev: "test", RepairMaxAffected: -1})
+	s, err := New(Config{Workers: 4, RepairMaxAffected: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +338,7 @@ func TestRepairWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	mk := func() *Server {
 		t.Helper()
-		s, err := New(Config{Workers: 4, Rev: "test", RegistryDir: dir})
+		s, err := New(Config{Workers: 4, RegistryDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -62,8 +62,8 @@ func queryKeyParts(endpoint string, o QueryOptions, operands string) string {
 	if g := gcd(en, ed); g > 1 {
 		en, ed = en/g, ed/g
 	}
-	return fmt.Sprintf("%s|model=%s|eps=%d/%d|strict=%v|maxr=%d|phases=%v|%s",
-		endpoint, model, en, ed, o.StrictCongest, o.MaxRounds, o.RecordPhases, operands)
+	return fmt.Sprintf("%s|model=%s|eps=%d/%d|strict=%v|maxr=%d|%s",
+		endpoint, model, en, ed, o.StrictCongest, o.MaxRounds, operands)
 }
 
 // keyFromDigest is the content address of one query result: canonical

@@ -12,7 +12,7 @@ import (
 // inline on the hot paths; level-shaped signals owned by other subsystems
 // (cache occupancy, registry size) are read at scrape time from those
 // subsystems' own stats, so there is exactly one source of truth per
-// number — /v1/stats and /metrics can never disagree.
+// number and /metrics is the one place to read it.
 type serverMetrics struct {
 	reg *obs.Registry
 
@@ -114,9 +114,12 @@ func newServerMetrics(cfg *Config, cache *Cache, registry *GraphRegistry) *serve
 	r.GaugeFunc("dsssp_graph_registry_bytes",
 		"Approximate resident bytes of registered graphs and their traces.",
 		func() float64 { return float64(registry.Stats().BytesUsed) })
+	r.GaugeFunc("dsssp_graph_stale_traces",
+		"Dirty per-source traces awaiting repair across every registered graph.",
+		func() float64 { return float64(registry.Stats().StaleTraces) })
 
 	// Cache counters live in their subsystem (they predate the
-	// registry and also feed /v1/stats); surface them at scrape time.
+	// registry); surface them at scrape time.
 	r.CounterFunc("dsssp_cache_hits_total",
 		"Result-cache hits, including singleflight-shared computations.",
 		func() float64 { return float64(cache.Stats().Hits) })
@@ -158,7 +161,7 @@ func (m *serverMetrics) observePhases(phases []harness.PhaseStat, traceID string
 // attacker spraying random paths cannot mint unbounded metric series.
 func endpointLabel(path string) string {
 	switch path {
-	case "/v1/sssp", "/v1/apsp", "/v1/path", "/v1/stats", "/v1/graphs":
+	case "/v1/sssp", "/v1/apsp", "/v1/path", "/v1/graphs":
 		return strings.TrimPrefix(path, "/v1/")
 	case "/healthz":
 		return "healthz"

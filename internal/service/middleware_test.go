@@ -66,8 +66,8 @@ func (w *brokenWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
 func TestWriteErrorLogged(t *testing.T) {
 	var buf syncBuffer
 	s, err := New(Config{
-		Workers: 2, Rev: "test",
-		Logger: slog.New(slog.NewJSONHandler(&buf, nil)), SlowQueryThreshold: time.Hour,
+		Workers: 2,
+		Logger:  slog.New(slog.NewJSONHandler(&buf, nil)), SlowQueryThreshold: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -566,19 +566,18 @@ func (r *GraphRegistry) infoLocked(rg *regGraph) GraphInfo {
 	return info
 }
 
-// RegistryStats is the registry's observable state (GET /v1/stats and the
-// dsssp_graphs_* metrics).
+// RegistryStats is the registry's observable state, read by the
+// dsssp_graph* metrics at scrape time.
 type RegistryStats struct {
-	Graphs int `json:"graphs"`
+	Graphs int
 	// Revisions counts revisions ever created (registrations + patches),
 	// monotonically.
-	Revisions int64 `json:"revisions"`
-	Evictions int64 `json:"evictions"`
-	BytesUsed int64 `json:"bytes_used"`
-	Budget    int64 `json:"bytes_budget"`
+	Revisions int64
+	Evictions int64
+	BytesUsed int64
 	// StaleTraces counts dirty sources currently awaiting repair across
 	// every registered graph.
-	StaleTraces int `json:"stale_traces"`
+	StaleTraces int
 }
 
 // Stats snapshots the registry counters.
@@ -594,7 +593,6 @@ func (r *GraphRegistry) Stats() RegistryStats {
 		Revisions:   r.revisions,
 		Evictions:   r.evictions,
 		BytesUsed:   r.bytes,
-		Budget:      r.budget,
 		StaleTraces: stale,
 	}
 }

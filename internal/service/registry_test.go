@@ -213,7 +213,8 @@ func TestRegistryTraceAdmissionBudget(t *testing.T) {
 	// Budget barely above the bare graph: trace admission must stop rather
 	// than evict the graph out from under itself.
 	g := ciGraph()
-	r := NewGraphRegistry(graphBytes(g)+traceBytes(make([]int64, 4), nil)+8, NewCache(1<<20), nil)
+	budget := graphBytes(g) + traceBytes(make([]int64, 4), nil) + 8
+	r := NewGraphRegistry(budget, NewCache(1<<20), nil)
 	info, _ := r.Register(g)
 	_, digest, _, _ := r.Resolve(info.ID)
 	for s := 0; s < 4; s++ {
@@ -223,7 +224,7 @@ func TestRegistryTraceAdmissionBudget(t *testing.T) {
 	if got.TracedSources != 1 {
 		t.Fatalf("traced %d sources under a one-trace budget", got.TracedSources)
 	}
-	if st := r.Stats(); st.BytesUsed > st.Budget {
+	if st := r.Stats(); st.BytesUsed > budget {
 		t.Fatalf("budget overrun: %+v", st)
 	}
 	// The graph itself must still be resident and resolvable.

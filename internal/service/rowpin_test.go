@@ -1,11 +1,9 @@
 package service
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
@@ -20,12 +18,12 @@ var updatePin = flag.Bool("update", false, "rewrite testdata/query_paths.golden"
 // TestQueryPathsPinned drives a fixed request sequence over a registered
 // graph through each query endpoint (sssp, path, apsp) and pins everything
 // a client or operator can observe per step: status, body bytes, the
-// X-Dsssp-Cache and X-Dsssp-Incr headers, the change in the /v1/stats incr
-// block, and the span tree's names and nesting in /debug/traces/{id}. The
-// steps cover a first recompute, a cache hit, a query served from an exact
-// trace under a fresh cache key, a stale trace repaired after a PATCH,
-// ?trace=1 over stale traces, and the same flow with repair disabled
-// (RepairMaxAffected: -1).
+// X-Dsssp-Cache and X-Dsssp-Incr headers, the change in the
+// dsssp_incr_* counters, and the span tree's names and nesting in
+// /debug/traces/{id}. The steps cover a first recompute, a cache hit, a
+// query served from an exact trace under a fresh cache key, a stale trace
+// repaired after each of two PATCHes, and the same flow with repair
+// disabled (RepairMaxAffected: -1).
 //
 // Regenerate with `go test ./internal/service -run TestQueryPathsPinned
 // -update` only when an observable change is intended.
@@ -64,7 +62,7 @@ func TestQueryPathsPinned(t *testing.T) {
 // appends one block per step to out.
 func pinEndpoint(t *testing.T, out *strings.Builder, ep string, repairMax float64) {
 	t.Helper()
-	s, err := New(Config{Workers: 4, Rev: "test", RepairMaxAffected: repairMax})
+	s, err := New(Config{Workers: 4, RepairMaxAffected: repairMax})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,30 +116,30 @@ func pinEndpoint(t *testing.T, out *strings.Builder, ep string, repairMax float6
 	step("stale-repair", ep1, base)
 	step("exact-after-repair", ep1, alt)
 	patch(10)
-	step("trace-over-stale", ep1+"?trace=1", base)
-	step("after-trace", ep1, base)
+	step("stale-repair-2", ep1, base)
 }
 
-func pinIncr(t *testing.T, s *Server) IncrStats {
+// incrCounts is a snapshot of the dsssp_incr_* serving counters.
+type incrCounts struct {
+	SourcesReused, SourcesRepaired, SourcesRecomputed, RepairFallbacks int64
+}
+
+func pinIncr(t *testing.T, s *Server) incrCounts {
 	t.Helper()
-	var st StatsResponse
-	decodeBody(t, do(t, s, "GET", "/v1/stats", ""), http.StatusOK, &st)
-	return st.Incr
+	m := s.metrics
+	return incrCounts{
+		SourcesReused:     m.incrSourcesReused.Value(),
+		SourcesRepaired:   m.incrSourcesRepaired.Value(),
+		SourcesRecomputed: m.incrSourcesRecomputed.Value(),
+		RepairFallbacks:   m.incrRepairFallbacks.Value(),
+	}
 }
 
 // pinSpans returns the trace's span names as root-to-span paths, sorted
 // (engine-phase and repair-phase children keep their multiplicity).
 func pinSpans(t *testing.T, s *Server, traceID string) []string {
 	t.Helper()
-	dw := httptest.NewRecorder()
-	s.TraceHandler().ServeHTTP(dw, httptest.NewRequest("GET", "/debug/traces/"+traceID, nil))
-	if dw.Code != http.StatusOK {
-		t.Fatalf("GET /debug/traces/%s: %d %s", traceID, dw.Code, dw.Body.String())
-	}
-	var tr trace.Trace
-	if err := json.Unmarshal(dw.Body.Bytes(), &tr); err != nil {
-		t.Fatal(err)
-	}
+	tr := getTrace(t, s, traceID)
 	byID := make(map[string]trace.SpanData, len(tr.Spans))
 	for _, sp := range tr.Spans {
 		byID[sp.SpanID] = sp

@@ -52,26 +52,21 @@ type rowQuery struct {
 	// rows so a PATCH can re-address or invalidate the cached body.
 	parts string
 	// allPairs marks the fan-out over every source (APSP). Its exact head
-	// traces are reused rows, not zero-change repairs; it repairs stale
-	// traces even when recordPhases is set; and its rows are recorded bare,
-	// with the body entry under apspTraceKey when every row was computed.
+	// traces are reused rows, not zero-change repairs; and its rows are
+	// recorded bare, with the body entry under apspTraceKey when every row
+	// was computed.
 	allPairs bool
-	// recordPhases asks for the engine's per-phase breakdown, which only a
-	// simulation yields, so a single-source query then skips repair.
-	recordPhases bool
 	// engine runs the endpoint's simulation for the sources no trace could
 	// serve: one row per missing source, in order (dist, and parent when the
 	// engine extracts the tree), plus the run's span ledger.
 	engine func(missing []graph.NodeID) ([]row, []simnet.SpanMetrics, error)
 }
 
-// rowSet is the provider's yield: one row per query source, in order, the
-// count of rows by how they were served, and the engine's phase breakdown
-// (nil when no engine ran).
+// rowSet is the provider's yield: one row per query source, in order, and
+// the count of rows by how they were served.
 type rowSet struct {
-	rows   []row
-	count  [3]int // indexed by rowServed
-	phases []harness.PhaseStat
+	rows  []row
+	count [3]int // indexed by rowServed
 }
 
 func (rs rowSet) all(how rowServed) bool { return rs.count[how] == len(rs.rows) }
@@ -95,16 +90,14 @@ func (s *Server) serveRows(w http.ResponseWriter, r *http.Request, q rowQuery, r
 		return
 	}
 	// Registered-graph reuse counters: a body-cache hit served every source
-	// without recomputation; repaired rows were counted when repaired. A
-	// from-scratch all-pairs body carries no incr split and feeds no counter.
-	switch {
-	case hit:
+	// without recomputation; repaired rows were counted when repaired; every
+	// computed row counts as recomputed, a from-scratch all-pairs body too.
+	if hit {
 		s.metrics.incrSourcesReused.Add(int64(len(q.sources)))
-	case q.allPairs && rs.all(rowComputed):
-	default:
-		s.metrics.incrSourcesReused.Add(int64(rs.count[rowReused]))
-		s.metrics.incrSourcesRecomputed.Add(int64(rs.count[rowComputed]))
+		return
 	}
+	s.metrics.incrSourcesReused.Add(int64(rs.count[rowReused]))
+	s.metrics.incrSourcesRecomputed.Add(int64(rs.count[rowComputed]))
 }
 
 // rows builds the query's rows: remembered traces first, one engine call
@@ -134,10 +127,10 @@ func (s *Server) rows(w http.ResponseWriter, sp *trace.Span, q rowQuery) (rowSet
 			eng.End()
 			return rs, err
 		}
-		rs.phases = harness.PhasesFromSpans(spans)
-		graftEnginePhases(eng, rs.phases)
+		phases := harness.PhasesFromSpans(spans)
+		graftEnginePhases(eng, phases)
 		eng.End()
-		s.metrics.observePhases(rs.phases, sp.TraceIDString())
+		s.metrics.observePhases(phases, sp.TraceIDString())
 		for k, i := range at {
 			rs.rows[i] = computed[k]
 		}
@@ -181,8 +174,8 @@ func (s *Server) rows(w http.ResponseWriter, sp *trace.Span, q rowQuery) (rowSet
 // remembered serves src from the head revision's traces when it can: an
 // exact trace as is (a reused row under an all-pairs query, a zero-change
 // repair otherwise), a stale one through incr.Repair. ok=false sends the
-// source to the engine: no trace, repair disabled or stepped aside, or the
-// affected region outgrew the cutoff.
+// source to the engine: no trace, repair disabled, or the affected region
+// outgrew the cutoff.
 func (s *Server) remembered(sp *trace.Span, q rowQuery, src graph.NodeID) (row, bool) {
 	if q.ref == nil {
 		return row{}, false
@@ -193,7 +186,7 @@ func (s *Server) remembered(sp *trace.Span, q rowQuery, src graph.NodeID) (row, 
 		return row{}, false
 	case exact && q.allPairs:
 		return row{dist: tr.Dist, parent: tr.Parent, served: rowReused}, true
-	case s.cfg.RepairMaxAffected < 0, q.recordPhases && !q.allPairs, tr.Parent == nil:
+	case s.cfg.RepairMaxAffected < 0, tr.Parent == nil:
 		return row{}, false
 	}
 	return s.repair(sp, q, src, tr, changes, exact)

@@ -55,9 +55,6 @@ type Config struct {
 	RepairMaxAffected float64
 	// Workers bounds concurrently executing queries (default NumCPU).
 	Workers int
-	// Rev labels the deployment in GET /v1/stats (a git revision; default
-	// "unknown").
-	Rev string
 	// MaxN caps requested graph sizes (default 4096).
 	MaxN int
 	// MaxEdges caps inline edge lists (default 1<<20).
@@ -102,9 +99,6 @@ func (c *Config) applyDefaults() {
 	if c.Workers <= 0 {
 		c.Workers = runtime.NumCPU()
 	}
-	if c.Rev == "" {
-		c.Rev = "unknown"
-	}
 	if c.MaxN <= 0 {
 		c.MaxN = 4096
 	}
@@ -139,7 +133,6 @@ type Server struct {
 	metrics  *serverMetrics
 	tracer   *trace.Tracer
 	logger   *slog.Logger
-	started  time.Time
 }
 
 // New builds a Server (restoring the persisted registry, if configured)
@@ -173,7 +166,6 @@ func New(cfg Config) (*Server, error) {
 		metrics:  metrics,
 		tracer:   tracer,
 		logger:   cfg.Logger,
-		started:  cfg.now(),
 	}
 	s.mux.Handle("GET /metrics", s.metrics.reg.Handler())
 	s.mux.HandleFunc("POST /v1/sssp", s.handleSSSP)
@@ -184,7 +176,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/graphs/{id}", s.handleGraphGet)
 	s.mux.HandleFunc("DELETE /v1/graphs/{id}", s.handleGraphDelete)
 	s.mux.HandleFunc("PATCH /v1/graphs/{id}/edges", s.handleGraphPatch)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return s, nil
 }
@@ -212,8 +203,6 @@ func (s *Server) Close() {
 	}
 }
 
-func (s *Server) now() time.Time { return s.cfg.now() }
-
 // --- query endpoints ---
 
 func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
@@ -221,10 +210,6 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	// ?trace=1 and options.record_phases both attach the per-phase
-	// breakdown; folding trace into the options before the key is computed
-	// keeps traced and untraced responses as distinct cache entries.
-	req.Options.RecordPhases = req.Options.RecordPhases || wantTrace(r)
 	g, digest, opts, ref, ok := s.prepare(w, r, req.Graph, req.Options)
 	if !ok {
 		return
@@ -236,9 +221,8 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 	var res *dsssp.Result
 	s.serveRows(w, r, rowQuery{
 		g: g, digest: digest, ref: ref,
-		sources:      []graph.NodeID{graph.NodeID(req.Source)},
-		parts:        queryKeyParts("sssp", req.Options, fmt.Sprintf("src=%d", req.Source)),
-		recordPhases: req.Options.RecordPhases,
+		sources: []graph.NodeID{graph.NodeID(req.Source)},
+		parts:   queryKeyParts("sssp", req.Options, fmt.Sprintf("src=%d", req.Source)),
 		engine: func(missing []graph.NodeID) ([]row, []simnet.SpanMetrics, error) {
 			var err error
 			if res, err = dsssp.SSSP(g, missing[0], opts); err != nil {
@@ -254,23 +238,9 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 		} else {
 			resp.SubproblemsMax = res.SubproblemsMax
 			resp.Metrics = metricsJSON(res.Metrics)
-			if req.Options.RecordPhases {
-				resp.Phases = rs.phases
-			}
 		}
 		return json.Marshal(resp)
 	})
-}
-
-// wantTrace reports whether the query string asks for the span-level
-// trace (?trace=1): the per-phase round/energy/bits breakdown inline in
-// the response.
-func wantTrace(r *http.Request) bool {
-	switch r.URL.Query().Get("trace") {
-	case "1", "true":
-		return true
-	}
-	return false
 }
 
 func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
@@ -278,9 +248,6 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	// A path body carries no phases: ignore record_phases like ?trace=1, so
-	// it neither forks the cache key nor steps repair aside.
-	req.Options.RecordPhases = false
 	g, digest, opts, ref, ok := s.prepare(w, r, req.Graph, req.Options)
 	if !ok {
 		return
@@ -337,7 +304,6 @@ func (s *Server) handleAPSP(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	req.Options.RecordPhases = req.Options.RecordPhases || wantTrace(r)
 	g, digest, opts, ref, ok := s.prepare(w, r, req.Graph, req.Options)
 	if !ok {
 		return
@@ -353,10 +319,9 @@ func (s *Server) handleAPSP(w http.ResponseWriter, r *http.Request) {
 	var res *dsssp.APSPResult
 	s.serveRows(w, r, rowQuery{
 		g: g, digest: digest, ref: ref,
-		sources:      sources,
-		parts:        queryKeyParts("apsp", req.Options, fmt.Sprintf("seed=%d", req.Seed)),
-		allPairs:     true,
-		recordPhases: req.Options.RecordPhases,
+		sources:  sources,
+		parts:    queryKeyParts("apsp", req.Options, fmt.Sprintf("seed=%d", req.Seed)),
+		allPairs: true,
 		engine: func(missing []graph.NodeID) ([]row, []simnet.SpanMetrics, error) {
 			var err error
 			if res, err = dsssp.APSPFrom(g, missing, opts, req.Seed); err != nil {
@@ -379,9 +344,6 @@ func (s *Server) handleAPSP(w http.ResponseWriter, r *http.Request) {
 				Dilation: comp.Dilation, Congestion: comp.Congestion,
 				MakespanAligned: comp.MakespanAligned, MakespanRandom: comp.MakespanRandom,
 				MakespanSequential: comp.MakespanSequential, MaxMessageBits: comp.MaxMessageBits,
-			}
-			if req.Options.RecordPhases {
-				resp.Phases = rs.phases
 			}
 		}
 		if !rs.all(rowComputed) {
@@ -539,6 +501,9 @@ func graftEnginePhases(eng *trace.Span, phases []harness.PhaseStat) {
 			trace.Int64("messages", ph.Messages),
 			trace.Int64("awake_rounds", ph.AwakeRounds),
 		}
+		if ph.MaxMessageBits > 0 {
+			attrs = append(attrs, trace.Int64("max_message_bits", ph.MaxMessageBits))
+		}
 		if ph.RoundsByDepth != "" {
 			attrs = append(attrs, trace.String("rounds_by_depth", ph.RoundsByDepth))
 		}
@@ -626,59 +591,6 @@ func (s *Server) handleGraphPatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // --- observability endpoints ---
-
-// StatsResponse is the GET /v1/stats body: a full operational snapshot —
-// cache, registry, incremental serving split, and worker pool — not
-// cache-only.
-type StatsResponse struct {
-	Rev      string        `json:"rev"`
-	UptimeNS int64         `json:"uptime_ns"`
-	Cache    CacheStats    `json:"cache"`
-	Registry RegistryStats `json:"registry"`
-	Incr     IncrStats     `json:"incr"`
-	Pool     PoolStats     `json:"pool"`
-}
-
-// IncrStats is the registered-graph serving split since process start:
-// per-source results served from cache/traces, rebuilt by affected-region
-// repair, or recomputed from scratch — plus repairs that bailed to a full
-// recompute.
-type IncrStats struct {
-	SourcesReused     int64 `json:"sources_reused"`
-	SourcesRepaired   int64 `json:"sources_repaired"`
-	SourcesRecomputed int64 `json:"sources_recomputed"`
-	RepairFallbacks   int64 `json:"repair_fallbacks"`
-}
-
-// PoolStats is the query worker pool's instantaneous state.
-type PoolStats struct {
-	// Workers is the configured pool size.
-	Workers int `json:"workers"`
-	// InFlight is the number of slots currently executing a query.
-	InFlight int `json:"in_flight"`
-	// Queued is the number of query misses waiting for a slot.
-	Queued int `json:"queued"`
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, StatsResponse{
-		Rev:      s.cfg.Rev,
-		UptimeNS: s.now().Sub(s.started).Nanoseconds(),
-		Cache:    s.cache.Stats(),
-		Registry: s.registry.Stats(),
-		Incr: IncrStats{
-			SourcesReused:     s.metrics.incrSourcesReused.Value(),
-			SourcesRepaired:   s.metrics.incrSourcesRepaired.Value(),
-			SourcesRecomputed: s.metrics.incrSourcesRecomputed.Value(),
-			RepairFallbacks:   s.metrics.incrRepairFallbacks.Value(),
-		},
-		Pool: PoolStats{
-			Workers:  s.cfg.Workers,
-			InFlight: int(s.metrics.poolBusy.Value()),
-			Queued:   int(s.metrics.queueDepth.Value()),
-		},
-	})
-}
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})

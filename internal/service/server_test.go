@@ -5,10 +5,8 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
-	"maps"
 	"net/http"
 	"net/http/httptest"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,7 +14,6 @@ import (
 	"time"
 
 	"dsssp/internal/graph"
-	"dsssp/internal/harness"
 )
 
 func testServer(t *testing.T) *Server { return testServerBodyCap(t, 0) }
@@ -25,7 +22,7 @@ func testServer(t *testing.T) *Server { return testServerBodyCap(t, 0) }
 // bytes (0 = the default cap).
 func testServerBodyCap(t *testing.T, bodyCap int64) *Server {
 	t.Helper()
-	s, err := New(Config{Workers: 4, Rev: "test", MaxBodyBytes: bodyCap})
+	s, err := New(Config{Workers: 4, MaxBodyBytes: bodyCap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,6 +98,7 @@ func TestBadInputsAre4xxJSON(t *testing.T) {
 		{"bad-eps", "POST", "/v1/sssp", `{"graph":{"family":"path","n":8},"options":{"eps_num":3,"eps_den":2}}`, 400, "ε must be in (0,1)"},
 		{"path-target-range", "POST", "/v1/path", `{"graph":{"family":"path","n":8},"target":-1}`, 400, "target -1 out of range"},
 		{"workers-removed", "POST", "/v1/sssp", `{"graph":{"family":"path","n":8},"options":{"workers":4}}`, 400, "unknown field"},
+		{"record-phases-removed", "POST", "/v1/sssp", `{"graph":{"family":"path","n":8},"options":{"record_phases":true}}`, 400, "unknown field"},
 		{"strict-sleeping", "POST", "/v1/sssp", `{"graph":{"family":"path","n":8},"options":{"model":"sleeping","strict_congest":true}}`, 422, "StrictCongest"},
 	}
 	for _, tc := range cases {
@@ -160,10 +158,14 @@ func TestSSSPQuery(t *testing.T) {
 	}
 }
 
+// TestSSSPGeneratorSpecAndPhases: a generator-spec query answers, its
+// per-phase breakdown is in its trace (phase:* rounds partition the
+// response's total), and ?trace=1 is an ignored query parameter — the same
+// cached bytes as the plain query.
 func TestSSSPGeneratorSpecAndPhases(t *testing.T) {
 	s := testServer(t)
-	body := `{"graph":{"family":"random","n":32,"seed":7,"weights":{"kind":"uniform","max_w":32}},"options":{"record_phases":true}}`
-	w := do(t, s, "POST", "/v1/sssp", body)
+	body := `{"graph":{"family":"random","n":32,"seed":7,"weights":{"kind":"uniform","max_w":32}}}`
+	w, traceID := doTraced(t, s, "POST", "/v1/sssp", body)
 	if w.Code != 200 {
 		t.Fatalf("status %d: %s", w.Code, w.Body.String())
 	}
@@ -174,15 +176,26 @@ func TestSSSPGeneratorSpecAndPhases(t *testing.T) {
 	if resp.N != 32 || len(resp.Dist) != 32 || resp.Dist[0] != 0 {
 		t.Fatalf("resp = %+v", resp)
 	}
-	if len(resp.Phases) == 0 {
-		t.Fatal("record_phases did not attach a phase breakdown")
-	}
 	var phaseRounds int64
-	for _, ph := range resp.Phases {
-		phaseRounds += ph.Rounds
+	phases := 0
+	for _, sp := range getTrace(t, s, traceID).Spans {
+		if strings.HasPrefix(sp.Name, "phase:") {
+			phases++
+			v, _ := sp.Attrs["rounds"].(float64)
+			phaseRounds += int64(v)
+		}
+	}
+	if phases == 0 {
+		t.Fatal("the query's trace has no phase:* spans")
 	}
 	if phaseRounds != resp.Metrics.Rounds {
 		t.Fatalf("phase rounds %d do not partition total %d", phaseRounds, resp.Metrics.Rounds)
+	}
+
+	traced := do(t, s, "POST", "/v1/sssp?trace=1", body)
+	if traced.Header().Get("X-Dsssp-Cache") != "hit" || !bytes.Equal(traced.Body.Bytes(), w.Body.Bytes()) {
+		t.Fatalf("?trace=1: cache=%s body %s, want a hit on the plain query's bytes",
+			traced.Header().Get("X-Dsssp-Cache"), traced.Body.Bytes())
 	}
 }
 
@@ -252,30 +265,14 @@ func TestStatsAndHealthz(t *testing.T) {
 	}
 	do(t, s, "POST", "/v1/sssp", `{"graph":{"family":"path","n":8}}`)
 	do(t, s, "POST", "/v1/sssp", `{"graph":{"family":"path","n":8}}`)
-	w := do(t, s, "GET", "/v1/stats", "")
-	if w.Code != 200 {
-		t.Fatalf("stats: %d %s", w.Code, w.Body.String())
+	if st := s.cache.Stats(); st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("cache stats = %+v", st)
 	}
-	var st StatsResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
+	if busy, queued := s.metrics.poolBusy.Value(), s.metrics.queueDepth.Value(); busy != 0 || queued != 0 {
+		t.Fatalf("pool: busy %d queued %d, want both 0", busy, queued)
 	}
-	if st.Rev != "test" || st.Cache.Hits != 1 || st.Cache.Misses != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	// The snapshot is full-stack: a pool section, not cache-only.
-	if st.Pool.Workers != 4 || st.Pool.InFlight != 0 || st.Pool.Queued != 0 {
-		t.Fatalf("pool stats = %+v", st.Pool)
-	}
-	// Pin the top-level key set, so a section can be neither dropped nor
-	// added silently.
-	var top map[string]json.RawMessage
-	if err := json.Unmarshal(w.Body.Bytes(), &top); err != nil {
-		t.Fatal(err)
-	}
-	keys := slices.Sorted(maps.Keys(top))
-	if want := []string{"cache", "incr", "pool", "registry", "rev", "uptime_ns"}; !slices.Equal(keys, want) {
-		t.Fatalf("stats keys = %v, want %v", keys, want)
+	if st := s.registry.Stats(); st != (RegistryStats{}) {
+		t.Fatalf("registry stats = %+v, want zero", st)
 	}
 }
 
@@ -386,55 +383,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestTraceQueryParam is the acceptance check for span-level query
-// tracing: ?trace=1 attaches a per-phase breakdown whose round total
-// equals the query's reported rounds, untraced queries stay lean, and the
-// two response shapes are distinct cache entries.
-func TestTraceQueryParam(t *testing.T) {
-	s := testServer(t)
-	body := `{"graph":{"family":"expander","n":32,"seed":11,"weights":{"kind":"uniform","max_w":32}},"source":2}`
-
-	w := do(t, s, "POST", "/v1/sssp?trace=1", body)
-	if w.Code != 200 {
-		t.Fatalf("traced query: %d %s", w.Code, w.Body.String())
-	}
-	var traced SSSPResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &traced); err != nil {
-		t.Fatal(err)
-	}
-	if len(traced.Phases) == 0 {
-		t.Fatal("?trace=1 did not attach a phase breakdown")
-	}
-	if got := harness.PhaseRounds(traced.Phases); got != traced.Metrics.Rounds {
-		t.Fatalf("trace rounds %d do not equal reported rounds %d", got, traced.Metrics.Rounds)
-	}
-
-	w = do(t, s, "POST", "/v1/sssp", body)
-	var plain SSSPResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &plain); err != nil {
-		t.Fatal(err)
-	}
-	if len(plain.Phases) != 0 {
-		t.Fatal("untraced query carries a phase breakdown")
-	}
-	if w.Header().Get("X-Dsssp-Cache") != "miss" {
-		t.Fatal("traced and untraced responses must be distinct cache entries")
-	}
-	if plain.Metrics.Rounds != traced.Metrics.Rounds {
-		t.Fatalf("tracing changed the computation: %d vs %d rounds", plain.Metrics.Rounds, traced.Metrics.Rounds)
-	}
-
-	// Same for APSP.
-	w = do(t, s, "POST", "/v1/apsp?trace=true", `{"graph":{"family":"random","n":12,"seed":3},"seed":42}`)
-	var ar APSPResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &ar); err != nil {
-		t.Fatal(err)
-	}
-	if len(ar.Phases) == 0 {
-		t.Fatal("?trace=true on /v1/apsp did not attach phases")
-	}
-}
-
 // TestRequestLogging asserts the middleware emits exactly one structured
 // completion line per request with the load-bearing fields, and a
 // slow-query warning above the threshold.
@@ -442,8 +390,8 @@ func TestRequestLogging(t *testing.T) {
 	var buf syncBuffer
 	logger := slog.New(slog.NewJSONHandler(&buf, nil))
 	s, err := New(Config{
-		Workers: 2, Rev: "test",
-		Logger: logger, SlowQueryThreshold: time.Nanosecond,
+		Workers: 2,
+		Logger:  logger, SlowQueryThreshold: time.Nanosecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -512,8 +460,8 @@ func (b *syncBuffer) String() string {
 
 // TestMuxErrorsAreJSON asserts the mux-generated replies (wrong method,
 // unknown route) are converted into the same JSON error shape as handler
-// errors — every non-2xx body is machine-readable. The retired sweep and
-// trend routes are unknown routes like any other.
+// errors — every non-2xx body is machine-readable. The retired sweep,
+// trend and stats routes are unknown routes like any other.
 func TestMuxErrorsAreJSON(t *testing.T) {
 	s := testServer(t)
 	cases := []struct {
@@ -526,6 +474,7 @@ func TestMuxErrorsAreJSON(t *testing.T) {
 		{"POST", "/v1/sweeps", http.StatusNotFound, "Not Found", "not_found"},
 		{"GET", "/v1/sweeps/x", http.StatusNotFound, "Not Found", "not_found"},
 		{"GET", "/v1/trends", http.StatusNotFound, "Not Found", "not_found"},
+		{"GET", "/v1/stats", http.StatusNotFound, "Not Found", "not_found"},
 	}
 	for _, tc := range cases {
 		w := do(t, s, tc.method, tc.path, "")

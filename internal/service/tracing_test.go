@@ -17,7 +17,7 @@ import (
 func tracingServer(t *testing.T, sampleRate float64, recent, retained int) *Server {
 	t.Helper()
 	s, err := New(Config{
-		Workers: 4, Rev: "test",
+		Workers:         4,
 		TraceSampleRate: sampleRate, TraceRecent: recent, TraceRetained: retained,
 	})
 	if err != nil {
@@ -46,6 +46,21 @@ func doTraced(t *testing.T, s *Server, method, path, body string) (*httptest.Res
 	w := httptest.NewRecorder()
 	s.Handler().ServeHTTP(w, req)
 	return w, sc.TraceID.String()
+}
+
+// getTrace fetches one trace from the flight recorder by ID.
+func getTrace(t *testing.T, s *Server, traceID string) trace.Trace {
+	t.Helper()
+	dw := httptest.NewRecorder()
+	s.TraceHandler().ServeHTTP(dw, httptest.NewRequest("GET", "/debug/traces/"+traceID, nil))
+	if dw.Code != http.StatusOK {
+		t.Fatalf("GET /debug/traces/%s: status %d: %s", traceID, dw.Code, dw.Body.String())
+	}
+	var tr trace.Trace
+	if err := json.Unmarshal(dw.Body.Bytes(), &tr); err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 const tracingBody = `{"graph":{"family":"random","n":64,"seed":7,"weights":{"kind":"uniform","max_w":64}}}`
@@ -199,11 +214,12 @@ func TestSingleflightTraceShared(t *testing.T) {
 
 // TestTraceTreeRoundsConservation is the acceptance criterion: for a
 // computed query, GET /debug/traces/{id} returns one connected span tree
-// rooted at the HTTP request, and the engine-phase leaf spans' rounds
-// sum exactly to the response's metrics.rounds.
+// rooted at the HTTP request, the engine-phase leaf spans' rounds sum
+// exactly to the response's metrics.rounds, and under strict CONGEST their
+// largest max_message_bits is the response's.
 func TestTraceTreeRoundsConservation(t *testing.T) {
 	s := tracingServer(t, 1.0, 0, 0)
-	w, traceID := doTraced(t, s, "POST", "/v1/sssp?trace=1", tracingBody)
+	w, traceID := doTraced(t, s, "POST", "/v1/sssp", tracingBody)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", w.Code, w.Body.String())
 	}
@@ -215,16 +231,7 @@ func TestTraceTreeRoundsConservation(t *testing.T) {
 		t.Fatalf("computed response lacks metrics.rounds: %s", w.Body.String())
 	}
 
-	dreq := httptest.NewRequest("GET", "/debug/traces/"+traceID, nil)
-	dw := httptest.NewRecorder()
-	s.TraceHandler().ServeHTTP(dw, dreq)
-	if dw.Code != http.StatusOK {
-		t.Fatalf("GET /debug/traces/%s: status %d: %s", traceID, dw.Code, dw.Body.String())
-	}
-	var tr trace.Trace
-	if err := json.Unmarshal(dw.Body.Bytes(), &tr); err != nil {
-		t.Fatal(err)
-	}
+	tr := getTrace(t, s, traceID)
 	if tr.TraceID != traceID {
 		t.Fatalf("trace ID = %s, want %s", tr.TraceID, traceID)
 	}
@@ -275,6 +282,30 @@ func TestTraceTreeRoundsConservation(t *testing.T) {
 	}
 	if engineRounds != resp.Metrics.Rounds {
 		t.Fatalf("engine span rounds attr = %d, want %d", engineRounds, resp.Metrics.Rounds)
+	}
+
+	// A strict-CONGEST run measures message sizes: the largest phase's
+	// max_message_bits is the response's.
+	strict := strings.TrimSuffix(tracingBody, "}") + `,"options":{"strict_congest":true}}`
+	w, traceID = doTraced(t, s, "POST", "/v1/sssp", strict)
+	if w.Code != http.StatusOK {
+		t.Fatalf("strict query: status = %d: %s", w.Code, w.Body.String())
+	}
+	resp = SSSPResponse{}
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Metrics.MaxMessageBits <= 0 {
+		t.Fatalf("strict response lacks metrics.max_message_bits: %s", w.Body.String())
+	}
+	var maxBits int64
+	for _, sp := range getTrace(t, s, traceID).Spans {
+		if v, ok := sp.Attrs["max_message_bits"].(float64); ok && strings.HasPrefix(sp.Name, "phase:") {
+			maxBits = max(maxBits, int64(v))
+		}
+	}
+	if maxBits != resp.Metrics.MaxMessageBits {
+		t.Fatalf("max phase max_message_bits = %d, response metrics.max_message_bits = %d", maxBits, resp.Metrics.MaxMessageBits)
 	}
 }
 
@@ -362,7 +393,7 @@ func BenchmarkCachedHit(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			s, err := New(Config{
-				Workers: 4, Rev: "bench",
+				Workers:         4,
 				TraceSampleRate: bc.rate,
 			})
 			if err != nil {
