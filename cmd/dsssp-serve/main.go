@@ -4,8 +4,7 @@
 // worker pool (-workers queries at a time; each simulation runs on one
 // goroutine, and APSP fans its sources out over the pool's size) behind a
 // content-addressed result cache. It only answers queries: scenario sweeps
-// and their trends are the offline tools cmd/dsssp-bench (-json) and
-// cmd/dsssp-diff (-trend).
+// are the offline tool cmd/dsssp-bench (-json), gated by cmd/dsssp-diff.
 //
 // Usage:
 //

@@ -236,3 +236,28 @@ func FuzzCSSPDifferential(f *testing.F) {
 		}
 	})
 }
+
+// TestDifferentialSleepingHeavyWeights: sleeping SSSP with edge weights up
+// to n, where a single edge can outweigh a cover layer's radius. The cover
+// must keep every member's neighbours inside its parent cluster, or a
+// token reaches a node whose cluster is still asleep and is lost.
+func TestDifferentialSleepingHeavyWeights(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		maxW int64
+	}{{24, 24}, {32, 32}, {32, 16}, {48, 48}} {
+		g := graph.Make(graph.FamilyRandom, c.n, graph.UniformWeights(c.maxW, 7), 3)
+		for src := NodeID(0); src < 12; src++ {
+			res, err := SSSP(g, src, &Options{Model: ModelSleeping})
+			if err != nil {
+				t.Fatalf("n=%d maxW=%d source %d: %v", c.n, c.maxW, src, err)
+			}
+			want := graph.Dijkstra(g, src)
+			for v := range want {
+				if res.Dist[v] != want[v] {
+					t.Fatalf("n=%d maxW=%d source %d: dist[%d] = %d, want %d", c.n, c.maxW, src, v, res.Dist[v], want[v])
+				}
+			}
+		}
+	}
+}

@@ -43,7 +43,7 @@ func TestBaselineCurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := harness.BuildReport("default", true, results)
-	d, err := Compare(baseline, fresh, DefaultThresholds())
+	d, err := Compare(baseline, fresh)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
-// Package benchdiff compares dsssp-bench JSON reports (the BENCH_*.json
-// artifacts) across PRs: scenarios are aligned by their stable name, every
-// measured metric and measured/envelope ratio is diffed, and configurable
+// Package benchdiff compares two dsssp-bench JSON reports (the
+// BENCH_*.json artifacts): scenarios are aligned by their stable name,
+// every measured metric and measured/envelope ratio is diffed, and fixed
 // thresholds turn ratio drift into a hard regression verdict — the
 // machinery behind the CI gate (cmd/dsssp-diff).
 //
@@ -18,42 +18,19 @@ import (
 	"dsssp/internal/harness"
 )
 
-// Thresholds configures what counts as a regression.
-type Thresholds struct {
-	// EnvelopeWorsen is the maximum tolerated relative worsening of any
-	// measured/envelope ratio before the scenario regresses: 0.10 lets a
-	// ratio grow by 10% (new <= old × 1.10). Negative disables ratio
-	// gating. Applies to the rounds, congestion, awake, and message-bits
-	// ratios wherever both reports claim the same envelope.
-	EnvelopeWorsen float64
-	// AllowNewFailures keeps a scenario that verified in the old report
-	// but fails in the new one from being a regression (it is still
-	// counted and reported). Default false: new failures gate.
-	AllowNewFailures bool
-	// FailOnRemoved treats scenarios present in the old report but missing
-	// from the new one as regressions (a silently dropped workload can
-	// hide a regression). Default false: removals are reported only.
-	FailOnRemoved bool
-	// PhaseWorsen gates the per-phase round breakdown: a pipeline phase
-	// whose rounds/envelope ratio worsens by more than this fraction
-	// regresses the scenario, so a slowdown localized in (say) the cutter
-	// gates even while the scenario total stays inside EnvelopeWorsen.
-	// Negative disables per-phase gating. Phases only carry a ratio where
-	// the scenario claims a rounds envelope (CONGEST pipelines).
-	PhaseWorsen float64
-	// PhaseMinDelta is the minimum absolute per-phase rounds movement
-	// before PhaseWorsen applies: tiny phases (a few rounds) would
-	// otherwise gate on trivially small shifts that the scenario-level
-	// ratio absorbs.
-	PhaseMinDelta int64
-}
-
-// DefaultThresholds is the CI gate configuration: 10% envelope-ratio slack
-// per scenario, 25% per pipeline phase (at least 16 rounds of movement),
-// new failures and nothing else blocking.
-func DefaultThresholds() Thresholds {
-	return Thresholds{EnvelopeWorsen: 0.10, PhaseWorsen: 0.25, PhaseMinDelta: 16}
-}
+// The gate. A scenario regresses when any measured/envelope ratio (rounds,
+// congestion, awake, bits — wherever both reports claim the same envelope)
+// grows by more than envelopeWorsen, when one pipeline phase's share of the
+// rounds envelope grows by more than phaseWorsen with at least
+// phaseMinDelta rounds moved (tiny phases would otherwise gate on shifts
+// the scenario ratio absorbs), when it newly fails verification, or when
+// it is redefined under the same name. Removed scenarios are reported but
+// never gate.
+const (
+	envelopeWorsen = 0.10
+	phaseWorsen    = 0.25
+	phaseMinDelta  = 16
+)
 
 // Status classifies one aligned scenario.
 type Status string
@@ -75,78 +52,61 @@ const (
 // measured/envelope and are only compared when both sides claim an
 // envelope; Ratio values are negative when no envelope applies.
 type MetricDelta struct {
-	Metric   string  `json:"metric"`
-	Old      int64   `json:"old"`
-	New      int64   `json:"new"`
-	OldRatio float64 `json:"old_ratio,omitempty"`
-	NewRatio float64 `json:"new_ratio,omitempty"`
-	// RelChange is (NewRatio-OldRatio)/OldRatio when ratios apply and
-	// OldRatio > 0, else (New-Old)/Old when Old > 0, else 0.
-	RelChange float64 `json:"rel_change,omitempty"`
-	// Regressed marks a ratio worsening beyond Thresholds.EnvelopeWorsen.
-	Regressed bool `json:"regressed,omitempty"`
+	Metric   string
+	Old      int64
+	New      int64
+	OldRatio float64
+	NewRatio float64
+	// Regressed marks a ratio worsening beyond the gate.
+	Regressed bool
 }
 
 // Delta is one scenario's comparison.
 type Delta struct {
-	Scenario string `json:"scenario"`
-	Status   Status `json:"status"`
+	Scenario string
+	Status   Status
 	// Metrics holds the per-metric movements (empty for added/removed).
-	Metrics []MetricDelta `json:"metrics,omitempty"`
+	Metrics []MetricDelta
 	// Reasons explains a regressed status, one line per gated check.
-	Reasons []string `json:"reasons,omitempty"`
-	// OldOK/NewOK echo the verification flags.
-	OldOK bool `json:"old_ok"`
-	NewOK bool `json:"new_ok"`
+	Reasons []string
 }
 
 // SuiteInfo summarizes one side of the comparison.
 type SuiteInfo struct {
-	Suite     string `json:"suite"`
-	Quick     bool   `json:"quick"`
-	Scenarios int    `json:"scenarios"`
-	Failures  int    `json:"failures"`
+	Suite     string
+	Quick     bool
+	Scenarios int
+	Failures  int
 }
-
-// DiffSchema versions the diff's own JSON output.
-const DiffSchema = "dsssp-diff/v1"
 
 // Diff is the full comparison of two reports.
 type Diff struct {
-	Schema     string     `json:"schema"`
-	Old        SuiteInfo  `json:"old_suite"`
-	New        SuiteInfo  `json:"new_suite"`
-	Thresholds Thresholds `json:"thresholds"`
-	Deltas     []Delta    `json:"deltas"`
+	Old    SuiteInfo
+	New    SuiteInfo
+	Deltas []Delta
 
-	Unchanged   int `json:"unchanged"`
-	Changed     int `json:"changed"`
-	Regressed   int `json:"regressed"`
-	Added       int `json:"added"`
-	Removed     int `json:"removed"`
-	NewFailures int `json:"new_failures"`
+	Unchanged   int
+	Changed     int
+	Regressed   int
+	Added       int
+	Removed     int
+	NewFailures int
 
-	// OK is the gate verdict: no regressions under the thresholds.
-	OK bool `json:"ok"`
+	// OK is the gate verdict: no scenario regressed.
+	OK bool
 }
 
-// Compare aligns two reports by scenario name and applies the thresholds.
+// Compare aligns two reports by scenario name and applies the gate.
 // The reports must come from the same suite flavor (suite name and quick
 // flag): diffing a quick sweep against a full one would compare different
 // graphs and always "regress".
-func Compare(old, new harness.Report, th Thresholds) (Diff, error) {
+func Compare(old, new harness.Report) (Diff, error) {
 	if old.Suite != new.Suite || old.Quick != new.Quick {
 		return Diff{}, fmt.Errorf(
 			"benchdiff: incomparable reports: old is suite %q (quick=%v), new is suite %q (quick=%v)",
 			old.Suite, old.Quick, new.Suite, new.Quick)
 	}
-	d := Diff{
-		Schema:     DiffSchema,
-		Old:        suiteInfo(old),
-		New:        suiteInfo(new),
-		Thresholds: th,
-		OK:         true,
-	}
+	d := Diff{Old: suiteInfo(old), New: suiteInfo(new), OK: true}
 	oldBy := byName(old)
 	newBy := byName(new)
 
@@ -155,28 +115,21 @@ func Compare(old, new harness.Report, th Thresholds) (Diff, error) {
 	for _, or := range old.Results {
 		nr, ok := newBy[or.Scenario]
 		if !ok {
-			delta := Delta{Scenario: or.Scenario, Status: StatusRemoved, OldOK: or.OK}
-			if th.FailOnRemoved {
-				delta.Status = StatusRegressed
-				delta.Reasons = append(delta.Reasons, "scenario removed from the new report")
-			}
-			d.add(delta)
+			d.add(Delta{Scenario: or.Scenario, Status: StatusRemoved})
 			continue
 		}
 		if or.OK && !nr.OK {
 			d.NewFailures++
 		}
-		d.add(compareOne(or, nr, th))
+		d.add(compareOne(or, nr))
 	}
 	for _, nr := range new.Results {
 		if _, ok := oldBy[nr.Scenario]; !ok {
-			delta := Delta{Scenario: nr.Scenario, Status: StatusAdded, NewOK: nr.OK}
+			delta := Delta{Scenario: nr.Scenario, Status: StatusAdded}
 			if !nr.OK {
 				d.NewFailures++ // failing and previously absent = newly failing
-				if !th.AllowNewFailures {
-					delta.Status = StatusRegressed
-					delta.Reasons = append(delta.Reasons, fmt.Sprintf("added scenario fails verification: %s", nr.Err))
-				}
+				delta.Status = StatusRegressed
+				delta.Reasons = append(delta.Reasons, fmt.Sprintf("added scenario fails verification: %s", nr.Err))
 			}
 			d.add(delta)
 		}
@@ -214,8 +167,8 @@ func byName(r harness.Report) map[string]harness.Result {
 }
 
 // compareOne diffs one aligned scenario pair.
-func compareOne(or, nr harness.Result, th Thresholds) Delta {
-	delta := Delta{Scenario: or.Scenario, OldOK: or.OK, NewOK: nr.OK}
+func compareOne(or, nr harness.Result) Delta {
+	delta := Delta{Scenario: or.Scenario}
 
 	// Same name, different experiment: the ε / strict dimensions are part
 	// of a scenario's identity (Result echoes them for exactly this
@@ -237,15 +190,12 @@ func compareOne(or, nr harness.Result, th Thresholds) Delta {
 		oldEnv   int64
 		newEnv   int64
 	}
-	var metrics []metricPair
-	// The enveloped (gateable) metrics come from the shared vocabulary the
-	// trend chain uses too, so pairwise gating and N-report series can
-	// never drift apart.
-	oldEnv, newEnv := envelopedMetrics(or), envelopedMetrics(nr)
-	for i := range oldEnv {
-		metrics = append(metrics, metricPair{oldEnv[i].name, oldEnv[i].value, newEnv[i].value, oldEnv[i].env, newEnv[i].env})
-	}
-	metrics = append(metrics, []metricPair{
+	metrics := []metricPair{
+		// The enveloped (gateable) metrics, in table-column order.
+		{"rounds", or.Rounds, nr.Rounds, or.Envelope.Rounds, nr.Envelope.Rounds},
+		{"congestion", or.MaxEdgeMessages, nr.MaxEdgeMessages, or.Envelope.Congestion, nr.Envelope.Congestion},
+		{"awake", or.MaxAwake, nr.MaxAwake, or.Envelope.MaxAwake, nr.Envelope.MaxAwake},
+		{"bits", or.MaxMessageBits, nr.MaxMessageBits, or.Envelope.MessageBits, nr.Envelope.MessageBits},
 		{"messages", or.Messages, nr.Messages, 0, 0},
 		// Un-enveloped metrics still participate in change detection, so a
 		// drifted baseline is flagged (and TestBaselineCurrent forces a
@@ -260,7 +210,7 @@ func compareOne(or, nr harness.Result, th Thresholds) Delta {
 		{"makespan_aligned", or.MakespanAligned, nr.MakespanAligned, 0, 0},
 		{"makespan_random", or.MakespanRandom, nr.MakespanRandom, 0, 0},
 		{"makespan_sequential", or.MakespanSequential, nr.MakespanSequential, 0, 0},
-	}...)
+	}
 	anyChange := false
 	for _, m := range metrics {
 		if m.old == 0 && m.new == 0 {
@@ -270,35 +220,29 @@ func compareOne(or, nr harness.Result, th Thresholds) Delta {
 		if m.oldEnv > 0 && m.newEnv > 0 {
 			md.OldRatio = float64(m.old) / float64(m.oldEnv)
 			md.NewRatio = float64(m.new) / float64(m.newEnv)
-			if md.OldRatio > 0 {
-				md.RelChange = (md.NewRatio - md.OldRatio) / md.OldRatio
-			}
-			if th.EnvelopeWorsen >= 0 && md.NewRatio > md.OldRatio*(1+th.EnvelopeWorsen) {
+			if md.NewRatio > md.OldRatio*(1+envelopeWorsen) {
 				md.Regressed = true
+				var rel float64
+				if md.OldRatio > 0 {
+					rel = (md.NewRatio - md.OldRatio) / md.OldRatio
+				}
 				delta.Reasons = append(delta.Reasons, fmt.Sprintf(
 					"%s envelope ratio worsened %.3f → %.3f (%+.1f%%, threshold %+.0f%%)",
-					m.name, md.OldRatio, md.NewRatio, 100*md.RelChange, 100*th.EnvelopeWorsen))
+					m.name, md.OldRatio, md.NewRatio, 100*rel, 100*envelopeWorsen))
 			}
-		} else if m.old > 0 {
-			md.RelChange = float64(m.new-m.old) / float64(m.old)
 		}
 		if m.old != m.new {
 			anyChange = true
 		}
 		delta.Metrics = append(delta.Metrics, md)
 	}
-	comparePhases(&delta, or, nr, th, &anyChange)
+	comparePhases(&delta, or, nr, &anyChange)
 
-	regressed := len(delta.Reasons) > 0
 	if or.OK && !nr.OK {
 		delta.Reasons = append(delta.Reasons, fmt.Sprintf("verification newly fails: %s", nr.Err))
-		if !th.AllowNewFailures {
-			regressed = true
-		}
-		anyChange = true
 	}
 	switch {
-	case regressed:
+	case len(delta.Reasons) > 0:
 		delta.Status = StatusRegressed
 	case anyChange || or.DistHash != nr.DistHash:
 		delta.Status = StatusChanged
@@ -313,8 +257,8 @@ func compareOne(or, nr harness.Result, th Thresholds) Delta {
 // is the phase's rounds against the scenario's rounds envelope — the
 // per-phase ratios sum to the scenario's r(rounds), so a slowdown hiding
 // inside one stage (a cutter that doubled while the barrier shrank) gates
-// individually under Thresholds.PhaseWorsen even when the total stays flat.
-func comparePhases(delta *Delta, or, nr harness.Result, th Thresholds, anyChange *bool) {
+// individually under phaseWorsen even when the total stays flat.
+func comparePhases(delta *Delta, or, nr harness.Result, anyChange *bool) {
 	if len(or.Phases) == 0 && len(nr.Phases) == 0 {
 		return
 	}
@@ -327,16 +271,16 @@ func comparePhases(delta *Delta, or, nr harness.Result, th Thresholds, anyChange
 	// same stable alignment Compare uses for scenarios.
 	for _, op := range or.Phases {
 		oldSeen[op.Phase] = true
-		comparePhase(delta, op, newBy[op.Phase], or, nr, th, anyChange)
+		comparePhase(delta, op, newBy[op.Phase], or, nr, anyChange)
 	}
 	for _, np := range nr.Phases {
 		if !oldSeen[np.Phase] {
-			comparePhase(delta, harness.PhaseStat{Phase: np.Phase}, np, or, nr, th, anyChange)
+			comparePhase(delta, harness.PhaseStat{Phase: np.Phase}, np, or, nr, anyChange)
 		}
 	}
 }
 
-func comparePhase(delta *Delta, op, np harness.PhaseStat, or, nr harness.Result, th Thresholds, anyChange *bool) {
+func comparePhase(delta *Delta, op, np harness.PhaseStat, or, nr harness.Result, anyChange *bool) {
 	if op.Rounds == 0 && np.Rounds == 0 {
 		return
 	}
@@ -344,21 +288,12 @@ func comparePhase(delta *Delta, op, np harness.PhaseStat, or, nr harness.Result,
 	if or.Envelope.Rounds > 0 && nr.Envelope.Rounds > 0 {
 		md.OldRatio = float64(op.Rounds) / float64(or.Envelope.Rounds)
 		md.NewRatio = float64(np.Rounds) / float64(nr.Envelope.Rounds)
-		if md.OldRatio > 0 {
-			md.RelChange = (md.NewRatio - md.OldRatio) / md.OldRatio
-		}
-		minDelta := th.PhaseMinDelta
-		if minDelta < 1 {
-			minDelta = 1
-		}
-		if th.PhaseWorsen >= 0 && md.NewRatio > md.OldRatio*(1+th.PhaseWorsen) && np.Rounds-op.Rounds >= minDelta {
+		if md.NewRatio > md.OldRatio*(1+phaseWorsen) && np.Rounds-op.Rounds >= phaseMinDelta {
 			md.Regressed = true
 			delta.Reasons = append(delta.Reasons, fmt.Sprintf(
 				"phase %q round share worsened %.4f → %.4f of the rounds envelope (%d → %d rounds, threshold %+.0f%% and ≥%d rounds)",
-				op.Phase, md.OldRatio, md.NewRatio, op.Rounds, np.Rounds, 100*th.PhaseWorsen, minDelta))
+				op.Phase, md.OldRatio, md.NewRatio, op.Rounds, np.Rounds, 100*phaseWorsen, phaseMinDelta))
 		}
-	} else if op.Rounds > 0 {
-		md.RelChange = float64(np.Rounds-op.Rounds) / float64(op.Rounds)
 	}
 	if op.Rounds != np.Rounds {
 		*anyChange = true

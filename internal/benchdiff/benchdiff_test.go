@@ -23,7 +23,7 @@ func res(name string, rounds, roundsEnv int64) harness.Result {
 
 func TestCompareUnchanged(t *testing.T) {
 	old := report(res("a", 1000, 10000), res("b", 2000, 10000))
-	d, err := Compare(old, old, DefaultThresholds())
+	d, err := Compare(old, old)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestCompareUnchanged(t *testing.T) {
 func TestCompareRegression(t *testing.T) {
 	old := report(res("a", 1000, 10000))
 	// +5% rounds: within the 10% gate.
-	within, err := Compare(old, report(res("a", 1050, 10000)), DefaultThresholds())
+	within, err := Compare(old, report(res("a", 1050, 10000)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestCompareRegression(t *testing.T) {
 		t.Fatalf("+5%% should pass the 10%% gate: %+v", within)
 	}
 	// +25% rounds: regression.
-	beyond, err := Compare(old, report(res("a", 1250, 10000)), DefaultThresholds())
+	beyond, err := Compare(old, report(res("a", 1250, 10000)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,14 +56,6 @@ func TestCompareRegression(t *testing.T) {
 	if !strings.Contains(strings.Join(beyond.Deltas[0].Reasons, "\n"), "rounds envelope ratio worsened") {
 		t.Fatalf("missing reason: %+v", beyond.Deltas[0].Reasons)
 	}
-	// Disabled gate tolerates anything.
-	loose, err := Compare(old, report(res("a", 9000, 10000)), Thresholds{EnvelopeWorsen: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !loose.OK {
-		t.Fatalf("disabled gate still regressed: %+v", loose)
-	}
 }
 
 // TestCompareEnvelopeRecalibration: when the envelope itself changes (a
@@ -72,7 +64,7 @@ func TestCompareRegression(t *testing.T) {
 // pass even though rounds moved.
 func TestCompareEnvelopeRecalibration(t *testing.T) {
 	old := report(res("a", 5000, 10000))
-	d, err := Compare(old, report(res("a", 5500, 20000)), DefaultThresholds())
+	d, err := Compare(old, report(res("a", 5500, 20000)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,44 +78,34 @@ func TestCompareNewFailure(t *testing.T) {
 	bad := res("a", 1000, 10000)
 	bad.OK = false
 	bad.Err = "distances disagree with the sequential reference"
-	d, err := Compare(old, report(bad), DefaultThresholds())
+	d, err := Compare(old, report(bad))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.OK || d.NewFailures != 1 || d.Regressed != 1 {
 		t.Fatalf("new failure must gate: %+v", d)
 	}
-	tolerant, err := Compare(old, report(bad), Thresholds{EnvelopeWorsen: 0.10, AllowNewFailures: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tolerant.OK || tolerant.NewFailures != 1 {
-		t.Fatalf("AllowNewFailures should pass but still count: %+v", tolerant)
+	if got := d.Deltas[0].Reasons; len(got) != 1 || got[0] != "verification newly fails: "+bad.Err {
+		t.Fatalf("reasons = %q", got)
 	}
 }
 
 func TestCompareAddedRemoved(t *testing.T) {
 	old := report(res("a", 1000, 10000), res("gone", 500, 10000))
 	new := report(res("a", 1000, 10000), res("fresh", 700, 10000))
-	d, err := Compare(old, new, DefaultThresholds())
+	d, err := Compare(old, new)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.OK || d.Added != 1 || d.Removed != 1 {
+	// A removed scenario is reported but does not gate.
+	if !d.OK || d.Added != 1 || d.Removed != 1 || d.Regressed != 0 {
 		t.Fatalf("added/removed miscounted: %+v", d)
-	}
-	strict, err := Compare(old, new, Thresholds{EnvelopeWorsen: 0.10, FailOnRemoved: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strict.OK || strict.Regressed != 1 {
-		t.Fatalf("FailOnRemoved should gate: %+v", strict)
 	}
 	// An added scenario that fails verification gates even as an addition.
 	badNew := res("fresh", 700, 10000)
 	badNew.OK = false
 	badNew.Err = "boom"
-	d2, err := Compare(report(res("a", 1000, 10000)), report(res("a", 1000, 10000), badNew), DefaultThresholds())
+	d2, err := Compare(report(res("a", 1000, 10000)), report(res("a", 1000, 10000), badNew))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +128,7 @@ func TestCompareCompositionMetrics(t *testing.T) {
 		r.MakespanRandom = makespan
 		return r
 	}
-	d, err := Compare(report(mk(700)), report(mk(900)), DefaultThresholds())
+	d, err := Compare(report(mk(700)), report(mk(900)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +136,7 @@ func TestCompareCompositionMetrics(t *testing.T) {
 		t.Fatalf("makespan drift must be StatusChanged (and pass the ratio gate): %+v", d)
 	}
 	var buf bytes.Buffer
-	if err := WriteMarkdown(&buf, d, true); err != nil {
+	if err := WriteMarkdown(&buf, d); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "makespan_random 700 → 900") {
@@ -170,7 +152,7 @@ func TestCompareRedefinedScenario(t *testing.T) {
 	redefined := res("a", 1000, 10000)
 	redefined.Strict = true
 	redefined.EpsNum, redefined.EpsDen = 1, 4
-	d, err := Compare(report(old), report(redefined), DefaultThresholds())
+	d, err := Compare(report(old), report(redefined))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,47 +167,37 @@ func TestCompareRedefinedScenario(t *testing.T) {
 func TestCompareRefusesMixedSuites(t *testing.T) {
 	old := harness.BuildReport("default", true, nil)
 	new := harness.BuildReport("default", false, nil)
-	if _, err := Compare(old, new, DefaultThresholds()); err == nil {
+	if _, err := Compare(old, new); err == nil {
 		t.Fatal("quick vs full comparison accepted")
 	}
 	other := harness.BuildReport("custom", true, nil)
-	if _, err := Compare(old, other, DefaultThresholds()); err == nil {
+	if _, err := Compare(old, other); err == nil {
 		t.Fatal("mixed suite names accepted")
 	}
 }
 
 func TestWriteMarkdown(t *testing.T) {
 	old := report(res("a", 1000, 10000), res("same", 10, 100))
-	d, err := Compare(old, report(res("a", 1300, 10000), res("same", 10, 100)), DefaultThresholds())
+	d, err := Compare(old, report(res("a", 1300, 10000), res("same", 10, 100)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteMarkdown(&buf, d, true); err != nil {
+	if err := WriteMarkdown(&buf, d); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"a", "regressed", "0.100 → 0.130", "Verdict: **FAIL**", "## Regressions"} {
+	for _, want := range []string{
+		"1 unchanged · 0 changed · 1 regressed",
+		"Gate: envelope ratios may worsen at most +10%; per-phase round shares at most +25% (≥16 rounds moved); new verification failures block.\n",
+		"| a | ✗ regressed | 1000 → 1300 (+30.0%) |", "**0.100 → 0.130**", "Verdict: **FAIL**", "## Regressions",
+	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("markdown missing %q:\n%s", want, out)
 		}
 	}
 	if strings.Contains(out, "| same |") {
-		t.Errorf("changedOnly table lists an unchanged scenario:\n%s", out)
-	}
-	var all bytes.Buffer
-	if err := WriteMarkdown(&all, d, false); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(all.String(), "| same |") {
-		t.Errorf("full table misses unchanged scenario:\n%s", all.String())
-	}
-	var js bytes.Buffer
-	if err := WriteJSON(&js, d); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(js.String(), DiffSchema) {
-		t.Errorf("JSON missing schema: %s", js.String())
+		t.Errorf("table lists an unchanged scenario:\n%s", out)
 	}
 }
 
@@ -239,7 +211,7 @@ func TestCompareBitsRatio(t *testing.T) {
 		r.Envelope.MessageBits = 100
 		return r
 	}
-	d, err := Compare(report(mk(40)), report(mk(60)), DefaultThresholds())
+	d, err := Compare(report(mk(40)), report(mk(60)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,14 +244,14 @@ func TestComparePerfSidecarIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Compare(old, annotated, DefaultThresholds())
+	d, err := Compare(old, annotated)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !d.OK || d.Unchanged != 1 || d.Changed+d.Regressed != 0 {
 		t.Fatalf("perf sidecar leaked into the diff: %+v", d)
 	}
-	d, err = Compare(annotated, old, DefaultThresholds())
+	d, err = Compare(annotated, old)
 	if err != nil {
 		t.Fatal(err)
 	}

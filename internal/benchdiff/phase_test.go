@@ -17,8 +17,9 @@ func resWithPhases(name string, roundsEnv int64, phases ...harness.PhaseStat) ha
 }
 
 // TestPhaseGateLocalizedRegression: a slowdown confined to one phase gates
-// under PhaseWorsen even when the scenario-level rounds ratio stays inside
-// EnvelopeWorsen (the other phases shrink to compensate).
+// under the +25% phase gate even when the scenario-level rounds ratio
+// stays inside the +10% envelope gate (the other phases shrink to
+// compensate).
 func TestPhaseGateLocalizedRegression(t *testing.T) {
 	old := report(resWithPhases("a", 100000,
 		harness.PhaseStat{Phase: "decompose", Rounds: 9000},
@@ -30,7 +31,7 @@ func TestPhaseGateLocalizedRegression(t *testing.T) {
 		harness.PhaseStat{Phase: "decompose", Rounds: 8000},
 		harness.PhaseStat{Phase: "cutter", Rounds: 2000},
 	))
-	d, err := Compare(old, shifted, DefaultThresholds())
+	d, err := Compare(old, shifted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +45,7 @@ func TestPhaseGateLocalizedRegression(t *testing.T) {
 }
 
 // TestPhaseGateMinDelta: tiny phases move a few rounds without gating — the
-// absolute PhaseMinDelta floor absorbs them (they still mark the scenario
-// changed).
+// 16-round floor absorbs them (they still mark the scenario changed).
 func TestPhaseGateMinDelta(t *testing.T) {
 	old := report(resWithPhases("a", 100000,
 		harness.PhaseStat{Phase: "decompose", Rounds: 10000},
@@ -55,59 +55,78 @@ func TestPhaseGateMinDelta(t *testing.T) {
 		harness.PhaseStat{Phase: "decompose", Rounds: 10000},
 		harness.PhaseStat{Phase: "merge", Rounds: 12},
 	))
-	d, err := Compare(old, small, DefaultThresholds())
+	d, err := Compare(old, small)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !d.OK {
-		t.Fatalf("+8 rounds on a 4-round phase gated despite PhaseMinDelta=16: %+v", d)
+		t.Fatalf("+8 rounds on a 4-round phase gated despite the 16-round floor: %+v", d)
 	}
 	if d.Changed != 1 {
 		t.Fatalf("phase movement not detected as a change: %+v", d)
 	}
 }
 
-// TestPhaseGateDisabled: a negative PhaseWorsen turns per-phase gating off.
-func TestPhaseGateDisabled(t *testing.T) {
-	old := report(resWithPhases("a", 100000, harness.PhaseStat{Phase: "cutter", Rounds: 1000}))
-	worse := report(resWithPhases("a", 100000, harness.PhaseStat{Phase: "cutter", Rounds: 5000}))
-	th := DefaultThresholds()
-	th.PhaseWorsen = -1
-	th.EnvelopeWorsen = -1 // the scenario total would gate otherwise
-	d, err := Compare(old, worse, th)
+// TestPhaseGateWithinThreshold: a phase whose share grows by less than 25%
+// passes even though far more than 16 rounds moved (the scenario total
+// moves 2%, inside its own gate).
+func TestPhaseGateWithinThreshold(t *testing.T) {
+	old := report(resWithPhases("a", 100000,
+		harness.PhaseStat{Phase: "decompose", Rounds: 9000},
+		harness.PhaseStat{Phase: "cutter", Rounds: 1000},
+	))
+	worse := report(resWithPhases("a", 100000,
+		harness.PhaseStat{Phase: "decompose", Rounds: 9000},
+		harness.PhaseStat{Phase: "cutter", Rounds: 1200},
+	))
+	d, err := Compare(old, worse)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.OK {
-		t.Fatalf("disabled phase gate still regressed: %+v", d)
+	if !d.OK || d.Changed != 1 {
+		t.Fatalf("+20%% on one phase gated under the +25%% phase gate: %+v", d)
 	}
 }
 
 // TestPhaseGateNewPhase: a phase appearing from nowhere with substantial
-// rounds gates (its old ratio is 0, so any growth beyond the floor trips).
+// rounds gates (its old ratio is 0, so any growth beyond the floor trips),
+// even while the scenario total stays flat.
 func TestPhaseGateNewPhase(t *testing.T) {
 	old := report(resWithPhases("a", 100000, harness.PhaseStat{Phase: "decompose", Rounds: 10000}))
 	grown := report(resWithPhases("a", 100000,
-		harness.PhaseStat{Phase: "decompose", Rounds: 10000},
+		harness.PhaseStat{Phase: "decompose", Rounds: 7000},
 		harness.PhaseStat{Phase: "bfs-layers", Rounds: 3000},
 	))
-	d, err := Compare(old, grown, Thresholds{EnvelopeWorsen: -1, PhaseWorsen: 0.25, PhaseMinDelta: 16})
+	d, err := Compare(old, grown)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.OK {
 		t.Fatalf("new 3000-round phase passed the gate: %+v", d)
 	}
+	if got := d.Deltas[0].Reasons; len(got) != 1 || !strings.Contains(got[0], `phase "bfs-layers"`) {
+		t.Fatalf("want only the bfs-layers phase reason, got %q", got)
+	}
 }
 
 // TestPhaseDeltasInMetrics: phase rows surface as phase:<key> metric deltas
-// so the JSON diff (and the markdown "other deltas" column) carries them.
+// so the markdown "other deltas" column carries them. The cutter moves 10%
+// and the scenario total 1%, so neither gate trips.
 func TestPhaseDeltasInMetrics(t *testing.T) {
-	old := report(resWithPhases("a", 100000, harness.PhaseStat{Phase: "cutter", Rounds: 1000}))
-	moved := report(resWithPhases("a", 100000, harness.PhaseStat{Phase: "cutter", Rounds: 1100}))
-	d, err := Compare(old, moved, Thresholds{EnvelopeWorsen: -1, PhaseWorsen: -1})
+	old := report(resWithPhases("a", 100000,
+		harness.PhaseStat{Phase: "decompose", Rounds: 9000},
+		harness.PhaseStat{Phase: "cutter", Rounds: 1000},
+	))
+	moved := report(resWithPhases("a", 100000,
+		harness.PhaseStat{Phase: "decompose", Rounds: 9000},
+		harness.PhaseStat{Phase: "cutter", Rounds: 1100},
+	))
+	d, err := Compare(old, moved)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !d.OK || d.Changed != 1 {
+		t.Fatalf("a 10%% phase move gated: %+v", d)
 	}
 	found := false
 	for _, m := range d.Deltas[0].Metrics {
@@ -133,7 +152,7 @@ func TestPhaseSelfDiffUnchanged(t *testing.T) {
 		harness.PhaseStat{Phase: "decompose", Rounds: 9000, Messages: 50},
 		harness.PhaseStat{Phase: "cutter", Rounds: 1000, Messages: 20, RoundsByDepth: "600/400"},
 	))
-	d, err := Compare(rep, rep, DefaultThresholds())
+	d, err := Compare(rep, rep)
 	if err != nil {
 		t.Fatal(err)
 	}

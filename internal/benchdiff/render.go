@@ -1,25 +1,14 @@
 package benchdiff
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
 )
 
-// WriteJSON emits the diff as indented JSON (the machine-readable artifact
-// a dashboard or a later PR can consume).
-func WriteJSON(w io.Writer, d Diff) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}
-
-// WriteMarkdown renders the diff as a delta table. With changedOnly, rows
-// whose every metric is identical are summarized in one count instead of
-// listed — the usual CI view; the full table is for humans chasing a
-// regression.
-func WriteMarkdown(w io.Writer, d Diff, changedOnly bool) error {
+// WriteMarkdown renders the diff as a delta table of the scenarios that
+// moved; unchanged scenarios appear only in the summary count.
+func WriteMarkdown(w io.Writer, d Diff) error {
 	var b strings.Builder
 	b.WriteString("# Bench diff\n\n")
 	fmt.Fprintf(&b, "Old: suite **%s**%s · %d scenarios · %d failures\n",
@@ -28,34 +17,14 @@ func WriteMarkdown(w io.Writer, d Diff, changedOnly bool) error {
 		d.New.Suite, quickMark(d.New.Quick), d.New.Scenarios, d.New.Failures)
 	fmt.Fprintf(&b, "%d unchanged · %d changed · %d regressed · %d added · %d removed · %d new failures\n\n",
 		d.Unchanged, d.Changed, d.Regressed, d.Added, d.Removed, d.NewFailures)
-	if th := d.Thresholds.EnvelopeWorsen; th >= 0 {
-		fmt.Fprintf(&b, "Gate: envelope ratios may worsen at most %+.0f%%; ", 100*th)
-	} else {
-		b.WriteString("Gate: envelope ratios not gated; ")
-	}
-	if th := d.Thresholds.PhaseWorsen; th >= 0 {
-		fmt.Fprintf(&b, "per-phase round shares at most %+.0f%% (≥%d rounds moved); ", 100*th, d.Thresholds.PhaseMinDelta)
-	} else {
-		b.WriteString("per-phase round shares not gated; ")
-	}
-	if d.Thresholds.AllowNewFailures {
-		b.WriteString("new verification failures tolerated.\n")
-	} else {
-		b.WriteString("new verification failures block.\n")
-	}
+	fmt.Fprintf(&b, "Gate: envelope ratios may worsen at most %+.0f%%; per-phase round shares at most %+.0f%% (≥%d rounds moved); new verification failures block.\n",
+		100*envelopeWorsen, 100*phaseWorsen, phaseMinDelta)
 
-	rows := 0
-	for _, delta := range d.Deltas {
-		if changedOnly && delta.Status == StatusUnchanged {
-			continue
-		}
-		rows++
-	}
-	if rows > 0 {
+	if d.Unchanged < len(d.Deltas) {
 		b.WriteString("\n| scenario | status | rounds | congestion | awake | bits | r(rounds) | r(congestion) | r(awake) | r(bits) | other deltas |\n")
 		b.WriteString("|---|---|---|---|---|---|---|---|---|---|---|\n")
 		for _, delta := range d.Deltas {
-			if changedOnly && delta.Status == StatusUnchanged {
+			if delta.Status == StatusUnchanged {
 				continue
 			}
 			cell := func(name string) string { return metricCell(delta, name) }

@@ -102,6 +102,20 @@ func Build(g *graph.Graph, participants []bool, weight WeightFn, maxDist int64) 
 		w = func(graph.NodeID, int) int64 { return 1 }
 	}
 
+	// heaviest is the largest metric weight of an edge between
+	// participants, capped at maxDist (no token crosses a heavier edge).
+	var heaviest int64
+	for u := 0; u < n; u++ {
+		if !inSet(graph.NodeID(u)) {
+			continue
+		}
+		for i, h := range g.Adj(graph.NodeID(u)) {
+			if inSet(h.To) {
+				heaviest = max(heaviest, min(w(graph.NodeID(u), i), maxDist))
+			}
+		}
+	}
+
 	cv := &Cover{B: Base(n), Node: make([][]Membership, n), MaxDist: maxDist}
 	stretch := Stretch(n)
 	radius := int64(1)
@@ -183,12 +197,12 @@ func Build(g *graph.Graph, participants []bool, weight WeightFn, maxDist int64) 
 		// largest actual cluster radius of this layer, which guarantees the
 		// Definition 3.4 parent containment (r_C <= d_{j+1}/2) directly
 		// from measured geometry rather than the worst-case stretch bound;
-		// the factor-4 floor bounds the layer count by log(maxDist).
-		next := 4 * radius
-		if 2*maxActualRadius > next {
-			next = 2 * maxActualRadius
-		}
-		radius = next
+		// the factor-4 floor bounds the layer count by log(maxDist). The
+		// heaviest-edge floor extends containment across edges: a
+		// neighbour x of a member z sits within r_C + w(x,z) of C's
+		// center, which the parent's 2·d_{j+1} expansion covers only
+		// while w(x,z) <= 1.5·d_{j+1}.
+		radius = max(4*radius, 2*maxActualRadius, heaviest)
 		if len(cv.Layers) > 64 {
 			return nil, fmt.Errorf("decomp: layer overflow (maxDist=%d)", maxDist)
 		}

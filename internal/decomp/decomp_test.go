@@ -29,11 +29,17 @@ func metricDist(g *graph.Graph, from graph.NodeID, participants []bool, w Weight
 }
 
 // verifyCover checks the cover property, tree validity, stretch, and parent
-// containment on every layer.
+// containment on every layer. Parent containment also covers every graph
+// neighbour of every member across an edge no heavier than MaxDist: the
+// energy BFS needs it, because a token crossing an edge into a cluster
+// finds that cluster awake only when the sender is inside its parent too.
 func verifyCover(t *testing.T, g *graph.Graph, cv *Cover, participants []bool, w WeightFn) {
 	t.Helper()
 	n := g.N()
 	inSet := func(v int) bool { return participants == nil || participants[v] }
+	if w == nil {
+		w = func(graph.NodeID, int) int64 { return 1 }
+	}
 
 	// Collect cluster -> member set and roots.
 	members := make(map[int32]map[graph.NodeID]Membership)
@@ -135,6 +141,12 @@ func verifyCover(t *testing.T, g *graph.Graph, cv *Cover, participants []bool, w
 		}
 		half := cv.Layers[layer+1].Radius / 2
 		for v := range ms {
+			for i, h := range g.Adj(v) {
+				if _, ok := members[pc][h.To]; !ok && inSet(int(h.To)) && w(v, i) <= cv.MaxDist {
+					t.Fatalf("cluster %d's parent %d misses node %d, a neighbour of member %d across weight %d",
+						cid, pc, h.To, v, w(v, i))
+				}
+			}
 			dist := metricDist(g, v, participants, w)
 			for u := 0; u < n; u++ {
 				if inSet(u) && dist[u] >= 0 && dist[u] <= half && dist[u] < graph.Inf {
@@ -243,5 +255,21 @@ func TestCoverTopLayerRadius(t *testing.T) {
 func TestCoverBadMaxDist(t *testing.T) {
 	if _, err := Build(graph.Path(3, graph.UnitWeights), nil, nil, 0); err == nil {
 		t.Fatal("want error for maxDist < 1")
+	}
+}
+
+// TestCoverHeavyWeights: covers under metrics whose single edges outweigh
+// the lower layers' radii (weights up to n) across graph families.
+func TestCoverHeavyWeights(t *testing.T) {
+	for _, fam := range []graph.Family{graph.FamilyRandom, graph.FamilyGrid, graph.FamilyExpander, graph.FamilyPowerLaw} {
+		for _, n := range []int{24, 32, 64} {
+			g := graph.Make(fam, n, graph.UniformWeights(int64(n), 7), 3)
+			w := func(u graph.NodeID, i int) int64 { return g.Adj(u)[i].W }
+			cv, err := Build(g, nil, w, int64(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			verifyCover(t, g, cv, nil, w)
+		}
 	}
 }

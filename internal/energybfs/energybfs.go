@@ -15,13 +15,12 @@
 //     provably outruns the frontier (Lemma 3.7's condition): a layer-j
 //     cluster is fully awake before any of its nodes can be reached.
 //   - A node listens at BFS step rounds while one of its layer-0 clusters
-//     is active, so token messages are meant never to be lost — the tests
-//     assert LostMessages == 0 and exact distances on hop and light
-//     metrics. Known gap: with heavy metric edges (random graphs with
-//     weights near n, e.g. n=24 with weights up to 24) a token can reach a
-//     node whose layer-0 cluster is not yet awake, so messages are lost
-//     and distances come out wrong; Lemma 3.7's condition does not hold
-//     for such edges under the current pace. The fix is pending.
+//     is active, so token messages are never lost — the tests assert
+//     LostMessages == 0 and exact distances. Heavy metric edges are safe
+//     because package decomp floors every layer radius above the first at
+//     the heaviest edge no heavier than MaxDist, so a parent cluster also
+//     holds its child's neighbours and is awake before any token crosses
+//     into the child.
 //
 // Tokens carry the receiver's distance; an edge of metric weight w relays
 // from a node at distance d in the round of step d+w (a sleeping-model

@@ -293,6 +293,48 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadJSONRejects: ReadJSON accepts one self-consistent report (plus
+// trailing whitespace) and rejects everything a diff could misread.
+func TestReadJSONRejects(t *testing.T) {
+	good := BuildReport("test", true, []Result{
+		{Scenario: "a", Rounds: 10, OK: true, Phases: []PhaseStat{{Phase: "cutter", Rounds: 4}, {Phase: "merge", Rounds: 6}}},
+		{Scenario: "b", Rounds: 20, Err: "boom"},
+	})
+	encode := func(edit func(*Report)) string {
+		rep := good
+		rep.Results = append([]Result(nil), good.Results...)
+		edit(&rep)
+		var buf bytes.Buffer
+		if err := WriteJSON(&buf, rep); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	valid := encode(func(*Report) {})
+	if _, err := ReadJSON(strings.NewReader(valid + " \n\t")); err != nil {
+		t.Fatalf("valid report rejected: %v", err)
+	}
+	for _, c := range []struct{ name, in, want string }{
+		{"trailing garbage", valid + "xyz", "trailing data"},
+		{"second report", valid + valid, "trailing data"},
+		{"duplicate scenario", encode(func(r *Report) { r.Results[1].Scenario = "a" }), `scenario "a" listed twice`},
+		{"scenarios count", encode(func(r *Report) { r.Scenarios = 3 }), "scenarios is 3 but 2 results"},
+		{"failures count", encode(func(r *Report) { r.Failures = 0 }), "failures is 0 but 1 results fail"},
+		{"negative count", encode(func(r *Report) { r.Results[1].MaxAwake = -1 }), `scenario "b" has a negative count`},
+		{"duplicate phase", encode(func(r *Report) {
+			r.Results[0].Phases = []PhaseStat{{Phase: "cutter", Rounds: 4}, {Phase: "cutter", Rounds: 6}}
+		}), `lists phase "cutter" twice`},
+		{"negative phase", encode(func(r *Report) {
+			r.Results[0].Phases = []PhaseStat{{Phase: "cutter", Rounds: -4}}
+		}), `phase "cutter" has a negative count`},
+	} {
+		_, err := ReadJSON(strings.NewReader(c.in))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want it to mention %q", c.name, err, c.want)
+		}
+	}
+}
+
 // TestEnvelopesHold: the calibrated envelopes are the regression baseline —
 // every quick scenario must sit inside its predicted bounds.
 func TestEnvelopesHold(t *testing.T) {

@@ -47,16 +47,62 @@ func WriteJSON(w io.Writer, rep Report) error {
 	return enc.Encode(rep)
 }
 
-// ReadJSON parses a report and rejects unknown schemas.
+// ReadJSON parses exactly one report. It rejects unknown schemas, data
+// after the report, and reports that contradict themselves: duplicate
+// scenario names (a diff aligns by name), duplicate phases within a
+// scenario, negative counts, and scenarios/failures totals that disagree
+// with the results.
 func ReadJSON(r io.Reader) (Report, error) {
+	dec := json.NewDecoder(r)
 	var rep Report
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
+	if err := dec.Decode(&rep); err != nil {
 		return Report{}, fmt.Errorf("harness: parsing report: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Report{}, fmt.Errorf("harness: trailing data after the report")
 	}
 	if rep.Schema != ReportSchema {
 		return Report{}, fmt.Errorf("harness: unsupported report schema %q (want %q)", rep.Schema, ReportSchema)
 	}
+	if err := rep.check(); err != nil {
+		return Report{}, fmt.Errorf("harness: inconsistent report: %w", err)
+	}
 	return rep, nil
+}
+
+func (rep Report) check() error {
+	if rep.Scenarios != len(rep.Results) {
+		return fmt.Errorf("scenarios is %d but %d results are listed", rep.Scenarios, len(rep.Results))
+	}
+	failures := 0
+	seen := make(map[string]bool, len(rep.Results))
+	for _, r := range rep.Results {
+		if seen[r.Scenario] {
+			return fmt.Errorf("scenario %q listed twice", r.Scenario)
+		}
+		seen[r.Scenario] = true
+		if !r.OK {
+			failures++
+		}
+		if min(r.Rounds, r.StrictRounds, r.Messages, r.MaxEdgeMessages, r.MaxMessageBits, r.MaxAwake, r.TotalAwake,
+			int64(r.Unreachable), r.Dilation, r.Congestion, r.MakespanAligned, r.MakespanRandom, r.MakespanSequential) < 0 {
+			return fmt.Errorf("scenario %q has a negative count", r.Scenario)
+		}
+		phases := make(map[string]bool, len(r.Phases))
+		for _, p := range r.Phases {
+			if phases[p.Phase] {
+				return fmt.Errorf("scenario %q lists phase %q twice", r.Scenario, p.Phase)
+			}
+			phases[p.Phase] = true
+			if min(p.Rounds, p.Messages, p.AwakeRounds, p.MaxMessageBits) < 0 {
+				return fmt.Errorf("scenario %q phase %q has a negative count", r.Scenario, p.Phase)
+			}
+		}
+	}
+	if rep.Failures != failures {
+		return fmt.Errorf("failures is %d but %d results fail", rep.Failures, failures)
+	}
+	return nil
 }
 
 // ratio formats measured/predicted, or "-" when no bound is claimed. Ratios

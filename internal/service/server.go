@@ -4,8 +4,8 @@
 // pool behind a content-addressed result cache. The determinism the bench
 // harness guarantees is what makes this sound: a query result is a pure
 // function of (canonical graph, options), so cached bytes are
-// indistinguishable from recomputation. Scenario sweeps and their trends
-// are offline tools (dsssp-bench -json, dsssp-diff -trend), not endpoints.
+// indistinguishable from recomputation. Scenario sweeps and their diffs
+// are offline tools (dsssp-bench -json, dsssp-diff), not endpoints.
 package service
 
 import (
