@@ -6,8 +6,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // NodeID identifies a node; nodes are numbered 0..N-1.
@@ -62,7 +63,9 @@ type Graph struct {
 	// a deliberate trade: graph construction is noise next to the
 	// simulations run on the graph, and an unconditional policy is what
 	// makes a Graph a pure function of its edge set (the serving layer's
-	// cache-keying invariant) with no "trusted builder" carve-outs.
+	// cache-keying invariant). The one bulk path, build, fills the index
+	// without the merge; its callers hand it duplicate-free lists
+	// (ApplyDeltas by construction, FromEdges checked).
 	index map[uint64]EdgeID
 }
 
@@ -167,13 +170,12 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 // canonical neighbor order for deterministic message scheduling; every
 // generator calls this before returning.
 func (g *Graph) SortAdj() {
-	for u := range g.adj {
-		a := g.adj[u]
-		sort.Slice(a, func(i, j int) bool {
-			if a[i].To != a[j].To {
-				return a[i].To < a[j].To
+	for _, a := range g.adj {
+		slices.SortFunc(a, func(x, y Half) int {
+			if c := cmp.Compare(x.To, y.To); c != 0 {
+				return c
 			}
-			return a[i].ID < a[j].ID
+			return cmp.Compare(x.ID, y.ID)
 		})
 	}
 }
@@ -204,6 +206,82 @@ type EdgeTriple struct {
 	U, V NodeID
 	W    int64
 	ID   EdgeID
+}
+
+// FromEdges is the inverse of Edges: it returns the n-node graph whose edge
+// i is edges[i], which must carry ID i, with every adjacency list in
+// (To, ID) order — so FromEdges(g.N(), g.Edges()) reproduces any graph
+// whose adjacency is sorted, EdgeIDs included. Unlike AddEdge it returns an
+// error instead of panicking or merging: on an ID out of place, an endpoint
+// out of range, a self-loop, endpoints not in canonical order, a negative
+// weight or a repeated pair.
+func FromEdges(n int, edges []EdgeTriple) (*Graph, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("graph: negative node count %d", n)
+	}
+	for i, e := range edges {
+		switch {
+		case e.ID != EdgeID(i):
+			return nil, fmt.Errorf("graph: edge %d carries ID %d", i, e.ID)
+		case e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n:
+			return nil, fmt.Errorf("graph: edge %d {%d,%d} out of range (n=%d)", i, e.U, e.V, n)
+		case e.U == e.V:
+			return nil, fmt.Errorf("graph: edge %d is a self-loop at node %d", i, e.U)
+		case e.U > e.V:
+			return nil, fmt.Errorf("graph: edge %d {%d,%d} not in canonical order u < v", i, e.U, e.V)
+		case e.W < 0:
+			return nil, fmt.Errorf("graph: edge %d {%d,%d} has negative weight %d", i, e.U, e.V, e.W)
+		}
+	}
+	g := build(n, edges)
+	if len(g.index) != len(edges) {
+		for i, e := range edges {
+			if j := g.index[pairKey(e.U, e.V)]; j != EdgeID(i) {
+				return nil, fmt.Errorf("graph: edges %d and %d repeat the pair {%d,%d}", i, j, e.U, e.V)
+			}
+		}
+	}
+	return g, nil
+}
+
+// build returns the n-node graph whose edge i is edges[i], without
+// checking endpoints, weights or pair uniqueness. The halves are carved
+// from one flat slice (capacity-limited per node, so a later AddEdge
+// reallocates instead of overwriting a neighbor) and the index is
+// pre-sized. Input in pair order — sorted by (U, V) — leaves every
+// adjacency list sorted by To already; any other order costs one SortAdj.
+func build(n int, edges []EdgeTriple) *Graph {
+	g := &Graph{n: n, m: len(edges), adj: make([][]Half, n), index: make(map[uint64]EdgeID, len(edges))}
+	deg := make([]int32, n)
+	pairOrder := true
+	var prev uint64
+	for i, e := range edges {
+		deg[e.U]++
+		deg[e.V]++
+		k := pairKey(e.U, e.V)
+		if i > 0 && k <= prev {
+			pairOrder = false
+		}
+		prev = k
+	}
+	flat := make([]Half, 2*len(edges))
+	off := 0
+	for u, d := range deg {
+		if d > 0 { // an isolated node keeps a nil list, as New leaves it
+			g.adj[u] = flat[off : off : off+int(d)]
+			off += int(d)
+		}
+	}
+	for i, e := range edges {
+		id := EdgeID(i)
+		g.adj[e.U] = append(g.adj[e.U], Half{To: e.V, W: e.W, ID: id})
+		g.adj[e.V] = append(g.adj[e.V], Half{To: e.U, W: e.W, ID: id})
+		g.index[pairKey(e.U, e.V)] = id
+	}
+	if !pairOrder {
+		g.SortAdj()
+	}
+	return g
 }
 
 // Clone returns a deep copy of the graph.

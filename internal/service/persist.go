@@ -1,10 +1,14 @@
 package service
 
 import (
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -13,48 +17,51 @@ import (
 )
 
 // Registry persistence: with -registry-dir set, every registered graph is
-// spilled to <dir>/<id>.json on register and PATCH (and on Flush, which
+// spilled to <dir>/<id>.spill on register and PATCH (and on Flush, which
 // the server calls at shutdown so traces accumulated by queries survive
 // too), and reloaded on startup — a redeploy doesn't forget every
-// registered graph. Files are written whole via temp + rename in the same
-// directory, so a crash mid-write leaves either the old file or the new
-// one, never a torn read. Cache-entry addresses are deliberately NOT
-// persisted: the result cache starts empty after a restart, and the first
-// query per source re-mints them; distance rows, witness trees and stale
-// ledgers — the expensive state — all survive.
+// registered graph. Files are written whole to a temp file, fsynced,
+// renamed over the old spill and the directory fsynced, so a crash at any
+// point leaves either the old file or the new one; a temp file the crash
+// left behind is deleted at the next boot. Cache-entry addresses are
+// deliberately NOT persisted: the result cache starts empty after a
+// restart, and the first query per source re-mints them; distance rows,
+// witness trees and stale ledgers — the expensive state — all survive.
+//
+// A spill is little-endian binary:
+//
+//	magic "DSSSPILL", version u32
+//	id length u32, id bytes
+//	revision u64, n u32, created-at ns i64, patched-at ns i64 (0: never)
+//	m u32, then m edges {u u32, v u32, w i64} in EdgeID order, u < v
+//	exact traces u32, each {src u32, has-parent u8, dist n×i64, [parent n×i32]}
+//	stale traces u32, each {src u32, dist n×i64, parent n×i32,
+//	    ledger entries u32, each {pair key u64, base weight i64}}
+//	CRC-32C u32 of everything before it
+//
+// Traces are sorted by source and ledgers by key, so the encoding is a
+// function of the registry state and a decoded spill re-encodes to the
+// same bytes. The decoder checks the checksum first and then every field,
+// and checks each count against the bytes left before it allocates.
 
-// persistedGraph is the on-disk form of one registered graph.
-type persistedGraph struct {
-	ID        string           `json:"id"`
-	Revision  int              `json:"revision"`
-	N         int              `json:"n"`
-	Edges     [][3]int64       `json:"edges"` // [u, v, w] triples
-	CreatedNS int64            `json:"created_at_ns"`
-	PatchedNS int64            `json:"patched_at_ns,omitempty"`
-	Traces    []persistedTrace `json:"traces,omitempty"`
-	Stale     []persistedStale `json:"stale,omitempty"`
-}
+const (
+	spillExt     = ".spill"
+	spillMagic   = "DSSSPILL"
+	spillVersion = 1
+	// maxSpillNodes bounds n, the one size a spill's byte count does not:
+	// an n-node graph costs n adjacency headers even with no edges.
+	maxSpillNodes = 1 << 21
+	maxSpillID    = 128
+)
 
-type persistedTrace struct {
-	Src    int32          `json:"src"`
-	Dist   []int64        `json:"dist"`
-	Parent []graph.NodeID `json:"parent,omitempty"`
-}
-
-type persistedStale struct {
-	Src    int32          `json:"src"`
-	Dist   []int64        `json:"dist"`
-	Parent []graph.NodeID `json:"parent"`
-	// The base-weight ledger, split into parallel arrays (JSON objects
-	// can't key on uint64 without string round-trips).
-	BaseKeys    []uint64 `json:"base_keys"`
-	BaseWeights []int64  `json:"base_weights"`
-}
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // EnablePersistence turns on spill-to-disk under dir (created if missing)
 // and reloads every graph already spilled there, least recently patched
-// first so the LRU order favors recent activity. Returns how many graphs
-// were restored. Call once, before the registry is shared.
+// first so the LRU order favors recent activity. Temp files a crash left
+// mid-spill are deleted. Returns how many graphs were restored; on any
+// unreadable spill it returns an error naming the file and restores
+// nothing. Call once, before the registry is shared.
 func (r *GraphRegistry) EnablePersistence(dir string) (int, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, err
@@ -63,100 +70,63 @@ func (r *GraphRegistry) EnablePersistence(dir string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	var loaded []*persistedGraph
+	var loaded []*regGraph
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
+		name := e.Name()
+		path := filepath.Join(dir, name)
+		switch {
+		case e.IsDir():
+			continue
+		case strings.HasPrefix(name, ".") && strings.Contains(name, ".tmp-"):
+			if err := os.Remove(path); err != nil {
+				return 0, err
+			}
+			continue
+		case !strings.HasSuffix(name, spillExt):
 			continue
 		}
-		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		raw, err := os.ReadFile(path)
 		if err != nil {
 			return 0, err
 		}
-		var pg persistedGraph
-		if err := json.Unmarshal(raw, &pg); err != nil {
-			return 0, fmt.Errorf("registry persistence: %s: %w", e.Name(), err)
+		rg, err := decodeSpill(raw)
+		if err == nil && rg.id+spillExt != name {
+			err = fmt.Errorf("holds graph %q", rg.id)
 		}
-		loaded = append(loaded, &pg)
+		if err != nil {
+			return 0, fmt.Errorf("spill %s: %w", path, err)
+		}
+		loaded = append(loaded, rg)
 	}
 	sort.Slice(loaded, func(a, b int) bool { return recencyNS(loaded[a]) < recencyNS(loaded[b]) })
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.dir = dir
-	restored := 0
-	for _, pg := range loaded {
-		if err := r.restoreLocked(pg); err != nil {
-			return restored, fmt.Errorf("registry persistence: %s: %w", pg.ID, err)
+	for _, rg := range loaded {
+		if _, dup := r.graphs[rg.id]; dup {
+			return 0, fmt.Errorf("spill of %s: graph already registered", rg.id)
 		}
-		restored++
 	}
-	return restored, nil
+	for _, rg := range loaded {
+		r.restoreLocked(rg)
+	}
+	return len(loaded), nil
 }
 
-func recencyNS(pg *persistedGraph) int64 {
-	if pg.PatchedNS != 0 {
-		return pg.PatchedNS
+func recencyNS(rg *regGraph) int64 {
+	if !rg.patchedAt.IsZero() {
+		return rg.patchedAt.UnixNano()
 	}
-	return pg.CreatedNS
+	return rg.createdAt.UnixNano()
 }
 
-// restoreLocked rebuilds one graph from its spilled form. The digest is
-// recomputed from content, never trusted from disk.
-func (r *GraphRegistry) restoreLocked(pg *persistedGraph) error {
-	if _, dup := r.graphs[pg.ID]; dup {
-		return fmt.Errorf("duplicate id")
-	}
-	if pg.N <= 0 || pg.Revision <= 0 {
-		return fmt.Errorf("malformed header (n=%d revision=%d)", pg.N, pg.Revision)
-	}
-	g := graph.New(pg.N)
-	for _, e := range pg.Edges {
-		g.AddEdge(graph.NodeID(e[0]), graph.NodeID(e[1]), e[2])
-	}
-	g.SortAdj()
-	head := &revision{
-		num:    pg.Revision,
-		digest: canonicalGraphDigest(g),
-		g:      g,
-		traces: make(map[graph.NodeID]*sourceTrace, len(pg.Traces)),
-		stale:  make(map[graph.NodeID]*staleTrace, len(pg.Stale)),
-	}
-	bytes := graphBytes(g)
-	for _, pt := range pg.Traces {
-		if len(pt.Dist) != g.N() || (pt.Parent != nil && len(pt.Parent) != g.N()) {
-			return fmt.Errorf("trace for source %d has wrong length", pt.Src)
-		}
-		tr := &sourceTrace{dist: pt.Dist, parent: pt.Parent, entries: make(map[string]struct{})}
-		tr.bytes = traceBytes(tr.dist, tr.parent)
-		head.traces[graph.NodeID(pt.Src)] = tr
-		bytes += tr.bytes
-	}
-	for _, ps := range pg.Stale {
-		if len(ps.Dist) != g.N() || len(ps.Parent) != g.N() || len(ps.BaseKeys) != len(ps.BaseWeights) {
-			return fmt.Errorf("stale trace for source %d is malformed", ps.Src)
-		}
-		st := &staleTrace{dist: ps.Dist, parent: ps.Parent, base: make(map[uint64]int64, len(ps.BaseKeys))}
-		for i, k := range ps.BaseKeys {
-			st.base[k] = ps.BaseWeights[i]
-		}
-		st.bytes = staleTraceBytes(st)
-		head.stale[graph.NodeID(ps.Src)] = st
-		bytes += st.bytes
-	}
-	rg := &regGraph{
-		id:        pg.ID,
-		createdAt: time.Unix(0, pg.CreatedNS),
-		head:      head,
-		bytes:     bytes,
-	}
-	if pg.PatchedNS != 0 {
-		rg.patchedAt = time.Unix(0, pg.PatchedNS)
-	}
+// restoreLocked admits one decoded graph.
+func (r *GraphRegistry) restoreLocked(rg *regGraph) {
 	rg.el = r.lru.PushFront(rg)
-	r.graphs[pg.ID] = rg
+	r.graphs[rg.id] = rg
 	r.bytes += rg.bytes
 	r.evictLocked(rg)
-	return nil
 }
 
 // Flush spills every resident graph (traces accumulated since the last
@@ -190,65 +160,353 @@ func (r *GraphRegistry) unspillLocked(id string) {
 	if r.dir == "" {
 		return
 	}
-	_ = os.Remove(filepath.Join(r.dir, id+".json"))
+	_ = os.Remove(filepath.Join(r.dir, id+spillExt))
 }
 
+// writeLocked replaces rg's spill: encode into the registry's reused
+// buffer, write and fsync a temp file, rename it over the spill, fsync the
+// directory.
 func (r *GraphRegistry) writeLocked(rg *regGraph) error {
-	pg := persistedGraph{
-		ID:        rg.id,
-		Revision:  rg.head.num,
-		N:         rg.head.g.N(),
-		CreatedNS: rg.createdAt.UnixNano(),
+	if n := rg.head.g.N(); n > maxSpillNodes {
+		return fmt.Errorf("graph %s: n=%d is above the spill limit %d", rg.id, n, maxSpillNodes)
 	}
-	if !rg.patchedAt.IsZero() {
-		pg.PatchedNS = rg.patchedAt.UnixNano()
-	}
-	for _, e := range rg.head.g.Edges() {
-		pg.Edges = append(pg.Edges, [3]int64{int64(e.U), int64(e.V), e.W})
-	}
-	for src, tr := range rg.head.traces {
-		if src == apspTraceKey {
-			continue // cache-entry addresses only; nothing to warm-start
-		}
-		pg.Traces = append(pg.Traces, persistedTrace{Src: int32(src), Dist: tr.dist, Parent: tr.parent})
-	}
-	sort.Slice(pg.Traces, func(a, b int) bool { return pg.Traces[a].Src < pg.Traces[b].Src })
-	for src, st := range rg.head.stale {
-		ps := persistedStale{Src: int32(src), Dist: st.dist, Parent: st.parent}
-		ps.BaseKeys = make([]uint64, 0, len(st.base))
-		for k := range st.base {
-			ps.BaseKeys = append(ps.BaseKeys, k)
-		}
-		sort.Slice(ps.BaseKeys, func(a, b int) bool { return ps.BaseKeys[a] < ps.BaseKeys[b] })
-		ps.BaseWeights = make([]int64, len(ps.BaseKeys))
-		for i, k := range ps.BaseKeys {
-			ps.BaseWeights[i] = st.base[k]
-		}
-		pg.Stale = append(pg.Stale, ps)
-	}
-	sort.Slice(pg.Stale, func(a, b int) bool { return pg.Stale[a].Src < pg.Stale[b].Src })
-
-	raw, err := json.Marshal(&pg)
-	if err != nil {
-		return err
-	}
+	r.spillBuf = appendSpill(r.spillBuf[:0], rg)
 	f, err := os.CreateTemp(r.dir, "."+rg.id+".tmp-*")
 	if err != nil {
 		return err
 	}
 	tmp := f.Name()
-	if _, err := f.Write(raw); err != nil {
-		f.Close()
+	_, err = f.Write(r.spillBuf)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(r.dir, rg.id+spillExt))
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	d, err := os.Open(r.dir)
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(r.dir, rg.id+".json")); err != nil {
-		os.Remove(tmp)
-		return err
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
-	return nil
+	return err
+}
+
+// appendSpill appends rg's spill encoding to b.
+func appendSpill(b []byte, rg *regGraph) []byte {
+	le := binary.LittleEndian
+	start := len(b)
+	head := rg.head
+	n := head.g.N()
+	var patched int64
+	if !rg.patchedAt.IsZero() {
+		patched = rg.patchedAt.UnixNano()
+	}
+	b = append(b, spillMagic...)
+	b = le.AppendUint32(b, spillVersion)
+	b = le.AppendUint32(b, uint32(len(rg.id)))
+	b = append(b, rg.id...)
+	b = le.AppendUint64(b, uint64(head.num))
+	b = le.AppendUint32(b, uint32(n))
+	b = le.AppendUint64(b, uint64(rg.createdAt.UnixNano()))
+	b = le.AppendUint64(b, uint64(patched))
+
+	edges := head.g.Edges()
+	b = le.AppendUint32(b, uint32(len(edges)))
+	for _, e := range edges {
+		b = le.AppendUint32(b, uint32(e.U))
+		b = le.AppendUint32(b, uint32(e.V))
+		b = le.AppendUint64(b, uint64(e.W))
+	}
+
+	srcs := make([]graph.NodeID, 0, len(head.traces))
+	for src := range head.traces {
+		if src != apspTraceKey { // cache-entry addresses only; nothing to warm-start
+			srcs = append(srcs, src)
+		}
+	}
+	slices.Sort(srcs)
+	b = le.AppendUint32(b, uint32(len(srcs)))
+	for _, src := range srcs {
+		tr := head.traces[src]
+		b = le.AppendUint32(b, uint32(src))
+		if tr.parent == nil {
+			b = append(b, 0)
+			b = appendDist(b, tr.dist)
+		} else {
+			b = append(b, 1)
+			b = appendParent(appendDist(b, tr.dist), tr.parent)
+		}
+	}
+
+	srcs = srcs[:0]
+	for src := range head.stale {
+		srcs = append(srcs, src)
+	}
+	slices.Sort(srcs)
+	b = le.AppendUint32(b, uint32(len(srcs)))
+	for _, src := range srcs {
+		st := head.stale[src]
+		b = le.AppendUint32(b, uint32(src))
+		b = appendParent(appendDist(b, st.dist), st.parent)
+		keys := make([]uint64, 0, len(st.base))
+		for k := range st.base {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		b = le.AppendUint32(b, uint32(len(keys)))
+		for _, k := range keys {
+			b = le.AppendUint64(b, k)
+			b = le.AppendUint64(b, uint64(st.base[k]))
+		}
+	}
+	return le.AppendUint32(b, crc32.Checksum(b[start:], castagnoli))
+}
+
+func appendDist(b []byte, dist []int64) []byte {
+	for _, d := range dist {
+		b = binary.LittleEndian.AppendUint64(b, uint64(d))
+	}
+	return b
+}
+
+func appendParent(b []byte, parent []graph.NodeID) []byte {
+	for _, p := range parent {
+		b = binary.LittleEndian.AppendUint32(b, uint32(p))
+	}
+	return b
+}
+
+// spillReader walks a spill body. Reads past the end set err and return
+// zeros, so a decoder can check err once per record.
+type spillReader struct {
+	b   []byte
+	err error
+}
+
+var errSpillShort = errors.New("truncated record")
+
+func (r *spillReader) take(k int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if k > len(r.b) {
+		r.err = errSpillShort
+		return nil
+	}
+	out := r.b[:k]
+	r.b = r.b[k:]
+	return out
+}
+
+func (r *spillReader) u8() byte {
+	if b := r.take(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (r *spillReader) u32() uint32 {
+	if b := r.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (r *spillReader) u64() uint64 {
+	if b := r.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+// count reads a record count and refuses one whose records, at least
+// size bytes each, would not fit in what is left.
+func (r *spillReader) count(what string, size int) int {
+	c := r.u32()
+	if r.err == nil && uint64(c)*uint64(size) > uint64(len(r.b)) {
+		r.err = fmt.Errorf("%s count %d overruns the %d bytes left", what, c, len(r.b))
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(c)
+}
+
+// dist reads an n-entry distance row; every entry lies in [0, graph.Inf].
+func (r *spillReader) dist(n int) ([]int64, error) {
+	raw := r.take(8 * n)
+	if r.err != nil {
+		return nil, r.err
+	}
+	out := make([]int64, n)
+	for i := range out {
+		d := int64(binary.LittleEndian.Uint64(raw[8*i:]))
+		if d < 0 || d > graph.Inf {
+			return nil, fmt.Errorf("dist[%d] = %d outside [0,Inf]", i, d)
+		}
+		out[i] = d
+	}
+	return out, nil
+}
+
+// parent reads an n-entry witness tree; every entry lies in [-1, n).
+func (r *spillReader) parent(n int) ([]graph.NodeID, error) {
+	raw := r.take(4 * n)
+	if r.err != nil {
+		return nil, r.err
+	}
+	out := make([]graph.NodeID, n)
+	for i := range out {
+		p := graph.NodeID(int32(binary.LittleEndian.Uint32(raw[4*i:])))
+		if p < -1 || int(p) >= n {
+			return nil, fmt.Errorf("parent[%d] = %d outside [-1,%d)", i, p, n)
+		}
+		out[i] = p
+	}
+	return out, nil
+}
+
+// decodeSpill parses and validates one spill into a registry entry (not
+// yet on the LRU list). The digest is recomputed from content, never
+// trusted from disk.
+func decodeSpill(data []byte) (*regGraph, error) {
+	if len(data) < len(spillMagic)+8 {
+		return nil, fmt.Errorf("truncated: %d bytes", len(data))
+	}
+	body := data[:len(data)-4]
+	if string(body[:len(spillMagic)]) != spillMagic {
+		return nil, errors.New("not a registry spill (bad magic)")
+	}
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[len(body):]) {
+		return nil, errors.New("checksum mismatch (torn or corrupted spill)")
+	}
+	r := &spillReader{b: body[len(spillMagic):]}
+	if v := r.u32(); v != spillVersion {
+		return nil, fmt.Errorf("unsupported spill version %d", v)
+	}
+	idLen := r.count("id byte", 1)
+	id := string(r.take(idLen))
+	rev := r.u64()
+	n64 := r.u32()
+	created, patched := int64(r.u64()), int64(r.u64())
+	if r.err != nil {
+		return nil, fmt.Errorf("header: %w", r.err)
+	}
+	if !validSpillID(id) {
+		return nil, fmt.Errorf("bad graph id %q", id)
+	}
+	if rev == 0 || rev > math.MaxInt64 {
+		return nil, fmt.Errorf("revision %d outside [1,2^63)", rev)
+	}
+	if n64 == 0 || n64 > maxSpillNodes {
+		return nil, fmt.Errorf("node count %d outside [1,%d]", n64, maxSpillNodes)
+	}
+	n := int(n64)
+
+	edges := make([]graph.EdgeTriple, r.count("edge", 16))
+	for i := range edges {
+		u, v := graph.NodeID(int32(r.u32())), graph.NodeID(int32(r.u32()))
+		edges[i] = graph.EdgeTriple{U: u, V: v, W: int64(r.u64()), ID: graph.EdgeID(i)}
+	}
+	if r.err != nil {
+		return nil, fmt.Errorf("edges: %w", r.err)
+	}
+	g, err := graph.FromEdges(n, edges)
+	if err != nil {
+		return nil, err
+	}
+	head := &revision{num: int(rev), digest: canonicalGraphDigest(g), g: g}
+	bytes := graphBytes(g)
+
+	nt := r.count("trace", 5+8*n)
+	head.traces = make(map[graph.NodeID]*sourceTrace, nt)
+	prev := int64(-1)
+	for i := 0; i < nt; i++ {
+		src, flag := r.u32(), r.u8()
+		if r.err == nil && (int64(src) <= prev || int(src) >= n || flag > 1) {
+			return nil, fmt.Errorf("trace %d: source %d out of order or outside [0,%d), or parent flag %d", i, src, n, flag)
+		}
+		prev = int64(src)
+		tr := &sourceTrace{entries: make(map[string]struct{})}
+		if tr.dist, err = r.dist(n); err == nil && flag == 1 {
+			tr.parent, err = r.parent(n)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("trace for source %d: %w", src, err)
+		}
+		tr.bytes = traceBytes(tr.dist, tr.parent)
+		head.traces[graph.NodeID(src)] = tr
+		bytes += tr.bytes
+	}
+
+	ns := r.count("stale trace", 8+12*n)
+	head.stale = make(map[graph.NodeID]*staleTrace, ns)
+	prev = -1
+	for i := 0; i < ns; i++ {
+		src := r.u32()
+		if _, exact := head.traces[graph.NodeID(src)]; r.err == nil && (int64(src) <= prev || int(src) >= n || exact) {
+			return nil, fmt.Errorf("stale trace %d: source %d out of order, outside [0,%d) or also exact", i, src, n)
+		}
+		prev = int64(src)
+		st := &staleTrace{}
+		if st.dist, err = r.dist(n); err == nil {
+			st.parent, err = r.parent(n)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("stale trace for source %d: %w", src, err)
+		}
+		nl := r.count("ledger entry", 16)
+		st.base = make(map[uint64]int64, nl)
+		var prevKey uint64
+		for j := 0; j < nl; j++ {
+			k, w := r.u64(), int64(r.u64())
+			u, v := k>>32, uint64(uint32(k))
+			if u >= v || v >= uint64(n) || (j > 0 && k <= prevKey) || w < -1 {
+				return nil, fmt.Errorf("stale trace for source %d: ledger entry %d (pair {%d,%d}, weight %d) malformed or out of order", src, j, u, v, w)
+			}
+			prevKey = k
+			st.base[k] = w
+		}
+		if r.err != nil {
+			return nil, fmt.Errorf("stale trace for source %d: %w", src, r.err)
+		}
+		st.bytes = staleTraceBytes(st)
+		head.stale[graph.NodeID(src)] = st
+		bytes += st.bytes
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	if len(r.b) != 0 {
+		return nil, fmt.Errorf("%d trailing bytes", len(r.b))
+	}
+	rg := &regGraph{id: id, createdAt: time.Unix(0, created), head: head, bytes: bytes}
+	if patched != 0 {
+		rg.patchedAt = time.Unix(0, patched)
+	}
+	return rg, nil
+}
+
+// validSpillID accepts what Register mints ("g-" + hex, maybe "-k"): a
+// short name of letters, digits, '-' and '_', safe as a file name.
+func validSpillID(id string) bool {
+	if id == "" || len(id) > maxSpillID {
+		return false
+	}
+	for _, c := range []byte(id) {
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '-' || c == '_') {
+			return false
+		}
+	}
+	return true
 }

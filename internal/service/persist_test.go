@@ -142,8 +142,15 @@ func TestRegistryPersistenceRoundTrip(t *testing.T) {
 	if rev != 2 || d2b != d2 {
 		t.Fatalf("restored head rev=%d digest match=%v", rev, d2b == d2)
 	}
+	// The warm-started head is the spilled graph, EdgeIDs and adjacency
+	// order included.
 	if !reflect.DeepEqual(g2.Edges(), ng.Edges()) {
 		t.Fatal("restored graph content diverges")
+	}
+	for u := 0; u < ng.N(); u++ {
+		if !reflect.DeepEqual(g2.Adj(graph.NodeID(u)), ng.Adj(graph.NodeID(u))) {
+			t.Fatalf("restored adjacency of %d = %v, want %v", u, g2.Adj(graph.NodeID(u)), ng.Adj(graph.NodeID(u)))
+		}
 	}
 	gi, _ := r2.Get(info.ID)
 	if gi.TracedSources != 2 || gi.StaleSources != 1 {
@@ -173,7 +180,7 @@ func TestRegistryPersistenceRemoveDeletesFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	info, _ := r.Register(ciGraph())
-	path := filepath.Join(dir, info.ID+".json")
+	path := filepath.Join(dir, info.ID+".spill")
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("register did not spill: %v", err)
 	}
@@ -187,11 +194,11 @@ func TestRegistryPersistenceRemoveDeletesFile(t *testing.T) {
 	}
 }
 
-// TestRegistryPersistenceIgnoresForeignFiles pins that a reload rejects a
-// corrupt spill loudly instead of silently serving garbage.
+// TestRegistryPersistenceCorruptFile pins that a reload rejects a corrupt
+// spill loudly instead of silently serving garbage.
 func TestRegistryPersistenceCorruptFile(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "g-bogus.json"), []byte("{not json"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "g-bogus.spill"), []byte("{not a spill"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	r := NewGraphRegistry(1<<20, NewCache(1<<20), nil)

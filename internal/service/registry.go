@@ -43,9 +43,11 @@ type GraphRegistry struct {
 	evictions int64
 
 	// dir, when non-empty, is the persistence directory: registered graphs
-	// and their traces are spilled to <dir>/<id>.json on register/PATCH and
-	// reloaded on startup (see persist.go).
-	dir string
+	// and their traces are spilled to <dir>/<id>.spill on register/PATCH
+	// and reloaded on startup (see persist.go). spillBuf is the encode
+	// buffer every spill reuses.
+	dir      string
+	spillBuf []byte
 }
 
 type regGraph struct {
