@@ -138,12 +138,12 @@ type Options struct {
 	// Deprecated: it stays only because the benchmark harness still sets
 	// it, and goes once a benchmark change stops doing so.
 	IntraWorkers int
-	// RecordPhases attaches the per-phase span ledger: on SSSP/CSSP runs
-	// Result.Metrics.Spans breaks the run's rounds/messages/awake rounds
-	// down by pipeline phase and recursion depth (an exact partition of
-	// the totals), and on APSP runs APSPResult.Composition.Spans carries
-	// the ledger merged over all composed instances. Opt-in: the ledger
-	// adds a little engine bookkeeping per message and wake.
+	// RecordPhases is ignored: every SSSP/CSSP/SSSPTree result carries
+	// the per-phase span ledger in Result.Metrics.Spans, and every APSP
+	// result carries the merged ledger in APSPResult.Composition.Spans.
+	//
+	// Deprecated: it stays only because the benchmark harness still sets
+	// it, and goes once a benchmark change stops doing so.
 	RecordPhases bool
 }
 
@@ -158,7 +158,7 @@ func (o *Options) resolved() (Model, core.Options, error) {
 		if o.Model != 0 {
 			m = o.Model
 		}
-		copt = core.Options{EpsNum: o.EpsNum, EpsDen: o.EpsDen, MaxRounds: o.MaxRounds, StrictCongest: o.StrictCongest, RecordPhases: o.RecordPhases}
+		copt = core.Options{EpsNum: o.EpsNum, EpsDen: o.EpsDen, MaxRounds: o.MaxRounds, StrictCongest: o.StrictCongest}
 	}
 	switch m {
 	case ModelCongest, ModelSleeping:

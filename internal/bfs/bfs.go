@@ -179,19 +179,13 @@ func RoundWeight(w, rho int64) int64 {
 // distances <= 2W: 2W/ρ + (n̂+1) hops of ceil-slack.
 func cutterThreshold(w, rho, nHat int64) int64 { return 2*w/rho + nHat + 1 }
 
-// CutterEnd returns the round at which every participant of a cutter with
-// these parameters has finished.
-func CutterEnd(p CutterParams) int64 {
-	rho := Rho(p.W, p.NHat, p.EpsNum, p.EpsDen)
-	return FragmentEnd(p.StartRound, cutterThreshold(p.W, rho, p.NHat))
-}
-
 // CutterFragment runs Lemma 2.1: it returns dist'(S,v) with
 //
 //	dist(S,v) <= dist'(S,v) < dist(S,v) + εW   when dist'(S,v) != Inf,
 //	dist(S,v) > 2W                             when dist'(S,v) == Inf.
 //
-// On return the node has advanced to CutterEnd(p).
+// On return the node has advanced to the end of its Fragment run, round
+// FragmentEnd(p.StartRound, 2W/ρ + n̂ + 1).
 func CutterFragment(mb *proto.Mailbox, p CutterParams) int64 {
 	if p.EpsNum <= 0 || p.EpsDen <= 0 || p.EpsNum >= p.EpsDen {
 		panic(fmt.Sprintf("bfs: cutter needs ε in (0,1), got %d/%d", p.EpsNum, p.EpsDen))

@@ -55,14 +55,6 @@ type Options struct {
 	// exceeds the O(log n)-bit budget (proto.BitBudget). Congest model
 	// only; metrics then report MaxMessageBits.
 	StrictCongest bool
-	// RecordPhases maintains the engine's span ledger around every
-	// pipeline stage: Metrics.Spans then carries the per-(phase, depth)
-	// round/message/awake/bit breakdown (an exact partition of the run's
-	// totals). Opt-in, like trace recording: the ledger costs a little
-	// bookkeeping in the engine's hot loop. The harness always enables it
-	// (its reports carry the breakdown); leave it off in micro-benchmarks
-	// that want the bare engine.
-	RecordPhases bool
 }
 
 func (o Options) eps() (int64, int64) {
@@ -168,8 +160,7 @@ func (congestVariant) checkOffsets() bool { return true }
 // RunCSSPTraced is RunCSSP with per-message trace recording, used by the
 // APSP scheduling composition.
 func RunCSSPTraced(g *graph.Graph, sources map[graph.NodeID]int64, opts Options) ([]int64, Stats, simnet.Metrics, []simnet.TraceEntry, error) {
-	d, st, met, tr, err := runCSSP(g, sources, opts, true)
-	return d, st, met, tr, err
+	return run(g, sources, opts, simnet.Congest, true)
 }
 
 // RunCSSP computes exact closest-source distances dist(S, v) =
@@ -179,31 +170,43 @@ func RunCSSPTraced(g *graph.Graph, sources map[graph.NodeID]int64, opts Options)
 // and dividing the result — the scaling preserves exact distances because
 // a shortest path gains less than n+1 from the zero-weight perturbation).
 func RunCSSP(g *graph.Graph, sources map[graph.NodeID]int64, opts Options) ([]int64, Stats, simnet.Metrics, error) {
-	d, st, met, _, err := runCSSP(g, sources, opts, false)
+	d, st, met, _, err := run(g, sources, opts, simnet.Congest, false)
 	return d, st, met, err
 }
 
-func runCSSP(g *graph.Graph, sources map[graph.NodeID]int64, opts Options, trace bool) ([]int64, Stats, simnet.Metrics, []simnet.TraceEntry, error) {
+// run executes the CSSP pipeline in the given model: the CONGEST recursion
+// (congestVariant) or the sleeping-model one (energyVariant, with its cover
+// provider). trace records one simnet.TraceEntry per message. Every run
+// reports its per-(phase, depth) span ledger in Metrics.Spans.
+func run(g *graph.Graph, sources map[graph.NodeID]int64, opts Options, model simnet.Model, trace bool) ([]int64, Stats, simnet.Metrics, []simnet.TraceEntry, error) {
 	epsNum, epsDen, err := opts.validEps()
 	if err != nil {
 		return nil, Stats{}, simnet.Metrics{}, nil, err
+	}
+	if opts.StrictCongest && model == simnet.Sleeping {
+		return nil, Stats{}, simnet.Metrics{}, nil, fmt.Errorf("core: StrictCongest applies to the CONGEST model, not the sleeping model")
 	}
 	pr, err := prepareProblem(g, sortedSources(sources), epsNum, epsDen)
 	if err != nil {
 		return nil, Stats{}, simnet.Metrics{}, nil, err
 	}
 
-	cfg := simnet.Config{Model: simnet.Congest, MaxRounds: opts.MaxRounds, RecordTrace: trace, RecordSpans: opts.RecordPhases}
+	cfg := simnet.Config{Model: model, MaxRounds: opts.MaxRounds, RecordTrace: trace}
 	if opts.StrictCongest {
 		// The budget covers distance-sized payloads up to n·maxW+maxOff on
 		// the (possibly zero-weight-rescaled) graph the engine actually runs.
 		cfg.MessageBits = proto.MessageBits
 		cfg.MaxMessageBits = proto.BitBudget(pr.run.N(), pr.run.MaxWeight()+pr.maxOff)
 	}
+	var v variant = congestVariant{}
+	var provider *coverProvider
+	if model == simnet.Sleeping {
+		v, provider = energyVariant{}, newCoverProvider(pr.run)
+	}
 	eng := simnet.New(pr.run, cfg)
 	res, err := eng.Run(func(c *simnet.Ctx) {
 		mb := proto.NewMailbox(c)
-		st := &cssp{mb: mb, epsNum: epsNum, epsDen: epsDen, v: congestVariant{}}
+		st := &cssp{mb: mb, epsNum: epsNum, epsDen: epsDen, v: v, provider: provider}
 		off := bfs.NotSource
 		if o, ok := sources[c.ID()]; ok {
 			off = o * pr.scale

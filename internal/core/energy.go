@@ -224,35 +224,8 @@ func (energyVariant) checkOffsets() bool { return false }
 // model (Theorem 3.15): Õ(n) rounds and polylogarithmic awake rounds per
 // node (energy). Zero weights are handled by the same scaling as RunCSSP.
 func RunEnergyCSSP(g *graph.Graph, sources map[graph.NodeID]int64, opts Options) ([]int64, Stats, simnet.Metrics, error) {
-	epsNum, epsDen, err := opts.validEps()
-	if err != nil {
-		return nil, Stats{}, simnet.Metrics{}, err
-	}
-	if opts.StrictCongest {
-		return nil, Stats{}, simnet.Metrics{}, fmt.Errorf("core: StrictCongest applies to the CONGEST model, not the sleeping model")
-	}
-	pr, err := prepareProblem(g, sortedSources(sources), epsNum, epsDen)
-	if err != nil {
-		return nil, Stats{}, simnet.Metrics{}, err
-	}
-
-	provider := newCoverProvider(pr.run)
-	eng := simnet.New(pr.run, simnet.Config{Model: simnet.Sleeping, MaxRounds: opts.MaxRounds, RecordSpans: opts.RecordPhases})
-	res, err := eng.Run(func(c *simnet.Ctx) {
-		mb := proto.NewMailbox(c)
-		st := &cssp{mb: mb, epsNum: epsNum, epsDen: epsDen, v: energyVariant{}, provider: provider}
-		off := bfs.NotSource
-		if o, ok := sources[c.ID()]; ok {
-			off = o * pr.scale
-		}
-		d := st.runCall(callParams{path: 1, d: pr.d0, offset: off, sizeBound: int64(c.N())})
-		c.SetOutput(output{Dist: d, Subproblems: st.subproblems})
-	})
-	if err != nil {
-		return nil, Stats{}, simnet.Metrics{}, err
-	}
-	dists, stats := collectOutputs(g, res, pr.scale, pr.levels)
-	return dists, stats, res.Metrics, nil
+	d, st, met, _, err := run(g, sources, opts, simnet.Sleeping, false)
+	return d, st, met, err
 }
 
 // RunEnergySSSP is the single-source specialization of Theorem 1.1.

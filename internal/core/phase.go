@@ -61,6 +61,13 @@ var (
 		Key: "merge", Title: "Cut offsets & merge",
 		Ref: "Sec 2.3 steps 5–6", Envelope: "O(1)",
 	}
+	// PhaseTree is the shortest-path tree extraction that follows the
+	// recursion in dsssp.CSSPTree: one exchange round in which every node
+	// picks the neighbor witnessing its distance.
+	PhaseTree = Phase{
+		Key: "tree", Title: "Shortest-path tree extraction",
+		Ref: "witness-parent exchange", Envelope: "O(1)",
+	}
 )
 
 // PipelinePhases returns every phase the pipeline can report, in execution
@@ -69,7 +76,7 @@ var (
 func PipelinePhases() []Phase {
 	return []Phase{
 		PhaseRun, PhaseParticipate, PhaseBase, PhaseDecompose,
-		PhaseCutter, PhaseBFSLayers, PhaseBarrier, PhaseMerge,
+		PhaseCutter, PhaseBFSLayers, PhaseBarrier, PhaseMerge, PhaseTree,
 	}
 }
 

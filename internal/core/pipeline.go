@@ -7,8 +7,8 @@
 // BFS layers over rounded weights) and the component barrier (event-driven
 // convergecast vs count-based periodic tree sweeps).
 //
-// Every stage runs inside a span of the engine's ledger (simnet.Config
-// .RecordSpans), keyed by the stage's Phase and the call's recursion depth,
+// Every stage runs inside a span of the engine's ledger (simnet.Metrics
+// .Spans), keyed by the stage's Phase and the call's recursion depth,
 // so reports can break the paper's round bounds down per phase against
 // per-phase envelopes. Opening and closing spans is engine-side accounting
 // only: the pipeline's message and round schedule is byte-identical to the

@@ -49,7 +49,7 @@ func TestPipelinePhasesRecorded(t *testing.T) {
 	g := graph.RandomConnected(24, 24, graph.UniformWeights(8, 3), 3)
 	sources := map[graph.NodeID]int64{0: 0, 12: 2}
 
-	_, _, metC, err := RunCSSP(g, sources, Options{RecordPhases: true})
+	_, _, metC, err := RunCSSP(g, sources, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestPipelinePhasesRecorded(t *testing.T) {
 		t.Error("congest run reported the energy cut stage")
 	}
 
-	_, _, metE, err := RunEnergyCSSP(g, sources, Options{RecordPhases: true})
+	_, _, metE, err := RunEnergyCSSP(g, sources, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func spanKeys(spans []simnet.SpanMetrics) map[string]bool {
 // ledger carries per-phase bit maxima whose max is the run's.
 func TestPipelineStrictBitsInLedger(t *testing.T) {
 	g := graph.RandomConnected(16, 16, graph.UniformWeights(8, 7), 7)
-	_, _, met, err := RunSSSP(g, 0, Options{StrictCongest: true, RecordPhases: true})
+	_, _, met, err := RunSSSP(g, 0, Options{StrictCongest: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func TestSleepingMetricsPinned(t *testing.T) {
 	var out strings.Builder
 	g := sleepingGraph()
 	for src := graph.NodeID(0); src < 4; src++ {
-		dist, _, met, err := RunEnergySSSP(g, src, Options{RecordPhases: true})
+		dist, _, met, err := RunEnergySSSP(g, src, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -83,7 +83,7 @@ func TestBuildMatchesOracle(t *testing.T) {
 				bound = int64(tc.g.N())
 			}
 			run := func(build func(*proto.Mailbox, Params) Result) (*simnet.Result, error) {
-				cfg := simnet.Config{Model: model, RecordTrace: true, RecordSpans: true}
+				cfg := simnet.Config{Model: model, RecordTrace: true}
 				return simnet.New(tc.g, cfg).Run(func(c *simnet.Ctx) {
 					p := Params{Tag: 7, StartRound: tc.start, SizeBound: bound}
 					if tc.eligible != nil {

@@ -39,13 +39,6 @@ type PhaseStat struct {
 	RoundsByDepth string `json:"rounds_by_depth,omitempty"`
 }
 
-// PhasesFromSpans aggregates an engine span ledger into the per-phase
-// breakdown — the exported entry point the serving layer uses to break a
-// single query's metrics down the same way sweep reports do.
-func PhasesFromSpans(spans []simnet.SpanMetrics) []PhaseStat {
-	return phasesFromSpans(spans)
-}
-
 // PhaseRounds sums the per-phase round attribution. Because the span
 // ledger partitions the engine's metrics exactly, this equals the run's
 // total rounds — the conservation law the serving layer's phase:* trace
@@ -58,12 +51,13 @@ func PhaseRounds(phases []PhaseStat) int64 {
 	return total
 }
 
-// phasesFromSpans aggregates an engine span ledger into the per-phase
+// PhasesFromSpans aggregates an engine span ledger into the per-phase
 // breakdown: spans sharing a phase key merge across recursion depths, with
 // the depth split preserved in RoundsByDepth. Rows are ordered by pipeline
 // execution order (core.PhaseRank), so reports read like the recursion
-// runs.
-func phasesFromSpans(spans []simnet.SpanMetrics) []PhaseStat {
+// runs. Sweep reports and the serving layer's phase:* trace spans both
+// break a run down this way.
+func PhasesFromSpans(spans []simnet.SpanMetrics) []PhaseStat {
 	if len(spans) == 0 {
 		return nil
 	}

@@ -88,7 +88,7 @@ func TestPhasesFromSpans(t *testing.T) {
 		{Name: "cutter", Depth: 1, Rounds: 20, Messages: 5, AwakeRounds: 6, MaxMessageBits: 35},
 		{Name: "participate", Depth: 1, Rounds: 1, Messages: 2, AwakeRounds: 2},
 	}
-	got := phasesFromSpans(spans)
+	got := PhasesFromSpans(spans)
 	wantOrder := []string{"run", "participate", "cutter"}
 	if len(got) != len(wantOrder) {
 		t.Fatalf("got %d phases, want %d: %+v", len(got), len(wantOrder), got)
@@ -109,7 +109,7 @@ func TestPhasesFromSpans(t *testing.T) {
 	if got[0].RoundsByDepth != "" {
 		t.Errorf("run phase at a single depth must omit the depth split, got %q", got[0].RoundsByDepth)
 	}
-	if phasesFromSpans(nil) != nil {
+	if PhasesFromSpans(nil) != nil {
 		t.Error("empty ledger must aggregate to nil")
 	}
 }

@@ -210,10 +210,7 @@ func executeUnvalidated(s Scenario) (r Result) {
 	}()
 	g := s.BuildGraph()
 	r.N, r.M = g.N(), g.M()
-	// RecordPhases: every pipeline scenario reports its per-phase
-	// breakdown (Result.Phases); the ledger's cost is engine bookkeeping
-	// only and never moves the model-level metrics.
-	copt := core.Options{EpsNum: s.EpsNum, EpsDen: s.EpsDen, StrictCongest: s.Strict, RecordPhases: true}
+	copt := core.Options{EpsNum: s.EpsNum, EpsDen: s.EpsDen, StrictCongest: s.Strict}
 
 	switch s.Alg {
 	case AlgSSSP, AlgCSSP:
@@ -315,7 +312,7 @@ func executeUnvalidated(s Scenario) (r Result) {
 		// Phases merged over all composed instances: the summed counters
 		// (messages, awake) and the bit maximum tie back to the scenario
 		// totals; rounds are per-instance sums, not the heaviest instance.
-		r.Phases = phasesFromSpans(comp.Spans)
+		r.Phases = PhasesFromSpans(comp.Spans)
 		r.Dilation, r.Congestion = comp.Dilation, comp.Congestion
 		r.MakespanAligned, r.MakespanRandom = comp.MakespanAligned, comp.MakespanRandom
 		r.MakespanSequential = comp.MakespanSequential
@@ -341,7 +338,7 @@ func fillMetrics(r *Result, met simnet.Metrics) {
 	r.Rounds, r.StrictRounds, r.Messages = met.Rounds, met.StrictRounds, met.Messages
 	r.MaxEdgeMessages, r.MaxAwake, r.TotalAwake = met.MaxEdgeMessages, met.MaxAwake, met.TotalAwake
 	r.MaxMessageBits = met.MaxMessageBits
-	r.Phases = phasesFromSpans(met.Spans)
+	r.Phases = PhasesFromSpans(met.Spans)
 }
 
 func maxSub(st core.Stats) int {

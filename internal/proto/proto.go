@@ -145,8 +145,7 @@ func (m *Mailbox) Pump(in []simnet.Inbound) { m.pump(in) }
 // Span runs f inside an open ledger span (see simnet.SpanMetrics): every
 // round, message, and awake round the engine accounts while f executes —
 // including all mailbox traffic f sends — is attributed to the (name,
-// depth) span. Spans nest; panics propagate with the span closed. A no-op
-// wrapper when the engine does not record spans.
+// depth) span. Spans nest; panics propagate with the span closed.
 func (m *Mailbox) Span(name string, depth int, f func()) {
 	m.C.OpenSpan(name, depth)
 	defer m.C.CloseSpan()

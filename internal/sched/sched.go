@@ -37,8 +37,8 @@ type Trace struct {
 	// composition needs every instance inside the O(log n)-bit budget —
 	// the scheduling theorem serializes rounds, never splits messages.
 	MaxMessageBits int64
-	// Spans is the instance's span ledger (nil when the runner did not
-	// record spans): the per-phase breakdown of the rounds and messages
+	// Spans is the instance's span ledger (nil when the instance opened
+	// no span): the per-phase breakdown of the rounds and messages
 	// the instance contributes to the composition.
 	Spans []simnet.SpanMetrics
 }
@@ -58,8 +58,8 @@ type Composition struct {
 	// MaxMessageBits is the largest message any instance sent (0 when the
 	// traces carry no measurement).
 	MaxMessageBits int64
-	// Spans is the merged span ledger of all instances (nil when the
-	// traces carry none): per-phase rounds/messages/awake sums and bit
+	// Spans is the merged span ledger of all instances (nil when no
+	// trace carries one): per-phase rounds/messages/awake sums and bit
 	// maxima across every composed instance, so the APSP report can break
 	// its totals down by pipeline phase like the single-source runs do.
 	Spans []simnet.SpanMetrics

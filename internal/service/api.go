@@ -406,16 +406,15 @@ func weightSeed(spec GraphSpec) int64 {
 	return x*6364136223846793005 + 1442695040888963407
 }
 
-// resolveOptions maps wire options onto dsssp.Options. The engine always
-// records phases — the span ledger does not change the schedule — so every
-// computed query gets phase:* spans in its trace and feeds the per-phase
-// round histograms in /metrics; no response carries the breakdown inline.
+// resolveOptions maps wire options onto dsssp.Options. Every computed
+// query's span ledger becomes phase:* spans in its trace and feeds the
+// per-phase round histograms in /metrics; no response carries the
+// breakdown inline.
 func resolveOptions(o QueryOptions, workers int) (*dsssp.Options, error) {
 	opts := &dsssp.Options{
 		EpsNum: o.EpsNum, EpsDen: o.EpsDen,
 		MaxRounds:     o.MaxRounds,
 		StrictCongest: o.StrictCongest,
-		RecordPhases:  true,
 		Workers:       workers,
 	}
 	switch o.Model {

@@ -429,3 +429,27 @@ func TestPatchQueryRace(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestTracedSourcesExcludesAPSPBody: traced_sources counts sources, so the
+// pseudo-trace that tracks a whole-APSP body is not one of them.
+func TestTracedSourcesExcludesAPSPBody(t *testing.T) {
+	s := testServer(t)
+	var info GraphInfo
+	decodeBody(t, do(t, s, "POST", "/v1/graphs", `{"graph":`+ciGraphJSON+`}`), http.StatusCreated, &info)
+	traced := func(step string) {
+		t.Helper()
+		var got GraphInfo
+		decodeBody(t, do(t, s, "GET", "/v1/graphs/"+info.ID, ""), http.StatusOK, &got)
+		if got.TracedSources != info.N {
+			t.Fatalf("after %s: traced_sources = %d, want n = %d", step, got.TracedSources, info.N)
+		}
+	}
+	if w := do(t, s, "POST", "/v1/apsp", fmt.Sprintf(`{"graph":{"graph_id":%q}}`, info.ID)); w.Code != http.StatusOK {
+		t.Fatalf("apsp: %d %s", w.Code, w.Body.Bytes())
+	}
+	traced("/v1/apsp")
+	if w := do(t, s, "POST", "/v1/sssp", fmt.Sprintf(`{"graph":{"graph_id":%q},"source":1}`, info.ID)); w.Code != http.StatusOK {
+		t.Fatalf("sssp: %d %s", w.Code, w.Body.Bytes())
+	}
+	traced("/v1/sssp")
+}

@@ -135,8 +135,9 @@ type GraphInfo struct {
 	M      int    `json:"m"`
 	// Bytes is the approximate resident footprint charged against the
 	// registry budget (graph + cached traces).
-	Bytes         int64 `json:"bytes"`
-	TracedSources int   `json:"traced_sources"`
+	Bytes int64 `json:"bytes"`
+	// TracedSources counts sources holding an exact distance trace.
+	TracedSources int `json:"traced_sources"`
 	// StaleSources counts dirty sources holding a repairable stale trace.
 	StaleSources int   `json:"stale_sources,omitempty"`
 	CreatedAtNS  int64 `json:"created_at_ns"`
@@ -551,6 +552,10 @@ func (r *GraphRegistry) dropLocked(rg *regGraph) {
 }
 
 func (r *GraphRegistry) infoLocked(rg *regGraph) GraphInfo {
+	traced := len(rg.head.traces)
+	if _, ok := rg.head.traces[apspTraceKey]; ok {
+		traced-- // the whole-APSP pseudo-trace is not a source
+	}
 	info := GraphInfo{
 		ID:            rg.id,
 		Revision:      rg.head.num,
@@ -558,7 +563,7 @@ func (r *GraphRegistry) infoLocked(rg *regGraph) GraphInfo {
 		N:             rg.head.g.N(),
 		M:             rg.head.g.M(),
 		Bytes:         rg.bytes,
-		TracedSources: len(rg.head.traces),
+		TracedSources: traced,
 		StaleSources:  len(rg.head.stale),
 		CreatedAtNS:   rg.createdAt.UnixNano(),
 	}

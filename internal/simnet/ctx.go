@@ -50,11 +50,7 @@ func (c *Ctx) SendTagged(i int, tag uint64, body any) {
 	if i < 0 || i >= c.Degree() {
 		panic(fmt.Sprintf("simnet: node %d: Send to invalid neighbor index %d (degree %d)", c.ns.id, i, c.Degree()))
 	}
-	om := outMsg{nbIndex: int32(i), tag: tag, msg: body}
-	if c.eng.cfg.RecordSpans {
-		om.span = c.ns.curSpan()
-	}
-	c.ns.outbox = append(c.ns.outbox, om)
+	c.ns.outbox = append(c.ns.outbox, outMsg{nbIndex: int32(i), span: c.ns.curSpan(), tag: tag, msg: body})
 }
 
 // SetOutput records this node's output value, returned from Engine.Run.

@@ -110,7 +110,7 @@ func TestDriveMatchesCoroutine(t *testing.T) {
 		for _, model := range []Model{Congest, Sleeping} {
 			n := int(splitmix64(uint64(seed)+5)%22) + 3
 			g := equivGraph(seed, n)
-			cfg := Config{Model: model, RecordTrace: true, RecordSpans: true, MaxRounds: 1 << 20}
+			cfg := Config{Model: model, RecordTrace: true, MaxRounds: 1 << 20}
 			want, werr := New(g, cfg).Run(driveScript(seed, model, false))
 			if werr != nil {
 				t.Fatalf("seed=%d %s: coroutine run: %v", seed, model, werr)
@@ -129,10 +129,8 @@ func TestDriveMatchesCoroutine(t *testing.T) {
 			if !reflect.DeepEqual(want.Trace, got.Trace) {
 				t.Fatalf("%s: trace divergence (%d vs %d entries)", name, len(want.Trace), len(got.Trace))
 			}
-			ocfg := cfg
-			ocfg.RecordSpans = false
-			ow, _ := New(g, ocfg).runOracle(driveScript(seed, model, false))
-			og, err := New(g, ocfg).runOracle(driveScript(seed, model, true))
+			ow, _ := New(g, cfg).runOracle(driveScript(seed, model, false))
+			og, err := New(g, cfg).runOracle(driveScript(seed, model, true))
 			if err != nil || !reflect.DeepEqual(ow, og) {
 				t.Fatalf("seed=%d %s: oracle scheduler diverges on Drive (err %v)", seed, model, err)
 			}

@@ -129,11 +129,6 @@ type Config struct {
 	// callers derive the concrete budget from the graph (see
 	// proto.BitBudget).
 	MaxMessageBits int64
-	// RecordSpans maintains the span ledger (see span.go): programs may
-	// open/close named spans via Ctx, and the engine attributes every
-	// round, message, awake round, and message bit measurement to exactly
-	// one open span, reported in Metrics.Spans.
-	RecordSpans bool
 }
 
 // Inbound is a received message.
@@ -187,10 +182,36 @@ type Metrics struct {
 	PerEdgeMessages []int64
 	// PerNodeAwake holds awake rounds per node.
 	PerNodeAwake []int64
-	// Spans is the span ledger in first-open order (only when
-	// Config.RecordSpans): Rounds/Messages/AwakeRounds partition the
-	// corresponding totals above, MaxMessageBits is a per-span maximum.
+	// Spans is the span ledger in first-open order (see span.go; after
+	// Append, in MergeSpans order):
+	// Rounds/Messages/AwakeRounds partition the corresponding totals
+	// above, MaxMessageBits is a per-span maximum. Nil when the program
+	// never opened a span, so the root span holds the whole run.
 	Spans []SpanMetrics
+}
+
+// Append accounts a run that followed m's run on the same graph, so that m
+// describes the two as one: the additive counters and the per-edge and
+// per-node vectors add, MaxEdgeMessages and MaxAwake are recomputed, and
+// MaxMessageBits takes the maximum. The two ledgers merge (MergeSpans), so
+// when both runs carry one the result still partitions the summed totals.
+func (m *Metrics) Append(next Metrics) {
+	m.Rounds += next.Rounds
+	m.StrictRounds += next.StrictRounds
+	m.Messages += next.Messages
+	m.LostMessages += next.LostMessages
+	m.DroppedAfterHalt += next.DroppedAfterHalt
+	m.TotalAwake += next.TotalAwake
+	m.MaxMessageBits = max(m.MaxMessageBits, next.MaxMessageBits)
+	for i, c := range next.PerEdgeMessages {
+		m.PerEdgeMessages[i] += c
+		m.MaxEdgeMessages = max(m.MaxEdgeMessages, m.PerEdgeMessages[i])
+	}
+	for i, a := range next.PerNodeAwake {
+		m.PerNodeAwake[i] += a
+		m.MaxAwake = max(m.MaxAwake, m.PerNodeAwake[i])
+	}
+	m.Spans = MergeSpans(m.Spans, next.Spans)
 }
 
 func (m *Metrics) String() string {
@@ -225,9 +246,9 @@ const (
 
 type outMsg struct {
 	nbIndex int32
-	// span is the sender's open span at Send time (0 unless
-	// Config.RecordSpans) — message attribution must not shift when a node
-	// switches phases between sending and the end-of-round flush.
+	// span is the sender's open span at Send time — message attribution
+	// must not shift when a node switches phases between sending and the
+	// end-of-round flush.
 	span int32
 	tag  uint64
 	msg  any
@@ -269,7 +290,7 @@ type nodeState struct {
 	perr   error
 
 	// spanStack holds the node's open ledger spans (innermost last); empty
-	// means the root span. Unused unless Config.RecordSpans.
+	// means the root span.
 	spanStack []int32
 	// resumeSpan is the span the node was in when the engine resumed it
 	// this round, captured before the resume runs so the round's
@@ -303,8 +324,8 @@ type Engine struct {
 	revOff  []int32
 	revFlat []int32
 
-	// Span ledger (Config.RecordSpans): interned (name, depth) spans and
-	// their counters; index 0 is the root span every node starts in.
+	// Span ledger (span.go): interned (name, depth) spans and their
+	// counters; index 0 is the root span every node starts in.
 	spanIDs map[spanKey]int32
 	spans   []SpanMetrics
 }
@@ -373,10 +394,8 @@ func (e *Engine) start(p Program) *Result {
 		// multiples of m absorbs the common case without growth cascades.
 		res.Trace = make([]TraceEntry, 0, 4*e.g.M()+16)
 	}
-	if e.cfg.RecordSpans {
-		e.spanIDs = make(map[spanKey]int32)
-		e.internSpan(RootSpanName, 0)
-	}
+	e.spanIDs = make(map[spanKey]int32)
+	e.internSpan(RootSpanName, 0)
 	// Buffer arenas: the initial inbox/spare/outbox capacity of every node
 	// is carved out of three shared chunks sized by degree (a node rarely
 	// holds more than one message per incident edge per wake). Three
@@ -422,9 +441,7 @@ func (e *Engine) resumeOne(id graph.NodeID, cur int64) {
 	ns := &e.nodes[id]
 	e.awakeEpoch[id] = cur
 	e.met.PerNodeAwake[id]++
-	if e.cfg.RecordSpans {
-		ns.resumeSpan = ns.curSpan()
-	}
+	ns.resumeSpan = ns.curSpan()
 	e.wakeRound[id] = cur
 	e.dispatch(ns, cur)
 }
@@ -529,7 +546,7 @@ func (e *Engine) Run(p Program) (*Result, error) {
 		// of the earliest-resumed node (see span.go: the rule that makes
 		// per-span rounds an exact partition of Metrics.Rounds). Read
 		// before any resume mutates span stacks.
-		if e.cfg.RecordSpans && len(batch) > 0 {
+		if len(batch) > 0 {
 			e.spans[e.nodes[batch[0]].curSpan()].Rounds += cur - spanPrev
 			spanPrev = cur
 		}
@@ -547,9 +564,7 @@ func (e *Engine) Run(p Program) (*Result, error) {
 				return nil, ns.perr
 			}
 			met.TotalAwake++
-			if e.cfg.RecordSpans {
-				e.spans[ns.resumeSpan].AwakeRounds++
-			}
+			e.spans[ns.resumeSpan].AwakeRounds++
 			switch e.kind[id] {
 			case yieldHalt:
 				e.halted[id] = true
@@ -579,15 +594,13 @@ func (e *Engine) Run(p Program) (*Result, error) {
 				h := adj[om.nbIndex]
 				met.Messages++
 				met.PerEdgeMessages[h.ID]++
-				if e.cfg.RecordSpans {
-					e.spans[om.span].Messages++
-				}
+				e.spans[om.span].Messages++
 				if e.cfg.MessageBits != nil {
 					b := e.cfg.MessageBits(om.tag, om.msg)
 					if b > met.MaxMessageBits {
 						met.MaxMessageBits = b
 					}
-					if e.cfg.RecordSpans && b > e.spans[om.span].MaxMessageBits {
+					if b > e.spans[om.span].MaxMessageBits {
 						e.spans[om.span].MaxMessageBits = b
 					}
 					if e.cfg.MaxMessageBits > 0 && b > e.cfg.MaxMessageBits {
@@ -654,7 +667,7 @@ func (e *Engine) Run(p Program) (*Result, error) {
 			met.MaxAwake = a
 		}
 	}
-	if e.cfg.RecordSpans {
+	if len(e.spans) > 1 {
 		met.Spans = e.spans // creation order is first-open order
 	}
 	return res, nil

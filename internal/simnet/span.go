@@ -23,6 +23,9 @@ import (
 //     through different phases concurrently; the earliest-resumed-node rule
 //     is the deterministic tiebreak.
 //
+// The engine keeps the ledger on every run; Metrics.Spans reports it
+// whenever the program opened a span.
+//
 // The exact-partition property is what lets downstream reports prove their
 // breakdowns against the scenario totals (see the conservation tests in
 // internal/harness).
@@ -78,21 +81,15 @@ func (ns *nodeState) curSpan() int32 {
 // OpenSpan opens a ledger span named name at the given recursion depth and
 // makes it the node's current attribution target until the matching
 // CloseSpan. Spans nest; all nodes opening the same (name, depth) share one
-// ledger row. A no-op unless Config.RecordSpans is set.
+// ledger row.
 func (c *Ctx) OpenSpan(name string, depth int) {
-	if !c.eng.cfg.RecordSpans {
-		return
-	}
 	c.ns.spanStack = append(c.ns.spanStack, c.eng.internSpan(name, depth))
 }
 
 // CloseSpan closes the node's innermost open span, restoring the enclosing
-// one as the attribution target. A no-op unless Config.RecordSpans is set;
-// panics on an unmatched close — always a pipeline bug.
+// one as the attribution target. Panics on an unmatched close — always a
+// pipeline bug.
 func (c *Ctx) CloseSpan() {
-	if !c.eng.cfg.RecordSpans {
-		return
-	}
 	if len(c.ns.spanStack) == 0 {
 		panic(fmt.Sprintf("simnet: node %d: CloseSpan without an open span", c.ns.id))
 	}

@@ -51,7 +51,7 @@ func checkSpanConservation(t *testing.T, met Metrics) {
 // lands in the span that was open when the engine accounted it.
 func TestSpanAttribution(t *testing.T) {
 	g := graph.Path(3, graph.UnitWeights)
-	eng := New(g, Config{Model: Congest, RecordSpans: true, MessageBits: func(uint64, any) int64 { return 7 }})
+	eng := New(g, Config{Model: Congest, MessageBits: func(uint64, any) int64 { return 7 }})
 	res, err := eng.Run(func(c *Ctx) {
 		// Round 0 (root span): everyone idles one round.
 		c.Next()
@@ -108,30 +108,10 @@ func TestSpanAttribution(t *testing.T) {
 // engine must surface as a node panic, not silent corruption.
 func TestSpanUnmatchedClose(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights)
-	eng := New(g, Config{Model: Congest, RecordSpans: true})
+	eng := New(g, Config{Model: Congest})
 	_, err := eng.Run(func(c *Ctx) { c.CloseSpan() })
 	if err == nil || !strings.Contains(err.Error(), "CloseSpan without an open span") {
 		t.Fatalf("err = %v, want unmatched-close panic", err)
-	}
-}
-
-// TestSpanDisabledNoLedger: without RecordSpans the span calls are no-ops
-// and the ledger stays empty, so existing Metrics comparisons (the oracle
-// equivalence suite) see identical structs.
-func TestSpanDisabledNoLedger(t *testing.T) {
-	g := graph.Path(2, graph.UnitWeights)
-	eng := New(g, Config{Model: Congest})
-	res, err := eng.Run(func(c *Ctx) {
-		c.OpenSpan("a", 0)
-		c.Next()
-		c.CloseSpan()
-		c.CloseSpan() // would panic if the ledger were active
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics.Spans != nil {
-		t.Fatalf("ledger recorded despite RecordSpans=false: %+v", res.Metrics.Spans)
 	}
 }
 
@@ -139,7 +119,7 @@ func TestSpanDisabledNoLedger(t *testing.T) {
 // model, where skipped rounds (sleep intervals) dominate.
 func TestSpanSleepingModel(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights)
-	eng := New(g, Config{Model: Sleeping, RecordSpans: true})
+	eng := New(g, Config{Model: Sleeping})
 	res, err := eng.Run(func(c *Ctx) {
 		c.OpenSpan("work", 2)
 		c.SleepUntil(10 + int64(c.ID()))
@@ -175,5 +155,47 @@ func TestMergeSpans(t *testing.T) {
 	}
 	if MergeSpans() != nil || MergeSpans(nil, nil) != nil {
 		t.Fatal("MergeSpans of nothing must be nil")
+	}
+}
+
+// TestMetricsAppend: appending a second run on the same graph sums the
+// counters and vectors, recomputes the maxima from the sums, and merges the
+// ledgers, so the result still partitions its totals.
+func TestMetricsAppend(t *testing.T) {
+	g := graph.Path(3, graph.UnitWeights)
+	run := func(span string, bits int64) Metrics {
+		cfg := Config{Model: Congest, MessageBits: func(uint64, any) int64 { return bits }}
+		res, err := New(g, cfg).Run(func(c *Ctx) {
+			c.OpenSpan(span, 0)
+			if c.ID() == 1 {
+				c.Send(0, "x")
+			}
+			c.Next()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Metrics
+	}
+	a, b := run("a", 5), run("b", 9)
+	m := run("a", 5)
+	m.Append(b)
+	checkSpanConservation(t, m)
+	if m.Rounds != a.Rounds+b.Rounds || m.StrictRounds != a.StrictRounds+b.StrictRounds ||
+		m.Messages != a.Messages+b.Messages || m.TotalAwake != a.TotalAwake+b.TotalAwake {
+		t.Errorf("appended totals %v, want the sums of %v and %v", &m, &a, &b)
+	}
+	if m.MaxEdgeMessages != 2 || m.MaxAwake != 4 || m.MaxMessageBits != 9 {
+		t.Errorf("maxima edge=%d awake=%d bits=%d, want 2/4/9", m.MaxEdgeMessages, m.MaxAwake, m.MaxMessageBits)
+	}
+	var names []string
+	for _, s := range m.Spans {
+		names = append(names, s.Name)
+	}
+	if want := []string{"a", "b", RootSpanName}; !reflect.DeepEqual(names, want) {
+		t.Errorf("ledger order %v, want %v", names, want)
+	}
+	if r := spanByName(t, m.Spans, RootSpanName, 0); r.Rounds != 2 || r.AwakeRounds != 6 {
+		t.Errorf("root row %+v, want both runs' first round and wakes", r)
 	}
 }

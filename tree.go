@@ -3,7 +3,7 @@ package dsssp
 import (
 	"fmt"
 
-	"dsssp/internal/graph"
+	"dsssp/internal/core"
 	"dsssp/internal/proto"
 	"dsssp/internal/simnet"
 )
@@ -20,7 +20,10 @@ type TreeResult struct {
 // forest: after the distance computation, one exchange round lets every
 // node pick the neighbor that witnesses its distance (dist[u] + w(u,v) ==
 // dist[v], ties broken by smallest node ID) — the standard distributed
-// tree extraction, adding O(1) congestion.
+// tree extraction, adding O(1) congestion. The extraction run is part of
+// the result's account: its counters add into Result.Metrics, and its
+// rounds, messages and awake rounds appear in the span ledger under
+// core.PhaseTree.
 func CSSPTree(g *Graph, sources map[NodeID]int64, opts *Options) (*TreeResult, error) {
 	base, err := CSSP(g, sources, opts)
 	if err != nil {
@@ -30,6 +33,7 @@ func CSSPTree(g *Graph, sources map[NodeID]int64, opts *Options) (*TreeResult, e
 	// announces its distance; each picks its witness parent.
 	eng := simnet.New(g, simnet.Config{Model: simnet.Congest})
 	res, err := eng.Run(func(c *simnet.Ctx) {
+		c.OpenSpan(core.PhaseTree.Key, 0) // open until the node halts
 		mb := proto.NewMailbox(c)
 		my := base.Dist[c.ID()]
 		for i := 0; i < c.Degree(); i++ {
@@ -61,9 +65,7 @@ func CSSPTree(g *Graph, sources map[NodeID]int64, opts *Options) (*TreeResult, e
 	for v, p := range res.Outputs {
 		out.Parent[v] = p.(NodeID)
 	}
-	// The extraction round's costs are part of the algorithm's account.
-	out.Metrics.Messages += res.Metrics.Messages
-	out.Metrics.Rounds += res.Metrics.Rounds
+	out.Metrics.Append(res.Metrics)
 	return out, nil
 }
 
@@ -133,5 +135,3 @@ func (t *TreeResult) Verify(g *Graph, sources map[NodeID]int64) error {
 	}
 	return nil
 }
-
-var _ = graph.Inf // keep the import paired with the type aliases above
