@@ -67,24 +67,9 @@ func main() {
 		return
 	}
 
-	var patterns []string
-	for _, p := range strings.Split(*scenarios, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			patterns = append(patterns, p)
-		}
-	}
-	if len(patterns) == 0 {
-		// An empty -scenarios filter would sweep nothing and emit an empty
-		// report that reads as success — the classic way a mistyped shell
-		// variable silently disables a CI gate.
-		die(fmt.Errorf("empty -scenarios filter: use 'all' (the default) or name scenarios/globs (see -list)"))
-	}
-	scns, err := reg.Select(patterns)
+	scns, err := selectScenarios(reg, *scenarios)
 	if err != nil {
 		die(err)
-	}
-	if len(scns) == 0 {
-		die(fmt.Errorf("-scenarios %q selected nothing", *scenarios))
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -172,6 +157,31 @@ func main() {
 	if rep.Failures > 0 {
 		die(fmt.Errorf("%d of %d scenarios failed verification", rep.Failures, rep.Scenarios))
 	}
+}
+
+// selectScenarios resolves the -scenarios filter, a comma-separated list
+// of names or globs, against reg. A filter that is blank or selects
+// nothing is an error: an empty sweep would emit an empty report that
+// reads as success — the classic way a mistyped shell variable silently
+// disables a CI gate.
+func selectScenarios(reg *harness.Registry, filter string) ([]harness.Scenario, error) {
+	var patterns []string
+	for _, p := range strings.Split(filter, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			patterns = append(patterns, p)
+		}
+	}
+	if len(patterns) == 0 {
+		return nil, fmt.Errorf("empty -scenarios filter: use 'all' (the default) or name scenarios/globs (see -list)")
+	}
+	scns, err := reg.Select(patterns)
+	if err != nil {
+		return nil, err
+	}
+	if len(scns) == 0 {
+		return nil, fmt.Errorf("-scenarios %q selected nothing", filter)
+	}
+	return scns, nil
 }
 
 func writeTo(path string, write func(*os.File) error) error {

@@ -117,7 +117,8 @@ type Metrics = simnet.Metrics
 
 // Options tunes a run.
 type Options struct {
-	// Model selects CONGEST (default) or the sleeping model.
+	// Model selects CONGEST (default) or the sleeping model. APSP and
+	// APSPFrom run in CONGEST only and reject the sleeping model.
 	Model Model
 	// EpsNum/EpsDen is the cutter ε in (0,1); defaults to 1/2.
 	EpsNum, EpsDen int64
@@ -269,18 +270,22 @@ type APSPResult struct {
 	// Dist[s][v] is the exact distance from s to v.
 	Dist [][]int64
 	// Composition holds dilation, congestion, and makespans (aligned,
-	// random-delay, sequential).
+	// random-delay, sequential), plus the instances' message total and
+	// the heaviest instance's own congestion.
 	Composition sched.Composition
 }
 
-// APSP computes all-pairs shortest paths by running one CSSP instance per
-// source, recording each instance's edge usage, and composing the traces
-// under random-delay scheduling (seeded). The per-instance polylog
-// congestion is what makes the random-delay makespan Õ(n).
+// APSP computes all-pairs shortest paths by running one CONGEST CSSP
+// instance per source, recording each instance's edge usage, and composing
+// the traces under random-delay scheduling (seeded). The per-instance
+// polylog congestion is what makes the random-delay makespan Õ(n).
+// Section 1.1's composition is a CONGEST result, so ModelSleeping is
+// rejected with an error.
 //
 // The per-source instances are independent simulations and are fanned out
 // over Options.Workers goroutines (default runtime.NumCPU()); traces are
-// composed in source order, so the result is identical to a sequential run.
+// composed in source order, so the result (and, if an instance fails, the
+// error) is identical to a sequential run.
 func APSP(g *Graph, opts *Options, seed int64) (*APSPResult, error) {
 	return APSPFrom(g, nil, opts, seed)
 }
@@ -292,10 +297,14 @@ func APSP(g *Graph, opts *Options, seed int64) (*APSPResult, error) {
 // incremental path recompute only the sources an edge delta dirtied and
 // reuse every other cached row verbatim. Dist rows for sources outside the
 // set stay nil, and Composition covers only the instances actually run.
+// Like APSP it runs in ModelCongest only.
 func APSPFrom(g *Graph, sources []NodeID, opts *Options, seed int64) (*APSPResult, error) {
-	_, copt, err := opts.resolved()
+	m, copt, err := opts.resolved()
 	if err != nil {
 		return nil, err
+	}
+	if m != ModelCongest {
+		return nil, fmt.Errorf("dsssp: APSP composes CONGEST instances (Section 1.1) and runs in ModelCongest only (got %s)", m)
 	}
 	out := &APSPResult{Dist: make([][]int64, g.N())}
 	runner := func(g *Graph, s NodeID) (sched.Trace, error) {
@@ -304,7 +313,10 @@ func APSPFrom(g *Graph, sources []NodeID, opts *Options, seed int64) (*APSPResul
 			return sched.Trace{}, err
 		}
 		out.Dist[s] = d
-		return sched.Trace{Entries: tr, Rounds: met.Rounds, MaxMessageBits: met.MaxMessageBits, Spans: met.Spans}, nil
+		return sched.Trace{
+			Entries: tr, Rounds: met.Rounds, MaxMessageBits: met.MaxMessageBits,
+			MaxEdgeMessages: met.MaxEdgeMessages, Spans: met.Spans,
+		}, nil
 	}
 	comp, err := sched.APSPParallel(g, sources, runner, seed, opts.workers())
 	if err != nil {

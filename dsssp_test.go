@@ -1,6 +1,8 @@
 package dsssp
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"dsssp/internal/graph"
@@ -108,16 +110,23 @@ func TestAPSPRecordPhases(t *testing.T) {
 	for _, s := range spans {
 		msgs += s.Messages
 	}
-	var want int64
+	var want, maxEdge int64
 	for src := 0; src < g.N(); src++ {
 		r, err := SSSP(g, NodeID(src), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want += r.Metrics.Messages
+		maxEdge = max(maxEdge, r.Metrics.MaxEdgeMessages)
 	}
 	if msgs != want {
 		t.Fatalf("merged span messages %d != summed instance messages %d", msgs, want)
+	}
+	if res.Composition.Messages != want {
+		t.Fatalf("composition messages %d != summed instance messages %d", res.Composition.Messages, want)
+	}
+	if res.Composition.InstanceCongestion != maxEdge {
+		t.Fatalf("composition instance congestion %d != heaviest instance's %d", res.Composition.InstanceCongestion, maxEdge)
 	}
 }
 
@@ -127,5 +136,85 @@ func TestUnknownModelRejected(t *testing.T) {
 	g.SortAdj()
 	if _, err := CSSP(g, map[NodeID]int64{0: 0}, &Options{Model: Model(99)}); err == nil {
 		t.Fatal("want error")
+	}
+}
+
+// TestInvalidModelErrorConsistent: SSSP, CSSP, and BFS must reject an
+// invalid Options.Model with the same descriptive error (the zero value
+// still defaults to ModelCongest).
+func TestInvalidModelErrorConsistent(t *testing.T) {
+	g := NewGraph(3)
+	g.AddEdge(0, 1, 1)
+	g.AddEdge(1, 2, 1)
+	g.SortAdj()
+	bad := &Options{Model: Model(99)}
+	_, errS := SSSP(g, 0, bad)
+	_, errC := CSSP(g, map[NodeID]int64{0: 0}, bad)
+	_, errB := BFS(g, map[NodeID]bool{0: true}, 2, bad)
+	_, errA := APSP(g, bad, 1)
+	for name, err := range map[string]error{"SSSP": errS, "CSSP": errC, "BFS": errB, "APSP": errA} {
+		if err == nil {
+			t.Fatalf("%s accepted Model(99)", name)
+		}
+		if !strings.Contains(err.Error(), "invalid Options.Model 99") {
+			t.Errorf("%s error not descriptive: %v", name, err)
+		}
+	}
+	if errS.Error() != errC.Error() || errC.Error() != errB.Error() || errB.Error() != errA.Error() {
+		t.Errorf("errors differ:\n%v\n%v\n%v\n%v", errS, errC, errB, errA)
+	}
+	// The zero value still means CONGEST.
+	if _, err := SSSP(g, 0, &Options{}); err != nil {
+		t.Fatalf("zero-value Options rejected: %v", err)
+	}
+	if _, err := SSSP(g, 0, nil); err != nil {
+		t.Fatalf("nil Options rejected: %v", err)
+	}
+}
+
+// TestAPSPParallelDeterministic: APSP fans its per-source instances over a
+// worker pool; the result must be identical to a sequential run.
+func TestAPSPParallelDeterministic(t *testing.T) {
+	g := NewGraph(12)
+	for i := 0; i < 11; i++ {
+		g.AddEdge(NodeID(i), NodeID(i+1), int64(i%3+1))
+	}
+	g.AddEdge(0, 6, 2)
+	g.AddEdge(3, 11, 5)
+	g.SortAdj()
+	seq, err := APSP(g, &Options{Workers: 1}, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := APSP(g, &Options{Workers: 8}, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(seq, par) {
+		t.Fatalf("parallel APSP differs:\nseq %+v\npar %+v", seq, par)
+	}
+}
+
+// TestAPSPRejectsSleeping: APSP composes CONGEST instances (Section 1.1),
+// so the sleeping model is a descriptive error, never a CONGEST run
+// answered under the sleeping label — for the full and the partial
+// fan-out alike.
+func TestAPSPRejectsSleeping(t *testing.T) {
+	g := NewGraph(3)
+	g.AddEdge(0, 1, 1)
+	g.AddEdge(1, 2, 1)
+	g.SortAdj()
+	sleeping := &Options{Model: ModelSleeping}
+	for name, sources := range map[string][]NodeID{"all": nil, "partial": {1}} {
+		res, err := APSPFrom(g, sources, sleeping, 1)
+		if err == nil {
+			t.Fatalf("%s: APSPFrom accepted ModelSleeping: %+v", name, res)
+		}
+		if !strings.HasPrefix(err.Error(), "dsssp: ") || !strings.Contains(err.Error(), "ModelCongest only (got sleeping)") {
+			t.Errorf("%s: error not descriptive: %v", name, err)
+		}
+	}
+	if _, err := APSP(g, &Options{Model: ModelCongest}, 1); err != nil {
+		t.Fatalf("ModelCongest rejected: %v", err)
 	}
 }

@@ -5,7 +5,7 @@
 //
 // The recursion on a subproblem (participants P, source offsets o, bound D)
 // is an explicit phase pipeline (pipeline.go; phase descriptors in
-// phase.go):
+// package phase):
 //
 //  1. D == 1: one exchange round resolves distances in {0, 1} (all weights
 //     are >= 1; zero weights are removed up front by the Theorem 2.7
@@ -40,6 +40,7 @@ import (
 	"dsssp/internal/bfs"
 	"dsssp/internal/forest"
 	"dsssp/internal/graph"
+	"dsssp/internal/phase"
 	"dsssp/internal/proto"
 	"dsssp/internal/simnet"
 )
@@ -134,7 +135,7 @@ func (s *cssp) tag(path uint64, off int) uint64 { return path*tagBlock + uint64(
 // the event-driven convergecast barrier.
 type congestVariant struct{}
 
-func (congestVariant) cutterPhase() Phase { return PhaseCutter }
+func (congestVariant) cutterPhase() phase.Phase { return phase.Cutter }
 
 func (congestVariant) register(*cssp, uint64, graph.NodeID) {}
 

@@ -26,6 +26,7 @@ import (
 	"dsssp/internal/energybfs"
 	"dsssp/internal/forest"
 	"dsssp/internal/graph"
+	"dsssp/internal/phase"
 	"dsssp/internal/proto"
 	"dsssp/internal/simnet"
 )
@@ -179,7 +180,7 @@ func energyBarrier(mb *proto.Mailbox, t proto.Tree, tag uint64, size, anchor int
 // rounded weights and the count-based periodic barrier.
 type energyVariant struct{}
 
-func (energyVariant) cutterPhase() Phase { return PhaseBFSLayers }
+func (energyVariant) cutterPhase() phase.Phase { return phase.BFSLayers }
 
 func (energyVariant) register(s *cssp, path uint64, v graph.NodeID) {
 	s.provider.register(path, v)

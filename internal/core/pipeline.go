@@ -19,18 +19,20 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"dsssp/internal/bfs"
 	"dsssp/internal/forest"
 	"dsssp/internal/graph"
+	"dsssp/internal/phase"
 	"dsssp/internal/simnet"
 )
 
 // variant supplies the model-sensitive stages of the pipeline.
 type variant interface {
 	// cutterPhase names the cut stage in the span ledger.
-	cutterPhase() Phase
+	cutterPhase() phase.Phase
 	// register declares the node's participation in the call before the
 	// pipeline's first exchange (the energy variant feeds its cover
 	// provider; engine-side only, never a message).
@@ -61,7 +63,7 @@ func (s *cssp) runCall(p callParams) int64 {
 
 	// (1) Participation exchange: learn which neighbors are in this call.
 	var elig []bool
-	mb.Span(PhaseParticipate.Key, depth, func() {
+	mb.Span(phase.Participate.Key, depth, func() {
 		for i := 0; i < c.Degree(); i++ {
 			if p.eligible == nil || p.eligible[i] {
 				mb.Send(i, s.tag(p.path, offExch), struct{}{})
@@ -80,7 +82,7 @@ func (s *cssp) runCall(p callParams) int64 {
 	// (2) Base case: distances in {0, 1}.
 	if p.d == 1 {
 		d := graph.Inf
-		mb.Span(PhaseBase.Key, depth, func() {
+		mb.Span(phase.Base.Key, depth, func() {
 			if p.offset >= 0 && p.offset <= 1 {
 				d = p.offset
 			}
@@ -102,7 +104,7 @@ func (s *cssp) runCall(p callParams) int64 {
 	// (3) Spanning forest of the participant subgraph — the per-component
 	// coordination structure (Thm 3.1; model-agnostic).
 	var fr forest.Result
-	mb.Span(PhaseDecompose.Key, depth, func() {
+	mb.Span(phase.Decompose.Key, depth, func() {
 		fr = forest.Build(mb, forest.Params{
 			Tag:        s.tag(p.path, offForest),
 			StartRound: entry + 1,
@@ -131,7 +133,7 @@ func (s *cssp) runCall(p callParams) int64 {
 			sizeBound: fr.Size, eligible: elig,
 		})
 	}
-	mb.Span(PhaseBarrier.Key, depth, func() {
+	mb.Span(phase.Barrier.Key, depth, func() {
 		s.v.barrier(s, fr, s.tag(p.path, offBarrier1), entry)
 	})
 
@@ -139,7 +141,7 @@ func (s *cssp) runCall(p callParams) int64 {
 	// nodes simulate the imaginary cut nodes x_{vu}.
 	inV2 := d1 != graph.Inf
 	offset2 := bfs.NotSource
-	mb.Span(PhaseMerge.Key, depth, func() {
+	mb.Span(phase.Merge.Key, depth, func() {
 		b := mb.Round()
 		if inV2 {
 			for i := 0; i < c.Degree(); i++ {
@@ -178,7 +180,7 @@ func (s *cssp) runCall(p callParams) int64 {
 			sizeBound: fr.Size, eligible: elig,
 		})
 	}
-	mb.Span(PhaseBarrier.Key, depth, func() {
+	mb.Span(phase.Barrier.Key, depth, func() {
 		s.v.barrier(s, fr, s.tag(p.path, offBarrier2), entry)
 	})
 
@@ -283,4 +285,10 @@ func collectOutputs(g *graph.Graph, res *simnet.Result, scale int64, levels int)
 		stats.Subproblems[v] = out.Subproblems
 	}
 	return dists, stats
+}
+
+// depthOf recovers the recursion depth from a call's heap path (path 1 is
+// the root call at depth 0).
+func depthOf(path uint64) int {
+	return bits.Len64(path) - 1
 }

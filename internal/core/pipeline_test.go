@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dsssp/internal/graph"
+	"dsssp/internal/phase"
 	"dsssp/internal/simnet"
 )
 
@@ -19,7 +20,7 @@ func checkLedgerConservation(t *testing.T, met simnet.Metrics) {
 	}
 	var rounds, msgs, awake, bits int64
 	for _, s := range met.Spans {
-		if _, known := PhaseByKey(s.Name); !known {
+		if _, known := phase.ByKey(s.Name); !known {
 			t.Errorf("span %q is not a registered pipeline phase", s.Name)
 		}
 		rounds += s.Rounds
@@ -55,12 +56,12 @@ func TestPipelinePhasesRecorded(t *testing.T) {
 	}
 	checkLedgerConservation(t, metC)
 	keysC := spanKeys(metC.Spans)
-	for _, want := range []string{PhaseParticipate.Key, PhaseDecompose.Key, PhaseCutter.Key, PhaseBarrier.Key, PhaseMerge.Key, PhaseBase.Key} {
+	for _, want := range []string{phase.Participate.Key, phase.Decompose.Key, phase.Cutter.Key, phase.Barrier.Key, phase.Merge.Key, phase.Base.Key} {
 		if !keysC[want] {
 			t.Errorf("congest run missing phase %q (got %v)", want, keysC)
 		}
 	}
-	if keysC[PhaseBFSLayers.Key] {
+	if keysC[phase.BFSLayers.Key] {
 		t.Error("congest run reported the energy cut stage")
 	}
 
@@ -70,10 +71,10 @@ func TestPipelinePhasesRecorded(t *testing.T) {
 	}
 	checkLedgerConservation(t, metE)
 	keysE := spanKeys(metE.Spans)
-	if !keysE[PhaseBFSLayers.Key] {
-		t.Errorf("energy run missing phase %q (got %v)", PhaseBFSLayers.Key, keysE)
+	if !keysE[phase.BFSLayers.Key] {
+		t.Errorf("energy run missing phase %q (got %v)", phase.BFSLayers.Key, keysE)
 	}
-	if keysE[PhaseCutter.Key] {
+	if keysE[phase.Cutter.Key] {
 		t.Error("energy run reported the congest cut stage")
 	}
 }
@@ -102,11 +103,11 @@ func TestPipelineStrictBitsInLedger(t *testing.T) {
 
 // TestPhaseRegistry: the phase descriptors renderers rely on.
 func TestPhaseRegistry(t *testing.T) {
-	if PhaseRun.Key != simnet.RootSpanName {
-		t.Fatalf("PhaseRun.Key = %q must match simnet.RootSpanName %q", PhaseRun.Key, simnet.RootSpanName)
+	if phase.Run.Key != simnet.RootSpanName {
+		t.Fatalf("phase.Run.Key = %q must match simnet.RootSpanName %q", phase.Run.Key, simnet.RootSpanName)
 	}
 	seen := make(map[string]bool)
-	for i, p := range PipelinePhases() {
+	for i, p := range phase.Pipeline() {
 		if p.Key == "" || p.Title == "" || p.Ref == "" || p.Envelope == "" {
 			t.Errorf("phase %d incompletely described: %+v", i, p)
 		}
@@ -114,17 +115,17 @@ func TestPhaseRegistry(t *testing.T) {
 			t.Errorf("duplicate phase key %q", p.Key)
 		}
 		seen[p.Key] = true
-		if got, ok := PhaseByKey(p.Key); !ok || got != p {
-			t.Errorf("PhaseByKey(%q) = %+v, %v", p.Key, got, ok)
+		if got, ok := phase.ByKey(p.Key); !ok || got != p {
+			t.Errorf("phase.ByKey(%q) = %+v, %v", p.Key, got, ok)
 		}
-		if PhaseRank(p.Key) != i {
-			t.Errorf("PhaseRank(%q) = %d, want %d", p.Key, PhaseRank(p.Key), i)
+		if phase.Rank(p.Key) != i {
+			t.Errorf("phase.Rank(%q) = %d, want %d", p.Key, phase.Rank(p.Key), i)
 		}
 	}
-	if _, ok := PhaseByKey("no-such-phase"); ok {
-		t.Error("PhaseByKey accepted an unknown key")
+	if _, ok := phase.ByKey("no-such-phase"); ok {
+		t.Error("phase.ByKey accepted an unknown key")
 	}
-	if PhaseRank("no-such-phase") != len(PipelinePhases()) {
+	if phase.Rank("no-such-phase") != len(phase.Pipeline()) {
 		t.Error("unknown keys must rank last")
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"sort"
 	"strings"
 
-	"dsssp/internal/core"
+	"dsssp/internal/phase"
 	"dsssp/internal/simnet"
 )
 
@@ -20,7 +20,7 @@ import (
 // (messages) and the bit maximum tie back to the scenario row (its rounds
 // column reports the heaviest single instance).
 type PhaseStat struct {
-	// Phase is the pipeline phase key (core.PipelinePhases).
+	// Phase is the pipeline phase key (phase.Pipeline).
 	Phase string `json:"phase"`
 	// Ref cites the paper construct the phase implements.
 	Ref string `json:"ref,omitempty"`
@@ -54,7 +54,7 @@ func PhaseRounds(phases []PhaseStat) int64 {
 // PhasesFromSpans aggregates an engine span ledger into the per-phase
 // breakdown: spans sharing a phase key merge across recursion depths, with
 // the depth split preserved in RoundsByDepth. Rows are ordered by pipeline
-// execution order (core.PhaseRank), so reports read like the recursion
+// execution order (phase.Rank), so reports read like the recursion
 // runs. Sweep reports and the serving layer's phase:* trace spans both
 // break a run down this way.
 func PhasesFromSpans(spans []simnet.SpanMetrics) []PhaseStat {
@@ -70,7 +70,7 @@ func PhasesFromSpans(spans []simnet.SpanMetrics) []PhaseStat {
 			i = len(out)
 			idx[sp.Name] = i
 			ps := PhaseStat{Phase: sp.Name}
-			if ph, known := core.PhaseByKey(sp.Name); known {
+			if ph, known := phase.ByKey(sp.Name); known {
 				ps.Ref = ph.Ref
 			}
 			out = append(out, ps)
@@ -98,7 +98,7 @@ func PhasesFromSpans(spans []simnet.SpanMetrics) []PhaseStat {
 		}
 	}
 	sort.SliceStable(out, func(a, b int) bool {
-		ra, rb := core.PhaseRank(out[a].Phase), core.PhaseRank(out[b].Phase)
+		ra, rb := phase.Rank(out[a].Phase), phase.Rank(out[b].Phase)
 		if ra != rb {
 			return ra < rb
 		}

@@ -7,11 +7,9 @@ import (
 	"runtime"
 	"sync"
 
+	"dsssp"
 	"dsssp/internal/baseline"
-	"dsssp/internal/core"
-	"dsssp/internal/energybfs"
 	"dsssp/internal/graph"
-	"dsssp/internal/sched"
 	"dsssp/internal/simnet"
 )
 
@@ -181,7 +179,10 @@ func skipped(s Scenario, err error) Result {
 // Execute runs a single scenario to completion and never panics: invalid
 // scenarios are rejected by Validate, and generator or simulator panics are
 // converted into the Err field, so one bad workload cannot take down a
-// sweep.
+// sweep. SSSP, CSSP, BFS and APSP scenarios run through the public API
+// (dsssp.CSSP, dsssp.BFS, dsssp.APSPFrom) that library callers and the
+// daemon use, so reports pin that API; only the Bellman-Ford and Dijkstra
+// baselines come from internal/baseline.
 func Execute(s Scenario) Result {
 	if err := s.Validate(); err != nil {
 		r := resultHeader(s)
@@ -210,7 +211,14 @@ func executeUnvalidated(s Scenario) (r Result) {
 	}()
 	g := s.BuildGraph()
 	r.N, r.M = g.N(), g.M()
-	copt := core.Options{EpsNum: s.EpsNum, EpsDen: s.EpsDen, StrictCongest: s.Strict}
+	opts := &dsssp.Options{
+		Model:  dsssp.ModelCongest,
+		EpsNum: s.EpsNum, EpsDen: s.EpsDen, StrictCongest: s.Strict,
+		Workers: max(s.Workers, 1),
+	}
+	if s.Model == ModelSleeping {
+		opts.Model = dsssp.ModelSleeping
+	}
 
 	switch s.Alg {
 	case AlgSSSP, AlgCSSP:
@@ -218,39 +226,27 @@ func executeUnvalidated(s Scenario) (r Result) {
 		if s.Alg == AlgCSSP {
 			sources = s.SourceOffsets()
 		}
-		run := core.RunCSSP
-		if s.Model == ModelSleeping {
-			run = core.RunEnergyCSSP
-		}
-		d, st, met, err := run(g, sources, copt)
+		res, err := dsssp.CSSP(g, sources, opts)
 		if err != nil {
 			r.Err = err.Error()
 			return r
 		}
-		fillMetrics(&r, met)
-		r.SubproblemsMax = maxSub(st)
-		finish(&r, d, graph.MultiSourceDijkstra(g, sources))
+		fillMetrics(&r, res.Metrics)
+		r.SubproblemsMax = res.SubproblemsMax
+		finish(&r, res.Dist, graph.MultiSourceDijkstra(g, sources))
 		return r
 
 	case AlgBFS:
 		// 2·approx+1 upper-bounds the true hop diameter (double-sweep is a
 		// 2-approximation), so every reachable node gets a finite distance.
 		threshold := 2*graph.HopDiameterApprox(g) + 1
-		run := func(g *graph.Graph, threshold int64) ([]int64, simnet.Metrics, error) {
-			return baseline.AlwaysAwakeBFS(g, map[graph.NodeID]bool{0: true}, threshold)
-		}
-		if s.Model == ModelSleeping {
-			run = func(g *graph.Graph, threshold int64) ([]int64, simnet.Metrics, error) {
-				return energybfs.RunBFS(g, map[graph.NodeID]int64{0: 0}, threshold)
-			}
-		}
-		d, met, err := run(g, threshold)
+		res, err := dsssp.BFS(g, map[graph.NodeID]bool{0: true}, threshold, opts)
 		if err != nil {
 			r.Err = err.Error()
 			return r
 		}
-		fillMetrics(&r, met)
-		finish(&r, d, graph.BFSDist(g, 0))
+		fillMetrics(&r, res.Metrics)
+		finish(&r, res.Dist, graph.BFSDist(g, 0))
 		return r
 
 	case AlgBellmanFord:
@@ -274,40 +270,15 @@ func executeUnvalidated(s Scenario) (r Result) {
 		return r
 
 	case AlgAPSP:
-		workers := s.Workers
-		if workers < 1 {
-			workers = 1
-		}
-		dist := make([][]int64, g.N())
-		var (
-			mu       sync.Mutex
-			maxR     int64
-			maxEdge  int64
-			totalMsg int64
-		)
-		runner := func(g *graph.Graph, src graph.NodeID) (sched.Trace, error) {
-			d, _, met, tr, err := core.RunCSSPTraced(g, map[graph.NodeID]int64{src: 0}, copt)
-			if err != nil {
-				return sched.Trace{}, err
-			}
-			mu.Lock()
-			dist[src] = d
-			if met.Rounds > maxR {
-				maxR = met.Rounds
-			}
-			if met.MaxEdgeMessages > maxEdge {
-				maxEdge = met.MaxEdgeMessages
-			}
-			totalMsg += met.Messages
-			mu.Unlock()
-			return sched.Trace{Entries: tr, Rounds: met.Rounds, MaxMessageBits: met.MaxMessageBits, Spans: met.Spans}, nil
-		}
-		comp, err := sched.APSPParallel(g, nil, runner, s.Seed, workers)
+		res, err := dsssp.APSPFrom(g, nil, opts, s.Seed)
 		if err != nil {
 			r.Err = err.Error()
 			return r
 		}
-		r.Rounds, r.MaxEdgeMessages, r.Messages = maxR, maxEdge, totalMsg
+		comp := res.Composition
+		// Per-instance metrics are the heaviest instance's; Messages is the
+		// total over all instances.
+		r.Rounds, r.MaxEdgeMessages, r.Messages = comp.Dilation, comp.InstanceCongestion, comp.Messages
 		r.MaxMessageBits = comp.MaxMessageBits
 		// Phases merged over all composed instances: the summed counters
 		// (messages, awake) and the bit maximum tie back to the scenario
@@ -320,8 +291,8 @@ func executeUnvalidated(s Scenario) (r Result) {
 		ok := true
 		for src := 0; src < g.N(); src++ {
 			want := graph.Dijkstra(g, graph.NodeID(src))
-			ok = ok && equalDists(dist[src], want)
-			hashInto(h, dist[src])
+			ok = ok && equalDists(res.Dist[src], want)
+			hashInto(h, res.Dist[src])
 		}
 		r.DistHash = fmt.Sprintf("%016x", h.Sum64())
 		r.OK = ok
@@ -339,16 +310,6 @@ func fillMetrics(r *Result, met simnet.Metrics) {
 	r.MaxEdgeMessages, r.MaxAwake, r.TotalAwake = met.MaxEdgeMessages, met.MaxAwake, met.TotalAwake
 	r.MaxMessageBits = met.MaxMessageBits
 	r.Phases = PhasesFromSpans(met.Spans)
-}
-
-func maxSub(st core.Stats) int {
-	m := 0
-	for _, k := range st.Subproblems {
-		if k > m {
-			m = k
-		}
-	}
-	return m
 }
 
 // finish verifies got against the sequential reference and records the hash.

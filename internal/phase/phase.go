@@ -1,13 +1,16 @@
-package core
-
-import "math/bits"
+// Package phase is the catalogue of the CSSP pipeline's phases: the keys
+// internal/core opens its span-ledger spans under, with the paper construct
+// and round envelope of each. Reports (internal/harness) read it to order
+// and annotate a run's per-phase breakdown without depending on the
+// algorithm itself.
+package phase
 
 // Phase describes one stage of the CSSP phase pipeline: the span-ledger key
 // it reports under, the paper construct it implements, and the per-level
-// round-envelope term the paper charges it with. The pipeline (pipeline.go)
-// opens a ledger span around every stage, so BENCH reports can break a
-// scenario's rounds down against exactly these terms — the per-phase
-// accounting Forster–Nanongkai (arXiv:1711.01364) and Elkin
+// round-envelope term the paper charges it with. The pipeline
+// (internal/core) opens a ledger span around every stage, so BENCH reports
+// can break a scenario's rounds down against exactly these terms — the
+// per-phase accounting Forster–Nanongkai (arXiv:1711.01364) and Elkin
 // (arXiv:1703.01939) use to argue their round bounds.
 type Phase struct {
 	// Key is the span-ledger / report identifier ("cutter", "barrier", …).
@@ -21,68 +24,68 @@ type Phase struct {
 	Envelope string
 }
 
-// The pipeline's phases. PhaseCutter and PhaseBFSLayers are the two
+// The pipeline's phases. Cutter and BFSLayers are the two
 // instantiations of the model-sensitive cut stage: the CONGEST recursion
 // runs the fragment cutter, the sleeping-model recursion runs bounded-hop
 // BFS layers over the rounded metric.
 var (
-	// PhaseRun is the span every node starts in; it collects engine rounds
+	// Run is the span every node starts in; it collects engine rounds
 	// spent outside any pipeline stage (startup and teardown residue). Its
 	// key must match the engine's implicit root span (simnet.RootSpanName).
-	PhaseRun = Phase{
+	Run = Phase{
 		Key: "run", Title: "Outside the pipeline",
 		Ref: "—", Envelope: "O(1)",
 	}
-	PhaseParticipate = Phase{
+	Participate = Phase{
 		Key: "participate", Title: "Participation exchange",
 		Ref: "Sec 2.3 (subproblem entry)", Envelope: "O(1)",
 	}
-	PhaseBase = Phase{
+	Base = Phase{
 		Key: "base", Title: "Base case D = 1",
 		Ref: "Sec 2.3 step 1", Envelope: "O(1)",
 	}
-	PhaseDecompose = Phase{
+	Decompose = Phase{
 		Key: "decompose", Title: "Spanning-forest decomposition",
 		Ref: "Thm 3.1", Envelope: "O(n̂ log n̂)",
 	}
-	PhaseCutter = Phase{
+	Cutter = Phase{
 		Key: "cutter", Title: "Approximate cutter",
 		Ref: "Lemma 2.1", Envelope: "O(n̂/ε)",
 	}
-	PhaseBFSLayers = Phase{
+	BFSLayers = Phase{
 		Key: "bfs-layers", Title: "Bounded-hop BFS layers",
 		Ref: "Thm 3.13/3.14 (energy cutter)", Envelope: "O((D/ρ + n̂) polylog)",
 	}
-	PhaseBarrier = Phase{
+	Barrier = Phase{
 		Key: "barrier", Title: "Component barrier",
 		Ref: "Sec 2.3 step 4 / Sec 3.1.1", Envelope: "O(n̂)",
 	}
-	PhaseMerge = Phase{
+	Merge = Phase{
 		Key: "merge", Title: "Cut offsets & merge",
 		Ref: "Sec 2.3 steps 5–6", Envelope: "O(1)",
 	}
-	// PhaseTree is the shortest-path tree extraction that follows the
+	// Tree is the shortest-path tree extraction that follows the
 	// recursion in dsssp.CSSPTree: one exchange round in which every node
 	// picks the neighbor witnessing its distance.
-	PhaseTree = Phase{
+	Tree = Phase{
 		Key: "tree", Title: "Shortest-path tree extraction",
 		Ref: "witness-parent exchange", Envelope: "O(1)",
 	}
 )
 
-// PipelinePhases returns every phase the pipeline can report, in execution
+// Pipeline returns every phase the pipeline can report, in execution
 // order — renderers use the order for flamegraph-style tables and the Ref
 // column for self-describing reports.
-func PipelinePhases() []Phase {
+func Pipeline() []Phase {
 	return []Phase{
-		PhaseRun, PhaseParticipate, PhaseBase, PhaseDecompose,
-		PhaseCutter, PhaseBFSLayers, PhaseBarrier, PhaseMerge, PhaseTree,
+		Run, Participate, Base, Decompose,
+		Cutter, BFSLayers, Barrier, Merge, Tree,
 	}
 }
 
-// PhaseByKey looks a phase up by its ledger key.
-func PhaseByKey(key string) (Phase, bool) {
-	for _, p := range PipelinePhases() {
+// ByKey looks a phase up by its ledger key.
+func ByKey(key string) (Phase, bool) {
+	for _, p := range Pipeline() {
 		if p.Key == key {
 			return p, true
 		}
@@ -90,19 +93,13 @@ func PhaseByKey(key string) (Phase, bool) {
 	return Phase{}, false
 }
 
-// PhaseRank returns the phase's position in execution order (unknown keys
+// Rank returns the phase's position in execution order (unknown keys
 // sort last) — the deterministic ordering for breakdown tables.
-func PhaseRank(key string) int {
-	for i, p := range PipelinePhases() {
+func Rank(key string) int {
+	for i, p := range Pipeline() {
 		if p.Key == key {
 			return i
 		}
 	}
-	return len(PipelinePhases())
-}
-
-// depthOf recovers the recursion depth from a call's heap path (path 1 is
-// the root call at depth 0).
-func depthOf(path uint64) int {
-	return bits.Len64(path) - 1
+	return len(Pipeline())
 }

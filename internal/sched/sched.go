@@ -14,7 +14,11 @@
 //   - the makespan of the aligned composition (all delays zero),
 //   - the makespan of the random-delay composition (delays uniform in
 //     [0, C)), which the scheduling theorem bounds by Õ(C + T),
-//   - the trivial sequential composition (Σ of instance durations).
+//   - the trivial sequential composition (Σ of instance durations),
+//   - the total messages and the heaviest single instance's congestion.
+//
+// APSPParallel runs the instances over a worker pool of any size (a pool
+// of one included) and composes their traces.
 package sched
 
 import (
@@ -37,6 +41,9 @@ type Trace struct {
 	// composition needs every instance inside the O(log n)-bit budget —
 	// the scheduling theorem serializes rounds, never splits messages.
 	MaxMessageBits int64
+	// MaxEdgeMessages is the instance's own congestion: the most messages
+	// it sent through any one edge (0 when the runner did not measure it).
+	MaxEdgeMessages int64
 	// Spans is the instance's span ledger (nil when the instance opened
 	// no span): the per-phase breakdown of the rounds and messages
 	// the instance contributes to the composition.
@@ -58,6 +65,12 @@ type Composition struct {
 	// MaxMessageBits is the largest message any instance sent (0 when the
 	// traces carry no measurement).
 	MaxMessageBits int64
+	// Messages is the total number of messages over all instances (the
+	// summed trace lengths).
+	Messages int64
+	// InstanceCongestion is the heaviest single instance's congestion:
+	// the maximum of the traces' MaxEdgeMessages.
+	InstanceCongestion int64
 	// Spans is the merged span ledger of all instances (nil when no
 	// trace carries one): per-phase rounds/messages/awake sums and bit
 	// maxima across every composed instance, so the APSP report can break
@@ -79,7 +92,11 @@ func Compose(m int, traces []Trace, seed int64) Composition {
 		if tr.MaxMessageBits > comp.MaxMessageBits {
 			comp.MaxMessageBits = tr.MaxMessageBits
 		}
+		if tr.MaxEdgeMessages > comp.InstanceCongestion {
+			comp.InstanceCongestion = tr.MaxEdgeMessages
+		}
 		comp.MakespanSequential += tr.Rounds
+		comp.Messages += int64(len(tr.Entries))
 		if len(tr.Spans) > 0 {
 			spanLists = append(spanLists, tr.Spans)
 		}
@@ -190,19 +207,16 @@ func makespan(m int, traces []Trace, delays []int64) int64 {
 // SSSPRunner produces the trace of one SSSP instance from the given source.
 type SSSPRunner func(g *graph.Graph, source graph.NodeID) (Trace, error)
 
-// APSP runs one SSSP instance per source (all n sources unless sources is
-// non-nil), composes the traces, and returns the composition together with
-// per-source distance agreement checking hooks left to the caller.
-func APSP(g *graph.Graph, sources []graph.NodeID, run SSSPRunner, seed int64) (Composition, error) {
-	return APSPParallel(g, sources, run, seed, 1)
-}
-
-// APSPParallel is APSP with the per-source instances fanned out over a pool
-// of `workers` goroutines (workers <= 1 means sequential). The instances are
-// independent simulations sharing nothing, so this is safe and near-linear;
-// traces are collected in source order and the random delays are seeded, so
-// the composition is byte-identical to a sequential run. The runner is
-// invoked concurrently and must only touch per-source state.
+// APSPParallel runs one SSSP instance per source (all n sources unless
+// sources is non-nil) over a pool of `workers` goroutines (at least one)
+// and composes the traces. The instances are independent simulations
+// sharing nothing, so this is safe and near-linear; a pool of one runs
+// them in source order. Traces are collected in source order and the
+// random delays are seeded, so the composition does not depend on the
+// pool size. If any instance fails, the error is the lowest-indexed
+// failing source's, equally independent of the pool size and of
+// goroutine scheduling. The runner is invoked concurrently and must only
+// touch per-source state.
 func APSPParallel(g *graph.Graph, sources []graph.NodeID, run SSSPRunner, seed int64, workers int) (Composition, error) {
 	if sources == nil {
 		sources = make([]graph.NodeID, g.N())
@@ -210,49 +224,49 @@ func APSPParallel(g *graph.Graph, sources []graph.NodeID, run SSSPRunner, seed i
 			sources[i] = graph.NodeID(i)
 		}
 	}
-	if workers > len(sources) {
-		workers = len(sources)
-	}
+	workers = max(min(workers, len(sources)), 1)
 	traces := make([]Trace, len(sources))
-	if workers <= 1 {
-		for i, s := range sources {
-			tr, err := run(g, s)
-			if err != nil {
-				return Composition{}, fmt.Errorf("sched: SSSP from %d: %w", s, err)
-			}
-			traces[i] = tr
-		}
-		return Compose(g.M(), traces, seed), nil
-	}
+	var (
+		mu sync.Mutex
+		// first is the lowest failing index so far and firstErr its error;
+		// a source above it cannot change the returned error, so it is
+		// skipped.
+		first    = len(sources)
+		firstErr error
+	)
 	idx := make(chan int)
-	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := range idx {
-				if errs[w] != nil {
+				mu.Lock()
+				skip := i > first
+				mu.Unlock()
+				if skip {
 					continue // keep draining so the producer never blocks
 				}
 				tr, err := run(g, sources[i])
-				if err != nil {
-					errs[w] = fmt.Errorf("sched: SSSP from %d: %w", sources[i], err)
+				if err == nil {
+					traces[i] = tr
 					continue
 				}
-				traces[i] = tr
+				mu.Lock()
+				if i < first {
+					first, firstErr = i, fmt.Errorf("sched: SSSP from %d: %w", sources[i], err)
+				}
+				mu.Unlock()
 			}
-		}(w)
+		}()
 	}
 	for i := range sources {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return Composition{}, err
-		}
+	if firstErr != nil {
+		return Composition{}, firstErr
 	}
 	return Compose(g.M(), traces, seed), nil
 }

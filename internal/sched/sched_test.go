@@ -1,10 +1,12 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"dsssp/internal/graph"
 	"dsssp/internal/simnet"
@@ -120,10 +122,10 @@ func TestMakespanMatchesReferenceRandom(t *testing.T) {
 func TestComposePinned(t *testing.T) {
 	a := Trace{Rounds: 6, Entries: []simnet.TraceEntry{
 		{Round: 0, Edge: 0, Dir: 0}, {Round: 2, Edge: 1, Dir: 0}, {Round: 4, Edge: 2, Dir: 1},
-	}, MaxMessageBits: 48}
+	}, MaxMessageBits: 48, MaxEdgeMessages: 1}
 	b := Trace{Rounds: 4, Entries: []simnet.TraceEntry{
 		{Round: 0, Edge: 0, Dir: 0}, {Round: 1, Edge: 1, Dir: 0}, {Round: 2, Edge: 2, Dir: 1},
-	}, MaxMessageBits: 32}
+	}, MaxMessageBits: 32, MaxEdgeMessages: 1}
 	got := Compose(3, []Trace{a, b}, 42)
 	want := Composition{
 		Dilation:           6,
@@ -132,6 +134,8 @@ func TestComposePinned(t *testing.T) {
 		MakespanRandom:     makespanRef(3, []Trace{a, b}, composeDelays(2, 2, 42)),
 		MakespanSequential: 10,
 		MaxMessageBits:     48,
+		Messages:           6,
+		InstanceCongestion: 1, // each instance uses every edge once; together they use edge 0 twice
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Compose = %+v, want %+v", got, want)
@@ -234,6 +238,7 @@ func TestAPSPWithRealTraces(t *testing.T) {
 	// End-to-end: record real Bellman-Ford-ish floods per source and
 	// compose. Uses a tiny flood program for speed.
 	g := graph.RandomConnected(24, 24, graph.UnitWeights, 5)
+	msgs := make([]int64, g.N())
 	run := func(g *graph.Graph, s graph.NodeID) (Trace, error) {
 		eng := simnet.New(g, simnet.Config{Model: simnet.Congest, RecordTrace: true})
 		res, err := eng.Run(func(c *simnet.Ctx) {
@@ -262,16 +267,49 @@ func TestAPSPWithRealTraces(t *testing.T) {
 		if err != nil {
 			return Trace{}, err
 		}
-		return Trace{Entries: res.Trace, Rounds: res.Metrics.Rounds}, nil
+		msgs[s] = res.Metrics.Messages
+		return Trace{Entries: res.Trace, Rounds: res.Metrics.Rounds, MaxEdgeMessages: res.Metrics.MaxEdgeMessages}, nil
 	}
-	comp, err := APSP(g, nil, run, 11)
+	comp, err := APSPParallel(g, nil, run, 11, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var total int64
+	for _, m := range msgs {
+		total += m
+	}
+	if comp.Messages != total {
+		t.Fatalf("composition counts %d messages, the instances sent %d", comp.Messages, total)
+	}
+	if comp.InstanceCongestion < 1 || comp.InstanceCongestion > comp.Congestion {
+		t.Fatalf("instance congestion %d outside [1, congestion %d]", comp.InstanceCongestion, comp.Congestion)
 	}
 	if comp.MakespanRandom > comp.MakespanSequential {
 		t.Fatalf("random %d worse than sequential %d", comp.MakespanRandom, comp.MakespanSequential)
 	}
 	if comp.Congestion < 2 {
 		t.Fatalf("expected overlapping edge usage, congestion=%d", comp.Congestion)
+	}
+}
+
+// TestAPSPParallelLowestSourceError: when several instances fail, the
+// error names the lowest failing source at any pool size, however the
+// goroutines happen to be scheduled. Source 0 is slow and succeeds, so the
+// other workers race through the failing sources meanwhile.
+func TestAPSPParallelLowestSourceError(t *testing.T) {
+	g := graph.Path(16, graph.UnitWeights)
+	run := func(g *graph.Graph, s graph.NodeID) (Trace, error) {
+		if s == 0 {
+			time.Sleep(time.Millisecond)
+			return Trace{}, nil
+		}
+		return Trace{}, fmt.Errorf("instance %d failed", s)
+	}
+	const want = "sched: SSSP from 1: instance 1 failed"
+	for trial := 0; trial < 50; trial++ {
+		_, err := APSPParallel(g, nil, run, 1, 4)
+		if err == nil || err.Error() != want {
+			t.Fatalf("trial %d: error %v, want %q", trial, err, want)
+		}
 	}
 }

@@ -222,6 +222,28 @@ func TestDynamicAPSPIncremental(t *testing.T) {
 	}
 }
 
+// TestAPSPSleepingRejectedWhenTraced: APSP runs in the CONGEST model only,
+// and the daemon says so even on a registered graph whose every source is
+// already traced — where reused rows alone could answer without the engine.
+func TestAPSPSleepingRejectedWhenTraced(t *testing.T) {
+	s := testServer(t)
+	var info GraphInfo
+	decodeBody(t, do(t, s, "POST", "/v1/graphs", `{"graph":`+ciGraphJSON+`}`), http.StatusCreated, &info)
+	for src := 0; src < info.N; src++ {
+		body := fmt.Sprintf(`{"graph":{"graph_id":%q},"source":%d,"options":{"model":"sleeping"}}`, info.ID, src)
+		if w := do(t, s, "POST", "/v1/sssp", body); w.Code != http.StatusOK {
+			t.Fatalf("sssp %d: %d %s", src, w.Code, w.Body.Bytes())
+		}
+	}
+	var got GraphInfo
+	decodeBody(t, do(t, s, "GET", "/v1/graphs/"+info.ID, ""), http.StatusOK, &got)
+	if got.TracedSources != info.N {
+		t.Fatalf("traced_sources = %d, want n = %d", got.TracedSources, info.N)
+	}
+	body := fmt.Sprintf(`{"graph":{"graph_id":%q},"options":{"model":"sleeping"}}`, info.ID)
+	wantErrorJSON(t, do(t, s, "POST", "/v1/apsp", body), http.StatusUnprocessableEntity, "ModelCongest only")
+}
+
 // ciGraphPatchedJSON is ciGraph() after the chord reweight {0,2}: 10 → 1,
 // as an inline wire spec — the from-scratch oracle for repaired answers.
 const ciGraphPatchedJSON = `{"n":4,"edges":[[0,1,1],[1,2,1],[2,3,1],[0,3,1],[0,2,1]]}`

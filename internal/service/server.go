@@ -308,6 +308,12 @@ func (s *Server) handleAPSP(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	if opts.Model != dsssp.ModelCongest {
+		// APSPFrom rejects it too, but on a registered graph whose every
+		// source is traced the rows below would answer without calling it.
+		s.replyError(w, fmt.Errorf("dsssp: APSP composes CONGEST instances (Section 1.1) and runs in ModelCongest only (got %s)", opts.Model))
+		return
+	}
 	sources := make([]graph.NodeID, g.N())
 	for v := range sources {
 		sources[v] = graph.NodeID(v)

@@ -100,6 +100,7 @@ func TestBadInputsAre4xxJSON(t *testing.T) {
 		{"workers-removed", "POST", "/v1/sssp", `{"graph":{"family":"path","n":8},"options":{"workers":4}}`, 400, "unknown field"},
 		{"record-phases-removed", "POST", "/v1/sssp", `{"graph":{"family":"path","n":8},"options":{"record_phases":true}}`, 400, "unknown field"},
 		{"strict-sleeping", "POST", "/v1/sssp", `{"graph":{"family":"path","n":8},"options":{"model":"sleeping","strict_congest":true}}`, 422, "StrictCongest"},
+		{"apsp-sleeping", "POST", "/v1/apsp", `{"graph":{"n":4,"edges":[[0,1,1],[1,2,1],[2,3,1]]},"options":{"model":"sleeping"}}`, 422, "ModelCongest only"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

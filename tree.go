@@ -3,7 +3,7 @@ package dsssp
 import (
 	"fmt"
 
-	"dsssp/internal/core"
+	"dsssp/internal/phase"
 	"dsssp/internal/proto"
 	"dsssp/internal/simnet"
 )
@@ -23,7 +23,7 @@ type TreeResult struct {
 // tree extraction, adding O(1) congestion. The extraction run is part of
 // the result's account: its counters add into Result.Metrics, and its
 // rounds, messages and awake rounds appear in the span ledger under
-// core.PhaseTree.
+// phase.Tree.
 func CSSPTree(g *Graph, sources map[NodeID]int64, opts *Options) (*TreeResult, error) {
 	base, err := CSSP(g, sources, opts)
 	if err != nil {
@@ -33,7 +33,7 @@ func CSSPTree(g *Graph, sources map[NodeID]int64, opts *Options) (*TreeResult, e
 	// announces its distance; each picks its witness parent.
 	eng := simnet.New(g, simnet.Config{Model: simnet.Congest})
 	res, err := eng.Run(func(c *simnet.Ctx) {
-		c.OpenSpan(core.PhaseTree.Key, 0) // open until the node halts
+		c.OpenSpan(phase.Tree.Key, 0) // open until the node halts
 		mb := proto.NewMailbox(c)
 		my := base.Dist[c.ID()]
 		for i := 0; i < c.Degree(); i++ {
