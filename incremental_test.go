@@ -173,9 +173,12 @@ func TestRepairMatchesEngineTree(t *testing.T) {
 			// pre-patch weight (-1 when absent), diffed against the head.
 			base := map[uint64]int64{}
 			for _, d := range deltas {
-				k := incr.PairKey(d.U, d.V)
+				k := graph.PairKey(d.U, d.V)
 				if _, ok := base[k]; !ok {
-					base[k] = incr.BaseWeight(g0, d.U, d.V)
+					base[k] = -1
+					if w, ok := g0.Weight(d.U, d.V); ok {
+						base[k] = w
+					}
 				}
 			}
 			changes := incr.NetChanges(base, g1)

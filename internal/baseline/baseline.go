@@ -84,7 +84,7 @@ func Dijkstra(g *graph.Graph, source graph.NodeID) ([]int64, simnet.Metrics, err
 		// depth with two scheduled sweeps so every node computes the same
 		// iteration schedule.
 		n := int64(c.N())
-		maxCombine := func(a, b any) any { return maxI64(a.(int64), b.(int64)) }
+		maxCombine := func(a, b any) any { return max(a.(int64), b.(int64)) }
 		agg0, isRoot0 := proto.SweepUp(mb, tree, tagDepth, 2*n+5, n, tree.Depth, maxCombine)
 		var rv any
 		if isRoot0 {
@@ -229,11 +229,4 @@ func outputs(res *simnet.Result) []int64 {
 		out[i] = v.(int64)
 	}
 	return out
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -180,10 +180,9 @@ func Build(g *graph.Graph, participants []bool, weight WeightFn, maxDist int64) 
 			// Children lists from parent pointers.
 			for u := 0; u < n; u++ {
 				if dist[u] >= 0 && parent[u] >= 0 {
-					p := g.Adj(graph.NodeID(u))[parent[u]].To
-					pm := lastMembership(cv.Node[p], id)
-					pi := indexOfNeighbor(g, p, graph.NodeID(u))
-					pm.Children = append(pm.Children, pi)
+					h := g.Adj(graph.NodeID(u))[parent[u]]
+					pm := lastMembership(cv.Node[h.To], id)
+					pm.Children = append(pm.Children, int(h.Rev))
 				}
 			}
 		}
@@ -241,7 +240,7 @@ type ball struct {
 	dist    []int64
 	parent  []int
 	reached []graph.NodeID
-	heap    []distEntry
+	heap    graph.DistHeap
 }
 
 func newBall(n int) *ball {
@@ -269,22 +268,22 @@ func (b *ball) grow(g *graph.Graph, v graph.NodeID, r int64, inSet func(graph.No
 	}
 	b.dist[v] = 0
 	b.reached = append(b.reached, v)
-	b.heap = append(b.heap[:0], distEntry{v, 0})
+	b.heap = b.heap[:0]
+	b.heap.Push(v, 0)
 	for len(b.heap) > 0 {
-		var top distEntry
-		top, b.heap = heapPopDist(b.heap)
-		if top.d > b.dist[top.v] {
+		top := b.heap.Pop()
+		if top.D > b.dist[top.V] {
 			continue
 		}
-		for i, h := range g.Adj(top.v) {
+		for i, h := range g.Adj(top.V) {
 			if !inSet(h.To) {
 				continue
 			}
-			wt := w(top.v, i)
+			wt := w(top.V, i)
 			if wt < 1 {
-				panic(fmt.Sprintf("decomp: non-positive metric weight at node %d edge %d", top.v, i))
+				panic(fmt.Sprintf("decomp: non-positive metric weight at node %d edge %d", top.V, i))
 			}
-			nd := top.d + wt
+			nd := top.D + wt
 			if nd > r {
 				continue
 			}
@@ -294,56 +293,11 @@ func (b *ball) grow(g *graph.Graph, v graph.NodeID, r int64, inSet func(graph.No
 				}
 				b.dist[h.To] = nd
 				// Record the parent as h.To's index of this edge.
-				b.parent[h.To] = indexOfNeighborEdge(g, h.To, h.ID)
-				b.heap = heapPushDist(b.heap, distEntry{h.To, nd})
+				b.parent[h.To] = int(h.Rev)
+				b.heap.Push(h.To, nd)
 			}
 		}
 	}
-}
-
-type distEntry struct {
-	v graph.NodeID
-	d int64
-}
-
-// heapPushDist / heapPopDist implement a binary min-heap on d over a typed
-// slice, so the frontier does not box its entries.
-func heapPushDist(h []distEntry, e distEntry) []distEntry {
-	h = append(h, e)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[i].d >= h[p].d {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	return h
-}
-
-func heapPopDist(h []distEntry) (distEntry, []distEntry) {
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < len(h) && h[l].d < h[s].d {
-			s = l
-		}
-		if r < len(h) && h[r].d < h[s].d {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		h[i], h[s] = h[s], h[i]
-		i = s
-	}
-	return top, h
 }
 
 // hopDepth follows parent adjacency indexes to the root counting hops.
@@ -357,24 +311,6 @@ func hopDepth(g *graph.Graph, u graph.NodeID, parent []int) int64 {
 		}
 	}
 	return d
-}
-
-func indexOfNeighbor(g *graph.Graph, u, to graph.NodeID) int {
-	for i, h := range g.Adj(u) {
-		if h.To == to {
-			return i
-		}
-	}
-	panic("decomp: neighbor not found")
-}
-
-func indexOfNeighborEdge(g *graph.Graph, u graph.NodeID, id graph.EdgeID) int {
-	for i, h := range g.Adj(u) {
-		if h.ID == id {
-			return i
-		}
-	}
-	panic("decomp: edge not found")
 }
 
 func lastMembership(ms []Membership, cluster int32) *Membership {

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -50,35 +52,27 @@ func (d EdgeDelta) String() string {
 	return fmt.Sprintf("%s{%d,%d}w=%d", d.Op, d.U, d.V, d.W)
 }
 
-// touched is the state of one pair the batch touches: where it sits in
-// the base edge list (-1 if absent there) and its weight and existence so
-// far in the batch.
-type touched struct {
-	key    uint64
-	pos    int
-	w      int64
-	exists bool
+// WeightChange is one delta resolved against the edge set as the batch
+// has patched it so far: the pair's weight before and after the delta, -1
+// where the pair is absent.
+type WeightChange struct {
+	U, V       NodeID
+	OldW, NewW int64
 }
 
-// ApplyDeltas returns a new graph equal to g with the deltas applied in
-// order, leaving g untouched. The node count is fixed; only edges change.
-// The result is rebuilt from the patched edge set in canonical order
-// (sorted by endpoints), so — like every generator- or inline-built graph —
-// it is a pure function of its edge set: EdgeIDs are reassigned densely and
-// two delta paths reaching the same edge set produce identical graphs,
-// which is what lets the serving layer content-address patched revisions.
+// ResolveDeltas is the one place a delta batch is validated and its edge
+// rules applied. It walks the batch in order against g and returns one
+// WeightChange per delta that changes the edge set; a keep-min no-op (an
+// insert at or above the pair's current weight, a reweight to it) yields
+// none, so a pair's first change carries its weight on g as OldW.
 //
 // Validation is strict: self-loops, out-of-range endpoints, and negative
 // weights are rejected, as are deletes/reweights of edges that do not exist
 // at that point in the batch (insert-then-delete within one batch is fine).
-//
-// Cost is O(n + m + k log m) for k deltas: g's edges are read in pair order
-// off its adjacency lists (sorted by one sort only when they are not), each
-// delta finds its pair by binary search plus a k-entry overlay, and the
-// patched list is handed to the builder in pair order.
-func ApplyDeltas(g *Graph, deltas []EdgeDelta) (*Graph, error) {
-	base := pairOrderEdges(g)
-	over := make(map[uint64]touched, len(deltas))
+// The error names the first invalid delta in batch order.
+func ResolveDeltas(g *Graph, deltas []EdgeDelta) ([]WeightChange, error) {
+	cur := make(map[uint64]int64, len(deltas)) // pairs the batch changed
+	out := make([]WeightChange, 0, len(deltas))
 	for i, d := range deltas {
 		if d.U == d.V {
 			return nil, fmt.Errorf("graph: delta %d (%s): self-loop at node %d", i, d, d.U)
@@ -86,73 +80,106 @@ func ApplyDeltas(g *Graph, deltas []EdgeDelta) (*Graph, error) {
 		if d.U < 0 || int(d.U) >= g.n || d.V < 0 || int(d.V) >= g.n {
 			return nil, fmt.Errorf("graph: delta %d (%s): endpoints out of range [0,%d)", i, d, g.n)
 		}
-		key := pairKey(d.U, d.V)
-		t, seen := over[key]
+		key := PairKey(d.U, d.V)
+		old, seen := cur[key]
 		if !seen {
-			t = touched{key: key, pos: -1}
-			if p := searchPair(base, key); p < len(base) && pairKey(base[p].U, base[p].V) == key {
-				t.pos, t.w, t.exists = p, base[p].W, true
+			old = -1
+			if w, ok := g.Weight(d.U, d.V); ok {
+				old = w
 			}
 		}
+		neww := old
 		switch d.Op {
 		case DeltaInsert:
 			if d.W < 0 {
 				return nil, fmt.Errorf("graph: delta %d (%s): negative weight", i, d)
 			}
-			if !t.exists || d.W < t.w {
-				t.w, t.exists = d.W, true
+			if old < 0 || d.W < old {
+				neww = d.W
 			}
 		case DeltaDelete:
-			if !t.exists {
+			if old < 0 {
 				return nil, fmt.Errorf("graph: delta %d (%s): edge does not exist", i, d)
 			}
-			t.exists = false
+			neww = -1
 		case DeltaReweight:
 			if d.W < 0 {
 				return nil, fmt.Errorf("graph: delta %d (%s): negative weight", i, d)
 			}
-			if !t.exists {
+			if old < 0 {
 				return nil, fmt.Errorf("graph: delta %d (%s): edge does not exist", i, d)
 			}
-			t.w = d.W
+			neww = d.W
 		default:
 			return nil, fmt.Errorf("graph: delta %d: unknown op %d", i, uint8(d.Op))
 		}
-		over[key] = t
+		if neww != old {
+			cur[key] = neww
+			out = append(out, WeightChange{U: d.U, V: d.V, OldW: old, NewW: neww})
+		}
 	}
+	return out, nil
+}
 
+// ApplyDeltas returns a new graph equal to g with the deltas applied in
+// order, leaving g untouched: ResolveDeltas, then ApplyChanges. The node
+// count is fixed; only edges change.
+func ApplyDeltas(g *Graph, deltas []EdgeDelta) (*Graph, error) {
+	changes, err := ResolveDeltas(g, deltas)
+	if err != nil {
+		return nil, err
+	}
+	return ApplyChanges(g, changes), nil
+}
+
+// ApplyChanges returns a new graph equal to g with changes — the output of
+// ResolveDeltas on g — applied, leaving g untouched. The result is rebuilt
+// from the patched edge set in canonical order (sorted by endpoints), so —
+// like every generator- or inline-built graph — it is a pure function of
+// its edge set: EdgeIDs are reassigned densely and two delta paths reaching
+// the same edge set produce identical graphs, which is what lets the
+// serving layer content-address patched revisions.
+//
+// Cost is O(n + m + k log m) for k changes: g's edges are read in pair
+// order off its adjacency lists (sorted by one sort only when they are
+// not), each touched pair is found by binary search, and the patched list
+// is handed to the builder in pair order.
+func ApplyChanges(g *Graph, changes []WeightChange) *Graph {
+	final := make(map[uint64]int64, len(changes))
+	for _, c := range changes {
+		final[PairKey(c.U, c.V)] = c.NewW
+	}
+	base := pairOrderEdges(g)
 	// Reweights land in place; deletes and inserts need a merge.
-	var ins []touched
+	var ins []EdgeTriple
 	deleted := make(map[int]bool)
-	for _, t := range over {
-		switch {
-		case t.pos >= 0 && t.exists:
-			base[t.pos].W = t.w
-		case t.pos >= 0:
-			deleted[t.pos] = true
-		case t.exists:
-			ins = append(ins, t)
+	for key, w := range final {
+		p := searchPair(base, key)
+		switch found := p < len(base) && PairKey(base[p].U, base[p].V) == key; {
+		case found && w >= 0:
+			base[p].W = w
+		case found:
+			deleted[p] = true
+		case w >= 0:
+			ins = append(ins, EdgeTriple{U: NodeID(key >> 32), V: NodeID(uint32(key)), W: w})
 		}
 	}
 	if len(ins) == 0 && len(deleted) == 0 {
-		return build(g.n, base), nil
+		return build(g.n, base)
 	}
-	sort.Slice(ins, func(a, b int) bool { return ins[a].key < ins[b].key })
+	slices.SortFunc(ins, func(a, b EdgeTriple) int { return cmp.Compare(PairKey(a.U, a.V), PairKey(b.U, b.V)) })
 	merged := make([]EdgeTriple, 0, len(base)-len(deleted)+len(ins))
 	for p, e := range base {
 		if deleted[p] {
 			continue
 		}
-		for len(ins) > 0 && ins[0].key < pairKey(e.U, e.V) {
-			merged = append(merged, tripleOf(ins[0]))
+		for len(ins) > 0 && PairKey(ins[0].U, ins[0].V) < PairKey(e.U, e.V) {
+			merged = append(merged, ins[0])
 			ins = ins[1:]
 		}
 		merged = append(merged, e)
 	}
-	for _, t := range ins {
-		merged = append(merged, tripleOf(t))
-	}
-	return build(g.n, merged), nil
+	return build(g.n, append(merged, ins...))
 }
 
 // pairOrderEdges lists g's edges sorted by (U, V), reading each edge off
@@ -176,7 +203,7 @@ func pairOrderEdges(g *Graph) []EdgeTriple {
 		}
 	}
 	if !sorted {
-		sort.Slice(out, func(a, b int) bool { return pairKey(out[a].U, out[a].V) < pairKey(out[b].U, out[b].V) })
+		sort.Slice(out, func(a, b int) bool { return PairKey(out[a].U, out[a].V) < PairKey(out[b].U, out[b].V) })
 	}
 	return out
 }
@@ -184,9 +211,5 @@ func pairOrderEdges(g *Graph) []EdgeTriple {
 // searchPair returns the first position in the pair-ordered es whose pair
 // key is at least key.
 func searchPair(es []EdgeTriple, key uint64) int {
-	return sort.Search(len(es), func(i int) bool { return pairKey(es[i].U, es[i].V) >= key })
-}
-
-func tripleOf(t touched) EdgeTriple {
-	return EdgeTriple{U: NodeID(t.key >> 32), V: NodeID(uint32(t.key)), W: t.w}
+	return sort.Search(len(es), func(i int) bool { return PairKey(es[i].U, es[i].V) >= key })
 }

@@ -16,7 +16,7 @@ import (
 func applyDeltasOracle(g *Graph, deltas []EdgeDelta) (*Graph, error) {
 	weights := make(map[uint64]int64, g.M()+len(deltas))
 	for _, e := range g.Edges() {
-		weights[pairKey(e.U, e.V)] = e.W
+		weights[PairKey(e.U, e.V)] = e.W
 	}
 	for i, d := range deltas {
 		if d.U == d.V {
@@ -25,7 +25,7 @@ func applyDeltasOracle(g *Graph, deltas []EdgeDelta) (*Graph, error) {
 		if d.U < 0 || int(d.U) >= g.n || d.V < 0 || int(d.V) >= g.n {
 			return nil, fmt.Errorf("graph: delta %d (%s): endpoints out of range [0,%d)", i, d, g.n)
 		}
-		key := pairKey(d.U, d.V)
+		key := PairKey(d.U, d.V)
 		w, exists := weights[key]
 		switch d.Op {
 		case DeltaInsert:
@@ -131,7 +131,7 @@ func unsortedGraph(rng *rand.Rand, n int) *Graph {
 // oracle over thousands of random batches: on every generator family, on
 // an unsorted AddEdge graph, and on chains of already-patched graphs. Both
 // must agree on the error text, or on M, Edges, every adjacency list
-// (To, W, ID) and the pair index.
+// (To, W, ID, Rev) and the pair index.
 func TestApplyDeltasMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	var ok, failed int

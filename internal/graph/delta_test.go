@@ -119,14 +119,14 @@ func TestApplyDeltasCanonical(t *testing.T) {
 			switch rng.Intn(3) {
 			case 0:
 				u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
-				if u == v || deleted[pairKey(u, v)] {
+				if u == v || deleted[PairKey(u, v)] {
 					continue
 				}
 				deltas = append(deltas, EdgeDelta{Op: DeltaInsert, U: u, V: v, W: int64(rng.Intn(16))})
 			case 1:
 				if len(es) > 0 {
 					e := es[rng.Intn(len(es))]
-					if deleted[pairKey(e.U, e.V)] {
+					if deleted[PairKey(e.U, e.V)] {
 						continue
 					}
 					deltas = append(deltas, EdgeDelta{Op: DeltaReweight, U: e.U, V: e.V, W: int64(rng.Intn(16))})
@@ -134,10 +134,10 @@ func TestApplyDeltasCanonical(t *testing.T) {
 			case 2:
 				if len(es) > 1 {
 					e := es[rng.Intn(len(es))]
-					if deleted[pairKey(e.U, e.V)] {
+					if deleted[PairKey(e.U, e.V)] {
 						continue
 					}
-					deleted[pairKey(e.U, e.V)] = true
+					deleted[PairKey(e.U, e.V)] = true
 					deltas = append(deltas, EdgeDelta{Op: DeltaDelete, U: e.U, V: e.V})
 				}
 			}

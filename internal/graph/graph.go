@@ -47,6 +47,10 @@ type Half struct {
 	To NodeID
 	W  int64
 	ID EdgeID
+	// Rev is the far endpoint's adjacency index of the same edge: the port
+	// a message sent over this half arrives on, so Adj(To)[Rev] is the
+	// other half. It sits in what was padding; Half stays 24 bytes.
+	Rev int32
 }
 
 // Graph is an undirected weighted simple graph (self-loops are rejected;
@@ -77,7 +81,9 @@ func New(n int) *Graph {
 	return &Graph{n: n, adj: make([][]Half, n), index: make(map[uint64]EdgeID)}
 }
 
-func pairKey(u, v NodeID) uint64 {
+// PairKey is the canonical key of the unordered pair {u,v}: min<<32 | max.
+// It keys the graph's edge index and every per-pair ledger built on it.
+func PairKey(u, v NodeID) uint64 {
 	if u > v {
 		u, v = v, u
 	}
@@ -113,7 +119,7 @@ func (g *Graph) AddEdge(u, v NodeID, w int64) EdgeID {
 	if g.index == nil {
 		g.index = make(map[uint64]EdgeID)
 	}
-	key := pairKey(u, v)
+	key := PairKey(u, v)
 	if id, dup := g.index[key]; dup {
 		g.setWeightIfLess(u, id, w)
 		g.setWeightIfLess(v, id, w)
@@ -121,10 +127,16 @@ func (g *Graph) AddEdge(u, v NodeID, w int64) EdgeID {
 	}
 	id := EdgeID(g.m)
 	g.index[key] = id
-	g.adj[u] = append(g.adj[u], Half{To: v, W: w, ID: id})
-	g.adj[v] = append(g.adj[v], Half{To: u, W: w, ID: id})
+	g.appendEdge(u, v, w, id)
 	g.m++
 	return id
+}
+
+// appendEdge appends both halves of edge id, each pointing at the other.
+func (g *Graph) appendEdge(u, v NodeID, w int64, id EdgeID) {
+	iu, iv := int32(len(g.adj[u])), int32(len(g.adj[v]))
+	g.adj[u] = append(g.adj[u], Half{To: v, W: w, ID: id, Rev: iv})
+	g.adj[v] = append(g.adj[v], Half{To: u, W: w, ID: id, Rev: iu})
 }
 
 // setWeightIfLess lowers the weight of u's half of edge id to w if smaller.
@@ -156,19 +168,35 @@ func (g *Graph) MaxWeight() int64 {
 	return mw
 }
 
-// HasEdge reports whether an edge {u,v} exists.
-func (g *Graph) HasEdge(u, v NodeID) bool {
+// Weight returns the weight of edge {u,v} and whether the edge exists. The
+// index answers absence in O(1); a present edge is read off the shorter of
+// its endpoints' adjacency lists.
+func (g *Graph) Weight(u, v NodeID) (int64, bool) {
+	id, ok := g.index[PairKey(u, v)]
+	if !ok {
+		return 0, false
+	}
+	if len(g.adj[v]) < len(g.adj[u]) {
+		u = v
+	}
 	for _, h := range g.adj[u] {
-		if h.To == v {
-			return true
+		if h.ID == id {
+			return h.W, true
 		}
 	}
-	return false
+	panic(fmt.Sprintf("graph: edge %d indexed but not in node %d's adjacency", id, u))
 }
 
-// SortAdj sorts every adjacency list by (To, ID). The simulator relies on a
-// canonical neighbor order for deterministic message scheduling; every
-// generator calls this before returning.
+// HasEdge reports whether an edge {u,v} exists.
+func (g *Graph) HasEdge(u, v NodeID) bool {
+	_, ok := g.Weight(u, v)
+	return ok
+}
+
+// SortAdj sorts every adjacency list by (To, ID) and re-links the Rev
+// ports. The simulator relies on a canonical neighbor order for
+// deterministic message scheduling; every generator calls this before
+// returning.
 func (g *Graph) SortAdj() {
 	for _, a := range g.adj {
 		slices.SortFunc(a, func(x, y Half) int {
@@ -177,6 +205,21 @@ func (g *Graph) SortAdj() {
 			}
 			return cmp.Compare(x.ID, y.ID)
 		})
+	}
+	// Walking each u's halves toward higher nodes, u ascending, meets the
+	// reverse halves — v's halves toward lower nodes, which lead v's list —
+	// in v's own (To, ID) order, so a cursor per node finds each of them.
+	next := make([]int32, g.n)
+	for u, a := range g.adj {
+		for i, h := range a {
+			if h.To < NodeID(u) {
+				continue
+			}
+			j := next[h.To]
+			next[h.To]++
+			a[i].Rev = j
+			g.adj[h.To][j].Rev = int32(i)
+		}
 	}
 }
 
@@ -236,7 +279,7 @@ func FromEdges(n int, edges []EdgeTriple) (*Graph, error) {
 	g := build(n, edges)
 	if len(g.index) != len(edges) {
 		for i, e := range edges {
-			if j := g.index[pairKey(e.U, e.V)]; j != EdgeID(i) {
+			if j := g.index[PairKey(e.U, e.V)]; j != EdgeID(i) {
 				return nil, fmt.Errorf("graph: edges %d and %d repeat the pair {%d,%d}", i, j, e.U, e.V)
 			}
 		}
@@ -258,7 +301,7 @@ func build(n int, edges []EdgeTriple) *Graph {
 	for i, e := range edges {
 		deg[e.U]++
 		deg[e.V]++
-		k := pairKey(e.U, e.V)
+		k := PairKey(e.U, e.V)
 		if i > 0 && k <= prev {
 			pairOrder = false
 		}
@@ -273,10 +316,8 @@ func build(n int, edges []EdgeTriple) *Graph {
 		}
 	}
 	for i, e := range edges {
-		id := EdgeID(i)
-		g.adj[e.U] = append(g.adj[e.U], Half{To: e.V, W: e.W, ID: id})
-		g.adj[e.V] = append(g.adj[e.V], Half{To: e.U, W: e.W, ID: id})
-		g.index[pairKey(e.U, e.V)] = id
+		g.appendEdge(e.U, e.V, e.W, EdgeID(i))
+		g.index[PairKey(e.U, e.V)] = EdgeID(i)
 	}
 	if !pairOrder {
 		g.SortAdj()
@@ -310,7 +351,8 @@ func (g *Graph) Reweight(f func(EdgeID, int64) int64) *Graph {
 }
 
 // Validate checks internal consistency (paired halves, weight agreement,
-// edge count) and returns an error describing the first violation.
+// edge count, Rev ports) and returns an error describing the first
+// violation.
 func (g *Graph) Validate() error {
 	type dir struct {
 		u, v NodeID
@@ -342,11 +384,19 @@ func (g *Graph) Validate() error {
 		if a.w != b.w {
 			return fmt.Errorf("edge %d: halves disagree on weight (%d vs %d)", id, a.w, b.w)
 		}
-		key := pairKey(a.u, a.v)
+		key := PairKey(a.u, a.v)
 		if other, dup := pairs[key]; dup {
 			return fmt.Errorf("edges %d and %d duplicate the pair {%d,%d} — AddEdge's keep-min policy should have merged them", other, id, a.u, a.v)
 		}
 		pairs[key] = id
+	}
+	for u, a := range g.adj {
+		for i, h := range a {
+			far := g.adj[h.To]
+			if h.Rev < 0 || int(h.Rev) >= len(far) || far[h.Rev].ID != h.ID || far[h.Rev].Rev != int32(i) {
+				return fmt.Errorf("node %d: edge %d's Rev %d does not point back at its other half", u, h.ID, h.Rev)
+			}
+		}
 	}
 	return nil
 }

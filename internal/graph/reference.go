@@ -1,7 +1,5 @@
 package graph
 
-import "container/heap"
-
 // Sequential reference algorithms. Every distributed algorithm in the
 // repository is verified against these.
 
@@ -20,7 +18,7 @@ func MultiSourceDijkstra(g *Graph, sources map[NodeID]int64) []int64 {
 	for i := range dist {
 		dist[i] = Inf
 	}
-	pq := &nodeHeap{}
+	var pq DistHeap
 	for s, off := range sources {
 		if off < 0 {
 			panic("graph: negative source offset")
@@ -31,18 +29,18 @@ func MultiSourceDijkstra(g *Graph, sources map[NodeID]int64) []int64 {
 	}
 	for v, d := range dist {
 		if d < Inf {
-			heap.Push(pq, nodeDist{NodeID(v), d})
+			pq.Push(NodeID(v), d)
 		}
 	}
-	for pq.Len() > 0 {
-		nd := heap.Pop(pq).(nodeDist)
-		if nd.d > dist[nd.v] {
+	for len(pq) > 0 {
+		top := pq.Pop()
+		if top.D > dist[top.V] {
 			continue
 		}
-		for _, h := range g.Adj(nd.v) {
-			if nd.d+h.W < dist[h.To] {
-				dist[h.To] = nd.d + h.W
-				heap.Push(pq, nodeDist{h.To, dist[h.To]})
+		for _, h := range g.Adj(top.V) {
+			if top.D+h.W < dist[h.To] {
+				dist[h.To] = top.D + h.W
+				pq.Push(h.To, dist[h.To])
 			}
 		}
 	}
@@ -154,21 +152,55 @@ func WeightedDiameterUpper(g *Graph) int64 {
 	return d
 }
 
-type nodeDist struct {
-	v NodeID
-	d int64
+// NodeDist is one Dijkstra frontier entry: a node and a tentative
+// distance.
+type NodeDist struct {
+	V NodeID
+	D int64
 }
 
-type nodeHeap []nodeDist
+// DistHeap is the Dijkstra frontier every sequential shortest-path search
+// in the repository uses: a binary min-heap on D over a typed slice, so a
+// push does not box its entry. Its sift rules are those of the standard
+// library's heap package, so entries of equal D pop in the order that
+// package would pop them — decomp's ball parents depend on that order.
+// The zero value is empty.
+type DistHeap []NodeDist
 
-func (h nodeHeap) Len() int            { return len(h) }
-func (h nodeHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
-func (h nodeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x interface{}) { *h = append(*h, x.(nodeDist)) }
-func (h *nodeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// Push adds (v, d) to the heap.
+func (h *DistHeap) Push(v NodeID, d int64) {
+	*h = append(*h, NodeDist{v, d})
+	a := *h
+	for j := len(a) - 1; j > 0; {
+		i := (j - 1) / 2
+		if a[j].D >= a[i].D {
+			break
+		}
+		a[i], a[j] = a[j], a[i]
+		j = i
+	}
+}
+
+// Pop removes and returns an entry of minimum D. The heap must not be
+// empty.
+func (h *DistHeap) Pop() NodeDist {
+	a := *h
+	n := len(a) - 1
+	a[0], a[n] = a[n], a[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && a[j2].D < a[j].D {
+			j = j2
+		}
+		if a[j].D >= a[i].D {
+			break
+		}
+		a[i], a[j] = a[j], a[i]
+		i = j
+	}
+	*h = a[:n]
+	return a[n]
 }

@@ -35,7 +35,7 @@ package incr
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dsssp/internal/graph"
 )
@@ -66,77 +66,28 @@ type Effect struct {
 // Effects resolves a delta batch against the pre-patch graph g into the
 // per-source test form, dropping no-ops (inserting an edge that already
 // exists at a lower-or-equal weight, reweighting to the current weight).
-// The deltas must be valid for g — callers apply graph.ApplyDeltas first
-// (or in the same breath) and surface its errors; Effects repeats only the
-// existence checks it needs to resolve old weights.
+// It rejects exactly the batches graph.ApplyDeltas rejects, with the same
+// error.
 func Effects(g *graph.Graph, deltas []graph.EdgeDelta) ([]Effect, error) {
-	// Working weights of the evolving edge set, so a batch that touches the
-	// same pair twice resolves the second delta against the first's result.
-	weights := make(map[uint64]int64, len(deltas))
-	lookup := func(u, v graph.NodeID) (int64, bool) {
-		if w, ok := weights[pairKey(u, v)]; ok {
-			return w, w >= 0
-		}
-		for _, h := range g.Adj(u) {
-			if h.To == v {
-				return h.W, true
-			}
-		}
-		return 0, false
+	changes, err := graph.ResolveDeltas(g, deltas)
+	if err != nil {
+		return nil, err
 	}
-	set := func(u, v graph.NodeID, w int64) { weights[pairKey(u, v)] = w }
-
-	var out []Effect
-	for i, d := range deltas {
-		if d.U == d.V || d.U < 0 || int(d.U) >= g.N() || d.V < 0 || int(d.V) >= g.N() {
-			return nil, fmt.Errorf("incr: delta %d (%s): invalid endpoints", i, d)
-		}
-		old, exists := lookup(d.U, d.V)
-		switch d.Op {
-		case graph.DeltaInsert:
-			if d.W < 0 {
-				return nil, fmt.Errorf("incr: delta %d (%s): negative weight", i, d)
-			}
-			if exists && d.W >= old {
-				continue // keep-min: no-op
-			}
-			out = append(out, Effect{U: d.U, V: d.V, Kind: EffectDecrease, W: d.W})
-			set(d.U, d.V, d.W)
-		case graph.DeltaDelete:
-			if !exists {
-				return nil, fmt.Errorf("incr: delta %d (%s): edge does not exist", i, d)
-			}
-			out = append(out, Effect{U: d.U, V: d.V, Kind: EffectIncrease, W: old})
-			set(d.U, d.V, -1) // tombstone
-		case graph.DeltaReweight:
-			if d.W < 0 {
-				return nil, fmt.Errorf("incr: delta %d (%s): negative weight", i, d)
-			}
-			if !exists {
-				return nil, fmt.Errorf("incr: delta %d (%s): edge does not exist", i, d)
-			}
-			switch {
-			case d.W == old:
-				continue
-			case d.W < old:
-				out = append(out, Effect{U: d.U, V: d.V, Kind: EffectDecrease, W: d.W})
-			default:
-				out = append(out, Effect{U: d.U, V: d.V, Kind: EffectIncrease, W: old})
-			}
-			set(d.U, d.V, d.W)
-		default:
-			return nil, fmt.Errorf("incr: delta %d: unknown op %d", i, uint8(d.Op))
-		}
-	}
-	return out, nil
+	return EffectsOf(changes), nil
 }
 
-// pairKey mirrors graph's canonical pair encoding (min<<32 | max).
-func pairKey(u, v graph.NodeID) uint64 {
-	if u > v {
-		u, v = v, u
+// EffectsOf maps resolved weight changes (graph.ResolveDeltas) to effects:
+// an insert or a lowered weight is a decrease to the new weight; a delete
+// or a raised weight is an increase from the old one.
+func EffectsOf(changes []graph.WeightChange) []Effect {
+	out := make([]Effect, len(changes))
+	for i, c := range changes {
+		out[i] = Effect{U: c.U, V: c.V, Kind: EffectIncrease, W: c.OldW}
+		if c.NewW >= 0 && (c.OldW < 0 || c.NewW < c.OldW) {
+			out[i] = Effect{U: c.U, V: c.V, Kind: EffectDecrease, W: c.NewW}
+		}
 	}
-	return uint64(uint32(u))<<32 | uint64(uint32(v))
+	return out
 }
 
 // SourceDirty reports whether the effect batch can change any distance or
@@ -206,7 +157,7 @@ func DirtySources(effects []Effect, traces map[graph.NodeID][]int64) (dirty, unt
 			untouched = append(untouched, s)
 		}
 	}
-	sort.Slice(dirty, func(a, b int) bool { return dirty[a] < dirty[b] })
-	sort.Slice(untouched, func(a, b int) bool { return untouched[a] < untouched[b] })
+	slices.Sort(dirty)
+	slices.Sort(untouched)
 	return dirty, untouched
 }

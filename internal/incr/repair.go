@@ -1,7 +1,7 @@
 package incr
 
 import (
-	"container/heap"
+	"slices"
 	"time"
 
 	"dsssp/internal/graph"
@@ -173,8 +173,7 @@ func Repair(g *graph.Graph, source graph.NodeID, tr Trace, changes []NetChange, 
 	// offer; net decreases relax both directions at the current labels.
 	// Every later improvement of a seed's donor re-relaxes the edge when
 	// the donor pops, so stale offers are harmless upper bounds.
-	pq := &repairHeap{}
-	push := func(v graph.NodeID, d int64) { heap.Push(pq, repairItem{v, d}) }
+	var pq graph.DistHeap
 	relax := func(from, to graph.NodeID, w int64) {
 		df := dist[from]
 		if df == graph.Inf {
@@ -186,7 +185,7 @@ func Repair(g *graph.Graph, source graph.NodeID, tr Trace, changes []NetChange, 
 				touched[to] = true
 				affected++
 			}
-			push(to, nd)
+			pq.Push(to, nd)
 		}
 	}
 	for _, v := range orphans {
@@ -203,7 +202,7 @@ func Repair(g *graph.Graph, source graph.NodeID, tr Trace, changes []NetChange, 
 		}
 		if best < graph.Inf {
 			dist[v] = best
-			push(v, best)
+			pq.Push(v, best)
 		}
 	}
 	for _, ch := range changes {
@@ -221,13 +220,13 @@ func Repair(g *graph.Graph, source graph.NodeID, tr Trace, changes []NetChange, 
 	// Phase 3 — Dijkstra over the affected frontier, lazy deletion,
 	// saturating sums: identical discipline to the reference algorithm, so
 	// the settled labels are the exact distances on g.
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(repairItem)
-		if it.d > dist[it.v] {
+	for len(pq) > 0 {
+		top := pq.Pop()
+		if top.D > dist[top.V] {
 			continue
 		}
-		for _, h := range g.Adj(it.v) {
-			relax(it.v, h.To, h.W)
+		for _, h := range g.Adj(top.V) {
+			relax(top.V, h.To, h.W)
 		}
 		if overBudget() {
 			return nil, false
@@ -292,25 +291,6 @@ func satSum(d, w int64) int64 {
 	return s
 }
 
-type repairItem struct {
-	v graph.NodeID
-	d int64
-}
-
-type repairHeap []repairItem
-
-func (h repairHeap) Len() int           { return len(h) }
-func (h repairHeap) Less(i, j int) bool { return h[i].d < h[j].d }
-func (h repairHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *repairHeap) Push(x any)        { *h = append(*h, x.(repairItem)) }
-func (h *repairHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 // NetChanges resolves a base-weight ledger — pair key → the pair's weight
 // on the trace's graph, -1 for absent, as accumulated by the registry
 // across every PATCH since the trace was exact — against the head graph
@@ -325,45 +305,17 @@ func NetChanges(base map[uint64]int64, g *graph.Graph) []NetChange {
 	for k := range base {
 		keys = append(keys, k)
 	}
-	sortUint64(keys)
+	slices.Sort(keys)
 	out := make([]NetChange, 0, len(keys))
 	for _, k := range keys {
 		u, v := graph.NodeID(k>>32), graph.NodeID(uint32(k))
 		neww := int64(-1)
-		for _, h := range g.Adj(u) {
-			if h.To == v {
-				neww = h.W
-				break
-			}
+		if w, ok := g.Weight(u, v); ok {
+			neww = w
 		}
 		if oldw := base[k]; oldw != neww {
 			out = append(out, NetChange{U: u, V: v, OldW: oldw, NewW: neww})
 		}
 	}
 	return out
-}
-
-// BaseWeight looks up the canonical pair's weight on g for the ledger
-// (-1 when absent) — the value NetChanges later diffs against the head.
-func BaseWeight(g *graph.Graph, u, v graph.NodeID) int64 {
-	for _, h := range g.Adj(u) {
-		if h.To == v {
-			return h.W
-		}
-	}
-	return -1
-}
-
-// PairKey exposes the canonical pair encoding (min<<32 | max) the ledger
-// is keyed by.
-func PairKey(u, v graph.NodeID) uint64 { return pairKey(u, v) }
-
-func sortUint64(a []uint64) {
-	// Tiny inputs (a handful of patched pairs); insertion sort avoids the
-	// sort.Slice closure allocation on the repair path.
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

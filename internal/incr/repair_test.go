@@ -22,9 +22,12 @@ func traceFor(g *graph.Graph, s graph.NodeID) incr.Trace {
 // trace was exact for, composably across stacked patches.
 func ledgerRecord(ledger map[uint64]int64, pre *graph.Graph, deltas []graph.EdgeDelta) {
 	for _, d := range deltas {
-		k := incr.PairKey(d.U, d.V)
+		k := graph.PairKey(d.U, d.V)
 		if _, ok := ledger[k]; !ok {
-			ledger[k] = incr.BaseWeight(pre, d.U, d.V)
+			ledger[k] = -1
+			if w, ok := pre.Weight(d.U, d.V); ok {
+				ledger[k] = w
+			}
 		}
 	}
 }
@@ -350,7 +353,7 @@ func BenchmarkRepairSmallDelta(b *testing.B) {
 	var ch incr.NetChange
 	for v := 1; v < n; v++ {
 		if p := tr.Parent[v]; p >= 0 {
-			w := incr.BaseWeight(g, p, graph.NodeID(v))
+			w, _ := g.Weight(p, graph.NodeID(v))
 			ch = incr.NetChange{U: p, V: graph.NodeID(v), OldW: w, NewW: w + 1}
 			break
 		}

@@ -298,14 +298,12 @@ func (r *GraphRegistry) Patch(id string, deltas []graph.EdgeDelta) (PatchInfo, e
 		return PatchInfo{}, notfoundf("no registered graph %q (evicted or never registered)", id)
 	}
 	old := rg.head
-	ng, err := graph.ApplyDeltas(old.g, deltas)
+	changes, err := graph.ResolveDeltas(old.g, deltas)
 	if err != nil {
 		return PatchInfo{}, badRequest{err}
 	}
-	effects, err := incr.Effects(old.g, deltas)
-	if err != nil {
-		return PatchInfo{}, badRequest{err} // unreachable after ApplyDeltas, but loud beats silent
-	}
+	ng := graph.ApplyChanges(old.g, changes)
+	effects := incr.EffectsOf(changes)
 	newDigest := canonicalGraphDigest(ng)
 	next := &revision{
 		num:    old.num + 1,
@@ -335,7 +333,8 @@ func (r *GraphRegistry) Patch(id string, deltas []graph.EdgeDelta) (PatchInfo, e
 			// what incr.Repair needs to catch it up on a later query. A
 			// trace without a witness tree can't be repaired — drop it.
 			if tr.parent != nil {
-				st := &staleTrace{dist: tr.dist, parent: tr.parent, base: baseLedger(old.g, effects)}
+				st := &staleTrace{dist: tr.dist, parent: tr.parent, base: make(map[uint64]int64, len(changes))}
+				recordBase(st.base, changes)
 				st.bytes = staleTraceBytes(st)
 				next.stale[src] = st
 				info.SourcesRepairable++
@@ -351,12 +350,7 @@ func (r *GraphRegistry) Patch(id string, deltas []graph.EdgeDelta) (PatchInfo, e
 	// weights, which are the trace-time weights for any pair not already in
 	// the ledger (an earlier patch touching it would have recorded it).
 	for src, st := range old.stale {
-		for _, e := range effects {
-			k := incr.PairKey(e.U, e.V)
-			if _, ok := st.base[k]; !ok {
-				st.base[k] = incr.BaseWeight(old.g, e.U, e.V)
-			}
-		}
+		recordBase(st.base, changes)
 		st.bytes = staleTraceBytes(st)
 		next.stale[src] = st
 		info.SourcesRepairable++
@@ -403,17 +397,16 @@ func (r *GraphRegistry) Patch(id string, deltas []graph.EdgeDelta) (PatchInfo, e
 	return info, nil
 }
 
-// baseLedger opens a dirty trace's base-weight ledger from the batch that
-// dirtied it: each patched pair at its pre-patch (= trace-time) weight.
-func baseLedger(g *graph.Graph, effects []incr.Effect) map[uint64]int64 {
-	base := make(map[uint64]int64, len(effects))
-	for _, e := range effects {
-		k := incr.PairKey(e.U, e.V)
+// recordBase adds every pair the changes touch to a base-weight ledger at
+// its weight before the batch (-1 for absent); a pair already in the
+// ledger keeps its entry, which is the weight on the trace's graph.
+func recordBase(base map[uint64]int64, changes []graph.WeightChange) {
+	for _, c := range changes {
+		k := graph.PairKey(c.U, c.V)
 		if _, ok := base[k]; !ok {
-			base[k] = incr.BaseWeight(g, e.U, e.V)
+			base[k] = c.OldW
 		}
 	}
-	return base
 }
 
 // migrateTraceLocked re-addresses a trace's cache entries from the old to

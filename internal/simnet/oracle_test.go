@@ -16,14 +16,19 @@ import (
 // Do not "improve" this code: its value is being the old semantics. (The
 // only edits since freezing are mechanical: field relocations tracking the
 // struct-of-arrays layout change — ns.kind → e.kind[id] and friends —,
-// carrying the message tag beside the body, and ns.resume() → e.dispatch,
-// the engine's one choice between a coroutine resume and a Drive step.)
+// carrying the message tag beside the body, ns.resume() → e.dispatch,
+// the engine's one choice between a coroutine resume and a Drive step, and
+// the reverse index moving from the Engine into oracleReverseIndex.)
+//
+// The oracle derives each arrival port from its own reverse index, never
+// from graph.Half.Rev, so a wrong Rev makes Run disagree with it.
 func (e *Engine) runOracle(p Program) (*Result, error) {
 	res := e.start(p)
 	defer e.shutdown()
 
 	n := e.g.N()
 	met := &res.Metrics
+	revOff, revFlat := oracleReverseIndex(e.g)
 
 	// All nodes wake at round 0.
 	var wh []wakeEntry
@@ -150,7 +155,7 @@ func (e *Engine) runOracle(p Program) (*Result, error) {
 					dst := &e.nodes[h.To]
 					dst.inbox = append(dst.inbox, Inbound{
 						From:    id,
-						NbIndex: int(e.revFlat[e.revOff[id]+int32(om.nbIndex)]),
+						NbIndex: int(revFlat[revOff[id]+int32(om.nbIndex)]),
 						Round:   cur,
 						Tag:     om.tag,
 						Msg:     om.msg,
@@ -181,4 +186,38 @@ func (e *Engine) runOracle(p Program) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// oracleReverseIndex is the engine's original reverse index, frozen with
+// runOracle: revFlat[revOff[u]+i] is the neighbor's adjacency index of the
+// edge that is u's i-th edge.
+func oracleReverseIndex(g *graph.Graph) (revOff, revFlat []int32) {
+	n := g.N()
+	revOff = make([]int32, n+1)
+	for u := 0; u < n; u++ {
+		revOff[u+1] = revOff[u] + int32(g.Degree(graph.NodeID(u)))
+	}
+	revFlat = make([]int32, revOff[n])
+	// slots[id] remembers the first-seen endpoint of edge id; EdgeIDs are
+	// dense 0..m-1, so a flat slice replaces a map here.
+	type slot struct {
+		u    graph.NodeID
+		iAdj int32
+	}
+	slots := make([]slot, g.M())
+	for i := range slots {
+		slots[i].u = -1
+	}
+	for u := 0; u < n; u++ {
+		off := revOff[u]
+		for i, h := range g.Adj(graph.NodeID(u)) {
+			if s := slots[h.ID]; s.u >= 0 {
+				revFlat[off+int32(i)] = s.iAdj
+				revFlat[revOff[s.u]+s.iAdj] = int32(i)
+			} else {
+				slots[h.ID] = slot{graph.NodeID(u), int32(i)}
+			}
+		}
+	}
+	return revOff, revFlat
 }

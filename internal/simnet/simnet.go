@@ -318,12 +318,6 @@ type Engine struct {
 	// per-node awake counters).
 	met *Metrics
 
-	// revFlat[revOff[u]+i] is the neighbor's adjacency index of the edge
-	// that is u's i-th edge (flat layout; EdgeIDs and adjacency offsets are
-	// dense, so no map is needed).
-	revOff  []int32
-	revFlat []int32
-
 	// Span ledger (span.go): interned (name, depth) spans and their
 	// counters; index 0 is the root span every node starts in.
 	spanIDs map[spanKey]int32
@@ -339,40 +333,7 @@ func New(g *graph.Graph, cfg Config) *Engine {
 	if cfg.MaxRounds == 0 {
 		cfg.MaxRounds = defaultMaxRounds
 	}
-	e := &Engine{g: g, cfg: cfg}
-	e.buildReverseIndex()
-	return e
-}
-
-func (e *Engine) buildReverseIndex() {
-	g := e.g
-	n := g.N()
-	e.revOff = make([]int32, n+1)
-	for u := 0; u < n; u++ {
-		e.revOff[u+1] = e.revOff[u] + int32(g.Degree(graph.NodeID(u)))
-	}
-	e.revFlat = make([]int32, e.revOff[n])
-	// slots[id] remembers the first-seen endpoint of edge id; EdgeIDs are
-	// dense 0..m-1, so a flat slice replaces a map here.
-	type slot struct {
-		u    graph.NodeID
-		iAdj int32
-	}
-	slots := make([]slot, g.M())
-	for i := range slots {
-		slots[i].u = -1
-	}
-	for u := 0; u < n; u++ {
-		off := e.revOff[u]
-		for i, h := range g.Adj(graph.NodeID(u)) {
-			if s := slots[h.ID]; s.u >= 0 {
-				e.revFlat[off+int32(i)] = s.iAdj
-				e.revFlat[e.revOff[s.u]+s.iAdj] = int32(i)
-			} else {
-				slots[h.ID] = slot{graph.NodeID(u), int32(i)}
-			}
-		}
-	}
+	return &Engine{g: g, cfg: cfg}
 }
 
 // start allocates the per-node state and wraps every node's program in an
@@ -589,7 +550,6 @@ func (e *Engine) Run(p Program) (*Result, error) {
 				continue
 			}
 			adj := e.g.Adj(id)
-			rev := e.revFlat[e.revOff[id]:]
 			for _, om := range ns.outbox {
 				h := adj[om.nbIndex]
 				met.Messages++
@@ -637,7 +597,7 @@ func (e *Engine) Run(p Program) (*Result, error) {
 					dst := &e.nodes[h.To]
 					dst.inbox = append(dst.inbox, Inbound{
 						From:    id,
-						NbIndex: int(rev[om.nbIndex]),
+						NbIndex: int(h.Rev),
 						Round:   cur,
 						Tag:     om.tag,
 						Msg:     om.msg,

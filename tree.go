@@ -118,13 +118,8 @@ func (t *TreeResult) Verify(g *Graph, sources map[NodeID]int64) error {
 			}
 		default:
 			p := t.Parent[v]
-			var w int64 = -1
-			for _, h := range g.Adj(id) {
-				if h.To == p {
-					w = h.W
-				}
-			}
-			if w < 0 {
+			w, ok := g.Weight(id, p)
+			if !ok {
 				return fmt.Errorf("node %d's parent %d is not adjacent", v, p)
 			}
 			if t.Dist[p]+w != t.Dist[v] {
