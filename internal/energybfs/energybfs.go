@@ -16,11 +16,14 @@
 //     cluster is fully awake before any of its nodes can be reached.
 //   - A node listens at BFS step rounds while one of its layer-0 clusters
 //     is active, so token messages are never lost — the tests assert
-//     LostMessages == 0 and exact distances. Heavy metric edges are safe
-//     because package decomp floors every layer radius above the first at
-//     the heaviest edge no heavier than MaxDist, so a parent cluster also
-//     holds its child's neighbours and is awake before any token crosses
-//     into the child.
+//     LostMessages == 0 and exact distances. Once reached and no longer
+//     listening, a node at distance d wakes for steps only through
+//     d + 2·(its heaviest eligible edge): a neighbour's token cannot arrive
+//     later, so its energy does not grow with the threshold. Heavy metric
+//     edges are safe because package decomp floors every layer radius
+//     above the first at the heaviest edge no heavier than MaxDist, so a
+//     parent cluster also holds its child's neighbours and is awake before
+//     any token crosses into the child.
 //
 // Tokens carry the receiver's distance; an edge of metric weight w relays
 // from a node at distance d in the round of step d+w (a sleeping-model
@@ -175,6 +178,8 @@ type runner struct {
 	isSource bool
 	dist     int64
 	edges    []edgeState
+	// maxW is the heaviest eligible edge's metric weight.
+	maxW int64
 }
 
 // Run executes the thresholded energy BFS; only participants (nodes the
@@ -225,6 +230,9 @@ func Run(mb *proto.Mailbox, p Params) int64 {
 		}
 		if e.w < 1 {
 			panic(fmt.Sprintf("energybfs: node %d edge %d has metric weight %d", c.ID(), i, e.w))
+		}
+		if e.elig {
+			r.maxW = max(r.maxW, e.w)
 		}
 	}
 
@@ -517,9 +525,17 @@ func (r *runner) bfsWake(now int64) int64 {
 	for _, mm := range r.live {
 		next = min(next, r.nextDuty(mm, now))
 	}
-	if r.listening() || r.dist != graph.Inf {
-		lastStepRound := r.bfsStart + (r.p.Threshold+1)*r.stepI
-		if s := r.nextStepRound(now); s < next && s <= lastStepRound {
+	// Step wakes run through the step after the last one that can carry a
+	// token here, whose wake drains it. For a listening node that is
+	// Threshold. A reached node that is not listening has its own relays
+	// due by step dist+maxW, and a neighbour u's token carries
+	// d_u + w(u,v) <= dist + 2·w(u,v), so nothing reaches it later.
+	if listening := r.listening(); listening || r.dist != graph.Inf {
+		lastToken := r.p.Threshold
+		if !listening {
+			lastToken = min(lastToken, r.dist+2*r.maxW)
+		}
+		if s := r.nextStepRound(now); s < next && s <= r.bfsStart+(lastToken+1)*r.stepI {
 			next = s
 		}
 	}

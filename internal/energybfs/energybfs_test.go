@@ -145,6 +145,34 @@ func TestEnergyBFSEnergySublinear(t *testing.T) {
 	_ = bits.Len(0)
 }
 
+// TestEnergyBFSEnergyFlatInThreshold: once the threshold passes the
+// eccentricity, a higher threshold adds steps at which nothing is left to
+// relay or receive, so a node's energy must not grow with it. A reached
+// node that kept waking at every step until the threshold would be awake
+// Θ(threshold) rounds.
+func TestEnergyBFSEnergyFlatInThreshold(t *testing.T) {
+	g := graph.Make(graph.FamilyExpander, 128, graph.UnitWeights, 1)
+	var awake []int64
+	for _, th := range []int64{127, 1023, 4095} {
+		got, met, err := RunBFS(g, map[graph.NodeID]int64{0: 0}, th)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if met.LostMessages != 0 {
+			t.Fatalf("threshold %d: lost %d messages", th, met.LostMessages)
+		}
+		for v, d := range graph.BFSDist(g, 0) {
+			if got[v] != d {
+				t.Fatalf("threshold %d: node %d at %d, want %d", th, v, got[v], d)
+			}
+		}
+		awake = append(awake, met.MaxAwake)
+	}
+	if last := awake[len(awake)-1]; last > awake[0]+awake[0]/8 {
+		t.Fatalf("max awake %v at thresholds 127/1023/4095: grows with the threshold", awake)
+	}
+}
+
 func TestDurationExact(t *testing.T) {
 	g := graph.Path(10, graph.UnitWeights)
 	cv, err := decompBuild(g, 9)
