@@ -1,9 +1,7 @@
 package graph
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -155,7 +153,8 @@ func ApplyChanges(g *Graph, changes []WeightChange) *Graph {
 	deleted := make(map[int]bool)
 	for key, w := range final {
 		p := searchPair(base, key)
-		switch found := p < len(base) && PairKey(base[p].U, base[p].V) == key; {
+		found := p < len(base) && PairKey(base[p].U, base[p].V) == key
+		switch {
 		case found && w >= 0:
 			base[p].W = w
 		case found:
@@ -167,7 +166,7 @@ func ApplyChanges(g *Graph, changes []WeightChange) *Graph {
 	if len(ins) == 0 && len(deleted) == 0 {
 		return build(g.n, base)
 	}
-	slices.SortFunc(ins, func(a, b EdgeTriple) int { return cmp.Compare(PairKey(a.U, a.V), PairKey(b.U, b.V)) })
+	sort.Slice(ins, func(a, b int) bool { return PairKey(ins[a].U, ins[a].V) < PairKey(ins[b].U, ins[b].V) })
 	merged := make([]EdgeTriple, 0, len(base)-len(deleted)+len(ins))
 	for p, e := range base {
 		if deleted[p] {

@@ -168,23 +168,22 @@ func (g *Graph) MaxWeight() int64 {
 	return mw
 }
 
-// Weight returns the weight of edge {u,v} and whether the edge exists. The
-// index answers absence in O(1); a present edge is read off the shorter of
-// its endpoints' adjacency lists.
+// Weight returns the weight of edge {u,v} and whether the edge exists; an
+// endpoint out of range has no edges. It scans the shorter of the two
+// adjacency lists, so a lookup at a hub costs the other endpoint's degree.
 func (g *Graph) Weight(u, v NodeID) (int64, bool) {
-	id, ok := g.index[PairKey(u, v)]
-	if !ok {
+	if u < 0 || int(u) >= g.n || v < 0 || int(v) >= g.n {
 		return 0, false
 	}
 	if len(g.adj[v]) < len(g.adj[u]) {
-		u = v
+		u, v = v, u
 	}
 	for _, h := range g.adj[u] {
-		if h.ID == id {
+		if h.To == v {
 			return h.W, true
 		}
 	}
-	panic(fmt.Sprintf("graph: edge %d indexed but not in node %d's adjacency", id, u))
+	return 0, false
 }
 
 // HasEdge reports whether an edge {u,v} exists.
