@@ -35,7 +35,7 @@ func BellmanFord(g *graph.Graph, source graph.NodeID) ([]int64, simnet.Metrics, 
 		for c.Round() < end {
 			improved := false
 			for _, m := range c.WaitMessage(end) {
-				if d, ok := m.Msg.(int64); ok {
+				if d, ok := m.Body.(int64); ok {
 					if cand := d + c.Weight(m.NbIndex); cand < dist {
 						dist = cand
 						improved = true
@@ -203,7 +203,7 @@ func AlwaysAwakeBFS(g *graph.Graph, sources map[graph.NodeID]bool, threshold int
 		}
 		for r := int64(0); r <= threshold; r++ {
 			for _, m := range c.Next() {
-				if d := m.Msg.(int64); d < dist {
+				if d := m.Body.(int64); d < dist {
 					dist = d
 					if d < threshold {
 						for i := 0; i < c.Degree(); i++ {

@@ -89,7 +89,7 @@ type output struct {
 	Subproblems int
 }
 
-// Tag block layout: each recursion call owns a 32-tag block indexed by its
+// Tag block layout: each recursion call owns a 64-tag block indexed by its
 // path in the binary recursion tree.
 const (
 	tagBlock    = 64
@@ -153,7 +153,7 @@ func (congestVariant) cut(s *cssp, p callParams, entry int64, fr forest.Result, 
 }
 
 func (congestVariant) barrier(s *cssp, fr forest.Result, tag uint64, _ int64) {
-	proto.Barrier(s.mb, fr.Tree, tag, fr.Size, -1)
+	proto.Barrier(s.mb, fr.Tree, tag, fr.Size)
 }
 
 func (congestVariant) checkOffsets() bool { return true }

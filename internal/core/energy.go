@@ -103,9 +103,12 @@ func (cp *coverProvider) get(path uint64, comp, member graph.NodeID, weight deco
 func cutterTag(path uint64) uint64 { return (1 << 62) + path*(1<<21) }
 
 // energyBarrier is the sleeping-model component barrier: windows of
-// count-based tree sweeps anchored at a common round; the root announces a
-// common start once the whole component (size known) has checked in.
-// Returns that start round, with the node advanced to it.
+// count-based tree sweeps anchored at a common round, on the rounds of
+// proto.UpSlot and proto.DownSlot; the root announces a common start once
+// the whole component (size known) has checked in. Returns that start
+// round, with the node advanced to it. Its folds are its own, not
+// proto.UpAct/DownAct: they drop stale windows' messages and tolerate
+// missing ones, where DownAct panics.
 func energyBarrier(mb *proto.Mailbox, t proto.Tree, tag uint64, size, anchor int64) int64 {
 	if !t.InTree {
 		return 0
@@ -131,14 +134,8 @@ func energyBarrier(mb *proto.Mailbox, t proto.Tree, tag uint64, size, anchor int
 			continue
 		}
 		// Count sweep up (tolerant: absent subtrees contribute 0).
-		sendRound := w + size - t.Depth
+		mb.Reach(proto.UpSlot(mb, t, w, size))
 		count := int64(1)
-		if len(t.Children) > 0 {
-			mb.AdvanceTo(sendRound - 1)
-			mb.SleepUntil(sendRound)
-		} else {
-			mb.AdvanceTo(sendRound)
-		}
 		for _, m := range mb.Take(tag) {
 			if sm := m.Body.(stamped); sm.K == k {
 				count += sm.V
@@ -148,17 +145,13 @@ func energyBarrier(mb *proto.Mailbox, t proto.Tree, tag uint64, size, anchor int
 			mb.Send(t.Parent, tag, stamped{k, count})
 		}
 		// Tolerant broadcast sweep down.
+		mb.Reach(proto.DownSlot(t, w+size+2))
 		start := int64(-1)
-		dw := w + size + 2
 		if t.Parent < 0 {
 			if count == size {
 				start = w + 2*p
 			}
-			mb.AdvanceTo(dw)
 		} else {
-			recv := dw + t.Depth - 1
-			mb.AdvanceTo(recv)
-			mb.SleepUntil(recv + 1)
 			for _, m := range mb.Take(tag + 1) {
 				if sm := m.Body.(stamped); sm.K == k {
 					start = sm.V

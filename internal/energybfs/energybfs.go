@@ -5,6 +5,9 @@
 //   - Clusters of the layered sparse cover run periodic convergecast +
 //     broadcast cycles on their trees (Section 3.1.1): layer j uses period
 //     P_j = Θ(B^j), so a node is awake O(1) rounds per cycle per cluster.
+//     Within a cycle window a member listens and acts in the rounds of
+//     proto.UpSlot and proto.DownSlot, and acts through proto.UpAct and
+//     DownAct, the schedule every tree sweep in the repository shares.
 //   - A cluster is activated when its parent cluster is reached by the BFS
 //     (Definition 3.5's relevance seeds the cascade: clusters whose parent
 //     contains a source start active). A cluster deactivates once it has
@@ -104,10 +107,16 @@ func Duration(cv *decomp.Cover, threshold int64) int64 {
 // membership tracks runtime state of one cluster membership.
 type membership struct {
 	m *decomp.Membership
+	// tree is this node's view of the cluster tree.
+	tree proto.Tree
+	// up and down are the node's convergecast and broadcast slots within a
+	// cycle window, as offsets from the window start (see schedule).
+	up, down proto.SweepSlot
 	// period is the layer's cycle period P_j.
 	period int64
 	// duty[:nDuty] are the wake rounds within a cycle window, as ascending
-	// offsets from the window start (see dutyOffsets).
+	// offsets from the window start: each slot's listen round, if it has
+	// one, then its act round.
 	duty  [4]int64
 	nDuty int
 	// initWindow is the start of this layer's initialization window.
@@ -140,7 +149,11 @@ const (
 	aggAny = aggAnyReached | aggAnySource
 )
 
-func combineAgg(a, b agg) agg { return (a|b)&aggAny | (a&b)&^aggAny }
+// combineAgg is the cluster convergecast's proto.Combine.
+func combineAgg(a, b any) any {
+	x, y := a.(agg), b.(agg)
+	return (x|y)&aggAny | (x&y)&^aggAny
+}
 
 // downMsg is a cluster broadcast value: a set of the flags below.
 type downMsg uint8
@@ -205,10 +218,9 @@ func Run(mb *proto.Mailbox, p Params) int64 {
 	for i := range nodeMs {
 		m := &nodeMs[i]
 		mm := &r.ms[i]
-		mm.m = m
 		l := cv.Layers[m.Layer]
+		mm.schedule(mb, m, l.MaxDepth)
 		mm.period = l.Period
-		mm.nDuty = dutyOffsets(&mm.duty, l.MaxDepth, m.Depth, len(m.Children) > 0)
 		// Initialization windows run top-down from StartRound+1.
 		mm.initWindow = p.StartRound + 1
 		for j := len(cv.Layers) - 1; j > m.Layer; j-- {
@@ -322,28 +334,26 @@ func (r *runner) preActivate() {
 	r.refreshLive()
 }
 
-// dutyOffsets fills duty with a membership's wake rounds within a cycle
-// window, as offsets from the window start, and returns their count: for a
-// node at depth d of a layer with depth bound ld, a listen round before the
-// upward send (only with children), the upward send at ld-d, and the
-// broadcast at bStart+d with bStart = ld+1 (preceded by a listen round
-// below the root). The offsets ascend and stay below the period 2ld+4, so
-// every duty round lies inside its own window.
-func dutyOffsets(duty *[4]int64, ld, d int64, hasChildren bool) int {
-	n := 0
-	if hasChildren {
-		duty[n] = ld - d - 1
-		n++
+// schedule sets mm's cluster membership m, on a layer of depth bound ld,
+// and its place in the layer's cycle window: the convergecast slot
+// UpSlot(0, ld), the broadcast slot DownSlot(ld+1), and the duty rounds
+// they imply. A window of period 2ld+4 holds every duty round.
+func (mm *membership) schedule(mb *proto.Mailbox, m *decomp.Membership, ld int64) {
+	mm.m = m
+	// A member does not know its cluster root's ID; the sweeps never read
+	// it.
+	mm.tree = proto.Tree{InTree: true, Parent: m.Parent, Children: m.Children, Depth: m.Depth}
+	mm.up = proto.UpSlot(mb, mm.tree, 0, ld)
+	mm.down = proto.DownSlot(mm.tree, ld+1)
+	mm.nDuty = 0
+	for _, sl := range [...]proto.SweepSlot{mm.up, mm.down} {
+		if sl.Listen {
+			mm.duty[mm.nDuty] = sl.Act - 1
+			mm.nDuty++
+		}
+		mm.duty[mm.nDuty] = sl.Act
+		mm.nDuty++
 	}
-	duty[n] = ld - d
-	n++
-	bStart := ld + 1
-	if d > 0 {
-		duty[n] = bStart + d - 1
-		n++
-	}
-	duty[n] = bStart + d
-	return n + 1
 }
 
 // dutyAfter returns the membership's first duty round after now within the
@@ -373,43 +383,25 @@ func (r *runner) nextDuty(mm *membership, now int64) int64 {
 }
 
 // serveWindow performs whatever duty round `now` is within the window
-// starting at w. init selects the initialization semantics (aggregate
-// AnySource, apply nothing but containsSource).
+// starting at w: the act round of mm's up or down slot (proto.UpAct,
+// DownAct). Listen rounds need no action: being awake is the point. init
+// selects the initialization semantics (aggregate AnySource, apply nothing
+// but containsSource).
 func (r *runner) serveWindow(mm *membership, w int64, now int64, init bool) {
-	ld := r.cv.Layers[mm.m.Layer].MaxDepth
-	d := mm.m.Depth
-	upSend := w + ld - d
-	bStart := w + ld + 1
 	cl := mm.m.Cluster
-	switch now {
-	case upSend:
-		a := r.ownAgg(mm, init)
-		for _, msg := range r.mb.Take(r.tagUp(cl)) {
-			a = combineAgg(a, msg.Body.(agg))
+	switch now - w {
+	case mm.up.Act:
+		if a, isRoot := proto.UpAct(r.mb, mm.tree, r.tagUp(cl), mm.up, r.ownAgg(mm, init), combineAgg); isRoot {
+			mm.rootAgg = a.(agg)
 		}
-		if d > 0 {
-			r.mb.Send(mm.m.Parent, r.tagUp(cl), a)
-		} else {
-			mm.rootAgg = a
+	case mm.down.Act:
+		var rootVal any
+		if mm.tree.Parent < 0 {
+			rootVal = r.decide(mm, init)
 		}
-	case bStart + d: // root: bStart; others: process+forward round
-		var dm downMsg
-		if d == 0 {
-			dm = r.decide(mm, init)
-		} else {
-			msgs := r.mb.Take(r.tagDown(cl))
-			if len(msgs) == 0 {
-				panic(fmt.Sprintf("energybfs: node %d missed broadcast of cluster %d at round %d", r.mb.C.ID(), cl, now))
-			}
-			dm = msgs[0].Body.(downMsg)
-		}
-		for _, ch := range mm.m.Children {
-			r.mb.Send(ch, r.tagDown(cl), dm)
-		}
-		r.apply(mm, dm, w, init)
+		dm := proto.DownAct(r.mb, mm.tree, r.tagDown(cl), mm.down, rootVal, nil)
+		r.apply(mm, dm.(downMsg), w, init)
 	}
-	// Listen rounds (upSend-1 and bStart+d-1) need no action: being awake
-	// is the point.
 }
 
 // ownAgg is this node's convergecast contribution to mm's cluster.

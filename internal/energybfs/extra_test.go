@@ -120,10 +120,11 @@ func TestStepIntervalCondition(t *testing.T) {
 }
 
 // nextDuty must pick the earliest duty round after now over every window
-// from firstWindow on, as a scan listing each window's duty rounds does:
-// a listen round before the upward send (with children), the send at
-// w+ld-d, and the broadcast round bStart+d (with a listen round before it
-// below the root), bStart = w+ld+1.
+// from firstWindow on, as a scan listing each window's duty rounds in
+// closed form does: a listen round before the upward send (with children),
+// the send at w+ld-d, and the broadcast round bStart+d (with a listen round
+// before it below the root), bStart = w+ld+1. The memberships are
+// scheduled by the slot code Run uses.
 func TestNextDutyMatchesWindowScan(t *testing.T) {
 	const bfsStart = 17
 	for ld := int64(0); ld <= 4; ld++ {
@@ -132,8 +133,15 @@ func TestNextDutyMatchesWindowScan(t *testing.T) {
 				if hasChildren && d == ld {
 					continue
 				}
+				m := &decomp.Membership{Depth: d, Parent: -1}
+				if d > 0 {
+					m.Parent = 0
+				}
+				if hasChildren {
+					m.Children = []int{1}
+				}
 				mm := &membership{period: 2*ld + 4}
-				mm.nDuty = dutyOffsets(&mm.duty, ld, d, hasChildren)
+				mm.schedule(proto.NewMailbox(nil), m, ld)
 				r := &runner{bfsStart: bfsStart}
 				for fw := int64(0); fw <= 3; fw++ {
 					mm.firstWindow = fw

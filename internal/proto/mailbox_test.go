@@ -15,7 +15,7 @@ type refMailbox map[uint64][]Msg
 
 func (r refMailbox) pump(in []simnet.Inbound) {
 	for _, ib := range in {
-		r[ib.Tag] = append(r[ib.Tag], Msg{From: ib.From, NbIndex: ib.NbIndex, Round: ib.Round, Body: ib.Msg})
+		r[ib.Tag] = append(r[ib.Tag], ib)
 	}
 }
 
@@ -62,7 +62,7 @@ func TestMailboxMatchesMapModel(t *testing.T) {
 						NbIndex: rng.Intn(4),
 						Round:   round,
 						Tag:     tags[rng.Intn(len(tags))],
-						Msg:     rng.Int63(),
+						Body:    rng.Int63(),
 					}
 				}
 				m.pump(in)

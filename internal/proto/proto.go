@@ -6,11 +6,14 @@
 //     (Section 2.3 of the paper), so a message can arrive for a phase the
 //     receiver has not entered yet; the mailbox buffers by tag instead of
 //     dropping.
-//   - Rooted-tree aggregation: event-driven convergecast/broadcast for the
-//     CONGEST model, and one-shot depth-indexed sweeps (2 awake rounds per
-//     node) for the sleeping model (Section 3.1.1 of the paper).
-//   - Barriers: the paper's "all of C done → root picks a start round
-//     Θ(|C|) in the future → broadcast" synchronization step.
+//   - Depth-indexed tree sweeps (Section 3.1.1 of the paper): UpSlot and
+//     DownSlot fix the round in which a node at depth d listens and acts
+//     in a convergecast or broadcast window, at most 2 awake rounds per
+//     node per sweep. Every windowed sweep in the repository takes its
+//     rounds from them; SweepUp/SweepDown are the coroutine form.
+//   - Barrier: the paper's "all of C done → root picks a start round
+//     Θ(|C|) in the future → broadcast" synchronization step, event-driven
+//     for the CONGEST model.
 package proto
 
 import (
@@ -21,18 +24,13 @@ import (
 )
 
 // Msg is a received, tag-matched message.
-type Msg struct {
-	From    graph.NodeID
-	NbIndex int
-	Round   int64
-	Body    any
-}
+type Msg = simnet.Inbound
 
 // Mailbox wraps a simnet.Ctx with tag-based buffering.
 //
-// Ownership: a slice returned by Take or WaitTag is valid until the node's
-// next receive (Next, SleepUntil, SleepUntilAtLeast, AdvanceTo, WaitTag,
-// WaitTagCount, Pump, or any helper that calls them) — the mailbox may then
+// Ownership: a slice returned by Take is valid until the node's next
+// receive (Next, SleepUntil, SleepUntilAtLeast, AdvanceTo, Reach, Pump,
+// Barrier, or any helper that calls them) — the mailbox may then
 // refill its backing array as a queue buffer, the same rule simnet.Ctx.Next
 // documents for inbound slices. Consume the messages before receiving
 // again, or copy them.
@@ -75,12 +73,7 @@ func (m *Mailbox) pump(in []simnet.Inbound) {
 		if q < 0 || m.byTag[q].tag != ib.Tag {
 			q = m.queue(ib.Tag)
 		}
-		m.byTag[q].msgs = append(m.byTag[q].msgs, Msg{
-			From:    ib.From,
-			NbIndex: ib.NbIndex,
-			Round:   ib.Round,
-			Body:    ib.Msg,
-		})
+		m.byTag[q].msgs = append(m.byTag[q].msgs, ib)
 	}
 }
 
@@ -177,40 +170,6 @@ func (m *Mailbox) Pending(tag uint64) int {
 	return 0
 }
 
-// WaitTag blocks (event-driven; Congest mode only) until at least one
-// message with the given tag is buffered or the deadline round passes, then
-// drains and returns them. A negative deadline waits indefinitely (the
-// engine's deadlock detection is the backstop). The slice is valid until
-// the node's next receive (see Mailbox).
-func (m *Mailbox) WaitTag(tag uint64, deadline int64) []Msg {
-	for {
-		if q := m.Take(tag); len(q) > 0 {
-			return q
-		}
-		if deadline >= 0 && m.C.Round() >= deadline {
-			return nil
-		}
-		m.pump(m.C.WaitMessage(deadline))
-	}
-}
-
-// WaitTagCount blocks until at least want messages with the tag have been
-// buffered (draining them incrementally), or the deadline passes; it returns
-// all collected messages and whether the count was reached.
-func (m *Mailbox) WaitTagCount(tag uint64, want int, deadline int64) ([]Msg, bool) {
-	var acc []Msg
-	for {
-		acc = append(acc, m.Take(tag)...)
-		if len(acc) >= want {
-			return acc, true
-		}
-		if deadline >= 0 && m.C.Round() >= deadline {
-			return acc, false
-		}
-		m.pump(m.C.WaitMessage(deadline))
-	}
-}
-
 // Tree is one node's view of a rooted spanning tree. Parent and Children are
 // adjacency indexes of this node's incident edges; Parent is -1 at the root.
 // A node with InTree == false ignores tree operations (returns zero values).
@@ -227,68 +186,43 @@ type Tree struct {
 // convention our combiners treat their arguments as already-valid values).
 type Combine func(a, b any) any
 
-// AggregateUp performs an event-driven convergecast (Congest mode): every
-// node waits for one value from each child, combines them with its own, and
-// sends the result to its parent. The root returns (aggregate, true); other
-// nodes return (nil, false). Panics on deadline expiry — a protocol bug.
-func AggregateUp(m *Mailbox, t Tree, tag uint64, mine any, combine Combine, deadline int64) (any, bool) {
-	if !t.InTree {
-		return nil, false
-	}
-	acc := mine
-	msgs, ok := m.WaitTagCount(tag, len(t.Children), deadline)
-	if !ok {
-		panic(fmt.Sprintf("proto: node %d: AggregateUp(tag=%d) missed %d/%d children by round %d",
-			m.C.ID(), tag, len(t.Children)-len(msgs), len(t.Children), deadline))
-	}
-	for _, msg := range msgs {
-		acc = combine(acc, msg.Body)
-	}
-	if t.Parent < 0 {
-		return acc, true
-	}
-	m.Send(t.Parent, tag, acc)
-	return nil, false
-}
-
-// BroadcastDown distributes a value from the root to the whole tree
-// (event-driven; Congest mode). The root passes its value in rootVal; other
-// nodes receive their parent's value. Every node returns the value.
-func BroadcastDown(m *Mailbox, t Tree, tag uint64, rootVal any, deadline int64) any {
-	if !t.InTree {
-		return nil
-	}
-	val := rootVal
-	if t.Parent >= 0 {
-		msgs := m.WaitTag(tag, deadline)
-		if len(msgs) == 0 {
-			panic(fmt.Sprintf("proto: node %d: BroadcastDown(tag=%d) timed out at round %d", m.C.ID(), tag, deadline))
-		}
-		val = msgs[0].Body
-	}
-	for _, ch := range t.Children {
-		m.Send(ch, tag, val)
-	}
-	return val
-}
-
 // Barrier implements the paper's component synchronization (Section 2.3,
-// step 4): each node enters when it is locally done; the root picks a common
-// start round sizeBound+slack ahead and broadcasts it; every node sleeps
-// until that round. sizeBound must be an upper bound on the tree depth.
-// Nodes with t.InTree == false must not call Barrier.
-func Barrier(m *Mailbox, t Tree, tag uint64, sizeBound int64, deadline int64) int64 {
+// step 4), event-driven (Congest mode): each node enters when it is
+// locally done and checks in with its parent once all its children have;
+// the root then picks a common start round sizeBound+2 ahead and
+// broadcasts it, and every node sleeps until that round. sizeBound must be
+// an upper bound on the tree depth. Nodes with t.InTree == false must not
+// call Barrier.
+func Barrier(m *Mailbox, t Tree, tag uint64, sizeBound int64) int64 {
 	if !t.InTree {
 		return 0
 	}
-	_, isRoot := AggregateUp(m, t, tag, nil, func(a, b any) any { return nil }, deadline)
-	var rootVal any
-	if isRoot {
-		rootVal = m.C.Round() + sizeBound + 2
+	m.await(tag, len(t.Children))
+	var start int64
+	if t.Parent >= 0 {
+		m.Send(t.Parent, tag, nil)
+		start = m.await(tag+1, 1)[0].Body.(int64)
+	} else {
+		start = m.Round() + sizeBound + 2
 	}
-	start := BroadcastDown(m, t, tag+1, rootVal, deadline).(int64)
+	for _, ch := range t.Children {
+		m.Send(ch, tag+1, start)
+	}
 	m.SleepUntilAtLeast(start)
 	return start
+}
+
+// await takes tag's messages, waiting for the next arrival between takes,
+// until want of them have come in, and returns the last take. The engine's
+// deadlock detection is the backstop for a message that never comes.
+func (m *Mailbox) await(tag uint64, want int) []Msg {
+	for {
+		q := m.Take(tag)
+		if want -= len(q); want <= 0 {
+			return q
+		}
+		m.pump(m.C.WaitMessage(-1))
+	}
 }
 
 // SweepSlot is one node's place in a depth-indexed sweep window (SweepUp,
@@ -323,8 +257,10 @@ func DownSlot(t Tree, windowStart int64) SweepSlot {
 	return SweepSlot{Act: windowStart + t.Depth, Listen: true}
 }
 
-// reach takes the node to its slot's act round.
-func (m *Mailbox) reach(s SweepSlot) {
+// Reach takes the node to its slot's act round, awake in the listen round
+// on the way if the slot has one. It is the coroutine form of booking a
+// slot's rounds; a step machine (forest's) books the same rounds itself.
+func (m *Mailbox) Reach(s SweepSlot) {
 	if s.Listen {
 		m.AdvanceTo(s.Act - 1)
 		m.SleepUntil(s.Act)
@@ -383,7 +319,7 @@ func SweepUp(m *Mailbox, t Tree, tag uint64, windowStart, depthBound int64, mine
 		return nil, false
 	}
 	s := UpSlot(m, t, windowStart, depthBound)
-	m.reach(s)
+	m.Reach(s)
 	return UpAct(m, t, tag, s, mine, combine)
 }
 
@@ -397,6 +333,6 @@ func SweepDown(m *Mailbox, t Tree, tag uint64, windowStart int64, rootVal any, t
 		return nil
 	}
 	s := DownSlot(t, windowStart)
-	m.reach(s)
+	m.Reach(s)
 	return DownAct(m, t, tag, s, rootVal, transform)
 }

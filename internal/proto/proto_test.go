@@ -1,6 +1,9 @@
 package proto
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"dsssp/internal/graph"
@@ -48,56 +51,6 @@ func pathParents(n int) []graph.NodeID {
 
 func sum(a, b any) any { return a.(int64) + b.(int64) }
 
-func TestAggregateBroadcastSum(t *testing.T) {
-	g := graph.Path(7, graph.UnitWeights)
-	tv := testTree(g, pathParents(7))
-	e := simnet.New(g, simnet.Config{Model: simnet.Congest})
-	res, err := e.Run(func(c *simnet.Ctx) {
-		m := NewMailbox(c)
-		tr := tv(c)
-		agg, isRoot := AggregateUp(m, tr, 10, int64(c.ID()), sum, -1)
-		var rootVal any
-		if isRoot {
-			rootVal = agg
-		}
-		c.SetOutput(BroadcastDown(m, tr, 11, rootVal, -1))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := int64(0 + 1 + 2 + 3 + 4 + 5 + 6)
-	for v, out := range res.Outputs {
-		if out.(int64) != want {
-			t.Fatalf("node %d got %v, want %d", v, out, want)
-		}
-	}
-}
-
-func TestAggregateUpRootOnly(t *testing.T) {
-	g := graph.Star(5, graph.UnitWeights)
-	parent := []graph.NodeID{0, 0, 0, 0, 0}
-	tv := testTree(g, parent)
-	e := simnet.New(g, simnet.Config{Model: simnet.Congest})
-	res, err := e.Run(func(c *simnet.Ctx) {
-		m := NewMailbox(c)
-		agg, isRoot := AggregateUp(m, tv(c), 3, int64(1), sum, -1)
-		if isRoot {
-			c.SetOutput(agg)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outputs[0].(int64) != 5 {
-		t.Fatalf("root aggregate %v, want 5", res.Outputs[0])
-	}
-	for v := 1; v < 5; v++ {
-		if res.Outputs[v] != nil {
-			t.Fatalf("non-root %d has output %v", v, res.Outputs[v])
-		}
-	}
-}
-
 func TestBarrierSynchronizes(t *testing.T) {
 	g := graph.Path(6, graph.UnitWeights)
 	tv := testTree(g, pathParents(6))
@@ -106,7 +59,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 		m := NewMailbox(c)
 		// Nodes become "done" at very different times.
 		m.SleepUntilAtLeast(int64(c.ID()) * 13)
-		start := Barrier(m, tv(c), 20, 6, -1)
+		start := Barrier(m, tv(c), 20, 6)
 		if c.Round() != start {
 			t.Errorf("node %d resumed at %d, want %d", c.ID(), c.Round(), start)
 		}
@@ -123,6 +76,80 @@ func TestBarrierSynchronizes(t *testing.T) {
 	}
 	if first < 5*13 {
 		t.Fatalf("start %d before the slowest node was done", first)
+	}
+}
+
+// TestBarrierBranchingTree runs Barrier on BFS spanning trees of random
+// graphs whose nodes become done in uneven rounds. A node checks in with
+// its parent in the round it is done or in the round after its last
+// child's check-in arrives, whichever is later; the root's check-in round
+// R fixes the common start R+sizeBound+2. The barrier sends one nil body up
+// and one int64 start down each tree edge, and nothing else.
+func TestBarrierBranchingTree(t *testing.T) {
+	const n, tag = 40, 20
+	for seed := int64(1); seed <= 5; seed++ {
+		g := graph.RandomConnected(n, n, graph.UnitWeights, seed)
+		root := graph.NodeID(seed % n)
+		dist := graph.BFSDist(g, root)
+		parent := make([]graph.NodeID, n)
+		order := make([]graph.NodeID, n) // nodes by descending depth
+		for v := range parent {
+			parent[v] = graph.NodeID(v)
+			order[v] = graph.NodeID(v)
+			for _, h := range g.Adj(graph.NodeID(v)) {
+				if dist[h.To] == dist[v]-1 {
+					parent[v] = h.To
+					break
+				}
+			}
+		}
+		slices.SortFunc(order, func(a, b graph.NodeID) int { return cmp.Compare(dist[b], dist[a]) })
+		rng := rand.New(rand.NewSource(seed))
+		done := make([]int64, n)
+		for v := range done {
+			done[v] = 1 + rng.Int63n(60)
+		}
+		checkIn := slices.Clone(done)
+		for _, v := range order {
+			if v != root {
+				checkIn[parent[v]] = max(checkIn[parent[v]], checkIn[v]+1)
+			}
+		}
+		want := checkIn[root] + n + 2
+
+		var up, down int
+		tv := testTree(g, parent)
+		e := simnet.New(g, simnet.Config{Model: simnet.Congest, MessageBits: func(tg uint64, body any) int64 {
+			switch {
+			case tg == tag && body == nil:
+				up++
+			case tg == tag+1 && body == want:
+				down++
+			default:
+				t.Errorf("seed %d: unexpected message tag %d body %#v", seed, tg, body)
+			}
+			return MessageBits(tg, body)
+		}})
+		res, err := e.Run(func(c *simnet.Ctx) {
+			m := NewMailbox(c)
+			m.SleepUntilAtLeast(done[c.ID()])
+			start := Barrier(m, tv(c), tag, n)
+			if c.Round() != start {
+				t.Errorf("seed %d: node %d resumed at %d, want %d", seed, c.ID(), c.Round(), start)
+			}
+			c.SetOutput(start)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v, out := range res.Outputs {
+			if out.(int64) != want {
+				t.Fatalf("seed %d: node %d start %v, want root check-in %d + %d + 2", seed, v, out, checkIn[root], n)
+			}
+		}
+		if up != n-1 || down != n-1 || res.Metrics.Messages != 2*(n-1) {
+			t.Fatalf("seed %d: %d up and %d down of %d messages, want %d each of %d", seed, up, down, res.Metrics.Messages, n-1, 2*(n-1))
+		}
 	}
 }
 
@@ -200,7 +227,8 @@ func TestMailboxBuffersOutOfPhaseMessages(t *testing.T) {
 		case 1:
 			// First handle an unrelated phase; the tag-77 message must be
 			// buffered, not lost.
-			if got := m.WaitTag(55, 10); len(got) != 0 {
+			m.Pump(c.WaitMessage(10))
+			if got := m.Take(55); len(got) != 0 {
 				t.Errorf("unexpected tag-55 messages: %v", got)
 			}
 			msgs := m.Take(77)
@@ -215,26 +243,6 @@ func TestMailboxBuffersOutOfPhaseMessages(t *testing.T) {
 	}
 	if res.Outputs[1].(int) != 1 {
 		t.Fatal("tag buffering failed")
-	}
-}
-
-func TestWaitTagCountTimeout(t *testing.T) {
-	g := graph.Path(2, graph.UnitWeights)
-	e := simnet.New(g, simnet.Config{Model: simnet.Congest})
-	_, err := e.Run(func(c *simnet.Ctx) {
-		m := NewMailbox(c)
-		if c.ID() == 0 {
-			_, ok := m.WaitTagCount(9, 2, 15)
-			if ok {
-				t.Error("expected timeout")
-			}
-			if c.Round() < 15 {
-				t.Errorf("returned early at %d", c.Round())
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -253,7 +253,7 @@ func TestAPSPWithRealTraces(t *testing.T) {
 			for c.Round() < end {
 				for _, m := range c.WaitMessage(end) {
 					if d == -1 {
-						d = m.Msg.(int64)
+						d = m.Body.(int64)
 						for i := 0; i < c.Degree(); i++ {
 							c.Send(i, d+1)
 						}

@@ -34,7 +34,7 @@ func driveScript(seed int64, model Model, driven bool) Program {
 				mix(uint64(m.From))
 				mix(uint64(m.Round))
 				mix(m.Tag)
-				mix(m.Msg.(uint64))
+				mix(m.Body.(uint64))
 			}
 		}
 		send := func() {

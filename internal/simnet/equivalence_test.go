@@ -35,7 +35,7 @@ func scriptProgram(seed int64, model Model, steps int) Program {
 				mix(uint64(m.From))
 				mix(uint64(m.Round))
 				mix(m.Tag)
-				mix(m.Msg.(uint64))
+				mix(m.Body.(uint64))
 			}
 		}
 		for s := 0; s < steps; s++ {

@@ -158,7 +158,7 @@ func (e *Engine) runOracle(p Program) (*Result, error) {
 						NbIndex: int(revFlat[revOff[id]+int32(om.nbIndex)]),
 						Round:   cur,
 						Tag:     om.tag,
-						Msg:     om.msg,
+						Body:    om.msg,
 					})
 					if e.kind[h.To] == yieldPark {
 						e.kind[h.To] = yieldRun

@@ -140,8 +140,8 @@ type Inbound struct {
 	// Round is the round in which the message was sent (and received).
 	Round int64
 	// Tag is the sender's dispatch tag (see Ctx.SendTagged; 0 for Send).
-	Tag uint64
-	Msg any
+	Tag  uint64
+	Body any
 }
 
 // TraceEntry records one message for scheduling analysis.
@@ -600,7 +600,7 @@ func (e *Engine) Run(p Program) (*Result, error) {
 						NbIndex: int(h.Rev),
 						Round:   cur,
 						Tag:     om.tag,
-						Msg:     om.msg,
+						Body:    om.msg,
 					})
 					if e.kind[h.To] == yieldPark {
 						e.kind[h.To] = yieldRun

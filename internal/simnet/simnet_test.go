@@ -24,7 +24,7 @@ func TestFloodCongest(t *testing.T) {
 		for {
 			msgs := c.WaitMessage(100)
 			for _, m := range msgs {
-				d := m.Msg.(int64)
+				d := m.Body.(int64)
 				if dist == -1 {
 					dist = d
 					for i := 0; i < c.Degree(); i++ {
@@ -82,7 +82,7 @@ func TestSleepingLosesMessages(t *testing.T) {
 			msgs = c.Next() // receives what arrived in round 2
 			got := make([]string, 0, len(msgs))
 			for _, m := range msgs {
-				got = append(got, m.Msg.(string))
+				got = append(got, m.Body.(string))
 			}
 			c.SetOutput(strings.Join(got, ","))
 		}
@@ -116,7 +116,7 @@ func TestCongestNeverLoses(t *testing.T) {
 			c.Next()
 		case 1:
 			msgs := c.SleepUntil(5) // logically always awake in CONGEST
-			if len(msgs) != 1 || msgs[0].Msg.(int) != 42 {
+			if len(msgs) != 1 || msgs[0].Body.(int) != 42 {
 				t.Errorf("want the message despite sleeping: %v", msgs)
 			}
 		}
@@ -177,7 +177,7 @@ func TestWaitMessageWokenByArrival(t *testing.T) {
 			c.Next()
 		case 1:
 			msgs := c.WaitMessage(1000)
-			c.SetOutput([]any{c.Round(), msgs[0].Msg.(string)})
+			c.SetOutput([]any{c.Round(), msgs[0].Body.(string)})
 		}
 	})
 	if err != nil {
@@ -299,7 +299,7 @@ func TestDeterminism(t *testing.T) {
 					c.Send(i, uint64(c.ID())<<32|uint64(r))
 				}
 				for _, m := range c.Next() {
-					mix(m.Msg.(uint64))
+					mix(m.Body.(uint64))
 					mix(uint64(m.From))
 				}
 			}
@@ -413,7 +413,7 @@ func TestManyNodesStress(t *testing.T) {
 			msgs := c.WaitMessage(deadline)
 			for _, m := range msgs {
 				if dist == -1 {
-					dist = m.Msg.(int64)
+					dist = m.Body.(int64)
 					for i := 0; i < c.Degree(); i++ {
 						c.Send(i, dist+1)
 					}
@@ -448,7 +448,7 @@ func floodProgram(c *Ctx) {
 		return
 	}
 	in := c.WaitMessage(-1)
-	hops := in[0].Msg.(uint64)
+	hops := in[0].Body.(uint64)
 	for i := 0; i < c.Degree(); i++ {
 		c.Send(i, hops+1)
 	}
