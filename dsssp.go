@@ -151,7 +151,7 @@ type Options struct {
 // resolved validates the options once and normalizes the zero value: a nil
 // Options or a zero Model means ModelCongest; any other unknown Model is
 // rejected here with a descriptive error, so SSSP/CSSP/BFS all fail
-// consistently instead of each reporting its own opaque variant.
+// consistently instead of each reporting its own opaque error.
 func (o *Options) resolved() (Model, core.Options, error) {
 	m := ModelCongest
 	copt := core.Options{}

@@ -153,7 +153,7 @@ func buildBFSTree(mb *proto.Mailbox, root graph.NodeID) (proto.Tree, bool) {
 	const tagFlood, tagChild = 1, 2
 	n := int64(c.N())
 	floodEnd := n + 1
-	t := proto.Tree{InTree: true, Root: root, Parent: -1, Depth: 0}
+	t := proto.Tree{Parent: -1}
 	inComp := c.ID() == root
 	if inComp {
 		for i := 0; i < c.Degree(); i++ {
@@ -184,7 +184,6 @@ func buildBFSTree(mb *proto.Mailbox, root graph.NodeID) (proto.Tree, bool) {
 	}
 	mb.SleepUntil(2*n + 4)
 	mb.Take(tagFlood) // discard duplicate flood arrivals
-	t.InTree = inComp
 	return t, inComp
 }
 

@@ -6,10 +6,12 @@
 //     distance d fires in round start+d and relays across an edge of weight
 //     w so the token lands at round start+d+w). Each edge direction carries
 //     at most one token, giving O(1) congestion per edge per invocation.
-//   - CutterFragment: the approximate cutter of Lemma 2.1 — the weight
-//     rounding of Nanongkai [Nan14]: with rounding unit ρ = Θ(εW/n), run
-//     Fragment over weights ⌈w/ρ⌉ up to depth O(n/ε) and scale back,
-//     giving additive error < εW for all distances ≤ 2W.
+//   - Cut: the weight rounding of Lemma 2.1's approximate cutter
+//     (Nanongkai [Nan14]): with rounding unit ρ = Θ(εW/n), a BFS over
+//     weights ⌈w/ρ⌉ up to depth O(n/ε), scaled back, has additive error
+//     < εW for all distances ≤ 2W. Both models' cutters use it: the
+//     CONGEST one runs Fragment over it, the sleeping-model one runs
+//     package energybfs.
 //
 // Fragments run inside a node Program (via proto.Mailbox) so the CSSP
 // recursion of Section 2.3 can invoke them phase by phase; Run/RunCutter are
@@ -137,24 +139,33 @@ func Fragment(mb *proto.Mailbox, p FragmentParams) int64 {
 	return best
 }
 
-// CutterParams configures one Lemma 2.1 approximate-CSSP invocation.
-// ε is the rational EpsNum/EpsDen in (0,1).
-type CutterParams struct {
-	Tag        uint64
-	StartRound int64
-	// W is the Lemma's scale: all distances <= 2W are captured, with
-	// additive error < εW.
-	W int64
-	// NHat is an upper bound on the number of participating nodes.
-	NHat int64
-	// EpsNum/EpsDen is ε.
-	EpsNum, EpsDen int64
-	// SourceOffset is the node's source offset (>= 0) or NotSource,
-	// in original (unrounded) weight units.
-	SourceOffset int64
-	Eligible     func(i int) bool
-	// WeightOf optionally overrides the graph weight (original units).
-	WeightOf func(i int) int64
+// Cut is the weight rounding of Lemma 2.1 (Nanongkai [Nan14]), the one
+// both models' approximate cutters use; only the BFS run over it differs.
+// A thresholded BFS over the rounded weights Weight(w), seeded with
+// Offset(o), to depth Threshold, scaled back by Dist, returns dist'(S,v)
+// with
+//
+//	dist(S,v) <= dist'(S,v) < dist(S,v) + εW   when dist'(S,v) != Inf,
+//	dist(S,v) > 2W                             when dist'(S,v) == Inf.
+type Cut struct {
+	// Rho is the rounding unit ρ = max(1, ⌊εW/(n̂+1)⌋).
+	Rho int64
+	// Threshold is the rounded-unit depth that captures every original
+	// distance <= 2W: 2W/ρ + (n̂+1) hops of ceil-slack.
+	Threshold int64
+}
+
+// NewCut returns the rounding for scale W and participant bound n̂, with
+// ε = epsNum/epsDen. It panics unless ε is in (0,1) and W >= 1.
+func NewCut(w, nHat, epsNum, epsDen int64) Cut {
+	if epsNum <= 0 || epsDen <= 0 || epsNum >= epsDen {
+		panic(fmt.Sprintf("bfs: cutter needs ε in (0,1), got %d/%d", epsNum, epsDen))
+	}
+	if w < 1 {
+		panic(fmt.Sprintf("bfs: cutter needs W >= 1, got %d", w))
+	}
+	rho := Rho(w, nHat, epsNum, epsDen)
+	return Cut{Rho: rho, Threshold: 2*w/rho + nHat + 1}
 }
 
 // Rho returns the rounding unit ρ = max(1, ⌊εW/(n̂+1)⌋).
@@ -175,48 +186,28 @@ func RoundWeight(w, rho int64) int64 {
 	return r
 }
 
-// cutterThreshold is the rounded-unit depth needed to capture all original
-// distances <= 2W: 2W/ρ + (n̂+1) hops of ceil-slack.
-func cutterThreshold(w, rho, nHat int64) int64 { return 2*w/rho + nHat + 1 }
+// Weight is the rounded weight of an original edge weight w.
+func (c Cut) Weight(w int64) int64 { return RoundWeight(w, c.Rho) }
 
-// CutterFragment runs Lemma 2.1: it returns dist'(S,v) with
-//
-//	dist(S,v) <= dist'(S,v) < dist(S,v) + εW   when dist'(S,v) != Inf,
-//	dist(S,v) > 2W                             when dist'(S,v) == Inf.
-//
-// On return the node has advanced to the end of its Fragment run, round
-// FragmentEnd(p.StartRound, 2W/ρ + n̂ + 1).
-func CutterFragment(mb *proto.Mailbox, p CutterParams) int64 {
-	if p.EpsNum <= 0 || p.EpsDen <= 0 || p.EpsNum >= p.EpsDen {
-		panic(fmt.Sprintf("bfs: cutter needs ε in (0,1), got %d/%d", p.EpsNum, p.EpsDen))
+// Offset is the rounded source offset of an original offset o: a negative
+// o is NotSource, 0 stays 0, and any other o rounds like a weight.
+func (c Cut) Offset(o int64) int64 {
+	switch {
+	case o < 0:
+		return NotSource
+	case o == 0:
+		return 0
 	}
-	if p.W < 1 {
-		panic(fmt.Sprintf("bfs: cutter needs W >= 1, got %d", p.W))
-	}
-	weight := p.WeightOf
-	if weight == nil {
-		weight = mb.C.Weight
-	}
-	rho := Rho(p.W, p.NHat, p.EpsNum, p.EpsDen)
-	offset := p.SourceOffset
-	if offset >= 0 {
-		offset = RoundWeight(offset, rho)
-		if p.SourceOffset == 0 {
-			offset = 0
-		}
-	}
-	d := Fragment(mb, FragmentParams{
-		Tag:          p.Tag,
-		StartRound:   p.StartRound,
-		Threshold:    cutterThreshold(p.W, rho, p.NHat),
-		SourceOffset: offset,
-		Eligible:     p.Eligible,
-		WeightOf:     func(i int) int64 { return RoundWeight(weight(i), rho) },
-	})
+	return RoundWeight(o, c.Rho)
+}
+
+// Dist scales a rounded-unit distance d back to original units; Inf stays
+// Inf.
+func (c Cut) Dist(d int64) int64 {
 	if d == graph.Inf {
 		return graph.Inf
 	}
-	return d * rho
+	return d * c.Rho
 }
 
 // Run executes a whole-graph thresholded multi-source shortest-path
@@ -241,20 +232,23 @@ func Run(g *graph.Graph, sources map[graph.NodeID]int64, threshold int64) ([]int
 }
 
 // RunCutter executes a whole-graph Lemma 2.1 approximation in the Congest
-// model and returns per-node approximate distances plus metrics.
+// model — Fragment over the rounding of NewCut(w, n, ε) — and returns
+// per-node approximate distances plus metrics. A bad ε or w panics every
+// node program, which the engine returns as an error.
 func RunCutter(g *graph.Graph, sources map[graph.NodeID]int64, w int64, epsNum, epsDen int64) ([]int64, simnet.Metrics, error) {
 	eng := simnet.New(g, simnet.Config{Model: simnet.Congest})
 	res, err := eng.Run(func(c *simnet.Ctx) {
 		mb := proto.NewMailbox(c)
+		cut := NewCut(w, int64(g.N()), epsNum, epsDen)
 		off := NotSource
 		if o, ok := sources[c.ID()]; ok {
 			off = o
 		}
-		d := CutterFragment(mb, CutterParams{
-			Tag: 1, StartRound: 0, W: w, NHat: int64(g.N()),
-			EpsNum: epsNum, EpsDen: epsDen, SourceOffset: off,
+		d := Fragment(mb, FragmentParams{
+			Tag: 1, StartRound: 0, Threshold: cut.Threshold, SourceOffset: cut.Offset(off),
+			WeightOf: func(i int) int64 { return cut.Weight(c.Weight(i)) },
 		})
-		c.SetOutput(d)
+		c.SetOutput(cut.Dist(d))
 	})
 	if err != nil {
 		return nil, simnet.Metrics{}, err

@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -205,6 +206,50 @@ func TestRhoAndRoundWeight(t *testing.T) {
 	}
 	if w := RoundWeight(11, 5); w != 3 {
 		t.Fatalf("ceil broken: %d", w)
+	}
+}
+
+func TestCut(t *testing.T) {
+	c := NewCut(1000, 9, 1, 2)
+	if c.Rho != 50 || c.Threshold != 2*1000/50+9+1 {
+		t.Fatalf("cut = %+v, want ρ=50, threshold 2W/ρ+n̂+1 = 50", c)
+	}
+	if small := NewCut(3, 100, 1, 2); small.Rho != 1 || small.Threshold != 6+101 {
+		t.Fatalf("small cut = %+v, want ρ=1, threshold 107", small)
+	}
+	c = Cut{Rho: 5}
+	for _, tc := range []struct{ in, want int64 }{{NotSource, NotSource}, {-3, NotSource}, {0, 0}, {11, 3}, {5, 1}} {
+		if got := c.Offset(tc.in); got != tc.want {
+			t.Fatalf("Offset(%d) = %d, want %d", tc.in, got, tc.want)
+		}
+	}
+	if w := c.Weight(11); w != 3 {
+		t.Fatalf("Weight(11) = %d, want 3", w)
+	}
+	if d := c.Dist(graph.Inf); d != graph.Inf {
+		t.Fatalf("Dist(Inf) = %d", d)
+	}
+	if d := c.Dist(7); d != 35 {
+		t.Fatalf("Dist(7) = %d, want 35", d)
+	}
+}
+
+func TestNewCutPanics(t *testing.T) {
+	for _, tc := range []struct{ w, epsNum, epsDen int64 }{
+		{10, 0, 2}, {10, 2, 2}, {10, 3, 2}, {10, -1, 2}, {10, 1, 0}, {0, 1, 2}, {-4, 1, 2},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewCut(w=%d, ε=%d/%d) did not panic", tc.w, tc.epsNum, tc.epsDen)
+				}
+			}()
+			NewCut(tc.w, 5, tc.epsNum, tc.epsDen)
+		}()
+	}
+	g := graph.Path(4, graph.UnitWeights)
+	if _, _, err := RunCutter(g, srcs(0, 0), 10, 1, 1); err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("RunCutter with ε = 1: err = %v, want a node panic", err)
 	}
 }
 

@@ -38,9 +38,7 @@ import (
 	"math/bits"
 
 	"dsssp/internal/bfs"
-	"dsssp/internal/forest"
 	"dsssp/internal/graph"
-	"dsssp/internal/phase"
 	"dsssp/internal/proto"
 	"dsssp/internal/simnet"
 )
@@ -106,9 +104,8 @@ type cssp struct {
 	mb             *proto.Mailbox
 	epsNum, epsDen int64
 	subproblems    int
-	// v supplies the model-sensitive pipeline stages (pipeline.go).
-	v variant
-	// provider supplies per-call covers in the energy variant (energy.go).
+	// provider supplies per-call covers in the sleeping model (energy.go);
+	// nil means the CONGEST model.
 	provider *coverProvider
 }
 
@@ -130,34 +127,6 @@ type callParams struct {
 
 func (s *cssp) tag(path uint64, off int) uint64 { return path*tagBlock + uint64(off) }
 
-// congestVariant instantiates the pipeline's model-sensitive stages for the
-// CONGEST model (Theorems 2.6/2.7): the fragment cutter of Lemma 2.1 and
-// the event-driven convergecast barrier.
-type congestVariant struct{}
-
-func (congestVariant) cutterPhase() phase.Phase { return phase.Cutter }
-
-func (congestVariant) register(*cssp, uint64, graph.NodeID) {}
-
-func (congestVariant) cut(s *cssp, p callParams, entry int64, fr forest.Result, eligFn func(int) bool) int64 {
-	return bfs.CutterFragment(s.mb, bfs.CutterParams{
-		Tag:          s.tag(p.path, offCutter),
-		StartRound:   entry + 1 + forest.Duration(p.sizeBound),
-		W:            p.d,
-		NHat:         fr.Size,
-		EpsNum:       s.epsNum,
-		EpsDen:       s.epsDen,
-		SourceOffset: p.offset,
-		Eligible:     eligFn,
-	})
-}
-
-func (congestVariant) barrier(s *cssp, fr forest.Result, tag uint64, _ int64) {
-	proto.Barrier(s.mb, fr.Tree, tag, fr.Size)
-}
-
-func (congestVariant) checkOffsets() bool { return true }
-
 // RunCSSPTraced is RunCSSP with per-message trace recording, used by the
 // APSP scheduling composition.
 func RunCSSPTraced(g *graph.Graph, sources map[graph.NodeID]int64, opts Options) ([]int64, Stats, simnet.Metrics, []simnet.TraceEntry, error) {
@@ -175,10 +144,11 @@ func RunCSSP(g *graph.Graph, sources map[graph.NodeID]int64, opts Options) ([]in
 	return d, st, met, err
 }
 
-// run executes the CSSP pipeline in the given model: the CONGEST recursion
-// (congestVariant) or the sleeping-model one (energyVariant, with its cover
-// provider). trace records one simnet.TraceEntry per message. Every run
-// reports its per-(phase, depth) span ledger in Metrics.Spans.
+// run executes the CSSP pipeline in the given model. The sleeping model
+// gets a cover provider; a nil provider is what selects the CONGEST cut
+// and barrier in the pipeline. trace records one simnet.TraceEntry per
+// message. Every run reports its per-(phase, depth) span ledger in
+// Metrics.Spans.
 func run(g *graph.Graph, sources map[graph.NodeID]int64, opts Options, model simnet.Model, trace bool) ([]int64, Stats, simnet.Metrics, []simnet.TraceEntry, error) {
 	epsNum, epsDen, err := opts.validEps()
 	if err != nil {
@@ -199,15 +169,14 @@ func run(g *graph.Graph, sources map[graph.NodeID]int64, opts Options, model sim
 		cfg.MessageBits = proto.MessageBits
 		cfg.MaxMessageBits = proto.BitBudget(pr.run.N(), pr.run.MaxWeight()+pr.maxOff)
 	}
-	var v variant = congestVariant{}
 	var provider *coverProvider
 	if model == simnet.Sleeping {
-		v, provider = energyVariant{}, newCoverProvider(pr.run)
+		provider = newCoverProvider(pr.run)
 	}
 	eng := simnet.New(pr.run, cfg)
 	res, err := eng.Run(func(c *simnet.Ctx) {
 		mb := proto.NewMailbox(c)
-		st := &cssp{mb: mb, epsNum: epsNum, epsDen: epsDen, v: v, provider: provider}
+		st := &cssp{mb: mb, epsNum: epsNum, epsDen: epsDen, provider: provider}
 		off := bfs.NotSource
 		if o, ok := sources[c.ID()]; ok {
 			off = o * pr.scale

@@ -1,16 +1,15 @@
-// Energy (sleeping-model) variant of the CSSP phase pipeline — Theorem 3.15
-// and the headline Theorem 1.1: exact SSSP with Õ(n) time and
-// polylogarithmic energy per node. The pipeline skeleton is shared with the
-// CONGEST variant (pipeline.go); the model-sensitive stages are swapped via
-// energyVariant:
+// The sleeping-model parts of the CSSP phase pipeline — Theorem 3.15 and
+// the headline Theorem 1.1: exact SSSP with Õ(n) time and polylogarithmic
+// energy per node. The pipeline (pipeline.go) is shared with the CONGEST
+// model; its cut and barrier stages branch to the sleeping-model forms:
 //
-//   - the approximate cutter runs as a thresholded sleeping-model BFS over
-//     the rounded-weight metric (package energybfs), on a layered sparse
-//     cover built for this subproblem's participant component (the paper
-//     rebuilds covers inside each recursion call via Theorem 3.14; here
-//     the covers come from the decomp builder as an installed oracle —
-//     the documented substitution in DESIGN.md — while every message of
-//     the cover *usage* stays in-model);
+//   - the approximate cutter runs as a thresholded sleeping-model BFS
+//     (package energybfs) over bfs.Cut's rounded-weight metric, on a
+//     layered sparse cover built for this subproblem's participant
+//     component (the paper rebuilds covers inside each recursion call via
+//     Theorem 3.14; here the covers come from the decomp builder as an
+//     installed oracle — the documented substitution in DESIGN.md — while
+//     every message of the cover *usage* stays in-model);
 //   - the component barriers use count-based periodic tree sweeps
 //     (Section 3.1.1) so waiting costs O(1) awake rounds per window;
 //   - the spanning forest (package forest) is already model-agnostic
@@ -21,12 +20,9 @@ import (
 	"fmt"
 	"sync"
 
-	"dsssp/internal/bfs"
 	"dsssp/internal/decomp"
-	"dsssp/internal/energybfs"
 	"dsssp/internal/forest"
 	"dsssp/internal/graph"
-	"dsssp/internal/phase"
 	"dsssp/internal/proto"
 	"dsssp/internal/simnet"
 )
@@ -110,9 +106,6 @@ func cutterTag(path uint64) uint64 { return (1 << 62) + path*(1<<21) }
 // proto.UpAct/DownAct: they drop stale windows' messages and tolerate
 // missing ones, where DownAct panics.
 func energyBarrier(mb *proto.Mailbox, t proto.Tree, tag uint64, size, anchor int64) int64 {
-	if !t.InTree {
-		return 0
-	}
 	// Window period: long enough that waiting for a sibling's recursion
 	// costs few wakeups (the dominant per-call cost is the forest budget),
 	// yet one sweep cycle (2*size+6 rounds) always fits.
@@ -167,52 +160,6 @@ func energyBarrier(mb *proto.Mailbox, t proto.Tree, tag uint64, size, anchor int
 		}
 	}
 }
-
-// energyVariant instantiates the pipeline's model-sensitive stages for the
-// sleeping model (Theorem 3.15): the bounded-hop BFS-layer cutter over
-// rounded weights and the count-based periodic barrier.
-type energyVariant struct{}
-
-func (energyVariant) cutterPhase() phase.Phase { return phase.BFSLayers }
-
-func (energyVariant) register(s *cssp, path uint64, v graph.NodeID) {
-	s.provider.register(path, v)
-}
-
-func (energyVariant) cut(s *cssp, p callParams, entry int64, fr forest.Result, eligFn func(int) bool) int64 {
-	c := s.mb.C
-	rho := bfs.Rho(p.d, fr.Size, s.epsNum, s.epsDen)
-	threshold := 2*p.d/rho + fr.Size + 1
-	weightR := func(i int) int64 { return bfs.RoundWeight(c.Weight(i), rho) }
-	cover := s.provider.get(p.path, fr.CompID, c.ID(),
-		func(u graph.NodeID, i int) int64 { return bfs.RoundWeight(s.provider.g.Adj(u)[i].W, rho) },
-		threshold)
-	offR := energybfs.NotSource
-	if p.offset == 0 {
-		offR = 0
-	} else if p.offset > 0 {
-		offR = bfs.RoundWeight(p.offset, rho)
-	}
-	dr := energybfs.Run(s.mb, energybfs.Params{
-		Tag:          cutterTag(p.path),
-		StartRound:   entry + 1 + forest.Duration(p.sizeBound),
-		Cover:        cover,
-		Threshold:    threshold,
-		SourceOffset: offR,
-		Eligible:     eligFn,
-		WeightOf:     weightR,
-	})
-	if dr == graph.Inf {
-		return graph.Inf
-	}
-	return dr * rho
-}
-
-func (energyVariant) barrier(s *cssp, fr forest.Result, tag uint64, entry int64) {
-	energyBarrier(s.mb, fr.Tree, tag, fr.Size, entry)
-}
-
-func (energyVariant) checkOffsets() bool { return false }
 
 // RunEnergyCSSP computes exact closest-source distances in the sleeping
 // model (Theorem 3.15): Õ(n) rounds and polylogarithmic awake rounds per

@@ -2,10 +2,11 @@
 // sleeping-model recursions. Both models run the same sequence of stages —
 // participation exchange, base case, spanning-forest decomposition,
 // approximate cut, first recursion, barrier, cut-offset merge, second
-// recursion, barrier, combine — and differ only in two model-sensitive
-// stages, supplied by a variant: the cut (fragment cutter vs bounded-hop
-// BFS layers over rounded weights) and the component barrier (event-driven
-// convergecast vs count-based periodic tree sweeps).
+// recursion, barrier, combine — and differ only inside two stages, each
+// one function that branches on the model (a nil cover provider means
+// CONGEST): the cut, whose weight rounding both models take from bfs.Cut
+// and whose BFS is bfs.Fragment or energybfs.Run, and the component
+// barrier (event-driven convergecast vs count-based periodic tree sweeps).
 //
 // Every stage runs inside a span of the engine's ledger (simnet.Metrics
 // .Spans), keyed by the stage's Phase and the call's recursion depth,
@@ -23,31 +24,13 @@ import (
 	"sort"
 
 	"dsssp/internal/bfs"
+	"dsssp/internal/energybfs"
 	"dsssp/internal/forest"
 	"dsssp/internal/graph"
 	"dsssp/internal/phase"
+	"dsssp/internal/proto"
 	"dsssp/internal/simnet"
 )
-
-// variant supplies the model-sensitive stages of the pipeline.
-type variant interface {
-	// cutterPhase names the cut stage in the span ledger.
-	cutterPhase() phase.Phase
-	// register declares the node's participation in the call before the
-	// pipeline's first exchange (the energy variant feeds its cover
-	// provider; engine-side only, never a message).
-	register(s *cssp, path uint64, v graph.NodeID)
-	// cut runs the approximate cutter (Lemma 2.1) and returns the node's
-	// approximate distance, or graph.Inf.
-	cut(s *cssp, p callParams, entry int64, fr forest.Result, eligFn func(int) bool) int64
-	// barrier re-synchronizes the call's component after a child
-	// recursion (the paper's step 4).
-	barrier(s *cssp, fr forest.Result, tag uint64, entry int64)
-	// checkOffsets enables the negative-cut-offset assertion in the merge
-	// stage (the CONGEST recursion asserts; the energy recursion, whose
-	// cutter works on a rounded metric, stays tolerant).
-	checkOffsets() bool
-}
 
 // runCall executes one thresholded CSSP subproblem through the phase
 // pipeline; only participants call it. All participants within one parent
@@ -59,7 +42,11 @@ func (s *cssp) runCall(p callParams) int64 {
 	s.subproblems++
 	entry := mb.Round()
 	depth := depthOf(p.path)
-	s.v.register(s, p.path, c.ID())
+	if s.provider != nil {
+		// The sleeping model's covers are built over the registered
+		// participants (engine-side only, never a message).
+		s.provider.register(p.path, c.ID())
+	}
 
 	// (1) Participation exchange: learn which neighbors are in this call.
 	var elig []bool
@@ -113,12 +100,14 @@ func (s *cssp) runCall(p callParams) int64 {
 		})
 	})
 
-	// (4) Approximate cut (Lemma 2.1) with W = D — the model-sensitive
-	// stage: fragment cutter in CONGEST, bounded-hop BFS layers over the
-	// rounded metric in the sleeping model.
+	// (4) Approximate cut (Lemma 2.1) with W = D.
+	cutPhase := phase.Cutter
+	if s.provider != nil {
+		cutPhase = phase.BFSLayers
+	}
 	approx := graph.Inf
-	mb.Span(s.v.cutterPhase().Key, depth, func() {
-		approx = s.v.cut(s, p, entry, fr, eligFn)
+	mb.Span(cutPhase.Key, depth, func() {
+		approx = s.cut(p, entry, fr, eligFn)
 	})
 	// V1 membership: dist'(v) <= D + εD (inclusive: the cutter's additive
 	// error bound is <= εW, so inclusion keeps every dist <= D node).
@@ -134,7 +123,7 @@ func (s *cssp) runCall(p callParams) int64 {
 		})
 	}
 	mb.Span(phase.Barrier.Key, depth, func() {
-		s.v.barrier(s, fr, s.tag(p.path, offBarrier1), entry)
+		s.barrier(fr, s.tag(p.path, offBarrier1), entry)
 	})
 
 	// (6) Cut offsets: V2 nodes announce their exact distances; boundary
@@ -155,7 +144,10 @@ func (s *cssp) runCall(p callParams) int64 {
 		if inV1 && !inV2 {
 			for _, m := range v2Msgs {
 				cand := m.Body.(int64) + c.Weight(m.NbIndex) - d1h
-				if cand < 0 && s.v.checkOffsets() {
+				// The CONGEST recursion asserts non-negative offsets; the
+				// sleeping one, whose cut works on a rounded metric,
+				// tolerates them (Cut.Offset maps them to NotSource).
+				if cand < 0 && s.provider == nil {
 					panic(fmt.Sprintf("core: node %d: negative cut offset %d", c.ID(), cand))
 				}
 				if offset2 == bfs.NotSource || cand < offset2 {
@@ -181,7 +173,7 @@ func (s *cssp) runCall(p callParams) int64 {
 		})
 	}
 	mb.Span(phase.Barrier.Key, depth, func() {
-		s.v.barrier(s, fr, s.tag(p.path, offBarrier2), entry)
+		s.barrier(fr, s.tag(p.path, offBarrier2), entry)
 	})
 
 	// (8) Combine.
@@ -193,6 +185,53 @@ func (s *cssp) runCall(p callParams) int64 {
 	default:
 		return graph.Inf
 	}
+}
+
+// cut runs the approximate cutter of Lemma 2.1 with W = D over the
+// rounding of bfs.NewCut, starting once the forest's budget is spent, and
+// returns the node's approximate distance, or graph.Inf. Only the BFS over
+// the rounded weights differs between the models: bfs.Fragment in CONGEST,
+// energybfs.Run on a layered sparse cover of the rounded metric in the
+// sleeping model. Each branch builds its own WeightOf: energybfs.Run
+// stores it, so a shared closure would escape on the CONGEST path too.
+func (s *cssp) cut(p callParams, entry int64, fr forest.Result, eligFn func(int) bool) int64 {
+	c := s.mb.C
+	cut := bfs.NewCut(p.d, fr.Size, s.epsNum, s.epsDen)
+	start := entry + 1 + forest.Duration(p.sizeBound)
+	if s.provider == nil {
+		return cut.Dist(bfs.Fragment(s.mb, bfs.FragmentParams{
+			Tag:          s.tag(p.path, offCutter),
+			StartRound:   start,
+			Threshold:    cut.Threshold,
+			SourceOffset: cut.Offset(p.offset),
+			Eligible:     eligFn,
+			WeightOf:     func(i int) int64 { return cut.Weight(c.Weight(i)) },
+		}))
+	}
+	g := s.provider.g
+	cover := s.provider.get(p.path, fr.CompID, c.ID(),
+		func(u graph.NodeID, i int) int64 { return cut.Weight(g.Adj(u)[i].W) },
+		cut.Threshold)
+	return cut.Dist(energybfs.Run(s.mb, energybfs.Params{
+		Tag:          cutterTag(p.path),
+		StartRound:   start,
+		Cover:        cover,
+		Threshold:    cut.Threshold,
+		SourceOffset: cut.Offset(p.offset),
+		Eligible:     eligFn,
+		WeightOf:     func(i int) int64 { return cut.Weight(c.Weight(i)) },
+	}))
+}
+
+// barrier re-synchronizes the call's component after a child recursion
+// (the paper's step 4): proto's event-driven convergecast in CONGEST, the
+// count-based periodic tree sweeps of energyBarrier in the sleeping model.
+func (s *cssp) barrier(fr forest.Result, tag uint64, entry int64) {
+	if s.provider == nil {
+		proto.Barrier(s.mb, fr.Tree, tag, fr.Size)
+		return
+	}
+	energyBarrier(s.mb, fr.Tree, tag, fr.Size, entry)
 }
 
 // sourceOffset is one (source node, offset) pair of a CSSP instance.

@@ -45,7 +45,7 @@ func checkLedgerConservation(t *testing.T, met simnet.Metrics) {
 }
 
 // TestPipelinePhasesRecorded: both recursions report every counter through
-// the phase ledger, with the model-sensitive cut stage named per variant.
+// the phase ledger, with the model-sensitive cut stage named per model.
 func TestPipelinePhasesRecorded(t *testing.T) {
 	g := graph.RandomConnected(24, 24, graph.UniformWeights(8, 3), 3)
 	sources := map[graph.NodeID]int64{0: 0, 12: 2}
@@ -150,9 +150,9 @@ func TestNegativeOffsetErrorDeterministic(t *testing.T) {
 	}
 }
 
-// TestPipelineMetricsUnchangedAcrossVariants: the two variants must keep
-// reporting through identical pipelines — same phase keys at the cut stage
-// aside, and byte-identical distances.
+// TestPipelineVariantsAgree: the two models must keep reporting through
+// identical pipelines — same phase keys at the cut stage aside, and
+// byte-identical distances.
 func TestPipelineVariantsAgree(t *testing.T) {
 	g := graph.Clusters(3, 5, 4, graph.UniformWeights(5, 9), 9)
 	sources := map[graph.NodeID]int64{1: 0, 8: 3}

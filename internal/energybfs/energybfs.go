@@ -340,9 +340,7 @@ func (r *runner) preActivate() {
 // they imply. A window of period 2ld+4 holds every duty round.
 func (mm *membership) schedule(mb *proto.Mailbox, m *decomp.Membership, ld int64) {
 	mm.m = m
-	// A member does not know its cluster root's ID; the sweeps never read
-	// it.
-	mm.tree = proto.Tree{InTree: true, Parent: m.Parent, Children: m.Children, Depth: m.Depth}
+	mm.tree = proto.Tree{Parent: m.Parent, Children: m.Children, Depth: m.Depth}
 	mm.up = proto.UpSlot(mb, mm.tree, 0, ld)
 	mm.down = proto.DownSlot(mm.tree, ld+1)
 	mm.nDuty = 0

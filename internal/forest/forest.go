@@ -73,7 +73,7 @@ type Params struct {
 type Result struct {
 	// Tree is the rooted spanning tree of this node's component.
 	Tree proto.Tree
-	// CompID identifies the component (the leader's node ID = Tree.Root).
+	// CompID identifies the component (the leader's node ID).
 	CompID graph.NodeID
 	// Size is the number of nodes in the component.
 	Size int64
@@ -212,7 +212,7 @@ func (f *node) tag(off int) uint64 { return f.p.Tag + uint64(off) }
 // tree returns the node's current tree view. Children aliases f.children:
 // sweeps only read it, and the final Result outlives the construction.
 func (f *node) tree() proto.Tree {
-	return proto.Tree{InTree: true, Root: f.compID, Parent: f.parent, Children: f.children, Depth: f.depth}
+	return proto.Tree{Parent: f.parent, Children: f.children, Depth: f.depth}
 }
 
 // addChild inserts edge i into the sorted child set (a no-op if present).

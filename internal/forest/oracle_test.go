@@ -183,7 +183,7 @@ func (f *oracleNode) tag(off int) uint64 { return f.p.Tag + uint64(off) }
 // tree returns the node's current tree view. Children aliases f.children:
 // sweeps only read it, and the final Result outlives the construction.
 func (f *oracleNode) tree() proto.Tree {
-	return proto.Tree{InTree: true, Root: f.compID, Parent: f.parent, Children: f.children, Depth: f.depth}
+	return proto.Tree{Parent: f.parent, Children: f.children, Depth: f.depth}
 }
 
 // addChild inserts edge i into the sorted child set (a no-op if present).

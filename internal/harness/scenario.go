@@ -27,7 +27,7 @@ const (
 	// AlgSSSP is the paper's exact single-source shortest path
 	// (Theorems 2.6/2.7 in CONGEST, Theorem 3.15 in the sleeping model).
 	AlgSSSP Algorithm = "sssp"
-	// AlgCSSP is the multi-source closest-source variant with offsets
+	// AlgCSSP is the multi-source closest-source problem with offsets
 	// (Definition 2.3).
 	AlgCSSP Algorithm = "cssp"
 	// AlgBFS is hop-distance computation: the cover-driven low-energy BFS

@@ -19,7 +19,6 @@ package proto
 import (
 	"fmt"
 
-	"dsssp/internal/graph"
 	"dsssp/internal/simnet"
 )
 
@@ -172,10 +171,7 @@ func (m *Mailbox) Pending(tag uint64) int {
 
 // Tree is one node's view of a rooted spanning tree. Parent and Children are
 // adjacency indexes of this node's incident edges; Parent is -1 at the root.
-// A node with InTree == false ignores tree operations (returns zero values).
 type Tree struct {
-	InTree   bool
-	Root     graph.NodeID
 	Parent   int
 	Children []int
 	Depth    int64
@@ -191,12 +187,8 @@ type Combine func(a, b any) any
 // locally done and checks in with its parent once all its children have;
 // the root then picks a common start round sizeBound+2 ahead and
 // broadcasts it, and every node sleeps until that round. sizeBound must be
-// an upper bound on the tree depth. Nodes with t.InTree == false must not
-// call Barrier.
+// an upper bound on the tree depth.
 func Barrier(m *Mailbox, t Tree, tag uint64, sizeBound int64) int64 {
-	if !t.InTree {
-		return 0
-	}
 	m.await(tag, len(t.Children))
 	var start int64
 	if t.Parent >= 0 {
@@ -315,9 +307,6 @@ func DownAct(m *Mailbox, t Tree, tag uint64, s SweepSlot, rootVal any, transform
 // root returns (aggregate, true) once the window completes; all nodes
 // return after round windowStart+depthBound.
 func SweepUp(m *Mailbox, t Tree, tag uint64, windowStart, depthBound int64, mine any, combine Combine) (any, bool) {
-	if !t.InTree {
-		return nil, false
-	}
 	s := UpSlot(m, t, windowStart, depthBound)
 	m.Reach(s)
 	return UpAct(m, t, tag, s, mine, combine)
@@ -329,9 +318,6 @@ func SweepUp(m *Mailbox, t Tree, tag uint64, windowStart, depthBound int64, mine
 // the parent and returns the value to forward. Every node returns its
 // (possibly transformed) value.
 func SweepDown(m *Mailbox, t Tree, tag uint64, windowStart int64, rootVal any, transform func(any) any) any {
-	if !t.InTree {
-		return nil
-	}
 	s := DownSlot(t, windowStart)
 	m.Reach(s)
 	return DownAct(m, t, tag, s, rootVal, transform)

@@ -28,7 +28,7 @@ func testTree(g *graph.Graph, parent []graph.NodeID) func(c *simnet.Ctx) Tree {
 		}
 	}
 	return func(c *simnet.Ctx) Tree {
-		t := Tree{InTree: true, Root: root, Parent: -1, Depth: depth[c.ID()]}
+		t := Tree{Parent: -1, Depth: depth[c.ID()]}
 		for i := 0; i < c.Degree(); i++ {
 			nb := c.NeighborID(i)
 			if parent[c.ID()] == nb && c.ID() != root {
@@ -265,7 +265,7 @@ func TestSweepSingleton(t *testing.T) {
 	e := simnet.New(g, simnet.Config{Model: simnet.Sleeping})
 	res, err := e.Run(func(c *simnet.Ctx) {
 		m := NewMailbox(c)
-		tr := Tree{InTree: true, Root: 0, Parent: -1}
+		tr := Tree{Parent: -1}
 		agg, isRoot := SweepUp(m, tr, 1, 2, 3, int64(7), sum)
 		if !isRoot || agg.(int64) != 7 {
 			t.Errorf("singleton sweep: %v %v", agg, isRoot)
