@@ -283,7 +283,10 @@ func buildGraph(spec GraphSpec, maxN, maxEdges int) (*graph.Graph, error) {
 		return nil, badf("graph.graph_id is not accepted here (inline or generator spec required)")
 	}
 	if spec.Family != "" {
-		return buildGeneratorGraph(spec, maxN)
+		if err := checkGenerator(spec, maxN); err != nil {
+			return nil, err
+		}
+		return makeGenerator(spec), nil
 	}
 	if spec.N < 2 || spec.N > maxN {
 		return nil, badf("graph.n must be in [2,%d], got %d", maxN, spec.N)
@@ -342,9 +345,12 @@ func buildGraph(spec GraphSpec, maxN, maxEdges int) (*graph.Graph, error) {
 	return g, nil
 }
 
-func buildGeneratorGraph(spec GraphSpec, maxN int) (*graph.Graph, error) {
+// checkGenerator validates a generator spec without building anything, so
+// a query can check it on every request and still resolve its cache key
+// from the spec memo.
+func checkGenerator(spec GraphSpec, maxN int) error {
 	if len(spec.Edges) > 0 {
-		return nil, badf("graph.family and graph.edges are mutually exclusive")
+		return badf("graph.family and graph.edges are mutually exclusive")
 	}
 	fam := graph.Family(spec.Family)
 	known := false
@@ -352,33 +358,41 @@ func buildGeneratorGraph(spec GraphSpec, maxN int) (*graph.Graph, error) {
 		known = known || f == fam
 	}
 	if !known {
-		return nil, badf("unknown graph family %q (families: %v)", spec.Family, graph.Families())
+		return badf("unknown graph family %q (families: %v)", spec.Family, graph.Families())
 	}
 	if spec.N < 4 || spec.N > maxN {
-		return nil, badf("generator graphs need n in [4,%d], got %d", maxN, spec.N)
+		return badf("generator graphs need n in [4,%d], got %d", maxN, spec.N)
 	}
+	if spec.Weights == nil {
+		return nil
+	}
+	switch spec.Weights.Kind {
+	case "", string(harness.WeightUnit):
+	case string(harness.WeightUniform), string(harness.WeightZeroHeavy):
+		if spec.Weights.MaxW < 1 {
+			return badf("%s weights need max_w >= 1", spec.Weights.Kind)
+		}
+		if limit := graph.MaxSafeWeight(spec.N); spec.Weights.MaxW > limit {
+			return badf("max_w %d exceeds the weight limit %d for n=%d", spec.Weights.MaxW, limit, spec.N)
+		}
+	default:
+		return badf("unknown weight kind %q (unit, uniform, zero-heavy)", spec.Weights.Kind)
+	}
+	return nil
+}
+
+// makeGenerator materializes a spec checkGenerator accepted.
+func makeGenerator(spec GraphSpec) *graph.Graph {
 	w := graph.UnitWeights
 	if spec.Weights != nil {
-		wseed := weightSeed(spec)
 		switch spec.Weights.Kind {
-		case "", string(harness.WeightUnit):
-		case string(harness.WeightUniform), string(harness.WeightZeroHeavy):
-			if spec.Weights.MaxW < 1 {
-				return nil, badf("%s weights need max_w >= 1", spec.Weights.Kind)
-			}
-			if limit := graph.MaxSafeWeight(spec.N); spec.Weights.MaxW > limit {
-				return nil, badf("max_w %d exceeds the weight limit %d for n=%d", spec.Weights.MaxW, limit, spec.N)
-			}
-			if spec.Weights.Kind == string(harness.WeightUniform) {
-				w = graph.UniformWeights(spec.Weights.MaxW, wseed)
-			} else {
-				w = graph.ZeroHeavyWeights(spec.Weights.MaxW, wseed)
-			}
-		default:
-			return nil, badf("unknown weight kind %q (unit, uniform, zero-heavy)", spec.Weights.Kind)
+		case string(harness.WeightUniform):
+			w = graph.UniformWeights(spec.Weights.MaxW, weightSeed(spec))
+		case string(harness.WeightZeroHeavy):
+			w = graph.ZeroHeavyWeights(spec.Weights.MaxW, weightSeed(spec))
 		}
 	}
-	return graph.Make(fam, spec.N, w, spec.Seed), nil
+	return graph.Make(graph.Family(spec.Family), spec.N, w, spec.Seed)
 }
 
 // weightSeed derives a generator spec's weight-stream seed. The spec-seed

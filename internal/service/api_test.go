@@ -55,11 +55,11 @@ func TestWeightSeedContract(t *testing.T) {
 
 	// End to end: same n, same bare seed, different family ⇒ different
 	// uniform weight multisets (the aliasing the fold exists to prevent).
-	gr, err := buildGeneratorGraph(base, 4096)
+	gr, err := buildGraph(base, 4096, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ge, err := buildGeneratorGraph(expander, 4096)
+	ge, err := buildGraph(expander, 4096, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}

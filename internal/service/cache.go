@@ -3,6 +3,7 @@ package service
 import (
 	"container/list"
 	"context"
+	"encoding/binary"
 	"errors"
 	"sync"
 )
@@ -33,6 +34,12 @@ func entryCost(key string, body []byte) int64 {
 // entries of sources its deltas provably cannot affect to the new
 // revision's keys and drops (Invalidate) exactly the dirty ones, instead
 // of orphaning the whole graph's worth of results.
+//
+// The same LRU and budget hold the generator-spec memo (specDigest,
+// putSpecDigest): spec → (canonical digest, n), so a generator-spec query
+// finds its key without building the graph. Memo entries are charged to
+// the budget like any other, but every counter in CacheStats except
+// BytesUsed counts query results only.
 type Cache struct {
 	mu      sync.Mutex
 	budget  int64
@@ -45,11 +52,14 @@ type Cache struct {
 	// shared counts hits served by another request's in-flight computation
 	// (singleflight dedup) — a subset of hits.
 	shared int64
+	// memos counts the resident generator-spec memo entries.
+	memos int
 }
 
 type centry struct {
 	key  string
 	body []byte
+	memo bool // a generator-spec memo entry, not a query result
 }
 
 // flight is one in-progress computation; followers block on done.
@@ -158,7 +168,7 @@ func (c *Cache) lead(key string, f *flight, compute func() ([]byte, bool, error)
 		c.mu.Lock()
 		delete(c.flights, key)
 		if completed && store && f.err == nil {
-			c.insertLocked(key, f.body)
+			c.insertLocked(key, f.body, false)
 		}
 		c.mu.Unlock()
 		if !completed {
@@ -182,8 +192,36 @@ func (c *Cache) Copy(src, dst string) bool {
 	if !ok {
 		return false
 	}
-	c.insertLocked(dst, el.Value.(*centry).body)
+	c.insertLocked(dst, el.Value.(*centry).body, false)
 	return true
+}
+
+// specDigest reads the generator-spec memo entry at key (see specMemoKey):
+// the canonical digest and node count of the graph the spec generates. A
+// lookup refreshes the entry's LRU position but is neither a hit nor a
+// miss — those count query lookups only.
+func (c *Cache) specDigest(key string) (digest [32]byte, n int, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return digest, 0, false
+	}
+	c.ll.MoveToFront(el)
+	v := el.Value.(*centry).body
+	copy(digest[:], v)
+	return digest, int(binary.LittleEndian.Uint64(v[32:])), true
+}
+
+// putSpecDigest memoizes a validated generator spec's digest and node
+// count under key, charged to the byte budget like a result.
+func (c *Cache) putSpecDigest(key string, digest [32]byte, n int) {
+	v := make([]byte, 40)
+	copy(v, digest[:])
+	binary.LittleEndian.PutUint64(v[32:], uint64(n))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.insertLocked(key, v, true)
 }
 
 // Invalidate removes the given keys and returns how many were resident —
@@ -205,7 +243,7 @@ func (c *Cache) Invalidate(keys ...string) int {
 // insertLocked adds an entry and evicts LRU entries until the budget
 // holds. Bodies whose charged cost exceeds the whole budget are served but
 // not stored.
-func (c *Cache) insertLocked(key string, body []byte) {
+func (c *Cache) insertLocked(key string, body []byte, memo bool) {
 	if entryCost(key, body) > c.budget {
 		return
 	}
@@ -213,15 +251,20 @@ func (c *Cache) insertLocked(key string, body []byte) {
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&centry{key: key, body: body})
+	c.items[key] = c.ll.PushFront(&centry{key: key, body: body, memo: memo})
 	c.used += entryCost(key, body)
+	if memo {
+		c.memos++
+	}
 	for c.used > c.budget {
 		back := c.ll.Back()
 		if back == nil {
 			break
 		}
+		if !back.Value.(*centry).memo {
+			c.evictions++
+		}
 		c.removeLocked(back)
-		c.evictions++
 	}
 }
 
@@ -231,10 +274,14 @@ func (c *Cache) removeLocked(el *list.Element) {
 	c.ll.Remove(el)
 	delete(c.items, e.key)
 	c.used -= entryCost(e.key, e.body)
+	if e.memo {
+		c.memos--
+	}
 }
 
 // CacheStats is the observable cache state, read by the dsssp_cache_*
-// metrics at scrape time.
+// metrics at scrape time. Hits, Misses, Evictions and Entries count query
+// results only; generator-spec memo entries show only in BytesUsed.
 type CacheStats struct {
 	Hits      int64
 	Misses    int64
@@ -244,8 +291,8 @@ type CacheStats struct {
 	SingleflightDedup int64
 	Entries           int
 	// BytesUsed is the charged footprint: bodies plus keys plus the fixed
-	// per-entry overhead (see entryOverhead), so it tracks real memory,
-	// not just payload bytes.
+	// per-entry overhead (see entryOverhead) of every resident entry, memo
+	// entries included, so it tracks real memory, not just payload bytes.
 	BytesUsed int64
 	Budget    int64
 }
@@ -256,6 +303,6 @@ func (c *Cache) Stats() CacheStats {
 	defer c.mu.Unlock()
 	return CacheStats{
 		Hits: c.hits, Misses: c.misses, Evictions: c.evictions, SingleflightDedup: c.shared,
-		Entries: len(c.items), BytesUsed: c.used, Budget: c.budget,
+		Entries: len(c.items) - c.memos, BytesUsed: c.used, Budget: c.budget,
 	}
 }

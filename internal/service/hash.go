@@ -6,8 +6,10 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"dsssp/internal/graph"
+	"dsssp/internal/harness"
 )
 
 // canonicalGraphDigest hashes the graph's canonical content: node count
@@ -73,6 +75,26 @@ func queryKeyParts(endpoint string, o QueryOptions, operands string) string {
 func keyFromDigest(digest [32]byte, parts string) string {
 	h := sha256.Sum256(fmt.Appendf(nil, "%x|%s", digest, parts))
 	return hex.EncodeToString(h[:])
+}
+
+// specMemoKey is a validated generator spec's key in the spec memo (see
+// Cache.specDigest): every field makeGenerator reads — family, n, seed,
+// weight kind and max_w. Unit weights read neither the weight seed nor
+// max_w, so every spelling of them (omitted, "" or "unit", any max_w)
+// shares one key. Query keys are 64 hex digits; a memo key starts with
+// "spec|" and so never collides with one.
+func specMemoKey(spec GraphSpec) string {
+	kind, maxW := string(harness.WeightUnit), int64(0)
+	if w := spec.Weights; w != nil && w.Kind != "" && w.Kind != kind {
+		kind, maxW = w.Kind, w.MaxW
+	}
+	b := append(make([]byte, 0, 64), "spec|"...)
+	b = append(b, spec.Family...)
+	b = strconv.AppendInt(append(b, '|'), int64(spec.N), 10)
+	b = strconv.AppendInt(append(b, '|'), spec.Seed, 10)
+	b = append(append(b, '|'), kind...)
+	b = strconv.AppendInt(append(b, '|'), maxW, 10)
+	return string(b)
 }
 
 func gcd(a, b int64) int64 {

@@ -136,7 +136,7 @@ func newServerMetrics(cfg *Config, cache *Cache, registry *GraphRegistry) *serve
 		"Result-cache entries resident.",
 		func() float64 { return float64(cache.Stats().Entries) })
 	r.GaugeFunc("dsssp_cache_bytes_used",
-		"Result-cache bytes resident.",
+		"Result-cache bytes resident, generator-spec memo entries included.",
 		func() float64 { return float64(cache.Stats().BytesUsed) })
 	r.GaugeFunc("dsssp_cache_bytes_budget",
 		"Result-cache byte budget.",

@@ -42,19 +42,19 @@ type row struct {
 
 // rowQuery is one query's demand on the provider.
 type rowQuery struct {
-	g      *graph.Graph
-	digest [32]byte
-	// ref is the registered graph the query resolved; nil for inline and
+	// resolvedGraph is the query's graph; its id is empty for inline and
 	// generator graphs, which have no traces to serve from or record into.
-	ref     *graphRef
+	// The provider loads the graph only on a cache miss.
+	*resolvedGraph
+	// sources are a single-source query's source; nil under allPairs.
 	sources []graph.NodeID
 	// parts is the response's cache-key parts string; recorded with the
 	// rows so a PATCH can re-address or invalidate the cached body.
 	parts string
-	// allPairs marks the fan-out over every source (APSP). Its exact head
-	// traces are reused rows, not zero-change repairs; and its rows are
-	// recorded bare, with the body entry under apspTraceKey when every row
-	// was computed.
+	// allPairs marks the fan-out over every source (APSP), listed only when
+	// the rows are built. Its exact head traces are reused rows, not
+	// zero-change repairs; and its rows are recorded bare, with the body
+	// entry under apspTraceKey when every row was computed.
 	allPairs bool
 	// engine runs the endpoint's simulation for the sources no trace could
 	// serve: one row per missing source, in order (dist, and parent when the
@@ -86,14 +86,18 @@ func (s *Server) serveRows(w http.ResponseWriter, r *http.Request, q rowQuery, r
 		b, err := render(rs)
 		return b, rs.all(rowComputed), err
 	})
-	if !ok || q.ref == nil {
+	if !ok || q.id == "" {
 		return
 	}
 	// Registered-graph reuse counters: a body-cache hit served every source
 	// without recomputation; repaired rows were counted when repaired; every
 	// computed row counts as recomputed, a from-scratch all-pairs body too.
 	if hit {
-		s.metrics.incrSourcesReused.Add(int64(len(q.sources)))
+		n := len(q.sources)
+		if q.allPairs {
+			n = q.n
+		}
+		s.metrics.incrSourcesReused.Add(int64(n))
 		return
 	}
 	s.metrics.incrSourcesReused.Add(int64(rs.count[rowReused]))
@@ -103,10 +107,19 @@ func (s *Server) serveRows(w http.ResponseWriter, r *http.Request, q rowQuery, r
 // rows builds the query's rows: remembered traces first, one engine call
 // for the rest, then records the computed rows and sets X-Dsssp-Incr.
 func (s *Server) rows(w http.ResponseWriter, sp *trace.Span, q rowQuery) (rowSet, error) {
-	rs := rowSet{rows: make([]row, len(q.sources))}
+	// A memo-resolved generator graph is built here, in the exec span, and
+	// not inside the engine span, whose wall time is split across phases.
+	g, sources := q.load(), q.sources
+	if q.allPairs {
+		sources = make([]graph.NodeID, g.N())
+		for v := range sources {
+			sources[v] = graph.NodeID(v)
+		}
+	}
+	rs := rowSet{rows: make([]row, len(sources))}
 	var missing []graph.NodeID
 	var at []int // rs.rows index of each missing source
-	for i, src := range q.sources {
+	for i, src := range sources {
 		if rw, ok := s.remembered(sp, q, src); ok {
 			rs.rows[i] = rw
 			rs.count[rw.served]++
@@ -116,7 +129,7 @@ func (s *Server) rows(w http.ResponseWriter, sp *trace.Span, q rowQuery) (rowSet
 		}
 	}
 	if len(missing) > 0 {
-		if q.ref != nil && !q.allPairs {
+		if q.id != "" && !q.allPairs {
 			w.Header().Set("X-Dsssp-Incr", "recomputed")
 		}
 		eng := sp.StartChild("engine")
@@ -136,7 +149,7 @@ func (s *Server) rows(w http.ResponseWriter, sp *trace.Span, q rowQuery) (rowSet
 		}
 		rs.count[rowComputed] = len(missing)
 	}
-	if q.ref == nil {
+	if q.id == "" {
 		return rs, nil
 	}
 	// Computed rows are recorded with their witness trees: the distance row
@@ -150,9 +163,9 @@ func (s *Server) rows(w http.ResponseWriter, sp *trace.Span, q rowQuery) (rowSet
 	for k, src := range missing {
 		rw := &rs.rows[at[k]]
 		if rw.parent == nil {
-			rw.parent = graph.WitnessParents(q.g, src, rw.dist)
+			rw.parent = graph.WitnessParents(g, src, rw.dist)
 		}
-		s.registry.Record(q.ref.id, q.digest, src, rw.dist, rw.parent, parts)
+		s.registry.Record(q.id, q.digest, src, rw.dist, rw.parent, parts)
 	}
 	switch {
 	case !q.allPairs:
@@ -160,7 +173,7 @@ func (s *Server) rows(w http.ResponseWriter, sp *trace.Span, q rowQuery) (rowSet
 			w.Header().Set("X-Dsssp-Incr", "repaired")
 		}
 	case rs.all(rowComputed):
-		s.registry.Record(q.ref.id, q.digest, apspTraceKey, nil, nil, q.parts)
+		s.registry.Record(q.id, q.digest, apspTraceKey, nil, nil, q.parts)
 	case rs.count[rowRepaired] > 0:
 		w.Header().Set("X-Dsssp-Incr", fmt.Sprintf("reused=%d repaired=%d recomputed=%d",
 			rs.count[rowReused], rs.count[rowRepaired], rs.count[rowComputed]))
@@ -177,10 +190,10 @@ func (s *Server) rows(w http.ResponseWriter, sp *trace.Span, q rowQuery) (rowSet
 // source to the engine: no trace, repair disabled, or the affected region
 // outgrew the cutoff.
 func (s *Server) remembered(sp *trace.Span, q rowQuery, src graph.NodeID) (row, bool) {
-	if q.ref == nil {
+	if q.id == "" {
 		return row{}, false
 	}
-	tr, changes, exact, ok := s.registry.sourceTrace(q.ref.id, q.digest, src)
+	tr, changes, exact, ok := s.registry.sourceTrace(q.id, q.digest, src)
 	switch {
 	case !ok:
 		return row{}, false
@@ -203,7 +216,7 @@ func (s *Server) remembered(sp *trace.Span, q rowQuery, src graph.NodeID) (row, 
 // measured wall times and the affected-region sizes as attributes; the same
 // per-phase split feeds dsssp_repair_phase_seconds.
 func (s *Server) repair(sp *trace.Span, q rowQuery, src graph.NodeID, tr incr.Trace, changes []incr.NetChange, exact bool) (row, bool) {
-	n := q.g.N()
+	n := q.n
 	// remembered already declined a negative cutoff, and applyDefaults
 	// turned 0 into 0.5, so the fraction here is positive.
 	limit := max(1, int(s.cfg.RepairMaxAffected*float64(n)))
@@ -213,7 +226,7 @@ func (s *Server) repair(sp *trace.Span, q rowQuery, src graph.NodeID, tr incr.Tr
 	start := time.Now()
 	rr, ok := &incr.RepairResult{Dist: tr.Dist, Parent: tr.Parent}, true
 	if !exact {
-		rr, ok = incr.Repair(q.g, src, tr, changes, limit)
+		rr, ok = incr.Repair(q.load(), src, tr, changes, limit)
 	}
 	s.metrics.repairSeconds.Observe(time.Since(start).Seconds())
 	if !ok {
@@ -236,7 +249,7 @@ func (s *Server) repair(sp *trace.Span, q rowQuery, src graph.NodeID, tr incr.Tr
 	}
 	rsp.End()
 	if !exact {
-		s.registry.Record(q.ref.id, q.digest, src, rr.Dist, rr.Parent, "")
+		s.registry.Record(q.id, q.digest, src, rr.Dist, rr.Parent, "")
 	}
 	return row{dist: rr.Dist, parent: rr.Parent, served: rowRepaired, affected: rr.Affected}, true
 }

@@ -210,28 +210,28 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	g, digest, opts, ref, ok := s.prepare(w, r, req.Graph, req.Options)
+	rg, opts, ok := s.prepare(w, r, req.Graph, req.Options)
 	if !ok {
 		return
 	}
-	if req.Source < 0 || req.Source >= int64(g.N()) {
-		s.replyError(w, badf("source %d out of range [0,%d)", req.Source, g.N()))
+	if req.Source < 0 || req.Source >= int64(rg.n) {
+		s.replyError(w, badf("source %d out of range [0,%d)", req.Source, rg.n))
 		return
 	}
 	var res *dsssp.Result
 	s.serveRows(w, r, rowQuery{
-		g: g, digest: digest, ref: ref,
-		sources: []graph.NodeID{graph.NodeID(req.Source)},
-		parts:   queryKeyParts("sssp", req.Options, fmt.Sprintf("src=%d", req.Source)),
+		resolvedGraph: rg,
+		sources:       []graph.NodeID{graph.NodeID(req.Source)},
+		parts:         queryKeyParts("sssp", req.Options, fmt.Sprintf("src=%d", req.Source)),
 		engine: func(missing []graph.NodeID) ([]row, []simnet.SpanMetrics, error) {
 			var err error
-			if res, err = dsssp.SSSP(g, missing[0], opts); err != nil {
+			if res, err = dsssp.SSSP(rg.load(), missing[0], opts); err != nil {
 				return nil, nil, err
 			}
 			return []row{{dist: res.Dist}}, res.Metrics.Spans, nil
 		},
 	}, func(rs rowSet) ([]byte, error) {
-		rw := rs.rows[0]
+		g, rw := rg.load(), rs.rows[0]
 		resp := SSSPResponse{N: g.N(), M: g.M(), Dist: rw.dist, Unreachable: countUnreachable(rw.dist)}
 		if rw.served == rowRepaired {
 			resp.Incr = queryIncr(rw, g.N())
@@ -248,7 +248,7 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	g, digest, opts, ref, ok := s.prepare(w, r, req.Graph, req.Options)
+	rg, opts, ok := s.prepare(w, r, req.Graph, req.Options)
 	if !ok {
 		return
 	}
@@ -256,19 +256,19 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 		name string
 		v    int64
 	}{{"source", req.Source}, {"target", req.Target}} {
-		if op.v < 0 || op.v >= int64(g.N()) {
-			s.replyError(w, badf("%s %d out of range [0,%d)", op.name, op.v, g.N()))
+		if op.v < 0 || op.v >= int64(rg.n) {
+			s.replyError(w, badf("%s %d out of range [0,%d)", op.name, op.v, rg.n))
 			return
 		}
 	}
 	var res *dsssp.TreeResult
 	s.serveRows(w, r, rowQuery{
-		g: g, digest: digest, ref: ref,
-		sources: []graph.NodeID{graph.NodeID(req.Source)},
-		parts:   queryKeyParts("path", req.Options, fmt.Sprintf("src=%d|dst=%d", req.Source, req.Target)),
+		resolvedGraph: rg,
+		sources:       []graph.NodeID{graph.NodeID(req.Source)},
+		parts:         queryKeyParts("path", req.Options, fmt.Sprintf("src=%d|dst=%d", req.Source, req.Target)),
 		engine: func(missing []graph.NodeID) ([]row, []simnet.SpanMetrics, error) {
 			var err error
-			if res, err = dsssp.SSSPTree(g, missing[0], opts); err != nil {
+			if res, err = dsssp.SSSPTree(rg.load(), missing[0], opts); err != nil {
 				return nil, nil, err
 			}
 			return []row{{dist: res.Dist, parent: res.Parent}}, res.Metrics.Spans, nil
@@ -279,7 +279,7 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 		rw := rs.rows[0]
 		resp := PathResponse{Dist: rw.dist[req.Target], Path: []int64{}}
 		if rw.served == rowRepaired {
-			resp.Incr = queryIncr(rw, g.N())
+			resp.Incr = queryIncr(rw, rg.n)
 		} else {
 			resp.Metrics = metricsJSON(res.Metrics)
 		}
@@ -304,7 +304,7 @@ func (s *Server) handleAPSP(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	g, digest, opts, ref, ok := s.prepare(w, r, req.Graph, req.Options)
+	rg, opts, ok := s.prepare(w, r, req.Graph, req.Options)
 	if !ok {
 		return
 	}
@@ -314,23 +314,18 @@ func (s *Server) handleAPSP(w http.ResponseWriter, r *http.Request) {
 		s.replyError(w, fmt.Errorf("dsssp: APSP composes CONGEST instances (Section 1.1) and runs in ModelCongest only (got %s)", opts.Model))
 		return
 	}
-	sources := make([]graph.NodeID, g.N())
-	for v := range sources {
-		sources[v] = graph.NodeID(v)
-	}
 	// Per-source SSSP instances are independent, so a reused or repaired row
 	// is byte-identical to what a re-run would produce; only the Composition
 	// (which describes the instances actually run this time) and the Incr
 	// split distinguish a partially-reused response from a from-scratch one.
 	var res *dsssp.APSPResult
 	s.serveRows(w, r, rowQuery{
-		g: g, digest: digest, ref: ref,
-		sources:  sources,
-		parts:    queryKeyParts("apsp", req.Options, fmt.Sprintf("seed=%d", req.Seed)),
-		allPairs: true,
+		resolvedGraph: rg,
+		parts:         queryKeyParts("apsp", req.Options, fmt.Sprintf("seed=%d", req.Seed)),
+		allPairs:      true,
 		engine: func(missing []graph.NodeID) ([]row, []simnet.SpanMetrics, error) {
 			var err error
-			if res, err = dsssp.APSPFrom(g, missing, opts, req.Seed); err != nil {
+			if res, err = dsssp.APSPFrom(rg.load(), missing, opts, req.Seed); err != nil {
 				return nil, nil, err
 			}
 			rows := make([]row, len(missing))
@@ -340,6 +335,7 @@ func (s *Server) handleAPSP(w http.ResponseWriter, r *http.Request) {
 			return rows, res.Composition.Spans, nil
 		},
 	}, func(rs rowSet) ([]byte, error) {
+		g := rg.load()
 		resp := APSPResponse{N: g.N(), M: g.M(), Dist: make([][]int64, g.N())}
 		for v, rw := range rs.rows {
 			resp.Dist[v] = rw.dist
@@ -359,34 +355,58 @@ func (s *Server) handleAPSP(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// graphRef identifies the registered graph a query resolved (nil for
-// inline/generator specs). The query is pinned to the head revision it
-// resolved — its snapshot and digest — and that snapshot is immutable, so
-// the query is consistent even if a PATCH lands mid-computation.
-type graphRef struct {
-	id string
+// resolvedGraph is a query's graph as prepare resolved it. n and digest —
+// what the range checks and the cache key need — are always set. g is nil
+// when a generator spec was answered from the spec memo; load builds it
+// then, on the compute path, so a result-cache hit never builds a graph.
+type resolvedGraph struct {
+	n      int
+	digest [32]byte
+	// id is the registered graph's handle ("" for inline and generator
+	// specs). The query is pinned to the head revision it resolved — its
+	// snapshot and digest — and that snapshot is immutable, so the query
+	// is consistent even if a PATCH lands mid-computation.
+	id   string
+	g    *graph.Graph
+	spec GraphSpec // the validated generator spec load builds g from
+}
+
+// load returns the query's graph, building it from the spec on first use.
+func (rg *resolvedGraph) load() *graph.Graph {
+	if rg.g == nil {
+		rg.g = makeGenerator(rg.spec)
+	}
+	return rg.g
 }
 
 // prepare resolves the graph (inline, generator, or registered handle)
-// and options for a query, replying on error. For registered graphs the
+// and options for a query, replying on error. A generator spec is
+// validated on every request and then resolved through the spec memo
+// (resolveGenerator): on a memo hit the cache key and node count come
+// without building the graph, which the compute path builds only if the
+// result cache misses. Inline specs are built and hashed here; registered
+// handles resolve to their head revision. For registered graphs the
 // handle and revision travel in response headers, not the body: cached
 // bodies are migrated verbatim across revisions on PATCH, so a body-borne
 // revision number would go stale the moment an entry is carried forward.
 // A sampled request gets a graph.resolve span recording where the graph
-// came from (registry / inline / generator) and its size.
-func (s *Server) prepare(w http.ResponseWriter, r *http.Request, spec GraphSpec, qo QueryOptions) (*graph.Graph, [32]byte, *dsssp.Options, *graphRef, bool) {
+// came from (registry / inline / generator, with the memo outcome) and
+// its size.
+func (s *Server) prepare(w http.ResponseWriter, r *http.Request, spec GraphSpec, qo QueryOptions) (*resolvedGraph, *dsssp.Options, bool) {
 	sp := trace.FromContext(r.Context()).StartChild("graph.resolve")
-	fail := func(err error) (*graph.Graph, [32]byte, *dsssp.Options, *graphRef, bool) {
+	fail := func(err error) (*resolvedGraph, *dsssp.Options, bool) {
 		sp.SetError(err.Error())
 		sp.End()
 		s.replyError(w, err)
-		return nil, [32]byte{}, nil, nil, false
+		return nil, nil, false
 	}
 	opts, err := resolveOptions(qo, s.cfg.Workers)
 	if err != nil {
 		return fail(err)
 	}
-	if spec.ID != "" {
+	var rg *resolvedGraph
+	switch {
+	case spec.ID != "":
 		if spec.N != 0 || len(spec.Edges) > 0 || spec.Family != "" || spec.Seed != 0 || spec.Weights != nil {
 			return fail(badf("graph.graph_id is mutually exclusive with inline and generator fields"))
 		}
@@ -399,22 +419,47 @@ func (s *Server) prepare(w http.ResponseWriter, r *http.Request, spec GraphSpec,
 		sp.SetAttr("source", "registry")
 		sp.SetAttr("graph_id", spec.ID)
 		sp.SetAttr("revision", rev)
-		sp.SetAttr("n", g.N())
-		sp.End()
-		return g, digest, opts, &graphRef{id: spec.ID}, true
-	}
-	g, err := buildGraph(spec, s.cfg.MaxN, s.cfg.MaxEdges)
-	if err != nil {
-		return fail(err)
-	}
-	if spec.Family != "" {
+		rg = &resolvedGraph{n: g.N(), digest: digest, id: spec.ID, g: g}
+	case spec.Family != "":
+		if rg, err = s.resolveGenerator(spec); err != nil {
+			return fail(err)
+		}
 		sp.SetAttr("source", "generator")
-	} else {
+		if rg.g == nil {
+			sp.SetAttr("memo", "hit")
+		} else {
+			sp.SetAttr("memo", "miss")
+		}
+	default:
+		g, err := buildGraph(spec, s.cfg.MaxN, s.cfg.MaxEdges)
+		if err != nil {
+			return fail(err)
+		}
 		sp.SetAttr("source", "inline")
+		rg = &resolvedGraph{n: g.N(), digest: canonicalGraphDigest(g), g: g}
 	}
-	sp.SetAttr("n", g.N())
+	sp.SetAttr("n", rg.n)
 	sp.End()
-	return g, canonicalGraphDigest(g), opts, nil, true
+	return rg, opts, true
+}
+
+// resolveGenerator validates a generator spec, then resolves it through
+// the spec memo: a hit gives the digest and node count without building
+// the graph; a miss builds and hashes it and memoizes the pair. Only a
+// spec that passed validation is memoized, so an invalid one fails with
+// the same error on every request.
+func (s *Server) resolveGenerator(spec GraphSpec) (*resolvedGraph, error) {
+	if err := checkGenerator(spec, s.cfg.MaxN); err != nil {
+		return nil, err
+	}
+	key := specMemoKey(spec)
+	if digest, n, ok := s.cache.specDigest(key); ok {
+		return &resolvedGraph{n: n, digest: digest, spec: spec}, nil
+	}
+	g := makeGenerator(spec)
+	rg := &resolvedGraph{n: g.N(), digest: canonicalGraphDigest(g), g: g, spec: spec}
+	s.cache.putSpecDigest(key, rg.digest, rg.n)
+	return rg, nil
 }
 
 // finishQuery funnels every query through the content-addressed cache and

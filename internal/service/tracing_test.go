@@ -382,14 +382,17 @@ func TestUnsampledCachedHitCheaper(t *testing.T) {
 
 // BenchmarkCachedHit is the benchmark pin for the fast path: compare
 // ns/op and allocs/op between unsampled and sampled serving of a pure
-// cache hit.
+// cache hit, and time serve-hot's shape (a random n=128 generator spec
+// with unit weights, unsampled).
 func BenchmarkCachedHit(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		rate float64
+		body string
 	}{
-		{"unsampled", -1},
-		{"sampled", 1.0},
+		{"unsampled", -1, tracingBody},
+		{"sampled", 1.0, tracingBody},
+		{"generator-spec", -1, hotSpecBody},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			s, err := New(Config{
@@ -401,7 +404,7 @@ func BenchmarkCachedHit(b *testing.B) {
 			}
 			defer s.Close()
 			h := s.Handler()
-			req := httptest.NewRequest("POST", "/v1/sssp", strings.NewReader(tracingBody))
+			req := httptest.NewRequest("POST", "/v1/sssp", strings.NewReader(bc.body))
 			w := httptest.NewRecorder()
 			h.ServeHTTP(w, req)
 			if w.Code != http.StatusOK {
@@ -410,7 +413,7 @@ func BenchmarkCachedHit(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				req := httptest.NewRequest("POST", "/v1/sssp", strings.NewReader(tracingBody))
+				req := httptest.NewRequest("POST", "/v1/sssp", strings.NewReader(bc.body))
 				h.ServeHTTP(httptest.NewRecorder(), req)
 			}
 		})
