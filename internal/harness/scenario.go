@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/bits"
+	"slices"
 
 	"dsssp/internal/graph"
 	"dsssp/internal/proto"
@@ -72,6 +73,21 @@ type WeightSpec struct {
 	Kind WeightKind `json:"kind"`
 	// MaxW is the maximum weight for the seeded kinds (ignored for unit).
 	MaxW int64 `json:"max_w,omitempty"`
+}
+
+// Fn is the distribution's weight function, drawn from seed for the seeded
+// kinds; any other kind, the empty one included, is unit weight. It is the
+// one mapping from a weight kind to a graph.WeightFn, shared by scenarios
+// and the daemon's generator specs.
+func (w WeightSpec) Fn(seed int64) graph.WeightFn {
+	switch w.Kind {
+	case WeightUniform:
+		return graph.UniformWeights(w.MaxW, seed)
+	case WeightZeroHeavy:
+		return graph.ZeroHeavyWeights(w.MaxW, seed)
+	default:
+		return graph.UnitWeights
+	}
 }
 
 // Scenario is one named, self-describing workload: everything needed to
@@ -159,14 +175,7 @@ func (s *Scenario) Validate() error {
 			return fmt.Errorf("harness: scenario %q: strict-CONGEST mode supports sssp/cssp/apsp, not %s", s.Name, s.Alg)
 		}
 	}
-	found := false
-	for _, f := range graph.Families() {
-		if f == s.Family {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if !slices.Contains(graph.Families(), s.Family) {
 		return fmt.Errorf("harness: scenario %q: unknown family %q", s.Name, s.Family)
 	}
 	return nil
@@ -185,16 +194,7 @@ func (s *Scenario) seeds() (int64, int64) {
 // reproducible and diffable across PRs.
 func (s *Scenario) BuildGraph() *graph.Graph {
 	gseed, wseed := s.seeds()
-	var w graph.WeightFn
-	switch s.Weights.Kind {
-	case WeightUniform:
-		w = graph.UniformWeights(s.Weights.MaxW, wseed)
-	case WeightZeroHeavy:
-		w = graph.ZeroHeavyWeights(s.Weights.MaxW, wseed)
-	default:
-		w = graph.UnitWeights
-	}
-	return graph.Make(s.Family, s.N, w, gseed)
+	return graph.Make(s.Family, s.N, s.Weights.Fn(wseed), gseed)
 }
 
 // SourceOffsets returns the deterministic CSSP source set: Sources nodes
@@ -231,11 +231,12 @@ type Envelope struct {
 	MessageBits int64 `json:"message_bits,omitempty"`
 }
 
-func lg(n int) int64 {
+// lg is ⌈log₂ n⌉, and 1 for n < 2.
+func lg(n int64) int64 {
 	if n < 2 {
 		return 1
 	}
-	return int64(bits.Len(uint(n - 1)))
+	return int64(bits.Len64(uint64(n - 1)))
 }
 
 // PredictedEnvelope returns the scenario's envelope. The Õ(·) bounds hide
@@ -245,7 +246,7 @@ func lg(n int) int64 {
 // and must only change deliberately — they are the regression baseline.
 func (s *Scenario) PredictedEnvelope() Envelope {
 	n := int64(s.N)
-	l := lg(s.N)
+	l := lg(n)
 	maxW := s.Weights.MaxW
 	if maxW < 1 {
 		maxW = 1
@@ -253,7 +254,7 @@ func (s *Scenario) PredictedEnvelope() Envelope {
 	if s.Family == graph.FamilyBFGadget {
 		maxW = 2*n + 1 // the gadget's chord weights are structural, not from WeightSpec
 	}
-	ld := lg64(n * maxW) // recursion depth: log of the initial threshold D0
+	ld := lg(n * maxW) // recursion depth: log of the initial threshold D0
 	// The strict-CONGEST bit budget grows with the effective weight range:
 	// zero-weight graphs are rescaled by n+1 before the run (Thm 2.7), so
 	// their distance values — and hence message payloads — are wider.
@@ -294,11 +295,4 @@ func (s *Scenario) PredictedEnvelope() Envelope {
 	default:
 		return Envelope{}
 	}
-}
-
-func lg64(n int64) int64 {
-	if n < 2 {
-		return 1
-	}
-	return int64(bits.Len64(uint64(n - 1)))
 }

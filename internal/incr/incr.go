@@ -148,7 +148,7 @@ func minSum(d, w int64) int64 {
 // DirtySources splits the traced sources into dirty and untouched under
 // the effect batch. traces maps source → its exact distance vector on the
 // pre-patch graph; both returned slices are sorted for deterministic
-// iteration downstream (cache migration, metrics, logs).
+// iteration downstream (metrics, logs).
 func DirtySources(effects []Effect, traces map[graph.NodeID][]int64) (dirty, untouched []graph.NodeID) {
 	for s, dist := range traces {
 		if SourceDirty(effects, dist) {

@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"dsssp"
@@ -352,12 +353,7 @@ func checkGenerator(spec GraphSpec, maxN int) error {
 	if len(spec.Edges) > 0 {
 		return badf("graph.family and graph.edges are mutually exclusive")
 	}
-	fam := graph.Family(spec.Family)
-	known := false
-	for _, f := range graph.Families() {
-		known = known || f == fam
-	}
-	if !known {
+	if !slices.Contains(graph.Families(), graph.Family(spec.Family)) {
 		return badf("unknown graph family %q (families: %v)", spec.Family, graph.Families())
 	}
 	if spec.N < 4 || spec.N > maxN {
@@ -383,16 +379,11 @@ func checkGenerator(spec GraphSpec, maxN int) error {
 
 // makeGenerator materializes a spec checkGenerator accepted.
 func makeGenerator(spec GraphSpec) *graph.Graph {
-	w := graph.UnitWeights
+	var w harness.WeightSpec
 	if spec.Weights != nil {
-		switch spec.Weights.Kind {
-		case string(harness.WeightUniform):
-			w = graph.UniformWeights(spec.Weights.MaxW, weightSeed(spec))
-		case string(harness.WeightZeroHeavy):
-			w = graph.ZeroHeavyWeights(spec.Weights.MaxW, weightSeed(spec))
-		}
+		w = harness.WeightSpec{Kind: harness.WeightKind(spec.Weights.Kind), MaxW: spec.Weights.MaxW}
 	}
-	return graph.Make(graph.Family(spec.Family), spec.N, w, spec.Seed)
+	return graph.Make(graph.Family(spec.Family), spec.N, w.Fn(weightSeed(spec)), spec.Seed)
 }
 
 // weightSeed derives a generator spec's weight-stream seed. The spec-seed

@@ -29,11 +29,13 @@ func entryCost(key string, body []byte) int64 {
 // APSP ramification makes expensive are exactly cacheable (deterministic
 // algorithms on content-addressed inputs), so repeats cost a map lookup.
 //
-// For registered graphs the key embeds the graph *revision* digest, which
-// is what makes invalidation edge-granular: a PATCH migrates (Copy) the
-// entries of sources its deltas provably cannot affect to the new
-// revision's keys and drops (Invalidate) exactly the dirty ones, instead
-// of orphaning the whole graph's worth of results.
+// An entry holds only bytes computed for its own key, so a body is a pure
+// function of (canonical graph, options) and never of the server's
+// history. For registered graphs the key embeds the head revision's
+// digest: a PATCH mints new keys, while the old revision's entries stay
+// valid for that content and age out through the LRU. Nothing else writes
+// into the cache; a source a PATCH leaves untouched is served from its
+// trace (see GraphRegistry), not from a copied entry.
 //
 // The same LRU and budget hold the generator-spec memo (specDigest,
 // putSpecDigest): spec → (canonical digest, n), so a generator-spec query
@@ -180,22 +182,6 @@ func (c *Cache) lead(key string, f *flight, compute func() ([]byte, bool, error)
 	completed = true
 }
 
-// Copy duplicates the entry at src under dst (sharing the body bytes —
-// entries are immutable) and reports whether src was resident. This is the
-// reuse half of edge-granular invalidation: a PATCH carries an untouched
-// source's result forward to the new revision's key without recomputing or
-// copying the payload.
-func (c *Cache) Copy(src, dst string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[src]
-	if !ok {
-		return false
-	}
-	c.insertLocked(dst, el.Value.(*centry).body, false)
-	return true
-}
-
 // specDigest reads the generator-spec memo entry at key (see specMemoKey):
 // the canonical digest and node count of the graph the spec generates. A
 // lookup refreshes the entry's LRU position but is neither a hit nor a
@@ -222,22 +208,6 @@ func (c *Cache) putSpecDigest(key string, digest [32]byte, n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.insertLocked(key, v, true)
-}
-
-// Invalidate removes the given keys and returns how many were resident —
-// the dirty half of edge-granular invalidation (a PATCH drops exactly the
-// sources its deltas can affect; everything else stays warm).
-func (c *Cache) Invalidate(keys ...string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, key := range keys {
-		if el, ok := c.items[key]; ok {
-			c.removeLocked(el)
-			n++
-		}
-	}
-	return n
 }
 
 // insertLocked adds an entry and evicts LRU entries until the budget

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -29,8 +30,9 @@ func decodeBody(t *testing.T, w *httptest.ResponseRecorder, status int, into any
 
 // TestDynamicGraphLifecycle walks the registered-graph serving path over
 // the wire in both models: register → query (miss, then hit) → PATCH →
-// the untouched source is still a hit with byte-identical distances, the
-// dirty source recomputes with the improved ones.
+// the untouched source is served from its carried trace (a zero-change
+// repair) with identical distances, the dirty source gets the improved
+// ones.
 func TestDynamicGraphLifecycle(t *testing.T) {
 	for _, model := range []string{"congest", "sleeping"} {
 		t.Run(model, func(t *testing.T) {
@@ -83,8 +85,9 @@ func TestDynamicGraphLifecycle(t *testing.T) {
 			}
 
 			w, r1b := query(1)
-			if w.Header().Get("X-Dsssp-Cache") != "hit" {
-				t.Fatal("untouched source recomputed after PATCH (entry not migrated)")
+			if w.Header().Get("X-Dsssp-Incr") != "repaired" || r1b.Incr == nil || r1b.Incr.AffectedVertices != 0 {
+				t.Fatalf("untouched source after PATCH: incr=%q %+v, want repaired from its trace with nothing affected",
+					w.Header().Get("X-Dsssp-Incr"), r1b.Incr)
 			}
 			if w.Header().Get("X-Dsssp-Graph-Revision") != "2" {
 				t.Fatalf("revision header = %s, want 2", w.Header().Get("X-Dsssp-Graph-Revision"))
@@ -396,6 +399,57 @@ func TestRepairWarmStart(t *testing.T) {
 	}
 }
 
+// TestWarmStartKeepsBytes: a graph's charged bytes are a function of the
+// traces it holds, so a warm start that reloads them reports the same
+// bytes as the live registry that recorded them from queries.
+func TestWarmStartKeepsBytes(t *testing.T) {
+	dir := t.TempDir()
+	mk := func() *Server {
+		t.Helper()
+		s, err := New(Config{Workers: 4, RegistryDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	get := func(s *Server, id string) GraphInfo {
+		t.Helper()
+		var info GraphInfo
+		decodeBody(t, do(t, s, "GET", "/v1/graphs/"+id, ""), http.StatusOK, &info)
+		return info
+	}
+
+	s1 := mk()
+	var info GraphInfo
+	decodeBody(t, do(t, s1, "POST", "/v1/graphs", `{"graph":`+ciGraphJSON+`}`), http.StatusCreated, &info)
+	g := fmt.Sprintf(`{"graph_id":%q}`, info.ID)
+	for _, q := range []struct{ path, body string }{
+		{"/v1/sssp", `{"graph":` + g + `,"source":0}`},
+		{"/v1/path", `{"graph":` + g + `,"source":1,"target":3}`},
+		{"/v1/apsp", `{"graph":` + g + `}`},
+	} {
+		if w := do(t, s1, "POST", q.path, q.body); w.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", q.path, w.Code, w.Body.Bytes())
+		}
+	}
+	do(t, s1, "PATCH", "/v1/graphs/"+info.ID+"/edges", `{"deltas":[{"op":"reweight","u":0,"v":2,"w":1}]}`)
+	if w := do(t, s1, "POST", "/v1/sssp", `{"graph":`+g+`,"source":0}`); w.Header().Get("X-Dsssp-Incr") != "repaired" {
+		t.Fatalf("post-patch query X-Dsssp-Incr = %q, want repaired", w.Header().Get("X-Dsssp-Incr"))
+	}
+	live := get(s1, info.ID)
+	if live.TracedSources == 0 || live.StaleSources == 0 {
+		t.Fatalf("live graph = %+v, want exact and stale traces", live)
+	}
+	s1.Close() // the SIGTERM path: flush query-accumulated traces to disk
+
+	s2 := mk()
+	t.Cleanup(s2.Close)
+	warm := get(s2, info.ID)
+	if warm.Bytes != live.Bytes || warm.TracedSources != live.TracedSources || warm.StaleSources != live.StaleSources {
+		t.Fatalf("warm start = %+v, live = %+v", warm, live)
+	}
+}
+
 // TestPatchQueryRace hammers PATCH (toggling one edge weight between two
 // contents) against concurrent queries on the same handle; under -race
 // this exercises the registry/cache locking, and every response must be
@@ -452,8 +506,9 @@ func TestPatchQueryRace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestTracedSourcesExcludesAPSPBody: traced_sources counts sources, so the
-// pseudo-trace that tracks a whole-APSP body is not one of them.
+// TestTracedSourcesExcludesAPSPBody: traced_sources counts sources, so an
+// APSP on a handle traces each of its n rows once, and neither its body
+// nor a later single-source query adds to the count.
 func TestTracedSourcesExcludesAPSPBody(t *testing.T) {
 	s := testServer(t)
 	var info GraphInfo
@@ -474,4 +529,97 @@ func TestTracedSourcesExcludesAPSPBody(t *testing.T) {
 		t.Fatalf("sssp: %d %s", w.Code, w.Body.Bytes())
 	}
 	traced("/v1/sssp")
+}
+
+// TestCacheBodiesIgnoreHistory pins the result cache's invariant across a
+// PATCH: a cached body is the bytes computed for its key, so an inline
+// query of the patched content answers exactly what a fresh server does,
+// whatever the server served before. The PATCH inserts {1,3} at weight 50,
+// which leaves source 1 untouched; its re-query on the handle is served
+// from its carried trace and reports the patched graph.
+func TestCacheBodiesIgnoreHistory(t *testing.T) {
+	const patched = `{"n":4,"edges":[[0,1,1],[1,2,1],[2,3,1],[0,3,1],[0,2,10],[1,3,50]]}`
+	inline := `{"graph":` + patched + `,"source":1}`
+	fresh := do(t, testServer(t), "POST", "/v1/sssp", inline)
+	var want SSSPResponse
+	decodeBody(t, fresh, http.StatusOK, &want)
+
+	for _, handleFirst := range []bool{true, false} {
+		t.Run(fmt.Sprintf("handle-first=%v", handleFirst), func(t *testing.T) {
+			s := testServer(t)
+			var info GraphInfo
+			decodeBody(t, do(t, s, "POST", "/v1/graphs", `{"graph":`+ciGraphJSON+`}`), http.StatusCreated, &info)
+			q1 := fmt.Sprintf(`{"graph":{"graph_id":%q},"source":1}`, info.ID)
+			if w := do(t, s, "POST", "/v1/sssp", q1); w.Code != http.StatusOK {
+				t.Fatalf("sssp: %d %s", w.Code, w.Body.Bytes())
+			}
+			var pi PatchInfo
+			decodeBody(t, do(t, s, "PATCH", "/v1/graphs/"+info.ID+"/edges",
+				`{"deltas":[{"op":"insert","u":1,"v":3,"w":50}]}`), http.StatusOK, &pi)
+			if pi.SourcesKept != 1 || pi.SourcesDropped != 0 {
+				t.Fatalf("patch info = %+v, want source 1 untouched", pi)
+			}
+			if handleFirst {
+				w := do(t, s, "POST", "/v1/sssp", q1)
+				var got SSSPResponse
+				decodeBody(t, w, http.StatusOK, &got)
+				if got.N != want.N || got.M != want.M || !reflect.DeepEqual(got.Dist, want.Dist) {
+					t.Fatalf("handle re-query n=%d m=%d dist=%v, want n=%d m=%d dist=%v",
+						got.N, got.M, got.Dist, want.N, want.M, want.Dist)
+				}
+				if w.Header().Get("X-Dsssp-Incr") != "repaired" || got.Incr == nil || got.Incr.AffectedVertices != 0 {
+					t.Fatalf("handle re-query: incr=%q %+v, want repaired from its trace with nothing affected",
+						w.Header().Get("X-Dsssp-Incr"), got.Incr)
+				}
+			}
+			w := do(t, s, "POST", "/v1/sssp", inline)
+			if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), fresh.Body.Bytes()) {
+				t.Fatalf("inline query of the patched content:\n got %s\nwant %s", w.Body.Bytes(), fresh.Body.Bytes())
+			}
+			if !handleFirst {
+				// The inline run cached the canonical body, and the handle
+				// names the same content: its re-query is that body.
+				w := do(t, s, "POST", "/v1/sssp", q1)
+				if w.Header().Get("X-Dsssp-Cache") != "hit" || !bytes.Equal(w.Body.Bytes(), fresh.Body.Bytes()) {
+					t.Fatalf("handle re-query after the inline run: cache=%s body %s", w.Header().Get("X-Dsssp-Cache"), w.Body.Bytes())
+				}
+			}
+		})
+	}
+}
+
+// TestAPSPReusesRowsAfterSlackPatch: a PATCH that touches no source (the
+// slack chord grows) carries all n exact traces to the new revision, so
+// the next APSP on the handle reuses every row and runs no engine, and its
+// distances equal a from-scratch run of the patched content.
+func TestAPSPReusesRowsAfterSlackPatch(t *testing.T) {
+	s := testServer(t)
+	var info GraphInfo
+	decodeBody(t, do(t, s, "POST", "/v1/graphs", `{"graph":`+ciGraphJSON+`}`), http.StatusCreated, &info)
+	apsp := fmt.Sprintf(`{"graph":{"graph_id":%q}}`, info.ID)
+	if w := do(t, s, "POST", "/v1/apsp", apsp); w.Code != http.StatusOK {
+		t.Fatalf("apsp: %d %s", w.Code, w.Body.Bytes())
+	}
+	var pi PatchInfo
+	decodeBody(t, do(t, s, "PATCH", "/v1/graphs/"+info.ID+"/edges",
+		`{"deltas":[{"op":"reweight","u":0,"v":2,"w":20}]}`), http.StatusOK, &pi)
+	if pi.SourcesKept != info.N || pi.SourcesDropped != 0 {
+		t.Fatalf("slack increase dirtied sources: %+v", pi)
+	}
+
+	w := do(t, s, "POST", "/v1/apsp", apsp)
+	var got APSPResponse
+	decodeBody(t, w, http.StatusOK, &got)
+	if w.Header().Get("X-Dsssp-Cache") != "miss" || w.Header().Get("X-Dsssp-Incr") != "reused=4 recomputed=0" {
+		t.Fatalf("apsp after the patch: cache=%s incr=%s", w.Header().Get("X-Dsssp-Cache"), w.Header().Get("X-Dsssp-Incr"))
+	}
+	if got.Incr == nil || got.Incr.SourcesReused != info.N || got.Incr.SourcesRecomputed != 0 {
+		t.Fatalf("incr split = %+v, want all %d rows reused", got.Incr, info.N)
+	}
+	var scratch APSPResponse
+	decodeBody(t, do(t, testServer(t), "POST", "/v1/apsp",
+		`{"graph":{"n":4,"edges":[[0,1,1],[1,2,1],[2,3,1],[0,3,1],[0,2,20]]}}`), http.StatusOK, &scratch)
+	if !reflect.DeepEqual(got.Dist, scratch.Dist) {
+		t.Fatalf("reused rows differ from scratch:\nreused %v\nfresh  %v", got.Dist, scratch.Dist)
+	}
 }

@@ -44,11 +44,9 @@ func canonicalGraphDigest(g *graph.Graph) [32]byte {
 }
 
 // queryKeyParts is the graph-independent half of a cache key: endpoint ×
-// normalized options × query operands. Splitting the key this way is what
-// makes edge-granular invalidation cheap — a PATCH that leaves a source
-// untouched re-addresses its entries by hashing the *same* parts against
-// the new revision digest (keyFromDigest), no recomputation and no
-// knowledge of the original request needed beyond this string.
+// normalized options × query operands. keyFromDigest hashes it against the
+// canonical content digest, so inline graphs, generator specs and
+// registered revisions with the same content share one entry per query.
 func queryKeyParts(endpoint string, o QueryOptions, operands string) string {
 	// Normalize the option encoding so semantically identical requests
 	// share an entry: the model default is spelled out, the ε default 1/2

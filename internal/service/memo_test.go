@@ -216,7 +216,13 @@ func TestSpecMemoBookkeeping(t *testing.T) {
 	t.Run("memo dropped, result resident", func(t *testing.T) {
 		s := testServer(t)
 		first := do(t, s, "POST", "/v1/sssp", bodyA)
-		if s.cache.Invalidate(memoKey) != 1 {
+		s.cache.mu.Lock()
+		el, ok := s.cache.items[memoKey]
+		if ok {
+			s.cache.removeLocked(el)
+		}
+		s.cache.mu.Unlock()
+		if !ok {
 			t.Fatal("memo entry was not resident")
 		}
 		w := do(t, s, "POST", "/v1/sssp", bodyA)

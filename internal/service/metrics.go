@@ -34,11 +34,9 @@ type serverMetrics struct {
 
 	// Dynamic-graph (registered) serving path: per-source reuse outcomes
 	// and the per-PATCH classification ledger.
-	incrSourcesReused      *obs.Counter
-	incrSourcesRecomputed  *obs.Counter
-	incrEntriesMigrated    *obs.Counter
-	incrEntriesInvalidated *obs.Counter
-	patchDirtyFraction     *obs.Histogram
+	incrSourcesReused     *obs.Counter
+	incrSourcesRecomputed *obs.Counter
+	patchDirtyFraction    *obs.Histogram
 
 	// Affected-region repair: dirty sources rebuilt from their stale trace
 	// instead of recomputed from scratch, the fraction of the graph each
@@ -80,10 +78,6 @@ func newServerMetrics(cfg *Config, cache *Cache, registry *GraphRegistry) *serve
 			"Registered-graph per-source results served from cache/traces without recomputation."),
 		incrSourcesRecomputed: r.Counter("dsssp_incr_sources_recomputed_total",
 			"Registered-graph per-source results that had to be recomputed."),
-		incrEntriesMigrated: r.Counter("dsssp_incr_entries_migrated_total",
-			"Result-cache entries re-addressed to a new graph revision on PATCH (untouched sources)."),
-		incrEntriesInvalidated: r.Counter("dsssp_incr_entries_invalidated_total",
-			"Result-cache entries invalidated on PATCH (dirty sources)."),
 		patchDirtyFraction: r.Histogram("dsssp_incr_patch_dirty_fraction",
 			"Per-PATCH fraction of traced sources classified dirty (recompute-needed).",
 			[]float64{0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99}),

@@ -23,10 +23,9 @@ import (
 // registered graph. Files are written whole to a temp file, fsynced,
 // renamed over the old spill and the directory fsynced, so a crash at any
 // point leaves either the old file or the new one; a temp file the crash
-// left behind is deleted at the next boot. Cache-entry addresses are
-// deliberately NOT persisted: the result cache starts empty after a
-// restart, and the first query per source re-mints them; distance rows,
-// witness trees and stale ledgers — the expensive state — all survive.
+// left behind is deleted at the next boot. The result cache is not
+// persisted and starts empty after a restart; distance rows, witness trees
+// and stale ledgers — the expensive state — all survive.
 //
 // A spill is little-endian binary:
 //
@@ -230,9 +229,7 @@ func appendSpill(b []byte, rg *regGraph) []byte {
 
 	srcs := make([]graph.NodeID, 0, len(head.traces))
 	for src := range head.traces {
-		if src != apspTraceKey { // cache-entry addresses only; nothing to warm-start
-			srcs = append(srcs, src)
-		}
+		srcs = append(srcs, src)
 	}
 	slices.Sort(srcs)
 	b = le.AppendUint32(b, uint32(len(srcs)))
@@ -437,7 +434,7 @@ func decodeSpill(data []byte) (*regGraph, error) {
 			return nil, fmt.Errorf("trace %d: source %d out of order or outside [0,%d), or parent flag %d", i, src, n, flag)
 		}
 		prev = int64(src)
-		tr := &sourceTrace{entries: make(map[string]struct{})}
+		tr := &sourceTrace{}
 		if tr.dist, err = r.dist(n); err == nil && flag == 1 {
 			tr.parent, err = r.parent(n)
 		}

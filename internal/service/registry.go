@@ -14,22 +14,26 @@ import (
 // GraphRegistry holds the registered (dynamic) graphs: content-derived
 // handles pointing at a chain of revisions, each revision an immutable
 // graph snapshot plus the per-source result traces (exact distance rows
-// and the cache-entry addresses derived from them) that internal/incr
-// classifies on every PATCH. Queries resolve a handle to the head
-// revision's snapshot and proceed exactly like inline queries — the
-// revision digest is the cache key's graph half — so a query racing a
-// PATCH sees exactly the pre- or the post-revision result, never a mix.
+// and witness trees) that internal/incr classifies on every PATCH. Queries
+// resolve a handle to the head revision's snapshot and proceed exactly
+// like inline queries — the revision digest is the cache key's graph half
+// — so a query racing a PATCH sees exactly the pre- or the post-revision
+// result, never a mix.
+//
+// The registry never writes into the result cache. A PATCH carries an
+// untouched source's exact trace to the new revision, and the row provider
+// serves it from there; the cache holds only bytes computed for their own
+// key, so an entry's body depends on the content it is keyed by and never
+// on the server's history. Old revisions' entries stay valid for their
+// digest and age out of the cache's LRU.
 //
 // The registry is byte-budgeted: graphs (and their traces) are charged an
 // approximate resident footprint and whole graphs are evicted LRU when the
-// budget overflows. Evicting a graph drops registry state only — its
-// content-addressed cache entries stay valid and age out of the result
-// cache on their own.
+// budget overflows.
 type GraphRegistry struct {
 	mu     sync.Mutex
 	budget int64
 	bytes  int64
-	cache  *Cache
 	graphs map[string]*regGraph
 	lru    *list.List // of *regGraph; front = most recently used
 	now    func() time.Time
@@ -66,9 +70,7 @@ type revision struct {
 	num    int
 	digest [32]byte
 	g      *graph.Graph
-	// traces maps source → its exact distance row plus the cache-entry
-	// parts derived from it. The sentinel apspTraceKey tracks whole-APSP
-	// response bodies, which cover every source at once.
+	// traces maps source → its exact distance row and witness tree.
 	traces map[graph.NodeID]*sourceTrace
 	// stale maps source → the last exact trace it had before a PATCH
 	// dirtied it, plus the base-weight ledger needed to repair it
@@ -77,19 +79,13 @@ type revision struct {
 	stale map[graph.NodeID]*staleTrace
 }
 
-// apspTraceKey indexes the pseudo-trace holding whole-APSP body entries;
-// such an entry survives a PATCH only if every one of the n sources is
-// provably untouched.
-const apspTraceKey = graph.NodeID(-1)
-
 type sourceTrace struct {
-	dist []int64 // nil for apspTraceKey
+	dist []int64
 	// parent is the deterministic min-ID witness tree for dist, nil when it
-	// was never derived (a trace without a parent tree migrates and serves
-	// but cannot be repaired once dirty).
-	parent  []graph.NodeID
-	entries map[string]struct{}
-	bytes   int64
+	// was never derived (a trace without a parent tree carries forward and
+	// serves but cannot be repaired once dirty).
+	parent []graph.NodeID
+	bytes  int64
 }
 
 // staleTrace is a dirty source's remembered structure: the distance row and
@@ -106,15 +102,18 @@ type staleTrace struct {
 	bytes  int64
 }
 
-// NewGraphRegistry returns a registry with the given byte budget, wired to
-// the cache it migrates/invalidates entries in.
-func NewGraphRegistry(budget int64, cache *Cache, now func() time.Time) *GraphRegistry {
+// NewGraphRegistry returns a registry with the given byte budget. The
+// cache argument is ignored: the registry never writes into the result
+// cache.
+//
+// Deprecated: the cache parameter stays only because the benchmark harness
+// still passes it, and goes once a benchmark change stops doing so.
+func NewGraphRegistry(budget int64, _ *Cache, now func() time.Time) *GraphRegistry {
 	if now == nil {
 		now = time.Now
 	}
 	return &GraphRegistry{
 		budget: budget,
-		cache:  cache,
 		graphs: make(map[string]*regGraph),
 		lru:    list.New(),
 		now:    now,
@@ -264,29 +263,24 @@ type PatchInfo struct {
 	// no-op inserts and same-weight reweights resolve away).
 	Effects int `json:"effects"`
 	// SourcesKept / SourcesDropped classify the parent revision's traced
-	// sources: kept = untouched (results carried forward verbatim),
-	// dropped = dirty (cache entries invalidated). SourcesRepairable is the
-	// subset of dropped sources demoted to a stale trace + base-weight
-	// ledger instead of being forgotten — the next query repairs them
-	// (incr.Repair) rather than recomputing from scratch.
+	// sources: kept = untouched (the exact trace carries forward to the new
+	// revision), dropped = dirty. SourcesRepairable is the subset of dropped
+	// sources demoted to a stale trace + base-weight ledger instead of being
+	// forgotten, plus the sources already stale — the next query repairs
+	// them (incr.Repair) rather than recomputing from scratch.
 	SourcesKept       int     `json:"sources_kept"`
 	SourcesDropped    int     `json:"sources_dropped"`
 	SourcesRepairable int     `json:"sources_repairable"`
 	DirtyFraction     float64 `json:"dirty_fraction"`
-	// EntriesMigrated / EntriesInvalidated count result-cache entries
-	// re-addressed to the new revision vs dropped — the edge-granular
-	// invalidation ledger.
-	EntriesMigrated    int `json:"entries_migrated"`
-	EntriesInvalidated int `json:"entries_invalidated"`
 }
 
 // Patch applies an edge-delta batch to the graph's head revision: builds
 // the patched snapshot, classifies every traced source against the deltas
-// (internal/incr), migrates untouched sources' traces and cache entries to
-// the new revision's keys, invalidates dirty sources' entries, and swaps
-// the head. The whole transition happens under the registry lock, so
-// concurrent queries resolve either the old head (and serve its still-
-// consistent snapshot) or the new one — never a mix.
+// (internal/incr), carries untouched sources' exact traces to the new
+// revision, demotes dirty ones to stale traces, and swaps the head. The
+// whole transition happens under the registry lock, so concurrent queries
+// resolve either the old head (and serve its still-consistent snapshot) or
+// the new one — never a mix.
 func (r *GraphRegistry) Patch(id string, deltas []graph.EdgeDelta) (PatchInfo, error) {
 	if len(deltas) == 0 {
 		return PatchInfo{}, badf("empty delta batch")
@@ -319,15 +313,9 @@ func (r *GraphRegistry) Patch(id string, deltas []graph.EdgeDelta) (PatchInfo, e
 		N:      ng.N(), M: ng.M(),
 		DeltasApplied: len(deltas), Effects: len(effects),
 	}
-	distTraced := 0
 	for src, tr := range old.traces {
-		if src == apspTraceKey {
-			continue // classified below, against all sources
-		}
-		distTraced++
 		if incr.SourceDirty(effects, tr.dist) {
 			info.SourcesDropped++
-			info.EntriesInvalidated += r.dropEntriesLocked(old.digest, tr)
 			// Demote rather than forget: the trace was exact on old.g, so a
 			// ledger of this batch's pairs at their old.g weights is exactly
 			// what incr.Repair needs to catch it up on a later query. A
@@ -342,7 +330,6 @@ func (r *GraphRegistry) Patch(id string, deltas []graph.EdgeDelta) (PatchInfo, e
 			continue
 		}
 		info.SourcesKept++
-		info.EntriesMigrated += r.migrateTraceLocked(old.digest, newDigest, tr)
 		next.traces[src] = tr
 	}
 	// Sources already stale from earlier patches stay repairable: extend
@@ -355,25 +342,11 @@ func (r *GraphRegistry) Patch(id string, deltas []graph.EdgeDelta) (PatchInfo, e
 		next.stale[src] = st
 		info.SourcesRepairable++
 	}
-	// Whole-APSP bodies cover every source at once: they survive only when
-	// all n sources are traced and none is dirty.
-	if tr, ok := old.traces[apspTraceKey]; ok {
-		if info.SourcesDropped == 0 && distTraced == old.g.N() {
-			info.EntriesMigrated += r.migrateTraceLocked(old.digest, newDigest, tr)
-			next.traces[apspTraceKey] = tr
-		} else {
-			info.EntriesInvalidated += r.dropEntriesLocked(old.digest, tr)
-		}
-	}
 	if classified := info.SourcesKept + info.SourcesDropped; classified > 0 {
 		info.DirtyFraction = float64(info.SourcesDropped) / float64(classified)
 		if r.m != nil {
 			r.m.patchDirtyFraction.Observe(info.DirtyFraction)
 		}
-	}
-	if r.m != nil {
-		r.m.incrEntriesMigrated.Add(int64(info.EntriesMigrated))
-		r.m.incrEntriesInvalidated.Add(int64(info.EntriesInvalidated))
 	}
 
 	// Swap the head and re-account: dropped traces refund their bytes,
@@ -409,51 +382,27 @@ func recordBase(base map[uint64]int64, changes []graph.WeightChange) {
 	}
 }
 
-// migrateTraceLocked re-addresses a trace's cache entries from the old to
-// the new revision digest, pruning entries the cache has since evicted.
-func (r *GraphRegistry) migrateTraceLocked(oldDigest, newDigest [32]byte, tr *sourceTrace) int {
-	migrated := 0
-	for parts := range tr.entries {
-		if r.cache.Copy(keyFromDigest(oldDigest, parts), keyFromDigest(newDigest, parts)) {
-			migrated++
-		} else {
-			delete(tr.entries, parts) // evicted under us; nothing to carry
-			tr.bytes -= int64(len(parts))
-		}
-	}
-	return migrated
-}
-
-// dropEntriesLocked invalidates a dirty trace's cache entries.
-func (r *GraphRegistry) dropEntriesLocked(digest [32]byte, tr *sourceTrace) int {
-	keys := make([]string, 0, len(tr.entries))
-	for parts := range tr.entries {
-		keys = append(keys, keyFromDigest(digest, parts))
-	}
-	return r.cache.Invalidate(keys...)
-}
-
 // Record attaches a computed source result to the graph's head revision:
-// the exact distance row (what incr classifies against), its min-ID
-// witness tree (what incr.Repair restarts from; nil when not derived) and,
-// optionally, the cache-entry parts string minted for the response (what a
-// future PATCH migrates or invalidates). Admitting an exact trace
-// supersedes any stale trace for the same source. Dropped silently when
-// digest no longer names the head — the computation raced a PATCH and its
-// revision is gone; its cache entry is unreachable from the new head
-// anyway.
-func (r *GraphRegistry) Record(id string, digest [32]byte, src graph.NodeID, dist []int64, parent []graph.NodeID, parts string) {
+// the exact distance row (what incr classifies against) and its min-ID
+// witness tree (what incr.Repair restarts from; nil when not derived).
+// Admitting an exact trace supersedes any stale trace for the same source.
+// Dropped silently when digest no longer names the head — the computation
+// raced a PATCH and its revision is gone. The parts argument is ignored.
+//
+// Deprecated: the parts parameter stays only because the benchmark
+// harness still passes it, and goes once a benchmark change stops doing so.
+func (r *GraphRegistry) Record(id string, digest [32]byte, src graph.NodeID, dist []int64, parent []graph.NodeID, _ string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rg, ok := r.graphs[id]
 	if !ok || rg.head.digest != digest {
 		return
 	}
-	r.recordLocked(rg, src, dist, parent, parts)
+	r.recordLocked(rg, src, dist, parent)
 	r.evictLocked(rg)
 }
 
-func (r *GraphRegistry) recordLocked(rg *regGraph, src graph.NodeID, dist []int64, parent []graph.NodeID, parts string) {
+func (r *GraphRegistry) recordLocked(rg *regGraph, src graph.NodeID, dist []int64, parent []graph.NodeID) {
 	tr, ok := rg.head.traces[src]
 	if !ok {
 		// Respect the byte budget at admission: traces are an accelerator,
@@ -463,8 +412,7 @@ func (r *GraphRegistry) recordLocked(rg *regGraph, src graph.NodeID, dist []int6
 		if r.budget > 0 && rg.bytes+cost > r.budget {
 			return // the stale trace, if any, stays usable
 		}
-		tr = &sourceTrace{dist: dist, parent: parent, entries: make(map[string]struct{}), bytes: cost}
-		rg.head.traces[src] = tr
+		rg.head.traces[src] = &sourceTrace{dist: dist, parent: parent, bytes: cost}
 		rg.bytes += cost
 		r.bytes += cost
 		// The exact trace supersedes the stale one it was repaired from.
@@ -481,14 +429,6 @@ func (r *GraphRegistry) recordLocked(rg *regGraph, src graph.NodeID, dist []int6
 		rg.bytes += add
 		r.bytes += add
 	}
-	if parts != "" {
-		if _, dup := tr.entries[parts]; !dup {
-			tr.entries[parts] = struct{}{}
-			tr.bytes += int64(len(parts))
-			rg.bytes += int64(len(parts))
-			r.bytes += int64(len(parts))
-		}
-	}
 }
 
 // sourceTrace returns what the head revision at digest remembers about
@@ -504,7 +444,7 @@ func (r *GraphRegistry) sourceTrace(id string, digest [32]byte, src graph.NodeID
 	if !found || rg.head.digest != digest {
 		return incr.Trace{}, nil, false, false
 	}
-	if t, found := rg.head.traces[src]; found && t.dist != nil {
+	if t, found := rg.head.traces[src]; found {
 		return incr.Trace{Dist: t.dist, Parent: t.parent}, nil, true, true
 	}
 	if st, found := rg.head.stale[src]; found {
@@ -545,10 +485,6 @@ func (r *GraphRegistry) dropLocked(rg *regGraph) {
 }
 
 func (r *GraphRegistry) infoLocked(rg *regGraph) GraphInfo {
-	traced := len(rg.head.traces)
-	if _, ok := rg.head.traces[apspTraceKey]; ok {
-		traced-- // the whole-APSP pseudo-trace is not a source
-	}
 	info := GraphInfo{
 		ID:            rg.id,
 		Revision:      rg.head.num,
@@ -556,7 +492,7 @@ func (r *GraphRegistry) infoLocked(rg *regGraph) GraphInfo {
 		N:             rg.head.g.N(),
 		M:             rg.head.g.M(),
 		Bytes:         rg.bytes,
-		TracedSources: traced,
+		TracedSources: len(rg.head.traces),
 		StaleSources:  len(rg.head.stale),
 		CreatedAtNS:   rg.createdAt.UnixNano(),
 	}

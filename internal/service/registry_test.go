@@ -1,6 +1,7 @@
 package service
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -55,112 +56,68 @@ func TestRegistryHandleDisambiguationAfterPatch(t *testing.T) {
 	}
 }
 
-func TestRegistryPatchMigratesAndInvalidates(t *testing.T) {
-	cache := NewCache(1 << 20)
-	r := NewGraphRegistry(1<<20, cache, nil)
+// TestRegistryPatchClassifiesTraces pins what a PATCH does with each
+// traced source: an untouched source keeps its exact trace, carried to the
+// new revision as is; a dirty source with a witness tree is demoted to a
+// stale trace; a dirty source without one is forgotten. SourcesRepairable
+// counts the demoted sources plus those already stale, and the graph's
+// bytes are re-charged for what the new revision holds.
+func TestRegistryPatchClassifiesTraces(t *testing.T) {
+	r := NewGraphRegistry(1<<20, nil, nil)
 	info, _ := r.Register(ciGraph())
 	g, digest, _, err := r.Resolve(info.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Trace sources 0 and 1 with their exact rows and one cache entry each.
-	parts := map[graph.NodeID]string{0: "sssp|src=0", 1: "sssp|src=1"}
-	for _, src := range []graph.NodeID{0, 1} {
-		dist := graph.Dijkstra(g, src)
-		key := keyFromDigest(digest, parts[src])
-		if _, _, err := cache.GetOrCompute(key, func() ([]byte, error) {
-			return []byte("body-" + parts[src]), nil
-		}); err != nil {
-			t.Fatal(err)
+	dist := make(map[graph.NodeID][]int64)
+	for _, src := range []graph.NodeID{0, 1, 2} {
+		dist[src] = graph.Dijkstra(g, src)
+		var parent []graph.NodeID
+		if src != 2 { // source 2 is traced without its tree
+			parent = graph.WitnessParents(g, src, dist[src])
 		}
-		r.Record(info.ID, digest, src, dist, nil, parts[src])
+		r.Record(info.ID, digest, src, dist[src], parent, "")
 	}
 
-	// Reweight the chord down to 1: dirties source 0, not source 1.
+	// Reweight the chord down to 1: dirties sources 0 and 2, not source 1.
 	pi, err := r.Patch(info.ID, []graph.EdgeDelta{{Op: graph.DeltaReweight, U: 0, V: 2, W: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pi.Revision != 2 || pi.SourcesKept != 1 || pi.SourcesDropped != 1 {
+	if pi.Revision != 2 || pi.SourcesKept != 1 || pi.SourcesDropped != 2 || pi.SourcesRepairable != 1 {
 		t.Fatalf("patch info = %+v", pi)
 	}
-	if pi.EntriesMigrated != 1 || pi.EntriesInvalidated != 1 {
-		t.Fatalf("entry ledger = %+v", pi)
+	if pi.DirtyFraction != 2.0/3 {
+		t.Fatalf("dirty fraction = %v, want 2/3", pi.DirtyFraction)
 	}
-	if pi.DirtyFraction != 0.5 {
-		t.Fatalf("dirty fraction = %v, want 0.5", pi.DirtyFraction)
+	ng, d2, _, _ := r.Resolve(info.ID)
+	tr, changes, exact, ok := r.sourceTrace(info.ID, d2, 1)
+	if !ok || !exact || len(changes) != 0 || &tr.Dist[0] != &dist[1][0] {
+		t.Fatalf("untouched source 1: ok=%v exact=%v changes=%v, or its row was not carried as is", ok, exact, changes)
+	}
+	if !reflect.DeepEqual(tr.Dist, graph.Dijkstra(ng, 1)) {
+		t.Fatal("the carried trace is not exact on the new revision")
+	}
+	if _, changes, exact, ok := r.sourceTrace(info.ID, d2, 0); !ok || exact || len(changes) != 1 {
+		t.Fatalf("dirty source 0: ok=%v exact=%v changes=%v, want a stale trace with one change", ok, exact, changes)
+	}
+	if _, _, _, ok := r.sourceTrace(info.ID, d2, 2); ok {
+		t.Fatal("dirty source 2 has no tree to repair from, but kept a trace")
+	}
+	gi, _ := r.Get(info.ID)
+	stale := r.graphs[info.ID].head.stale[0]
+	want := graphBytes(ng) + traceBytes(dist[1], tr.Parent) + staleTraceBytes(stale)
+	if gi.TracedSources != 1 || gi.StaleSources != 1 || gi.Bytes != want {
+		t.Fatalf("info = %+v, want 1 traced, 1 stale, %d bytes", gi, want)
 	}
 
-	_, newDigest, rev, err := r.Resolve(info.ID)
+	// A second, slack patch keeps source 1 and leaves source 0 repairable.
+	pi, err = r.Patch(info.ID, []graph.EdgeDelta{{Op: graph.DeltaReweight, U: 0, V: 2, W: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rev != 2 || newDigest == digest {
-		t.Fatalf("head did not advance: rev=%d", rev)
-	}
-	// Source 1's entry was re-addressed to the new revision; source 0's is
-	// gone under both digests.
-	if body, hit, _ := cache.GetOrCompute(keyFromDigest(newDigest, parts[1]), nope(t)); !hit || string(body) != "body-sssp|src=1" {
-		t.Fatalf("untouched source's entry not migrated: hit=%v body=%q", hit, body)
-	}
-	if _, hit, _ := cache.GetOrCompute(keyFromDigest(newDigest, parts[0]), miss()); hit {
-		t.Fatal("dirty source's entry reachable under the new revision")
-	}
-	if _, hit, _ := cache.GetOrCompute(keyFromDigest(digest, parts[0]), miss()); hit {
-		t.Fatal("dirty source's entry still resident under the old revision")
-	}
-}
-
-// nope fails the test if the computation runs (the entry must be a hit).
-func nope(t *testing.T) func() ([]byte, error) {
-	return func() ([]byte, error) {
-		t.Helper()
-		t.Error("expected a cache hit, computation ran")
-		return []byte("computed"), nil
-	}
-}
-
-// miss is a sentinel computation for presence probes.
-func miss() func() ([]byte, error) {
-	return func() ([]byte, error) { return []byte("probe"), nil }
-}
-
-func TestRegistryWholeAPSPBodySurvival(t *testing.T) {
-	cache := NewCache(1 << 20)
-	r := NewGraphRegistry(1<<20, cache, nil)
-	info, _ := r.Register(ciGraph())
-	g, digest, _, _ := r.Resolve(info.ID)
-
-	// Trace all four sources plus the whole-APSP body.
-	for s := 0; s < g.N(); s++ {
-		r.Record(info.ID, digest, graph.NodeID(s), graph.Dijkstra(g, graph.NodeID(s)), nil, "")
-	}
-	const apspParts = "apsp|seed=0"
-	cache.GetOrCompute(keyFromDigest(digest, apspParts), miss())
-	r.Record(info.ID, digest, apspTraceKey, nil, nil, apspParts)
-
-	// An increase of the slack chord touches no source at all: every trace
-	// and the whole-APSP body survive into revision 2.
-	pi, err := r.Patch(info.ID, []graph.EdgeDelta{{Op: graph.DeltaReweight, U: 0, V: 2, W: 20}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pi.SourcesDropped != 0 || pi.SourcesKept != 4 {
-		t.Fatalf("slack increase dirtied sources: %+v", pi)
-	}
-	_, d2, _, _ := r.Resolve(info.ID)
-	if _, hit, _ := cache.GetOrCompute(keyFromDigest(d2, apspParts), miss()); !hit {
-		t.Fatal("whole-APSP body not migrated despite all sources untouched")
-	}
-
-	// Deleting a tight edge dirties some source → the APSP body must go.
-	if _, err := r.Patch(info.ID, []graph.EdgeDelta{{Op: graph.DeltaDelete, U: 0, V: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	_, d3, _, _ := r.Resolve(info.ID)
-	if _, hit, _ := cache.GetOrCompute(keyFromDigest(d3, apspParts), miss()); hit {
-		t.Fatal("whole-APSP body survived a dirtying patch")
+	if pi.SourcesKept != 1 || pi.SourcesDropped != 0 || pi.SourcesRepairable != 1 || pi.DirtyFraction != 0 {
+		t.Fatalf("second patch info = %+v", pi)
 	}
 }
 

@@ -23,7 +23,9 @@ var updatePin = flag.Bool("update", false, "rewrite testdata/query_paths.golden"
 // /debug/traces/{id}. The steps cover a first recompute, a cache hit, a
 // query served from an exact trace under a fresh cache key, a stale trace
 // repaired after each of two PATCHes, and the same flow with repair
-// disabled (RepairMaxAffected: -1).
+// disabled (RepairMaxAffected: -1). The second PATCH restores revision 1's
+// content, so base hits that content's canonical body and alt, never
+// cached at revision 1, reaches the stale trace.
 //
 // Regenerate with `go test ./internal/service -run TestQueryPathsPinned
 // -update` only when an observable change is intended.
@@ -117,6 +119,7 @@ func pinEndpoint(t *testing.T, out *strings.Builder, ep string, repairMax float6
 	step("exact-after-repair", ep1, alt)
 	patch(10)
 	step("stale-repair-2", ep1, base)
+	step("stale-repair-2-alt", ep1, alt)
 }
 
 // incrCounts is a snapshot of the dsssp_incr_* serving counters.

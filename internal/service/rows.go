@@ -48,13 +48,11 @@ type rowQuery struct {
 	*resolvedGraph
 	// sources are a single-source query's source; nil under allPairs.
 	sources []graph.NodeID
-	// parts is the response's cache-key parts string; recorded with the
-	// rows so a PATCH can re-address or invalidate the cached body.
+	// parts is the response's cache-key parts string.
 	parts string
 	// allPairs marks the fan-out over every source (APSP), listed only when
 	// the rows are built. Its exact head traces are reused rows, not
-	// zero-change repairs; and its rows are recorded bare, with the body
-	// entry under apspTraceKey when every row was computed.
+	// zero-change repairs.
 	allPairs bool
 	// engine runs the endpoint's simulation for the sources no trace could
 	// serve: one row per missing source, in order (dist, and parent when the
@@ -154,18 +152,13 @@ func (s *Server) rows(w http.ResponseWriter, sp *trace.Span, q rowQuery) (rowSet
 	}
 	// Computed rows are recorded with their witness trees: the distance row
 	// is what a future PATCH classifies the source against, the tree is what
-	// a repair restarts from, and the parts string is how the PATCH
-	// re-addresses or invalidates the cached body.
-	parts := q.parts
-	if q.allPairs {
-		parts = ""
-	}
+	// a repair restarts from.
 	for k, src := range missing {
 		rw := &rs.rows[at[k]]
 		if rw.parent == nil {
 			rw.parent = graph.WitnessParents(g, src, rw.dist)
 		}
-		s.registry.Record(q.id, q.digest, src, rw.dist, rw.parent, parts)
+		s.registry.Record(q.id, q.digest, src, rw.dist, rw.parent, "")
 	}
 	switch {
 	case !q.allPairs:
@@ -173,7 +166,8 @@ func (s *Server) rows(w http.ResponseWriter, sp *trace.Span, q rowQuery) (rowSet
 			w.Header().Set("X-Dsssp-Incr", "repaired")
 		}
 	case rs.all(rowComputed):
-		s.registry.Record(q.id, q.digest, apspTraceKey, nil, nil, q.parts)
+		// A from-scratch all-pairs body is the key's canonical bytes: no
+		// X-Dsssp-Incr.
 	case rs.count[rowRepaired] > 0:
 		w.Header().Set("X-Dsssp-Incr", fmt.Sprintf("reused=%d repaired=%d recomputed=%d",
 			rs.count[rowReused], rs.count[rowRepaired], rs.count[rowComputed]))

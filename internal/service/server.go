@@ -140,7 +140,7 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	cfg.applyDefaults()
 	cache := NewCache(cfg.CacheBytes)
-	registry := NewGraphRegistry(cfg.GraphBytes, cache, cfg.now)
+	registry := NewGraphRegistry(cfg.GraphBytes, nil, cfg.now)
 	if cfg.RegistryDir != "" {
 		restored, err := registry.EnablePersistence(cfg.RegistryDir)
 		if err != nil {
@@ -386,9 +386,9 @@ func (rg *resolvedGraph) load() *graph.Graph {
 // without building the graph, which the compute path builds only if the
 // result cache misses. Inline specs are built and hashed here; registered
 // handles resolve to their head revision. For registered graphs the
-// handle and revision travel in response headers, not the body: cached
-// bodies are migrated verbatim across revisions on PATCH, so a body-borne
-// revision number would go stale the moment an entry is carried forward.
+// handle and revision travel in response headers, not the body: a cached
+// body belongs to its content, which every handle, revision and inline
+// query naming that content shares.
 // A sampled request gets a graph.resolve span recording where the graph
 // came from (registry / inline / generator, with the memo outcome) and
 // its size.
@@ -636,8 +636,7 @@ func (s *Server) handleGraphPatch(w http.ResponseWriter, r *http.Request) {
 		"graph_id", id, "revision", pi.Revision,
 		"deltas", pi.DeltasApplied, "effects", pi.Effects,
 		"sources_kept", pi.SourcesKept, "sources_dropped", pi.SourcesDropped,
-		"sources_repairable", pi.SourcesRepairable,
-		"entries_migrated", pi.EntriesMigrated, "entries_invalidated", pi.EntriesInvalidated)
+		"sources_repairable", pi.SourcesRepairable)
 	writeJSON(w, http.StatusOK, pi)
 }
 
