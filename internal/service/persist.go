@@ -25,28 +25,33 @@ import (
 // point leaves either the old file or the new one; a temp file the crash
 // left behind is deleted at the next boot. The result cache is not
 // persisted and starts empty after a restart; distance rows, witness trees
-// and stale ledgers — the expensive state — all survive.
+// and the change log — the expensive state — all survive.
 //
-// A spill is little-endian binary:
+// A spill (version 2) is little-endian binary:
 //
 //	magic "DSSSPILL", version u32
 //	id length u32, id bytes
 //	revision u64, n u32, created-at ns i64, patched-at ns i64 (0: never)
 //	m u32, then m edges {u u32, v u32, w i64} in EdgeID order, u < v
-//	exact traces u32, each {src u32, has-parent u8, dist n×i64, [parent n×i32]}
-//	stale traces u32, each {src u32, dist n×i64, parent n×i32,
-//	    ledger entries u32, each {pair key u64, base weight i64}}
+//	traces u32, each {src u32, rev u64, dist n×i64, parent n×i32}
+//	log batches u32, each {rev u64, changes u32,
+//	    each {u u32, v u32, old weight i64, new weight i64}}, u < v
 //	CRC-32C u32 of everything before it
 //
-// Traces are sorted by source and ledgers by key, so the encoding is a
-// function of the registry state and a decoded spill re-encodes to the
-// same bytes. The decoder checks the checksum first and then every field,
-// and checks each count against the bytes left before it allocates.
+// Traces are sorted by source, log batches run one per revision from just
+// after the oldest trace's revision to the head, and each batch keeps its
+// changes in PATCH order (-1 weights mark an absent pair), so the encoding
+// is a function of the registry state and a decoded spill re-encodes to
+// the same bytes. The decoder checks the checksum first and then every
+// field — that the log chains each pair's weights and leaves them at the
+// head's edges included — and checks each count against the bytes left
+// before it allocates. A version 1 spill, with a ledger per stale trace,
+// is refused like any other unreadable file.
 
 const (
 	spillExt     = ".spill"
 	spillMagic   = "DSSSPILL"
-	spillVersion = 1
+	spillVersion = 2
 	// maxSpillNodes bounds n, the one size a spill's byte count does not:
 	// an n-node graph costs n adjacency headers even with no edges.
 	maxSpillNodes = 1 << 21
@@ -166,7 +171,7 @@ func (r *GraphRegistry) unspillLocked(id string) {
 // buffer, write and fsync a temp file, rename it over the spill, fsync the
 // directory.
 func (r *GraphRegistry) writeLocked(rg *regGraph) error {
-	if n := rg.head.g.N(); n > maxSpillNodes {
+	if n := rg.g.N(); n > maxSpillNodes {
 		return fmt.Errorf("graph %s: n=%d is above the spill limit %d", rg.id, n, maxSpillNodes)
 	}
 	r.spillBuf = appendSpill(r.spillBuf[:0], rg)
@@ -204,8 +209,6 @@ func (r *GraphRegistry) writeLocked(rg *regGraph) error {
 func appendSpill(b []byte, rg *regGraph) []byte {
 	le := binary.LittleEndian
 	start := len(b)
-	head := rg.head
-	n := head.g.N()
 	var patched int64
 	if !rg.patchedAt.IsZero() {
 		patched = rg.patchedAt.UnixNano()
@@ -214,12 +217,12 @@ func appendSpill(b []byte, rg *regGraph) []byte {
 	b = le.AppendUint32(b, spillVersion)
 	b = le.AppendUint32(b, uint32(len(rg.id)))
 	b = append(b, rg.id...)
-	b = le.AppendUint64(b, uint64(head.num))
-	b = le.AppendUint32(b, uint32(n))
+	b = le.AppendUint64(b, uint64(rg.num))
+	b = le.AppendUint32(b, uint32(rg.g.N()))
 	b = le.AppendUint64(b, uint64(rg.createdAt.UnixNano()))
 	b = le.AppendUint64(b, uint64(patched))
 
-	edges := head.g.Edges()
+	edges := rg.g.Edges()
 	b = le.AppendUint32(b, uint32(len(edges)))
 	for _, e := range edges {
 		b = le.AppendUint32(b, uint32(e.U))
@@ -227,43 +230,28 @@ func appendSpill(b []byte, rg *regGraph) []byte {
 		b = le.AppendUint64(b, uint64(e.W))
 	}
 
-	srcs := make([]graph.NodeID, 0, len(head.traces))
-	for src := range head.traces {
+	srcs := make([]graph.NodeID, 0, len(rg.traces))
+	for src := range rg.traces {
 		srcs = append(srcs, src)
 	}
 	slices.Sort(srcs)
 	b = le.AppendUint32(b, uint32(len(srcs)))
 	for _, src := range srcs {
-		tr := head.traces[src]
+		tr := rg.traces[src]
 		b = le.AppendUint32(b, uint32(src))
-		if tr.parent == nil {
-			b = append(b, 0)
-			b = appendDist(b, tr.dist)
-		} else {
-			b = append(b, 1)
-			b = appendParent(appendDist(b, tr.dist), tr.parent)
-		}
+		b = le.AppendUint64(b, uint64(tr.rev))
+		b = appendParent(appendDist(b, tr.dist), tr.parent)
 	}
 
-	srcs = srcs[:0]
-	for src := range head.stale {
-		srcs = append(srcs, src)
-	}
-	slices.Sort(srcs)
-	b = le.AppendUint32(b, uint32(len(srcs)))
-	for _, src := range srcs {
-		st := head.stale[src]
-		b = le.AppendUint32(b, uint32(src))
-		b = appendParent(appendDist(b, st.dist), st.parent)
-		keys := make([]uint64, 0, len(st.base))
-		for k := range st.base {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		b = le.AppendUint32(b, uint32(len(keys)))
-		for _, k := range keys {
-			b = le.AppendUint64(b, k)
-			b = le.AppendUint64(b, uint64(st.base[k]))
+	b = le.AppendUint32(b, uint32(len(rg.log)))
+	for _, batch := range rg.log {
+		b = le.AppendUint64(b, uint64(batch.rev))
+		b = le.AppendUint32(b, uint32(len(batch.changes)))
+		for _, c := range batch.changes {
+			b = le.AppendUint32(b, uint32(min(c.U, c.V)))
+			b = le.AppendUint32(b, uint32(max(c.U, c.V)))
+			b = le.AppendUint64(b, uint64(c.OldW))
+			b = le.AppendUint64(b, uint64(c.NewW))
 		}
 	}
 	return le.AppendUint32(b, crc32.Checksum(b[start:], castagnoli))
@@ -422,64 +410,54 @@ func decodeSpill(data []byte) (*regGraph, error) {
 	if err != nil {
 		return nil, err
 	}
-	head := &revision{num: int(rev), digest: canonicalGraphDigest(g), g: g}
-	bytes := graphBytes(g)
+	rg := &regGraph{id: id, createdAt: time.Unix(0, created), num: int(rev), digest: canonicalGraphDigest(g), g: g}
+	if patched != 0 {
+		rg.patchedAt = time.Unix(0, patched)
+	}
 
-	nt := r.count("trace", 5+8*n)
-	head.traces = make(map[graph.NodeID]*sourceTrace, nt)
-	prev := int64(-1)
+	nt := r.count("trace", 12+12*n)
+	rg.traces = make(map[graph.NodeID]*sourceTrace, nt)
+	prev, oldest := int64(-1), rg.num
 	for i := 0; i < nt; i++ {
-		src, flag := r.u32(), r.u8()
-		if r.err == nil && (int64(src) <= prev || int(src) >= n || flag > 1) {
-			return nil, fmt.Errorf("trace %d: source %d out of order or outside [0,%d), or parent flag %d", i, src, n, flag)
+		src, trev := r.u32(), r.u64()
+		if r.err == nil && (int64(src) <= prev || int(src) >= n || trev == 0 || trev > rev) {
+			return nil, fmt.Errorf("trace %d: source %d out of order or outside [0,%d), or revision %d outside [1,%d]", i, src, n, trev, rev)
 		}
 		prev = int64(src)
-		tr := &sourceTrace{}
-		if tr.dist, err = r.dist(n); err == nil && flag == 1 {
+		tr := &sourceTrace{rev: int(trev)}
+		if tr.dist, err = r.dist(n); err == nil {
 			tr.parent, err = r.parent(n)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("trace for source %d: %w", src, err)
 		}
-		tr.bytes = traceBytes(tr.dist, tr.parent)
-		head.traces[graph.NodeID(src)] = tr
-		bytes += tr.bytes
+		rg.traces[graph.NodeID(src)] = tr
+		oldest = min(oldest, tr.rev)
 	}
 
-	ns := r.count("stale trace", 8+12*n)
-	head.stale = make(map[graph.NodeID]*staleTrace, ns)
-	prev = -1
-	for i := 0; i < ns; i++ {
-		src := r.u32()
-		if _, exact := head.traces[graph.NodeID(src)]; r.err == nil && (int64(src) <= prev || int(src) >= n || exact) {
-			return nil, fmt.Errorf("stale trace %d: source %d out of order, outside [0,%d) or also exact", i, src, n)
+	// The log must hold exactly the batches after the oldest trace, one per
+	// revision up to the head, and chain every pair's weights from batch
+	// to batch into the head's edges.
+	nb := r.count("log batch", 12)
+	rg.log = make([]logBatch, nb)
+	last := make(map[uint64]int64) // pair → its weight after the latest change
+	for i := range rg.log {
+		brev := r.u64()
+		if want := uint64(oldest + 1 + i); r.err == nil && brev != want {
+			return nil, fmt.Errorf("log batch %d: revision %d, want %d (one batch per revision after the oldest trace's %d)", i, brev, want, oldest)
 		}
-		prev = int64(src)
-		st := &staleTrace{}
-		if st.dist, err = r.dist(n); err == nil {
-			st.parent, err = r.parent(n)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("stale trace for source %d: %w", src, err)
-		}
-		nl := r.count("ledger entry", 16)
-		st.base = make(map[uint64]int64, nl)
-		var prevKey uint64
-		for j := 0; j < nl; j++ {
-			k, w := r.u64(), int64(r.u64())
-			u, v := k>>32, uint64(uint32(k))
-			if u >= v || v >= uint64(n) || (j > 0 && k <= prevKey) || w < -1 {
-				return nil, fmt.Errorf("stale trace for source %d: ledger entry %d (pair {%d,%d}, weight %d) malformed or out of order", src, j, u, v, w)
+		changes := make([]graph.WeightChange, r.count("log change", 24))
+		for j := range changes {
+			u, v, ow, nw := r.u32(), r.u32(), int64(r.u64()), int64(r.u64())
+			k := uint64(u)<<32 | uint64(v)
+			prevW, seen := last[k]
+			if r.err == nil && (u >= v || v >= uint32(n) || ow < -1 || nw < -1 || ow == nw || (seen && prevW != ow)) {
+				return nil, fmt.Errorf("log batch %d: change %d (pair {%d,%d}, weight %d → %d) malformed or not chained to the pair's previous weight", i, j, u, v, ow, nw)
 			}
-			prevKey = k
-			st.base[k] = w
+			last[k] = nw
+			changes[j] = graph.WeightChange{U: graph.NodeID(u), V: graph.NodeID(v), OldW: ow, NewW: nw}
 		}
-		if r.err != nil {
-			return nil, fmt.Errorf("stale trace for source %d: %w", src, r.err)
-		}
-		st.bytes = staleTraceBytes(st)
-		head.stale[graph.NodeID(src)] = st
-		bytes += st.bytes
+		rg.log[i] = logBatch{rev: int(brev), changes: changes}
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -487,10 +465,19 @@ func decodeSpill(data []byte) (*regGraph, error) {
 	if len(r.b) != 0 {
 		return nil, fmt.Errorf("%d trailing bytes", len(r.b))
 	}
-	rg := &regGraph{id: id, createdAt: time.Unix(0, created), head: head, bytes: bytes}
-	if patched != 0 {
-		rg.patchedAt = time.Unix(0, patched)
+	if oldest+nb != rg.num {
+		return nil, fmt.Errorf("log ends at revision %d, not at the head revision %d", oldest+nb, rg.num)
 	}
+	for k, w := range last {
+		head, ok := g.Weight(graph.NodeID(k>>32), graph.NodeID(uint32(k)))
+		if !ok {
+			head = -1
+		}
+		if w != head {
+			return nil, fmt.Errorf("log leaves pair {%d,%d} at weight %d, but the head has %d", k>>32, uint32(k), w, head)
+		}
+	}
+	rg.bytes = rg.footprint()
 	return rg, nil
 }
 

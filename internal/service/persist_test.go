@@ -70,29 +70,66 @@ func TestRegistryRepairableLifecycle(t *testing.T) {
 	}
 }
 
-// TestRegistryStaleLedgerStacks pins ledger composition across multiple
-// patches between queries: repairing once after two patches must see the
-// FIRST old weight diffed against the LAST new weight.
+// TestRegistryStaleLedgerStacks pins how the change log composes across
+// patches between queries. A stale trace's net changes fold every batch
+// after its own revision, the FIRST old weight against the LAST new one,
+// and a pair patched away and back cancels out; traces stale at different
+// revisions read different suffixes of the one log. The log keeps exactly
+// the batches after the oldest stale trace and shrinks as repairs promote
+// them.
 func TestRegistryStaleLedgerStacks(t *testing.T) {
 	r := NewGraphRegistry(1<<20, NewCache(1<<20), nil)
 	info, _ := r.Register(ciGraph())
-	g, digest, _, _ := r.Resolve(info.ID)
-	dist := graph.Dijkstra(g, 0)
-	r.Record(info.ID, digest, 0, dist, graph.WitnessParents(g, 0, dist), "")
-
-	for _, w := range []int64{2, 1} { // chord 10 → 2 → 1
-		if _, err := r.Patch(info.ID, []graph.EdgeDelta{{Op: graph.DeltaReweight, U: 0, V: 2, W: w}}); err != nil {
+	record := func(src graph.NodeID) {
+		g, digest, _, _ := r.Resolve(info.ID)
+		dist := graph.Dijkstra(g, src)
+		r.Record(info.ID, digest, src, dist, graph.WitnessParents(g, src, dist), "")
+	}
+	patch := func(deltas ...graph.EdgeDelta) {
+		if _, err := r.Patch(info.ID, deltas); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ng, d3, _, _ := r.Resolve(info.ID)
-	tr, changes, _, ok := r.sourceTrace(info.ID, d3, 0)
-	if !ok || len(changes) != 1 || changes[0].OldW != 10 || changes[0].NewW != 1 {
-		t.Fatalf("stacked ledger: ok=%v changes=%+v, want one {0,2} 10→1", ok, changes)
+	rw := func(u, v graph.NodeID, w int64) graph.EdgeDelta {
+		return graph.EdgeDelta{Op: graph.DeltaReweight, U: u, V: v, W: w}
 	}
-	rr, ok := incr.Repair(ng, 0, tr, changes, 0)
-	if !ok || !reflect.DeepEqual(rr.Dist, graph.Dijkstra(ng, 0)) {
-		t.Fatalf("stacked repair diverges (ok=%v)", ok)
+	rg := r.graphs[info.ID]
+	revs := func() (out []int) {
+		for _, b := range rg.log {
+			out = append(out, b.rev)
+		}
+		return out
+	}
+
+	record(0)
+	patch(rw(0, 2, 2))              // revision 2: chord 10 → 2
+	patch(rw(0, 2, 1), rw(2, 1, 4)) // revision 3: chord 2 → 1, {1,2} 1 → 4
+	record(1)                       // source 1 traced mid-history, at revision 3
+	patch(rw(1, 2, 1))              // revision 4: {1,2} 4 → 1 cancels revision 3's
+	if got := revs(); !reflect.DeepEqual(got, []int{2, 3, 4}) {
+		t.Fatalf("log batches at revisions %v, want [2 3 4]", got)
+	}
+	ng, d4, _, _ := r.Resolve(info.ID)
+	repair := func(src graph.NodeID, want []incr.NetChange) {
+		t.Helper()
+		tr, changes, exact, ok := r.sourceTrace(info.ID, d4, src)
+		if !ok || exact || !reflect.DeepEqual(changes, want) {
+			t.Fatalf("source %d: ok=%v exact=%v changes=%+v, want %+v", src, ok, exact, changes, want)
+		}
+		rr, ok := incr.Repair(ng, src, tr, changes, 0)
+		if !ok || !reflect.DeepEqual(rr.Dist, graph.Dijkstra(ng, src)) {
+			t.Fatalf("source %d: stacked repair diverges (ok=%v)", src, ok)
+		}
+		r.Record(info.ID, d4, src, rr.Dist, rr.Parent, "")
+	}
+	repair(0, []incr.NetChange{{U: 0, V: 2, OldW: 10, NewW: 1}})
+	if got := revs(); !reflect.DeepEqual(got, []int{4}) {
+		t.Fatalf("after source 0's repair the log holds revisions %v, want [4]", got)
+	}
+	repair(1, []incr.NetChange{{U: 1, V: 2, OldW: 4, NewW: 1}})
+	gi, _ := r.Get(info.ID)
+	if len(rg.log) != 0 || gi.StaleSources != 0 || gi.TracedSources != 2 || gi.Bytes != graphBytes(ng)+2*traceBytes(make([]int64, 4), make([]graph.NodeID, 4)) {
+		t.Fatalf("every trace is exact, but the log holds %d batches and info = %+v", len(rg.log), gi)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -12,24 +13,24 @@ import (
 )
 
 // GraphRegistry holds the registered (dynamic) graphs: content-derived
-// handles pointing at a chain of revisions, each revision an immutable
-// graph snapshot plus the per-source result traces (exact distance rows
-// and witness trees) that internal/incr classifies on every PATCH. Queries
-// resolve a handle to the head revision's snapshot and proceed exactly
-// like inline queries — the revision digest is the cache key's graph half
-// — so a query racing a PATCH sees exactly the pre- or the post-revision
-// result, never a mix.
+// handles naming a head revision — an immutable graph snapshot — plus the
+// per-source result traces (distance rows and witness trees) that
+// internal/incr classifies on every PATCH, and one change log of the
+// PATCHes a stale trace still needs. Queries resolve a handle to the head's
+// snapshot and proceed exactly like inline queries — the head digest is the
+// cache key's graph half — so a query racing a PATCH sees exactly the pre-
+// or the post-revision result, never a mix.
 //
-// The registry never writes into the result cache. A PATCH carries an
-// untouched source's exact trace to the new revision, and the row provider
-// serves it from there; the cache holds only bytes computed for their own
-// key, so an entry's body depends on the content it is keyed by and never
-// on the server's history. Old revisions' entries stay valid for their
-// digest and age out of the cache's LRU.
+// The registry never writes into the result cache. A PATCH moves an
+// untouched source's exact trace forward to the new revision, and the row
+// provider serves it from there; the cache holds only bytes computed for
+// their own key, so an entry's body depends on the content it is keyed by
+// and never on the server's history. Old revisions' entries stay valid for
+// their digest and age out of the cache's LRU.
 //
-// The registry is byte-budgeted: graphs (and their traces) are charged an
-// approximate resident footprint and whole graphs are evicted LRU when the
-// budget overflows.
+// The registry is byte-budgeted: graphs (and their traces and logs) are
+// charged an approximate resident footprint and whole graphs are evicted
+// LRU when the budget overflows.
 type GraphRegistry struct {
 	mu     sync.Mutex
 	budget int64
@@ -59,47 +60,35 @@ type regGraph struct {
 	el        *list.Element
 	createdAt time.Time
 	patchedAt time.Time
-	head      *revision
-	bytes     int64
-}
-
-// revision is one immutable point in a graph's history. The graph snapshot
-// is never mutated after construction — PATCH builds a fresh one — so any
-// query holding a resolved revision can simulate on it lock-free.
-type revision struct {
+	// num is the head revision, counted from 1 at registration; digest and
+	// g are its content digest and snapshot. g is never mutated — PATCH
+	// builds a fresh one — so a query holding it simulates lock-free.
 	num    int
 	digest [32]byte
 	g      *graph.Graph
-	// traces maps source → its exact distance row and witness tree.
+	// traces maps source → its trace. A trace at the head revision is
+	// exact; an older one is stale, and log holds every batch since.
 	traces map[graph.NodeID]*sourceTrace
-	// stale maps source → the last exact trace it had before a PATCH
-	// dirtied it, plus the base-weight ledger needed to repair it
-	// (incr.Repair) instead of recomputing from scratch. A source is in
-	// traces or stale, never both.
-	stale map[graph.NodeID]*staleTrace
+	// log is the change log: one batch per PATCH after the oldest trace's
+	// revision, in revision order, ending at the head. Empty when every
+	// trace is exact.
+	log   []logBatch
+	bytes int64
 }
 
+// sourceTrace is one source's remembered structure: the distance row and
+// min-ID witness tree that were exact at revision rev.
 type sourceTrace struct {
-	dist []int64
-	// parent is the deterministic min-ID witness tree for dist, nil when it
-	// was never derived (a trace without a parent tree carries forward and
-	// serves but cannot be repaired once dirty).
-	parent []graph.NodeID
-	bytes  int64
-}
-
-// staleTrace is a dirty source's remembered structure: the distance row and
-// witness tree that were exact at some past revision, plus the base-weight
-// ledger — canonical pair key → that pair's weight on the trace's graph
-// (-1 for absent) for every pair patched since. incr.NetChanges resolves
-// the ledger against the head graph into the repair engine's input; the
-// first-touch-wins discipline (see Patch) keeps it composable across
-// stacked patches.
-type staleTrace struct {
+	rev    int
 	dist   []int64
 	parent []graph.NodeID
-	base   map[uint64]int64
-	bytes  int64
+}
+
+// logBatch is one PATCH's resolved weight changes, in batch order; rev is
+// the revision the PATCH made.
+type logBatch struct {
+	rev     int
+	changes []graph.WeightChange
 }
 
 // NewGraphRegistry returns a registry with the given byte budget. The
@@ -153,8 +142,38 @@ func traceBytes(dist []int64, parent []graph.NodeID) int64 {
 	return int64(len(dist))*8 + int64(len(parent))*4 + 64
 }
 
-func staleTraceBytes(st *staleTrace) int64 {
-	return int64(len(st.dist))*8 + int64(len(st.parent))*4 + int64(len(st.base))*16 + 96
+func logBatchBytes(b logBatch) int64 {
+	return int64(len(b.changes))*24 + 32
+}
+
+// footprint is what rg is charged: its snapshot, every trace and the log.
+func (rg *regGraph) footprint() int64 {
+	bytes := graphBytes(rg.g)
+	for _, tr := range rg.traces {
+		bytes += traceBytes(tr.dist, tr.parent)
+	}
+	for _, b := range rg.log {
+		bytes += logBatchBytes(b)
+	}
+	return bytes
+}
+
+// recharge re-charges rg its footprint after a change.
+func (r *GraphRegistry) recharge(rg *regGraph) {
+	bytes := rg.footprint()
+	r.bytes += bytes - rg.bytes
+	rg.bytes = bytes
+}
+
+// staleCount counts rg's traces older than the head.
+func (rg *regGraph) staleCount() int {
+	stale := 0
+	for _, tr := range rg.traces {
+		if tr.rev != rg.num {
+			stale++
+		}
+	}
+	return stale
 }
 
 // Register adds the graph under a content-derived handle and returns its
@@ -174,7 +193,7 @@ func (r *GraphRegistry) Register(g *graph.Graph) (GraphInfo, bool) {
 		if !ok {
 			break
 		}
-		if rg.head.digest == digest {
+		if rg.digest == digest {
 			r.touchLocked(rg)
 			return r.infoLocked(rg), false
 		}
@@ -183,14 +202,11 @@ func (r *GraphRegistry) Register(g *graph.Graph) (GraphInfo, bool) {
 	rg := &regGraph{
 		id:        id,
 		createdAt: r.now(),
-		head: &revision{
-			num:    1,
-			digest: digest,
-			g:      g,
-			traces: make(map[graph.NodeID]*sourceTrace),
-			stale:  make(map[graph.NodeID]*staleTrace),
-		},
-		bytes: graphBytes(g),
+		num:       1,
+		digest:    digest,
+		g:         g,
+		traces:    make(map[graph.NodeID]*sourceTrace),
+		bytes:     graphBytes(g),
 	}
 	rg.el = r.lru.PushFront(rg)
 	r.graphs[id] = rg
@@ -211,7 +227,7 @@ func (r *GraphRegistry) Resolve(id string) (*graph.Graph, [32]byte, int, error) 
 		return nil, [32]byte{}, 0, notfoundf("no registered graph %q (evicted or never registered)", id)
 	}
 	r.touchLocked(rg)
-	return rg.head.g, rg.head.digest, rg.head.num, nil
+	return rg.g, rg.digest, rg.num, nil
 }
 
 // Get returns a registered graph's info.
@@ -262,12 +278,12 @@ type PatchInfo struct {
 	// Effects counts deltas that actually changed a weight (keep-min
 	// no-op inserts and same-weight reweights resolve away).
 	Effects int `json:"effects"`
-	// SourcesKept / SourcesDropped classify the parent revision's traced
-	// sources: kept = untouched (the exact trace carries forward to the new
-	// revision), dropped = dirty. SourcesRepairable is the subset of dropped
-	// sources demoted to a stale trace + base-weight ledger instead of being
-	// forgotten, plus the sources already stale — the next query repairs
-	// them (incr.Repair) rather than recomputing from scratch.
+	// SourcesKept / SourcesDropped classify the parent revision's exact
+	// traces: kept = untouched (the trace moves forward to the new
+	// revision), dropped = dirty (the trace stays at its revision and is now
+	// stale). SourcesRepairable counts the dropped sources plus those
+	// already stale — the next query repairs them (incr.Repair) rather than
+	// recomputing from scratch.
 	SourcesKept       int     `json:"sources_kept"`
 	SourcesDropped    int     `json:"sources_dropped"`
 	SourcesRepairable int     `json:"sources_repairable"`
@@ -275,12 +291,13 @@ type PatchInfo struct {
 }
 
 // Patch applies an edge-delta batch to the graph's head revision: builds
-// the patched snapshot, classifies every traced source against the deltas
-// (internal/incr), carries untouched sources' exact traces to the new
-// revision, demotes dirty ones to stale traces, and swaps the head. The
-// whole transition happens under the registry lock, so concurrent queries
-// resolve either the old head (and serve its still-consistent snapshot) or
-// the new one — never a mix.
+// the patched snapshot, appends the batch's weight changes to the change
+// log, classifies every exact trace against them (internal/incr) — an
+// untouched one moves forward to the new revision, a dirty one stays
+// behind as a stale trace — and swaps the head. The whole transition
+// happens under the registry lock, so concurrent queries resolve either
+// the old head (and serve its still-consistent snapshot) or the new one —
+// never a mix.
 func (r *GraphRegistry) Patch(id string, deltas []graph.EdgeDelta) (PatchInfo, error) {
 	if len(deltas) == 0 {
 		return PatchInfo{}, badf("empty delta batch")
@@ -291,56 +308,33 @@ func (r *GraphRegistry) Patch(id string, deltas []graph.EdgeDelta) (PatchInfo, e
 	if !ok {
 		return PatchInfo{}, notfoundf("no registered graph %q (evicted or never registered)", id)
 	}
-	old := rg.head
-	changes, err := graph.ResolveDeltas(old.g, deltas)
+	changes, err := graph.ResolveDeltas(rg.g, deltas)
 	if err != nil {
 		return PatchInfo{}, badRequest{err}
 	}
-	ng := graph.ApplyChanges(old.g, changes)
+	ng := graph.ApplyChanges(rg.g, changes)
 	effects := incr.EffectsOf(changes)
-	newDigest := canonicalGraphDigest(ng)
-	next := &revision{
-		num:    old.num + 1,
-		digest: newDigest,
-		g:      ng,
-		traces: make(map[graph.NodeID]*sourceTrace, len(old.traces)),
-		stale:  make(map[graph.NodeID]*staleTrace, len(old.stale)),
-	}
+	head := rg.num
+	rg.num, rg.digest, rg.g = head+1, canonicalGraphDigest(ng), ng
+	rg.log = append(rg.log, logBatch{rev: rg.num, changes: changes})
 
 	info := PatchInfo{
-		ID: id, Revision: next.num, ParentRevision: old.num,
-		Digest: hex.EncodeToString(newDigest[:]),
+		ID: id, Revision: rg.num, ParentRevision: head,
+		Digest: hex.EncodeToString(rg.digest[:]),
 		N:      ng.N(), M: ng.M(),
 		DeltasApplied: len(deltas), Effects: len(effects),
 	}
-	for src, tr := range old.traces {
-		if incr.SourceDirty(effects, tr.dist) {
+	for _, tr := range rg.traces {
+		switch {
+		case tr.rev != head:
+			info.SourcesRepairable++
+		case incr.SourceDirty(effects, tr.dist):
 			info.SourcesDropped++
-			// Demote rather than forget: the trace was exact on old.g, so a
-			// ledger of this batch's pairs at their old.g weights is exactly
-			// what incr.Repair needs to catch it up on a later query. A
-			// trace without a witness tree can't be repaired — drop it.
-			if tr.parent != nil {
-				st := &staleTrace{dist: tr.dist, parent: tr.parent, base: make(map[uint64]int64, len(changes))}
-				recordBase(st.base, changes)
-				st.bytes = staleTraceBytes(st)
-				next.stale[src] = st
-				info.SourcesRepairable++
-			}
-			continue
+			info.SourcesRepairable++
+		default:
+			info.SourcesKept++
+			tr.rev = rg.num
 		}
-		info.SourcesKept++
-		next.traces[src] = tr
-	}
-	// Sources already stale from earlier patches stay repairable: extend
-	// their ledgers with this batch's pairs — first touch wins, at old.g
-	// weights, which are the trace-time weights for any pair not already in
-	// the ledger (an earlier patch touching it would have recorded it).
-	for src, st := range old.stale {
-		recordBase(st.base, changes)
-		st.bytes = staleTraceBytes(st)
-		next.stale[src] = st
-		info.SourcesRepairable++
 	}
 	if classified := info.SourcesKept + info.SourcesDropped; classified > 0 {
 		info.DirtyFraction = float64(info.SourcesDropped) / float64(classified)
@@ -348,20 +342,8 @@ func (r *GraphRegistry) Patch(id string, deltas []graph.EdgeDelta) (PatchInfo, e
 			r.m.patchDirtyFraction.Observe(info.DirtyFraction)
 		}
 	}
-
-	// Swap the head and re-account: dropped traces refund their bytes,
-	// demoted and extended stale traces charge theirs.
-	var traceB int64
-	for _, tr := range next.traces {
-		traceB += tr.bytes
-	}
-	for _, st := range next.stale {
-		traceB += st.bytes
-	}
-	newBytes := graphBytes(ng) + traceB
-	r.bytes += newBytes - rg.bytes
-	rg.bytes = newBytes
-	rg.head = next
+	rg.trimLog()
+	r.recharge(rg)
 	rg.patchedAt = r.now()
 	r.revisions++
 	r.touchLocked(rg)
@@ -370,24 +352,27 @@ func (r *GraphRegistry) Patch(id string, deltas []graph.EdgeDelta) (PatchInfo, e
 	return info, nil
 }
 
-// recordBase adds every pair the changes touch to a base-weight ledger at
-// its weight before the batch (-1 for absent); a pair already in the
-// ledger keeps its entry, which is the weight on the trace's graph.
-func recordBase(base map[uint64]int64, changes []graph.WeightChange) {
-	for _, c := range changes {
-		k := graph.PairKey(c.U, c.V)
-		if _, ok := base[k]; !ok {
-			base[k] = c.OldW
-		}
+// trimLog drops the log batches no trace needs: those at or below the
+// oldest trace's revision.
+func (rg *regGraph) trimLog() {
+	oldest := rg.num
+	for _, tr := range rg.traces {
+		oldest = min(oldest, tr.rev)
 	}
+	k := 0
+	for k < len(rg.log) && rg.log[k].rev <= oldest {
+		k++
+	}
+	rg.log = slices.Delete(rg.log, 0, k)
 }
 
 // Record attaches a computed source result to the graph's head revision:
 // the exact distance row (what incr classifies against) and its min-ID
-// witness tree (what incr.Repair restarts from; nil when not derived).
-// Admitting an exact trace supersedes any stale trace for the same source.
-// Dropped silently when digest no longer names the head — the computation
-// raced a PATCH and its revision is gone. The parts argument is ignored.
+// witness tree (what incr.Repair restarts from). Admitting an exact trace
+// supersedes the source's stale trace, if any. Dropped silently when
+// digest no longer names the head — the computation raced a PATCH and its
+// revision is gone — or when parent is not a tree over dist's nodes. The
+// parts argument is ignored.
 //
 // Deprecated: the parts parameter stays only because the benchmark
 // harness still passes it, and goes once a benchmark change stops doing so.
@@ -395,62 +380,70 @@ func (r *GraphRegistry) Record(id string, digest [32]byte, src graph.NodeID, dis
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rg, ok := r.graphs[id]
-	if !ok || rg.head.digest != digest {
+	if !ok || rg.digest != digest || len(parent) != len(dist) {
 		return
 	}
-	r.recordLocked(rg, src, dist, parent)
-	r.evictLocked(rg)
-}
-
-func (r *GraphRegistry) recordLocked(rg *regGraph, src graph.NodeID, dist []int64, parent []graph.NodeID) {
-	tr, ok := rg.head.traces[src]
-	if !ok {
+	tr, ok := rg.traces[src]
+	switch {
+	case ok && tr.rev == rg.num:
+		return
+	case ok:
+		// The exact row replaces the stale one it was repaired from, and the
+		// log may no longer need its oldest batches.
+		*tr = sourceTrace{rev: rg.num, dist: dist, parent: parent}
+		rg.trimLog()
+		r.recharge(rg)
+	default:
 		// Respect the byte budget at admission: traces are an accelerator,
 		// not a correctness requirement, so an over-budget graph simply
 		// stops accumulating them (queries still work, just without reuse).
 		cost := traceBytes(dist, parent)
 		if r.budget > 0 && rg.bytes+cost > r.budget {
-			return // the stale trace, if any, stays usable
+			return
 		}
-		rg.head.traces[src] = &sourceTrace{dist: dist, parent: parent, bytes: cost}
+		rg.traces[src] = &sourceTrace{rev: rg.num, dist: dist, parent: parent}
 		rg.bytes += cost
 		r.bytes += cost
-		// The exact trace supersedes the stale one it was repaired from.
-		if st, stale := rg.head.stale[src]; stale {
-			delete(rg.head.stale, src)
-			rg.bytes -= st.bytes
-			r.bytes -= st.bytes
-		}
-	} else if tr.parent == nil && parent != nil {
-		// A row recorded without its tree (APSP yield) gains one later.
-		add := int64(len(parent)) * 4
-		tr.parent = parent
-		tr.bytes += add
-		rg.bytes += add
-		r.bytes += add
+		r.evictLocked(rg)
 	}
 }
 
 // sourceTrace returns what the head revision at digest remembers about
-// src: its exact trace (exact=true, no changes; Parent is nil when the row
-// was traced without its tree), or its stale trace plus the net changes
-// separating the trace's graph from the head. ok=false means no usable
-// structure. The returned slices are shared immutable state — callers must
-// not write through them (incr.Repair copies before writing).
+// src: its exact trace (exact=true, no changes), or its stale trace plus
+// the net changes separating the trace's revision from the head. ok=false
+// means no trace. The returned slices are shared immutable state — callers
+// must not write through them (incr.Repair copies before writing).
 func (r *GraphRegistry) sourceTrace(id string, digest [32]byte, src graph.NodeID) (tr incr.Trace, changes []incr.NetChange, exact, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rg, found := r.graphs[id]
-	if !found || rg.head.digest != digest {
+	if !found || rg.digest != digest {
 		return incr.Trace{}, nil, false, false
 	}
-	if t, found := rg.head.traces[src]; found {
-		return incr.Trace{Dist: t.dist, Parent: t.parent}, nil, true, true
+	t, found := rg.traces[src]
+	if !found {
+		return incr.Trace{}, nil, false, false
 	}
-	if st, found := rg.head.stale[src]; found {
-		return incr.Trace{Dist: st.dist, Parent: st.parent}, incr.NetChanges(st.base, rg.head.g), false, true
+	tr = incr.Trace{Dist: t.dist, Parent: t.parent}
+	if t.rev == rg.num {
+		return tr, nil, true, true
 	}
-	return incr.Trace{}, nil, false, false
+	// Fold the batches after the trace's revision into a base-weight
+	// ledger: each pair they touch at its first change's old weight, which
+	// is its weight at t.rev (-1 for absent).
+	base := make(map[uint64]int64)
+	for _, b := range rg.log {
+		if b.rev <= t.rev {
+			continue
+		}
+		for _, c := range b.changes {
+			k := graph.PairKey(c.U, c.V)
+			if _, seen := base[k]; !seen {
+				base[k] = c.OldW
+			}
+		}
+	}
+	return tr, incr.NetChanges(base, rg.g), false, true
 }
 
 // touchLocked marks a graph most-recently-used.
@@ -485,15 +478,16 @@ func (r *GraphRegistry) dropLocked(rg *regGraph) {
 }
 
 func (r *GraphRegistry) infoLocked(rg *regGraph) GraphInfo {
+	stale := rg.staleCount()
 	info := GraphInfo{
 		ID:            rg.id,
-		Revision:      rg.head.num,
-		Digest:        hex.EncodeToString(rg.head.digest[:]),
-		N:             rg.head.g.N(),
-		M:             rg.head.g.M(),
+		Revision:      rg.num,
+		Digest:        hex.EncodeToString(rg.digest[:]),
+		N:             rg.g.N(),
+		M:             rg.g.M(),
 		Bytes:         rg.bytes,
-		TracedSources: len(rg.head.traces),
-		StaleSources:  len(rg.head.stale),
+		TracedSources: len(rg.traces) - stale,
+		StaleSources:  stale,
 		CreatedAtNS:   rg.createdAt.UnixNano(),
 	}
 	if !rg.patchedAt.IsZero() {
@@ -522,7 +516,7 @@ func (r *GraphRegistry) Stats() RegistryStats {
 	defer r.mu.Unlock()
 	stale := 0
 	for _, rg := range r.graphs {
-		stale += len(rg.head.stale)
+		stale += rg.staleCount()
 	}
 	return RegistryStats{
 		Graphs:      len(r.graphs),

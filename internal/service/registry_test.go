@@ -57,11 +57,11 @@ func TestRegistryHandleDisambiguationAfterPatch(t *testing.T) {
 }
 
 // TestRegistryPatchClassifiesTraces pins what a PATCH does with each
-// traced source: an untouched source keeps its exact trace, carried to the
-// new revision as is; a dirty source with a witness tree is demoted to a
-// stale trace; a dirty source without one is forgotten. SourcesRepairable
-// counts the demoted sources plus those already stale, and the graph's
-// bytes are re-charged for what the new revision holds.
+// traced source: an untouched source's exact trace moves forward to the
+// new revision as is; a dirty source's trace stays at its revision, stale,
+// and the change log keeps the batch it needs. SourcesRepairable counts
+// the dirty sources plus those already stale, and the graph's bytes are
+// re-charged for its snapshot, its traces and the log, charged once.
 func TestRegistryPatchClassifiesTraces(t *testing.T) {
 	r := NewGraphRegistry(1<<20, nil, nil)
 	info, _ := r.Register(ciGraph())
@@ -69,14 +69,15 @@ func TestRegistryPatchClassifiesTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A row without its witness tree could never be repaired: not recorded.
+	r.Record(info.ID, digest, 2, graph.Dijkstra(g, 2), nil, "")
+	if gi, _ := r.Get(info.ID); gi.TracedSources != 0 {
+		t.Fatalf("a row without its tree was recorded: %+v", gi)
+	}
 	dist := make(map[graph.NodeID][]int64)
 	for _, src := range []graph.NodeID{0, 1, 2} {
 		dist[src] = graph.Dijkstra(g, src)
-		var parent []graph.NodeID
-		if src != 2 { // source 2 is traced without its tree
-			parent = graph.WitnessParents(g, src, dist[src])
-		}
-		r.Record(info.ID, digest, src, dist[src], parent, "")
+		r.Record(info.ID, digest, src, dist[src], graph.WitnessParents(g, src, dist[src]), "")
 	}
 
 	// Reweight the chord down to 1: dirties sources 0 and 2, not source 1.
@@ -84,7 +85,7 @@ func TestRegistryPatchClassifiesTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pi.Revision != 2 || pi.SourcesKept != 1 || pi.SourcesDropped != 2 || pi.SourcesRepairable != 1 {
+	if pi.Revision != 2 || pi.SourcesKept != 1 || pi.SourcesDropped != 2 || pi.SourcesRepairable != 2 {
 		t.Fatalf("patch info = %+v", pi)
 	}
 	if pi.DirtyFraction != 2.0/3 {
@@ -98,25 +99,24 @@ func TestRegistryPatchClassifiesTraces(t *testing.T) {
 	if !reflect.DeepEqual(tr.Dist, graph.Dijkstra(ng, 1)) {
 		t.Fatal("the carried trace is not exact on the new revision")
 	}
-	if _, changes, exact, ok := r.sourceTrace(info.ID, d2, 0); !ok || exact || len(changes) != 1 {
-		t.Fatalf("dirty source 0: ok=%v exact=%v changes=%v, want a stale trace with one change", ok, exact, changes)
-	}
-	if _, _, _, ok := r.sourceTrace(info.ID, d2, 2); ok {
-		t.Fatal("dirty source 2 has no tree to repair from, but kept a trace")
+	for _, src := range []graph.NodeID{0, 2} {
+		if _, changes, exact, ok := r.sourceTrace(info.ID, d2, src); !ok || exact || len(changes) != 1 {
+			t.Fatalf("dirty source %d: ok=%v exact=%v changes=%v, want a stale trace with one change", src, ok, exact, changes)
+		}
 	}
 	gi, _ := r.Get(info.ID)
-	stale := r.graphs[info.ID].head.stale[0]
-	want := graphBytes(ng) + traceBytes(dist[1], tr.Parent) + staleTraceBytes(stale)
-	if gi.TracedSources != 1 || gi.StaleSources != 1 || gi.Bytes != want {
-		t.Fatalf("info = %+v, want 1 traced, 1 stale, %d bytes", gi, want)
+	want := graphBytes(ng) + 3*traceBytes(dist[1], tr.Parent) + logBatchBytes(r.graphs[info.ID].log[0])
+	if gi.TracedSources != 1 || gi.StaleSources != 2 || gi.Bytes != want || len(r.graphs[info.ID].log) != 1 {
+		t.Fatalf("info = %+v, want 1 traced, 2 stale, %d bytes and one log batch", gi, want)
 	}
 
-	// A second, slack patch keeps source 1 and leaves source 0 repairable.
+	// A second, slack patch keeps source 1 and leaves sources 0 and 2
+	// repairable.
 	pi, err = r.Patch(info.ID, []graph.EdgeDelta{{Op: graph.DeltaReweight, U: 0, V: 2, W: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pi.SourcesKept != 1 || pi.SourcesDropped != 0 || pi.SourcesRepairable != 1 || pi.DirtyFraction != 0 {
+	if pi.SourcesKept != 1 || pi.SourcesDropped != 0 || pi.SourcesRepairable != 2 || pi.DirtyFraction != 0 {
 		t.Fatalf("second patch info = %+v", pi)
 	}
 }
@@ -170,12 +170,13 @@ func TestRegistryTraceAdmissionBudget(t *testing.T) {
 	// Budget barely above the bare graph: trace admission must stop rather
 	// than evict the graph out from under itself.
 	g := ciGraph()
-	budget := graphBytes(g) + traceBytes(make([]int64, 4), nil) + 8
+	budget := graphBytes(g) + traceBytes(make([]int64, 4), make([]graph.NodeID, 4)) + 8
 	r := NewGraphRegistry(budget, NewCache(1<<20), nil)
 	info, _ := r.Register(g)
 	_, digest, _, _ := r.Resolve(info.ID)
-	for s := 0; s < 4; s++ {
-		r.Record(info.ID, digest, graph.NodeID(s), graph.Dijkstra(g, graph.NodeID(s)), nil, "")
+	for s := graph.NodeID(0); s < 4; s++ {
+		d := graph.Dijkstra(g, s)
+		r.Record(info.ID, digest, s, d, graph.WitnessParents(g, s, d), "")
 	}
 	got, _ := r.Get(info.ID)
 	if got.TracedSources != 1 {
@@ -199,7 +200,8 @@ func TestRegistryRecordStaleDigestDropped(t *testing.T) {
 	}
 	// A computation that raced the patch reports against the old digest:
 	// silently dropped, never attached to the new head.
-	r.Record(info.ID, oldDigest, 0, graph.Dijkstra(g, 0), nil, "sssp|src=0")
+	d := graph.Dijkstra(g, 0)
+	r.Record(info.ID, oldDigest, 0, d, graph.WitnessParents(g, 0, d), "sssp|src=0")
 	got, _ := r.Get(info.ID)
 	if got.TracedSources != 0 {
 		t.Fatalf("stale-digest record attached to the new head: %+v", got)

@@ -34,7 +34,7 @@ const (
 type row struct {
 	dist []int64
 	// parent is the witness tree; nil for a computed row whose engine does
-	// not extract one, or a reused row traced without one.
+	// not extract one until the row is recorded.
 	parent   []graph.NodeID
 	served   rowServed
 	affected int // vertices incr.Repair rebuilt (repaired rows)
@@ -193,7 +193,7 @@ func (s *Server) remembered(sp *trace.Span, q rowQuery, src graph.NodeID) (row, 
 		return row{}, false
 	case exact && q.allPairs:
 		return row{dist: tr.Dist, parent: tr.Parent, served: rowReused}, true
-	case s.cfg.RepairMaxAffected < 0, tr.Parent == nil:
+	case s.cfg.RepairMaxAffected < 0:
 		return row{}, false
 	}
 	return s.repair(sp, q, src, tr, changes, exact)

@@ -15,9 +15,9 @@ import (
 )
 
 // spilledRegistry registers a generator graph (EdgeIDs in generator order,
-// not pair order) under dir, records exact traces with and without a
-// witness tree, and leaves a second graph patched with stale traces. It
-// returns the registry, the generator graph's id and the patched one's.
+// not pair order) under dir with exact traces, and leaves a second graph
+// patched twice with stale traces and a two-batch change log. It returns
+// the registry, the generator graph's id and the patched one's.
 func spilledRegistry(t *testing.T, dir string) (*GraphRegistry, string, string) {
 	t.Helper()
 	r := NewGraphRegistry(1<<30, NewCache(1<<20), nil)
@@ -29,11 +29,7 @@ func spilledRegistry(t *testing.T, dir string) (*GraphRegistry, string, string) 
 	_, digest, _, _ := r.Resolve(gen.ID)
 	for _, src := range []graph.NodeID{3, 0, 17} {
 		d := graph.Dijkstra(g, src)
-		var parent []graph.NodeID
-		if src != 17 {
-			parent = graph.WitnessParents(g, src, d)
-		}
-		r.Record(gen.ID, digest, src, d, parent, "sssp|src")
+		r.Record(gen.ID, digest, src, d, graph.WitnessParents(g, src, d), "sssp|src")
 	}
 
 	pat, _ := r.Register(ciGraph())
@@ -43,7 +39,7 @@ func spilledRegistry(t *testing.T, dir string) (*GraphRegistry, string, string) 
 		r.Record(pat.ID, pd, src, d, graph.WitnessParents(pg, src, d), "")
 	}
 	for _, w := range []int64{1, 2} {
-		if _, err := r.Patch(pat.ID, []graph.EdgeDelta{{Op: graph.DeltaReweight, U: 0, V: 2, W: w}, {Op: graph.DeltaReweight, U: 1, V: 2, W: 3}}); err != nil {
+		if _, err := r.Patch(pat.ID, []graph.EdgeDelta{{Op: graph.DeltaReweight, U: 0, V: 2, W: w}, {Op: graph.DeltaReweight, U: 2, V: 1, W: 3}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -55,7 +51,8 @@ func spilledRegistry(t *testing.T, dir string) (*GraphRegistry, string, string) 
 
 // TestSpillRoundTripBytes pins that a decoded spill is the registry state
 // that wrote it — the head graph with its EdgeIDs and adjacency order,
-// every trace and ledger — and re-encodes to the same bytes.
+// every trace with its revision, the change log — and re-encodes to the
+// same bytes.
 func TestSpillRoundTripBytes(t *testing.T) {
 	dir := t.TempDir()
 	r, genID, patID := spilledRegistry(t, dir)
@@ -72,7 +69,7 @@ func TestSpillRoundTripBytes(t *testing.T) {
 			t.Fatalf("%s: re-encoding differs from the spill", id)
 		}
 		want := r.graphs[id]
-		g, wg := got.head.g, want.head.g
+		g, wg := got.g, want.g
 		if !reflect.DeepEqual(g.Edges(), wg.Edges()) {
 			t.Fatalf("%s: edges (EdgeIDs) differ", id)
 		}
@@ -81,26 +78,29 @@ func TestSpillRoundTripBytes(t *testing.T) {
 				t.Fatalf("%s: adjacency of %d differs", id, u)
 			}
 		}
-		if got.id != id || got.head.num != want.head.num || got.head.digest != want.head.digest ||
+		if got.id != id || got.num != want.num || got.digest != want.digest || got.bytes != want.bytes ||
 			!got.createdAt.Equal(want.createdAt) || !got.patchedAt.Equal(want.patchedAt) {
 			t.Fatalf("%s: header differs: got %+v", id, got)
 		}
-		if len(got.head.traces) != len(want.head.traces) || len(got.head.stale) != len(want.head.stale) {
-			t.Fatalf("%s: %d/%d traces, want %d/%d", id, len(got.head.traces), len(got.head.stale), len(want.head.traces), len(want.head.stale))
+		if !reflect.DeepEqual(got.traces, want.traces) {
+			t.Fatalf("%s: traces differ", id)
 		}
-		for src, tr := range want.head.traces {
-			if gt := got.head.traces[src]; !reflect.DeepEqual(gt.dist, tr.dist) || !reflect.DeepEqual(gt.parent, tr.parent) {
-				t.Fatalf("%s: trace for %d differs", id, src)
+		// The live log keeps each change's pair as the PATCH named it; the
+		// spill stores it canonically (u < v).
+		for i, b := range want.log {
+			for j, c := range b.changes {
+				gc := got.log[i].changes[j]
+				if got.log[i].rev != b.rev || graph.PairKey(gc.U, gc.V) != graph.PairKey(c.U, c.V) || gc.U > gc.V || gc.OldW != c.OldW || gc.NewW != c.NewW {
+					t.Fatalf("%s: log batch %d change %d = %+v, want %+v", id, i, j, gc, c)
+				}
 			}
 		}
-		for src, st := range want.head.stale {
-			if gs := got.head.stale[src]; !reflect.DeepEqual(gs.dist, st.dist) || !reflect.DeepEqual(gs.parent, st.parent) || !reflect.DeepEqual(gs.base, st.base) {
-				t.Fatalf("%s: stale trace for %d differs", id, src)
-			}
+		if len(got.log) != len(want.log) {
+			t.Fatalf("%s: %d log batches, want %d", id, len(got.log), len(want.log))
 		}
 	}
-	if len(r.graphs[patID].head.stale) == 0 || r.graphs[genID].head.traces[17].parent != nil {
-		t.Fatal("fixture lost its stale traces or its tree-less trace")
+	if pat := r.graphs[patID]; pat.staleCount() == 0 || len(pat.log) != 2 {
+		t.Fatal("fixture lost its stale traces or its two-batch log")
 	}
 }
 
@@ -184,7 +184,7 @@ type rawSpill struct {
 	patched      int64
 	edges        [][3]int64
 	traces       []rawTrace
-	stale        []rawStale
+	log          []rawBatch
 	trailing     []byte
 	idLen, m, nt int64 // count overrides; -1 keeps the true count
 	cut          int   // bytes dropped from the body's end
@@ -193,27 +193,30 @@ type rawSpill struct {
 
 type rawTrace struct {
 	src    uint32
-	flag   byte
+	rev    uint64
 	dist   []int64
 	parent []int32
 }
 
-type rawStale struct {
-	src    uint32
-	dist   []int64
-	parent []int32
-	keys   []uint64
-	ws     []int64
+type rawBatch struct {
+	rev     uint64
+	changes [][4]int64 // {u, v, old weight, new weight}
 }
 
+// validRawSpill is a three-node path at revision 3 with an exact trace of
+// source 0 and a trace of source 2 left stale at revision 2, before PATCH
+// 3 lowered {1,2} from 5 to 2.
 func validRawSpill() rawSpill {
 	return rawSpill{
-		magic: spillMagic, version: spillVersion, id: "g-0123456789abcdef", rev: 2, n: 3,
+		magic: spillMagic, version: spillVersion, id: "g-0123456789abcdef", rev: 3, n: 3,
 		created: 1e18, patched: 2e18,
-		edges:  [][3]int64{{0, 1, 1}, {1, 2, 2}},
-		traces: []rawTrace{{src: 0, flag: 1, dist: []int64{0, 1, 3}, parent: []int32{-1, 0, 1}}},
-		stale:  []rawStale{{src: 2, dist: []int64{3, 2, 0}, parent: []int32{1, 2, -1}, keys: []uint64{1<<32 | 2}, ws: []int64{5}}},
-		idLen:  -1, m: -1, nt: -1,
+		edges: [][3]int64{{0, 1, 1}, {1, 2, 2}},
+		traces: []rawTrace{
+			{src: 0, rev: 3, dist: []int64{0, 1, 3}, parent: []int32{-1, 0, 1}},
+			{src: 2, rev: 2, dist: []int64{6, 5, 0}, parent: []int32{1, 2, -1}},
+		},
+		log:   []rawBatch{{rev: 3, changes: [][4]int64{{1, 2, 5, 2}}}},
+		idLen: -1, m: -1, nt: -1,
 	}
 }
 
@@ -239,27 +242,24 @@ func (s rawSpill) encode() []byte {
 		b = le.AppendUint32(b, uint32(e[1]))
 		b = le.AppendUint64(b, uint64(e[2]))
 	}
-	row := func(b []byte, dist []int64, parent []int32) []byte {
-		for _, d := range dist {
-			b = le.AppendUint64(b, uint64(d))
-		}
-		for _, p := range parent {
-			b = le.AppendUint32(b, uint32(p))
-		}
-		return b
-	}
 	b = le.AppendUint32(b, count(s.nt, len(s.traces)))
 	for _, tr := range s.traces {
-		b = le.AppendUint32(b, tr.src)
-		b = row(append(b, tr.flag), tr.dist, tr.parent)
+		b = le.AppendUint64(le.AppendUint32(b, tr.src), tr.rev)
+		for _, d := range tr.dist {
+			b = le.AppendUint64(b, uint64(d))
+		}
+		for _, p := range tr.parent {
+			b = le.AppendUint32(b, uint32(p))
+		}
 	}
-	b = le.AppendUint32(b, uint32(len(s.stale)))
-	for _, st := range s.stale {
-		b = row(le.AppendUint32(b, st.src), st.dist, st.parent)
-		b = le.AppendUint32(b, uint32(len(st.keys)))
-		for i, k := range st.keys {
-			b = le.AppendUint64(b, k)
-			b = le.AppendUint64(b, uint64(st.ws[i]))
+	b = le.AppendUint32(b, uint32(len(s.log)))
+	for _, batch := range s.log {
+		b = le.AppendUint32(le.AppendUint64(b, batch.rev), uint32(len(batch.changes)))
+		for _, c := range batch.changes {
+			b = le.AppendUint32(b, uint32(c[0]))
+			b = le.AppendUint32(b, uint32(c[1]))
+			b = le.AppendUint64(b, uint64(c[2]))
+			b = le.AppendUint64(b, uint64(c[3]))
 		}
 	}
 	b = append(b, s.trailing...)
@@ -274,13 +274,18 @@ func (s rawSpill) encode() []byte {
 // TestSpillMalformedFields breaks one field per case and boots from the
 // result: every case must fail naming the file and the fault, never panic
 // and never load the graph. The first three are the edges that used to
-// panic inside graph.AddEdge at boot.
+// panic inside graph.AddEdge at boot. The stale-* cases break the stale
+// trace, the ledger-* cases one change of the log, the log-* cases its
+// batches as a whole.
 func TestSpillMalformedFields(t *testing.T) {
 	if _, err := decodeSpill(validRawSpill().encode()); err != nil {
 		t.Fatalf("the valid fixture is rejected: %v", err)
 	}
 	onlyEdge := func(e [3]int64) func(*rawSpill) {
-		return func(s *rawSpill) { s.n, s.edges, s.traces, s.stale = 2, [][3]int64{e}, nil, nil }
+		return func(s *rawSpill) { s.n, s.edges, s.traces, s.log = 2, [][3]int64{e}, nil, nil }
+	}
+	change := func(c [4]int64) func(*rawSpill) {
+		return func(s *rawSpill) { s.log[0].changes[0] = c }
 	}
 	for _, tc := range []struct {
 		name   string
@@ -295,7 +300,8 @@ func TestSpillMalformedFields(t *testing.T) {
 		{"edge-count", func(s *rawSpill) { s.m = 1 << 30 }, "edge count"},
 		{"magic", func(s *rawSpill) { s.magic = "DSSSPILX" }, "bad magic"},
 		{"checksum", func(s *rawSpill) { s.badCRC = true }, "checksum mismatch"},
-		{"version", func(s *rawSpill) { s.version = 2 }, "version 2"},
+		{"version", func(s *rawSpill) { s.version = 3 }, "version 3"},
+		{"version-1", func(s *rawSpill) { s.version = 1 }, "version 1"},
 		{"id", func(s *rawSpill) { s.id = "../g-x" }, "bad graph id"},
 		{"id-length", func(s *rawSpill) { s.idLen = 1 << 31 }, "id byte count"},
 		{"revision", func(s *rawSpill) { s.rev = 0 }, "revision 0"},
@@ -304,25 +310,35 @@ func TestSpillMalformedFields(t *testing.T) {
 		{"trace-count", func(s *rawSpill) { s.nt = 1 << 20 }, "trace count"},
 		{"trace-source", func(s *rawSpill) { s.traces[0].src = 3 }, "outside [0,3)"},
 		{"trace-order", func(s *rawSpill) {
-			s.traces = append(s.traces, s.traces[0])
+			s.traces[0], s.traces[1] = s.traces[1], s.traces[0]
 		}, "out of order"},
-		{"trace-flag", func(s *rawSpill) { s.traces[0].flag = 2 }, "parent flag 2"},
+		{"trace-rev", func(s *rawSpill) { s.traces[0].rev = 4 }, "revision 4 outside [1,3]"},
+		{"trace-rev-zero", func(s *rawSpill) { s.traces[0].rev = 0 }, "revision 0 outside [1,3]"},
 		{"trace-dist-negative", func(s *rawSpill) { s.traces[0].dist[1] = -1 }, "dist[1] = -1"},
 		{"trace-dist-above-inf", func(s *rawSpill) { s.traces[0].dist[2] = graph.Inf + 1 }, "outside [0,Inf]"},
 		{"trace-parent", func(s *rawSpill) { s.traces[0].parent[2] = 3 }, "parent[2] = 3"},
 		{"trace-parent-negative", func(s *rawSpill) { s.traces[0].parent[1] = -2 }, "parent[1] = -2"},
-		{"stale-source", func(s *rawSpill) { s.stale[0].src = 7 }, "outside [0,3)"},
-		{"stale-also-exact", func(s *rawSpill) { s.stale[0].src = 0 }, "also exact"},
-		{"stale-parent", func(s *rawSpill) { s.stale[0].parent[0] = 5 }, "parent[0] = 5"},
-		{"ledger-pair", func(s *rawSpill) { s.stale[0].keys[0] = 2<<32 | 1 }, "ledger entry 0"},
-		{"ledger-range", func(s *rawSpill) { s.stale[0].keys[0] = 1<<32 | 3 }, "ledger entry 0"},
-		{"ledger-weight", func(s *rawSpill) { s.stale[0].ws[0] = -2 }, "weight -2"},
+		{"stale-source", func(s *rawSpill) { s.traces[1].src = 7 }, "outside [0,3)"},
+		{"stale-also-exact", func(s *rawSpill) { s.traces[1].src = 0 }, "source 0 out of order"},
+		{"stale-parent", func(s *rawSpill) { s.traces[1].parent[0] = 5 }, "parent[0] = 5"},
+		{"stale-uncovered", func(s *rawSpill) { s.traces[1].rev = 1 }, "revision 3, want 2"},
+		{"ledger-pair", change([4]int64{2, 1, 5, 2}), "pair {2,1}"},
+		{"ledger-range", change([4]int64{1, 3, 5, 2}), "pair {1,3}"},
+		{"ledger-weight", change([4]int64{1, 2, -2, 2}), "weight -2"},
+		{"ledger-no-op", change([4]int64{1, 2, 2, 2}), "weight 2 → 2"},
 		{"ledger-order", func(s *rawSpill) {
-			s.stale[0].keys, s.stale[0].ws = []uint64{1<<32 | 2, 0<<32 | 1}, []int64{5, 6}
-		}, "ledger entry 1"},
+			s.log[0].changes = [][4]int64{{1, 2, 5, 4}, {1, 2, 3, 2}}
+		}, "change 1"},
+		{"log-batch-order", func(s *rawSpill) {
+			s.traces[1].rev = 1
+			s.log = []rawBatch{s.log[0], {rev: 2, changes: [][4]int64{{0, 1, 3, 1}}}}
+		}, "log batch 0: revision 3, want 2"},
+		{"log-not-at-head", func(s *rawSpill) { s.rev, s.traces[0].rev = 4, 4 }, "not at the head revision 4"},
+		{"log-beyond-head", func(s *rawSpill) { s.traces[1].rev = 3 }, "revision 3, want 4"},
+		{"log-weight-edge", change([4]int64{1, 2, 5, 4}), "weight 4, but the head has 2"},
 		{"trailing", func(s *rawSpill) { s.trailing = []byte{0} }, "1 trailing bytes"},
-		{"record-count", func(s *rawSpill) { s.cut = 3 }, "ledger entry count 1 overruns"},
-		{"truncated-record", func(s *rawSpill) { s.stale, s.cut = nil, 4 }, "truncated record"},
+		{"record-count", func(s *rawSpill) { s.cut = 3 }, "log change count 1 overruns"},
+		{"truncated-record", func(s *rawSpill) { s.log, s.cut = nil, 4 }, "truncated record"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := validRawSpill()
@@ -355,7 +371,7 @@ func TestSpillFileNameMustMatchID(t *testing.T) {
 // FuzzDecodeSpill: the spill decoder never panics, allocates in
 // proportion to its input before any count is trusted, and every spill it
 // accepts re-encodes to the same bytes and restores into a registry that
-// can then serve its stale traces. Each input is also tried with its
+// can then serve every trace it holds. Each input is also tried with its
 // checksum fixed up, so mutations reach the field checks behind the CRC.
 // The checked-in corpus (testdata/fuzz/FuzzDecodeSpill) holds a valid
 // spill, a truncated one, one with a bad checksum, one with huge counts
@@ -390,9 +406,9 @@ func checkDecode(t *testing.T, data []byte) {
 	r.mu.Lock()
 	r.restoreLocked(rg)
 	r.mu.Unlock()
-	for src := range rg.head.stale {
-		if _, _, _, ok := r.sourceTrace(rg.id, rg.head.digest, src); !ok {
-			t.Fatalf("restored stale trace for %d does not serve", src)
+	for src := range rg.traces {
+		if _, _, _, ok := r.sourceTrace(rg.id, rg.digest, src); !ok {
+			t.Fatalf("restored trace for %d does not serve", src)
 		}
 	}
 }
