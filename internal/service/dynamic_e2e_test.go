@@ -355,6 +355,34 @@ func TestRepairDisabled(t *testing.T) {
 	}
 }
 
+// TestCacheHitCountsNoReuse: a body-cache hit on a handle serves no row,
+// so it moves no dsssp_incr_* counter, whatever the head holds for its
+// sources; the cache's own hit counter counts it.
+func TestCacheHitCountsNoReuse(t *testing.T) {
+	for _, q := range []struct{ path, body string }{
+		{"/v1/sssp", `,"source":0}`},
+		{"/v1/path", `,"source":1,"target":3}`},
+		{"/v1/apsp", `}`},
+	} {
+		// A fresh server per endpoint, so the first query computes every row
+		// and its body is cached.
+		s := testServer(t)
+		var info GraphInfo
+		decodeBody(t, do(t, s, "POST", "/v1/graphs", `{"graph":`+ciGraphJSON+`}`), http.StatusCreated, &info)
+		q.body = fmt.Sprintf(`{"graph":{"graph_id":%q}`, info.ID) + q.body
+		if w := do(t, s, "POST", q.path, q.body); w.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", q.path, w.Code, w.Body.Bytes())
+		}
+		before := pinIncr(t, s)
+		if w := do(t, s, "POST", q.path, q.body); w.Header().Get("X-Dsssp-Cache") != "hit" {
+			t.Fatalf("%s: repeat X-Dsssp-Cache = %q, want hit", q.path, w.Header().Get("X-Dsssp-Cache"))
+		}
+		if after := pinIncr(t, s); after != before {
+			t.Fatalf("%s: a cache hit moved the incr counters from %+v to %+v", q.path, before, after)
+		}
+	}
+}
+
 // TestRepairWarmStart spans two server lifetimes: the first traces and
 // dirties a source, shuts down (flushing the registry spill), and the
 // second — a fresh process sharing only -registry-dir — serves the same

@@ -84,18 +84,11 @@ func (s *Server) serveRows(w http.ResponseWriter, r *http.Request, q rowQuery, r
 		b, err := render(rs)
 		return b, rs.all(rowComputed), err
 	})
-	if !ok || q.id == "" {
-		return
-	}
-	// Registered-graph reuse counters: a body-cache hit served every source
-	// without recomputation; repaired rows were counted when repaired; every
-	// computed row counts as recomputed, a from-scratch all-pairs body too.
-	if hit {
-		n := len(q.sources)
-		if q.allPairs {
-			n = q.n
-		}
-		s.metrics.incrSourcesReused.Add(int64(n))
+	// Registered-graph reuse counters: repaired rows were counted when
+	// repaired; every computed row counts as recomputed, a from-scratch
+	// all-pairs body too. A body-cache hit served no row: the cache's hit
+	// counter counts it.
+	if !ok || q.id == "" || hit {
 		return
 	}
 	s.metrics.incrSourcesReused.Add(int64(rs.count[rowReused]))
