@@ -355,6 +355,39 @@ func TestRepairDisabled(t *testing.T) {
 	}
 }
 
+// TestRepairDisabledServesExactTraces: with repair disabled an exact
+// trace still needs no repair, so the source a PATCH left untouched is
+// served from its trace — no simulation — and equals a fresh run.
+func TestRepairDisabledServesExactTraces(t *testing.T) {
+	s, err := New(Config{Workers: 4, RepairMaxAffected: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	var info GraphInfo
+	decodeBody(t, do(t, s, "POST", "/v1/graphs", `{"graph":`+ciGraphJSON+`}`), http.StatusCreated, &info)
+	body := fmt.Sprintf(`{"graph":{"graph_id":%q},"source":1}`, info.ID)
+	if w := do(t, s, "POST", "/v1/sssp", body); w.Code != http.StatusOK {
+		t.Fatalf("seed query: %d", w.Code)
+	}
+	do(t, s, "PATCH", "/v1/graphs/"+info.ID+"/edges", `{"deltas":[{"op":"reweight","u":0,"v":2,"w":1}]}`)
+	before := pinIncr(t, s)
+	w := do(t, s, "POST", "/v1/sssp", body)
+	var resp SSSPResponse
+	decodeBody(t, w, http.StatusOK, &resp)
+	if w.Header().Get("X-Dsssp-Incr") != "repaired" || resp.Incr == nil || resp.Incr.AffectedVertices != 0 {
+		t.Fatalf("untouched source: X-Dsssp-Incr=%q incr=%+v, want its exact trace served", w.Header().Get("X-Dsssp-Incr"), resp.Incr)
+	}
+	if after := pinIncr(t, s); after.SourcesRecomputed != before.SourcesRecomputed {
+		t.Fatalf("the untouched source was simulated again: %+v → %+v", before, after)
+	}
+	var fresh SSSPResponse
+	decodeBody(t, do(t, s, "POST", "/v1/sssp", `{"graph":`+ciGraphPatchedJSON+`,"source":1}`), http.StatusOK, &fresh)
+	if !reflect.DeepEqual(resp.Dist, fresh.Dist) {
+		t.Fatalf("served %v, a fresh run gives %v", resp.Dist, fresh.Dist)
+	}
+}
+
 // TestCacheHitCountsNoReuse: a body-cache hit on a handle serves no row,
 // so it moves no dsssp_incr_* counter, whatever the head holds for its
 // sources; the cache's own hit counter counts it.

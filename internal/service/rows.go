@@ -174,8 +174,8 @@ func (s *Server) rows(w http.ResponseWriter, sp *trace.Span, q rowQuery) (rowSet
 // remembered serves src from the head revision's traces when it can: an
 // exact trace as is (a reused row under an all-pairs query, a zero-change
 // repair otherwise), a stale one through incr.Repair. ok=false sends the
-// source to the engine: no trace, repair disabled, or the affected region
-// outgrew the cutoff.
+// source to the engine: no trace, or a stale one with repair disabled or
+// an affected region that outgrew the cutoff.
 func (s *Server) remembered(sp *trace.Span, q rowQuery, src graph.NodeID) (row, bool) {
 	if q.id == "" {
 		return row{}, false
@@ -186,7 +186,7 @@ func (s *Server) remembered(sp *trace.Span, q rowQuery, src graph.NodeID) (row, 
 		return row{}, false
 	case exact && q.allPairs:
 		return row{dist: tr.Dist, parent: tr.Parent, served: rowReused}, true
-	case s.cfg.RepairMaxAffected < 0:
+	case !exact && s.cfg.RepairMaxAffected < 0:
 		return row{}, false
 	}
 	return s.repair(sp, q, src, tr, changes, exact)
@@ -204,16 +204,15 @@ func (s *Server) remembered(sp *trace.Span, q rowQuery, src graph.NodeID) (row, 
 // per-phase split feeds dsssp_repair_phase_seconds.
 func (s *Server) repair(sp *trace.Span, q rowQuery, src graph.NodeID, tr incr.Trace, changes []incr.NetChange, exact bool) (row, bool) {
 	n := q.n
-	// remembered already declined a negative cutoff, and applyDefaults
-	// turned 0 into 0.5, so the fraction here is positive.
-	limit := max(1, int(s.cfg.RepairMaxAffected*float64(n)))
 	rsp := sp.StartChild("repair")
 	rsp.SetAttr("source", int64(src))
 	rsp.SetAttr("changes", len(changes))
 	start := time.Now()
 	rr, ok := &incr.RepairResult{Dist: tr.Dist, Parent: tr.Parent}, true
 	if !exact {
-		rr, ok = incr.Repair(q.load(), src, tr, changes, limit)
+		// remembered declined a stale trace under a negative cutoff, and
+		// applyDefaults turned 0 into 0.5, so the fraction here is positive.
+		rr, ok = incr.Repair(q.load(), src, tr, changes, max(1, int(s.cfg.RepairMaxAffected*float64(n))))
 	}
 	s.metrics.repairSeconds.Observe(time.Since(start).Seconds())
 	if !ok {
