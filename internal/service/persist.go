@@ -410,7 +410,7 @@ func decodeSpill(data []byte) (*regGraph, error) {
 	if err != nil {
 		return nil, err
 	}
-	rg := &regGraph{id: id, createdAt: time.Unix(0, created), num: int(rev), digest: canonicalGraphDigest(g), g: g}
+	rg := &regGraph{id: id, createdAt: time.Unix(0, created), num: int(rev), digest: canonicalGraphDigest(g), g: g, bytes: graphBytes(g)}
 	if patched != 0 {
 		rg.patchedAt = time.Unix(0, patched)
 	}
@@ -432,6 +432,7 @@ func decodeSpill(data []byte) (*regGraph, error) {
 			return nil, fmt.Errorf("trace for source %d: %w", src, err)
 		}
 		rg.traces[graph.NodeID(src)] = tr
+		rg.bytes += traceBytes(tr.dist, tr.parent)
 		oldest = min(oldest, tr.rev)
 	}
 
@@ -458,6 +459,7 @@ func decodeSpill(data []byte) (*regGraph, error) {
 			changes[j] = graph.WeightChange{U: graph.NodeID(u), V: graph.NodeID(v), OldW: ow, NewW: nw}
 		}
 		rg.log[i] = logBatch{rev: int(brev), changes: changes}
+		rg.bytes += logBatchBytes(rg.log[i])
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -477,7 +479,6 @@ func decodeSpill(data []byte) (*regGraph, error) {
 			return nil, fmt.Errorf("log leaves pair {%d,%d} at weight %d, but the head has %d", k>>32, uint32(k), w, head)
 		}
 	}
-	rg.bytes = rg.footprint()
 	return rg, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"encoding/hex"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -146,23 +145,11 @@ func logBatchBytes(b logBatch) int64 {
 	return int64(len(b.changes))*24 + 32
 }
 
-// footprint is what rg is charged: its snapshot, every trace and the log.
-func (rg *regGraph) footprint() int64 {
-	bytes := graphBytes(rg.g)
-	for _, tr := range rg.traces {
-		bytes += traceBytes(tr.dist, tr.parent)
-	}
-	for _, b := range rg.log {
-		bytes += logBatchBytes(b)
-	}
-	return bytes
-}
-
-// recharge re-charges rg its footprint after a change.
-func (r *GraphRegistry) recharge(rg *regGraph) {
-	bytes := rg.footprint()
-	r.bytes += bytes - rg.bytes
-	rg.bytes = bytes
+// charge adds delta to what rg, and the registry, are charged. A graph is
+// charged its snapshot, every trace and every log batch.
+func (r *GraphRegistry) charge(rg *regGraph, delta int64) {
+	rg.bytes += delta
+	r.bytes += delta
 }
 
 // staleCount counts rg's traces older than the head.
@@ -314,9 +301,10 @@ func (r *GraphRegistry) Patch(id string, deltas []graph.EdgeDelta) (PatchInfo, e
 	}
 	ng := graph.ApplyChanges(rg.g, changes)
 	effects := incr.EffectsOf(changes)
-	head := rg.num
-	rg.num, rg.digest, rg.g = head+1, canonicalGraphDigest(ng), ng
-	rg.log = append(rg.log, logBatch{rev: rg.num, changes: changes})
+	head, batch := rg.num, logBatch{rev: rg.num + 1, changes: changes}
+	r.charge(rg, graphBytes(ng)-graphBytes(rg.g)+logBatchBytes(batch))
+	rg.num, rg.digest, rg.g = batch.rev, canonicalGraphDigest(ng), ng
+	rg.log = append(rg.log, batch)
 
 	info := PatchInfo{
 		ID: id, Revision: rg.num, ParentRevision: head,
@@ -342,8 +330,7 @@ func (r *GraphRegistry) Patch(id string, deltas []graph.EdgeDelta) (PatchInfo, e
 			r.m.patchDirtyFraction.Observe(info.DirtyFraction)
 		}
 	}
-	rg.trimLog()
-	r.recharge(rg)
+	r.charge(rg, -rg.trimLog())
 	rg.patchedAt = r.now()
 	r.revisions++
 	r.touchLocked(rg)
@@ -352,18 +339,20 @@ func (r *GraphRegistry) Patch(id string, deltas []graph.EdgeDelta) (PatchInfo, e
 	return info, nil
 }
 
-// trimLog drops the log batches no trace needs: those at or below the
-// oldest trace's revision.
-func (rg *regGraph) trimLog() {
+// trimLog drops the log batches no trace needs — those at or below the
+// oldest trace's revision — and returns the bytes they were charged.
+func (rg *regGraph) trimLog() (freed int64) {
 	oldest := rg.num
 	for _, tr := range rg.traces {
 		oldest = min(oldest, tr.rev)
 	}
 	k := 0
-	for k < len(rg.log) && rg.log[k].rev <= oldest {
-		k++
+	for ; k < len(rg.log) && rg.log[k].rev <= oldest; k++ {
+		freed += logBatchBytes(rg.log[k])
 	}
-	rg.log = slices.Delete(rg.log, 0, k)
+	clear(rg.log[:k])
+	rg.log = rg.log[k:]
+	return freed
 }
 
 // Record attaches a computed source result to the graph's head revision:
@@ -391,8 +380,7 @@ func (r *GraphRegistry) Record(id string, digest [32]byte, src graph.NodeID, dis
 		// The exact row replaces the stale one it was repaired from, and the
 		// log may no longer need its oldest batches.
 		*tr = sourceTrace{rev: rg.num, dist: dist, parent: parent}
-		rg.trimLog()
-		r.recharge(rg)
+		r.charge(rg, -rg.trimLog())
 	default:
 		// Respect the byte budget at admission: traces are an accelerator,
 		// not a correctness requirement, so an over-budget graph simply
@@ -402,8 +390,7 @@ func (r *GraphRegistry) Record(id string, digest [32]byte, src graph.NodeID, dis
 			return
 		}
 		rg.traces[src] = &sourceTrace{rev: rg.num, dist: dist, parent: parent}
-		rg.bytes += cost
-		r.bytes += cost
+		r.charge(rg, cost)
 		r.evictLocked(rg)
 	}
 }
@@ -428,14 +415,12 @@ func (r *GraphRegistry) sourceTrace(id string, digest [32]byte, src graph.NodeID
 	if t.rev == rg.num {
 		return tr, nil, true, true
 	}
-	// Fold the batches after the trace's revision into a base-weight
+	// Fold the batches after the trace's revision — the log runs one batch
+	// per revision from just after the oldest trace — into a base-weight
 	// ledger: each pair they touch at its first change's old weight, which
 	// is its weight at t.rev (-1 for absent).
 	base := make(map[uint64]int64)
-	for _, b := range rg.log {
-		if b.rev <= t.rev {
-			continue
-		}
+	for _, b := range rg.log[t.rev+1-rg.log[0].rev:] {
 		for _, c := range b.changes {
 			k := graph.PairKey(c.U, c.V)
 			if _, seen := base[k]; !seen {
