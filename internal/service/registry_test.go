@@ -1,6 +1,7 @@
 package service
 
 import (
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -205,5 +206,47 @@ func TestRegistryRecordStaleDigestDropped(t *testing.T) {
 	got, _ := r.Get(info.ID)
 	if got.TracedSources != 0 {
 		t.Fatalf("stale-digest record attached to the new head: %+v", got)
+	}
+}
+
+// BenchmarkRegistryPatchStacked times one PATCH of 16 stacked ±1
+// reweights on a random n=10⁴ graph whose 32 traces are all stale. Each
+// PATCH appends its batch to the graph's change log once, so its cost does
+// not grow with the stale traces or with the batches they span.
+func BenchmarkRegistryPatchStacked(b *testing.B) {
+	const n, traced, batch = 10000, 32, 16
+	g := graph.Make(graph.FamilyRandom, n, graph.UniformWeights(n, 1), 1)
+	r := NewGraphRegistry(1<<40, nil, nil)
+	info, _ := r.Register(g)
+	_, digest, _, _ := r.Resolve(info.ID)
+	var dirty []graph.EdgeDelta
+	for i := 0; i < traced; i++ {
+		src := graph.NodeID(i * (n / traced))
+		d := graph.Dijkstra(g, src)
+		r.Record(info.ID, digest, src, d, graph.WitnessParents(g, src, d), "")
+		// A zero-weight edge out of the source shortens a distance.
+		dirty = append(dirty, graph.EdgeDelta{Op: graph.DeltaInsert, U: src, V: (src + n/2) % n, W: 0})
+	}
+	if pi, err := r.Patch(info.ID, dirty); err != nil || pi.SourcesDropped != traced {
+		b.Fatalf("setup patch: %+v, %v; want all %d sources stale", pi, err, traced)
+	}
+	edges := g.Edges()
+	bumped := make(map[int]bool)
+	rng := rand.New(rand.NewSource(1))
+	deltas := make([]graph.EdgeDelta, batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range deltas {
+			k := rng.Intn(len(edges))
+			e := edges[k]
+			if bumped[k] = !bumped[k]; bumped[k] {
+				e.W++
+			}
+			deltas[j] = graph.EdgeDelta{Op: graph.DeltaReweight, U: e.U, V: e.V, W: e.W}
+		}
+		if _, err := r.Patch(info.ID, deltas); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
