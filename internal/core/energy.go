@@ -8,7 +8,7 @@
 //     layered sparse cover built for this subproblem's participant
 //     component (the paper rebuilds covers inside each recursion call via
 //     Theorem 3.14; here the covers come from the decomp builder as an
-//     installed oracle — the documented substitution in DESIGN.md — while
+//     installed oracle — the substitution the README documents — while
 //     every message of the cover *usage* stays in-model);
 //   - the component barriers use count-based periodic tree sweeps
 //     (Section 3.1.1) so waiting costs O(1) awake rounds per window;
@@ -29,7 +29,8 @@ import (
 
 // coverProvider hands each recursion call the layered sparse cover for its
 // component, built lazily over the registered participant set. It stands in
-// for the in-model construction of Theorem 3.12/3.14 (see DESIGN.md).
+// for the in-model construction of Theorem 3.12/3.14 (see the README's
+// "Centralised cover substitution").
 type coverProvider struct {
 	g *graph.Graph
 

@@ -12,10 +12,11 @@
 // ball growing, which yields the same interface guarantees the downstream
 // algorithms rely on — cover property, cluster-tree depth at most
 // stretch·B^j with stretch O(log n), per-node cluster overlap O(log n) —
-// and is used to install covers into the simulator. DESIGN.md documents
-// this substitution; the experiment E4 measures the actual stretch and
-// overlap against the theoretical caps, and package energybfs performs all
-// cover *usage* (the activation cascade of Section 3.3) strictly in-model.
+// and is used to install covers into the simulator. The README documents
+// this substitution ("Centralised cover substitution"); the experiment E4
+// measures the actual stretch and overlap against the theoretical caps,
+// and package energybfs performs all cover *usage* (the activation cascade
+// of Section 3.3) strictly in-model.
 package decomp
 
 import (
