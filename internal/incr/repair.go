@@ -292,11 +292,11 @@ func satSum(d, w int64) int64 {
 }
 
 // NetChanges resolves a base-weight ledger — pair key → the pair's weight
-// on the trace's graph, -1 for absent, as accumulated by the registry
-// across every PATCH since the trace was exact — against the head graph
-// into the repair engine's input, dropping transitions that cancelled
-// out. Output order follows the canonical pair-key order so repair work
-// is deterministic.
+// on the trace's graph, -1 for absent, as the registry folds it from its
+// change log over every PATCH since the trace was exact — against the
+// head graph into the repair engine's input, dropping transitions that
+// cancelled out. Output order follows the canonical pair-key order so
+// repair work is deterministic.
 func NetChanges(base map[uint64]int64, g *graph.Graph) []NetChange {
 	if len(base) == 0 {
 		return nil

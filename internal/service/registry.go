@@ -314,7 +314,7 @@ func (r *GraphRegistry) Patch(id string, deltas []graph.EdgeDelta) (PatchInfo, e
 	}
 	for _, tr := range rg.traces {
 		switch {
-		case tr.rev != head:
+		case tr.rev != head: // stale since an earlier PATCH
 			info.SourcesRepairable++
 		case incr.SourceDirty(effects, tr.dist):
 			info.SourcesDropped++
@@ -360,8 +360,9 @@ func (rg *regGraph) trimLog() (freed int64) {
 // witness tree (what incr.Repair restarts from). Admitting an exact trace
 // supersedes the source's stale trace, if any. Dropped silently when
 // digest no longer names the head — the computation raced a PATCH and its
-// revision is gone — or when parent is not a tree over dist's nodes. The
-// parts argument is ignored.
+// revision is gone — or when parent lacks an entry per node of dist: a row
+// without its tree could serve but never be repaired. The parts argument
+// is ignored.
 //
 // Deprecated: the parts parameter stays only because the benchmark
 // harness still passes it, and goes once a benchmark change stops doing so.
