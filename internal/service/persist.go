@@ -293,13 +293,6 @@ func (r *spillReader) take(k int) []byte {
 	return out
 }
 
-func (r *spillReader) u8() byte {
-	if b := r.take(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-
 func (r *spillReader) u32() uint32 {
 	if b := r.take(4); b != nil {
 		return binary.LittleEndian.Uint32(b)
