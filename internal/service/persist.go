@@ -452,8 +452,9 @@ func decodeSpill(data []byte) (*regGraph, error) {
 			changes[j] = graph.WeightChange{U: graph.NodeID(u), V: graph.NodeID(v), OldW: ow, NewW: nw}
 		}
 		rg.log[i] = logBatch{rev: int(brev), changes: changes}
-		rg.bytes += logBatchBytes(rg.log[i])
+		rg.logBytes += logBatchBytes(rg.log[i])
 	}
+	rg.bytes += rg.logBytes
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -462,6 +463,10 @@ func decodeSpill(data []byte) (*regGraph, error) {
 	}
 	if oldest+nb != rg.num {
 		return nil, fmt.Errorf("log ends at revision %d, not at the head revision %d", oldest+nb, rg.num)
+	}
+	rg.held = make([]int, nb+1)
+	for _, tr := range rg.traces {
+		rg.held[rg.at(tr.rev)]++
 	}
 	for k, w := range last {
 		head, ok := g.Weight(graph.NodeID(k>>32), graph.NodeID(uint32(k)))

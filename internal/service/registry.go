@@ -70,9 +70,14 @@ type regGraph struct {
 	traces map[graph.NodeID]*sourceTrace
 	// log is the change log: one batch per PATCH after the oldest trace's
 	// revision, in revision order, ending at the head. Empty when every
-	// trace is exact.
-	log   []logBatch
-	bytes int64
+	// trace is exact. held[i] counts the traces at revision
+	// num-len(log)+i, so held has one entry more than log and its last
+	// counts the exact traces. logBytes is what the log is charged, at
+	// most graphBytes(g) after every PATCH (see capLogLocked).
+	log      []logBatch
+	held     []int
+	logBytes int64
+	bytes    int64
 }
 
 // sourceTrace is one source's remembered structure: the distance row and
@@ -121,7 +126,7 @@ type GraphInfo struct {
 	N      int    `json:"n"`
 	M      int    `json:"m"`
 	// Bytes is the approximate resident footprint charged against the
-	// registry budget (graph + cached traces).
+	// registry budget (graph, traces and change log).
 	Bytes int64 `json:"bytes"`
 	// TracedSources counts sources holding an exact distance trace.
 	TracedSources int `json:"traced_sources"`
@@ -153,15 +158,11 @@ func (r *GraphRegistry) charge(rg *regGraph, delta int64) {
 }
 
 // staleCount counts rg's traces older than the head.
-func (rg *regGraph) staleCount() int {
-	stale := 0
-	for _, tr := range rg.traces {
-		if tr.rev != rg.num {
-			stale++
-		}
-	}
-	return stale
-}
+func (rg *regGraph) staleCount() int { return len(rg.traces) - rg.held[len(rg.log)] }
+
+// at is the index in held of revision rev, which must lie between the
+// oldest trace's revision and the head.
+func (rg *regGraph) at(rev int) int { return rev - rg.num + len(rg.log) }
 
 // Register adds the graph under a content-derived handle and returns its
 // info. Registration is idempotent: posting a graph whose content matches
@@ -193,6 +194,7 @@ func (r *GraphRegistry) Register(g *graph.Graph) (GraphInfo, bool) {
 		digest:    digest,
 		g:         g,
 		traces:    make(map[graph.NodeID]*sourceTrace),
+		held:      []int{0},
 		bytes:     graphBytes(g),
 	}
 	rg.el = r.lru.PushFront(rg)
@@ -268,8 +270,9 @@ type PatchInfo struct {
 	// SourcesKept / SourcesDropped classify the parent revision's exact
 	// traces: kept = untouched (the trace moves forward to the new
 	// revision), dropped = dirty (the trace stays at its revision and is now
-	// stale). SourcesRepairable counts the dropped sources plus those
-	// already stale — the next query repairs them (incr.Repair) rather than
+	// stale). SourcesRepairable counts the stale traces the PATCH leaves:
+	// the dropped sources plus those already stale, less any the log cap
+	// forgot — the next query repairs them (incr.Repair) rather than
 	// recomputing from scratch.
 	SourcesKept       int     `json:"sources_kept"`
 	SourcesDropped    int     `json:"sources_dropped"`
@@ -281,7 +284,8 @@ type PatchInfo struct {
 // the patched snapshot, appends the batch's weight changes to the change
 // log, classifies every exact trace against them (internal/incr) — an
 // untouched one moves forward to the new revision, a dirty one stays
-// behind as a stale trace — and swaps the head. The whole transition
+// behind as a stale trace — trims the log to what stale traces need, caps
+// it at the new snapshot's size, and swaps the head. The whole transition
 // happens under the registry lock, so concurrent queries resolve either
 // the old head (and serve its still-consistent snapshot) or the new one —
 // never a mix.
@@ -302,6 +306,7 @@ func (r *GraphRegistry) Patch(id string, deltas []graph.EdgeDelta) (PatchInfo, e
 	ng := graph.ApplyChanges(rg.g, changes)
 	effects := incr.EffectsOf(changes)
 	head, batch := rg.num, logBatch{rev: rg.num + 1, changes: changes}
+	rg.logBytes += logBatchBytes(batch)
 	r.charge(rg, graphBytes(ng)-graphBytes(rg.g)+logBatchBytes(batch))
 	rg.num, rg.digest, rg.g = batch.rev, canonicalGraphDigest(ng), ng
 	rg.log = append(rg.log, batch)
@@ -315,22 +320,24 @@ func (r *GraphRegistry) Patch(id string, deltas []graph.EdgeDelta) (PatchInfo, e
 	for _, tr := range rg.traces {
 		switch {
 		case tr.rev != head: // stale since an earlier PATCH
-			info.SourcesRepairable++
 		case incr.SourceDirty(effects, tr.dist):
 			info.SourcesDropped++
-			info.SourcesRepairable++
 		default:
 			info.SourcesKept++
 			tr.rev = rg.num
 		}
 	}
+	rg.held[len(rg.held)-1] = info.SourcesDropped
+	rg.held = append(rg.held, info.SourcesKept)
 	if classified := info.SourcesKept + info.SourcesDropped; classified > 0 {
 		info.DirtyFraction = float64(info.SourcesDropped) / float64(classified)
 		if r.m != nil {
 			r.m.patchDirtyFraction.Observe(info.DirtyFraction)
 		}
 	}
-	r.charge(rg, -rg.trimLog())
+	r.trimLocked(rg)
+	r.capLogLocked(rg)
+	info.SourcesRepairable = rg.staleCount()
 	rg.patchedAt = r.now()
 	r.revisions++
 	r.touchLocked(rg)
@@ -339,20 +346,37 @@ func (r *GraphRegistry) Patch(id string, deltas []graph.EdgeDelta) (PatchInfo, e
 	return info, nil
 }
 
-// trimLog drops the log batches no trace needs — those at or below the
-// oldest trace's revision — and returns the bytes they were charged.
-func (rg *regGraph) trimLog() (freed int64) {
-	oldest := rg.num
-	for _, tr := range rg.traces {
-		oldest = min(oldest, tr.rev)
-	}
+// trimLocked drops the log batches no trace needs — those at or below the
+// oldest trace's revision — and uncharges them.
+func (r *GraphRegistry) trimLocked(rg *regGraph) {
 	k := 0
-	for ; k < len(rg.log) && rg.log[k].rev <= oldest; k++ {
-		freed += logBatchBytes(rg.log[k])
+	for ; k < len(rg.log) && rg.held[k] == 0; k++ {
+		freed := logBatchBytes(rg.log[k])
+		rg.logBytes -= freed
+		r.charge(rg, -freed)
 	}
 	clear(rg.log[:k])
-	rg.log = rg.log[k:]
-	return freed
+	rg.log, rg.held = rg.log[k:], rg.held[k:]
+}
+
+// capLogLocked bounds the change log by the snapshot it leads to: while the
+// log is charged more than the graph, the stale traces at the oldest
+// revision are forgotten and the log trimmed; those sources recompute on
+// their next query. Without the cap a source queried once and never again
+// would pin every later batch, and the graph's charge would grow with its
+// PATCH count.
+func (r *GraphRegistry) capLogLocked(rg *regGraph) {
+	for len(rg.log) > 0 && rg.logBytes > graphBytes(rg.g) {
+		oldest := rg.num - len(rg.log)
+		for src, tr := range rg.traces {
+			if tr.rev == oldest {
+				delete(rg.traces, src)
+				r.charge(rg, -traceBytes(tr.dist, tr.parent))
+			}
+		}
+		rg.held[0] = 0
+		r.trimLocked(rg)
+	}
 }
 
 // Record attaches a computed source result to the graph's head revision:
@@ -380,8 +404,10 @@ func (r *GraphRegistry) Record(id string, digest [32]byte, src graph.NodeID, dis
 	case ok:
 		// The exact row replaces the stale one it was repaired from, and the
 		// log may no longer need its oldest batches.
+		rg.held[rg.at(tr.rev)]--
+		rg.held[len(rg.log)]++
 		*tr = sourceTrace{rev: rg.num, dist: dist, parent: parent}
-		r.charge(rg, -rg.trimLog())
+		r.trimLocked(rg)
 	default:
 		// Respect the byte budget at admission: traces are an accelerator,
 		// not a correctness requirement, so an over-budget graph simply
@@ -391,6 +417,7 @@ func (r *GraphRegistry) Record(id string, digest [32]byte, src graph.NodeID, dis
 			return
 		}
 		rg.traces[src] = &sourceTrace{rev: rg.num, dist: dist, parent: parent}
+		rg.held[len(rg.log)]++
 		r.charge(rg, cost)
 		r.evictLocked(rg)
 	}
@@ -421,7 +448,7 @@ func (r *GraphRegistry) sourceTrace(id string, digest [32]byte, src graph.NodeID
 	// ledger: each pair they touch at its first change's old weight, which
 	// is its weight at t.rev (-1 for absent).
 	base := make(map[uint64]int64)
-	for _, b := range rg.log[t.rev+1-rg.log[0].rev:] {
+	for _, b := range rg.log[rg.at(t.rev):] {
 		for _, c := range b.changes {
 			k := graph.PairKey(c.U, c.V)
 			if _, seen := base[k]; !seen {

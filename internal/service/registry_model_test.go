@@ -134,6 +134,12 @@ func (m *ledgerRegistry) sourceTrace(digest [32]byte, src graph.NodeID) (incr.Tr
 // within a batch, undo the previous batch, and name missing edges; traces
 // are recorded from scratch and from repairs at every point of the
 // history, and some records race a PATCH.
+//
+// The model has no log, so no log cap: the test applies the cap to it
+// from its own bookkeeping — each trace's revision and each PATCH's batch
+// bytes — forgetting the stale traces at the oldest revision while the
+// batches after it outweigh the head snapshot, exactly as the registry
+// must. The registry's own counters are rechecked after every step.
 func TestRegistryMatchesLedgerModel(t *testing.T) {
 	for seed := int64(1); seed <= 120; seed++ {
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) { checkLedgerModel(t, seed) })
@@ -147,7 +153,33 @@ func checkLedgerModel(t *testing.T, seed int64) {
 	r := NewGraphRegistry(1<<40, nil, nil)
 	info, _ := r.Register(g0)
 	model := newLedgerRegistry(g0)
-	var undo []graph.EdgeDelta // the inverse of the last applied batch
+	var undo []graph.EdgeDelta        // the inverse of the last applied batch
+	rev := make(map[graph.NodeID]int) // the revision each model trace is exact at
+	batchBytes := map[int]int64{}     // revision → the bytes its batch is charged
+	// capModel forgets the model's stale traces the registry's log cap
+	// forgets, and returns how many.
+	capModel := func() (forgot int) {
+		h := model.head
+		for {
+			oldest := h.num
+			for src := range h.stale {
+				oldest = min(oldest, rev[src])
+			}
+			var need int64
+			for k := oldest + 1; k <= h.num; k++ {
+				need += batchBytes[k]
+			}
+			if need <= graphBytes(h.g) {
+				return forgot
+			}
+			for src := range h.stale {
+				if rev[src] == oldest {
+					delete(h.stale, src)
+					forgot++
+				}
+			}
+		}
+	}
 
 	randomBatch := func(g *graph.Graph) []graph.EdgeDelta {
 		edges := g.Edges()
@@ -206,6 +238,9 @@ func checkLedgerModel(t *testing.T, seed int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		for src := range model.head.traces {
+			rev[src] = model.head.num
+		}
 		switch op := rng.Intn(10); {
 		case op < 3: // a from-scratch record
 			src := graph.NodeID(rng.Intn(n))
@@ -234,8 +269,13 @@ func checkLedgerModel(t *testing.T, seed int64) {
 				continue
 			}
 			inv := inverse(g, batch)
+			changes, _ := graph.ResolveDeltas(g, batch)
 			got, gerr := r.Patch(info.ID, batch)
 			want, werr := model.patch(info.ID, batch)
+			if werr == nil {
+				batchBytes[model.head.num] = logBatchBytes(logBatch{changes: changes})
+				want.SourcesRepairable -= capModel()
+			}
 			if fmt.Sprint(gerr) != fmt.Sprint(werr) || got != want {
 				t.Fatalf("step %d: patch %v\n got %+v, %v\nwant %+v, %v", step, batch, got, gerr, want, werr)
 			}
@@ -264,6 +304,7 @@ func checkLedgerModel(t *testing.T, seed int64) {
 				stale++
 			}
 		}
+		checkLogInvariants(t, r.graphs[info.ID])
 		gi, _ := r.Get(info.ID)
 		if gi.TracedSources != len(model.head.traces) || gi.StaleSources != len(model.head.stale) ||
 			gi.TracedSources != traced || gi.StaleSources != stale {

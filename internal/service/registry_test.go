@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dsssp/internal/graph"
+	"dsssp/internal/incr"
 )
 
 // ciGraph is the square-plus-slack-chord graph the CI smoke test also
@@ -122,6 +123,102 @@ func TestRegistryPatchClassifiesTraces(t *testing.T) {
 	}
 }
 
+// TestRegistryLogCapped pins the change log's cap: a stale trace nobody
+// queries again keeps every later batch only until the log outweighs the
+// head snapshot; then the stale traces at the oldest revision are
+// forgotten, the log is trimmed to what the rest need, and a stream of
+// PATCHes on one edge leaves the graph's bytes bounded however long it
+// runs.
+func TestRegistryLogCapped(t *testing.T) {
+	r := NewGraphRegistry(1<<20, nil, nil)
+	info, _ := r.Register(ciGraph())
+	rg := r.graphs[info.ID]
+	g, digest, _, _ := r.Resolve(info.ID)
+	for _, src := range []graph.NodeID{0, 1} {
+		d := graph.Dijkstra(g, src)
+		r.Record(info.ID, digest, src, d, graph.WitnessParents(g, src, d), "")
+	}
+	patch := func(u, v graph.NodeID, w int64) PatchInfo {
+		t.Helper()
+		pi, err := r.Patch(info.ID, []graph.EdgeDelta{{Op: graph.DeltaReweight, U: u, V: v, W: w}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkLogInvariants(t, rg)
+		return pi
+	}
+	// A one-change batch is charged 56 bytes and ciGraph 336, so the log
+	// holds at most six batches.
+	patch(0, 2, 1) // revision 2: source 0 stale at revision 1
+	patch(0, 2, 2)
+	patch(1, 2, 3) // revision 4: source 1 stale at revision 3
+	for rev, w := 5, int64(1); rev <= 7; rev, w = rev+1, 3-w {
+		if pi := patch(0, 2, w); pi.SourcesRepairable != 2 || len(rg.log) != rev-1 {
+			t.Fatalf("revision %d: %+v with %d log batches, want 2 repairable and %d batches", rev, pi, len(rg.log), rev-1)
+		}
+	}
+	// Revision 8 would make seven batches: source 0 goes, and the log keeps
+	// the five batches after source 1's revision.
+	if pi := patch(0, 2, 2); pi.SourcesRepairable != 1 || len(rg.log) != 5 || rg.log[0].rev != 4 {
+		t.Fatalf("revision 8: %+v with %d log batches", pi, len(rg.log))
+	}
+	ng, d8, _, _ := r.Resolve(info.ID)
+	if _, _, _, ok := r.sourceTrace(info.ID, d8, 0); ok {
+		t.Fatal("source 0 survived the log cap")
+	}
+	tr, changes, exact, ok := r.sourceTrace(info.ID, d8, 1)
+	if !ok || exact {
+		t.Fatalf("source 1: ok=%v exact=%v, want its stale trace", ok, exact)
+	}
+	if rr, ok := incr.Repair(ng, 1, tr, changes, 0); !ok || !reflect.DeepEqual(rr.Dist, graph.Dijkstra(ng, 1)) {
+		t.Fatalf("source 1's repair over the trimmed log diverges (ok=%v)", ok)
+	}
+	patch(0, 2, 1)
+	if pi := patch(0, 2, 2); pi.SourcesRepairable != 0 || len(rg.log) != 0 {
+		t.Fatalf("revision 10: %+v with %d log batches, want source 1 forgotten too", pi, len(rg.log))
+	}
+	for k, w := 0, int64(1); k < 50; k, w = k+1, 3-w {
+		patch(0, 2, w)
+	}
+	if gi, _ := r.Get(info.ID); gi.Bytes != graphBytes(ng) || gi.TracedSources != 0 || gi.StaleSources != 0 {
+		t.Fatalf("after 60 PATCHes: %+v, want the bare graph's %d bytes", gi, graphBytes(ng))
+	}
+}
+
+// checkLogInvariants recounts rg's traces per revision, its log and its
+// charges, and requires them to match held, logBytes and bytes: one batch
+// per revision after the oldest trace up to the head, none the oldest
+// trace does not need, and a log no heavier than the snapshot.
+func checkLogInvariants(t *testing.T, rg *regGraph) {
+	t.Helper()
+	held := make([]int, len(rg.log)+1)
+	bytes, logBytes := graphBytes(rg.g), int64(0)
+	for src, tr := range rg.traces {
+		i := rg.at(tr.rev)
+		if i < 0 || i >= len(held) {
+			t.Fatalf("source %d's trace at revision %d is not covered by a log ending at %d with %d batches", src, tr.rev, rg.num, len(rg.log))
+		}
+		held[i]++
+		bytes += traceBytes(tr.dist, tr.parent)
+	}
+	for i, b := range rg.log {
+		if b.rev != rg.num-len(rg.log)+1+i {
+			t.Fatalf("log batch %d at revision %d; the head is %d with %d batches", i, b.rev, rg.num, len(rg.log))
+		}
+		logBytes += logBatchBytes(b)
+	}
+	switch {
+	case !reflect.DeepEqual(held, rg.held):
+		t.Fatalf("held %v, recounted %v", rg.held, held)
+	case len(rg.log) > 0 && held[0] == 0:
+		t.Fatalf("untrimmed log: no trace at revision %d", rg.num-len(rg.log))
+	case logBytes != rg.logBytes || bytes+logBytes != rg.bytes:
+		t.Fatalf("charged %d bytes, log %d; recounted %d, log %d", rg.bytes, rg.logBytes, bytes+logBytes, logBytes)
+	case logBytes > graphBytes(rg.g):
+		t.Fatalf("log of %d bytes outweighs the %d-byte snapshot", logBytes, graphBytes(rg.g))
+	}
+}
+
 func TestRegistryEvictionLRU(t *testing.T) {
 	// Budget sized for exactly two ciGraph-scale graphs.
 	one := graphBytes(ciGraph())
@@ -212,7 +309,10 @@ func TestRegistryRecordStaleDigestDropped(t *testing.T) {
 // BenchmarkRegistryPatchStacked times one PATCH of 16 stacked ±1
 // reweights on a random n=10⁴ graph whose 32 traces are all stale. Each
 // PATCH appends its batch to the graph's change log once, so its cost does
-// not grow with the stale traces or with the batches they span.
+// not grow with the stale traces or with the batches they span. Nothing
+// repairs the traces, so the log grows by a batch per PATCH until it
+// outweighs the snapshot (about 3 000 PATCHes here) and the cap forgets
+// them; the log-batches and stale metrics report where the run ended.
 func BenchmarkRegistryPatchStacked(b *testing.B) {
 	const n, traced, batch = 10000, 32, 16
 	g := graph.Make(graph.FamilyRandom, n, graph.UniformWeights(n, 1), 1)
@@ -249,4 +349,8 @@ func BenchmarkRegistryPatchStacked(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	gi, _ := r.Get(info.ID)
+	b.ReportMetric(float64(len(r.graphs[info.ID].log)), "log-batches")
+	b.ReportMetric(float64(gi.StaleSources), "stale")
 }
