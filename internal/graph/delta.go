@@ -1,8 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // DeltaOp names one edge-delta operation.
@@ -138,54 +139,39 @@ func ApplyDeltas(g *Graph, deltas []EdgeDelta) (*Graph, error) {
 // the same edge set produce identical graphs, which is what lets the
 // serving layer content-address patched revisions.
 //
-// Cost is O(n + m + k log m) for k changes: g's edges are read in pair
-// order off its adjacency lists (sorted by one sort only when they are
-// not), each touched pair is found by binary search, and the patched list
-// is handed to the builder in pair order.
+// Cost is O(n + m + k log k) for k changes: the changes are sorted by pair
+// (the last change to a pair wins), merged with g's edges in pair order,
+// and the merged list is handed to the builder in pair order.
 func ApplyChanges(g *Graph, changes []WeightChange) *Graph {
-	final := make(map[uint64]int64, len(changes))
-	for _, c := range changes {
-		final[PairKey(c.U, c.V)] = c.NewW
-	}
-	base := pairOrderEdges(g)
-	// Reweights land in place; deletes and inserts need a merge.
-	var ins []EdgeTriple
-	deleted := make(map[int]bool)
-	for key, w := range final {
-		p := searchPair(base, key)
-		found := p < len(base) && PairKey(base[p].U, base[p].V) == key
-		switch {
-		case found && w >= 0:
-			base[p].W = w
-		case found:
-			deleted[p] = true
-		case w >= 0:
-			ins = append(ins, EdgeTriple{U: NodeID(key >> 32), V: NodeID(uint32(key)), W: w})
-		}
-	}
-	if len(ins) == 0 && len(deleted) == 0 {
-		return build(g.n, base)
-	}
-	sort.Slice(ins, func(a, b int) bool { return PairKey(ins[a].U, ins[a].V) < PairKey(ins[b].U, ins[b].V) })
-	merged := make([]EdgeTriple, 0, len(base)-len(deleted)+len(ins))
-	for p, e := range base {
-		if deleted[p] {
+	cs := slices.Clone(changes) // the caller's batch keeps its order
+	slices.SortStableFunc(cs, func(a, b WeightChange) int { return cmp.Compare(PairKey(a.U, a.V), PairKey(b.U, b.V)) })
+	base := g.PairEdges()
+	out := make([]EdgeTriple, 0, len(base)+len(cs))
+	i := 0
+	for j, c := range cs {
+		key := PairKey(c.U, c.V)
+		if j+1 < len(cs) && PairKey(cs[j+1].U, cs[j+1].V) == key {
 			continue
 		}
-		for len(ins) > 0 && PairKey(ins[0].U, ins[0].V) < PairKey(e.U, e.V) {
-			merged = append(merged, ins[0])
-			ins = ins[1:]
+		for i < len(base) && PairKey(base[i].U, base[i].V) < key {
+			out = append(out, base[i])
+			i++
 		}
-		merged = append(merged, e)
+		if i < len(base) && PairKey(base[i].U, base[i].V) == key {
+			i++
+		}
+		if c.NewW >= 0 {
+			out = append(out, EdgeTriple{U: NodeID(key >> 32), V: NodeID(uint32(key)), W: c.NewW})
+		}
 	}
-	return build(g.n, append(merged, ins...))
+	return build(g.n, append(out, base[i:]...))
 }
 
-// pairOrderEdges lists g's edges sorted by (U, V), reading each edge off
-// its smaller endpoint's adjacency list. Sorted adjacency — every
-// generator's and builder's output — yields pair order directly; anything
-// else is sorted once.
-func pairOrderEdges(g *Graph) []EdgeTriple {
+// PairEdges lists g's edges sorted by (U, V), reading each edge off its
+// smaller endpoint's adjacency list. Sorted adjacency — every generator's
+// and builder's output — yields pair order directly; anything else is
+// sorted once. The slice is freshly allocated.
+func (g *Graph) PairEdges() []EdgeTriple {
 	out := make([]EdgeTriple, 0, g.m)
 	sorted := true
 	for u, hs := range g.adj {
@@ -198,17 +184,11 @@ func pairOrderEdges(g *Graph) []EdgeTriple {
 				sorted = false
 			}
 			prev = h.To
-			out = append(out, EdgeTriple{U: NodeID(u), V: h.To, W: h.W})
+			out = append(out, EdgeTriple{U: NodeID(u), V: h.To, W: h.W, ID: h.ID})
 		}
 	}
 	if !sorted {
-		sort.Slice(out, func(a, b int) bool { return PairKey(out[a].U, out[a].V) < PairKey(out[b].U, out[b].V) })
+		slices.SortFunc(out, func(a, b EdgeTriple) int { return cmp.Compare(PairKey(a.U, a.V), PairKey(b.U, b.V)) })
 	}
 	return out
-}
-
-// searchPair returns the first position in the pair-ordered es whose pair
-// key is at least key.
-func searchPair(es []EdgeTriple, key uint64) int {
-	return sort.Search(len(es), func(i int) bool { return PairKey(es[i].U, es[i].V) >= key })
 }

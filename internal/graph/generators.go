@@ -166,14 +166,12 @@ func Dumbbell(k, bridge int, w WeightFn) *Graph {
 	if k < 1 || bridge < 1 {
 		panic("graph: Dumbbell needs k >= 1, bridge >= 1")
 	}
-	n := 2*k + bridge - 1
-	g := New(n)
-	i := 0
+	es := make([]EdgeTriple, 0, k*(k-1)+bridge)
+	add := func(a, b int) { es = append(es, EdgeTriple{U: NodeID(a), V: NodeID(b), W: w(len(es))}) }
 	clique := func(base int) {
 		for a := 0; a < k; a++ {
 			for b := a + 1; b < k; b++ {
-				g.AddEdge(NodeID(base+a), NodeID(base+b), w(i))
-				i++
+				add(base+a, base+b)
 			}
 		}
 	}
@@ -181,15 +179,11 @@ func Dumbbell(k, bridge int, w WeightFn) *Graph {
 	clique(k + bridge - 1)
 	// Path from node k-1 (in clique A) through intermediate nodes
 	// k..k+bridge-2 to node k+bridge-1 (the first node of clique B).
-	prev := NodeID(k - 1)
 	for j := 0; j < bridge; j++ {
-		next := NodeID(k + j)
-		g.AddEdge(prev, next, w(i))
-		i++
-		prev = next
+		add(k-1+j, k+j)
 	}
-	g.SortAdj()
-	return g
+	// The edges are distinct, so the bulk builder needs no repeat check.
+	return build(2*k+bridge-1, es)
 }
 
 // Clusters returns `c` dense clusters of size `k` arranged in a ring, with

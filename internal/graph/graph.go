@@ -55,22 +55,14 @@ type Half struct {
 
 // Graph is an undirected weighted simple graph (self-loops are rejected;
 // duplicate edges canonicalize under the keep-min policy — see AddEdge).
+// Its adjacency lists are the only pair index: a pair is found by scanning
+// the shorter endpoint list (Weight, AddEdge), so a repeat costs O(min
+// degree). Bulk callers hand a whole edge list to FromEdges instead.
 // The zero value is an empty graph; use New.
 type Graph struct {
 	n   int
 	m   int
 	adj [][]Half
-	// index maps a canonical endpoint pair (min<<32 | max) to its EdgeID,
-	// so AddEdge can detect duplicates in O(1) and the keep-min policy is
-	// cheap enough to be unconditional. The map insert taxes every
-	// AddEdge, including generator paths that never produce duplicates —
-	// a deliberate trade: graph construction is noise next to the
-	// simulations run on the graph, and an unconditional policy is what
-	// makes a Graph a pure function of its edge set (the serving layer's
-	// cache-keying invariant). The one bulk path, build, fills the index
-	// without the merge; its callers hand it duplicate-free lists
-	// (ApplyDeltas by construction, FromEdges checked).
-	index map[uint64]EdgeID
 }
 
 // New returns an empty graph with n nodes and no edges.
@@ -78,11 +70,11 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic("graph: negative node count")
 	}
-	return &Graph{n: n, adj: make([][]Half, n), index: make(map[uint64]EdgeID)}
+	return &Graph{n: n, adj: make([][]Half, n)}
 }
 
 // PairKey is the canonical key of the unordered pair {u,v}: min<<32 | max.
-// It keys the graph's edge index and every per-pair ledger built on it.
+// It orders FromEdges' and PairEdges' lists and keys every per-pair ledger.
 func PairKey(u, v NodeID) uint64 {
 	if u > v {
 		u, v = v, u
@@ -105,7 +97,9 @@ func (g *Graph) M() int { return g.m }
 // policy makes a graph a pure function of its edge *set* (insertion
 // multiplicity never changes distances, and min is the only merge under
 // which shortest paths are preserved), which is what lets the serving
-// layer's content-addressed cache key on a canonical edge list.
+// layer's content-addressed cache key on a canonical edge list. The repeat
+// check scans the shorter endpoint list, so an insert costs O(min degree):
+// a caller with a whole edge list uses FromEdges.
 func (g *Graph) AddEdge(u, v NodeID, w int64) EdgeID {
 	if u == v {
 		panic(fmt.Sprintf("graph: self-loop at node %d", u))
@@ -116,17 +110,20 @@ func (g *Graph) AddEdge(u, v NodeID, w int64) EdgeID {
 	if w < 0 {
 		panic(fmt.Sprintf("graph: negative weight %d on edge {%d,%d}", w, u, v))
 	}
-	if g.index == nil {
-		g.index = make(map[uint64]EdgeID)
+	a, b := u, v
+	if len(g.adj[b]) < len(g.adj[a]) {
+		a, b = b, a
 	}
-	key := PairKey(u, v)
-	if id, dup := g.index[key]; dup {
-		g.setWeightIfLess(u, id, w)
-		g.setWeightIfLess(v, id, w)
-		return id
+	for i, h := range g.adj[a] {
+		if h.To == b {
+			if w < h.W {
+				g.adj[a][i].W = w
+				g.adj[b][h.Rev].W = w
+			}
+			return h.ID
+		}
 	}
 	id := EdgeID(g.m)
-	g.index[key] = id
 	g.appendEdge(u, v, w, id)
 	g.m++
 	return id
@@ -137,15 +134,6 @@ func (g *Graph) appendEdge(u, v NodeID, w int64, id EdgeID) {
 	iu, iv := int32(len(g.adj[u])), int32(len(g.adj[v]))
 	g.adj[u] = append(g.adj[u], Half{To: v, W: w, ID: id, Rev: iv})
 	g.adj[v] = append(g.adj[v], Half{To: u, W: w, ID: id, Rev: iu})
-}
-
-// setWeightIfLess lowers the weight of u's half of edge id to w if smaller.
-func (g *Graph) setWeightIfLess(u NodeID, id EdgeID, w int64) {
-	for i := range g.adj[u] {
-		if g.adj[u][i].ID == id && w < g.adj[u][i].W {
-			g.adj[u][i].W = w
-		}
-	}
 }
 
 // Adj returns the adjacency list of u. The returned slice is owned by the
@@ -276,12 +264,27 @@ func FromEdges(n int, edges []EdgeTriple) (*Graph, error) {
 		}
 	}
 	g := build(n, edges)
-	if len(g.index) != len(edges) {
-		for i, e := range edges {
-			if j := g.index[PairKey(e.U, e.V)]; j != EdgeID(i) {
-				return nil, fmt.Errorf("graph: edges %d and %d repeat the pair {%d,%d}", i, j, e.U, e.V)
+	// Sorted by (To, ID), the halves of a repeated pair sit side by side;
+	// the error names the repeat whose first copy comes first in edges.
+	first, last := EdgeID(-1), EdgeID(-1)
+	for u, a := range g.adj {
+		for i := 0; i+1 < len(a); i++ {
+			if a[i].To < NodeID(u) || a[i+1].To != a[i].To {
+				continue
 			}
+			j := i + 1
+			for j+1 < len(a) && a[j+1].To == a[i].To {
+				j++
+			}
+			if first < 0 || a[i].ID < first {
+				first, last = a[i].ID, a[j].ID
+			}
+			i = j
 		}
+	}
+	if first >= 0 {
+		e := edges[first]
+		return nil, fmt.Errorf("graph: edges %d and %d repeat the pair {%d,%d}", first, last, e.U, e.V)
 	}
 	return g, nil
 }
@@ -289,11 +292,12 @@ func FromEdges(n int, edges []EdgeTriple) (*Graph, error) {
 // build returns the n-node graph whose edge i is edges[i], without
 // checking endpoints, weights or pair uniqueness. The halves are carved
 // from one flat slice (capacity-limited per node, so a later AddEdge
-// reallocates instead of overwriting a neighbor) and the index is
-// pre-sized. Input in pair order — sorted by (U, V) — leaves every
-// adjacency list sorted by To already; any other order costs one SortAdj.
+// reallocates instead of overwriting a neighbor) and edges are numbered by
+// position, whatever ID they carry. Input in pair order — sorted by (U, V)
+// — leaves every adjacency list sorted by To already; any other order
+// costs one SortAdj.
 func build(n int, edges []EdgeTriple) *Graph {
-	g := &Graph{n: n, m: len(edges), adj: make([][]Half, n), index: make(map[uint64]EdgeID, len(edges))}
+	g := &Graph{n: n, m: len(edges), adj: make([][]Half, n)}
 	deg := make([]int32, n)
 	pairOrder := true
 	var prev uint64
@@ -316,7 +320,6 @@ func build(n int, edges []EdgeTriple) *Graph {
 	}
 	for i, e := range edges {
 		g.appendEdge(e.U, e.V, e.W, EdgeID(i))
-		g.index[PairKey(e.U, e.V)] = EdgeID(i)
 	}
 	if !pairOrder {
 		g.SortAdj()
@@ -326,12 +329,9 @@ func build(n int, edges []EdgeTriple) *Graph {
 
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
-	ng := &Graph{n: g.n, m: g.m, adj: make([][]Half, g.n), index: make(map[uint64]EdgeID, len(g.index))}
+	ng := &Graph{n: g.n, m: g.m, adj: make([][]Half, g.n)}
 	for u := range g.adj {
 		ng.adj[u] = append([]Half(nil), g.adj[u]...)
-	}
-	for k, id := range g.index {
-		ng.index[k] = id
 	}
 	return ng
 }

@@ -88,6 +88,37 @@ func TestAddEdgeKeepMin(t *testing.T) {
 	if id := g.AddEdge(2, 3, 1); id != 1 {
 		t.Fatalf("post-merge fresh edge id = %d, want 1", id)
 	}
+
+	// A hub and a leaf: the repeat is found from the leaf's short list in
+	// either orientation, and the hub's half — at a port other than the
+	// leaf's — is lowered through Rev.
+	for _, hubFirst := range []bool{true, false} {
+		h := New(6)
+		for v := NodeID(1); v < 6; v++ {
+			h.AddEdge(0, v, 10+int64(v))
+		}
+		leaf := NodeID(4)
+		add := func(w int64) EdgeID {
+			if hubFirst {
+				return h.AddEdge(0, leaf, w)
+			}
+			return h.AddEdge(leaf, 0, w)
+		}
+		for _, w := range []int64{20, 6, 8} { // heavier, lighter, heavier again
+			if id := add(w); id != 3 {
+				t.Fatalf("hubFirst=%v: repeat at w=%d returned id %d, want 3", hubFirst, w, id)
+			}
+		}
+		if h.M() != 5 {
+			t.Fatalf("hubFirst=%v: m = %d, want 5", hubFirst, h.M())
+		}
+		if hw, lw := h.Adj(0)[3].W, h.Adj(leaf)[0].W; hw != 6 || lw != 6 {
+			t.Fatalf("hubFirst=%v: hub half %d, leaf half %d, want both 6", hubFirst, hw, lw)
+		}
+		if err := h.Validate(); err != nil {
+			t.Fatalf("hubFirst=%v: %v", hubFirst, err)
+		}
+	}
 }
 
 func TestAddEdgeKeepMinDistances(t *testing.T) {
@@ -112,12 +143,12 @@ func TestAddEdgeKeepMinDistances(t *testing.T) {
 	}
 }
 
-func TestCloneKeepsDuplicateIndex(t *testing.T) {
+func TestCloneMergesRepeats(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 1, 5)
 	c := g.Clone()
 	if id := c.AddEdge(1, 0, 2); id != 0 {
-		t.Fatalf("clone lost the duplicate index: got fresh id %d", id)
+		t.Fatalf("clone did not find the repeated pair: got fresh id %d", id)
 	}
 	if c.M() != 1 {
 		t.Fatalf("clone m = %d, want 1", c.M())

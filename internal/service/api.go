@@ -1,10 +1,10 @@
 package service
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"slices"
-	"sort"
 
 	"dsssp"
 	"dsssp/internal/graph"
@@ -272,11 +272,14 @@ type ErrorResponse struct {
 	RequestID string `json:"request_id,omitempty"`
 }
 
+// maxInlineEdges caps an inline edge list.
+const maxInlineEdges = 1 << 20
+
 // buildGraph validates a GraphSpec and materializes the graph, bounded by
 // the server's size limits. Inline edge lists are canonicalized (sorted,
-// duplicates merged keep-min) before insertion so the simulation — not
-// just the cache key — is a pure function of the edge set.
-func buildGraph(spec GraphSpec, maxN, maxEdges int) (*graph.Graph, error) {
+// duplicates merged keep-min) and handed to the bulk builder, so the
+// simulation — not just the cache key — is a pure function of the edge set.
+func buildGraph(spec GraphSpec, maxN int) (*graph.Graph, error) {
 	if spec.ID != "" {
 		// Handles are resolved by the caller (Server.prepare); a spec that
 		// reaches materialization with one set is a caller that cannot
@@ -295,10 +298,10 @@ func buildGraph(spec GraphSpec, maxN, maxEdges int) (*graph.Graph, error) {
 	if len(spec.Edges) == 0 {
 		return nil, badf("inline graph has no edges (set graph.edges or graph.family)")
 	}
-	if len(spec.Edges) > maxEdges {
-		return nil, badf("graph has %d edges, limit %d", len(spec.Edges), maxEdges)
+	if len(spec.Edges) > maxInlineEdges {
+		return nil, badf("graph has %d edges, limit %d", len(spec.Edges), maxInlineEdges)
 	}
-	edges := make([][3]int64, len(spec.Edges))
+	edges := make([]graph.EdgeTriple, len(spec.Edges))
 	limit := graph.MaxSafeWeight(spec.N)
 	for i, e := range spec.Edges {
 		u, v, w := e[0], e[1], e[2]
@@ -315,35 +318,23 @@ func buildGraph(spec GraphSpec, maxN, maxEdges int) (*graph.Graph, error) {
 		case w > limit:
 			return nil, badf("edge %d: weight %d exceeds the limit %d for n=%d", i, w, limit, spec.N)
 		}
-		edges[i] = [3]int64{u, v, w}
+		edges[i] = graph.EdgeTriple{U: graph.NodeID(u), V: graph.NodeID(v), W: w}
 	}
-	sort.Slice(edges, func(a, b int) bool {
-		if edges[a][0] != edges[b][0] {
-			return edges[a][0] < edges[b][0]
-		}
-		if edges[a][1] != edges[b][1] {
-			return edges[a][1] < edges[b][1]
-		}
-		return edges[a][2] < edges[b][2]
+	// Sorting by (u, v, w) puts a pair's copies side by side, lightest
+	// first, so keeping the first copy is keep-min at O(1) a copy — a cost
+	// an untrusted inline edge list cannot raise.
+	slices.SortFunc(edges, func(a, b graph.EdgeTriple) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V), cmp.Compare(a.W, b.W))
 	})
-	// Merge duplicates keep-min here, while they are adjacent in the sorted
-	// list: AddEdge would apply the same policy, but at O(degree) per
-	// duplicate — a cost an untrusted inline edge list must not control.
-	// The sort above puts the minimum weight first within a pair, so
-	// keeping the first occurrence is keep-min.
 	dedup := edges[:0]
-	for i, e := range edges {
-		if i > 0 && e[0] == dedup[len(dedup)-1][0] && e[1] == dedup[len(dedup)-1][1] {
+	for _, e := range edges {
+		if n := len(dedup); n > 0 && e.U == dedup[n-1].U && e.V == dedup[n-1].V {
 			continue
 		}
+		e.ID = graph.EdgeID(len(dedup))
 		dedup = append(dedup, e)
 	}
-	g := graph.New(spec.N)
-	for _, e := range dedup {
-		g.AddEdge(graph.NodeID(e[0]), graph.NodeID(e[1]), e[2])
-	}
-	g.SortAdj()
-	return g, nil
+	return graph.FromEdges(spec.N, dedup)
 }
 
 // checkGenerator validates a generator spec without building anything, so

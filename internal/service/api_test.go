@@ -55,11 +55,11 @@ func TestWeightSeedContract(t *testing.T) {
 
 	// End to end: same n, same bare seed, different family ⇒ different
 	// uniform weight multisets (the aliasing the fold exists to prevent).
-	gr, err := buildGraph(base, 4096, 1<<20)
+	gr, err := buildGraph(base, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ge, err := buildGraph(expander, 4096, 1<<20)
+	ge, err := buildGraph(expander, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,39 +5,33 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"strconv"
 
 	"dsssp/internal/graph"
 	"dsssp/internal/harness"
 )
 
-// canonicalGraphDigest hashes the graph's canonical content: node count
-// plus the edge set as (u,v,w) triples with u<v, sorted. Thanks to the
-// keep-min AddEdge policy the edge set is duplicate-free, so two graphs
-// hash equal iff they are the same weighted graph — regardless of how
-// (inline vs generator, in which insertion order) they were described.
+// canonicalGraphDigest hashes the graph's canonical content: node count,
+// edge count, then the edge set as (u,v,w) triples with u<v in pair order,
+// each number 8 bytes little-endian. Thanks to the keep-min AddEdge policy
+// the edge set is duplicate-free, so two graphs hash equal iff they are
+// the same weighted graph — regardless of how (inline vs generator, in
+// which insertion order) they were described.
 func canonicalGraphDigest(g *graph.Graph) [32]byte {
-	es := g.Edges()
-	sort.Slice(es, func(a, b int) bool {
-		if es[a].U != es[b].U {
-			return es[a].U < es[b].U
-		}
-		return es[a].V < es[b].V
-	})
+	es := g.PairEdges()
+	// Fed to the hash in 4 KiB chunks, so a digest never holds a second
+	// copy of a large graph's edge list.
 	h := sha256.New()
-	var buf [8]byte
-	put := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	put(int64(g.N()))
-	put(int64(len(es)))
+	le := binary.LittleEndian
+	buf := le.AppendUint64(le.AppendUint64(make([]byte, 0, 4096), uint64(g.N())), uint64(len(es)))
 	for _, e := range es {
-		put(int64(e.U))
-		put(int64(e.V))
-		put(e.W)
+		if len(buf)+24 > cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+		buf = le.AppendUint64(le.AppendUint64(le.AppendUint64(buf, uint64(e.U)), uint64(e.V)), uint64(e.W))
 	}
+	h.Write(buf)
 	var out [32]byte
 	h.Sum(out[:0])
 	return out

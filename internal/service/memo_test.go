@@ -38,7 +38,7 @@ func TestSpecMemoMatchesRebuild(t *testing.T) {
 			for _, size := range []struct{ n, seed int }{{24, 11}, {24, 12}, {40, 11}} {
 				spec := GraphSpec{Family: string(fam), N: size.n, Seed: int64(size.seed), Weights: ws}
 				name := fmt.Sprintf("%s n=%d seed=%d %+v", fam, size.n, size.seed, ws)
-				g, err := buildGraph(spec, s.cfg.MaxN, s.cfg.MaxEdges)
+				g, err := buildGraph(spec, s.cfg.MaxN)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -184,7 +184,7 @@ func TestSpecMemoRejectsInvalid(t *testing.T) {
 func TestSpecMemoBookkeeping(t *testing.T) {
 	const bodyA = `{"graph":{"family":"random","n":40,"seed":21},"source":3}`
 	spec := GraphSpec{Family: "random", N: 40, Seed: 21}
-	g, err := buildGraph(spec, 4096, 1<<20)
+	g, err := buildGraph(spec, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,8 +136,8 @@ type GraphInfo struct {
 	PatchedAtNS  int64 `json:"patched_at_ns,omitempty"`
 }
 
-// graphBytes approximates a snapshot's resident footprint: two adjacency
-// halves plus an index-map entry per edge, a slice header per node.
+// graphBytes approximates a snapshot's resident footprint: 48 bytes an
+// edge (its two 24-byte adjacency halves) and a slice header per node.
 func graphBytes(g *graph.Graph) int64 {
 	return int64(g.N())*24 + int64(g.M())*48
 }

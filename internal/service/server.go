@@ -57,8 +57,6 @@ type Config struct {
 	Workers int
 	// MaxN caps requested graph sizes (default 4096).
 	MaxN int
-	// MaxEdges caps inline edge lists (default 1<<20).
-	MaxEdges int
 	// MaxBodyBytes caps request bodies (default 16 MiB).
 	MaxBodyBytes int64
 	// Logger receives one structured completion line per request plus
@@ -101,9 +99,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.MaxN <= 0 {
 		c.MaxN = 4096
-	}
-	if c.MaxEdges <= 0 {
-		c.MaxEdges = 1 << 20
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 16 << 20
@@ -431,7 +426,7 @@ func (s *Server) prepare(w http.ResponseWriter, r *http.Request, spec GraphSpec,
 			sp.SetAttr("memo", "miss")
 		}
 	default:
-		g, err := buildGraph(spec, s.cfg.MaxN, s.cfg.MaxEdges)
+		g, err := buildGraph(spec, s.cfg.MaxN)
 		if err != nil {
 			return fail(err)
 		}
@@ -575,7 +570,7 @@ func (s *Server) handleGraphRegister(w http.ResponseWriter, r *http.Request) {
 		s.replyError(w, badf("graph.graph_id cannot be set when registering a graph"))
 		return
 	}
-	g, err := buildGraph(req.Graph, s.cfg.MaxN, s.cfg.MaxEdges)
+	g, err := buildGraph(req.Graph, s.cfg.MaxN)
 	if err != nil {
 		s.replyError(w, err)
 		return
