@@ -3,6 +3,7 @@ package dsssp
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dsssp/internal/graph"
@@ -73,7 +74,7 @@ func TestIncrementalServingDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s: %v", fam, model, err)
 				}
-				effects, err := incr.Effects(g0, deltas)
+				changes, err := graph.ResolveDeltas(g0, deltas)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", fam, model, err)
 				}
@@ -81,7 +82,7 @@ func TestIncrementalServingDifferential(t *testing.T) {
 				for s := 0; s < n; s++ {
 					traces[graph.NodeID(s)] = full0[s]
 				}
-				dirty, untouched := incr.DirtySources(effects, traces)
+				dirty, untouched := incr.DirtySources(changes, traces)
 
 				// The incremental fan-out: recompute dirty sources only.
 				// (nil means "all" to APSPFrom, so an all-untouched batch
@@ -169,19 +170,14 @@ func TestRepairMatchesEngineTree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", fam, model, err)
 			}
-			// The base ledger the registry would keep: per touched pair, the
-			// pre-patch weight (-1 when absent), diffed against the head.
-			base := map[uint64]int64{}
-			for _, d := range deltas {
-				k := graph.PairKey(d.U, d.V)
-				if _, ok := base[k]; !ok {
-					base[k] = -1
-					if w, ok := g0.Weight(d.U, d.V); ok {
-						base[k] = w
-					}
-				}
+			changes := ledgerNetChanges(g0, g1, deltas)
+			resolved, err := graph.ResolveDeltas(g0, deltas)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", fam, model, err)
 			}
-			changes := incr.NetChanges(base, g1)
+			if got := graph.NetChanges(resolved); !slices.Equal(got, changes) {
+				t.Fatalf("%s/%s: graph.NetChanges = %v, ledger oracle %v", fam, model, got, changes)
+			}
 
 			rr, ok := incr.Repair(g1, s, incr.Trace{Dist: tr0.Dist, Parent: tr0.Parent}, changes, 0)
 			if !ok {
@@ -197,6 +193,39 @@ func TestRepairMatchesEngineTree(t *testing.T) {
 			}
 		}
 	}
+}
+
+// ledgerNetChanges derives the repair input the way the registry's former
+// base ledger did: every pair the batch touches, at its weight on pre (-1
+// when absent), diffed against head, in pair order.
+func ledgerNetChanges(pre, head *graph.Graph, deltas []graph.EdgeDelta) []graph.WeightChange {
+	base := map[uint64]int64{}
+	for _, d := range deltas {
+		k := graph.PairKey(d.U, d.V)
+		if _, ok := base[k]; !ok {
+			base[k] = -1
+			if w, ok := pre.Weight(d.U, d.V); ok {
+				base[k] = w
+			}
+		}
+	}
+	var out []graph.WeightChange
+	for u := graph.NodeID(0); int(u) < head.N(); u++ {
+		for v := u + 1; int(v) < head.N(); v++ {
+			oldw, ok := base[graph.PairKey(u, v)]
+			if !ok {
+				continue
+			}
+			neww := int64(-1)
+			if w, ok := head.Weight(u, v); ok {
+				neww = w
+			}
+			if oldw != neww {
+				out = append(out, graph.WeightChange{U: u, V: v, OldW: oldw, NewW: neww})
+			}
+		}
+	}
+	return out
 }
 
 // TestAPSPFromMatchesFullRun pins that a partial fan-out's rows are

@@ -59,6 +59,45 @@ type WeightChange struct {
 	OldW, NewW int64
 }
 
+// Lowered reports whether c is an insert or a downward reweight: the pair
+// is present after it, and was absent or heavier before.
+func (c WeightChange) Lowered() bool { return c.NewW >= 0 && (c.OldW < 0 || c.NewW < c.OldW) }
+
+// Raised reports whether c is a delete or an upward reweight: the pair was
+// present before it, and is absent or heavier after.
+func (c WeightChange) Raised() bool { return c.OldW >= 0 && (c.NewW < 0 || c.NewW > c.OldW) }
+
+// NetChanges nets a run of chained weight changes — one or more batches of
+// ResolveDeltas output, in order — into one change per pair: the pair's
+// first OldW and last NewW, with U < V. Pairs whose weight ends where it
+// started drop out. The result is sorted by pair and freshly allocated; it
+// is nil only for an empty run.
+func NetChanges(changes []WeightChange) []WeightChange {
+	if len(changes) == 0 {
+		return nil
+	}
+	cs := make([]WeightChange, len(changes))
+	for i, c := range changes {
+		if c.U > c.V {
+			c.U, c.V = c.V, c.U
+		}
+		cs[i] = c
+	}
+	slices.SortStableFunc(cs, func(a, b WeightChange) int { return cmp.Compare(PairKey(a.U, a.V), PairKey(b.U, b.V)) })
+	out := cs[:0]
+	for i := 0; i < len(cs); {
+		j := i + 1
+		for j < len(cs) && cs[j].U == cs[i].U && cs[j].V == cs[i].V {
+			j++
+		}
+		if c := (WeightChange{U: cs[i].U, V: cs[i].V, OldW: cs[i].OldW, NewW: cs[j-1].NewW}); c.OldW != c.NewW {
+			out = append(out, c)
+		}
+		i = j
+	}
+	return out
+}
+
 // ResolveDeltas is the one place a delta batch is validated and its edge
 // rules applied. It walks the batch in order against g and returns one
 // WeightChange per delta that changes the edge set; a keep-min no-op (an
@@ -139,20 +178,16 @@ func ApplyDeltas(g *Graph, deltas []EdgeDelta) (*Graph, error) {
 // the same edge set produce identical graphs, which is what lets the
 // serving layer content-address patched revisions.
 //
-// Cost is O(n + m + k log k) for k changes: the changes are sorted by pair
-// (the last change to a pair wins), merged with g's edges in pair order,
-// and the merged list is handed to the builder in pair order.
+// Cost is O(n + m + k log k) for k changes: NetChanges sorts them by pair,
+// the net changes are merged with g's edges in pair order, and the merged
+// list is handed to the builder in pair order.
 func ApplyChanges(g *Graph, changes []WeightChange) *Graph {
-	cs := slices.Clone(changes) // the caller's batch keeps its order
-	slices.SortStableFunc(cs, func(a, b WeightChange) int { return cmp.Compare(PairKey(a.U, a.V), PairKey(b.U, b.V)) })
 	base := g.PairEdges()
-	out := make([]EdgeTriple, 0, len(base)+len(cs))
+	net := NetChanges(changes)
+	out := make([]EdgeTriple, 0, len(base)+len(net))
 	i := 0
-	for j, c := range cs {
+	for _, c := range net {
 		key := PairKey(c.U, c.V)
-		if j+1 < len(cs) && PairKey(cs[j+1].U, cs[j+1].V) == key {
-			continue
-		}
 		for i < len(base) && PairKey(base[i].U, base[i].V) < key {
 			out = append(out, base[i])
 			i++
@@ -161,7 +196,7 @@ func ApplyChanges(g *Graph, changes []WeightChange) *Graph {
 			i++
 		}
 		if c.NewW >= 0 {
-			out = append(out, EdgeTriple{U: NodeID(key >> 32), V: NodeID(uint32(key)), W: c.NewW})
+			out = append(out, EdgeTriple{U: c.U, V: c.V, W: c.NewW})
 		}
 	}
 	return build(g.n, append(out, base[i:]...))

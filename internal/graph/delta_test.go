@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -165,4 +167,74 @@ func TestApplyDeltasCanonical(t *testing.T) {
 			}
 		}
 	}
+}
+
+func TestNetChanges(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		in   []WeightChange
+		want []WeightChange
+	}{
+		{"nil", nil, nil},
+		{"stacked", []WeightChange{{0, 1, 5, 7}, {1, 0, 7, 2}, {0, 1, 2, 9}},
+			[]WeightChange{{0, 1, 5, 9}}},
+		{"cancelled", []WeightChange{{2, 3, 4, 6}, {2, 3, 6, 4}},
+			[]WeightChange{}},
+		{"u-greater-than-v", []WeightChange{{3, 1, -1, 4}},
+			[]WeightChange{{1, 3, -1, 4}}},
+		{"pair-order", []WeightChange{{2, 4, 1, 2}, {0, 3, 1, 2}, {1, 0, 5, -1}, {0, 2, -1, 1}},
+			[]WeightChange{{0, 1, 5, -1}, {0, 2, -1, 1}, {0, 3, 1, 2}, {2, 4, 1, 2}}},
+		{"insert-then-delete", []WeightChange{{1, 2, -1, 3}, {0, 1, 4, 5}, {2, 1, 3, -1}},
+			[]WeightChange{{0, 1, 4, 5}}},
+	} {
+		in := slices.Clone(tc.in)
+		got := NetChanges(in)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: NetChanges(%v) = %#v, want %#v", tc.name, tc.in, got, tc.want)
+		}
+		if !slices.Equal(in, tc.in) { // callers still hold the batch
+			t.Errorf("%s: NetChanges reordered its input to %v", tc.name, in)
+		}
+	}
+}
+
+// FuzzNetChanges checks NetChanges against a map that keeps each pair's
+// first old weight and last new weight. Every 4 input bytes are one
+// change on 6 nodes with weights in [-1, 3], so pairs repeat, flip
+// orientation and cancel often. The checked-in corpus
+// (testdata/fuzz/FuzzNetChanges) holds the table test's shapes.
+func FuzzNetChanges(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var in []WeightChange
+		for ; len(data) >= 4; data = data[4:] {
+			in = append(in, WeightChange{
+				U: NodeID(data[0] % 6), V: NodeID(data[1] % 6),
+				OldW: int64(data[2]%5) - 1, NewW: int64(data[3]%5) - 1,
+			})
+		}
+		type net struct{ first, last int64 }
+		seen := map[[2]NodeID]net{}
+		for _, c := range in {
+			k := [2]NodeID{min(c.U, c.V), max(c.U, c.V)}
+			n, ok := seen[k]
+			if !ok {
+				n.first = c.OldW
+			}
+			n.last = c.NewW
+			seen[k] = n
+		}
+		var want []WeightChange
+		for k, n := range seen {
+			if n.first != n.last {
+				want = append(want, WeightChange{U: k[0], V: k[1], OldW: n.first, NewW: n.last})
+			}
+		}
+		slices.SortFunc(want, func(a, b WeightChange) int {
+			return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+		})
+		got := NetChanges(in)
+		if !slices.Equal(got, want) || (got == nil) != (len(in) == 0) {
+			t.Fatalf("NetChanges(%v) = %#v, want %v", in, got, want)
+		}
+	})
 }

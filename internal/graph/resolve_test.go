@@ -7,14 +7,29 @@ import (
 	"testing"
 
 	"dsssp/internal/graph"
-	"dsssp/internal/incr"
 )
 
-// effectsOracle is incr.Effects as it stood when it resolved batches on
-// its own, with its own error text: a working-weight overlay over an
-// adjacency scan, kept to pin that routing Effects through
-// graph.ResolveDeltas changes no effect.
-func effectsOracle(g *graph.Graph, deltas []graph.EdgeDelta) ([]incr.Effect, error) {
+// effect is the form effectsOracle resolves a delta to: a decrease at its
+// new weight or an increase from its old one.
+type effect struct {
+	U, V     graph.NodeID
+	decrease bool
+	W        int64
+}
+
+// effectOf projects a resolved change onto the oracle's form.
+func effectOf(c graph.WeightChange) effect {
+	if c.Lowered() {
+		return effect{U: c.U, V: c.V, decrease: true, W: c.NewW}
+	}
+	return effect{U: c.U, V: c.V, W: c.OldW}
+}
+
+// effectsOracle is the delta resolver incremental classification used
+// before it shared graph's, with its own error text: a working-weight
+// overlay over an adjacency scan, kept to pin that graph.ResolveDeltas,
+// read through Lowered, changes no effect.
+func effectsOracle(g *graph.Graph, deltas []graph.EdgeDelta) ([]effect, error) {
 	weights := make(map[uint64]int64, len(deltas))
 	lookup := func(u, v graph.NodeID) (int64, bool) {
 		if w, ok := weights[graph.PairKey(u, v)]; ok {
@@ -28,7 +43,7 @@ func effectsOracle(g *graph.Graph, deltas []graph.EdgeDelta) ([]incr.Effect, err
 		return 0, false
 	}
 	set := func(u, v graph.NodeID, w int64) { weights[graph.PairKey(u, v)] = w }
-	var out []incr.Effect
+	var out []effect
 	for i, d := range deltas {
 		if d.U == d.V || d.U < 0 || int(d.U) >= g.N() || d.V < 0 || int(d.V) >= g.N() {
 			return nil, fmt.Errorf("incr: delta %d (%s): invalid endpoints", i, d)
@@ -42,13 +57,13 @@ func effectsOracle(g *graph.Graph, deltas []graph.EdgeDelta) ([]incr.Effect, err
 			if exists && d.W >= old {
 				continue
 			}
-			out = append(out, incr.Effect{U: d.U, V: d.V, Kind: incr.EffectDecrease, W: d.W})
+			out = append(out, effect{U: d.U, V: d.V, decrease: true, W: d.W})
 			set(d.U, d.V, d.W)
 		case graph.DeltaDelete:
 			if !exists {
 				return nil, fmt.Errorf("incr: delta %d (%s): edge does not exist", i, d)
 			}
-			out = append(out, incr.Effect{U: d.U, V: d.V, Kind: incr.EffectIncrease, W: old})
+			out = append(out, effect{U: d.U, V: d.V, W: old})
 			set(d.U, d.V, -1)
 		case graph.DeltaReweight:
 			if d.W < 0 {
@@ -61,9 +76,9 @@ func effectsOracle(g *graph.Graph, deltas []graph.EdgeDelta) ([]incr.Effect, err
 			case d.W == old:
 				continue
 			case d.W < old:
-				out = append(out, incr.Effect{U: d.U, V: d.V, Kind: incr.EffectDecrease, W: d.W})
+				out = append(out, effect{U: d.U, V: d.V, decrease: true, W: d.W})
 			default:
-				out = append(out, incr.Effect{U: d.U, V: d.V, Kind: incr.EffectIncrease, W: old})
+				out = append(out, effect{U: d.U, V: d.V, W: old})
 			}
 			set(d.U, d.V, d.W)
 		default:
@@ -74,29 +89,33 @@ func effectsOracle(g *graph.Graph, deltas []graph.EdgeDelta) ([]incr.Effect, err
 }
 
 // TestEffectsAgreeWithApplyDeltas runs the batches of
-// TestApplyDeltasMatchesOracle through incr.Effects and graph.ApplyDeltas:
-// both must accept the same batches, reject the rest with the same error,
-// and Effects must return what its own resolver returned before it shared
-// graph's.
+// TestApplyDeltasMatchesOracle through graph.ResolveDeltas, graph.ApplyDeltas
+// and effectsOracle: all must accept the same batches, the first two must
+// reject the rest with the same error, and the resolved changes must
+// project onto exactly the oracle's effects.
 func TestEffectsAgreeWithApplyDeltas(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	var ok, failed int
 	check := func(name string, g *graph.Graph) *graph.Graph {
 		ds := graph.RandomBatch(rng, g)
 		ng, applyErr := graph.ApplyDeltas(g, ds)
-		effs, effErr := incr.Effects(g, ds)
+		changes, effErr := graph.ResolveDeltas(g, ds)
 		want, oracleErr := effectsOracle(g, ds)
 		if (applyErr == nil) != (effErr == nil) || (applyErr != nil && applyErr.Error() != effErr.Error()) {
-			t.Fatalf("%s %v: ApplyDeltas err = %v, Effects err = %v", name, ds, applyErr, effErr)
+			t.Fatalf("%s %v: ApplyDeltas err = %v, ResolveDeltas err = %v", name, ds, applyErr, effErr)
 		}
 		if (effErr == nil) != (oracleErr == nil) {
-			t.Fatalf("%s %v: Effects err = %v, old resolver err = %v", name, ds, effErr, oracleErr)
+			t.Fatalf("%s %v: ResolveDeltas err = %v, old resolver err = %v", name, ds, effErr, oracleErr)
 		}
 		if applyErr != nil {
 			failed++
 			return g
 		}
 		ok++
+		var effs []effect
+		for _, c := range changes {
+			effs = append(effs, effectOf(c))
+		}
 		if len(effs) != len(want) || (len(want) > 0 && !reflect.DeepEqual(effs, want)) {
 			t.Fatalf("%s %v: effects %v, old resolver %v", name, ds, effs, want)
 		}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -368,27 +367,4 @@ func (r *Registry) mustAll() []Scenario {
 		panic(err)
 	}
 	return s
-}
-
-// TestAPSPInnerPoolDeterministic: the APSP scenario with an inner worker
-// pool (the same pool machinery that parallelizes dsssp.APSP) must agree
-// with the sequential execution bit for bit.
-func TestAPSPInnerPoolDeterministic(t *testing.T) {
-	base := Scenario{
-		Name: "apsp-inner", Family: graph.FamilyRandom, N: 16,
-		Weights: WeightSpec{Kind: WeightUniform, MaxW: 16},
-		Model:   ModelCongest, Alg: AlgAPSP, Seed: 42,
-	}
-	seqS := base
-	seqS.Workers = 1
-	parS := base
-	parS.Workers = 8
-	seq := Execute(seqS)
-	par := Execute(parS)
-	if seq.Err != "" || par.Err != "" {
-		t.Fatalf("errors: %q %q", seq.Err, par.Err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("inner pool changed the result:\nseq: %+v\npar: %+v", seq, par)
-	}
 }

@@ -214,7 +214,7 @@ func executeUnvalidated(s Scenario) (r Result) {
 	opts := &dsssp.Options{
 		Model:  dsssp.ModelCongest,
 		EpsNum: s.EpsNum, EpsDen: s.EpsDen, StrictCongest: s.Strict,
-		Workers: max(s.Workers, 1),
+		Workers: 1, // Run's sweep-level pool is the parallelism
 	}
 	if s.Model == ModelSleeping {
 		opts.Model = dsssp.ModelSleeping

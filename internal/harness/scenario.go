@@ -119,9 +119,6 @@ type Scenario struct {
 	// derived from it and the scenario name, so renaming or reseeding a
 	// scenario changes its graph but nothing else does.
 	Seed int64 `json:"seed"`
-	// Workers bounds AlgAPSP's inner per-source pool (0 = 1, sequential;
-	// the sweep-level pool in Run is usually the better lever).
-	Workers int `json:"-"`
 }
 
 // Validate rejects scenarios the generators or algorithms would panic on.

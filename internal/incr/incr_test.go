@@ -23,21 +23,21 @@ func TestEffectDirtyDecrease(t *testing.T) {
 
 	for _, tc := range []struct {
 		name  string
-		e     incr.Effect
+		c     graph.WeightChange
 		dirty bool
 	}{
 		// dist[0]+1 = 1 < 2 = dist[2]: shortens.
-		{"strictly-shorter", incr.Effect{U: 0, V: 2, Kind: incr.EffectDecrease, W: 1}, true},
+		{"strictly-shorter", graph.WeightChange{U: 0, V: 2, OldW: -1, NewW: 1}, true},
 		// dist[0]+2 = 2 = dist[2]: no distance change, but a new witness —
 		// the deterministic tree may switch parents, so it must count.
-		{"equal-mints-witness", incr.Effect{U: 0, V: 2, Kind: incr.EffectDecrease, W: 2}, true},
-		// dist[0]+3 = 3 > 2: slack, invisible.
-		{"slack", incr.Effect{U: 0, V: 2, Kind: incr.EffectDecrease, W: 3}, false},
+		{"equal-mints-witness", graph.WeightChange{U: 0, V: 2, OldW: -1, NewW: 2}, true},
+		// A downward reweight to dist[0]+3 = 3 > 2: slack, invisible.
+		{"slack", graph.WeightChange{U: 0, V: 2, OldW: 4, NewW: 3}, false},
 		// Finite → unreachable endpoint: connects new territory, dirty.
-		{"reaches-unreachable", incr.Effect{U: 2, V: 3, Kind: incr.EffectDecrease, W: 5}, true},
+		{"reaches-unreachable", graph.WeightChange{U: 2, V: 3, OldW: -1, NewW: 5}, true},
 	} {
-		if got := incr.EffectDirty(tc.e, dist); got != tc.dirty {
-			t.Errorf("%s: EffectDirty = %v, want %v", tc.name, got, tc.dirty)
+		if got := incr.ChangeDirty(tc.c, dist); got != tc.dirty {
+			t.Errorf("%s: ChangeDirty = %v, want %v", tc.name, got, tc.dirty)
 		}
 	}
 
@@ -47,7 +47,7 @@ func TestEffectDirtyDecrease(t *testing.T) {
 	g2.AddEdge(2, 3, 1)
 	g2.SortAdj()
 	d2 := distFor(g2, 0)
-	if incr.EffectDirty(incr.Effect{U: 2, V: 3, Kind: incr.EffectDecrease, W: 0}, d2) {
+	if incr.ChangeDirty(graph.WeightChange{U: 2, V: 3, OldW: -1, NewW: 0}, d2) {
 		t.Error("decrease between two unreachable nodes classified dirty")
 	}
 }
@@ -64,13 +64,15 @@ func TestEffectDirtyIncrease(t *testing.T) {
 	dist := distFor(g, 0) // [0,1,2,1]
 
 	// {0,1} is tight (dist[0]+1 == dist[1]): raising it is dirty.
-	if !incr.EffectDirty(incr.Effect{U: 0, V: 1, Kind: incr.EffectIncrease, W: 1}, dist) {
+	if !incr.ChangeDirty(graph.WeightChange{U: 0, V: 1, OldW: 1, NewW: -1}, dist) {
 		t.Error("tight-edge increase classified untouched")
 	}
 	// {0,2} at weight 10 is slack (dist[0]+10 != dist[2]): raising or
 	// deleting it is invisible from source 0.
-	if incr.EffectDirty(incr.Effect{U: 0, V: 2, Kind: incr.EffectIncrease, W: 10}, dist) {
-		t.Error("slack-edge increase classified dirty")
+	for _, neww := range []int64{11, -1} {
+		if incr.ChangeDirty(graph.WeightChange{U: 0, V: 2, OldW: 10, NewW: neww}, dist) {
+			t.Errorf("slack-edge raise to %d classified dirty", neww)
+		}
 	}
 
 	// Unreachable endpoint: cannot be tight.
@@ -78,7 +80,7 @@ func TestEffectDirtyIncrease(t *testing.T) {
 	g2.AddEdge(1, 2, 1)
 	g2.SortAdj()
 	d2 := distFor(g2, 0) // [0,Inf,Inf]
-	if incr.EffectDirty(incr.Effect{U: 1, V: 2, Kind: incr.EffectIncrease, W: 1}, d2) {
+	if incr.ChangeDirty(graph.WeightChange{U: 1, V: 2, OldW: 1, NewW: -1}, d2) {
 		t.Error("increase in an unreachable component classified dirty")
 	}
 }
@@ -90,49 +92,49 @@ func TestEffectsResolution(t *testing.T) {
 	g.SortAdj()
 
 	// No-ops drop out: keep-min-losing insert, same-weight reweight.
-	effs, err := incr.Effects(g, []graph.EdgeDelta{
+	changes, err := graph.ResolveDeltas(g, []graph.EdgeDelta{
 		{Op: graph.DeltaInsert, U: 0, V: 1, W: 9},
 		{Op: graph.DeltaReweight, U: 1, V: 2, W: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(effs) != 0 {
-		t.Fatalf("no-op batch produced effects %v", effs)
+	if len(changes) != 0 {
+		t.Fatalf("no-op batch produced changes %v", changes)
 	}
 
 	// A second delta on the same pair resolves against the first's result:
-	// delete {0,1} then insert it back cheaper = increase at the old weight
-	// followed by a decrease to the new one.
-	effs, err = incr.Effects(g, []graph.EdgeDelta{
+	// delete {0,1} then insert it back cheaper = a raise from the old weight
+	// followed by a lowering to the new one.
+	changes, err = graph.ResolveDeltas(g, []graph.EdgeDelta{
 		{Op: graph.DeltaDelete, U: 0, V: 1},
 		{Op: graph.DeltaInsert, U: 0, V: 1, W: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []incr.Effect{
-		{U: 0, V: 1, Kind: incr.EffectIncrease, W: 5},
-		{U: 0, V: 1, Kind: incr.EffectDecrease, W: 2},
+	want := []graph.WeightChange{
+		{U: 0, V: 1, OldW: 5, NewW: -1},
+		{U: 0, V: 1, OldW: -1, NewW: 2},
 	}
-	if !reflect.DeepEqual(effs, want) {
-		t.Fatalf("effects = %v, want %v", effs, want)
+	if !reflect.DeepEqual(changes, want) || !changes[0].Raised() || !changes[1].Lowered() {
+		t.Fatalf("changes = %v, want %v", changes, want)
 	}
 
-	// Inserting over a tombstone at a high weight is a real decrease (the
+	// Inserting over a tombstone at a high weight is a real lowering (the
 	// pair no longer exists), not a keep-min no-op against the old weight.
-	effs, err = incr.Effects(g, []graph.EdgeDelta{
+	changes, err = graph.ResolveDeltas(g, []graph.EdgeDelta{
 		{Op: graph.DeltaDelete, U: 0, V: 1},
 		{Op: graph.DeltaInsert, U: 0, V: 1, W: 100},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(effs) != 2 || effs[1].Kind != incr.EffectDecrease || effs[1].W != 100 {
-		t.Fatalf("insert-over-tombstone effects = %v", effs)
+	if len(changes) != 2 || !changes[1].Lowered() || changes[1].NewW != 100 {
+		t.Fatalf("insert-over-tombstone changes = %v", changes)
 	}
 
-	if _, err := incr.Effects(g, []graph.EdgeDelta{{Op: graph.DeltaDelete, U: 0, V: 2}}); err == nil {
+	if _, err := graph.ResolveDeltas(g, []graph.EdgeDelta{{Op: graph.DeltaDelete, U: 0, V: 2}}); err == nil {
 		t.Fatal("delete of a missing edge resolved without error")
 	}
 }
@@ -195,11 +197,11 @@ func TestDirtySourcesDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s trial %d: %v", fam, trial, err)
 				}
-				effects, err := incr.Effects(g, deltas)
+				changes, err := graph.ResolveDeltas(g, deltas)
 				if err != nil {
 					t.Fatalf("%s trial %d: %v", fam, trial, err)
 				}
-				dirty, untouched := incr.DirtySources(effects, traces)
+				dirty, untouched := incr.DirtySources(changes, traces)
 				totalDirty += len(dirty)
 				totalUntouched += len(untouched)
 

@@ -1,7 +1,6 @@
 package incr
 
 import (
-	"slices"
 	"time"
 
 	"dsssp/internal/graph"
@@ -10,11 +9,11 @@ import (
 // This file is the affected-region repair engine: given a source's
 // remembered exact distance vector and min-ID witness parent tree (a
 // Trace) plus the net per-edge weight transitions since the trace was
-// exact (NetChanges), it recomputes exactly the region the transitions
-// can reach — decreases seed a priority-queue relaxation from their
-// improved endpoints; increases first carve out the subtree of vertices
-// whose witness path ran through a tightened-away edge, then re-relax the
-// cut from its boundary — and re-derives witness parents only where the
+// exact (graph.NetChanges), it recomputes exactly the region the
+// transitions can reach — lowered pairs seed a priority-queue relaxation
+// from their improved endpoints; raised pairs first carve out the subtree
+// of vertices whose witness path ran through a tightened-away edge, then
+// re-relax the cut from its boundary — and re-derives witness parents only where the
 // witness predicate could have flipped. The arithmetic is the same
 // Inf-saturating arithmetic and the tie-break the same min-ID rule as the
 // full algorithm, so the repaired distance vector and parent tree are
@@ -33,15 +32,11 @@ type Trace struct {
 	Parent []graph.NodeID
 }
 
-// NetChange is the net weight transition of one edge pair between the
-// trace's graph and the graph being repaired toward. OldW / NewW of -1
-// mean the pair was absent on that side; equal weights (a transition that
-// cancelled out across stacked patches) should be filtered by the caller
-// but are tolerated as no-ops.
-type NetChange struct {
-	U, V       graph.NodeID
-	OldW, NewW int64
-}
+// NetChange is a net weight transition.
+//
+// Deprecated: NetChange stays only because the benchmark harness still
+// names it, and goes once a benchmark change names graph.WeightChange.
+type NetChange = graph.WeightChange
 
 // RepairResult is a successful repair: fresh (caller-owned) exact
 // distance and parent slices for the patched graph, plus the size of the
@@ -70,7 +65,9 @@ var RepairPhaseNames = [4]string{"carve", "seed", "settle", "witness"}
 
 // Repair rebuilds the exact distance vector and min-ID witness tree of
 // source on g — the patched graph — from a trace that was exact before
-// the net changes, touching only the affected region. maxAffected > 0
+// the changes, touching only the affected region. changes are the net
+// per-pair transitions (graph.NetChanges) between the trace's graph and g;
+// one that nets to no change is tolerated as a no-op. maxAffected > 0
 // bounds the region: when more than maxAffected vertices need rebuilding
 // the repair abandons ship and returns ok=false, telling the caller a
 // full recomputation is the better deal (and, in the serving layer, the
@@ -81,7 +78,7 @@ var RepairPhaseNames = [4]string{"carve", "seed", "settle", "witness"}
 // With an empty change set this degenerates to serving the trace itself
 // (Affected == 0), which is how warm-started and just-promoted traces
 // answer in O(n) without a simulation.
-func Repair(g *graph.Graph, source graph.NodeID, tr Trace, changes []NetChange, maxAffected int) (*RepairResult, bool) {
+func Repair(g *graph.Graph, source graph.NodeID, tr Trace, changes []graph.WeightChange, maxAffected int) (*RepairResult, bool) {
 	n := g.N()
 	if len(tr.Dist) != n || len(tr.Parent) != n || source < 0 || int(source) >= n {
 		return nil, false
@@ -115,7 +112,7 @@ func Repair(g *graph.Graph, source graph.NodeID, tr Trace, changes []NetChange, 
 
 	var seeds []graph.NodeID
 	for _, ch := range changes {
-		if !increased(ch) {
+		if !ch.Raised() {
 			continue
 		}
 		if tr.Parent[ch.V] == ch.U && !touched[ch.V] {
@@ -206,8 +203,8 @@ func Repair(g *graph.Graph, source graph.NodeID, tr Trace, changes []NetChange, 
 		}
 	}
 	for _, ch := range changes {
-		if ch.NewW < 0 || (ch.OldW >= 0 && ch.NewW >= ch.OldW) {
-			continue // not a net decrease
+		if !ch.Lowered() {
+			continue
 		}
 		relax(ch.U, ch.V, ch.NewW)
 		relax(ch.V, ch.U, ch.NewW)
@@ -271,16 +268,6 @@ func Repair(g *graph.Graph, source graph.NodeID, tr Trace, changes []NetChange, 
 	return &RepairResult{Dist: dist, Parent: parent, Affected: affected, Orphaned: len(orphans), PhaseNS: phaseNS}, true
 }
 
-// increased reports whether a net change raised the pair's effective
-// weight: a delete, or a finite-to-larger-finite transition. A pure
-// insert (OldW == -1) can never have witnessed anything.
-func increased(ch NetChange) bool {
-	if ch.OldW < 0 {
-		return false
-	}
-	return ch.NewW < 0 || ch.NewW > ch.OldW
-}
-
 // satSum is d+w saturating at graph.Inf (shared semantics with minSum,
 // spelled for a known-finite d in the hot loop).
 func satSum(d, w int64) int64 {
@@ -289,33 +276,4 @@ func satSum(d, w int64) int64 {
 		return graph.Inf
 	}
 	return s
-}
-
-// NetChanges resolves a base-weight ledger — pair key → the pair's weight
-// on the trace's graph, -1 for absent, as the registry folds it from its
-// change log over every PATCH since the trace was exact — against the
-// head graph into the repair engine's input, dropping transitions that
-// cancelled out. Output order follows the canonical pair-key order so
-// repair work is deterministic.
-func NetChanges(base map[uint64]int64, g *graph.Graph) []NetChange {
-	if len(base) == 0 {
-		return nil
-	}
-	keys := make([]uint64, 0, len(base))
-	for k := range base {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	out := make([]NetChange, 0, len(keys))
-	for _, k := range keys {
-		u, v := graph.NodeID(k>>32), graph.NodeID(uint32(k))
-		neww := int64(-1)
-		if w, ok := g.Weight(u, v); ok {
-			neww = w
-		}
-		if oldw := base[k]; oldw != neww {
-			out = append(out, NetChange{U: u, V: v, OldW: oldw, NewW: neww})
-		}
-	}
-	return out
 }

@@ -3,6 +3,7 @@ package incr_test
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dsssp/internal/graph"
@@ -16,39 +17,80 @@ func traceFor(g *graph.Graph, s graph.NodeID) incr.Trace {
 	return incr.Trace{Dist: dist, Parent: graph.WitnessParents(g, s, dist)}
 }
 
-// ledgerRecord mirrors the registry's base-weight ledger discipline: each
-// PATCH adds the pairs it touches at their *pre-patch* weight, first
-// touch wins — so the ledger always holds the weight on the graph the
-// trace was exact for, composably across stacked patches.
-func ledgerRecord(ledger map[uint64]int64, pre *graph.Graph, deltas []graph.EdgeDelta) {
+// patchLog mirrors what the registry keeps for one trace, two ways: base
+// is the base-weight ledger — each PATCH adds the pairs it touches at their
+// *pre-patch* weight, first touch wins, so it always holds the weight on
+// the graph the trace was exact for — and run is the same batches' resolved
+// changes in order, as the registry's change log holds them.
+type patchLog struct {
+	base map[uint64]int64
+	run  []graph.WeightChange
+}
+
+func (l *patchLog) record(pre *graph.Graph, deltas []graph.EdgeDelta) {
+	if l.base == nil {
+		l.base = map[uint64]int64{}
+	}
 	for _, d := range deltas {
 		k := graph.PairKey(d.U, d.V)
-		if _, ok := ledger[k]; !ok {
-			ledger[k] = -1
+		if _, ok := l.base[k]; !ok {
+			l.base[k] = -1
 			if w, ok := pre.Weight(d.U, d.V); ok {
-				ledger[k] = w
+				l.base[k] = w
 			}
 		}
 	}
+	if changes, err := graph.ResolveDeltas(pre, deltas); err == nil {
+		l.run = append(l.run, changes...)
+	}
+}
+
+// net is the ledger-and-head oracle for the repair input: every ledger
+// pair whose base weight differs from its weight on head, in pair order
+// (found by scanning every pair u < v). It also requires graph.NetChanges
+// over the run to agree.
+func (l *patchLog) net(t *testing.T, head *graph.Graph) []graph.WeightChange {
+	t.Helper()
+	var out []graph.WeightChange
+	for u := graph.NodeID(0); int(u) < head.N(); u++ {
+		for v := u + 1; int(v) < head.N(); v++ {
+			oldw, ok := l.base[graph.PairKey(u, v)]
+			if !ok {
+				continue
+			}
+			neww := int64(-1)
+			if w, ok := head.Weight(u, v); ok {
+				neww = w
+			}
+			if oldw != neww {
+				out = append(out, graph.WeightChange{U: u, V: v, OldW: oldw, NewW: neww})
+			}
+		}
+	}
+	if got := graph.NetChanges(l.run); !slices.Equal(got, out) {
+		t.Fatalf("graph.NetChanges over the batches = %v, ledger oracle %v", got, out)
+	}
+	return out
 }
 
 // checkRepair runs Repair and demands byte-identical distances and
 // witness trees vs a from-scratch oracle on the patched graph.
-func checkRepair(t *testing.T, label string, g *graph.Graph, s graph.NodeID, tr incr.Trace, ledger map[uint64]int64) *incr.RepairResult {
+func checkRepair(t *testing.T, label string, g *graph.Graph, s graph.NodeID, tr incr.Trace, l *patchLog) *incr.RepairResult {
 	t.Helper()
-	rr, ok := incr.Repair(g, s, tr, incr.NetChanges(ledger, g), 0)
+	changes := l.net(t, g)
+	rr, ok := incr.Repair(g, s, tr, changes, 0)
 	if !ok {
 		t.Fatalf("%s: repair bailed with unbounded budget", label)
 	}
 	wantDist := graph.Dijkstra(g, s)
 	if !reflect.DeepEqual(rr.Dist, wantDist) {
 		t.Fatalf("%s: repaired distances diverge from Dijkstra\nchanges=%v\ntrace=%v\ngot =%v\nwant=%v",
-			label, incr.NetChanges(ledger, g), tr.Dist, rr.Dist, wantDist)
+			label, changes, tr.Dist, rr.Dist, wantDist)
 	}
 	wantParent := graph.WitnessParents(g, s, wantDist)
 	if !reflect.DeepEqual(rr.Parent, wantParent) {
 		t.Fatalf("%s: repaired witness tree diverges\nchanges=%v\ngot =%v\nwant=%v",
-			label, incr.NetChanges(ledger, g), rr.Parent, wantParent)
+			label, changes, rr.Parent, wantParent)
 	}
 	return rr
 }
@@ -75,10 +117,10 @@ func TestRepairDifferential(t *testing.T) {
 
 			sources := []graph.NodeID{0, graph.NodeID(rng.Intn(g.N()))}
 			traces := make(map[graph.NodeID]incr.Trace, len(sources))
-			ledgers := make(map[graph.NodeID]map[uint64]int64, len(sources))
+			ledgers := make(map[graph.NodeID]*patchLog, len(sources))
 			for _, s := range sources {
 				traces[s] = traceFor(g, s)
-				ledgers[s] = map[uint64]int64{}
+				ledgers[s] = &patchLog{}
 			}
 
 			for round := 0; round < 4; round++ {
@@ -91,7 +133,7 @@ func TestRepairDifferential(t *testing.T) {
 					t.Fatalf("%s trial %d: %v", fam, trial, err)
 				}
 				for _, s := range sources {
-					ledgerRecord(ledgers[s], g, deltas)
+					ledgers[s].record(g, deltas)
 				}
 				g = ng
 				if stacked && round < 3 {
@@ -103,7 +145,7 @@ func TestRepairDifferential(t *testing.T) {
 					totalRepairs++
 					// Promote, exactly like the registry after a repair.
 					traces[s] = incr.Trace{Dist: rr.Dist, Parent: rr.Parent}
-					ledgers[s] = map[uint64]int64{}
+					ledgers[s] = &patchLog{}
 				}
 			}
 		}
@@ -128,8 +170,8 @@ func TestRepairDisconnection(t *testing.T) {
 
 		e := g.Edges()[rng.Intn(g.M())]
 		cut := []graph.EdgeDelta{{Op: graph.DeltaDelete, U: e.U, V: e.V}}
-		ledger := map[uint64]int64{}
-		ledgerRecord(ledger, g, cut)
+		ledger := &patchLog{}
+		ledger.record(g, cut)
 		ng, err := graph.ApplyDeltas(g, cut)
 		if err != nil {
 			t.Fatal(err)
@@ -146,8 +188,8 @@ func TestRepairDisconnection(t *testing.T) {
 		// Reconnect at a different weight and repair the repaired trace.
 		tr2 := incr.Trace{Dist: rr.Dist, Parent: rr.Parent}
 		heal := []graph.EdgeDelta{{Op: graph.DeltaInsert, U: e.U, V: e.V, W: e.W + int64(rng.Intn(3))}}
-		ledger2 := map[uint64]int64{}
-		ledgerRecord(ledger2, ng, heal)
+		ledger2 := &patchLog{}
+		ledger2.record(ng, heal)
 		hg, err := graph.ApplyDeltas(ng, heal)
 		if err != nil {
 			t.Fatal(err)
@@ -190,8 +232,8 @@ func TestRepairTargeted(t *testing.T) {
 		g := square()
 		tr := traceFor(g, 0)
 		deltas := []graph.EdgeDelta{{Op: graph.DeltaReweight, U: 0, V: 2, W: 2}}
-		ledger := map[uint64]int64{}
-		ledgerRecord(ledger, g, deltas)
+		ledger := &patchLog{}
+		ledger.record(g, deltas)
 		ng, err := graph.ApplyDeltas(g, deltas)
 		if err != nil {
 			t.Fatal(err)
@@ -210,18 +252,18 @@ func TestRepairTargeted(t *testing.T) {
 		// must cancel to an empty change set and serve the trace verbatim.
 		g := square()
 		tr := traceFor(g, 0)
-		ledger := map[uint64]int64{}
+		ledger := &patchLog{}
 		cur := g
 		for _, w := range []int64{2, 3, 1} {
 			d := []graph.EdgeDelta{{Op: graph.DeltaReweight, U: 1, V: 2, W: w}}
-			ledgerRecord(ledger, cur, d)
+			ledger.record(cur, d)
 			next, err := graph.ApplyDeltas(cur, d)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cur = next
 		}
-		if ch := incr.NetChanges(ledger, cur); len(ch) != 0 {
+		if ch := ledger.net(t, cur); len(ch) != 0 {
 			t.Fatalf("net-zero patch stack left changes: %v", ch)
 		}
 		rr := checkRepair(t, "net-zero", cur, 0, tr, ledger)
@@ -235,18 +277,18 @@ func TestRepairTargeted(t *testing.T) {
 		// must diff the FIRST old weight against the LAST new one.
 		g := square()
 		tr := traceFor(g, 3)
-		ledger := map[uint64]int64{}
+		ledger := &patchLog{}
 		cur := g
 		for _, w := range []int64{5, 2, 7} {
 			d := []graph.EdgeDelta{{Op: graph.DeltaReweight, U: 0, V: 3, W: w}}
-			ledgerRecord(ledger, cur, d)
+			ledger.record(cur, d)
 			next, err := graph.ApplyDeltas(cur, d)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cur = next
 		}
-		ch := incr.NetChanges(ledger, cur)
+		ch := ledger.net(t, cur)
 		if len(ch) != 1 || ch[0].OldW != 1 || ch[0].NewW != 7 {
 			t.Fatalf("stacked same-edge ledger resolved to %v, want one {0,3} 1→7", ch)
 		}
@@ -266,8 +308,8 @@ func TestRepairTargeted(t *testing.T) {
 			if len(deltas) == 0 {
 				continue
 			}
-			ledger := map[uint64]int64{}
-			ledgerRecord(ledger, g, deltas)
+			ledger := &patchLog{}
+			ledger.record(g, deltas)
 			ng, err := graph.ApplyDeltas(g, deltas)
 			if err != nil {
 				t.Fatal(err)
@@ -285,13 +327,13 @@ func TestRepairBudget(t *testing.T) {
 	tr := traceFor(g, 0)
 	// Deleting the first edge orphans the other 31 vertices.
 	deltas := []graph.EdgeDelta{{Op: graph.DeltaDelete, U: 0, V: 1}}
-	ledger := map[uint64]int64{}
-	ledgerRecord(ledger, g, deltas)
+	ledger := &patchLog{}
+	ledger.record(g, deltas)
 	ng, err := graph.ApplyDeltas(g, deltas)
 	if err != nil {
 		t.Fatal(err)
 	}
-	changes := incr.NetChanges(ledger, ng)
+	changes := ledger.net(t, ng)
 	if rr, ok := incr.Repair(ng, 0, tr, changes, 5); ok || rr != nil {
 		t.Fatalf("repair of 31 orphans under budget 5 should decline, got %+v", rr)
 	}
@@ -350,15 +392,15 @@ func BenchmarkRepairSmallDelta(b *testing.B) {
 	tr := traceFor(g, 0)
 	// A tree edge is tight by construction, so raising it genuinely
 	// orphans a subtree (the interesting direction).
-	var ch incr.NetChange
+	var ch graph.WeightChange
 	for v := 1; v < n; v++ {
 		if p := tr.Parent[v]; p >= 0 {
 			w, _ := g.Weight(p, graph.NodeID(v))
-			ch = incr.NetChange{U: p, V: graph.NodeID(v), OldW: w, NewW: w + 1}
+			ch = graph.WeightChange{U: p, V: graph.NodeID(v), OldW: w, NewW: w + 1}
 			break
 		}
 	}
-	changes := []incr.NetChange{ch}
+	changes := []graph.WeightChange{ch}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -434,7 +434,7 @@ func decodeSpill(data []byte) (*regGraph, error) {
 	// to batch into the head's edges.
 	nb := r.count("log batch", 12)
 	rg.log = make([]logBatch, nb)
-	last := make(map[uint64]int64) // pair → its weight after the latest change
+	last := make(map[uint64]graph.WeightChange) // pair → its latest change
 	for i := range rg.log {
 		brev := r.u64()
 		if want := uint64(oldest + 1 + i); r.err == nil && brev != want {
@@ -443,13 +443,14 @@ func decodeSpill(data []byte) (*regGraph, error) {
 		changes := make([]graph.WeightChange, r.count("log change", 24))
 		for j := range changes {
 			u, v, ow, nw := r.u32(), r.u32(), int64(r.u64()), int64(r.u64())
-			k := uint64(u)<<32 | uint64(v)
-			prevW, seen := last[k]
-			if r.err == nil && (u >= v || v >= uint32(n) || ow < -1 || nw < -1 || ow == nw || (seen && prevW != ow)) {
+			c := graph.WeightChange{U: graph.NodeID(u), V: graph.NodeID(v), OldW: ow, NewW: nw}
+			k := graph.PairKey(c.U, c.V)
+			prev, seen := last[k]
+			if r.err == nil && (u >= v || v >= uint32(n) || ow < -1 || nw < -1 || ow == nw || (seen && prev.NewW != ow)) {
 				return nil, fmt.Errorf("log batch %d: change %d (pair {%d,%d}, weight %d → %d) malformed or not chained to the pair's previous weight", i, j, u, v, ow, nw)
 			}
-			last[k] = nw
-			changes[j] = graph.WeightChange{U: graph.NodeID(u), V: graph.NodeID(v), OldW: ow, NewW: nw}
+			last[k] = c
+			changes[j] = c
 		}
 		rg.log[i] = logBatch{rev: int(brev), changes: changes}
 		rg.logBytes += logBatchBytes(rg.log[i])
@@ -468,13 +469,13 @@ func decodeSpill(data []byte) (*regGraph, error) {
 	for _, tr := range rg.traces {
 		rg.held[rg.at(tr.rev)]++
 	}
-	for k, w := range last {
-		head, ok := g.Weight(graph.NodeID(k>>32), graph.NodeID(uint32(k)))
+	for _, c := range last {
+		head, ok := g.Weight(c.U, c.V)
 		if !ok {
 			head = -1
 		}
-		if w != head {
-			return nil, fmt.Errorf("log leaves pair {%d,%d} at weight %d, but the head has %d", k>>32, uint32(k), w, head)
+		if c.NewW != head {
+			return nil, fmt.Errorf("log leaves pair {%d,%d} at weight %d, but the head has %d", c.U, c.V, c.NewW, head)
 		}
 	}
 	return rg, nil

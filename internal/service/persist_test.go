@@ -110,7 +110,7 @@ func TestRegistryStaleLedgerStacks(t *testing.T) {
 		t.Fatalf("log batches at revisions %v, want [2 3 4]", got)
 	}
 	ng, d4, _, _ := r.Resolve(info.ID)
-	repair := func(src graph.NodeID, want []incr.NetChange) {
+	repair := func(src graph.NodeID, want []graph.WeightChange) {
 		t.Helper()
 		tr, changes, exact, ok := r.sourceTrace(info.ID, d4, src)
 		if !ok || exact || !reflect.DeepEqual(changes, want) {
@@ -122,11 +122,11 @@ func TestRegistryStaleLedgerStacks(t *testing.T) {
 		}
 		r.Record(info.ID, d4, src, rr.Dist, rr.Parent, "")
 	}
-	repair(0, []incr.NetChange{{U: 0, V: 2, OldW: 10, NewW: 1}})
+	repair(0, []graph.WeightChange{{U: 0, V: 2, OldW: 10, NewW: 1}})
 	if got := revs(); !reflect.DeepEqual(got, []int{4}) {
 		t.Fatalf("after source 0's repair the log holds revisions %v, want [4]", got)
 	}
-	repair(1, []incr.NetChange{{U: 1, V: 2, OldW: 4, NewW: 1}})
+	repair(1, []graph.WeightChange{{U: 1, V: 2, OldW: 4, NewW: 1}})
 	gi, _ := r.Get(info.ID)
 	if len(rg.log) != 0 || gi.StaleSources != 0 || gi.TracedSources != 2 || gi.Bytes != graphBytes(ng)+2*traceBytes(make([]int64, 4), make([]graph.NodeID, 4)) {
 		t.Fatalf("every trace is exact, but the log holds %d batches and info = %+v", len(rg.log), gi)

@@ -304,7 +304,6 @@ func (r *GraphRegistry) Patch(id string, deltas []graph.EdgeDelta) (PatchInfo, e
 		return PatchInfo{}, badRequest{err}
 	}
 	ng := graph.ApplyChanges(rg.g, changes)
-	effects := incr.EffectsOf(changes)
 	head, batch := rg.num, logBatch{rev: rg.num + 1, changes: changes}
 	rg.logBytes += logBatchBytes(batch)
 	r.charge(rg, graphBytes(ng)-graphBytes(rg.g)+logBatchBytes(batch))
@@ -315,12 +314,12 @@ func (r *GraphRegistry) Patch(id string, deltas []graph.EdgeDelta) (PatchInfo, e
 		ID: id, Revision: rg.num, ParentRevision: head,
 		Digest: hex.EncodeToString(rg.digest[:]),
 		N:      ng.N(), M: ng.M(),
-		DeltasApplied: len(deltas), Effects: len(effects),
+		DeltasApplied: len(deltas), Effects: len(changes),
 	}
 	for _, tr := range rg.traces {
 		switch {
 		case tr.rev != head: // stale since an earlier PATCH
-		case incr.SourceDirty(effects, tr.dist):
+		case incr.SourceDirty(changes, tr.dist):
 			info.SourcesDropped++
 		default:
 			info.SourcesKept++
@@ -428,7 +427,7 @@ func (r *GraphRegistry) Record(id string, digest [32]byte, src graph.NodeID, dis
 // the net changes separating the trace's revision from the head. ok=false
 // means no trace. The returned slices are shared immutable state — callers
 // must not write through them (incr.Repair copies before writing).
-func (r *GraphRegistry) sourceTrace(id string, digest [32]byte, src graph.NodeID) (tr incr.Trace, changes []incr.NetChange, exact, ok bool) {
+func (r *GraphRegistry) sourceTrace(id string, digest [32]byte, src graph.NodeID) (tr incr.Trace, changes []graph.WeightChange, exact, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rg, found := r.graphs[id]
@@ -443,20 +442,14 @@ func (r *GraphRegistry) sourceTrace(id string, digest [32]byte, src graph.NodeID
 	if t.rev == rg.num {
 		return tr, nil, true, true
 	}
-	// Fold the batches after the trace's revision — the log runs one batch
-	// per revision from just after the oldest trace — into a base-weight
-	// ledger: each pair they touch at its first change's old weight, which
-	// is its weight at t.rev (-1 for absent).
-	base := make(map[uint64]int64)
+	// The log runs one batch per revision from just after the oldest
+	// trace to the head, so the batches after t.rev chain the trace's
+	// graph into the head.
+	var since []graph.WeightChange
 	for _, b := range rg.log[rg.at(t.rev):] {
-		for _, c := range b.changes {
-			k := graph.PairKey(c.U, c.V)
-			if _, seen := base[k]; !seen {
-				base[k] = c.OldW
-			}
-		}
+		since = append(since, b.changes...)
 	}
-	return tr, incr.NetChanges(base, rg.g), false, true
+	return tr, graph.NetChanges(since), false, true
 }
 
 // touchLocked marks a graph most-recently-used.

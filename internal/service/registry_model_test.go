@@ -57,6 +57,32 @@ func ledgerRecordBase(base map[uint64]int64, changes []graph.WeightChange) {
 	}
 }
 
+// ledgerNetChanges diffs a stale trace's base ledger against the head g:
+// every ledger pair whose weight moved, in pair order; nil for an empty
+// ledger.
+func ledgerNetChanges(base map[uint64]int64, g *graph.Graph) []graph.WeightChange {
+	if len(base) == 0 {
+		return nil
+	}
+	out := make([]graph.WeightChange, 0, len(base))
+	for u := graph.NodeID(0); int(u) < g.N(); u++ {
+		for v := u + 1; int(v) < g.N(); v++ {
+			oldw, ok := base[graph.PairKey(u, v)]
+			if !ok {
+				continue
+			}
+			neww := int64(-1)
+			if w, ok := g.Weight(u, v); ok {
+				neww = w
+			}
+			if oldw != neww {
+				out = append(out, graph.WeightChange{U: u, V: v, OldW: oldw, NewW: neww})
+			}
+		}
+	}
+	return out
+}
+
 func (m *ledgerRegistry) patch(id string, deltas []graph.EdgeDelta) (PatchInfo, error) {
 	old := m.head
 	changes, err := graph.ResolveDeltas(old.g, deltas)
@@ -64,7 +90,6 @@ func (m *ledgerRegistry) patch(id string, deltas []graph.EdgeDelta) (PatchInfo, 
 		return PatchInfo{}, badRequest{err}
 	}
 	ng := graph.ApplyChanges(old.g, changes)
-	effects := incr.EffectsOf(changes)
 	next := &ledgerRevision{
 		num: old.num + 1, digest: canonicalGraphDigest(ng), g: ng,
 		traces: make(map[graph.NodeID]*ledgerExact),
@@ -74,10 +99,10 @@ func (m *ledgerRegistry) patch(id string, deltas []graph.EdgeDelta) (PatchInfo, 
 		ID: id, Revision: next.num, ParentRevision: old.num,
 		Digest: hex.EncodeToString(next.digest[:]),
 		N:      ng.N(), M: ng.M(),
-		DeltasApplied: len(deltas), Effects: len(effects),
+		DeltasApplied: len(deltas), Effects: len(changes),
 	}
 	for src, tr := range old.traces {
-		if incr.SourceDirty(effects, tr.dist) {
+		if incr.SourceDirty(changes, tr.dist) {
 			info.SourcesDropped++
 			if tr.parent != nil {
 				st := &ledgerStale{dist: tr.dist, parent: tr.parent, base: make(map[uint64]int64)}
@@ -112,7 +137,7 @@ func (m *ledgerRegistry) record(digest [32]byte, src graph.NodeID, dist []int64,
 	}
 }
 
-func (m *ledgerRegistry) sourceTrace(digest [32]byte, src graph.NodeID) (incr.Trace, []incr.NetChange, bool, bool) {
+func (m *ledgerRegistry) sourceTrace(digest [32]byte, src graph.NodeID) (incr.Trace, []graph.WeightChange, bool, bool) {
 	if m.head.digest != digest {
 		return incr.Trace{}, nil, false, false
 	}
@@ -120,7 +145,7 @@ func (m *ledgerRegistry) sourceTrace(digest [32]byte, src graph.NodeID) (incr.Tr
 		return incr.Trace{Dist: t.dist, Parent: t.parent}, nil, true, true
 	}
 	if st, ok := m.head.stale[src]; ok {
-		return incr.Trace{Dist: st.dist, Parent: st.parent}, incr.NetChanges(st.base, m.head.g), false, true
+		return incr.Trace{Dist: st.dist, Parent: st.parent}, ledgerNetChanges(st.base, m.head.g), false, true
 	}
 	return incr.Trace{}, nil, false, false
 }

@@ -202,7 +202,7 @@ func (s *Server) remembered(sp *trace.Span, q rowQuery, src graph.NodeID) (row, 
 // phases (carve/seed/settle/witness) grafted as children carrying their
 // measured wall times and the affected-region sizes as attributes; the same
 // per-phase split feeds dsssp_repair_phase_seconds.
-func (s *Server) repair(sp *trace.Span, q rowQuery, src graph.NodeID, tr incr.Trace, changes []incr.NetChange, exact bool) (row, bool) {
+func (s *Server) repair(sp *trace.Span, q rowQuery, src graph.NodeID, tr incr.Trace, changes []graph.WeightChange, exact bool) (row, bool) {
 	n := q.n
 	rsp := sp.StartChild("repair")
 	rsp.SetAttr("source", int64(src))

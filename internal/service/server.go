@@ -57,8 +57,6 @@ type Config struct {
 	Workers int
 	// MaxN caps requested graph sizes (default 4096).
 	MaxN int
-	// MaxBodyBytes caps request bodies (default 16 MiB).
-	MaxBodyBytes int64
 	// Logger receives one structured completion line per request plus
 	// slow-query and lifecycle events (default: discard — the daemon
 	// passes a real handler; tests stay quiet).
@@ -82,6 +80,8 @@ type Config struct {
 
 	// now is the test hook for timestamps (default time.Now).
 	now func() time.Time
+	// maxBodyBytes is the test hook for the request body cap (default 16 MiB).
+	maxBodyBytes int64
 }
 
 func (c *Config) applyDefaults() {
@@ -100,8 +100,8 @@ func (c *Config) applyDefaults() {
 	if c.MaxN <= 0 {
 		c.MaxN = 4096
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 16 << 20
+	if c.maxBodyBytes <= 0 {
+		c.maxBodyBytes = 16 << 20
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
@@ -644,9 +644,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // --- plumbing ---
 
 // decode parses a JSON request body strictly: unknown fields and trailing
-// garbage are 400s, a body over MaxBodyBytes a 413, all with JSON errors.
+// garbage are 400s, a body over maxBodyBytes a 413, all with JSON errors.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
 		status := http.StatusBadRequest

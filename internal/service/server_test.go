@@ -22,7 +22,7 @@ func testServer(t *testing.T) *Server { return testServerBodyCap(t, 0) }
 // bytes (0 = the default cap).
 func testServerBodyCap(t *testing.T, bodyCap int64) *Server {
 	t.Helper()
-	s, err := New(Config{Workers: 4, MaxBodyBytes: bodyCap})
+	s, err := New(Config{Workers: 4, maxBodyBytes: bodyCap})
 	if err != nil {
 		t.Fatal(err)
 	}
