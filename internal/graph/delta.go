@@ -172,17 +172,16 @@ func ApplyDeltas(g *Graph, deltas []EdgeDelta) (*Graph, error) {
 
 // ApplyChanges returns a new graph equal to g with changes — the output of
 // ResolveDeltas on g — applied, leaving g untouched. The result is rebuilt
-// from the patched edge set in canonical order (sorted by endpoints), so —
-// like every generator- or inline-built graph — it is a pure function of
-// its edge set: EdgeIDs are reassigned densely and two delta paths reaching
-// the same edge set produce identical graphs, which is what lets the
-// serving layer content-address patched revisions.
+// from the patched edge set in pair order, so — like every built graph —
+// it is a pure function of its edge set: EdgeIDs are the pair ranks and
+// two delta paths reaching the same edge set produce identical graphs,
+// which is what lets the serving layer content-address patched revisions.
 //
 // Cost is O(n + m + k log k) for k changes: NetChanges sorts them by pair,
 // the net changes are merged with g's edges in pair order, and the merged
 // list is handed to the builder in pair order.
 func ApplyChanges(g *Graph, changes []WeightChange) *Graph {
-	base := g.PairEdges()
+	base := g.Edges()
 	net := NetChanges(changes)
 	out := make([]EdgeTriple, 0, len(base)+len(net))
 	i := 0
@@ -200,30 +199,4 @@ func ApplyChanges(g *Graph, changes []WeightChange) *Graph {
 		}
 	}
 	return build(g.n, append(out, base[i:]...))
-}
-
-// PairEdges lists g's edges sorted by (U, V), reading each edge off its
-// smaller endpoint's adjacency list. Sorted adjacency — every generator's
-// and builder's output — yields pair order directly; anything else is
-// sorted once. The slice is freshly allocated.
-func (g *Graph) PairEdges() []EdgeTriple {
-	out := make([]EdgeTriple, 0, g.m)
-	sorted := true
-	for u, hs := range g.adj {
-		prev := NodeID(u)
-		for _, h := range hs {
-			if h.To <= NodeID(u) {
-				continue
-			}
-			if h.To < prev {
-				sorted = false
-			}
-			prev = h.To
-			out = append(out, EdgeTriple{U: NodeID(u), V: h.To, W: h.W, ID: h.ID})
-		}
-	}
-	if !sorted {
-		slices.SortFunc(out, func(a, b EdgeTriple) int { return cmp.Compare(PairKey(a.U, a.V), PairKey(b.U, b.V)) })
-	}
-	return out
 }

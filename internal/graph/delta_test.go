@@ -10,7 +10,7 @@ import (
 )
 
 func edgesOf(g *Graph) []EdgeTriple {
-	return g.Edges() // already canonical u<v; order is construction order
+	return g.Edges() // u < v, in pair order
 }
 
 func TestApplyDeltasBasic(t *testing.T) {

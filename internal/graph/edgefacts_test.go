@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"container/heap"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -57,17 +59,15 @@ func TestRevAfterEveryConstructor(t *testing.T) {
 		g.AddEdge(0, NodeID(n-1), 1) // after a sort, into a capacity-limited list
 		checkRev(t, "sort+addedge", g)
 
-		// FromEdges with pairs out of pair order takes the SortAdj path.
+		// build with pairs out of pair order (the Dumbbell path) takes
+		// the SortAdj path; FromEdges refuses the same list.
 		es := g.Edges()
 		rng.Shuffle(len(es), func(a, b int) { es[a], es[b] = es[b], es[a] })
-		for i := range es {
-			es[i].ID = EdgeID(i)
+		checkRev(t, "build-unsorted", build(n, es))
+		inOrder := slices.IsSortedFunc(es, func(a, b EdgeTriple) int { return cmp.Compare(PairKey(a.U, a.V), PairKey(b.U, b.V)) })
+		if _, err := FromEdges(n, es); (err == nil) != inOrder {
+			t.Fatalf("FromEdges on a list in pair order %v: err = %v", inOrder, err)
 		}
-		fg, err := FromEdges(n, es)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkRev(t, "fromedges-unsorted", fg)
 	}
 }
 

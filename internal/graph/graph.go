@@ -14,9 +14,10 @@ import (
 // NodeID identifies a node; nodes are numbered 0..N-1.
 type NodeID int32
 
-// EdgeID identifies an undirected edge; edges are numbered 0..M-1. Both
-// directions of an edge share the EdgeID, which is what the per-edge
-// congestion accounting keys on.
+// EdgeID identifies an undirected edge; edges are numbered 0..M-1 in pair
+// order (see SortAdj), so every built graph's numbering is a function of
+// its edge set. Both directions of an edge share the EdgeID, which is what
+// the per-edge congestion accounting keys on.
 type EdgeID int32
 
 // Inf is the distance value used for "unreachable / above threshold".
@@ -74,7 +75,7 @@ func New(n int) *Graph {
 }
 
 // PairKey is the canonical key of the unordered pair {u,v}: min<<32 | max.
-// It orders FromEdges' and PairEdges' lists and keys every per-pair ledger.
+// It orders Edges' and FromEdges' lists and keys every per-pair ledger.
 func PairKey(u, v NodeID) uint64 {
 	if u > v {
 		u, v = v, u
@@ -89,7 +90,9 @@ func (g *Graph) N() int { return g.n }
 func (g *Graph) M() int { return g.m }
 
 // AddEdge inserts an undirected edge {u,v} with weight w and returns its
-// EdgeID. Weights must be non-negative. Self-loops are rejected.
+// EdgeID. Weights must be non-negative. Self-loops are rejected. The ID is
+// provisional: it counts insertions, and SortAdj renumbers every edge by
+// its pair rank.
 //
 // Duplicate edges canonicalize under the keep-min policy: adding {u,v} when
 // the pair already exists keeps the minimum of the two weights on the
@@ -180,23 +183,22 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 	return ok
 }
 
-// SortAdj sorts every adjacency list by (To, ID) and re-links the Rev
-// ports. The simulator relies on a canonical neighbor order for
-// deterministic message scheduling; every generator calls this before
-// returning.
+// SortAdj sorts every adjacency list by neighbor, re-links the Rev ports
+// and renumbers the edges in pair order: EdgeID i is the i-th pair {u,v},
+// u < v, sorted by (u, v). The simulator relies on a canonical neighbor
+// order for deterministic message scheduling, and forest.Build breaks ties
+// by EdgeID, so a sorted graph — every generator's and builder's output —
+// is a pure function of its edge set, EdgeIDs included.
 func (g *Graph) SortAdj() {
 	for _, a := range g.adj {
-		slices.SortFunc(a, func(x, y Half) int {
-			if c := cmp.Compare(x.To, y.To); c != 0 {
-				return c
-			}
-			return cmp.Compare(x.ID, y.ID)
-		})
+		slices.SortFunc(a, func(x, y Half) int { return cmp.Compare(x.To, y.To) })
 	}
-	// Walking each u's halves toward higher nodes, u ascending, meets the
-	// reverse halves — v's halves toward lower nodes, which lead v's list —
-	// in v's own (To, ID) order, so a cursor per node finds each of them.
+	// Walking each u's halves toward higher nodes, u ascending, visits the
+	// pairs in pair order and meets the reverse halves — v's halves toward
+	// lower nodes, which lead v's list — in v's own order, so a cursor per
+	// node finds each of them.
 	next := make([]int32, g.n)
+	id := EdgeID(0)
 	for u, a := range g.adj {
 		for i, h := range a {
 			if h.To < NodeID(u) {
@@ -204,29 +206,36 @@ func (g *Graph) SortAdj() {
 			}
 			j := next[h.To]
 			next[h.To]++
-			a[i].Rev = j
-			g.adj[h.To][j].Rev = int32(i)
+			a[i].Rev, a[i].ID = j, id
+			g.adj[h.To][j].Rev, g.adj[h.To][j].ID = int32(i), id
+			id++
 		}
 	}
 }
 
-// Edges returns all undirected edges as (u,v,w) triples with u < v, indexed
-// by EdgeID. The slice is freshly allocated.
+// Edges lists the graph's edges as (u,v,w) triples with u < v, in pair
+// order — sorted by (U, V) — reading each edge off its smaller endpoint's
+// adjacency list. For a sorted graph that is EdgeID order, and
+// FromEdges(g.N(), g.Edges()) reproduces it; a graph AddEdge left unsorted
+// is sorted once here. The slice is freshly allocated.
 func (g *Graph) Edges() []EdgeTriple {
-	out := make([]EdgeTriple, g.m)
-	seen := make([]bool, g.m)
-	for u := 0; u < g.n; u++ {
-		for _, h := range g.adj[u] {
-			if seen[h.ID] {
+	out := make([]EdgeTriple, 0, g.m)
+	sorted := true
+	for u, hs := range g.adj {
+		prev := NodeID(u)
+		for _, h := range hs {
+			if h.To <= NodeID(u) {
 				continue
 			}
-			seen[h.ID] = true
-			a, b := NodeID(u), h.To
-			if a > b {
-				a, b = b, a
+			if h.To < prev {
+				sorted = false
 			}
-			out[h.ID] = EdgeTriple{U: a, V: b, W: h.W, ID: h.ID}
+			prev = h.To
+			out = append(out, EdgeTriple{U: NodeID(u), V: h.To, W: h.W, ID: h.ID})
 		}
+	}
+	if !sorted {
+		slices.SortFunc(out, func(a, b EdgeTriple) int { return cmp.Compare(PairKey(a.U, a.V), PairKey(b.U, b.V)) })
 	}
 	return out
 }
@@ -239,20 +248,19 @@ type EdgeTriple struct {
 }
 
 // FromEdges is the inverse of Edges: it returns the n-node graph whose edge
-// i is edges[i], which must carry ID i, with every adjacency list in
-// (To, ID) order — so FromEdges(g.N(), g.Edges()) reproduces any graph
-// whose adjacency is sorted, EdgeIDs included. Unlike AddEdge it returns an
-// error instead of panicking or merging: on an ID out of place, an endpoint
-// out of range, a self-loop, endpoints not in canonical order, a negative
-// weight or a repeated pair.
+// i is edges[i], numbered i whatever ID it carries. The edges must be in
+// strict pair order, so FromEdges(g.N(), g.Edges()) reproduces any sorted
+// graph, EdgeIDs and Rev ports included. Unlike AddEdge it returns an
+// error instead of panicking or merging: on an endpoint out of range, a
+// self-loop, endpoints not in canonical order, a negative weight, or two
+// neighbouring edges out of pair order or repeating a pair.
 func FromEdges(n int, edges []EdgeTriple) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative node count %d", n)
 	}
+	var prev uint64
 	for i, e := range edges {
-		switch {
-		case e.ID != EdgeID(i):
-			return nil, fmt.Errorf("graph: edge %d carries ID %d", i, e.ID)
+		switch k := PairKey(e.U, e.V); {
 		case e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n:
 			return nil, fmt.Errorf("graph: edge %d {%d,%d} out of range (n=%d)", i, e.U, e.V, n)
 		case e.U == e.V:
@@ -261,41 +269,25 @@ func FromEdges(n int, edges []EdgeTriple) (*Graph, error) {
 			return nil, fmt.Errorf("graph: edge %d {%d,%d} not in canonical order u < v", i, e.U, e.V)
 		case e.W < 0:
 			return nil, fmt.Errorf("graph: edge %d {%d,%d} has negative weight %d", i, e.U, e.V, e.W)
+		case i > 0 && k == prev:
+			return nil, fmt.Errorf("graph: edges %d and %d repeat the pair {%d,%d}", i-1, i, e.U, e.V)
+		case i > 0 && k < prev:
+			p := edges[i-1]
+			return nil, fmt.Errorf("graph: edges %d {%d,%d} and %d {%d,%d} are out of pair order", i-1, p.U, p.V, i, e.U, e.V)
+		default:
+			prev = k
 		}
 	}
-	g := build(n, edges)
-	// Sorted by (To, ID), the halves of a repeated pair sit side by side;
-	// the error names the repeat whose first copy comes first in edges.
-	first, last := EdgeID(-1), EdgeID(-1)
-	for u, a := range g.adj {
-		for i := 0; i+1 < len(a); i++ {
-			if a[i].To < NodeID(u) || a[i+1].To != a[i].To {
-				continue
-			}
-			j := i + 1
-			for j+1 < len(a) && a[j+1].To == a[i].To {
-				j++
-			}
-			if first < 0 || a[i].ID < first {
-				first, last = a[i].ID, a[j].ID
-			}
-			i = j
-		}
-	}
-	if first >= 0 {
-		e := edges[first]
-		return nil, fmt.Errorf("graph: edges %d and %d repeat the pair {%d,%d}", first, last, e.U, e.V)
-	}
-	return g, nil
+	return build(n, edges), nil
 }
 
 // build returns the n-node graph whose edge i is edges[i], without
 // checking endpoints, weights or pair uniqueness. The halves are carved
 // from one flat slice (capacity-limited per node, so a later AddEdge
-// reallocates instead of overwriting a neighbor) and edges are numbered by
-// position, whatever ID they carry. Input in pair order — sorted by (U, V)
-// — leaves every adjacency list sorted by To already; any other order
-// costs one SortAdj.
+// reallocates instead of overwriting a neighbor). Input in pair order —
+// sorted by (U, V) — is numbered by position and leaves every adjacency
+// list sorted already; any other order costs one SortAdj, which numbers
+// the edges by pair rank all the same.
 func build(n int, edges []EdgeTriple) *Graph {
 	g := &Graph{n: n, m: len(edges), adj: make([][]Half, n)}
 	deg := make([]int32, n)

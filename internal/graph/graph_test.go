@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -162,15 +163,16 @@ func TestEdgesCanonical(t *testing.T) {
 	g := New(4)
 	g.AddEdge(3, 1, 5)
 	g.AddEdge(0, 2, 9)
-	es := g.Edges()
-	if len(es) != 2 {
-		t.Fatalf("len = %d", len(es))
+	// Unsorted, Edges still lists pair order; the IDs are AddEdge's
+	// provisional ones until SortAdj numbers the pairs.
+	want := []EdgeTriple{{U: 0, V: 2, W: 9, ID: 1}, {U: 1, V: 3, W: 5, ID: 0}}
+	if es := g.Edges(); !reflect.DeepEqual(es, want) {
+		t.Fatalf("unsorted: Edges = %+v, want %+v", es, want)
 	}
-	if es[0].U != 1 || es[0].V != 3 || es[0].W != 5 {
-		t.Fatalf("edge 0 = %+v", es[0])
-	}
-	if es[1].U != 0 || es[1].V != 2 || es[1].W != 9 {
-		t.Fatalf("edge 1 = %+v", es[1])
+	g.SortAdj()
+	want[0].ID, want[1].ID = 0, 1
+	if es := g.Edges(); !reflect.DeepEqual(es, want) {
+		t.Fatalf("sorted: Edges = %+v, want %+v", es, want)
 	}
 }
 

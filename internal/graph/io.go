@@ -11,7 +11,7 @@ import (
 // WriteEdgeList writes the graph in a plain text format:
 //
 //	n <nodes>
-//	<u> <v> <w>    (one line per edge, in EdgeID order)
+//	<u> <v> <w>    (one line per edge, u < v, in pair order)
 func WriteEdgeList(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "n %d\n", g.N()); err != nil {

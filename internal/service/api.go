@@ -331,7 +331,6 @@ func buildGraph(spec GraphSpec, maxN int) (*graph.Graph, error) {
 		if n := len(dedup); n > 0 && e.U == dedup[n-1].U && e.V == dedup[n-1].V {
 			continue
 		}
-		e.ID = graph.EdgeID(len(dedup))
 		dedup = append(dedup, e)
 	}
 	return graph.FromEdges(spec.N, dedup)

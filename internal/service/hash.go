@@ -16,20 +16,29 @@ import (
 // each number 8 bytes little-endian. Thanks to the keep-min AddEdge policy
 // the edge set is duplicate-free, so two graphs hash equal iff they are
 // the same weighted graph — regardless of how (inline vs generator, in
-// which insertion order) they were described.
+// which insertion order) they were described. Every built graph numbers
+// its edges in pair order, so equal digests also mean equal EdgeIDs and
+// equal simulations. g must be built (its adjacency sorted, as
+// FromEdges, the generators and ApplyChanges leave it): the pairs are
+// read off it — each u's halves toward higher nodes, u ascending —
+// without listing the edges.
 func canonicalGraphDigest(g *graph.Graph) [32]byte {
-	es := g.PairEdges()
 	// Fed to the hash in 4 KiB chunks, so a digest never holds a second
 	// copy of a large graph's edge list.
 	h := sha256.New()
 	le := binary.LittleEndian
-	buf := le.AppendUint64(le.AppendUint64(make([]byte, 0, 4096), uint64(g.N())), uint64(len(es)))
-	for _, e := range es {
-		if len(buf)+24 > cap(buf) {
-			h.Write(buf)
-			buf = buf[:0]
+	buf := le.AppendUint64(le.AppendUint64(make([]byte, 0, 4096), uint64(g.N())), uint64(g.M()))
+	for u := range g.N() {
+		for _, e := range g.Adj(graph.NodeID(u)) {
+			if e.To <= graph.NodeID(u) {
+				continue
+			}
+			if len(buf)+24 > cap(buf) {
+				h.Write(buf)
+				buf = buf[:0]
+			}
+			buf = le.AppendUint64(le.AppendUint64(le.AppendUint64(buf, uint64(u)), uint64(e.To)), uint64(e.W))
 		}
-		buf = le.AppendUint64(le.AppendUint64(le.AppendUint64(buf, uint64(e.U)), uint64(e.V)), uint64(e.W))
 	}
 	h.Write(buf)
 	var out [32]byte

@@ -1,7 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"encoding/hex"
+	"encoding/json"
+	"net/http"
 	"testing"
 	"time"
 
@@ -50,7 +53,7 @@ func TestCanonicalDigestPinned(t *testing.T) {
 
 	es := make([]graph.EdgeTriple, len(digestPinEdges))
 	for i, e := range digestPinEdges {
-		es[i] = graph.EdgeTriple{U: graph.NodeID(e[0]), V: graph.NodeID(e[1]), W: e[2], ID: graph.EdgeID(i)}
+		es[i] = graph.EdgeTriple{U: graph.NodeID(e[0]), V: graph.NodeID(e[1]), W: e[2]}
 	}
 	if ways["from-edges"], err = graph.FromEdges(n, es); err != nil {
 		t.Fatal(err)
@@ -112,5 +115,72 @@ func TestCanonicalDigestPinned(t *testing.T) {
 		if info.ID != "g-"+pinnedDigest[:16] {
 			t.Errorf("%s: registered as %s, want g-%s", name, info.ID, pinnedDigest[:16])
 		}
+	}
+}
+
+// TestCacheBodiesIndependentOfRepresentation checks the cache-keying
+// promise end to end: a generator spec (or the handle of a registered
+// generator graph) and an inline listing of the same edges share one
+// cache entry, so the entry's body must be the body a fresh server
+// computes for the inline query. It holds only if the simulation, which
+// reads EdgeIDs, is a function of the edge set, as the digest is.
+func TestCacheBodiesIndependentOfRepresentation(t *testing.T) {
+	type rep struct {
+		name string
+		spec GraphSpec
+		// register queries the spec through a registered handle instead
+		// of as a generator spec.
+		register bool
+	}
+	var reps []rep
+	for _, f := range []string{"random", "cycle", "expander", "barbell", "powerlaw", "cluster", "disconnected"} {
+		reps = append(reps, rep{name: f, spec: GraphSpec{Family: f, N: 48, Seed: 1, Weights: &WeightSpec{Kind: "uniform", MaxW: 48}}})
+	}
+	reps = append(reps, rep{name: "registered-random", register: true,
+		spec: GraphSpec{Family: "random", N: 48, Seed: 2, Weights: &WeightSpec{Kind: "uniform", MaxW: 48}}})
+
+	query := func(t *testing.T, s *Server, spec GraphSpec, want string) []byte {
+		t.Helper()
+		b, err := json.Marshal(map[string]any{"graph": spec, "source": 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := do(t, s, "POST", "/v1/sssp", string(b))
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.Code, w.Body.Bytes())
+		}
+		if got := w.Header().Get("X-Dsssp-Cache"); got != want {
+			t.Fatalf("cache %s, want %s", got, want)
+		}
+		return w.Body.Bytes()
+	}
+	for _, r := range reps {
+		t.Run(r.name, func(t *testing.T) {
+			g, err := buildGraph(r.spec, 4096)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The inline listing: reversed, endpoints flipped.
+			inline := GraphSpec{N: g.N()}
+			es := g.Edges()
+			for i := len(es) - 1; i >= 0; i-- {
+				inline.Edges = append(inline.Edges, [3]int64{int64(es[i].V), int64(es[i].U), es[i].W})
+			}
+
+			s := testServer(t)
+			first := r.spec
+			if r.register {
+				b, _ := json.Marshal(map[string]any{"graph": r.spec})
+				var info GraphInfo
+				decodeBody(t, do(t, s, "POST", "/v1/graphs", string(b)), http.StatusCreated, &info)
+				first = GraphSpec{ID: info.ID}
+			}
+			query(t, s, first, "miss")
+			shared := query(t, s, inline, "hit")
+			fresh := query(t, testServer(t), inline, "miss")
+			if !bytes.Equal(shared, fresh) {
+				t.Fatalf("the shared entry's body differs from a fresh inline computation:\nshared %s\n fresh %s", shared, fresh)
+			}
+		})
 	}
 }

@@ -32,7 +32,7 @@ import (
 //	magic "DSSSPILL", version u32
 //	id length u32, id bytes
 //	revision u64, n u32, created-at ns i64, patched-at ns i64 (0: never)
-//	m u32, then m edges {u u32, v u32, w i64} in EdgeID order, u < v
+//	m u32, then m edges {u u32, v u32, w i64} in pair order, u < v
 //	traces u32, each {src u32, rev u64, dist n×i64, parent n×i32}
 //	log batches u32, each {rev u64, changes u32,
 //	    each {u u32, v u32, old weight i64, new weight i64}}, u < v
@@ -46,7 +46,8 @@ import (
 // field — that the log chains each pair's weights and leaves them at the
 // head's edges included — and checks each count against the bytes left
 // before it allocates. A version 1 spill, with a ledger per stale trace,
-// is refused like any other unreadable file.
+// is refused like any other unreadable file, and so is a spill an older
+// build wrote with a generator graph's edges out of pair order.
 
 const (
 	spillExt     = ".spill"
@@ -394,7 +395,7 @@ func decodeSpill(data []byte) (*regGraph, error) {
 	edges := make([]graph.EdgeTriple, r.count("edge", 16))
 	for i := range edges {
 		u, v := graph.NodeID(int32(r.u32())), graph.NodeID(int32(r.u32()))
-		edges[i] = graph.EdgeTriple{U: u, V: v, W: int64(r.u64()), ID: graph.EdgeID(i)}
+		edges[i] = graph.EdgeTriple{U: u, V: v, W: int64(r.u64())}
 	}
 	if r.err != nil {
 		return nil, fmt.Errorf("edges: %w", r.err)

@@ -14,10 +14,10 @@ import (
 	"dsssp/internal/graph"
 )
 
-// spilledRegistry registers a generator graph (EdgeIDs in generator order,
-// not pair order) under dir with exact traces, and leaves a second graph
-// patched twice with stale traces and a two-batch change log. It returns
-// the registry, the generator graph's id and the patched one's.
+// spilledRegistry registers a generator graph under dir with exact
+// traces, and leaves a second graph patched twice with stale traces and a
+// two-batch change log. It returns the registry, the generator graph's id
+// and the patched one's.
 func spilledRegistry(t *testing.T, dir string) (*GraphRegistry, string, string) {
 	t.Helper()
 	r := NewGraphRegistry(1<<30, NewCache(1<<20), nil)
@@ -296,7 +296,11 @@ func TestSpillMalformedFields(t *testing.T) {
 		{"edge-out-of-range", onlyEdge([3]int64{0, 9, 1}), "out of range"},
 		{"edge-negative-weight", onlyEdge([3]int64{0, 1, -3}), "negative weight"},
 		{"edge-order", func(s *rawSpill) { s.edges[1] = [3]int64{2, 1, 2} }, "canonical order"},
-		{"edge-repeat", func(s *rawSpill) { s.edges[1] = [3]int64{0, 1, 2} }, "repeat the pair"},
+		{"edge-repeat", func(s *rawSpill) { s.edges[1] = [3]int64{0, 1, 2} }, "edges 0 and 1 repeat the pair {0,1}"},
+		// Edges in EdgeID order but out of pair order: what an older build
+		// spilled for a generator-registered graph, whose edges it numbered
+		// in insertion order.
+		{"edge-pair-order", func(s *rawSpill) { s.edges[0], s.edges[1] = s.edges[1], s.edges[0] }, "edges 0 {1,2} and 1 {0,1} are out of pair order"},
 		{"edge-count", func(s *rawSpill) { s.m = 1 << 30 }, "edge count"},
 		{"magic", func(s *rawSpill) { s.magic = "DSSSPILX" }, "bad magic"},
 		{"checksum", func(s *rawSpill) { s.badCRC = true }, "checksum mismatch"},
