@@ -100,7 +100,7 @@ func TestCanonicalDigestPinned(t *testing.T) {
 	}
 	ways["patched"] = graph.ApplyChanges(base, changes)
 
-	rg, err := decodeSpill(appendSpill(nil, &regGraph{id: "g-pin", createdAt: time.Unix(0, 1), num: 1, g: ways["add-edge"]}))
+	rg, _, err := decodeSpill(appendSpill(nil, &regGraph{id: "g-pin", createdAt: time.Unix(0, 1), num: 1, g: ways["add-edge"]}))
 	if err != nil {
 		t.Fatal(err)
 	}

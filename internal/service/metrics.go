@@ -111,6 +111,9 @@ func newServerMetrics(cfg *Config, cache *Cache, registry *GraphRegistry) *serve
 	r.GaugeFunc("dsssp_graph_stale_traces",
 		"Dirty per-source traces awaiting repair across every registered graph.",
 		func() float64 { return float64(registry.Stats().StaleTraces) })
+	r.CounterFunc("dsssp_graph_spill_errors_total",
+		"Registry spills (whole rewrites and journal appends) that failed.",
+		func() float64 { return float64(registry.Stats().SpillErrors) })
 
 	// Cache counters live in their subsystem (they predate the
 	// registry); surface them at scrape time.

@@ -1,9 +1,13 @@
 package service
 
 import (
+	"bytes"
+	"encoding/hex"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dsssp/internal/graph"
@@ -241,5 +245,149 @@ func TestRegistryPersistenceCorruptFile(t *testing.T) {
 	r := NewGraphRegistry(1<<20, NewCache(1<<20), nil)
 	if _, err := r.EnablePersistence(dir); err == nil {
 		t.Fatal("corrupt spill file accepted")
+	}
+}
+
+// TestSpillErrorsCounted removes the registry directory under a live
+// persistent server: the next PATCH's journal append fails, and the
+// failure is counted in dsssp_graph_spill_errors_total and logged once
+// while the PATCH itself succeeds. Once the directory is back, the next
+// PATCH rewrites the spill whole (compacts) rather than appending after a
+// record that may be missing, and a fresh boot restores the head revision
+// and digest.
+func TestSpillErrorsCounted(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "registry")
+	var logs bytes.Buffer
+	s, err := New(Config{Workers: 1, RegistryDir: dir, Logger: slog.New(slog.NewJSONHandler(&logs, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, _ := s.registry.Register(ciGraph())
+	rg := s.registry.graphs[info.ID]
+	patch := func(w int64) PatchInfo {
+		t.Helper()
+		pi, err := s.registry.Patch(info.ID, []graph.EdgeDelta{{Op: graph.DeltaReweight, U: 0, V: 2, W: w}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pi
+	}
+	errs := func() float64 { return scrapeMetrics(t, s)["dsssp_graph_spill_errors_total"] }
+
+	patch(5)
+	if rg.journal == 0 || errs() != 0 {
+		t.Fatalf("first PATCH: journal %d bytes, %v spill errors", rg.journal, errs())
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	patch(4)
+	if got := errs(); got != 1 || !rg.rewrite {
+		t.Fatalf("PATCH without a directory: %v spill errors, rewrite %v", got, rg.rewrite)
+	}
+	if n := strings.Count(logs.String(), `"msg":"registry spill failed"`); n != 1 {
+		t.Fatalf("logged %d spill failures, want 1:\n%s", n, logs.String())
+	}
+
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	pi := patch(3)
+	raw, err := os.ReadFile(filepath.Join(dir, info.ID+spillExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, size, err := decodeSpill(raw); err != nil || got.journal != 0 || size != len(raw) || got.num != pi.Revision {
+		t.Fatalf("PATCH after the failure did not compact: %v", err)
+	}
+	if got := errs(); got != 1 || rg.rewrite || rg.journal != 0 {
+		t.Fatalf("after the compaction: %v spill errors, rewrite %v, journal %d", got, rg.rewrite, rg.journal)
+	}
+	r2 := NewGraphRegistry(1<<20, nil, nil)
+	if _, err := r2.EnablePersistence(dir); err != nil {
+		t.Fatal(err)
+	}
+	_, digest, rev, err := r2.Resolve(info.ID)
+	if err != nil || rev != pi.Revision || hex.EncodeToString(digest[:]) != pi.Digest {
+		t.Fatalf("fresh boot: revision %d (want %d), digest %x (want %s), err %v", rev, pi.Revision, digest, pi.Digest, err)
+	}
+}
+
+// TestSpillJournalTriggers walks a persistent graph through every way a
+// PATCH reaches its spill. Register writes a base. A PATCH after a query
+// admitted a trace for a source that held none rewrites the file whole,
+// so the new row is on disk; later PATCHes append journal records, also
+// after a repaired row replaced a stale trace (on disk the stale trace
+// stays). A PATCH whose journal would outweigh the head snapshot rewrites
+// the file whole again. Each state decodes to the live head.
+func TestSpillJournalTriggers(t *testing.T) {
+	dir := t.TempDir()
+	r := NewGraphRegistry(1<<20, nil, nil)
+	if _, err := r.EnablePersistence(dir); err != nil {
+		t.Fatal(err)
+	}
+	info, _ := r.Register(ciGraph())
+	rg := r.graphs[info.ID]
+	path := filepath.Join(dir, info.ID+spillExt)
+	onDisk := func(what string, journal bool) *regGraph {
+		t.Helper()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := decodeSpill(raw)
+		if err != nil || got.num != rg.num || got.digest != rg.digest || got.journal != rg.journal || (got.journal > 0) != journal {
+			t.Fatalf("%s: spill at revision %d with a %d-byte journal (live %d, %d bytes), want journaled=%v: %v", what, got.num, got.journal, rg.num, rg.journal, journal, err)
+		}
+		return got
+	}
+	record := func(src graph.NodeID) {
+		g, digest, _, _ := r.Resolve(info.ID)
+		tr, changes, exact, ok := r.sourceTrace(info.ID, digest, src)
+		if ok && exact {
+			return
+		}
+		if ok {
+			rr, _ := incr.Repair(g, src, tr, changes, 0)
+			r.Record(info.ID, digest, src, rr.Dist, rr.Parent, "")
+			return
+		}
+		d := graph.Dijkstra(g, src)
+		r.Record(info.ID, digest, src, d, graph.WitnessParents(g, src, d), "")
+	}
+	w := int64(10)
+	patch := func() {
+		t.Helper()
+		w = 11 - w // the chord {0,2} alternates between 10 and 1
+		if _, err := r.Patch(info.ID, []graph.EdgeDelta{{Op: graph.DeltaReweight, U: 0, V: 2, W: w}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	onDisk("register", false)
+	record(0)
+	patch() // revision 2: source 0 goes stale
+	if got := onDisk("PATCH after a new trace", false); len(got.traces) != 1 || got.staleCount() != 1 {
+		t.Fatalf("the rewrite holds %d traces, %d stale; want source 0's stale trace", len(got.traces), got.staleCount())
+	}
+	record(0) // repaired: replaces the stale trace in memory only
+	patch()   // revision 3
+	if got := onDisk("PATCH after a repair", true); got.traces[0].rev != 1 {
+		t.Fatalf("on disk source 0's trace is at revision %d, want the stale one at 1", got.traces[0].rev)
+	}
+	for i := 0; rg.journal > 0; i++ {
+		if i == 20 {
+			t.Fatalf("the journal grew to %d bytes against a %d-byte snapshot without a rewrite", rg.journal, graphBytes(rg.g))
+		}
+		record(0)
+		patch()
+	}
+	if got := onDisk("PATCH past the snapshot's size", false); !reflect.DeepEqual(got.traces, rg.traces) {
+		t.Fatal("the rewrite's traces differ from the live ones")
+	}
+	patch()
+	onDisk("PATCH after the compaction", true)
+	if st := r.Stats(); st.SpillErrors != 0 {
+		t.Fatalf("%d spills failed", st.SpillErrors)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"encoding/hex"
 	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -40,16 +41,19 @@ type GraphRegistry struct {
 
 	// Telemetry hooks, bound by the server after construction (tests may
 	// leave them nil).
-	m *serverMetrics
+	m   *serverMetrics
+	log *slog.Logger
 
 	// Monotonic counters for RegistryStats.
-	revisions int64 // revisions ever created (registrations + patches)
-	evictions int64
+	revisions   int64 // revisions ever created (registrations + patches)
+	evictions   int64
+	spillErrors int64
 
 	// dir, when non-empty, is the persistence directory: registered graphs
-	// and their traces are spilled to <dir>/<id>.spill on register/PATCH
-	// and reloaded on startup (see persist.go). spillBuf is the encode
-	// buffer every spill reuses.
+	// and their traces are spilled to <dir>/<id>.spill — rewritten on
+	// register, a journal record appended on PATCH — and reloaded on
+	// startup (see persist.go). spillBuf is the encode buffer every spill
+	// reuses.
 	dir      string
 	spillBuf []byte
 }
@@ -73,11 +77,16 @@ type regGraph struct {
 	// trace is exact. held[i] counts the traces at revision
 	// num-len(log)+i, so held has one entry more than log and its last
 	// counts the exact traces. logBytes is what the log is charged, at
-	// most graphBytes(g) after every PATCH (see capLogLocked).
+	// most graphBytes(g) after every PATCH (see capLog).
 	log      []logBatch
 	held     []int
 	logBytes int64
 	bytes    int64
+	// journal counts the bytes of the journal records appended to the
+	// graph's spill since its base was written; rewrite makes the next
+	// spill rewrite the file whole (see journalLocked).
+	journal int64
+	rewrite bool
 }
 
 // sourceTrace is one source's remembered structure: the distance row and
@@ -113,7 +122,8 @@ func NewGraphRegistry(budget int64, _ *Cache, now func() time.Time) *GraphRegist
 	}
 }
 
-func (r *GraphRegistry) bindMetrics(m *serverMetrics) { r.m = m }
+// bind attaches the server's metrics and logger.
+func (r *GraphRegistry) bind(m *serverMetrics, log *slog.Logger) { r.m, r.log = m, log }
 
 // GraphInfo is the wire form of one registered graph.
 type GraphInfo struct {
@@ -138,9 +148,11 @@ type GraphInfo struct {
 
 // graphBytes approximates a snapshot's resident footprint: 48 bytes an
 // edge (its two 24-byte adjacency halves) and a slice header per node.
-func graphBytes(g *graph.Graph) int64 {
-	return int64(g.N())*24 + int64(g.M())*48
-}
+func graphBytes(g *graph.Graph) int64 { return snapshotBytes(g.N(), g.M()) }
+
+// snapshotBytes is graphBytes of a snapshot with n nodes and m edges; a
+// journal replay charges revisions it never builds.
+func snapshotBytes(n, m int) int64 { return int64(n)*24 + int64(m)*48 }
 
 func traceBytes(dist []int64, parent []graph.NodeID) int64 {
 	return int64(len(dist))*8 + int64(len(parent))*4 + 64
@@ -148,13 +160,6 @@ func traceBytes(dist []int64, parent []graph.NodeID) int64 {
 
 func logBatchBytes(b logBatch) int64 {
 	return int64(len(b.changes))*24 + 32
-}
-
-// charge adds delta to what rg, and the registry, are charged. A graph is
-// charged its snapshot, every trace and every log batch.
-func (r *GraphRegistry) charge(rg *regGraph, delta int64) {
-	rg.bytes += delta
-	r.bytes += delta
 }
 
 // staleCount counts rg's traces older than the head.
@@ -281,14 +286,11 @@ type PatchInfo struct {
 }
 
 // Patch applies an edge-delta batch to the graph's head revision: builds
-// the patched snapshot, appends the batch's weight changes to the change
-// log, classifies every exact trace against them (internal/incr) — an
-// untouched one moves forward to the new revision, a dirty one stays
-// behind as a stale trace — trims the log to what stale traces need, caps
-// it at the new snapshot's size, and swaps the head. The whole transition
-// happens under the registry lock, so concurrent queries resolve either
-// the old head (and serve its still-consistent snapshot) or the new one —
-// never a mix.
+// the patched snapshot, advances the traces and the change log over the
+// batch's weight changes (see advance), swaps the head and journals the
+// batch to the graph's spill. The whole transition happens under the
+// registry lock, so concurrent queries resolve either the old head (and
+// serve its still-consistent snapshot) or the new one — never a mix.
 func (r *GraphRegistry) Patch(id string, deltas []graph.EdgeDelta) (PatchInfo, error) {
 	if len(deltas) == 0 {
 		return PatchInfo{}, badf("empty delta batch")
@@ -304,77 +306,95 @@ func (r *GraphRegistry) Patch(id string, deltas []graph.EdgeDelta) (PatchInfo, e
 		return PatchInfo{}, badRequest{err}
 	}
 	ng := graph.ApplyChanges(rg.g, changes)
-	head, batch := rg.num, logBatch{rev: rg.num + 1, changes: changes}
-	rg.logBytes += logBatchBytes(batch)
-	r.charge(rg, graphBytes(ng)-graphBytes(rg.g)+logBatchBytes(batch))
-	rg.num, rg.digest, rg.g = batch.rev, canonicalGraphDigest(ng), ng
-	rg.log = append(rg.log, batch)
+	before, head := rg.bytes, rg.num
+	rg.bytes += graphBytes(ng) - graphBytes(rg.g)
+	kept, dropped := rg.advance(changes, graphBytes(ng))
+	r.bytes += rg.bytes - before
+	rg.digest, rg.g = canonicalGraphDigest(ng), ng
 
 	info := PatchInfo{
 		ID: id, Revision: rg.num, ParentRevision: head,
 		Digest: hex.EncodeToString(rg.digest[:]),
 		N:      ng.N(), M: ng.M(),
 		DeltasApplied: len(deltas), Effects: len(changes),
+		SourcesKept: kept, SourcesDropped: dropped,
+		SourcesRepairable: rg.staleCount(),
 	}
-	for _, tr := range rg.traces {
-		switch {
-		case tr.rev != head: // stale since an earlier PATCH
-		case incr.SourceDirty(changes, tr.dist):
-			info.SourcesDropped++
-		default:
-			info.SourcesKept++
-			tr.rev = rg.num
-		}
-	}
-	rg.held[len(rg.held)-1] = info.SourcesDropped
-	rg.held = append(rg.held, info.SourcesKept)
-	if classified := info.SourcesKept + info.SourcesDropped; classified > 0 {
-		info.DirtyFraction = float64(info.SourcesDropped) / float64(classified)
+	if classified := kept + dropped; classified > 0 {
+		info.DirtyFraction = float64(dropped) / float64(classified)
 		if r.m != nil {
 			r.m.patchDirtyFraction.Observe(info.DirtyFraction)
 		}
 	}
-	r.trimLocked(rg)
-	r.capLogLocked(rg)
-	info.SourcesRepairable = rg.staleCount()
 	rg.patchedAt = r.now()
 	r.revisions++
 	r.touchLocked(rg)
 	r.evictLocked(rg)
-	r.spillLocked(rg)
+	r.journalLocked(rg, changes)
 	return info, nil
 }
 
-// trimLocked drops the log batches no trace needs — those at or below the
+// advance moves rg's traces and change log one revision forward, over
+// changes, the resolved batch of the PATCH that makes revision rg.num+1;
+// snap is what that revision's snapshot is charged. It appends the batch
+// to the log, classifies every exact trace against it (internal/incr) —
+// an untouched one moves forward to the new revision, a dirty one stays
+// behind as a stale trace — trims the log to what stale traces need and
+// caps it at snap. A live PATCH and a spill's journal replay both take
+// this step; the snapshot, its digest and its charge are the caller's.
+func (rg *regGraph) advance(changes []graph.WeightChange, snap int64) (kept, dropped int) {
+	head, batch := rg.num, logBatch{rev: rg.num + 1, changes: changes}
+	rg.num = batch.rev
+	rg.log = append(rg.log, batch)
+	rg.logBytes += logBatchBytes(batch)
+	rg.bytes += logBatchBytes(batch)
+	for _, tr := range rg.traces {
+		switch {
+		case tr.rev != head: // stale since an earlier PATCH
+		case incr.SourceDirty(changes, tr.dist):
+			dropped++
+		default:
+			kept++
+			tr.rev = rg.num
+		}
+	}
+	rg.held[len(rg.held)-1] = dropped
+	rg.held = append(rg.held, kept)
+	rg.trim()
+	rg.capLog(snap)
+	return kept, dropped
+}
+
+// trim drops the log batches no trace needs — those at or below the
 // oldest trace's revision — and uncharges them.
-func (r *GraphRegistry) trimLocked(rg *regGraph) {
+func (rg *regGraph) trim() {
 	k := 0
 	for ; k < len(rg.log) && rg.held[k] == 0; k++ {
 		freed := logBatchBytes(rg.log[k])
 		rg.logBytes -= freed
-		r.charge(rg, -freed)
+		rg.bytes -= freed
 	}
 	clear(rg.log[:k])
 	rg.log, rg.held = rg.log[k:], rg.held[k:]
 }
 
-// capLogLocked bounds the change log by the snapshot it leads to: while the
-// log is charged more than the graph, the stale traces at the oldest
-// revision are forgotten and the log trimmed; those sources recompute on
-// their next query. Without the cap a source queried once and never again
-// would pin every later batch, and the graph's charge would grow with its
-// PATCH count.
-func (r *GraphRegistry) capLogLocked(rg *regGraph) {
-	for len(rg.log) > 0 && rg.logBytes > graphBytes(rg.g) {
+// capLog bounds the change log by the snapshot it leads to, charged snap:
+// while the log is charged more, the stale traces at the oldest revision
+// are forgotten and the log trimmed; those sources recompute on their next
+// query. Without the cap a source queried once and never again would pin
+// every later batch, and the graph's charge would grow with its PATCH
+// count.
+func (rg *regGraph) capLog(snap int64) {
+	for len(rg.log) > 0 && rg.logBytes > snap {
 		oldest := rg.num - len(rg.log)
 		for src, tr := range rg.traces {
 			if tr.rev == oldest {
 				delete(rg.traces, src)
-				r.charge(rg, -traceBytes(tr.dist, tr.parent))
+				rg.bytes -= traceBytes(tr.dist, tr.parent)
 			}
 		}
 		rg.held[0] = 0
-		r.trimLocked(rg)
+		rg.trim()
 	}
 }
 
@@ -402,11 +422,14 @@ func (r *GraphRegistry) Record(id string, digest [32]byte, src graph.NodeID, dis
 		return
 	case ok:
 		// The exact row replaces the stale one it was repaired from, and the
-		// log may no longer need its oldest batches.
+		// log may no longer need its oldest batches. The spill keeps the
+		// stale trace: after a crash the source is repaired again.
 		rg.held[rg.at(tr.rev)]--
 		rg.held[len(rg.log)]++
 		*tr = sourceTrace{rev: rg.num, dist: dist, parent: parent}
-		r.trimLocked(rg)
+		before := rg.bytes
+		rg.trim()
+		r.bytes += rg.bytes - before
 	default:
 		// Respect the byte budget at admission: traces are an accelerator,
 		// not a correctness requirement, so an over-budget graph simply
@@ -417,7 +440,11 @@ func (r *GraphRegistry) Record(id string, digest [32]byte, src graph.NodeID, dis
 		}
 		rg.traces[src] = &sourceTrace{rev: rg.num, dist: dist, parent: parent}
 		rg.held[len(rg.log)]++
-		r.charge(rg, cost)
+		rg.bytes += cost
+		r.bytes += cost
+		// A new row could cost minutes to recompute: the next PATCH
+		// rewrites the spill whole rather than journaling past it.
+		rg.rewrite = true
 		r.evictLocked(rg)
 	}
 }
@@ -514,6 +541,9 @@ type RegistryStats struct {
 	// StaleTraces counts dirty sources currently awaiting repair across
 	// every registered graph.
 	StaleTraces int
+	// SpillErrors counts failed spills (rewrites and journal appends),
+	// monotonically.
+	SpillErrors int64
 }
 
 // Stats snapshots the registry counters.
@@ -530,5 +560,6 @@ func (r *GraphRegistry) Stats() RegistryStats {
 		Evictions:   r.evictions,
 		BytesUsed:   r.bytes,
 		StaleTraces: stale,
+		SpillErrors: r.spillErrors,
 	}
 }

@@ -165,17 +165,38 @@ func (m *ledgerRegistry) sourceTrace(digest [32]byte, src graph.NodeID) (incr.Tr
 // bytes — forgetting the stale traces at the oldest revision while the
 // batches after it outweigh the head snapshot, exactly as the registry
 // must. The registry's own counters are rechecked after every step.
+//
+// The registry spills to a directory throughout, and after each history a
+// fresh registry boots from it without a Flush, as after a crash: its
+// journal replay must reproduce the live head and serve the live rows
+// (see checkReplayed).
 func TestRegistryMatchesLedgerModel(t *testing.T) {
+	journaled := 0
 	for seed := int64(1); seed <= 120; seed++ {
-		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) { checkLedgerModel(t, seed) })
+		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
+			if checkLedgerModel(t, seed) {
+				journaled++
+			}
+		})
+	}
+	// Most histories must end with PATCHes in a journal, or the replay
+	// check above would only ever read bases.
+	if journaled < 60 {
+		t.Fatalf("only %d of 120 histories end with a journal", journaled)
 	}
 }
 
-func checkLedgerModel(t *testing.T, seed int64) {
+// checkLedgerModel runs one seeded history and reports whether its spill
+// ended with a journal.
+func checkLedgerModel(t *testing.T, seed int64) bool {
 	rng := rand.New(rand.NewSource(seed))
 	n := 5 + rng.Intn(8)
 	g0 := graph.Make(graph.FamilyRandom, n, graph.UniformWeights(8, rng.Int63()), rng.Int63())
 	r := NewGraphRegistry(1<<40, nil, nil)
+	dir := t.TempDir()
+	if _, err := r.EnablePersistence(dir); err != nil {
+		t.Fatal(err)
+	}
 	info, _ := r.Register(g0)
 	model := newLedgerRegistry(g0)
 	var undo []graph.EdgeDelta        // the inverse of the last applied batch
@@ -334,6 +355,55 @@ func checkLedgerModel(t *testing.T, seed int64) {
 		if gi.TracedSources != len(model.head.traces) || gi.StaleSources != len(model.head.stale) ||
 			gi.TracedSources != traced || gi.StaleSources != stale {
 			t.Fatalf("step %d: info %+v, model %d traced %d stale", step, gi, len(model.head.traces), len(model.head.stale))
+		}
+	}
+	checkReplayed(t, r, info.ID, dir)
+	return r.graphs[info.ID].journal > 0
+}
+
+// checkReplayed boots a fresh registry from dir without a Flush, as after
+// a crash, and requires the live head's revision, digest and edges, and
+// for every source the booted registry holds a trace of, the row the live
+// registry serves — exact, or stale and repaired through incr.Repair —
+// byte for byte. The booted registry may hold fewer traces, never more: a
+// row recorded since the last rewrite is not on disk, and a repaired row
+// stays stale on disk, so the replayed log is longer and its cap may
+// forget a trace the live one keeps.
+func checkReplayed(t *testing.T, live *GraphRegistry, id, dir string) {
+	t.Helper()
+	booted := NewGraphRegistry(1<<40, nil, nil)
+	if _, err := booted.EnablePersistence(dir); err != nil {
+		t.Fatal(err)
+	}
+	g, digest, rev, _ := live.Resolve(id)
+	bg, bdigest, brev, err := booted.Resolve(id)
+	if err != nil || brev != rev || bdigest != digest || !reflect.DeepEqual(bg.Edges(), g.Edges()) {
+		t.Fatalf("replayed head: revision %d (live %d), digest equal %v, err %v", brev, rev, bdigest == digest, err)
+	}
+	checkLogInvariants(t, booted.graphs[id])
+	row := func(r *GraphRegistry, g *graph.Graph, src graph.NodeID) (*incr.RepairResult, bool) {
+		tr, changes, exact, ok := r.sourceTrace(id, digest, src)
+		switch {
+		case !ok:
+			return nil, false
+		case exact:
+			return &incr.RepairResult{Dist: tr.Dist, Parent: tr.Parent}, true
+		}
+		rr, ok := incr.Repair(g, src, tr, changes, 0)
+		if !ok {
+			t.Fatalf("repair of source %d declined", src)
+		}
+		return rr, true
+	}
+	for v := 0; v < g.N(); v++ {
+		src := graph.NodeID(v)
+		brow, bok := row(booted, bg, src)
+		lrow, lok := row(live, g, src)
+		switch {
+		case bok && !lok:
+			t.Fatalf("source %d: the replayed registry holds a trace the live one does not", src)
+		case bok && (!reflect.DeepEqual(brow.Dist, lrow.Dist) || !reflect.DeepEqual(brow.Parent, lrow.Parent)):
+			t.Fatalf("source %d: replayed row %v %v, live %v %v", src, brow.Dist, brow.Parent, lrow.Dist, lrow.Parent)
 		}
 	}
 }

@@ -313,10 +313,24 @@ func TestRegistryRecordStaleDigestDropped(t *testing.T) {
 // repairs the traces, so the log grows by a batch per PATCH until it
 // outweighs the snapshot (about 3 000 PATCHes here) and the cap forgets
 // them; the log-batches and stale metrics report where the run ended.
-func BenchmarkRegistryPatchStacked(b *testing.B) {
+func BenchmarkRegistryPatchStacked(b *testing.B) { benchPatchStacked(b, "") }
+
+// BenchmarkRegistryPatchStackedSpill is BenchmarkRegistryPatchStacked with
+// the registry spilling to a directory, as dsssp-serve -registry-dir does:
+// each PATCH appends a journal record of its batch to the graph's spill
+// and fsyncs it; the spill is rewritten whole only when the journal
+// outweighs the snapshot.
+func BenchmarkRegistryPatchStackedSpill(b *testing.B) { benchPatchStacked(b, b.TempDir()) }
+
+func benchPatchStacked(b *testing.B, dir string) {
 	const n, traced, batch = 10000, 32, 16
 	g := graph.Make(graph.FamilyRandom, n, graph.UniformWeights(n, 1), 1)
 	r := NewGraphRegistry(1<<40, nil, nil)
+	if dir != "" {
+		if _, err := r.EnablePersistence(dir); err != nil {
+			b.Fatal(err)
+		}
+	}
 	info, _ := r.Register(g)
 	_, digest, _, _ := r.Resolve(info.ID)
 	var dirty []graph.EdgeDelta
@@ -353,4 +367,7 @@ func BenchmarkRegistryPatchStacked(b *testing.B) {
 	gi, _ := r.Get(info.ID)
 	b.ReportMetric(float64(len(r.graphs[info.ID].log)), "log-batches")
 	b.ReportMetric(float64(gi.StaleSources), "stale")
+	if st := r.Stats(); st.SpillErrors != 0 {
+		b.Fatalf("%d spills failed", st.SpillErrors)
+	}
 }

@@ -145,7 +145,7 @@ func New(cfg Config) (*Server, error) {
 			"dir", cfg.RegistryDir, "graphs_restored", restored)
 	}
 	metrics := newServerMetrics(&cfg, cache, registry)
-	registry.bindMetrics(metrics)
+	registry.bind(metrics, cfg.Logger)
 	tracer := trace.New(trace.Config{
 		SampleRate:    cfg.TraceSampleRate,
 		Recent:        cfg.TraceRecent,
@@ -188,14 +188,15 @@ func (s *Server) Handler() http.Handler {
 // debug listener too; tests scrape it directly).
 func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
 
-// Close flushes the registry to its persistence directory (traces
-// accumulated by queries since the last register/PATCH spill included).
-// Call after the HTTP listener has drained (http.Server.Shutdown) so
-// in-flight requests see consistent state.
+// Close flushes the registry to its persistence directory: each graph's
+// spill is rewritten whole, its journal of PATCH records folded into a new
+// base, so rows recorded by queries since the last rewrite survive too.
+// Without Close — a crash or SIGKILL — the next boot replays each journal,
+// so every acknowledged PATCH survives but rows recorded since the last
+// rewrite may not. Call after the HTTP listener has drained
+// (http.Server.Shutdown) so in-flight requests see consistent state.
 func (s *Server) Close() {
-	if err := s.registry.Flush(); err != nil {
-		s.logger.Error("registry flush failed", "err", err)
-	}
+	_ = s.registry.Flush() // the registry counts and logs each failure
 }
 
 // --- query endpoints ---

@@ -3,11 +3,13 @@ package service
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,9 +17,11 @@ import (
 )
 
 // spilledRegistry registers a generator graph under dir with exact
-// traces, and leaves a second graph patched twice with stale traces and a
-// two-batch change log. It returns the registry, the generator graph's id
-// and the patched one's.
+// traces, and a second graph with exact traces that it then patches twice,
+// leaving stale traces and a two-batch change log. Both spills are
+// rewritten (Flush) before the PATCHes, so the second graph's spill is a
+// base at revision 1 plus two journal records. It returns the registry,
+// the generator graph's id and the patched one's.
 func spilledRegistry(t *testing.T, dir string) (*GraphRegistry, string, string) {
 	t.Helper()
 	r := NewGraphRegistry(1<<30, NewCache(1<<20), nil)
@@ -38,37 +42,47 @@ func spilledRegistry(t *testing.T, dir string) (*GraphRegistry, string, string) 
 		d := graph.Dijkstra(pg, src)
 		r.Record(pat.ID, pd, src, d, graph.WitnessParents(pg, src, d), "")
 	}
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	for _, w := range []int64{1, 2} {
 		if _, err := r.Patch(pat.ID, []graph.EdgeDelta{{Op: graph.DeltaReweight, U: 0, V: 2, W: w}, {Op: graph.DeltaReweight, U: 2, V: 1, W: 3}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := r.Flush(); err != nil {
-		t.Fatal(err)
+	if j := r.graphs[pat.ID].journal; j == 0 {
+		t.Fatal("the PATCHes rewrote the spill instead of journaling")
 	}
 	return r, gen.ID, pat.ID
 }
 
 // TestSpillRoundTripBytes pins that a decoded spill is the registry state
 // that wrote it — the head graph with its EdgeIDs and adjacency order,
-// every trace with its revision, the change log — and re-encodes to the
-// same bytes.
+// every trace with its revision, the change log, the charged bytes —
+// whether it is a bare base or a base plus a journal replayed over it. A
+// bare base re-encodes to the same bytes; a replayed one to the base the
+// live registry writes, which is what Flush then leaves on disk.
 func TestSpillRoundTripBytes(t *testing.T) {
 	dir := t.TempDir()
 	r, genID, patID := spilledRegistry(t, dir)
-	for _, id := range []string{genID, patID} {
+	check := func(id string, journaled bool) {
+		t.Helper()
 		raw, err := os.ReadFile(filepath.Join(dir, id+spillExt))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := decodeSpill(raw)
+		got, size, err := decodeSpill(raw)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		if re := appendSpill(nil, got); !bytes.Equal(re, raw) {
-			t.Fatalf("%s: re-encoding differs from the spill", id)
-		}
 		want := r.graphs[id]
+		base := appendSpill(nil, want)
+		if size != len(raw) || got.journal != want.journal || (got.journal > 0) != journaled {
+			t.Fatalf("%s: decoded %d of %d bytes, journal %d bytes (live %d), want journaled=%v", id, size, len(raw), got.journal, want.journal, journaled)
+		}
+		if re := appendSpill(nil, got); !bytes.Equal(re, base) || !journaled && !bytes.Equal(re, raw) {
+			t.Fatalf("%s: re-encoding differs from the live registry's base", id)
+		}
 		g, wg := got.g, want.g
 		if !reflect.DeepEqual(g.Edges(), wg.Edges()) {
 			t.Fatalf("%s: edges (EdgeIDs) differ", id)
@@ -79,6 +93,7 @@ func TestSpillRoundTripBytes(t *testing.T) {
 			}
 		}
 		if got.id != id || got.num != want.num || got.digest != want.digest || got.bytes != want.bytes ||
+			got.logBytes != want.logBytes || !reflect.DeepEqual(got.held, want.held) ||
 			!got.createdAt.Equal(want.createdAt) || !got.patchedAt.Equal(want.patchedAt) {
 			t.Fatalf("%s: header differs: got %+v", id, got)
 		}
@@ -99,9 +114,15 @@ func TestSpillRoundTripBytes(t *testing.T) {
 			t.Fatalf("%s: %d log batches, want %d", id, len(got.log), len(want.log))
 		}
 	}
+	check(genID, false)
+	check(patID, true)
 	if pat := r.graphs[patID]; pat.staleCount() == 0 || len(pat.log) != 2 {
 		t.Fatal("fixture lost its stale traces or its two-batch log")
 	}
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check(patID, false)
 }
 
 // bootFails boots a fresh registry from dir and requires an error naming
@@ -118,13 +139,49 @@ func bootFails(t *testing.T, dir, path, what string) {
 	}
 }
 
-// TestSpillCrashInjection truncates a valid spill at every offset and
-// flips every byte in turn, beside an intact spill of another graph: boot
-// must fail naming the damaged file and load nothing. A temp file left by
-// an interrupted spill is deleted and the intact spill beside it loads.
+// bootTorn boots a fresh registry from dir, whose spill at path ends in a
+// torn journal record, and requires the graph id at revision rev with the
+// file cut back to keep bytes. A PATCH on that registry must then append
+// cleanly: a second boot restores revision rev+1.
+func bootTorn(t *testing.T, dir, path, id string, rev, keep int, what string) {
+	t.Helper()
+	r := NewGraphRegistry(1<<30, NewCache(1<<20), nil)
+	if n, err := r.EnablePersistence(dir); err != nil || n != 2 {
+		t.Fatalf("%s: boot restored %d, err %v", what, n, err)
+	}
+	if gi, _ := r.Get(id); gi.Revision != rev {
+		t.Fatalf("%s: booted at revision %d, want %d", what, gi.Revision, rev)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != int64(keep) {
+		t.Fatalf("%s: torn tail not truncated to %d bytes: %v, %v", what, keep, fi.Size(), err)
+	}
+	if _, err := r.Patch(id, []graph.EdgeDelta{{Op: graph.DeltaReweight, U: 2, V: 3, W: 7}}); err != nil {
+		t.Fatal(err)
+	}
+	if rg := r.graphs[id]; rg.rewrite || rg.journal == 0 || r.Stats().SpillErrors != 0 {
+		t.Fatalf("%s: the PATCH after the boot did not append (journal %d bytes)", what, rg.journal)
+	}
+	r2 := NewGraphRegistry(1<<30, NewCache(1<<20), nil)
+	if _, err := r2.EnablePersistence(dir); err != nil {
+		t.Fatalf("%s: boot after the appended PATCH: %v", what, err)
+	}
+	if gi, _ := r2.Get(id); gi.Revision != rev+1 {
+		t.Fatalf("%s: after the appended PATCH booted at revision %d, want %d", what, gi.Revision, rev+1)
+	}
+}
+
+// TestSpillCrashInjection damages a spill of a base (revision 1) and two
+// journal records (revisions 2 and 3), beside an intact spill of another
+// graph, by truncating it at every offset and by flipping every byte in
+// turn. Damage inside the base, or a flip inside the first record, must
+// fail the boot naming the damaged file and load nothing. A cut inside a
+// record, or a flip inside the final one, is a torn tail: boot drops that
+// record, restores the revision before it and truncates the file, and a
+// PATCH then appends cleanly. A temp file left by an interrupted rewrite
+// is deleted and the intact spill beside it loads.
 func TestSpillCrashInjection(t *testing.T) {
 	src := t.TempDir()
-	_, genID, patID := spilledRegistry(t, src)
+	live, genID, patID := spilledRegistry(t, src)
 	good, err := os.ReadFile(filepath.Join(src, patID+spillExt))
 	if err != nil {
 		t.Fatal(err)
@@ -133,29 +190,49 @@ func TestSpillCrashInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The record boundaries: the base ends at first, the first record at
+	// second, the second at the end of the file.
+	first := int(binary.LittleEndian.Uint64(good[len(spillMagic)+4:]))
+	second := first + recordHead + int(binary.LittleEndian.Uint32(good[first:])) + 4
+	if int64(len(good)-first) != live.graphs[patID].journal || second >= len(good) {
+		t.Fatalf("fixture journal is %d bytes from byte %d, want two records", len(good)-first, first)
+	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, patID+spillExt)
+	write := func(b []byte) {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := os.WriteFile(filepath.Join(dir, genID+spillExt), intact, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; k < len(good); k++ {
-		if err := os.WriteFile(path, good[:k], 0o644); err != nil {
-			t.Fatal(err)
+		write(good[:k])
+		switch {
+		case k < first:
+			bootFails(t, dir, path, fmt.Sprint("cut at ", k))
+		case k < second:
+			bootTorn(t, dir, path, patID, 1, first, fmt.Sprint("cut at ", k))
+		default:
+			bootTorn(t, dir, path, patID, 2, second, fmt.Sprint("cut at ", k))
 		}
-		bootFails(t, dir, path, "truncated")
 	}
 	for k := 0; k < len(good); k++ {
 		bad := append([]byte(nil), good...)
 		bad[k] ^= 0x5a
-		if err := os.WriteFile(path, bad, 0o644); err != nil {
-			t.Fatal(err)
+		write(bad)
+		if k < second {
+			bootFails(t, dir, path, fmt.Sprint("flip at ", k))
+		} else {
+			bootTorn(t, dir, path, patID, 2, second, fmt.Sprint("flip at ", k))
 		}
-		bootFails(t, dir, path, "flipped")
 	}
+	// A tail of zeros, a file extended but never written, is torn too.
+	write(append(slices.Clip(good), make([]byte, 40)...))
+	bootTorn(t, dir, path, patID, 3, len(good), "zero tail")
 
-	if err := os.WriteFile(path, good, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	write(good)
 	stray := filepath.Join(dir, "."+patID+".tmp-123456")
 	if err := os.WriteFile(stray, good[:len(good)/2], 0o644); err != nil {
 		t.Fatal(err)
@@ -173,7 +250,8 @@ func TestSpillCrashInjection(t *testing.T) {
 }
 
 // rawSpill is a spill spelled field by field, so a test can break any one
-// of them; encode lays it out exactly as appendSpill does.
+// of them; encode lays the base out exactly as appendSpill does, and each
+// journal record as appendRecord does.
 type rawSpill struct {
 	magic        string
 	version      uint32
@@ -187,8 +265,10 @@ type rawSpill struct {
 	log          []rawBatch
 	trailing     []byte
 	idLen, m, nt int64 // count overrides; -1 keeps the true count
+	baseLen      int64 // base length override; 0 keeps the true length
 	cut          int   // bytes dropped from the body's end
 	badCRC       bool
+	journal      []rawRecord
 }
 
 type rawTrace struct {
@@ -201,6 +281,23 @@ type rawTrace struct {
 type rawBatch struct {
 	rev     uint64
 	changes [][4]int64 // {u, v, old weight, new weight}
+}
+
+type rawRecord struct {
+	rev, patched uint64
+	changes      [][4]int64 // {u, v, old weight, new weight}
+	extra        []byte     // bytes after the changes, inside the length
+	badNot       bool       // a length complement that disagrees
+	badCRC       bool
+}
+
+// rawJournal is validRawSpill's journal: PATCH 4 raises {0,1} from 1 to 3,
+// PATCH 5 deletes {1,2}.
+func rawJournal() []rawRecord {
+	return []rawRecord{
+		{rev: 4, patched: 3e18, changes: [][4]int64{{0, 1, 1, 3}}},
+		{rev: 5, patched: 4e18, changes: [][4]int64{{1, 2, 2, -1}}},
+	}
 }
 
 // validRawSpill is a three-node path at revision 3 with an exact trace of
@@ -230,6 +327,7 @@ func (s rawSpill) encode() []byte {
 	}
 	b := append([]byte(nil), s.magic...)
 	b = le.AppendUint32(b, s.version)
+	b = le.AppendUint64(b, 0) // the base length, filled in below
 	b = le.AppendUint32(b, count(s.idLen, len(s.id)))
 	b = append(b, s.id...)
 	b = le.AppendUint64(b, s.rev)
@@ -264,11 +362,39 @@ func (s rawSpill) encode() []byte {
 	}
 	b = append(b, s.trailing...)
 	b = b[:len(b)-s.cut]
+	bl := uint64(len(b) + 4)
+	if s.baseLen != 0 {
+		bl = uint64(s.baseLen)
+	}
+	le.PutUint64(b[len(s.magic)+4:], bl)
+	b = le.AppendUint32(b, crcOf(b, s.badCRC))
+	for _, rec := range s.journal {
+		start, size := len(b), uint32(16+24*len(rec.changes)+len(rec.extra))
+		b = le.AppendUint32(b, size)
+		if rec.badNot {
+			size++
+		}
+		b = le.AppendUint32(b, ^size)
+		b = le.AppendUint64(le.AppendUint64(b, rec.rev), rec.patched)
+		for _, c := range rec.changes {
+			b = le.AppendUint32(b, uint32(c[0]))
+			b = le.AppendUint32(b, uint32(c[1]))
+			b = le.AppendUint64(b, uint64(c[2]))
+			b = le.AppendUint64(b, uint64(c[3]))
+		}
+		b = append(b, rec.extra...)
+		b = le.AppendUint32(b, crcOf(b[start:], rec.badCRC))
+	}
+	return b
+}
+
+// crcOf is the CRC-32C of b, off by one when bad.
+func crcOf(b []byte, bad bool) uint32 {
 	sum := crc32.Checksum(b, castagnoli)
-	if s.badCRC {
+	if bad {
 		sum++
 	}
-	return le.AppendUint32(b, sum)
+	return sum
 }
 
 // TestSpillMalformedFields breaks one field per case and boots from the
@@ -276,16 +402,29 @@ func (s rawSpill) encode() []byte {
 // and never load the graph. The first three are the edges that used to
 // panic inside graph.AddEdge at boot. The stale-* cases break the stale
 // trace, the ledger-* cases one change of the log, the log-* cases its
-// batches as a whole.
+// batches as a whole, the journal-* cases a journal record that is not
+// the final one, or a final one whose checksum holds.
 func TestSpillMalformedFields(t *testing.T) {
-	if _, err := decodeSpill(validRawSpill().encode()); err != nil {
-		t.Fatalf("the valid fixture is rejected: %v", err)
+	for _, journal := range [][]rawRecord{nil, rawJournal()} {
+		s := validRawSpill()
+		s.journal = journal
+		rg, size, err := decodeSpill(s.encode())
+		if err != nil || size != len(s.encode()) || rg.num != 3+len(journal) {
+			t.Fatalf("the valid fixture with %d journal records is rejected: %v", len(journal), err)
+		}
 	}
 	onlyEdge := func(e [3]int64) func(*rawSpill) {
 		return func(s *rawSpill) { s.n, s.edges, s.traces, s.log = 2, [][3]int64{e}, nil, nil }
 	}
 	change := func(c [4]int64) func(*rawSpill) {
 		return func(s *rawSpill) { s.log[0].changes[0] = c }
+	}
+	// record sets up the journal and breaks its first record.
+	record := func(mutate func(*rawRecord)) func(*rawSpill) {
+		return func(s *rawSpill) {
+			s.journal = rawJournal()
+			mutate(&s.journal[0])
+		}
 	}
 	for _, tc := range []struct {
 		name   string
@@ -304,8 +443,12 @@ func TestSpillMalformedFields(t *testing.T) {
 		{"edge-count", func(s *rawSpill) { s.m = 1 << 30 }, "edge count"},
 		{"magic", func(s *rawSpill) { s.magic = "DSSSPILX" }, "bad magic"},
 		{"checksum", func(s *rawSpill) { s.badCRC = true }, "checksum mismatch"},
-		{"version", func(s *rawSpill) { s.version = 3 }, "version 3"},
+		{"version", func(s *rawSpill) { s.version = 4 }, "version 4"},
 		{"version-1", func(s *rawSpill) { s.version = 1 }, "version 1"},
+		{"version-2", func(s *rawSpill) { s.version = 2 }, "version 2"},
+		{"base-length-long", func(s *rawSpill) { s.baseLen = 1 << 40 }, "truncated: a base of 1099511627776 bytes"},
+		{"base-length-short", func(s *rawSpill) { s.baseLen = 8 }, "base length 8 below"},
+		{"base-length-inside", func(s *rawSpill) { s.baseLen = 100 }, "checksum mismatch"},
 		{"id", func(s *rawSpill) { s.id = "../g-x" }, "bad graph id"},
 		{"id-length", func(s *rawSpill) { s.idLen = 1 << 31 }, "id byte count"},
 		{"revision", func(s *rawSpill) { s.rev = 0 }, "revision 0"},
@@ -343,6 +486,19 @@ func TestSpillMalformedFields(t *testing.T) {
 		{"trailing", func(s *rawSpill) { s.trailing = []byte{0} }, "1 trailing bytes"},
 		{"record-count", func(s *rawSpill) { s.cut = 3 }, "log change count 1 overruns"},
 		{"truncated-record", func(s *rawSpill) { s.log, s.cut = nil, 4 }, "truncated record"},
+		{"journal-revision", record(func(r *rawRecord) { r.rev = 5 }), "journal record 0 (at byte 0 after the base): revision 5, want 4"},
+		{"journal-chain", record(func(r *rawRecord) { r.changes[0][2] = 2 }), "not chained to the pair's weight 1"},
+		{"journal-pair", record(func(r *rawRecord) { r.changes[0] = [4]int64{1, 0, 1, 3} }), "pair {1,0}"},
+		{"journal-range", record(func(r *rawRecord) { r.changes[0] = [4]int64{0, 3, -1, 3} }), "pair {0,3}"},
+		{"journal-weight", record(func(r *rawRecord) { r.changes[0][3] = -2 }), "weight 1 → -2"},
+		{"journal-no-op", record(func(r *rawRecord) { r.changes[0][3] = 1 }), "weight 1 → 1"},
+		{"journal-length", record(func(r *rawRecord) { r.extra = []byte{0} }), "length 41 is not 16 plus 24 a change"},
+		{"journal-complement", record(func(r *rawRecord) { r.badNot = true }), "length 40 disagrees with its complement 41"},
+		{"journal-checksum", record(func(r *rawRecord) { r.badCRC = true }), "journal record 0 (at byte 0 after the base): checksum mismatch"},
+		{"journal-final-revision", func(s *rawSpill) {
+			s.journal = rawJournal()
+			s.journal[1].rev = 4
+		}, "journal record 1 (at byte 52 after the base): revision 4, want 5"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := validRawSpill()
@@ -374,28 +530,54 @@ func TestSpillFileNameMustMatchID(t *testing.T) {
 
 // FuzzDecodeSpill: the spill decoder never panics, allocates in
 // proportion to its input before any count is trusted, and every spill it
-// accepts re-encodes to the same bytes and restores into a registry that
-// can then serve every trace it holds. Each input is also tried with its
-// checksum fixed up, so mutations reach the field checks behind the CRC.
-// The checked-in corpus (testdata/fuzz/FuzzDecodeSpill) holds a valid
-// spill, a truncated one, one with a bad checksum, one with huge counts
-// and one with trailing bytes.
+// accepts restores into a registry that can then serve every trace it
+// holds. The state it decodes re-encodes as a base that decodes back to
+// itself, byte for byte; without a journal that base is the accepted
+// input. Each input is also tried resealed — the base's checksum and every
+// journal record's length complement and checksum fixed up — so mutations
+// reach the field checks behind them. The checked-in corpus
+// (testdata/fuzz/FuzzDecodeSpill) holds valid spills with and without a
+// journal, one with a torn final record, a truncated one, one with a bad
+// checksum, ones with huge counts and one with trailing bytes.
 func FuzzDecodeSpill(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecode(t, data)
-		if len(data) >= 4 {
-			fixed := append([]byte(nil), data...)
-			binary.LittleEndian.PutUint32(fixed[len(fixed)-4:], crc32.Checksum(fixed[:len(fixed)-4], castagnoli))
-			checkDecode(t, fixed)
-		}
+		checkDecode(t, reseal(data))
 	})
+}
+
+// reseal returns a copy of data with the checksum of the base its header
+// delimits, and the length complement and checksum of every journal record
+// after it, recomputed. What no header delimits is left as it is.
+func reseal(data []byte) []byte {
+	le := binary.LittleEndian
+	out := bytes.Clone(data)
+	if len(out) < spillHead {
+		return out
+	}
+	bl := le.Uint64(out[len(spillMagic)+4:])
+	if bl < 4 || bl > uint64(len(out)) {
+		return out
+	}
+	le.PutUint32(out[bl-4:], crc32.Checksum(out[:bl-4], castagnoli))
+	for j := out[bl:]; len(j) >= recordHead; {
+		l := le.Uint32(j)
+		le.PutUint32(j[4:], ^l)
+		size := uint64(recordHead) + uint64(l) + 4
+		if size > uint64(len(j)) {
+			break
+		}
+		le.PutUint32(j[size-4:], crc32.Checksum(j[:size-4], castagnoli))
+		j = j[size:]
+	}
+	return out
 }
 
 func checkDecode(t *testing.T, data []byte) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	before := ms.TotalAlloc
-	rg, err := decodeSpill(data)
+	rg, size, err := decodeSpill(data)
 	runtime.ReadMemStats(&ms)
 	if alloc, limit := ms.TotalAlloc-before, 32*uint64(len(data))+64*headerNodes(data)+1<<20; alloc > limit {
 		t.Fatalf("decoding %d bytes allocated %d bytes (limit %d)", len(data), alloc, limit)
@@ -403,8 +585,16 @@ func checkDecode(t *testing.T, data []byte) {
 	if err != nil {
 		return
 	}
-	if re := appendSpill(nil, rg); !bytes.Equal(re, data) {
-		t.Fatalf("accepted spill re-encodes differently:\n in %x\nout %x", data, re)
+	if size > len(data) || int64(size) < rg.journal {
+		t.Fatalf("accepted %d bytes of %d with a %d-byte journal", size, len(data), rg.journal)
+	}
+	base := appendSpill(nil, rg)
+	if rg.journal == 0 && !bytes.Equal(base, data[:size]) {
+		t.Fatalf("accepted spill re-encodes differently:\n in %x\nout %x", data[:size], base)
+	}
+	again, bsize, err := decodeSpill(base)
+	if err != nil || bsize != len(base) || !bytes.Equal(appendSpill(nil, again), base) {
+		t.Fatalf("the replayed state's base does not decode back to itself: %v", err)
 	}
 	r := NewGraphRegistry(1<<40, NewCache(1<<20), nil)
 	r.mu.Lock()
@@ -420,7 +610,7 @@ func checkDecode(t *testing.T, data []byte) {
 // headerNodes is the node count a spill's header claims, or 0 when the
 // header is cut short or the count is out of range.
 func headerNodes(data []byte) uint64 {
-	at := len(spillMagic) + 4
+	at := spillHead
 	if len(data) < at+4 {
 		return 0
 	}
@@ -457,7 +647,7 @@ func BenchmarkSpill(b *testing.B) {
 	b.Run("decode", func(b *testing.B) {
 		b.SetBytes(int64(len(raw)))
 		for i := 0; i < b.N; i++ {
-			if _, err := decodeSpill(raw); err != nil {
+			if _, _, err := decodeSpill(raw); err != nil {
 				b.Fatal(err)
 			}
 		}
