@@ -29,7 +29,7 @@ func BenchmarkE1CongestCSSP(b *testing.B) {
 			var met simnet.Metrics
 			for i := 0; i < b.N; i++ {
 				var err error
-				_, _, met, err = core.RunSSSP(g, 0, core.Options{})
+				_, _, met, _, err = core.Run(g, map[graph.NodeID]int64{0: 0}, core.Options{}, simnet.Congest, false)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -181,7 +181,7 @@ func BenchmarkE7EnergySSSP(b *testing.B) {
 		var met simnet.Metrics
 		for i := 0; i < b.N; i++ {
 			var err error
-			_, _, met, err = core.RunEnergySSSP(g, 0, core.Options{})
+			_, _, met, _, err = core.Run(g, map[graph.NodeID]int64{0: 0}, core.Options{}, simnet.Sleeping, false)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -219,7 +219,7 @@ func BenchmarkE9Ablations(b *testing.B) {
 			var met simnet.Metrics
 			for i := 0; i < b.N; i++ {
 				var err error
-				_, _, met, err = core.RunSSSP(g, 0, core.Options{EpsNum: eps[0], EpsDen: eps[1]})
+				_, _, met, _, err = core.Run(g, map[graph.NodeID]int64{0: 0}, core.Options{EpsNum: eps[0], EpsDen: eps[1]}, simnet.Congest, false)
 				if err != nil {
 					b.Fatal(err)
 				}

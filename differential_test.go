@@ -2,6 +2,7 @@ package dsssp
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"dsssp/internal/graph"
@@ -199,14 +200,15 @@ func TestDifferentialMultiComponent(t *testing.T) {
 // FuzzCSSPDifferential is the fuzz form of the matrix: the seed corpus
 // below is the deterministic checked-in corpus (run on every plain
 // `go test`), and `go test -fuzz=FuzzCSSPDifferential` explores beyond it.
+// sleeping selects the model; strict applies to CONGEST runs only.
 func FuzzCSSPDifferential(f *testing.F) {
 	fams := graph.Families()
-	f.Add(int64(1), uint8(0), uint8(24), uint8(5), uint8(1), uint8(2), false)
-	f.Add(int64(7), uint8(4), uint8(40), uint8(16), uint8(1), uint8(4), true)
-	f.Add(int64(3), uint8(11), uint8(30), uint8(0), uint8(3), uint8(4), false) // disconnected, unit weights
-	f.Add(int64(9), uint8(8), uint8(36), uint8(9), uint8(7), uint8(8), true)   // barbell
-	f.Add(int64(5), uint8(10), uint8(20), uint8(3), uint8(1), uint8(2), false) // bfgadget
-	f.Fuzz(func(t *testing.T, seed int64, famIdx, nRaw, maxWRaw, epsN, epsD uint8, strict bool) {
+	f.Add(int64(1), uint8(0), uint8(24), uint8(5), uint8(1), uint8(2), false, false)
+	f.Add(int64(7), uint8(4), uint8(40), uint8(16), uint8(1), uint8(4), true, false)
+	f.Add(int64(3), uint8(11), uint8(30), uint8(0), uint8(3), uint8(4), false, true) // disconnected, unit weights
+	f.Add(int64(9), uint8(8), uint8(36), uint8(9), uint8(7), uint8(8), true, false)  // barbell
+	f.Add(int64(5), uint8(10), uint8(20), uint8(3), uint8(1), uint8(2), false, true) // bfgadget
+	f.Fuzz(func(t *testing.T, seed int64, famIdx, nRaw, maxWRaw, epsN, epsD uint8, strict, sleeping bool) {
 		fam := fams[int(famIdx)%len(fams)]
 		n := 8 + int(nRaw)%40
 		maxW := int64(maxWRaw)%17 + 1
@@ -218,20 +220,31 @@ func FuzzCSSPDifferential(f *testing.F) {
 			n = 16 // Clusters needs at least two groups of 8
 		}
 		g := graph.Make(fam, n, w, seed)
-		opts := &Options{StrictCongest: strict}
+		opts := &Options{Model: ModelCongest, StrictCongest: strict && !sleeping}
+		if sleeping {
+			opts.Model = ModelSleeping
+		}
 		if epsN > 0 && epsD > 0 && epsN%epsD != 0 && epsN < epsD {
 			opts.EpsNum, opts.EpsDen = int64(epsN), int64(epsD)
 		}
-		sources := map[NodeID]int64{0: 0, NodeID(g.N() / 2): int64(seed % 5)}
+		off := seed % 5
+		sources := map[NodeID]int64{0: 0, NodeID(g.N() / 2): off}
 		res, err := CSSP(g, sources, opts)
+		if off < 0 {
+			// A negative seed gives a negative offset, which CSSP must reject.
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("negative offset %d", off)) {
+				t.Fatalf("CSSP(%s, n=%d, seed=%d, %s) with offset %d: got %v, want a negative-offset error", fam, n, seed, opts.Model, off, err)
+			}
+			return
+		}
 		if err != nil {
-			t.Fatalf("CSSP(%s, n=%d, seed=%d): %v", fam, n, seed, err)
+			t.Fatalf("CSSP(%s, n=%d, seed=%d, %s): %v", fam, n, seed, opts.Model, err)
 		}
 		want := graph.MultiSourceDijkstra(g, sources)
 		for v := range want {
 			if res.Dist[v] != want[v] {
-				t.Fatalf("CSSP(%s, n=%d, seed=%d, eps=%d/%d, strict=%v): dist[%d] = %d, want %d",
-					fam, n, seed, opts.EpsNum, opts.EpsDen, strict, v, res.Dist[v], want[v])
+				t.Fatalf("CSSP(%s, n=%d, seed=%d, eps=%d/%d, %s, strict=%v): dist[%d] = %d, want %d",
+					fam, n, seed, opts.EpsNum, opts.EpsDen, opts.Model, opts.StrictCongest, v, res.Dist[v], want[v])
 			}
 		}
 	})

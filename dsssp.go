@@ -41,27 +41,16 @@ import (
 	"dsssp/internal/simnet"
 )
 
-// Model selects the execution model.
-type Model int
+// Model selects the execution model; it is the simulator's own enum.
+type Model = simnet.Model
 
 // Available models.
 const (
 	// ModelCongest is the synchronous CONGEST model (Section 2).
-	ModelCongest Model = iota + 1
+	ModelCongest = simnet.Congest
 	// ModelSleeping is the sleeping/energy model (Section 3).
-	ModelSleeping
+	ModelSleeping = simnet.Sleeping
 )
-
-func (m Model) String() string {
-	switch m {
-	case ModelCongest:
-		return "congest"
-	case ModelSleeping:
-		return "sleeping"
-	default:
-		return fmt.Sprintf("model(%d)", int(m))
-	}
-}
 
 // Inf marks an unreachable node (or one beyond a threshold).
 const Inf = graph.Inf
@@ -200,22 +189,15 @@ func SSSP(g *Graph, source NodeID, opts *Options) (*Result, error) {
 }
 
 // CSSP computes exact closest-source distances dist(S,v) = min over sources
-// s of offset(s)+dist(s,v) (Definition 2.3 with offsets).
+// s of offset(s)+dist(s,v) (Definition 2.3 with offsets). A source that is
+// not a node of g is an error. A graph AddEdge left unsorted gives the
+// results of its sorted form (see Graph.Canonical) and is not modified.
 func CSSP(g *Graph, sources map[NodeID]int64, opts *Options) (*Result, error) {
 	m, copt, err := opts.resolved()
 	if err != nil {
 		return nil, err
 	}
-	var (
-		d   []int64
-		st  core.Stats
-		met simnet.Metrics
-	)
-	if m == ModelCongest {
-		d, st, met, err = core.RunCSSP(g, sources, copt)
-	} else {
-		d, st, met, err = core.RunEnergyCSSP(g, sources, copt)
-	}
+	d, st, met, _, err := core.Run(g, sources, copt, m, false)
 	if err != nil {
 		return nil, err
 	}
@@ -242,6 +224,10 @@ func BFS(g *Graph, sources map[NodeID]bool, threshold int64, opts *Options) (*Re
 		// budget does not attach to it.
 		return nil, fmt.Errorf("dsssp: Options.StrictCongest is supported for SSSP/CSSP/APSP, not BFS")
 	}
+	if err := graph.CheckSources(g, sources); err != nil {
+		return nil, fmt.Errorf("dsssp: %w", err)
+	}
+	g = g.Canonical()
 	if m == ModelSleeping {
 		src := make(map[NodeID]int64, len(sources))
 		for s := range sources {
@@ -306,9 +292,10 @@ func APSPFrom(g *Graph, sources []NodeID, opts *Options, seed int64) (*APSPResul
 	if m != ModelCongest {
 		return nil, fmt.Errorf("dsssp: APSP composes CONGEST instances (Section 1.1) and runs in ModelCongest only (got %s)", m)
 	}
+	g = g.Canonical() // sort once here, not once per instance in core.Run
 	out := &APSPResult{Dist: make([][]int64, g.N())}
 	runner := func(g *Graph, s NodeID) (sched.Trace, error) {
-		d, _, met, tr, err := core.RunCSSPTraced(g, map[NodeID]int64{s: 0}, copt)
+		d, _, met, tr, err := core.Run(g, map[NodeID]int64{s: 0}, copt, ModelCongest, true)
 		if err != nil {
 			return sched.Trace{}, err
 		}

@@ -1,6 +1,7 @@
 package dsssp
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -216,5 +217,38 @@ func TestAPSPRejectsSleeping(t *testing.T) {
 	}
 	if _, err := APSP(g, &Options{Model: ModelCongest}, 1); err != nil {
 		t.Fatalf("ModelCongest rejected: %v", err)
+	}
+}
+
+// TestOutOfRangeSourcesRejected: a source that is not a node of the graph
+// is an error naming it, in every entry and both models. It used to give
+// an all-Inf answer, or a panic in an APSP worker that killed the process.
+// A set with several such sources names the lowest.
+func TestOutOfRangeSourcesRejected(t *testing.T) {
+	g := NewGraph(4)
+	g.AddEdge(0, 1, 1)
+	g.AddEdge(1, 2, 1)
+	g.AddEdge(2, 3, 1)
+	calls := []struct {
+		name string
+		bad  NodeID
+		run  func(*Options) error
+	}{
+		{"SSSP", 7, func(o *Options) error { _, err := SSSP(g, 7, o); return err }},
+		{"CSSP", -2, func(o *Options) error { _, err := CSSP(g, map[NodeID]int64{1: 0, -2: 0, 9: 0}, o); return err }},
+		{"SSSPTree", 9, func(o *Options) error { _, err := SSSPTree(g, 9, o); return err }},
+		{"BFS", 6, func(o *Options) error { _, err := BFS(g, map[NodeID]bool{0: true, 6: true, 8: true}, 3, o); return err }},
+		{"APSPFrom", 5, func(o *Options) error { _, err := APSPFrom(g, []NodeID{0, 5, 6}, o, 1); return err }},
+	}
+	for _, m := range []Model{ModelCongest, ModelSleeping} {
+		for _, c := range calls {
+			if c.name == "APSPFrom" && m == ModelSleeping {
+				continue // CONGEST only
+			}
+			err := c.run(&Options{Model: m})
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("source %d is not a node of the 4-node graph", c.bad)) {
+				t.Errorf("%s (%s): got %v, want an error naming source %d", c.name, m, err, c.bad)
+			}
+		}
 	}
 }

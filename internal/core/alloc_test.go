@@ -15,7 +15,7 @@ func TestTracedRunDeterministic(t *testing.T) {
 	g := graph.RandomConnected(48, 96, graph.UniformWeights(48, 3), 3)
 	var first []simnet.TraceEntry
 	for run := 0; run < 3; run++ {
-		_, _, _, tr, err := RunCSSPTraced(g, map[graph.NodeID]int64{0: 0}, Options{})
+		_, _, _, tr, err := Run(g, map[graph.NodeID]int64{0: 0}, Options{}, simnet.Congest, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func TestCongestAllocsPerResume(t *testing.T) {
 	var met simnet.Metrics
 	allocs := testing.AllocsPerRun(1, func() {
 		var err error
-		if _, _, met, err = RunSSSP(g, 0, Options{}); err != nil {
+		if _, _, met, _, err = Run(g, map[graph.NodeID]int64{0: 0}, Options{}, simnet.Congest, false); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -67,7 +67,7 @@ func TestSleepingAllocsPerResume(t *testing.T) {
 	var met simnet.Metrics
 	allocs := testing.AllocsPerRun(1, func() {
 		var err error
-		if _, _, met, err = RunEnergySSSP(g, 0, Options{}); err != nil {
+		if _, _, met, _, err = Run(g, map[graph.NodeID]int64{0: 0}, Options{}, simnet.Sleeping, false); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -86,7 +86,7 @@ func BenchmarkSleepingSSSP(b *testing.B) {
 	var met simnet.Metrics
 	for i := 0; i < b.N; i++ {
 		var err error
-		if _, _, met, err = RunEnergySSSP(g, 0, Options{}); err != nil {
+		if _, _, met, _, err = Run(g, map[graph.NodeID]int64{0: 0}, Options{}, simnet.Sleeping, false); err != nil {
 			b.Fatal(err)
 		}
 	}

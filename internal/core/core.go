@@ -9,7 +9,7 @@
 //
 //  1. D == 1: one exchange round resolves distances in {0, 1} (all weights
 //     are >= 1; zero weights are removed up front by the Theorem 2.7
-//     scaling described at RunCSSP).
+//     scaling described at Run).
 //  2. Build a rooted spanning forest of the participant subgraph
 //     (package forest) — the per-component coordination structure.
 //  3. Run the approximate cutter (Lemma 2.1, package bfs) with W = D and
@@ -52,7 +52,8 @@ type Options struct {
 	// StrictCongest enforces the strict CONGEST bandwidth model: every
 	// message is sized (proto.MessageBits) and the run fails loudly if any
 	// exceeds the O(log n)-bit budget (proto.BitBudget). Congest model
-	// only; metrics then report MaxMessageBits.
+	// only (dsssp.Options rejects it with the sleeping model); metrics
+	// then report MaxMessageBits.
 	StrictCongest bool
 }
 
@@ -127,36 +128,29 @@ type callParams struct {
 
 func (s *cssp) tag(path uint64, off int) uint64 { return path*tagBlock + uint64(off) }
 
-// RunCSSPTraced is RunCSSP with per-message trace recording, used by the
-// APSP scheduling composition.
-func RunCSSPTraced(g *graph.Graph, sources map[graph.NodeID]int64, opts Options) ([]int64, Stats, simnet.Metrics, []simnet.TraceEntry, error) {
-	return run(g, sources, opts, simnet.Congest, true)
-}
-
-// RunCSSP computes exact closest-source distances dist(S, v) =
-// min_{s in S}(offset(s) + dist(s, v)) for every node, in the CONGEST
-// model, per Theorems 2.6 and 2.7 (non-negative integer weights; zero
-// weights are handled by scaling every weight by n+1, mapping zeros to 1,
-// and dividing the result — the scaling preserves exact distances because
-// a shortest path gains less than n+1 from the zero-weight perturbation).
-func RunCSSP(g *graph.Graph, sources map[graph.NodeID]int64, opts Options) ([]int64, Stats, simnet.Metrics, error) {
-	d, st, met, _, err := run(g, sources, opts, simnet.Congest, false)
-	return d, st, met, err
-}
-
-// run executes the CSSP pipeline in the given model. The sleeping model
-// gets a cover provider; a nil provider is what selects the CONGEST cut
-// and barrier in the pipeline. trace records one simnet.TraceEntry per
-// message. Every run reports its per-(phase, depth) span ledger in
-// Metrics.Spans.
-func run(g *graph.Graph, sources map[graph.NodeID]int64, opts Options, model simnet.Model, trace bool) ([]int64, Stats, simnet.Metrics, []simnet.TraceEntry, error) {
+// Run computes exact closest-source distances dist(S, v) =
+// min_{s in S}(offset(s) + dist(s, v)) for every node in the given model:
+// the CONGEST model of Theorems 2.6 and 2.7, or the sleeping model of
+// Theorems 1.1 and 3.15 (Õ(n) rounds, polylogarithmic awake rounds per
+// node). Weights are non-negative integers; zero weights are handled by
+// scaling every weight by n+1, mapping zeros to 1, and dividing the result
+// (a shortest path gains less than n+1 from the perturbation). A source
+// that is not a node of g is an error. A graph not in canonical form
+// (graph.Canonical) runs as its sorted clone; g itself is never modified.
+//
+// The sleeping model gets a cover provider; a nil provider is what selects
+// the CONGEST cut and barrier in the pipeline. trace records one
+// simnet.TraceEntry per message, for the APSP scheduling composition.
+// Every run reports its per-(phase, depth) span ledger in Metrics.Spans.
+func Run(g *graph.Graph, sources map[graph.NodeID]int64, opts Options, model simnet.Model, trace bool) ([]int64, Stats, simnet.Metrics, []simnet.TraceEntry, error) {
 	epsNum, epsDen, err := opts.validEps()
 	if err != nil {
 		return nil, Stats{}, simnet.Metrics{}, nil, err
 	}
-	if opts.StrictCongest && model == simnet.Sleeping {
-		return nil, Stats{}, simnet.Metrics{}, nil, fmt.Errorf("core: StrictCongest applies to the CONGEST model, not the sleeping model")
+	if err := graph.CheckSources(g, sources); err != nil {
+		return nil, Stats{}, simnet.Metrics{}, nil, fmt.Errorf("core: %w", err)
 	}
+	g = g.Canonical()
 	pr, err := prepareProblem(g, sortedSources(sources), epsNum, epsDen)
 	if err != nil {
 		return nil, Stats{}, simnet.Metrics{}, nil, err
@@ -189,10 +183,4 @@ func run(g *graph.Graph, sources map[graph.NodeID]int64, opts Options, model sim
 	}
 	dists, stats := collectOutputs(g, res, pr.scale, pr.levels)
 	return dists, stats, res.Metrics, res.Trace, nil
-}
-
-// RunSSSP computes exact single-source distances (Theorem 2.6/2.7
-// specialized to one source).
-func RunSSSP(g *graph.Graph, source graph.NodeID, opts Options) ([]int64, Stats, simnet.Metrics, error) {
-	return RunCSSP(g, map[graph.NodeID]int64{source: 0}, opts)
 }

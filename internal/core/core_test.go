@@ -6,12 +6,13 @@ import (
 	"testing/quick"
 
 	"dsssp/internal/graph"
+	"dsssp/internal/simnet"
 )
 
 func checkExact(t *testing.T, g *graph.Graph, sources map[graph.NodeID]int64) {
 	t.Helper()
 	want := graph.MultiSourceDijkstra(g, sources)
-	got, _, _, err := RunCSSP(g, sources, Options{})
+	got, _, _, _, err := Run(g, sources, Options{}, simnet.Congest, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestCSSPDisconnected(t *testing.T) {
 	g := graph.Disconnected(2, 8, 3, graph.UniformWeights(5, 4), 4)
 	sources := map[graph.NodeID]int64{0: 0}
 	want := graph.MultiSourceDijkstra(g, sources)
-	got, _, _, err := RunCSSP(g, sources, Options{})
+	got, _, _, _, err := Run(g, sources, Options{}, simnet.Congest, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestCSSPZeroWeights(t *testing.T) {
 
 func TestCSSPSingleNode(t *testing.T) {
 	g := graph.New(1)
-	got, _, _, err := RunCSSP(g, map[graph.NodeID]int64{0: 0}, Options{})
+	got, _, _, _, err := Run(g, map[graph.NodeID]int64{0: 0}, Options{}, simnet.Congest, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestCSSPSingleNode(t *testing.T) {
 
 func TestCSSPNoSources(t *testing.T) {
 	g := graph.Path(4, graph.UnitWeights)
-	got, _, _, err := RunCSSP(g, nil, Options{})
+	got, _, _, _, err := Run(g, nil, Options{}, simnet.Congest, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestCSSPMatchesReferenceRandom(t *testing.T) {
 		}
 		sources := map[graph.NodeID]int64{0: 0, graph.NodeID(n / 2): off}
 		want := graph.MultiSourceDijkstra(g, sources)
-		got, _, _, err := RunCSSP(g, sources, Options{})
+		got, _, _, _, err := Run(g, sources, Options{}, simnet.Congest, false)
 		if err != nil {
 			t.Logf("error: %v", err)
 			return false
@@ -117,7 +118,7 @@ func TestCSSPEpsilonVariants(t *testing.T) {
 	g := graph.RandomConnected(20, 15, graph.UniformWeights(7, 9), 9)
 	want := graph.Dijkstra(g, 0)
 	for _, eps := range [][2]int64{{1, 4}, {1, 2}, {3, 4}} {
-		got, _, _, err := RunCSSP(g, map[graph.NodeID]int64{0: 0}, Options{EpsNum: eps[0], EpsDen: eps[1]})
+		got, _, _, _, err := Run(g, map[graph.NodeID]int64{0: 0}, Options{EpsNum: eps[0], EpsDen: eps[1]}, simnet.Congest, false)
 		if err != nil {
 			t.Fatalf("eps %v: %v", eps, err)
 		}
@@ -134,7 +135,7 @@ func TestCSSPCongestionPolylog(t *testing.T) {
 	// weights. Budget c·log^2(n)·log(D) with a generous constant.
 	for _, n := range []int{48, 96} {
 		g := graph.RandomConnected(n, n, graph.UniformWeights(int64(n), 11), 11)
-		_, _, met, err := RunCSSP(g, map[graph.NodeID]int64{0: 0}, Options{})
+		_, _, met, _, err := Run(g, map[graph.NodeID]int64{0: 0}, Options{}, simnet.Congest, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +151,7 @@ func TestCSSPCongestionPolylog(t *testing.T) {
 func TestCSSPSubproblemBound(t *testing.T) {
 	// Lemma 2.4: every node participates in O(log D) subproblems.
 	g := graph.RandomConnected(64, 64, graph.UniformWeights(64, 13), 13)
-	_, stats, _, err := RunCSSP(g, map[graph.NodeID]int64{0: 0}, Options{})
+	_, stats, _, _, err := Run(g, map[graph.NodeID]int64{0: 0}, Options{}, simnet.Congest, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestCSSPSubproblemBound(t *testing.T) {
 func TestRunSSSP(t *testing.T) {
 	g := graph.Clusters(3, 8, 5, graph.UniformWeights(9, 17), 17)
 	want := graph.Dijkstra(g, 5)
-	got, _, _, err := RunSSSP(g, 5, Options{})
+	got, _, _, _, err := Run(g, map[graph.NodeID]int64{5: 0}, Options{}, simnet.Congest, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +179,10 @@ func TestRunSSSP(t *testing.T) {
 
 func TestCSSPRejectsBadEps(t *testing.T) {
 	g := graph.Path(3, graph.UnitWeights)
-	if _, _, _, err := RunCSSP(g, nil, Options{EpsNum: 2, EpsDen: 2}); err == nil {
+	if _, _, _, _, err := Run(g, nil, Options{EpsNum: 2, EpsDen: 2}, simnet.Congest, false); err == nil {
 		t.Fatal("want error for ε >= 1")
 	}
-	if _, _, _, err := RunCSSP(g, map[graph.NodeID]int64{0: -1}, Options{}); err == nil {
+	if _, _, _, _, err := Run(g, map[graph.NodeID]int64{0: -1}, Options{}, simnet.Congest, false); err == nil {
 		t.Fatal("want error for negative offset")
 	}
 }

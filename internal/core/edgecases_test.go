@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dsssp/internal/graph"
+	"dsssp/internal/simnet"
 )
 
 // Edge-case coverage for startThreshold and the Options ε plumbing: the
@@ -70,11 +71,11 @@ func TestEpsValidationBoundaries(t *testing.T) {
 			t.Errorf("Options %+v accepted", o)
 		}
 		// The boundary must hold at both public entrypoints.
-		if _, _, _, err := RunCSSP(g, map[graph.NodeID]int64{0: 0}, o); err == nil || !strings.Contains(err.Error(), "ε") {
-			t.Errorf("RunCSSP accepted Options %+v (err=%v)", o, err)
+		if _, _, _, _, err := Run(g, map[graph.NodeID]int64{0: 0}, o, simnet.Congest, false); err == nil || !strings.Contains(err.Error(), "ε") {
+			t.Errorf("Run (congest) accepted Options %+v (err=%v)", o, err)
 		}
-		if _, _, _, err := RunEnergyCSSP(g, map[graph.NodeID]int64{0: 0}, o); err == nil || !strings.Contains(err.Error(), "ε") {
-			t.Errorf("RunEnergyCSSP accepted Options %+v (err=%v)", o, err)
+		if _, _, _, _, err := Run(g, map[graph.NodeID]int64{0: 0}, o, simnet.Sleeping, false); err == nil || !strings.Contains(err.Error(), "ε") {
+			t.Errorf("Run (sleeping) accepted Options %+v (err=%v)", o, err)
 		}
 	}
 }
@@ -85,7 +86,7 @@ func TestEpsExtremesRun(t *testing.T) {
 	g := graph.RandomConnected(12, 12, graph.UniformWeights(4, 5), 5)
 	want := graph.Dijkstra(g, 0)
 	for _, o := range []Options{{EpsNum: 1, EpsDen: 16}, {EpsNum: 15, EpsDen: 16}} {
-		got, _, _, err := RunSSSP(g, 0, o)
+		got, _, _, _, err := Run(g, map[graph.NodeID]int64{0: 0}, o, simnet.Congest, false)
 		if err != nil {
 			t.Fatalf("eps %d/%d: %v", o.EpsNum, o.EpsDen, err)
 		}
@@ -104,11 +105,11 @@ func TestSingleNodeBothRecursions(t *testing.T) {
 	g.SortAdj()
 	runs := map[string]func(map[graph.NodeID]int64) ([]int64, error){
 		"congest": func(src map[graph.NodeID]int64) ([]int64, error) {
-			d, _, _, err := RunCSSP(g, src, Options{})
+			d, _, _, _, err := Run(g, src, Options{}, simnet.Congest, false)
 			return d, err
 		},
 		"energy": func(src map[graph.NodeID]int64) ([]int64, error) {
-			d, _, _, err := RunEnergyCSSP(g, src, Options{})
+			d, _, _, _, err := Run(g, src, Options{}, simnet.Sleeping, false)
 			return d, err
 		},
 	}
@@ -130,11 +131,11 @@ func TestSingleNodeBothRecursions(t *testing.T) {
 // both models.
 func TestNoSourcesBothRecursions(t *testing.T) {
 	g := graph.Grid2D(3, 3, graph.UniformWeights(3, 11))
-	dc, _, _, err := RunCSSP(g, map[graph.NodeID]int64{}, Options{})
+	dc, _, _, _, err := Run(g, map[graph.NodeID]int64{}, Options{}, simnet.Congest, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	de, _, _, err := RunEnergyCSSP(g, map[graph.NodeID]int64{}, Options{})
+	de, _, _, _, err := Run(g, map[graph.NodeID]int64{}, Options{}, simnet.Sleeping, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +154,11 @@ func TestMaxOffsetBothRecursions(t *testing.T) {
 	const huge = int64(1) << 30
 	sources := map[graph.NodeID]int64{0: huge, 3: 0}
 	want := graph.MultiSourceDijkstra(g, sources)
-	dc, _, _, err := RunCSSP(g, sources, Options{})
+	dc, _, _, _, err := Run(g, sources, Options{}, simnet.Congest, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	de, _, _, err := RunEnergyCSSP(g, sources, Options{})
+	de, _, _, _, err := Run(g, sources, Options{}, simnet.Sleeping, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +178,14 @@ func TestZeroOffsetsAllSources(t *testing.T) {
 		sources[graph.NodeID(v)] = 0
 	}
 	for name, run := range map[string]func() ([]int64, error){
-		"congest": func() ([]int64, error) { d, _, _, err := RunCSSP(g, sources, Options{}); return d, err },
-		"energy":  func() ([]int64, error) { d, _, _, err := RunEnergyCSSP(g, sources, Options{}); return d, err },
+		"congest": func() ([]int64, error) {
+			d, _, _, _, err := Run(g, sources, Options{}, simnet.Congest, false)
+			return d, err
+		},
+		"energy": func() ([]int64, error) {
+			d, _, _, _, err := Run(g, sources, Options{}, simnet.Sleeping, false)
+			return d, err
+		},
 	} {
 		d, err := run()
 		if err != nil {

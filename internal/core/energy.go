@@ -24,7 +24,6 @@ import (
 	"dsssp/internal/forest"
 	"dsssp/internal/graph"
 	"dsssp/internal/proto"
-	"dsssp/internal/simnet"
 )
 
 // coverProvider hands each recursion call the layered sparse cover for its
@@ -160,17 +159,4 @@ func energyBarrier(mb *proto.Mailbox, t proto.Tree, tag uint64, size, anchor int
 			return start
 		}
 	}
-}
-
-// RunEnergyCSSP computes exact closest-source distances in the sleeping
-// model (Theorem 3.15): Õ(n) rounds and polylogarithmic awake rounds per
-// node (energy). Zero weights are handled by the same scaling as RunCSSP.
-func RunEnergyCSSP(g *graph.Graph, sources map[graph.NodeID]int64, opts Options) ([]int64, Stats, simnet.Metrics, error) {
-	d, st, met, _, err := run(g, sources, opts, simnet.Sleeping, false)
-	return d, st, met, err
-}
-
-// RunEnergySSSP is the single-source specialization of Theorem 1.1.
-func RunEnergySSSP(g *graph.Graph, source graph.NodeID, opts Options) ([]int64, Stats, simnet.Metrics, error) {
-	return RunEnergyCSSP(g, map[graph.NodeID]int64{source: 0}, opts)
 }

@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"dsssp/internal/graph"
+	"dsssp/internal/simnet"
 )
 
 func checkEnergyExact(t *testing.T, g *graph.Graph, sources map[graph.NodeID]int64) {
 	t.Helper()
 	want := graph.MultiSourceDijkstra(g, sources)
-	got, _, met, err := RunEnergyCSSP(g, sources, Options{})
+	got, _, met, _, err := Run(g, sources, Options{}, simnet.Sleeping, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestEnergyCSSPZeroWeights(t *testing.T) {
 func TestEnergyCSSPDisconnected(t *testing.T) {
 	g := graph.Disconnected(2, 6, 1, graph.UnitWeights, 3)
 	want := graph.MultiSourceDijkstra(g, map[graph.NodeID]int64{0: 0})
-	got, _, _, err := RunEnergyCSSP(g, map[graph.NodeID]int64{0: 0}, Options{})
+	got, _, _, _, err := Run(g, map[graph.NodeID]int64{0: 0}, Options{}, simnet.Sleeping, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +64,11 @@ func TestEnergyCSSPDisconnected(t *testing.T) {
 
 func TestEnergySSSPMatchesCongestVariant(t *testing.T) {
 	g := graph.Cycle(12, graph.UniformWeights(3, 7))
-	a, _, _, err := RunSSSP(g, 3, Options{})
+	a, _, _, _, err := Run(g, map[graph.NodeID]int64{3: 0}, Options{}, simnet.Congest, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, _, err := RunEnergySSSP(g, 3, Options{})
+	b, _, _, _, err := Run(g, map[graph.NodeID]int64{3: 0}, Options{}, simnet.Sleeping, false)
 	if err != nil {
 		t.Fatal(err)
 	}

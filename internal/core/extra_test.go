@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dsssp/internal/graph"
+	"dsssp/internal/simnet"
 )
 
 // The dumbbell stresses the recursion with a long bridge between two dense
@@ -26,7 +27,7 @@ func TestCSSPAllSources(t *testing.T) {
 	for v := 0; v < g.N(); v++ {
 		sources[graph.NodeID(v)] = 0
 	}
-	got, _, _, err := RunCSSP(g, sources, Options{})
+	got, _, _, _, err := Run(g, sources, Options{}, simnet.Congest, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +41,11 @@ func TestCSSPAllSources(t *testing.T) {
 // Determinism: two runs produce identical metrics and distances.
 func TestCSSPDeterministic(t *testing.T) {
 	g := graph.RandomConnected(40, 40, graph.UniformWeights(16, 11), 11)
-	d1, _, m1, err := RunSSSP(g, 0, Options{})
+	d1, _, m1, _, err := Run(g, map[graph.NodeID]int64{0: 0}, Options{}, simnet.Congest, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, _, m2, err := RunSSSP(g, 0, Options{})
+	d2, _, m2, _, err := Run(g, map[graph.NodeID]int64{0: 0}, Options{}, simnet.Congest, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +62,11 @@ func TestCSSPDeterministic(t *testing.T) {
 // The traced variant must agree with the untraced one and actually record.
 func TestCSSPTracedConsistent(t *testing.T) {
 	g := graph.Cycle(10, graph.UniformWeights(3, 13))
-	d1, _, m1, err := RunSSSP(g, 0, Options{})
+	d1, _, m1, _, err := Run(g, map[graph.NodeID]int64{0: 0}, Options{}, simnet.Congest, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, _, m2, tr, err := RunCSSPTraced(g, map[graph.NodeID]int64{0: 0}, Options{})
+	d2, _, m2, tr, err := Run(g, map[graph.NodeID]int64{0: 0}, Options{}, simnet.Congest, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func TestPipelinePhasesRecorded(t *testing.T) {
 	g := graph.RandomConnected(24, 24, graph.UniformWeights(8, 3), 3)
 	sources := map[graph.NodeID]int64{0: 0, 12: 2}
 
-	_, _, metC, err := RunCSSP(g, sources, Options{})
+	_, _, metC, _, err := Run(g, sources, Options{}, simnet.Congest, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestPipelinePhasesRecorded(t *testing.T) {
 		t.Error("congest run reported the energy cut stage")
 	}
 
-	_, _, metE, err := RunEnergyCSSP(g, sources, Options{})
+	_, _, metE, _, err := Run(g, sources, Options{}, simnet.Sleeping, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func spanKeys(spans []simnet.SpanMetrics) map[string]bool {
 // ledger carries per-phase bit maxima whose max is the run's.
 func TestPipelineStrictBitsInLedger(t *testing.T) {
 	g := graph.RandomConnected(16, 16, graph.UniformWeights(8, 7), 7)
-	_, _, met, err := RunSSSP(g, 0, Options{StrictCongest: true})
+	_, _, met, _, err := Run(g, map[graph.NodeID]int64{0: 0}, Options{StrictCongest: true}, simnet.Congest, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +139,8 @@ func TestNegativeOffsetErrorDeterministic(t *testing.T) {
 	sources := map[graph.NodeID]int64{9: -1, 2: -7, 5: -3}
 	for i := 0; i < 20; i++ {
 		for name, run := range map[string]func() error{
-			"congest": func() error { _, _, _, err := RunCSSP(g, sources, Options{}); return err },
-			"energy":  func() error { _, _, _, err := RunEnergyCSSP(g, sources, Options{}); return err },
+			"congest": func() error { _, _, _, _, err := Run(g, sources, Options{}, simnet.Congest, false); return err },
+			"energy":  func() error { _, _, _, _, err := Run(g, sources, Options{}, simnet.Sleeping, false); return err },
 		} {
 			err := run()
 			if err == nil || !strings.Contains(err.Error(), "offset -7 at source 2") {
@@ -156,11 +156,11 @@ func TestNegativeOffsetErrorDeterministic(t *testing.T) {
 func TestPipelineVariantsAgree(t *testing.T) {
 	g := graph.Clusters(3, 5, 4, graph.UniformWeights(5, 9), 9)
 	sources := map[graph.NodeID]int64{1: 0, 8: 3}
-	dc, _, _, err := RunCSSP(g, sources, Options{})
+	dc, _, _, _, err := Run(g, sources, Options{}, simnet.Congest, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	de, _, _, err := RunEnergyCSSP(g, sources, Options{})
+	de, _, _, _, err := Run(g, sources, Options{}, simnet.Sleeping, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,11 +25,11 @@ func sleepingGraph() *graph.Graph {
 
 // TestSleepingMetricsPinned pins the sleeping-model schedule byte for byte:
 // rounds, messages, awake rounds (total, max, per node), lost messages,
-// per-edge message counts and the phase span ledger of RunEnergySSSP on the
-// sim-sleeping graph (sources 0-3), the same counts of energybfs.RunBFS on
-// a path and a grid (n=64), a digest of the layered cover those runs use,
-// and the counts of four more RunBFS inputs (offset sources, a low
-// threshold, no sources, two components). Performance work on energybfs and
+// per-edge message counts and the phase span ledger of a sleeping-model
+// Run on the sim-sleeping graph (sources 0-3), the same counts of
+// energybfs.RunBFS on a path and a grid (n=64), a digest of the layered
+// cover those runs use, and the counts of four more RunBFS inputs (offset
+// sources, a low threshold, no sources, two components). Performance work on energybfs and
 // decomp must leave every line unchanged; a change to the schedule itself
 // (a correctness fix) regenerates the file with `go test ./internal/core
 // -run TestSleepingMetricsPinned -update`.
@@ -37,7 +37,7 @@ func TestSleepingMetricsPinned(t *testing.T) {
 	var out strings.Builder
 	g := sleepingGraph()
 	for src := graph.NodeID(0); src < 4; src++ {
-		dist, _, met, err := RunEnergySSSP(g, src, Options{})
+		dist, _, met, _, err := Run(g, map[graph.NodeID]int64{src: 0}, Options{}, simnet.Sleeping, false)
 		if err != nil {
 			t.Fatal(err)
 		}

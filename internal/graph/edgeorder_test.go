@@ -10,6 +10,7 @@ import (
 
 	"dsssp/internal/core"
 	"dsssp/internal/graph"
+	"dsssp/internal/simnet"
 )
 
 // checkPairRanks demands that g numbers its edges by pair rank: Edges() is
@@ -133,14 +134,46 @@ func TestMetricsIndependentOfInsertionOrder(t *testing.T) {
 	for _, f := range graph.Families() {
 		g := graph.Make(f, 20, graph.UniformWeights(20, 2), 2)
 		sg := scrambled(rng, g)
-		d1, s1, m1, err1 := core.RunSSSP(g, 0, core.Options{})
-		d2, s2, m2, err2 := core.RunSSSP(sg, 0, core.Options{})
+		d1, s1, m1, _, err1 := core.Run(g, map[graph.NodeID]int64{0: 0}, core.Options{}, simnet.Congest, false)
+		d2, s2, m2, _, err2 := core.Run(sg, map[graph.NodeID]int64{0: 0}, core.Options{}, simnet.Congest, false)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s: %v / %v", f, err1, err2)
 		}
 		if !reflect.DeepEqual(d1, d2) || !reflect.DeepEqual(s1, s2) || !reflect.DeepEqual(m1, m2) {
 			t.Fatalf("%s: SSSP differs between generator and shuffled insertion:\n rounds %d vs %d, messages %d vs %d",
 				f, m1.Rounds, m2.Rounds, m1.Messages, m2.Messages)
+		}
+	}
+}
+
+// TestCanonical: a built graph is its own canonical form, so a run clones
+// nothing; a graph with an unsorted list, or sorted lists but EdgeIDs out
+// of pair order, gets a sorted clone and is left as it was.
+func TestCanonical(t *testing.T) {
+	for _, f := range graph.Families() {
+		if g := graph.Make(f, 20, graph.UnitWeights, 1); g.Canonical() != g {
+			t.Errorf("%s: a built graph is not canonical", f)
+		}
+	}
+	unsorted := graph.New(3)
+	unsorted.AddEdge(0, 2, 1)
+	unsorted.AddEdge(0, 1, 1)
+	misnumbered := graph.New(4) // every list sorted, {1,2} numbered 0 before {0,3}
+	misnumbered.AddEdge(1, 2, 1)
+	misnumbered.AddEdge(0, 3, 1)
+	for name, g := range map[string]*graph.Graph{"unsorted": unsorted, "misnumbered": misnumbered} {
+		before := g.Clone()
+		c := g.Canonical()
+		if c == g || c.Canonical() != c {
+			t.Fatalf("%s: Canonical did not return a canonical clone", name)
+		}
+		if !reflect.DeepEqual(g, before) {
+			t.Errorf("%s: Canonical modified its receiver", name)
+		}
+		want := g.Clone()
+		want.SortAdj()
+		if !reflect.DeepEqual(c, want) {
+			t.Errorf("%s: Canonical = %+v, want the sorted clone %+v", name, c, want)
 		}
 	}
 }

@@ -213,6 +213,50 @@ func (g *Graph) SortAdj() {
 	}
 }
 
+// Canonical returns g if it is in canonical form — every adjacency list
+// sorted by neighbor and the edges numbered in pair order, as SortAdj
+// leaves them — and otherwise a sorted clone, leaving g untouched. The
+// simulator's message order and forest.Build's EdgeID tie-break follow
+// the adjacency, so a run on Canonical(g) is a function of g's edge set.
+func (g *Graph) Canonical() *Graph {
+	id := EdgeID(0)
+	for u, a := range g.adj {
+		for i, h := range a {
+			if i > 0 && h.To <= a[i-1].To {
+				return g.sorted()
+			}
+			if h.To > NodeID(u) {
+				if h.ID != id {
+					return g.sorted()
+				}
+				id++
+			}
+		}
+	}
+	return g
+}
+
+func (g *Graph) sorted() *Graph {
+	c := g.Clone()
+	c.SortAdj()
+	return c
+}
+
+// CheckSources returns an error naming the lowest key of sources that is
+// not a node of g, or nil when every key is one.
+func CheckSources[V any](g *Graph, sources map[NodeID]V) error {
+	bad, found := NodeID(0), false
+	for v := range sources {
+		if (v < 0 || int(v) >= g.n) && (!found || v < bad) {
+			bad, found = v, true
+		}
+	}
+	if !found {
+		return nil
+	}
+	return fmt.Errorf("source %d is not a node of the %d-node graph", bad, g.n)
+}
+
 // Edges lists the graph's edges as (u,v,w) triples with u < v, in pair
 // order — sorted by (U, V) — reading each edge off its smaller endpoint's
 // adjacency list. For a sorted graph that is EdgeID order, and

@@ -8,9 +8,8 @@ import "fmt"
 // This is precisely the tie-break the distributed tree extraction
 // (dsssp.CSSPTree) applies, so the parent is a pure function of
 // (graph, dist) — which is what lets the serving layer rebuild and repair
-// witness trees without re-running the extraction round. Adjacency lists
-// are sorted by neighbor ID (SortAdj), so the first witness found is the
-// minimum-ID one.
+// witness trees without re-running the extraction round. The whole
+// adjacency list is scanned, so the parent does not depend on its order.
 //
 // A finite dist[v] with no witnessing neighbor means dist is not an exact
 // distance vector for g; like the distributed extraction, this panics
@@ -20,16 +19,16 @@ func WitnessParent(g *Graph, v NodeID, dist []int64) NodeID {
 	if dv == Inf {
 		return -1
 	}
+	parent := NodeID(-1)
 	for _, h := range g.Adj(v) {
-		du := dist[h.To]
-		if du == Inf {
-			continue
-		}
-		if du+h.W == dv {
-			return h.To
+		if du := dist[h.To]; du != Inf && du+h.W == dv && (parent < 0 || h.To < parent) {
+			parent = h.To
 		}
 	}
-	panic(fmt.Sprintf("graph: node %d has distance %d but no witness neighbor", v, dv))
+	if parent < 0 {
+		panic(fmt.Sprintf("graph: node %d has distance %d but no witness neighbor", v, dv))
+	}
+	return parent
 }
 
 // WitnessParents extracts the whole deterministic min-ID witness parent

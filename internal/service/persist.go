@@ -97,12 +97,14 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // EnablePersistence turns on spill-to-disk under dir (created if missing)
-// and reloads every graph already spilled there, least recently patched
-// first so the LRU order favors recent activity. Temp files a crash left
-// mid-spill are deleted, and so is a torn final journal record. Returns
-// how many graphs were restored; on any unreadable spill it returns an
-// error naming the file and restores nothing. Call once, before the
-// registry is shared.
+// and reloads the graphs already spilled there, most recently patched
+// first, while the registry's budget holds them (the most recent always
+// loads). The spills of older graphs stay on disk untouched, for a boot
+// with a larger budget. Temp files a crash left mid-spill are deleted,
+// and so is a torn final journal record of a restored graph. Returns how
+// many graphs were restored; on any unreadable spill it returns an error
+// naming the file and restores nothing. Call once, before the registry
+// is shared.
 func (r *GraphRegistry) EnablePersistence(dir string) (int, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, err
@@ -143,7 +145,7 @@ func (r *GraphRegistry) EnablePersistence(dir string) (int, error) {
 		}
 		loaded = append(loaded, rg)
 	}
-	sort.Slice(loaded, func(a, b int) bool { return recencyNS(loaded[a]) < recencyNS(loaded[b]) })
+	sort.Slice(loaded, func(a, b int) bool { return recencyNS(loaded[a]) > recencyNS(loaded[b]) })
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -153,7 +155,10 @@ func (r *GraphRegistry) EnablePersistence(dir string) (int, error) {
 			return 0, fmt.Errorf("spill of %s: graph already registered", rg.id)
 		}
 	}
-	for _, rg := range loaded {
+	for i, rg := range loaded {
+		if i > 0 && r.budget > 0 && r.bytes+rg.bytes > r.budget {
+			return i, nil
+		}
 		// A tail that cannot be cut off would sit before the next record:
 		// rewrite the file whole at the next spill instead.
 		if size, ok := torn[rg]; ok && os.Truncate(filepath.Join(dir, rg.id+spillExt), int64(size)) != nil {
@@ -171,12 +176,11 @@ func recencyNS(rg *regGraph) int64 {
 	return rg.createdAt.UnixNano()
 }
 
-// restoreLocked admits one decoded graph.
+// restoreLocked admits one decoded graph as the least recently used.
 func (r *GraphRegistry) restoreLocked(rg *regGraph) {
-	rg.el = r.lru.PushFront(rg)
+	rg.el = r.lru.PushBack(rg)
 	r.graphs[rg.id] = rg
 	r.bytes += rg.bytes
-	r.evictLocked(rg)
 }
 
 // Flush rewrites every resident graph's spill whole (traces accumulated

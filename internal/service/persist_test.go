@@ -391,3 +391,74 @@ func TestSpillJournalTriggers(t *testing.T) {
 		t.Fatalf("%d spills failed", st.SpillErrors)
 	}
 }
+
+// TestPersistenceBootBudget: a boot whose budget cannot hold every spill
+// restores the most recently patched graph and leaves the other spill on
+// disk untouched, so a later boot with a larger budget restores both.
+func TestPersistenceBootBudget(t *testing.T) {
+	dir := t.TempDir()
+	r := NewGraphRegistry(1<<20, NewCache(1<<20), nil)
+	if _, err := r.EnablePersistence(dir); err != nil {
+		t.Fatal(err)
+	}
+	other := graph.New(4)
+	other.AddEdge(0, 1, 2)
+	other.AddEdge(1, 2, 1)
+	other.AddEdge(2, 3, 1)
+	other.AddEdge(0, 3, 1)
+	other.AddEdge(0, 2, 10)
+	other.SortAdj()
+	var infos []GraphInfo
+	for _, g := range []*graph.Graph{other, ciGraph()} {
+		info, _ := r.Register(g)
+		g, digest, _, _ := r.Resolve(info.ID)
+		dist := graph.Dijkstra(g, 1)
+		r.Record(info.ID, digest, 1, dist, graph.WitnessParents(g, 1, dist), "")
+		infos = append(infos, info)
+	}
+	// The ciGraph copy is patched last, so it is the most recent.
+	if _, err := r.Patch(infos[1].ID, []graph.EdgeDelta{{Op: graph.DeltaReweight, U: 0, V: 2, W: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var want []GraphInfo
+	spills := map[string][]byte{}
+	for _, info := range infos {
+		gi, _ := r.Get(info.ID)
+		want = append(want, gi)
+		raw, err := os.ReadFile(filepath.Join(dir, info.ID+spillExt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spills[info.ID] = raw
+	}
+	if want[1].Revision != 2 || want[0].TracedSources != 1 || want[1].TracedSources != 1 {
+		t.Fatalf("setup: %+v", want)
+	}
+
+	small := NewGraphRegistry(want[0].Bytes+want[1].Bytes-1, NewCache(1<<20), nil)
+	if n, err := small.EnablePersistence(dir); err != nil || n != 1 {
+		t.Fatalf("budget for one graph: restored %d, err %v", n, err)
+	}
+	if _, ok := small.Get(infos[1].ID); !ok {
+		t.Fatal("the most recently patched graph was not restored")
+	}
+	for id, raw := range spills {
+		if got, err := os.ReadFile(filepath.Join(dir, id+spillExt)); err != nil || !bytes.Equal(got, raw) {
+			t.Fatalf("spill of %s changed by a boot that could not hold it (err %v)", id, err)
+		}
+	}
+
+	big := NewGraphRegistry(1<<20, NewCache(1<<20), nil)
+	if n, err := big.EnablePersistence(dir); err != nil || n != 2 {
+		t.Fatalf("large budget: restored %d, err %v", n, err)
+	}
+	for i, info := range infos {
+		gi, _ := big.Get(info.ID)
+		if gi.Revision != want[i].Revision || gi.Digest != want[i].Digest || gi.TracedSources != want[i].TracedSources || gi.StaleSources != want[i].StaleSources {
+			t.Fatalf("graph %s restored as %+v, want %+v", info.ID, gi, want[i])
+		}
+	}
+}

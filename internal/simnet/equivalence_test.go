@@ -124,16 +124,16 @@ func equivGraph(seed int64, n int) *graph.Graph {
 // pooled buffers) and the frozen pre-rewrite oracle scheduler, and describes
 // the first difference in Metrics, Outputs, Trace or error text; it returns
 // "" when the two runs agree exactly.
-func oracleDivergence(seed int64, model Model, strict bool) string {
+func oracleDivergence(seed int64, model Model) string {
 	n := int(splitmix64(uint64(seed))%22) + 2
 	g := equivGraph(seed, n)
-	cfg := Config{Model: model, RecordTrace: true, StrictCongest: strict, MaxRounds: 1 << 20}
+	cfg := Config{Model: model, RecordTrace: true, MaxRounds: 1 << 20}
 	p := scriptProgram(seed, model, 12)
 
 	want, werr := New(g, cfg).runOracle(p)
 	got, gerr := New(g, cfg).Run(p)
 
-	name := fmt.Sprintf("seed=%d model=%s strict=%v n=%d", seed, model, strict, n)
+	name := fmt.Sprintf("seed=%d model=%s n=%d", seed, model, n)
 	if (werr == nil) != (gerr == nil) {
 		return fmt.Sprintf("%s: error divergence: oracle=%v new=%v", name, werr, gerr)
 	}
@@ -158,32 +158,28 @@ func oracleDivergence(seed int64, model Model, strict bool) string {
 	return ""
 }
 
-// oracleCorpusEntry is one (seed, model, strict) point of the matrix the
-// oracle tests sweep; oracleCorpus lists them all.
+// oracleCorpusEntry is one (seed, model) point of the matrix the oracle
+// tests sweep; oracleCorpus lists them all.
 type oracleCorpusEntry struct {
-	seed   int64
-	model  Model
-	strict bool
+	seed  int64
+	model Model
 }
 
 func oracleCorpus() []oracleCorpusEntry {
 	var out []oracleCorpusEntry
 	for seed := int64(0); seed < 60; seed++ {
 		for _, model := range []Model{Congest, Sleeping} {
-			for _, strict := range []bool{false, true} {
-				out = append(out, oracleCorpusEntry{seed, model, strict})
-			}
+			out = append(out, oracleCorpusEntry{seed, model})
 		}
 	}
 	return out
 }
 
 // TestSchedulerMatchesOracle asserts the production scheduler reproduces
-// the oracle exactly over the randomized corpus, in both models, with and
-// without strict-CONGEST enforcement.
+// the oracle exactly over the randomized corpus, in both models.
 func TestSchedulerMatchesOracle(t *testing.T) {
 	for _, c := range oracleCorpus() {
-		if d := oracleDivergence(c.seed, c.model, c.strict); d != "" {
+		if d := oracleDivergence(c.seed, c.model); d != "" {
 			t.Fatal(d)
 		}
 	}
@@ -210,7 +206,7 @@ func TestParallelMatchesOracle(t *testing.T) {
 			defer wg.Done()
 			for i := range idx {
 				c := corpus[i]
-				divergences[i] = oracleDivergence(c.seed, c.model, c.strict)
+				divergences[i] = oracleDivergence(c.seed, c.model)
 			}
 		}()
 	}
@@ -257,8 +253,8 @@ type errorCase struct {
 }
 
 // errorCases covers deadlock, MaxRounds, node panic (including every node
-// panicking at once, where the lowest ID must win) and strict-CONGEST
-// overload.
+// panicking at once, where the lowest ID must win) and a message over the
+// strict CONGEST bit budget.
 func errorCases() []errorCase {
 	return []errorCase{
 		{
@@ -296,10 +292,9 @@ func errorCases() []errorCase {
 		},
 		{
 			name: "strict-congest",
-			cfg:  Config{Model: Congest, StrictCongest: true},
+			cfg:  Config{Model: Congest, MessageBits: func(uint64, any) int64 { return 64 }, MaxMessageBits: 32},
 			prog: func(c *Ctx) {
 				c.Send(0, uint64(1))
-				c.Send(0, uint64(2))
 				c.Next()
 			},
 		},
@@ -328,7 +323,7 @@ func TestSchedulerMatchesOracleOnErrors(t *testing.T) {
 // TestParallelErrorPaths runs every error case on several engines at once,
 // on separate goroutines, and asserts each reports the same error text as
 // a lone run: a failing engine (deadlock, MaxRounds, a panicking node, a
-// strict-CONGEST overload) must not disturb, or be disturbed by, the
+// message over the bit budget) must not disturb, or be disturbed by, the
 // engines running beside it.
 func TestParallelErrorPaths(t *testing.T) {
 	for _, tc := range errorCases() {

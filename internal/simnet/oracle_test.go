@@ -17,8 +17,10 @@ import (
 // only edits since freezing are mechanical: field relocations tracking the
 // struct-of-arrays layout change — ns.kind → e.kind[id] and friends —,
 // carrying the message tag beside the body, ns.resume() → e.dispatch,
-// the engine's one choice between a coroutine resume and a Drive step, and
-// the reverse index moving from the Engine into oracleReverseIndex.)
+// the engine's one choice between a coroutine resume and a Drive step,
+// the reverse index moving from the Engine into oracleReverseIndex, and
+// the one-message-per-edge-direction check leaving with
+// Config.StrictCongest.)
 //
 // The oracle derives each arrival port from its own reverse index, never
 // from graph.Half.Rev, so a wrong Rev makes Run disagree with it.
@@ -139,9 +141,6 @@ func (e *Engine) runOracle(p Program) (*Result, error) {
 				dirLoad[di]++
 				if dirLoad[di] > maxLoad {
 					maxLoad = dirLoad[di]
-				}
-				if e.cfg.StrictCongest && dirLoad[di] > 1 {
-					return nil, fmt.Errorf("simnet: strict CONGEST violation on edge %d (round %d)", h.ID, cur)
 				}
 				if e.cfg.RecordTrace {
 					res.Trace = append(res.Trace, TraceEntry{cur, h.ID, byte(dirBit)})

@@ -16,6 +16,10 @@
 //     optimization, not a model change.
 //   - In Sleeping mode the engine counts each node's awake rounds — the
 //     paper's energy measure — and drops messages to sleeping nodes.
+//   - Strict CONGEST is the O(log n)-bit message budget
+//     (Config.MaxMessageBits). Algorithms multiplex subroutines over an
+//     edge, so a round may carry several messages per edge direction;
+//     Metrics.StrictRounds reports the megaround expansion (Section 3.1.3).
 //
 // The engine is deterministic: nodes are resumed and their messages
 // delivered in node-ID order, so a run is a pure function of the graph,
@@ -113,11 +117,6 @@ type Config struct {
 	// RecordTrace records one TraceEntry per message (for the APSP
 	// scheduling analysis).
 	RecordTrace bool
-	// StrictCongest makes the run fail if more than one message crosses an
-	// edge in the same direction in the same round (the literal CONGEST
-	// constraint). Leave false for algorithms that multiplex subroutines
-	// and rely on megaround accounting (Section 3.1.3).
-	StrictCongest bool
 	// MessageBits, if non-nil, estimates the wire size of every sent
 	// message — its tag (0 for Ctx.Send) plus its body — in bits; the
 	// maximum is reported in Metrics.MaxMessageBits. Leave nil to skip the
@@ -127,7 +126,9 @@ type Config struct {
 	// CONGEST bandwidth budget: the run fails loudly as soon as any single
 	// message exceeds it. The paper's model allows O(log n)-bit messages;
 	// callers derive the concrete budget from the graph (see
-	// proto.BitBudget).
+	// proto.BitBudget). This budget is all "strict CONGEST" means here:
+	// several messages may share an edge direction in one round, and
+	// Metrics.StrictRounds charges that load as megarounds.
 	MaxMessageBits int64
 }
 
@@ -581,9 +582,6 @@ func (e *Engine) Run(p Program) (*Result, error) {
 				dirLoad[di]++
 				if dirLoad[di] > maxLoad {
 					maxLoad = dirLoad[di]
-				}
-				if e.cfg.StrictCongest && dirLoad[di] > 1 {
-					return nil, fmt.Errorf("simnet: strict CONGEST violation on edge %d (round %d)", h.ID, cur)
 				}
 				if e.cfg.RecordTrace {
 					res.Trace = append(res.Trace, TraceEntry{cur, h.ID, byte(dirBit)})

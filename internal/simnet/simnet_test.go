@@ -10,7 +10,7 @@ import (
 func TestFloodCongest(t *testing.T) {
 	// Simple BFS flood on a path: node 0 starts, everyone learns distance.
 	g := graph.Path(6, graph.UnitWeights)
-	e := New(g, Config{Model: Congest, StrictCongest: true})
+	e := New(g, Config{Model: Congest})
 	res, err := e.Run(func(c *Ctx) {
 		dist := int64(-1)
 		if c.ID() == 0 {
@@ -228,17 +228,29 @@ func TestMaxRoundsEnforced(t *testing.T) {
 	}
 }
 
+// TestStrictCongestViolation: strict CONGEST is the bit budget alone.
+// Two messages over one edge direction in a round are within it; one
+// message over the budget fails the run and names the sender and size.
 func TestStrictCongestViolation(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights)
-	e := New(g, Config{Model: Congest, StrictCongest: true})
-	_, err := e.Run(func(c *Ctx) {
+	cfg := Config{Model: Congest, MaxMessageBits: 8, MessageBits: func(_ uint64, body any) int64 { return int64(body.(int)) }}
+	res, err := New(g, cfg).Run(func(c *Ctx) {
 		if c.ID() == 0 {
-			c.Send(0, 1)
-			c.Send(0, 2) // two messages, same edge, same direction, same round
+			c.Send(0, 8)
+			c.Send(0, 8) // two messages, same edge, same direction, same round
 		}
 		c.Next()
 	})
-	if err == nil || !strings.Contains(err.Error(), "CONGEST violation") {
+	if err != nil || res.Metrics.MaxMessageBits != 8 || res.Metrics.StrictRounds != 3 {
+		t.Fatalf("within budget: err=%v metrics=%+v", err, res.Metrics)
+	}
+	_, err = New(g, cfg).Run(func(c *Ctx) {
+		if c.ID() == 1 {
+			c.Send(0, 9)
+		}
+		c.Next()
+	})
+	if err == nil || !strings.Contains(err.Error(), "strict CONGEST violation: node 1 sent a 9-bit message") {
 		t.Fatalf("got %v", err)
 	}
 }

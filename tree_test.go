@@ -1,6 +1,8 @@
 package dsssp
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -125,5 +127,71 @@ func TestTreeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUnsortedGraphRunsAsSorted: a graph AddEdge left unsorted gives the
+// results of its sorted form, and the run leaves it unsorted. The witness
+// parent is the minimum-ID witness whatever the adjacency order, so
+// WitnessParents matches SSSPTree's Parent on the unsorted graph too.
+func TestUnsortedGraphRunsAsSorted(t *testing.T) {
+	build := func() *Graph {
+		g := NewGraph(4)
+		g.AddEdge(2, 3, 1)
+		g.AddEdge(1, 3, 1)
+		g.AddEdge(0, 1, 1)
+		g.AddEdge(0, 2, 1)
+		return g
+	}
+	g, sorted := build(), build()
+	sorted.SortAdj()
+	adj := func(g *Graph) [][]graph.Half {
+		out := make([][]graph.Half, g.N())
+		for u := range out {
+			out[u] = slices.Clone(g.Adj(NodeID(u)))
+		}
+		return out
+	}
+	before := adj(g)
+	for _, m := range []Model{ModelCongest, ModelSleeping} {
+		got, err := SSSPTree(g, 0, &Options{Model: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := SSSPTree(sorted, 0, &Options{Model: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: unsorted SSSPTree differs from sorted:\n got %+v\nwant %+v", m, got, want)
+		}
+		if wp := WitnessParents(g, 0, got.Dist); !slices.Equal(wp, got.Parent) {
+			t.Errorf("%s: WitnessParents %v, SSSPTree Parent %v", m, wp, got.Parent)
+		}
+		gotB, err := BFS(g, map[NodeID]bool{0: true}, 3, &Options{Model: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantB, err := BFS(sorted, map[NodeID]bool{0: true}, 3, &Options{Model: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotB, wantB) {
+			t.Errorf("%s: unsorted BFS differs from sorted:\n got %+v\nwant %+v", m, gotB, wantB)
+		}
+	}
+	gotA, err := APSP(g, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantA, err := APSP(sorted, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotA, wantA) {
+		t.Errorf("unsorted APSP differs from sorted:\n got %+v\nwant %+v", gotA, wantA)
+	}
+	if !reflect.DeepEqual(adj(g), before) {
+		t.Error("a run modified the caller's graph")
 	}
 }
