@@ -32,6 +32,7 @@ package dsssp
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"dsssp/internal/baseline"
 	"dsssp/internal/core"
@@ -210,9 +211,10 @@ func CSSP(g *Graph, sources map[NodeID]int64, opts *Options) (*Result, error) {
 	return res, nil
 }
 
-// BFS computes hop distances from the sources up to the threshold. In
-// ModelSleeping it uses the cover-driven low-energy BFS (Theorem 3.13/3.14);
-// in ModelCongest the plain distributed BFS.
+// BFS computes hop distances from the sources — the nodes mapped to true —
+// up to the threshold, which must not be negative; a node farther than the
+// threshold gets Inf. In ModelSleeping it uses the cover-driven low-energy
+// BFS (Theorem 3.13/3.14); in ModelCongest the plain distributed BFS.
 func BFS(g *Graph, sources map[NodeID]bool, threshold int64, opts *Options) (*Result, error) {
 	m, copt, err := opts.resolved()
 	if err != nil {
@@ -224,26 +226,27 @@ func BFS(g *Graph, sources map[NodeID]bool, threshold int64, opts *Options) (*Re
 		// budget does not attach to it.
 		return nil, fmt.Errorf("dsssp: Options.StrictCongest is supported for SSSP/CSSP/APSP, not BFS")
 	}
-	if err := graph.CheckSources(g, sources); err != nil {
+	if threshold < 0 {
+		return nil, fmt.Errorf("dsssp: BFS threshold %d is negative", threshold)
+	}
+	src := make(map[NodeID]int64, len(sources))
+	for s, ok := range sources {
+		if ok {
+			src[s] = 0
+		}
+	}
+	if err := graph.CheckSources(g, src); err != nil {
 		return nil, fmt.Errorf("dsssp: %w", err)
 	}
 	g = g.Canonical()
 	if m == ModelSleeping {
-		src := make(map[NodeID]int64, len(sources))
-		for s := range sources {
-			src[s] = 0
-		}
 		d, met, err := energybfs.RunBFS(g, src, threshold)
 		if err != nil {
 			return nil, err
 		}
 		return &Result{Dist: d, Metrics: met}, nil
 	}
-	src := make(map[NodeID]bool, len(sources))
-	for s := range sources {
-		src[s] = true
-	}
-	d, met, err := baseline.AlwaysAwakeBFS(g, src, threshold)
+	d, met, err := baseline.AlwaysAwakeBFS(g, sources, threshold)
 	if err != nil {
 		return nil, err
 	}
@@ -283,7 +286,8 @@ func APSP(g *Graph, opts *Options, seed int64) (*APSPResult, error) {
 // incremental path recompute only the sources an edge delta dirtied and
 // reuse every other cached row verbatim. Dist rows for sources outside the
 // set stay nil, and Composition covers only the instances actually run.
-// Like APSP it runs in ModelCongest only.
+// A source listed twice is an error naming the lowest such source. Like
+// APSP it runs in ModelCongest only.
 func APSPFrom(g *Graph, sources []NodeID, opts *Options, seed int64) (*APSPResult, error) {
 	m, copt, err := opts.resolved()
 	if err != nil {
@@ -291,6 +295,12 @@ func APSPFrom(g *Graph, sources []NodeID, opts *Options, seed int64) (*APSPResul
 	}
 	if m != ModelCongest {
 		return nil, fmt.Errorf("dsssp: APSP composes CONGEST instances (Section 1.1) and runs in ModelCongest only (got %s)", m)
+	}
+	sorted := slices.Sorted(slices.Values(sources))
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return nil, fmt.Errorf("dsssp: APSPFrom lists source %d more than once", sorted[i])
+		}
 	}
 	g = g.Canonical() // sort once here, not once per instance in core.Run
 	out := &APSPResult{Dist: make([][]int64, g.N())}

@@ -3,6 +3,7 @@ package dsssp
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -250,5 +251,53 @@ func TestOutOfRangeSourcesRejected(t *testing.T) {
 				t.Errorf("%s (%s): got %v, want an error naming source %d", c.name, m, err, c.bad)
 			}
 		}
+	}
+}
+
+// TestBFSInputsAgreeAcrossModels pins what BFS makes of its inputs, the
+// same in both models, on the path 0-1-2-3: a node mapped to false is not
+// a source, threshold 0 reaches the sources only, and a negative threshold
+// is an error naming it.
+func TestBFSInputsAgreeAcrossModels(t *testing.T) {
+	g := graph.Path(4, graph.UnitWeights)
+	for _, m := range []Model{ModelCongest, ModelSleeping} {
+		for _, c := range []struct {
+			sources   map[NodeID]bool
+			threshold int64
+			want      []int64
+		}{
+			{map[NodeID]bool{0: true, 3: false}, 5, []int64{0, 1, 2, 3}},
+			{map[NodeID]bool{0: true}, 0, []int64{0, Inf, Inf, Inf}},
+			{map[NodeID]bool{0: true, 2: true}, 1, []int64{0, 1, 0, 1}},
+		} {
+			res, err := BFS(g, c.sources, c.threshold, &Options{Model: m})
+			if err != nil || !slices.Equal(res.Dist, c.want) {
+				t.Errorf("%s: BFS(%v, %d) = %v, %v; want %v", m, c.sources, c.threshold, res, err, c.want)
+			}
+		}
+		if _, err := BFS(g, map[NodeID]bool{0: true}, -1, &Options{Model: m}); err == nil || !strings.Contains(err.Error(), "threshold -1") {
+			t.Errorf("%s: threshold -1 gave %v, want an error naming it", m, err)
+		}
+	}
+}
+
+// TestAPSPFromRejectsDuplicateSources: a source listed twice would run and
+// compose its instance twice; it is an error naming the lowest such source.
+func TestAPSPFromRejectsDuplicateSources(t *testing.T) {
+	g := graph.Path(4, graph.UnitWeights)
+	for _, c := range []struct {
+		sources []NodeID
+		dup     NodeID
+	}{
+		{[]NodeID{1, 1}, 1},
+		{[]NodeID{3, 2, 3, 0, 2}, 2},
+	} {
+		_, err := APSPFrom(g, c.sources, nil, 1)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("source %d more than once", c.dup)) {
+			t.Errorf("APSPFrom(%v) = %v, want an error naming source %d", c.sources, err, c.dup)
+		}
+	}
+	if _, err := APSPFrom(g, []NodeID{3, 1}, nil, 1); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -196,7 +196,9 @@ func AlwaysAwakeBFS(g *graph.Graph, sources map[graph.NodeID]bool, threshold int
 		dist := graph.Inf
 		if sources[c.ID()] {
 			dist = 0
-			for i := 0; i < c.Degree(); i++ {
+			// Like every relay below, a source sends only a distance
+			// within the threshold.
+			for i := 0; i < c.Degree() && dist < threshold; i++ {
 				c.Send(i, int64(1))
 			}
 		}

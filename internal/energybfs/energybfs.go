@@ -576,9 +576,10 @@ func (r *runner) nextStepRound(now int64) int64 {
 
 // RunBFS is the standalone whole-graph wrapper (Theorem 3.13/3.14 shape):
 // it builds the layered cover for the hop metric and computes thresholded
-// hop distances from the sources in the Sleeping model.
+// hop distances from the sources in the Sleeping model. Threshold 0 reaches
+// the sources only; the cover is built for distance 1, its least.
 func RunBFS(g *graph.Graph, sources map[graph.NodeID]int64, threshold int64) ([]int64, simnet.Metrics, error) {
-	cv, err := decomp.Build(g, nil, nil, threshold)
+	cv, err := decomp.Build(g, nil, nil, max(threshold, 1))
 	if err != nil {
 		return nil, simnet.Metrics{}, err
 	}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -22,67 +23,63 @@ import (
 // starts empty after a restart; distance rows, witness trees and the
 // change log — the expensive state — all survive.
 //
-// A spill is a base plus an append-only journal. The base is the whole
-// graph as it stood when the file was last rewritten: register, Flush
-// (which the server calls at shutdown, so traces accumulated by queries
-// survive too) and compaction write it to a temp file, fsync it, rename
-// it over the old spill and fsync the directory, so a crash at any point
-// leaves either the old file or the new one; a temp file the crash left
-// behind is deleted at the next boot. A PATCH instead appends one journal
-// record, its resolved weight changes, and fsyncs the file. It rewrites
-// the file whole (compacts) only when the journal would outweigh the head
-// snapshot (graphBytes, the bound regGraph.capLog puts on the change log),
-// when a trace was admitted for a source that held none since the last
-// rewrite (so a freshly computed row is as crash-safe as it was before the
-// journal), or when the graph's previous spill failed (an append may have
-// left a partial record behind). A repaired row that replaces a stale
-// trace is not journaled: on disk the stale trace and every batch since
-// the base remain, so after a crash that source is repaired again, not
-// recomputed.
+// A spill is a base followed by a journal, and the journal is the change
+// log: one record per PATCH. The base is the graph at the revision before
+// the log's first batch — the head with the log undone, last change first
+// — with every trace at its own revision. Register, Flush (which the
+// server calls at shutdown, so traces accumulated by queries survive too)
+// and compaction rewrite the file, base and log, through a temp file that
+// is fsynced, renamed over the old spill and followed by a directory
+// fsync, so a crash leaves the old file or the new one; a leftover temp
+// file is deleted at the next boot. A PATCH appends its record and fsyncs
+// the file, or compacts when the records would outweigh twice the head
+// snapshot (a rewrite leaves at most one, the bound regGraph.capLog puts
+// on the log), when a trace was admitted for a source that held none
+// since the last rewrite (so a fresh row is as crash-safe as before the
+// journal), or after a failed spill (an append may have left a partial
+// record behind). A repaired row that replaces a stale trace is not
+// journaled: after a crash that source is repaired again, from the stale
+// trace still on disk.
 //
-// A spill (version 3) is little-endian binary. The base:
+// A spill (version 4) is little-endian binary. The base:
 //
 //	magic "DSSSPILL", version u32, base length u64 (bytes, CRC included)
 //	id length u32, id bytes
-//	revision u64, n u32, created-at ns i64, patched-at ns i64 (0: never)
+//	revision u64, n u32, created-at ns i64, patched-at ns i64 (the head's; 0: never)
 //	m u32, then m edges {u u32, v u32, w i64} in pair order, u < v
 //	traces u32, each {src u32, rev u64, dist n×i64, parent n×i32}
-//	log batches u32, each {rev u64, changes u32,
-//	    each {u u32, v u32, old weight i64, new weight i64}}, u < v
 //	CRC-32C u32 of the base before it
 //
-// and then zero or more journal records, one per PATCH since the base:
+// and then one journal record per revision after the base's:
 //
 //	length u32 (16 + 24×changes), its complement u32
 //	revision u64, patched-at ns i64
 //	changes × {u u32, v u32, old weight i64, new weight i64}, u < v
 //	CRC-32C u32 of the record before it
 //
-// Traces are sorted by source, log batches run one per revision from just
-// after the oldest trace's revision to the base's revision, and each batch
-// keeps its changes in PATCH order (-1 weights mark an absent pair), so a
-// base is a function of the registry state and a decoded spill without a
-// journal re-encodes to the same bytes. The decoder checks the version and
-// the base's checksum first and then every field — that the log chains
-// each pair's weights from batch to batch and leaves them at the base's
-// edges included — and checks each count against the bytes left before it
-// allocates. It then replays the journal through regGraph.advance, the
-// step a live PATCH takes, requiring each record to carry the next
-// revision and chain every pair's weights on from the base, and builds the
-// head snapshot and its digest once, from all the records' changes.
+// Traces are sorted by source and each record keeps its changes in PATCH
+// order (-1 weights mark an absent pair), so a spill is a function of the
+// registry state and one fresh from a rewrite re-encodes to the same
+// bytes. The decoder checks the version and the base's checksum first,
+// then every field, checking each count against the bytes left before it
+// allocates. It replays the journal through regGraph.advance, the live
+// PATCH's step: each record must carry the next revision and chain each
+// pair's weights on from the base, and each trace joins when the replay
+// reaches its revision, which must lie between the base's and the last
+// record's. The head snapshot and its digest are built once, from all the
+// changes.
 //
 // A final record that is cut short or fails its checksum was never
 // acknowledged to a client (the PATCH replies after the fsync): boot drops
 // it and truncates the file. Damage to the base or to any earlier record
-// stops the boot with an error naming the file. Spills of versions 1 and 2
-// (no journal; version 1 kept a ledger per stale trace) are refused like
-// any other unreadable file, and so is a spill an older build wrote with a
-// generator graph's edges out of pair order.
+// stops the boot with an error naming the file. Spills of versions 1 to 3
+// are refused like any other unreadable file, and so is a spill an older
+// build wrote with a generator graph's edges out of pair order.
 
 const (
 	spillExt     = ".spill"
 	spillMagic   = "DSSSPILL"
-	spillVersion = 3
+	spillVersion = 4
 	// spillHead is the fixed prefix every base starts with: magic,
 	// version and base length.
 	spillHead = len(spillMagic) + 4 + 8
@@ -156,7 +153,7 @@ func (r *GraphRegistry) EnablePersistence(dir string) (int, error) {
 		}
 	}
 	for i, rg := range loaded {
-		if i > 0 && r.budget > 0 && r.bytes+rg.bytes > r.budget {
+		if i > 0 && r.budget > 0 && r.bytes+rg.charge() > r.budget {
 			return i, nil
 		}
 		// A tail that cannot be cut off would sit before the next record:
@@ -180,11 +177,11 @@ func recencyNS(rg *regGraph) int64 {
 func (r *GraphRegistry) restoreLocked(rg *regGraph) {
 	rg.el = r.lru.PushBack(rg)
 	r.graphs[rg.id] = rg
-	r.bytes += rg.bytes
+	r.bytes += rg.charge()
 }
 
 // Flush rewrites every resident graph's spill whole (traces accumulated
-// since the last rewrite included, the journal folded into the base). It
+// since the last rewrite included, the journal cut back to the log). It
 // returns the first failure; each is also counted and logged. No-op
 // without persistence.
 func (r *GraphRegistry) Flush() error {
@@ -199,8 +196,9 @@ func (r *GraphRegistry) Flush() error {
 	return first
 }
 
-// spillLocked rewrites rg's spill whole: a base of the graph as it stands
-// and an empty journal. Register, Flush and compaction call it. A failed
+// spillLocked rewrites rg's spill whole: a base of the graph as it stood
+// before its change log and a record per log batch. Register, Flush and
+// compaction call it. A failed
 // spill never fails the mutation that made it — persistence degrades,
 // serving doesn't — but it is counted in RegistryStats.SpillErrors and
 // logged, and the graph's next spill rewrites the file whole.
@@ -213,17 +211,17 @@ func (r *GraphRegistry) spillLocked(rg *regGraph) error {
 	return err
 }
 
-// journalLocked spills the PATCH that made rg's head, whose resolved
-// batch is changes: it appends one journal record and fsyncs it, or
-// compacts — rewrites the file whole — when the journal would outweigh
-// the head snapshot, when a trace was admitted for a source that held none
-// since the last rewrite, or after a failed spill.
-func (r *GraphRegistry) journalLocked(rg *regGraph, changes []graph.WeightChange) {
+// journalLocked spills batch, the PATCH that made rg's head: it appends
+// one journal record and fsyncs it, or compacts — rewrites the file whole —
+// when the journal would outweigh twice the head snapshot, when a trace
+// was admitted for a source that held none since the last rewrite, or
+// after a failed spill.
+func (r *GraphRegistry) journalLocked(rg *regGraph, batch logBatch) {
 	if r.dir == "" {
 		return
 	}
-	r.spillBuf = appendRecord(r.spillBuf[:0], rg, changes)
-	if rg.rewrite || rg.journal+int64(len(r.spillBuf)) > graphBytes(rg.g) {
+	r.spillBuf = appendRecord(r.spillBuf[:0], batch)
+	if rg.rewrite || rg.journal+int64(len(r.spillBuf)) > 2*graphBytes(rg.g) {
 		r.spillLocked(rg)
 		return
 	}
@@ -290,7 +288,8 @@ func (r *GraphRegistry) writeLocked(rg *regGraph) error {
 		err = cerr
 	}
 	if err == nil {
-		rg.journal, rg.rewrite = 0, false
+		base := binary.LittleEndian.Uint64(r.spillBuf[len(spillMagic)+4:])
+		rg.journal, rg.rewrite = int64(len(r.spillBuf))-int64(base), false
 	}
 	return err
 }
@@ -312,7 +311,8 @@ func appendFile(path string, b []byte) error {
 	return err
 }
 
-// appendSpill appends the base encoding of rg to b.
+// appendSpill appends rg's spill to b: the base, at the revision before
+// the change log, and a journal record per log batch.
 func appendSpill(b []byte, rg *regGraph) []byte {
 	le := binary.LittleEndian
 	start := len(b)
@@ -325,12 +325,12 @@ func appendSpill(b []byte, rg *regGraph) []byte {
 	b = le.AppendUint64(b, 0) // the base length, filled in below
 	b = le.AppendUint32(b, uint32(len(rg.id)))
 	b = append(b, rg.id...)
-	b = le.AppendUint64(b, uint64(rg.num))
+	b = le.AppendUint64(b, uint64(rg.num-len(rg.log)))
 	b = le.AppendUint32(b, uint32(rg.g.N()))
 	b = le.AppendUint64(b, uint64(rg.createdAt.UnixNano()))
 	b = le.AppendUint64(b, uint64(patched))
 
-	edges := rg.g.Edges()
+	edges := rg.baseGraph().Edges()
 	b = le.AppendUint32(b, uint32(len(edges)))
 	for _, e := range edges {
 		b = le.AppendUint32(b, uint32(e.U))
@@ -350,27 +350,38 @@ func appendSpill(b []byte, rg *regGraph) []byte {
 		b = le.AppendUint64(b, uint64(tr.rev))
 		b = appendParent(appendDist(b, tr.dist), tr.parent)
 	}
-
-	b = le.AppendUint32(b, uint32(len(rg.log)))
-	for _, batch := range rg.log {
-		b = le.AppendUint64(b, uint64(batch.rev))
-		b = le.AppendUint32(b, uint32(len(batch.changes)))
-		b = appendChanges(b, batch.changes)
-	}
 	le.PutUint64(b[start+len(spillMagic)+4:], uint64(len(b)-start+4))
-	return le.AppendUint32(b, crc32.Checksum(b[start:], castagnoli))
+	b = le.AppendUint32(b, crc32.Checksum(b[start:], castagnoli))
+	for _, batch := range rg.log {
+		b = appendRecord(b, batch)
+	}
+	return b
 }
 
-// appendRecord appends the journal record of the PATCH that made rg's
-// head, whose resolved batch is changes, to b.
-func appendRecord(b []byte, rg *regGraph, changes []graph.WeightChange) []byte {
+// baseGraph is rg's graph at the revision before its change log: the head
+// with every logged change undone, the last one first.
+func (rg *regGraph) baseGraph() *graph.Graph {
+	if len(rg.log) == 0 {
+		return rg.g
+	}
+	var undo []graph.WeightChange
+	for i := len(rg.log) - 1; i >= 0; i-- {
+		for _, c := range slices.Backward(rg.log[i].changes) {
+			undo = append(undo, graph.WeightChange{U: c.U, V: c.V, OldW: c.NewW, NewW: c.OldW})
+		}
+	}
+	return graph.ApplyChanges(rg.g, undo)
+}
+
+// appendRecord appends batch's journal record to b.
+func appendRecord(b []byte, batch logBatch) []byte {
 	le := binary.LittleEndian
-	start, size := len(b), uint32(16+24*len(changes))
+	start, size := len(b), uint32(16+24*len(batch.changes))
 	b = le.AppendUint32(b, size)
 	b = le.AppendUint32(b, ^size)
-	b = le.AppendUint64(b, uint64(rg.num))
-	b = le.AppendUint64(b, uint64(rg.patchedAt.UnixNano()))
-	b = appendChanges(b, changes)
+	b = le.AppendUint64(b, uint64(batch.rev))
+	b = le.AppendUint64(b, uint64(batch.at.UnixNano()))
+	b = appendChanges(b, batch.changes)
 	return le.AppendUint32(b, crc32.Checksum(b[start:], castagnoli))
 }
 
@@ -541,18 +552,20 @@ func decodeSpill(data []byte) (*regGraph, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	rg := &regGraph{id: id, createdAt: time.Unix(0, created), num: int(rev), g: g, bytes: graphBytes(g)}
+	rg := &regGraph{
+		id: id, createdAt: time.Unix(0, created), num: int(rev), g: g,
+		traces: make(map[graph.NodeID]*sourceTrace), held: []int{0},
+	}
 	if patched != 0 {
 		rg.patchedAt = time.Unix(0, patched)
 	}
 
-	nt := r.count("trace", 12+12*n)
-	rg.traces = make(map[graph.NodeID]*sourceTrace, nt)
-	prev, oldest := int64(-1), rg.num
-	for i := 0; i < nt; i++ {
+	traces := make([]spillTrace, r.count("trace", 12+12*n))
+	prev := int64(-1)
+	for i := range traces {
 		src, trev := r.u32(), r.u64()
-		if r.err == nil && (int64(src) <= prev || int(src) >= n || trev == 0 || trev > rev) {
-			return nil, 0, fmt.Errorf("trace %d: source %d out of order or outside [0,%d), or revision %d outside [1,%d]", i, src, n, trev, rev)
+		if r.err == nil && (int64(src) <= prev || int(src) >= n || trev < rev || trev > math.MaxInt64) {
+			return nil, 0, fmt.Errorf("trace %d: source %d out of order or outside [0,%d), or revision %d outside [%d,2^63)", i, src, n, trev, rev)
 		}
 		prev = int64(src)
 		tr := &sourceTrace{rev: int(trev)}
@@ -562,60 +575,16 @@ func decodeSpill(data []byte) (*regGraph, int, error) {
 		if err != nil {
 			return nil, 0, fmt.Errorf("trace for source %d: %w", src, err)
 		}
-		rg.traces[graph.NodeID(src)] = tr
-		rg.bytes += traceBytes(tr.dist, tr.parent)
-		oldest = min(oldest, tr.rev)
+		traces[i] = spillTrace{graph.NodeID(src), tr}
 	}
-
-	// The log must hold exactly the batches after the oldest trace, one per
-	// revision up to the base's, and chain every pair's weights from batch
-	// to batch into the base's edges.
-	nb := r.count("log batch", 12)
-	rg.log = make([]logBatch, nb)
-	last := make(map[uint64]graph.WeightChange) // pair → its latest change
-	for i := range rg.log {
-		brev := r.u64()
-		if want := uint64(oldest + 1 + i); r.err == nil && brev != want {
-			return nil, 0, fmt.Errorf("log batch %d: revision %d, want %d (one batch per revision after the oldest trace's %d)", i, brev, want, oldest)
-		}
-		changes := make([]graph.WeightChange, r.count("log change", 24))
-		for j := range changes {
-			c := r.change(n)
-			k := graph.PairKey(c.U, c.V)
-			prev, seen := last[k]
-			if r.err == nil && seen && prev.NewW != c.OldW {
-				r.err = fmt.Errorf("change (pair {%d,%d}, weight %d → %d) not chained to the pair's previous weight %d", c.U, c.V, c.OldW, c.NewW, prev.NewW)
-			}
-			if r.err != nil && r.err != errSpillShort {
-				return nil, 0, fmt.Errorf("log batch %d: change %d: %w", i, j, r.err)
-			}
-			last[k] = c
-			changes[j] = c
-		}
-		rg.log[i] = logBatch{rev: int(brev), changes: changes}
-		rg.logBytes += logBatchBytes(rg.log[i])
-	}
-	rg.bytes += rg.logBytes
 	if r.err != nil {
 		return nil, 0, r.err
 	}
 	if len(r.b) != 0 {
 		return nil, 0, fmt.Errorf("%d trailing bytes", len(r.b))
 	}
-	if oldest+nb != rg.num {
-		return nil, 0, fmt.Errorf("log ends at revision %d, not at the head revision %d", oldest+nb, rg.num)
-	}
-	rg.held = make([]int, nb+1)
-	for _, tr := range rg.traces {
-		rg.held[rg.at(tr.rev)]++
-	}
-	for _, c := range last {
-		if w := pairWeight(g, c.U, c.V); c.NewW != w {
-			return nil, 0, fmt.Errorf("log leaves pair {%d,%d} at weight %d, but the head has %d", c.U, c.V, c.NewW, w)
-		}
-	}
 
-	size, err := replayJournal(rg, data[bl:])
+	size, err := replayJournal(rg, traces, data[bl:])
 	if err != nil {
 		return nil, 0, err
 	}
@@ -623,8 +592,14 @@ func decodeSpill(data []byte) (*regGraph, int, error) {
 	return rg, int(bl) + size, nil
 }
 
-// change reads one log or journal change and checks it on its own: u < v
-// < n, weights at least -1 (absent), old and new weight apart.
+// spillTrace is one trace of a spill's base, with its source.
+type spillTrace struct {
+	src graph.NodeID
+	tr  *sourceTrace
+}
+
+// change reads one journal change and checks it on its own: u < v < n,
+// weights at least -1 (absent), old and new weight apart.
 func (r *spillReader) change(n int) graph.WeightChange {
 	u, v, ow, nw := r.u32(), r.u32(), int64(r.u64()), int64(r.u64())
 	c := graph.WeightChange{U: graph.NodeID(u), V: graph.NodeID(v), OldW: ow, NewW: nw}
@@ -634,20 +609,21 @@ func (r *spillReader) change(n int) graph.WeightChange {
 	return c
 }
 
-// pairWeight is the weight of the pair {u,v} in g, -1 when absent.
-func pairWeight(g *graph.Graph, u, v graph.NodeID) int64 {
-	if w, ok := g.Weight(u, v); ok {
-		return w
-	}
-	return -1
-}
-
 // replayJournal advances rg, decoded from a spill's base, over the journal
 // records in j: each goes through regGraph.advance, as its PATCH did, with
-// the snapshot's charge taken from the edge count its changes leave. The
-// head snapshot is built once at the end, from every record's changes. It
-// returns the bytes of the whole records; a torn final record is left out.
-func replayJournal(rg *regGraph, j []byte) (int, error) {
+// the snapshot's charge taken from the edge count its changes leave, and
+// each of the base's traces joins when the replay reaches its revision.
+// The head snapshot is built once at the end, from every record's changes.
+// It returns the bytes of the whole records; a torn final record is left
+// out.
+func replayJournal(rg *regGraph, traces []spillTrace, j []byte) (int, error) {
+	slices.SortStableFunc(traces, func(a, b spillTrace) int { return cmp.Compare(a.tr.rev, b.tr.rev) })
+	join := func() {
+		for ; len(traces) > 0 && traces[0].tr.rev == rg.num; traces = traces[1:] {
+			rg.traces[traces[0].src] = traces[0].tr
+			rg.held[len(rg.log)]++
+		}
+	}
 	n, m := rg.g.N(), rg.g.M()
 	weight := make(map[uint64]int64) // pair → its weight after the records so far
 	var all []graph.WeightChange
@@ -671,7 +647,9 @@ func replayJournal(rg *regGraph, j []byte) (int, error) {
 			key := graph.PairKey(c.U, c.V)
 			w, ok := weight[key]
 			if !ok {
-				w = pairWeight(rg.g, c.U, c.V)
+				if w, ok = rg.g.Weight(c.U, c.V); !ok {
+					w = -1 // absent from the base
+				}
 			}
 			if c.OldW != w {
 				r.err = fmt.Errorf("pair {%d,%d}, weight %d → %d: not chained to the pair's weight %d", c.U, c.V, c.OldW, c.NewW, w)
@@ -687,15 +665,17 @@ func replayJournal(rg *regGraph, j []byte) (int, error) {
 		if r.err != nil {
 			return 0, fmt.Errorf("journal record %d (at byte %d after the base): %w", i, off, r.err)
 		}
-		rg.advance(changes, snapshotBytes(n, m))
-		rg.patchedAt = time.Unix(0, int64(patched))
+		join()
+		rg.advance(logBatch{rev: int(rev), at: time.Unix(0, int64(patched)), changes: changes}, snapshotBytes(n, m))
 		all = append(all, changes...)
 		off += recordHead + len(body) + 4
 	}
-	if off > 0 {
-		base := graphBytes(rg.g)
+	join()
+	if len(traces) > 0 {
+		return 0, fmt.Errorf("trace for source %d at revision %d, past the journal's head %d", traces[0].src, traces[0].tr.rev, rg.num)
+	}
+	if len(all) > 0 {
 		rg.g = graph.ApplyChanges(rg.g, all)
-		rg.bytes += graphBytes(rg.g) - base
 	}
 	rg.journal = int64(off)
 	return off, nil

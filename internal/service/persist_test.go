@@ -132,7 +132,7 @@ func TestRegistryStaleLedgerStacks(t *testing.T) {
 	}
 	repair(1, []graph.WeightChange{{U: 1, V: 2, OldW: 4, NewW: 1}})
 	gi, _ := r.Get(info.ID)
-	if len(rg.log) != 0 || gi.StaleSources != 0 || gi.TracedSources != 2 || gi.Bytes != graphBytes(ng)+2*traceBytes(make([]int64, 4), make([]graph.NodeID, 4)) {
+	if len(rg.log) != 0 || gi.StaleSources != 0 || gi.TracedSources != 2 || gi.Bytes != graphBytes(ng)+2*traceBytes(4) {
 		t.Fatalf("every trace is exact, but the log holds %d batches and info = %+v", len(rg.log), gi)
 	}
 }
@@ -316,10 +316,12 @@ func TestSpillErrorsCounted(t *testing.T) {
 // TestSpillJournalTriggers walks a persistent graph through every way a
 // PATCH reaches its spill. Register writes a base. A PATCH after a query
 // admitted a trace for a source that held none rewrites the file whole,
-// so the new row is on disk; later PATCHes append journal records, also
-// after a repaired row replaced a stale trace (on disk the stale trace
-// stays). A PATCH whose journal would outweigh the head snapshot rewrites
-// the file whole again. Each state decodes to the live head.
+// so the new row is on disk, with the change log its stale trace needs as
+// the journal; later PATCHes append journal records, also after a repaired
+// row replaced a stale trace (on disk the stale trace stays). A PATCH whose
+// journal would outweigh twice the head snapshot rewrites the file whole
+// again, leaving only the log's records. Each state decodes to the live
+// head with the journal the live registry counts.
 func TestSpillJournalTriggers(t *testing.T) {
 	dir := t.TempDir()
 	r := NewGraphRegistry(1<<20, nil, nil)
@@ -329,15 +331,15 @@ func TestSpillJournalTriggers(t *testing.T) {
 	info, _ := r.Register(ciGraph())
 	rg := r.graphs[info.ID]
 	path := filepath.Join(dir, info.ID+spillExt)
-	onDisk := func(what string, journal bool) *regGraph {
+	onDisk := func(what string, records int) *regGraph {
 		t.Helper()
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got, _, err := decodeSpill(raw)
-		if err != nil || got.num != rg.num || got.digest != rg.digest || got.journal != rg.journal || (got.journal > 0) != journal {
-			t.Fatalf("%s: spill at revision %d with a %d-byte journal (live %d, %d bytes), want journaled=%v: %v", what, got.num, got.journal, rg.num, rg.journal, journal, err)
+		if err != nil || got.num != rg.num || got.digest != rg.digest || got.journal != rg.journal || got.journal != int64(records)*recordSize {
+			t.Fatalf("%s: spill at revision %d with a %d-byte journal (live %d, %d bytes), want %d records: %v", what, got.num, got.journal, rg.num, rg.journal, records, err)
 		}
 		return got
 	}
@@ -364,33 +366,37 @@ func TestSpillJournalTriggers(t *testing.T) {
 		}
 	}
 
-	onDisk("register", false)
+	onDisk("register", 0)
 	record(0)
 	patch() // revision 2: source 0 goes stale
-	if got := onDisk("PATCH after a new trace", false); len(got.traces) != 1 || got.staleCount() != 1 {
+	if got := onDisk("PATCH after a new trace", 1); len(got.traces) != 1 || got.staleCount() != 1 {
 		t.Fatalf("the rewrite holds %d traces, %d stale; want source 0's stale trace", len(got.traces), got.staleCount())
 	}
 	record(0) // repaired: replaces the stale trace in memory only
 	patch()   // revision 3
-	if got := onDisk("PATCH after a repair", true); got.traces[0].rev != 1 {
+	if got := onDisk("PATCH after a repair", 2); got.traces[0].rev != 1 {
 		t.Fatalf("on disk source 0's trace is at revision %d, want the stale one at 1", got.traces[0].rev)
 	}
-	for i := 0; rg.journal > 0; i++ {
-		if i == 20 {
-			t.Fatalf("the journal grew to %d bytes against a %d-byte snapshot without a rewrite", rg.journal, graphBytes(rg.g))
-		}
+	// Each PATCH appends while its record fits in twice the snapshot.
+	for records := 2; rg.journal+recordSize <= 2*graphBytes(rg.g); records++ {
 		record(0)
 		patch()
+		onDisk("PATCH within twice the snapshot", records+1)
 	}
-	if got := onDisk("PATCH past the snapshot's size", false); !reflect.DeepEqual(got.traces, rg.traces) {
+	record(0)
+	patch()
+	if got := onDisk("PATCH past twice the snapshot's size", 1); !reflect.DeepEqual(got.traces, rg.traces) {
 		t.Fatal("the rewrite's traces differ from the live ones")
 	}
 	patch()
-	onDisk("PATCH after the compaction", true)
+	onDisk("PATCH after the compaction", 2)
 	if st := r.Stats(); st.SpillErrors != 0 {
 		t.Fatalf("%d spills failed", st.SpillErrors)
 	}
 }
+
+// recordSize is the bytes of a journal record of one change.
+const recordSize = recordHead + 16 + 24 + 4
 
 // TestPersistenceBootBudget: a boot whose budget cannot hold every spill
 // restores the most recently patched graph and leaves the other spill on

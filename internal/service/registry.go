@@ -81,10 +81,10 @@ type regGraph struct {
 	log      []logBatch
 	held     []int
 	logBytes int64
-	bytes    int64
-	// journal counts the bytes of the journal records appended to the
-	// graph's spill since its base was written; rewrite makes the next
-	// spill rewrite the file whole (see journalLocked).
+	// journal counts the bytes of the journal records in the graph's
+	// spill, the change log a rewrite wrote and every record appended
+	// since; rewrite makes the next spill rewrite the file whole (see
+	// journalLocked).
 	journal int64
 	rewrite bool
 }
@@ -98,9 +98,10 @@ type sourceTrace struct {
 }
 
 // logBatch is one PATCH's resolved weight changes, in batch order; rev is
-// the revision the PATCH made.
+// the revision the PATCH made, and at the time it made it.
 type logBatch struct {
 	rev     int
+	at      time.Time
 	changes []graph.WeightChange
 }
 
@@ -154,12 +155,18 @@ func graphBytes(g *graph.Graph) int64 { return snapshotBytes(g.N(), g.M()) }
 // journal replay charges revisions it never builds.
 func snapshotBytes(n, m int) int64 { return int64(n)*24 + int64(m)*48 }
 
-func traceBytes(dist []int64, parent []graph.NodeID) int64 {
-	return int64(len(dist))*8 + int64(len(parent))*4 + 64
-}
+// traceBytes is what one trace of an n-node graph is charged: its distance
+// row, its witness tree and a header.
+func traceBytes(n int) int64 { return int64(n)*12 + 64 }
 
 func logBatchBytes(b logBatch) int64 {
 	return int64(len(b.changes))*24 + 32
+}
+
+// charge is what rg holds against the registry's budget: the head
+// snapshot, its traces and its change log.
+func (rg *regGraph) charge() int64 {
+	return graphBytes(rg.g) + int64(len(rg.traces))*traceBytes(rg.g.N()) + rg.logBytes
 }
 
 // staleCount counts rg's traces older than the head.
@@ -200,11 +207,10 @@ func (r *GraphRegistry) Register(g *graph.Graph) (GraphInfo, bool) {
 		g:         g,
 		traces:    make(map[graph.NodeID]*sourceTrace),
 		held:      []int{0},
-		bytes:     graphBytes(g),
 	}
 	rg.el = r.lru.PushFront(rg)
 	r.graphs[id] = rg
-	r.bytes += rg.bytes
+	r.bytes += rg.charge()
 	r.revisions++
 	r.evictLocked(rg)
 	r.spillLocked(rg)
@@ -306,11 +312,11 @@ func (r *GraphRegistry) Patch(id string, deltas []graph.EdgeDelta) (PatchInfo, e
 		return PatchInfo{}, badRequest{err}
 	}
 	ng := graph.ApplyChanges(rg.g, changes)
-	before, head := rg.bytes, rg.num
-	rg.bytes += graphBytes(ng) - graphBytes(rg.g)
-	kept, dropped := rg.advance(changes, graphBytes(ng))
-	r.bytes += rg.bytes - before
+	before, head := rg.charge(), rg.num
+	batch := logBatch{rev: head + 1, at: r.now(), changes: changes}
+	kept, dropped := rg.advance(batch, graphBytes(ng))
 	rg.digest, rg.g = canonicalGraphDigest(ng), ng
+	r.bytes += rg.charge() - before
 
 	info := PatchInfo{
 		ID: id, Revision: rg.num, ParentRevision: head,
@@ -326,32 +332,30 @@ func (r *GraphRegistry) Patch(id string, deltas []graph.EdgeDelta) (PatchInfo, e
 			r.m.patchDirtyFraction.Observe(info.DirtyFraction)
 		}
 	}
-	rg.patchedAt = r.now()
 	r.revisions++
 	r.touchLocked(rg)
 	r.evictLocked(rg)
-	r.journalLocked(rg, changes)
+	r.journalLocked(rg, batch)
 	return info, nil
 }
 
 // advance moves rg's traces and change log one revision forward, over
-// changes, the resolved batch of the PATCH that makes revision rg.num+1;
+// batch, the resolved changes of the PATCH that made revision rg.num+1;
 // snap is what that revision's snapshot is charged. It appends the batch
 // to the log, classifies every exact trace against it (internal/incr) —
 // an untouched one moves forward to the new revision, a dirty one stays
 // behind as a stale trace — trims the log to what stale traces need and
 // caps it at snap. A live PATCH and a spill's journal replay both take
-// this step; the snapshot, its digest and its charge are the caller's.
-func (rg *regGraph) advance(changes []graph.WeightChange, snap int64) (kept, dropped int) {
-	head, batch := rg.num, logBatch{rev: rg.num + 1, changes: changes}
-	rg.num = batch.rev
+// this step; the snapshot and its digest are the caller's.
+func (rg *regGraph) advance(batch logBatch, snap int64) (kept, dropped int) {
+	head := rg.num
+	rg.num, rg.patchedAt = batch.rev, batch.at
 	rg.log = append(rg.log, batch)
 	rg.logBytes += logBatchBytes(batch)
-	rg.bytes += logBatchBytes(batch)
 	for _, tr := range rg.traces {
 		switch {
 		case tr.rev != head: // stale since an earlier PATCH
-		case incr.SourceDirty(changes, tr.dist):
+		case incr.SourceDirty(batch.changes, tr.dist):
 			dropped++
 		default:
 			kept++
@@ -370,9 +374,7 @@ func (rg *regGraph) advance(changes []graph.WeightChange, snap int64) (kept, dro
 func (rg *regGraph) trim() {
 	k := 0
 	for ; k < len(rg.log) && rg.held[k] == 0; k++ {
-		freed := logBatchBytes(rg.log[k])
-		rg.logBytes -= freed
-		rg.bytes -= freed
+		rg.logBytes -= logBatchBytes(rg.log[k])
 	}
 	clear(rg.log[:k])
 	rg.log, rg.held = rg.log[k:], rg.held[k:]
@@ -390,7 +392,6 @@ func (rg *regGraph) capLog(snap int64) {
 		for src, tr := range rg.traces {
 			if tr.rev == oldest {
 				delete(rg.traces, src)
-				rg.bytes -= traceBytes(tr.dist, tr.parent)
 			}
 		}
 		rg.held[0] = 0
@@ -403,7 +404,7 @@ func (rg *regGraph) capLog(snap int64) {
 // witness tree (what incr.Repair restarts from). Admitting an exact trace
 // supersedes the source's stale trace, if any. Dropped silently when
 // digest no longer names the head — the computation raced a PATCH and its
-// revision is gone — or when parent lacks an entry per node of dist: a row
+// revision is gone — or when dist or parent lacks an entry per node: a row
 // without its tree could serve but never be repaired. The parts argument
 // is ignored.
 //
@@ -413,7 +414,7 @@ func (r *GraphRegistry) Record(id string, digest [32]byte, src graph.NodeID, dis
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rg, ok := r.graphs[id]
-	if !ok || rg.digest != digest || len(parent) != len(dist) {
+	if !ok || rg.digest != digest || len(dist) != rg.g.N() || len(parent) != len(dist) {
 		return
 	}
 	tr, ok := rg.traces[src]
@@ -427,20 +428,19 @@ func (r *GraphRegistry) Record(id string, digest [32]byte, src graph.NodeID, dis
 		rg.held[rg.at(tr.rev)]--
 		rg.held[len(rg.log)]++
 		*tr = sourceTrace{rev: rg.num, dist: dist, parent: parent}
-		before := rg.bytes
+		before := rg.charge()
 		rg.trim()
-		r.bytes += rg.bytes - before
+		r.bytes += rg.charge() - before
 	default:
 		// Respect the byte budget at admission: traces are an accelerator,
 		// not a correctness requirement, so an over-budget graph simply
 		// stops accumulating them (queries still work, just without reuse).
-		cost := traceBytes(dist, parent)
-		if r.budget > 0 && rg.bytes+cost > r.budget {
+		cost := traceBytes(len(dist))
+		if r.budget > 0 && rg.charge()+cost > r.budget {
 			return
 		}
 		rg.traces[src] = &sourceTrace{rev: rg.num, dist: dist, parent: parent}
 		rg.held[len(rg.log)]++
-		rg.bytes += cost
 		r.bytes += cost
 		// A new row could cost minutes to recompute: the next PATCH
 		// rewrites the spill whole rather than journaling past it.
@@ -506,7 +506,7 @@ func (r *GraphRegistry) evictLocked(keep *regGraph) {
 func (r *GraphRegistry) dropLocked(rg *regGraph) {
 	r.lru.Remove(rg.el)
 	delete(r.graphs, rg.id)
-	r.bytes -= rg.bytes
+	r.bytes -= rg.charge()
 	r.unspillLocked(rg.id)
 }
 
@@ -518,7 +518,7 @@ func (r *GraphRegistry) infoLocked(rg *regGraph) GraphInfo {
 		Digest:        hex.EncodeToString(rg.digest[:]),
 		N:             rg.g.N(),
 		M:             rg.g.M(),
-		Bytes:         rg.bytes,
+		Bytes:         rg.charge(),
 		TracedSources: len(rg.traces) - stale,
 		StaleSources:  stale,
 		CreatedAtNS:   rg.createdAt.UnixNano(),

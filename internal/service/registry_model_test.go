@@ -166,29 +166,37 @@ func (m *ledgerRegistry) sourceTrace(digest [32]byte, src graph.NodeID) (incr.Tr
 // batches after it outweigh the head snapshot, exactly as the registry
 // must. The registry's own counters are rechecked after every step.
 //
-// The registry spills to a directory throughout, and after each history a
-// fresh registry boots from it without a Flush, as after a crash: its
-// journal replay must reproduce the live head and serve the live rows
-// (see checkReplayed).
+// The registry spills to a directory throughout. Each history runs twice.
+// The first time, a fresh registry boots from the directory after the
+// last step without a Flush, as after a crash: its journal replay must
+// reproduce the live head and serve the live rows (see checkReplayed).
+// The second time, the registry is flushed after every step and a fresh
+// registry booted from the rewrite must be the live one exactly (see
+// checkBooted).
 func TestRegistryMatchesLedgerModel(t *testing.T) {
-	journaled := 0
+	journaled, logged := 0, 0
 	for seed := int64(1); seed <= 120; seed++ {
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
-			if checkLedgerModel(t, seed) {
+			if checkLedgerModel(t, seed, false) {
 				journaled++
+			}
+			if checkLedgerModel(t, seed, true) {
+				logged++
 			}
 		})
 	}
-	// Most histories must end with PATCHes in a journal, or the replay
-	// check above would only ever read bases.
-	if journaled < 60 {
-		t.Fatalf("only %d of 120 histories end with a journal", journaled)
+	// Most histories must end with PATCHes in a journal, and most flushed
+	// ones with a change log in it, or the boot checks above would only
+	// ever read bases.
+	if journaled < 60 || logged < 60 {
+		t.Fatalf("only %d of 120 histories end with a journal, and %d flushed ones with a change log", journaled, logged)
 	}
 }
 
 // checkLedgerModel runs one seeded history and reports whether its spill
-// ended with a journal.
-func checkLedgerModel(t *testing.T, seed int64) bool {
+// ended with a journal. With flush, it flushes the registry after every
+// step and boots a fresh one from the rewrite.
+func checkLedgerModel(t *testing.T, seed int64, flush bool) bool {
 	rng := rand.New(rand.NewSource(seed))
 	n := 5 + rng.Intn(8)
 	g0 := graph.Make(graph.FamilyRandom, n, graph.UniformWeights(8, rng.Int63()), rng.Int63())
@@ -356,9 +364,61 @@ func checkLedgerModel(t *testing.T, seed int64) bool {
 			gi.TracedSources != traced || gi.StaleSources != stale {
 			t.Fatalf("step %d: info %+v, model %d traced %d stale", step, gi, len(model.head.traces), len(model.head.stale))
 		}
+		if flush {
+			if err := r.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			checkBooted(t, r, info.ID, dir)
+		}
 	}
-	checkReplayed(t, r, info.ID, dir)
+	if !flush {
+		checkReplayed(t, r, info.ID, dir)
+	}
 	return r.graphs[info.ID].journal > 0
+}
+
+// checkBooted boots a fresh registry from dir, just after a Flush, and
+// requires the live graph exactly: the head's edges and digest, every
+// trace's revision, dist and parent, held, the log with its batch times,
+// logBytes, the charge, patchedAt and the journal's byte count.
+func checkBooted(t *testing.T, live *GraphRegistry, id, dir string) {
+	t.Helper()
+	booted := NewGraphRegistry(1<<40, nil, nil)
+	if _, err := booted.EnablePersistence(dir); err != nil {
+		t.Fatal(err)
+	}
+	got, want := booted.graphs[id], live.graphs[id]
+	switch {
+	case got.num != want.num || got.digest != want.digest || !reflect.DeepEqual(got.g.Edges(), want.g.Edges()):
+		t.Fatalf("booted head: revision %d (live %d), digest equal %v, or its edges differ", got.num, want.num, got.digest == want.digest)
+	case !reflect.DeepEqual(got.traces, want.traces) || !reflect.DeepEqual(got.held, want.held):
+		t.Fatalf("booted traces differ from the live ones, or held %v (live %v)", got.held, want.held)
+	case !sameLog(got.log, want.log):
+		t.Fatalf("booted log %+v, live %+v", got.log, want.log)
+	case got.logBytes != want.logBytes || got.charge() != want.charge() || !got.patchedAt.Equal(want.patchedAt) || got.journal != want.journal:
+		t.Fatalf("booted: log %d bytes, charge %d, patched %v, journal %d; live %d, %d, %v, %d",
+			got.logBytes, got.charge(), got.patchedAt, got.journal, want.logBytes, want.charge(), want.patchedAt, want.journal)
+	}
+}
+
+// sameLog reports whether two change logs hold the same batches, made at
+// the same times; a change's pair may be named either way round.
+func sameLog(a, b []logBatch) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].rev != b[i].rev || !a[i].at.Equal(b[i].at) || len(a[i].changes) != len(b[i].changes) {
+			return false
+		}
+		for j, c := range a[i].changes {
+			d := b[i].changes[j]
+			if graph.PairKey(c.U, c.V) != graph.PairKey(d.U, d.V) || c.OldW != d.OldW || c.NewW != d.NewW {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // checkReplayed boots a fresh registry from dir without a Flush, as after

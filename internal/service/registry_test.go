@@ -76,6 +76,12 @@ func TestRegistryPatchClassifiesTraces(t *testing.T) {
 	if gi, _ := r.Get(info.ID); gi.TracedSources != 0 {
 		t.Fatalf("a row without its tree was recorded: %+v", gi)
 	}
+	// Nor is a row and tree of another length than the node count.
+	long := append(graph.Dijkstra(g, 2), 0)
+	r.Record(info.ID, digest, 2, long, make([]graph.NodeID, len(long)), "")
+	if gi, _ := r.Get(info.ID); gi.TracedSources != 0 || gi.Bytes != graphBytes(g) {
+		t.Fatalf("a row of %d entries was recorded for %d nodes: %+v", len(long), g.N(), gi)
+	}
 	dist := make(map[graph.NodeID][]int64)
 	for _, src := range []graph.NodeID{0, 1, 2} {
 		dist[src] = graph.Dijkstra(g, src)
@@ -107,7 +113,7 @@ func TestRegistryPatchClassifiesTraces(t *testing.T) {
 		}
 	}
 	gi, _ := r.Get(info.ID)
-	want := graphBytes(ng) + 3*traceBytes(dist[1], tr.Parent) + logBatchBytes(r.graphs[info.ID].log[0])
+	want := graphBytes(ng) + 3*traceBytes(ng.N()) + logBatchBytes(r.graphs[info.ID].log[0])
 	if gi.TracedSources != 1 || gi.StaleSources != 2 || gi.Bytes != want || len(r.graphs[info.ID].log) != 1 {
 		t.Fatalf("info = %+v, want 1 traced, 2 stale, %d bytes and one log batch", gi, want)
 	}
@@ -186,9 +192,10 @@ func TestRegistryLogCapped(t *testing.T) {
 }
 
 // checkLogInvariants recounts rg's traces per revision, its log and its
-// charges, and requires them to match held, logBytes and bytes: one batch
-// per revision after the oldest trace up to the head, none the oldest
-// trace does not need, and a log no heavier than the snapshot.
+// charges, and requires them to match held, logBytes and charge(): one
+// batch per revision after the oldest trace up to the head, none the
+// oldest trace does not need, a row and a tree of n entries per trace, and
+// a log no heavier than the snapshot.
 func checkLogInvariants(t *testing.T, rg *regGraph) {
 	t.Helper()
 	held := make([]int, len(rg.log)+1)
@@ -199,7 +206,10 @@ func checkLogInvariants(t *testing.T, rg *regGraph) {
 			t.Fatalf("source %d's trace at revision %d is not covered by a log ending at %d with %d batches", src, tr.rev, rg.num, len(rg.log))
 		}
 		held[i]++
-		bytes += traceBytes(tr.dist, tr.parent)
+		if len(tr.dist) != rg.g.N() || len(tr.parent) != rg.g.N() {
+			t.Fatalf("source %d's trace holds %d distances and %d parents for %d nodes", src, len(tr.dist), len(tr.parent), rg.g.N())
+		}
+		bytes += traceBytes(rg.g.N())
 	}
 	for i, b := range rg.log {
 		if b.rev != rg.num-len(rg.log)+1+i {
@@ -212,8 +222,8 @@ func checkLogInvariants(t *testing.T, rg *regGraph) {
 		t.Fatalf("held %v, recounted %v", rg.held, held)
 	case len(rg.log) > 0 && held[0] == 0:
 		t.Fatalf("untrimmed log: no trace at revision %d", rg.num-len(rg.log))
-	case logBytes != rg.logBytes || bytes+logBytes != rg.bytes:
-		t.Fatalf("charged %d bytes, log %d; recounted %d, log %d", rg.bytes, rg.logBytes, bytes+logBytes, logBytes)
+	case logBytes != rg.logBytes || bytes+logBytes != rg.charge():
+		t.Fatalf("charged %d bytes, log %d; recounted %d, log %d", rg.charge(), rg.logBytes, bytes+logBytes, logBytes)
 	case logBytes > graphBytes(rg.g):
 		t.Fatalf("log of %d bytes outweighs the %d-byte snapshot", logBytes, graphBytes(rg.g))
 	}
@@ -268,7 +278,7 @@ func TestRegistryTraceAdmissionBudget(t *testing.T) {
 	// Budget barely above the bare graph: trace admission must stop rather
 	// than evict the graph out from under itself.
 	g := ciGraph()
-	budget := graphBytes(g) + traceBytes(make([]int64, 4), make([]graph.NodeID, 4)) + 8
+	budget := graphBytes(g) + traceBytes(4) + 8
 	r := NewGraphRegistry(budget, NewCache(1<<20), nil)
 	info, _ := r.Register(g)
 	_, digest, _, _ := r.Resolve(info.ID)

@@ -189,8 +189,8 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
 
 // Close flushes the registry to its persistence directory: each graph's
-// spill is rewritten whole, its journal of PATCH records folded into a new
-// base, so rows recorded by queries since the last rewrite survive too.
+// spill is rewritten whole, its journal cut back to the change log, so
+// rows recorded by queries since the last rewrite survive too.
 // Without Close — a crash or SIGKILL — the next boot replays each journal,
 // so every acknowledged PATCH survives but rows recorded since the last
 // rewrite may not. Call after the HTTP listener has drained

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -58,14 +59,15 @@ func spilledRegistry(t *testing.T, dir string) (*GraphRegistry, string, string) 
 
 // TestSpillRoundTripBytes pins that a decoded spill is the registry state
 // that wrote it — the head graph with its EdgeIDs and adjacency order,
-// every trace with its revision, the change log, the charged bytes —
-// whether it is a bare base or a base plus a journal replayed over it. A
-// bare base re-encodes to the same bytes; a replayed one to the base the
-// live registry writes, which is what Flush then leaves on disk.
+// every trace with its revision, the change log with its batch times, the
+// charged bytes — whether it is fresh from a rewrite or a rewrite plus
+// appended records. A fresh one re-encodes to the same bytes, its journal
+// records included; an appended one to what the live registry would write,
+// which is what Flush then leaves on disk.
 func TestSpillRoundTripBytes(t *testing.T) {
 	dir := t.TempDir()
 	r, genID, patID := spilledRegistry(t, dir)
-	check := func(id string, journaled bool) {
+	check := func(id string, fresh bool) {
 		t.Helper()
 		raw, err := os.ReadFile(filepath.Join(dir, id+spillExt))
 		if err != nil {
@@ -76,12 +78,11 @@ func TestSpillRoundTripBytes(t *testing.T) {
 			t.Fatalf("%s: %v", id, err)
 		}
 		want := r.graphs[id]
-		base := appendSpill(nil, want)
-		if size != len(raw) || got.journal != want.journal || (got.journal > 0) != journaled {
-			t.Fatalf("%s: decoded %d of %d bytes, journal %d bytes (live %d), want journaled=%v", id, size, len(raw), got.journal, want.journal, journaled)
+		if size != len(raw) || got.journal != want.journal {
+			t.Fatalf("%s: decoded %d of %d bytes, journal %d bytes (live %d)", id, size, len(raw), got.journal, want.journal)
 		}
-		if re := appendSpill(nil, got); !bytes.Equal(re, base) || !journaled && !bytes.Equal(re, raw) {
-			t.Fatalf("%s: re-encoding differs from the live registry's base", id)
+		if re := appendSpill(nil, got); !bytes.Equal(re, appendSpill(nil, want)) || fresh && !bytes.Equal(re, raw) {
+			t.Fatalf("%s: re-encoding differs from the live registry's spill (fresh=%v)", id, fresh)
 		}
 		g, wg := got.g, want.g
 		if !reflect.DeepEqual(g.Edges(), wg.Edges()) {
@@ -92,7 +93,7 @@ func TestSpillRoundTripBytes(t *testing.T) {
 				t.Fatalf("%s: adjacency of %d differs", id, u)
 			}
 		}
-		if got.id != id || got.num != want.num || got.digest != want.digest || got.bytes != want.bytes ||
+		if got.id != id || got.num != want.num || got.digest != want.digest || got.charge() != want.charge() ||
 			got.logBytes != want.logBytes || !reflect.DeepEqual(got.held, want.held) ||
 			!got.createdAt.Equal(want.createdAt) || !got.patchedAt.Equal(want.patchedAt) {
 			t.Fatalf("%s: header differs: got %+v", id, got)
@@ -102,27 +103,34 @@ func TestSpillRoundTripBytes(t *testing.T) {
 		}
 		// The live log keeps each change's pair as the PATCH named it; the
 		// spill stores it canonically (u < v).
+		if len(got.log) != len(want.log) {
+			t.Fatalf("%s: %d log batches, want %d", id, len(got.log), len(want.log))
+		}
 		for i, b := range want.log {
+			if gb := got.log[i]; gb.rev != b.rev || !gb.at.Equal(b.at) || len(gb.changes) != len(b.changes) {
+				t.Fatalf("%s: log batch %d at revision %d, %v with %d changes; want %d, %v with %d", id, i, gb.rev, gb.at, len(gb.changes), b.rev, b.at, len(b.changes))
+			}
 			for j, c := range b.changes {
 				gc := got.log[i].changes[j]
-				if got.log[i].rev != b.rev || graph.PairKey(gc.U, gc.V) != graph.PairKey(c.U, c.V) || gc.U > gc.V || gc.OldW != c.OldW || gc.NewW != c.NewW {
+				if graph.PairKey(gc.U, gc.V) != graph.PairKey(c.U, c.V) || gc.U > gc.V || gc.OldW != c.OldW || gc.NewW != c.NewW {
 					t.Fatalf("%s: log batch %d change %d = %+v, want %+v", id, i, j, gc, c)
 				}
 			}
 		}
-		if len(got.log) != len(want.log) {
-			t.Fatalf("%s: %d log batches, want %d", id, len(got.log), len(want.log))
-		}
 	}
-	check(genID, false)
-	check(patID, true)
-	if pat := r.graphs[patID]; pat.staleCount() == 0 || len(pat.log) != 2 {
+	check(genID, true)
+	check(patID, false)
+	pat := r.graphs[patID]
+	if pat.staleCount() == 0 || len(pat.log) != 2 {
 		t.Fatal("fixture lost its stale traces or its two-batch log")
 	}
 	if err := r.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	check(patID, false)
+	if pat.journal == 0 {
+		t.Fatal("the rewrite left the change log out of the journal")
+	}
+	check(patID, true)
 }
 
 // bootFails boots a fresh registry from dir and requires an error naming
@@ -262,7 +270,6 @@ type rawSpill struct {
 	patched      int64
 	edges        [][3]int64
 	traces       []rawTrace
-	log          []rawBatch
 	trailing     []byte
 	idLen, m, nt int64 // count overrides; -1 keeps the true count
 	baseLen      int64 // base length override; 0 keeps the true length
@@ -278,11 +285,6 @@ type rawTrace struct {
 	parent []int32
 }
 
-type rawBatch struct {
-	rev     uint64
-	changes [][4]int64 // {u, v, old weight, new weight}
-}
-
 type rawRecord struct {
 	rev, patched uint64
 	changes      [][4]int64 // {u, v, old weight, new weight}
@@ -291,8 +293,8 @@ type rawRecord struct {
 	badCRC       bool
 }
 
-// rawJournal is validRawSpill's journal: PATCH 4 raises {0,1} from 1 to 3,
-// PATCH 5 deletes {1,2}.
+// rawJournal is two more PATCHes after validRawSpill's journal: PATCH 4
+// raises {0,1} from 1 to 3, PATCH 5 deletes {1,2}.
 func rawJournal() []rawRecord {
 	return []rawRecord{
 		{rev: 4, patched: 3e18, changes: [][4]int64{{0, 1, 1, 3}}},
@@ -301,19 +303,20 @@ func rawJournal() []rawRecord {
 }
 
 // validRawSpill is a three-node path at revision 3 with an exact trace of
-// source 0 and a trace of source 2 left stale at revision 2, before PATCH
-// 3 lowered {1,2} from 5 to 2.
+// source 0 and a trace of source 2 left stale at revision 2 by PATCH 3,
+// which lowered {1,2} from 5 to 2: a base at revision 2 and the one
+// journal record the stale trace needs, as a rewrite writes them.
 func validRawSpill() rawSpill {
 	return rawSpill{
-		magic: spillMagic, version: spillVersion, id: "g-0123456789abcdef", rev: 3, n: 3,
+		magic: spillMagic, version: spillVersion, id: "g-0123456789abcdef", rev: 2, n: 3,
 		created: 1e18, patched: 2e18,
-		edges: [][3]int64{{0, 1, 1}, {1, 2, 2}},
+		edges: [][3]int64{{0, 1, 1}, {1, 2, 5}},
 		traces: []rawTrace{
 			{src: 0, rev: 3, dist: []int64{0, 1, 3}, parent: []int32{-1, 0, 1}},
 			{src: 2, rev: 2, dist: []int64{6, 5, 0}, parent: []int32{1, 2, -1}},
 		},
-		log:   []rawBatch{{rev: 3, changes: [][4]int64{{1, 2, 5, 2}}}},
-		idLen: -1, m: -1, nt: -1,
+		journal: []rawRecord{{rev: 3, patched: 2e18, changes: [][4]int64{{1, 2, 5, 2}}}},
+		idLen:   -1, m: -1, nt: -1,
 	}
 }
 
@@ -348,16 +351,6 @@ func (s rawSpill) encode() []byte {
 		}
 		for _, p := range tr.parent {
 			b = le.AppendUint32(b, uint32(p))
-		}
-	}
-	b = le.AppendUint32(b, uint32(len(s.log)))
-	for _, batch := range s.log {
-		b = le.AppendUint32(le.AppendUint64(b, batch.rev), uint32(len(batch.changes)))
-		for _, c := range batch.changes {
-			b = le.AppendUint32(b, uint32(c[0]))
-			b = le.AppendUint32(b, uint32(c[1]))
-			b = le.AppendUint64(b, uint64(c[2]))
-			b = le.AppendUint64(b, uint64(c[3]))
 		}
 	}
 	b = append(b, s.trailing...)
@@ -401,29 +394,31 @@ func crcOf(b []byte, bad bool) uint32 {
 // result: every case must fail naming the file and the fault, never panic
 // and never load the graph. The first three are the edges that used to
 // panic inside graph.AddEdge at boot. The stale-* cases break the stale
-// trace, the ledger-* cases one change of the log, the log-* cases its
-// batches as a whole, the journal-* cases a journal record that is not
-// the final one, or a final one whose checksum holds.
+// trace; the ledger-* cases one change of the change log's record, the
+// one the stale trace needs, and the log-* cases that record or the
+// traces' revisions as a whole; the journal-* cases break a later record
+// that is not the final one, or a final one whose checksum holds.
 func TestSpillMalformedFields(t *testing.T) {
-	for _, journal := range [][]rawRecord{nil, rawJournal()} {
+	for _, extra := range [][]rawRecord{nil, rawJournal()} {
 		s := validRawSpill()
-		s.journal = journal
+		s.journal = append(s.journal, extra...)
 		rg, size, err := decodeSpill(s.encode())
-		if err != nil || size != len(s.encode()) || rg.num != 3+len(journal) {
-			t.Fatalf("the valid fixture with %d journal records is rejected: %v", len(journal), err)
+		if err != nil || size != len(s.encode()) || rg.num != 3+len(extra) {
+			t.Fatalf("the valid fixture with %d more journal records is rejected: %v", len(extra), err)
 		}
 	}
 	onlyEdge := func(e [3]int64) func(*rawSpill) {
-		return func(s *rawSpill) { s.n, s.edges, s.traces, s.log = 2, [][3]int64{e}, nil, nil }
+		return func(s *rawSpill) { s.n, s.edges, s.traces, s.journal = 2, [][3]int64{e}, nil, nil }
 	}
 	change := func(c [4]int64) func(*rawSpill) {
-		return func(s *rawSpill) { s.log[0].changes[0] = c }
+		return func(s *rawSpill) { s.journal[0].changes[0] = c }
 	}
-	// record sets up the journal and breaks its first record.
+	// record appends rawJournal and breaks its first record, the journal's
+	// second.
 	record := func(mutate func(*rawRecord)) func(*rawSpill) {
 		return func(s *rawSpill) {
-			s.journal = rawJournal()
-			mutate(&s.journal[0])
+			s.journal = append(s.journal, rawJournal()...)
+			mutate(&s.journal[1])
 		}
 	}
 	for _, tc := range []struct {
@@ -434,8 +429,8 @@ func TestSpillMalformedFields(t *testing.T) {
 		{"edge-self-loop", onlyEdge([3]int64{0, 0, 1}), "self-loop"},
 		{"edge-out-of-range", onlyEdge([3]int64{0, 9, 1}), "out of range"},
 		{"edge-negative-weight", onlyEdge([3]int64{0, 1, -3}), "negative weight"},
-		{"edge-order", func(s *rawSpill) { s.edges[1] = [3]int64{2, 1, 2} }, "canonical order"},
-		{"edge-repeat", func(s *rawSpill) { s.edges[1] = [3]int64{0, 1, 2} }, "edges 0 and 1 repeat the pair {0,1}"},
+		{"edge-order", func(s *rawSpill) { s.edges[1] = [3]int64{2, 1, 5} }, "canonical order"},
+		{"edge-repeat", func(s *rawSpill) { s.edges[1] = [3]int64{0, 1, 5} }, "edges 0 and 1 repeat the pair {0,1}"},
 		// Edges in EdgeID order but out of pair order: what an older build
 		// spilled for a generator-registered graph, whose edges it numbered
 		// in insertion order.
@@ -443,9 +438,10 @@ func TestSpillMalformedFields(t *testing.T) {
 		{"edge-count", func(s *rawSpill) { s.m = 1 << 30 }, "edge count"},
 		{"magic", func(s *rawSpill) { s.magic = "DSSSPILX" }, "bad magic"},
 		{"checksum", func(s *rawSpill) { s.badCRC = true }, "checksum mismatch"},
-		{"version", func(s *rawSpill) { s.version = 4 }, "version 4"},
+		{"version", func(s *rawSpill) { s.version = 5 }, "version 5"},
 		{"version-1", func(s *rawSpill) { s.version = 1 }, "version 1"},
 		{"version-2", func(s *rawSpill) { s.version = 2 }, "version 2"},
+		{"version-3", func(s *rawSpill) { s.version = 3 }, "version 3"},
 		{"base-length-long", func(s *rawSpill) { s.baseLen = 1 << 40 }, "truncated: a base of 1099511627776 bytes"},
 		{"base-length-short", func(s *rawSpill) { s.baseLen = 8 }, "base length 8 below"},
 		{"base-length-inside", func(s *rawSpill) { s.baseLen = 100 }, "checksum mismatch"},
@@ -459,8 +455,13 @@ func TestSpillMalformedFields(t *testing.T) {
 		{"trace-order", func(s *rawSpill) {
 			s.traces[0], s.traces[1] = s.traces[1], s.traces[0]
 		}, "out of order"},
-		{"trace-rev", func(s *rawSpill) { s.traces[0].rev = 4 }, "revision 4 outside [1,3]"},
-		{"trace-rev-zero", func(s *rawSpill) { s.traces[0].rev = 0 }, "revision 0 outside [1,3]"},
+		{"trace-rev", func(s *rawSpill) { s.traces[0].rev = 4 }, "trace for source 0 at revision 4, past the journal's head 3"},
+		{"trace-rev-zero", func(s *rawSpill) { s.traces[0].rev = 0 }, "revision 0 outside [2,2^63)"},
+		{"trace-rev-below-base", func(s *rawSpill) { s.traces[0].rev = 1 }, "revision 1 outside [2,2^63)"},
+		{"trace-rev-past-head", func(s *rawSpill) {
+			s.journal = append(s.journal, rawJournal()...)
+			s.traces[0].rev = 6
+		}, "trace for source 0 at revision 6, past the journal's head 5"},
 		{"trace-dist-negative", func(s *rawSpill) { s.traces[0].dist[1] = -1 }, "dist[1] = -1"},
 		{"trace-dist-above-inf", func(s *rawSpill) { s.traces[0].dist[2] = graph.Inf + 1 }, "outside [0,Inf]"},
 		{"trace-parent", func(s *rawSpill) { s.traces[0].parent[2] = 3 }, "parent[2] = 3"},
@@ -468,25 +469,22 @@ func TestSpillMalformedFields(t *testing.T) {
 		{"stale-source", func(s *rawSpill) { s.traces[1].src = 7 }, "outside [0,3)"},
 		{"stale-also-exact", func(s *rawSpill) { s.traces[1].src = 0 }, "source 0 out of order"},
 		{"stale-parent", func(s *rawSpill) { s.traces[1].parent[0] = 5 }, "parent[0] = 5"},
-		{"stale-uncovered", func(s *rawSpill) { s.traces[1].rev = 1 }, "revision 3, want 2"},
+		{"stale-uncovered", func(s *rawSpill) { s.traces[1].rev = 1 }, "trace 1: source 2 out of order or outside [0,3), or revision 1 outside [2,2^63)"},
 		{"ledger-pair", change([4]int64{2, 1, 5, 2}), "pair {2,1}"},
 		{"ledger-range", change([4]int64{1, 3, 5, 2}), "pair {1,3}"},
 		{"ledger-weight", change([4]int64{1, 2, -2, 2}), "weight -2"},
 		{"ledger-no-op", change([4]int64{1, 2, 2, 2}), "weight 2 → 2"},
 		{"ledger-order", func(s *rawSpill) {
-			s.log[0].changes = [][4]int64{{1, 2, 5, 4}, {1, 2, 3, 2}}
-		}, "change 1"},
-		{"log-batch-order", func(s *rawSpill) {
-			s.traces[1].rev = 1
-			s.log = []rawBatch{s.log[0], {rev: 2, changes: [][4]int64{{0, 1, 3, 1}}}}
-		}, "log batch 0: revision 3, want 2"},
-		{"log-not-at-head", func(s *rawSpill) { s.rev, s.traces[0].rev = 4, 4 }, "not at the head revision 4"},
-		{"log-beyond-head", func(s *rawSpill) { s.traces[1].rev = 3 }, "revision 3, want 4"},
-		{"log-weight-edge", change([4]int64{1, 2, 5, 4}), "weight 4, but the head has 2"},
+			s.journal[0].changes = [][4]int64{{1, 2, 5, 4}, {1, 2, 3, 2}}
+		}, "pair {1,2}, weight 3 → 2: not chained to the pair's weight 4"},
+		{"log-batch-order", func(s *rawSpill) { s.journal[0].rev = 4 }, "journal record 0 (at byte 0 after the base): revision 4, want 3"},
+		{"log-not-at-head", func(s *rawSpill) { s.rev = 1 }, "journal record 0 (at byte 0 after the base): revision 3, want 2"},
+		{"log-beyond-head", func(s *rawSpill) { s.traces[1].rev = 4 }, "trace for source 2 at revision 4, past the journal's head 3"},
+		{"log-weight-edge", change([4]int64{1, 2, 4, 2}), "not chained to the pair's weight 5"},
 		{"trailing", func(s *rawSpill) { s.trailing = []byte{0} }, "1 trailing bytes"},
-		{"record-count", func(s *rawSpill) { s.cut = 3 }, "log change count 1 overruns"},
-		{"truncated-record", func(s *rawSpill) { s.log, s.cut = nil, 4 }, "truncated record"},
-		{"journal-revision", record(func(r *rawRecord) { r.rev = 5 }), "journal record 0 (at byte 0 after the base): revision 5, want 4"},
+		{"record-count", func(s *rawSpill) { s.cut = 3 }, "trace count 2 overruns"},
+		{"truncated-record", func(s *rawSpill) { s.traces, s.journal, s.cut = nil, nil, 4 }, "truncated record"},
+		{"journal-revision", record(func(r *rawRecord) { r.rev = 5 }), "journal record 1 (at byte 52 after the base): revision 5, want 4"},
 		{"journal-chain", record(func(r *rawRecord) { r.changes[0][2] = 2 }), "not chained to the pair's weight 1"},
 		{"journal-pair", record(func(r *rawRecord) { r.changes[0] = [4]int64{1, 0, 1, 3} }), "pair {1,0}"},
 		{"journal-range", record(func(r *rawRecord) { r.changes[0] = [4]int64{0, 3, -1, 3} }), "pair {0,3}"},
@@ -494,11 +492,11 @@ func TestSpillMalformedFields(t *testing.T) {
 		{"journal-no-op", record(func(r *rawRecord) { r.changes[0][3] = 1 }), "weight 1 → 1"},
 		{"journal-length", record(func(r *rawRecord) { r.extra = []byte{0} }), "length 41 is not 16 plus 24 a change"},
 		{"journal-complement", record(func(r *rawRecord) { r.badNot = true }), "length 40 disagrees with its complement 41"},
-		{"journal-checksum", record(func(r *rawRecord) { r.badCRC = true }), "journal record 0 (at byte 0 after the base): checksum mismatch"},
+		{"journal-checksum", record(func(r *rawRecord) { r.badCRC = true }), "journal record 1 (at byte 52 after the base): checksum mismatch"},
 		{"journal-final-revision", func(s *rawSpill) {
-			s.journal = rawJournal()
-			s.journal[1].rev = 4
-		}, "journal record 1 (at byte 52 after the base): revision 4, want 5"},
+			s.journal = append(s.journal, rawJournal()...)
+			s.journal[2].rev = 4
+		}, "journal record 2 (at byte 104 after the base): revision 4, want 5"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := validRawSpill()
@@ -531,14 +529,15 @@ func TestSpillFileNameMustMatchID(t *testing.T) {
 // FuzzDecodeSpill: the spill decoder never panics, allocates in
 // proportion to its input before any count is trusted, and every spill it
 // accepts restores into a registry that can then serve every trace it
-// holds. The state it decodes re-encodes as a base that decodes back to
-// itself, byte for byte; without a journal that base is the accepted
+// holds. The state it decodes re-encodes as a spill that decodes back to
+// itself, byte for byte; without a journal that spill is the accepted
 // input. Each input is also tried resealed — the base's checksum and every
 // journal record's length complement and checksum fixed up — so mutations
 // reach the field checks behind them. The checked-in corpus
-// (testdata/fuzz/FuzzDecodeSpill) holds valid spills with and without a
-// journal, one with a torn final record, a truncated one, one with a bad
-// checksum, ones with huge counts and one with trailing bytes.
+// (testdata/fuzz/FuzzDecodeSpill) holds valid spills fresh from a rewrite
+// and with appended records, one with a torn final record, a truncated
+// one, one with a bad checksum, ones with huge counts and one with
+// trailing bytes.
 func FuzzDecodeSpill(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecode(t, data)
@@ -588,13 +587,13 @@ func checkDecode(t *testing.T, data []byte) {
 	if size > len(data) || int64(size) < rg.journal {
 		t.Fatalf("accepted %d bytes of %d with a %d-byte journal", size, len(data), rg.journal)
 	}
-	base := appendSpill(nil, rg)
-	if rg.journal == 0 && !bytes.Equal(base, data[:size]) {
-		t.Fatalf("accepted spill re-encodes differently:\n in %x\nout %x", data[:size], base)
+	re := appendSpill(nil, rg)
+	if rg.journal == 0 && !bytes.Equal(re, data[:size]) {
+		t.Fatalf("accepted spill re-encodes differently:\n in %x\nout %x", data[:size], re)
 	}
-	again, bsize, err := decodeSpill(base)
-	if err != nil || bsize != len(base) || !bytes.Equal(appendSpill(nil, again), base) {
-		t.Fatalf("the replayed state's base does not decode back to itself: %v", err)
+	again, rsize, err := decodeSpill(re)
+	if err != nil || rsize != len(re) || !bytes.Equal(appendSpill(nil, again), re) {
+		t.Fatalf("the replayed state's spill does not decode back to itself: %v", err)
 	}
 	r := NewGraphRegistry(1<<40, NewCache(1<<20), nil)
 	r.mu.Lock()
@@ -625,31 +624,64 @@ func headerNodes(data []byte) uint64 {
 }
 
 // BenchmarkSpill encodes and decodes serve-dynamic's registry state: a
-// random n=10⁴ graph with 32 exact traces.
+// random n=10⁴ graph with 32 exact traces (encode, decode). Then a PATCH
+// leaves the 32 traces stale and 16 batches of 16 ±1 reweights follow, so
+// the rewrite undoes a 17-batch change log to write its base and the boot
+// replays its 17 journal records through regGraph.advance (stale-encode,
+// stale-decode).
 func BenchmarkSpill(b *testing.B) {
-	g := graph.Make(graph.FamilyRandom, 10000, graph.UniformWeights(10000, 1), 1)
+	const n, traced, batches, batch = 10000, 32, 16, 16
+	g := graph.Make(graph.FamilyRandom, n, graph.UniformWeights(n, 1), 1)
 	r := NewGraphRegistry(1<<40, NewCache(1<<20), nil)
 	info, _ := r.Register(g)
 	_, digest, _, _ := r.Resolve(info.ID)
-	for src := graph.NodeID(0); src < 32*300; src += 300 {
+	var dirty []graph.EdgeDelta
+	for src := graph.NodeID(0); src < traced*300; src += 300 {
 		d := graph.Dijkstra(g, src)
 		r.Record(info.ID, digest, src, d, graph.WitnessParents(g, src, d), "")
+		// A zero-weight edge out of the source shortens a distance.
+		dirty = append(dirty, graph.EdgeDelta{Op: graph.DeltaInsert, U: src, V: (src + n/2) % n, W: 0})
 	}
 	rg := r.graphs[info.ID]
-	raw := appendSpill(nil, rg)
-	b.Run("encode", func(b *testing.B) {
-		b.SetBytes(int64(len(raw)))
-		var buf []byte
-		for i := 0; i < b.N; i++ {
-			buf = appendSpill(buf[:0], rg)
-		}
-	})
-	b.Run("decode", func(b *testing.B) {
-		b.SetBytes(int64(len(raw)))
-		for i := 0; i < b.N; i++ {
-			if _, _, err := decodeSpill(raw); err != nil {
-				b.Fatal(err)
+	codec := func(prefix string) {
+		raw := appendSpill(nil, rg)
+		b.Run(prefix+"encode", func(b *testing.B) {
+			b.SetBytes(int64(len(raw)))
+			b.ReportAllocs()
+			var buf []byte
+			for i := 0; i < b.N; i++ {
+				buf = appendSpill(buf[:0], rg)
 			}
+		})
+		b.Run(prefix+"decode", func(b *testing.B) {
+			b.SetBytes(int64(len(raw)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := decodeSpill(raw); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	codec("")
+
+	if pi, err := r.Patch(info.ID, dirty); err != nil || pi.SourcesDropped != traced {
+		b.Fatalf("setup patch: %+v, %v; want all %d sources stale", pi, err, traced)
+	}
+	edges := g.Edges()
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < batches; i++ {
+		deltas := make([]graph.EdgeDelta, batch)
+		for j := range deltas {
+			e := edges[rng.Intn(len(edges))]
+			deltas[j] = graph.EdgeDelta{Op: graph.DeltaReweight, U: e.U, V: e.V, W: e.W + 1}
 		}
-	})
+		if _, err := r.Patch(info.ID, deltas); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if len(rg.log) != batches+1 || rg.staleCount() != traced {
+		b.Fatalf("setup: %d log batches and %d stale traces, want %d and %d", len(rg.log), rg.staleCount(), batches+1, traced)
+	}
+	codec("stale-")
 }
