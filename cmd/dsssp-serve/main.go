@@ -10,7 +10,7 @@
 //
 //	dsssp-serve                                      # serve on :8080
 //	dsssp-serve -addr :9000 -cache-bytes 268435456 -registry-dir /var/lib/dsssp
-//	dsssp-serve -rev $(git rev-parse --short HEAD)   # label the listening log line
+//	dsssp-serve -rev release-7                       # override the build's revision on the listening log line
 //	dsssp-serve -debug-addr 127.0.0.1:6060           # pprof + metrics debug listener
 //
 // Endpoints:
@@ -47,9 +47,8 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"os/exec"
 	"os/signal"
-	"strings"
+	"runtime/debug"
 	"syscall"
 	"time"
 
@@ -62,9 +61,9 @@ func main() {
 		cacheBytes  = flag.Int64("cache-bytes", 64<<20, "result cache byte budget")
 		graphBytes  = flag.Int64("graph-bytes", 256<<20, "dynamic-graph registry byte budget (registered graphs + per-source traces)")
 		registryDir = flag.String("registry-dir", "", "spill registered graphs and their traces to this directory and warm-start from it on boot (empty = in-memory only)")
-		repairMax   = flag.Float64("repair-max-affected", 0.5, "repair a dirty source only while the affected region stays under this fraction of the graph (1 = no cutoff, negative = disable repair)")
+		repairMax   = flag.Float64("repair-max-affected", 0, "negative = never repair a stale trace (recompute the dirty source); any other value repairs it whatever its affected region")
 		workers     = flag.Int("workers", 0, "query worker pool size (0 = NumCPU)")
-		rev         = flag.String("rev", "", "git revision label on the startup log line (default: git rev-parse --short HEAD, else \"unknown\")")
+		rev         = flag.String("rev", "", "revision label on the startup log line (default: the git revision the binary was built from, else \"unknown\")")
 		maxN        = flag.Int("max-n", 4096, "largest accepted graph size")
 		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof, /metrics, and /debug/traces on this private address (empty = disabled)")
 		traceSample = flag.Float64("trace-sample", 1.0, "fraction of requests recorded into the trace flight recorder (1 = all, 0 = none; unsampled requests pay no tracing cost)")
@@ -82,7 +81,7 @@ func main() {
 	defer stop()
 
 	if *rev == "" {
-		*rev = gitRev()
+		*rev = buildRev()
 	}
 	var level slog.Level
 	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
@@ -161,14 +160,18 @@ func resolveSampleRate(rate float64) float64 {
 	return rate
 }
 
-// gitRev best-effort resolves the working tree's short revision for
-// labeling the startup log line; services deployed from tarballs pass -rev.
-func gitRev() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return "unknown"
+// buildRev is the short git revision the binary was built from (the
+// vcs.revision setting go build stamps inside a checkout), or "unknown"
+// for a build outside one.
+func buildRev() string {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "vcs.revision" && len(s.Value) >= 7 {
+				return s.Value[:7]
+			}
+		}
 	}
-	return strings.TrimSpace(string(out))
+	return "unknown"
 }
 
 func die(err error) {

@@ -213,8 +213,10 @@ func CSSP(g *Graph, sources map[NodeID]int64, opts *Options) (*Result, error) {
 
 // BFS computes hop distances from the sources — the nodes mapped to true —
 // up to the threshold, which must not be negative; a node farther than the
-// threshold gets Inf. In ModelSleeping it uses the cover-driven low-energy
-// BFS (Theorem 3.13/3.14); in ModelCongest the plain distributed BFS.
+// threshold gets Inf. A threshold above n−1 runs as n−1, so any larger
+// value, math.MaxInt64 included, means "unbounded". In ModelSleeping it
+// uses the cover-driven low-energy BFS (Theorem 3.13/3.14); in
+// ModelCongest the plain distributed BFS.
 func BFS(g *Graph, sources map[NodeID]bool, threshold int64, opts *Options) (*Result, error) {
 	m, copt, err := opts.resolved()
 	if err != nil {
@@ -229,6 +231,9 @@ func BFS(g *Graph, sources map[NodeID]bool, threshold int64, opts *Options) (*Re
 	if threshold < 0 {
 		return nil, fmt.Errorf("dsssp: BFS threshold %d is negative", threshold)
 	}
+	// No hop distance exceeds n−1: a larger threshold would only lengthen
+	// the run (the CONGEST baseline runs threshold+1 rounds).
+	threshold = min(threshold, max(int64(g.N())-1, 0))
 	src := make(map[NodeID]int64, len(sources))
 	for s, ok := range sources {
 		if ok {

@@ -2,6 +2,7 @@ package dsssp
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -277,6 +278,32 @@ func TestBFSInputsAgreeAcrossModels(t *testing.T) {
 		}
 		if _, err := BFS(g, map[NodeID]bool{0: true}, -1, &Options{Model: m}); err == nil || !strings.Contains(err.Error(), "threshold -1") {
 			t.Errorf("%s: threshold -1 gave %v, want an error naming it", m, err)
+		}
+	}
+}
+
+// TestBFSThresholdCappedAtHopBound: no hop distance exceeds n−1, so on the
+// 4-node path every threshold above 3 answers, and costs, what threshold 3
+// does, in both models. CONGEST at 10⁵ comes first because it fails fast
+// without the cap (it runs threshold+1 rounds); the sleeping model
+// overflowed its wake rounds at math.MaxInt64.
+func TestBFSThresholdCappedAtHopBound(t *testing.T) {
+	g := graph.Path(4, graph.UnitWeights)
+	src := map[NodeID]bool{0: true}
+	for _, m := range []Model{ModelCongest, ModelSleeping} {
+		ref, err := BFS(g, src, 3, &Options{Model: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, th := range []int64{1e5, 1 << 40, math.MaxInt64} {
+			res, err := BFS(g, src, th, &Options{Model: m})
+			if err != nil {
+				t.Fatalf("%s: threshold %d: %v", m, th, err)
+			}
+			if !slices.Equal(res.Dist, []int64{0, 1, 2, 3}) || !reflect.DeepEqual(res.Metrics, ref.Metrics) {
+				t.Fatalf("%s: threshold %d gave %v in %d rounds, want [0 1 2 3] in %d like threshold 3",
+					m, th, res.Dist, res.Metrics.Rounds, ref.Metrics.Rounds)
+			}
 		}
 	}
 }

@@ -22,8 +22,7 @@ import (
 // every node re-broadcasts its estimate whenever it improves; after n rounds
 // all estimates are exact.
 func BellmanFord(g *graph.Graph, source graph.NodeID) ([]int64, simnet.Metrics, error) {
-	eng := simnet.New(g, simnet.Config{Model: simnet.Congest})
-	res, err := eng.Run(func(c *simnet.Ctx) {
+	dists, res, err := simnet.RunEach(g, simnet.Config{Model: simnet.Congest}, func(c *simnet.Ctx) int64 {
 		end := int64(c.N()) + 1
 		dist := graph.Inf
 		if c.ID() == source {
@@ -48,12 +47,12 @@ func BellmanFord(g *graph.Graph, source graph.NodeID) ([]int64, simnet.Metrics, 
 				}
 			}
 		}
-		c.SetOutput(dist)
+		return dist
 	})
 	if err != nil {
 		return nil, simnet.Metrics{}, err
 	}
-	return outputs(res), res.Metrics, nil
+	return dists, res.Metrics, nil
 }
 
 // dijkstra message bodies.
@@ -67,14 +66,12 @@ type djMin struct {
 // distance of unvisited nodes, broadcasts the winner, and lets the winner
 // relax its edges. Time O(n·D), messages O(n·(n+D)).
 func Dijkstra(g *graph.Graph, source graph.NodeID) ([]int64, simnet.Metrics, error) {
-	eng := simnet.New(g, simnet.Config{Model: simnet.Congest})
-	res, err := eng.Run(func(c *simnet.Ctx) {
+	dists, res, err := simnet.RunEach(g, simnet.Config{Model: simnet.Congest}, func(c *simnet.Ctx) int64 {
 		mb := proto.NewMailbox(c)
 		tree, inComp := buildBFSTree(mb, source)
 		if !inComp {
 			// Unreachable component: no participation.
-			c.SetOutput(graph.Inf)
-			return
+			return graph.Inf
 		}
 		const (
 			tagDepth = 10
@@ -137,12 +134,12 @@ func Dijkstra(g *graph.Graph, source graph.NodeID) ([]int64, simnet.Metrics, err
 				}
 			}
 		}
-		c.SetOutput(dist)
+		return dist
 	})
 	if err != nil {
 		return nil, simnet.Metrics{}, err
 	}
-	return outputs(res), res.Metrics, nil
+	return dists, res.Metrics, nil
 }
 
 // buildBFSTree floods from the root and returns this node's view of the
@@ -191,8 +188,7 @@ func buildBFSTree(mb *proto.Mailbox, root graph.NodeID) (proto.Tree, bool) {
 // model with every node awake in every round — the energy-naive baseline:
 // MaxAwake equals the running time.
 func AlwaysAwakeBFS(g *graph.Graph, sources map[graph.NodeID]bool, threshold int64) ([]int64, simnet.Metrics, error) {
-	eng := simnet.New(g, simnet.Config{Model: simnet.Sleeping})
-	res, err := eng.Run(func(c *simnet.Ctx) {
+	dists, res, err := simnet.RunEach(g, simnet.Config{Model: simnet.Sleeping}, func(c *simnet.Ctx) int64 {
 		dist := graph.Inf
 		if sources[c.ID()] {
 			dist = 0
@@ -216,18 +212,10 @@ func AlwaysAwakeBFS(g *graph.Graph, sources map[graph.NodeID]bool, threshold int
 				}
 			}
 		}
-		c.SetOutput(dist)
+		return dist
 	})
 	if err != nil {
 		return nil, simnet.Metrics{}, err
 	}
-	return outputs(res), res.Metrics, nil
-}
-
-func outputs(res *simnet.Result) []int64 {
-	out := make([]int64, len(res.Outputs))
-	for i, v := range res.Outputs {
-		out[i] = v.(int64)
-	}
-	return out
+	return dists, res.Metrics, nil
 }

@@ -215,20 +215,18 @@ func (c Cut) Dist(d int64) int64 {
 // (graph.Inf above the threshold) plus metrics. Sources map nodes to
 // offsets (>= 0).
 func Run(g *graph.Graph, sources map[graph.NodeID]int64, threshold int64) ([]int64, simnet.Metrics, error) {
-	eng := simnet.New(g, simnet.Config{Model: simnet.Congest})
-	res, err := eng.Run(func(c *simnet.Ctx) {
+	dist, res, err := simnet.RunEach(g, simnet.Config{Model: simnet.Congest}, func(c *simnet.Ctx) int64 {
 		mb := proto.NewMailbox(c)
 		off := NotSource
 		if o, ok := sources[c.ID()]; ok {
 			off = o
 		}
-		d := Fragment(mb, FragmentParams{Tag: 1, StartRound: 0, Threshold: threshold, SourceOffset: off})
-		c.SetOutput(d)
+		return Fragment(mb, FragmentParams{Tag: 1, StartRound: 0, Threshold: threshold, SourceOffset: off})
 	})
 	if err != nil {
 		return nil, simnet.Metrics{}, err
 	}
-	return collect(res), res.Metrics, nil
+	return dist, res.Metrics, nil
 }
 
 // RunCutter executes a whole-graph Lemma 2.1 approximation in the Congest
@@ -236,8 +234,7 @@ func Run(g *graph.Graph, sources map[graph.NodeID]int64, threshold int64) ([]int
 // per-node approximate distances plus metrics. A bad ε or w panics every
 // node program, which the engine returns as an error.
 func RunCutter(g *graph.Graph, sources map[graph.NodeID]int64, w int64, epsNum, epsDen int64) ([]int64, simnet.Metrics, error) {
-	eng := simnet.New(g, simnet.Config{Model: simnet.Congest})
-	res, err := eng.Run(func(c *simnet.Ctx) {
+	dist, res, err := simnet.RunEach(g, simnet.Config{Model: simnet.Congest}, func(c *simnet.Ctx) int64 {
 		mb := proto.NewMailbox(c)
 		cut := NewCut(w, int64(g.N()), epsNum, epsDen)
 		off := NotSource
@@ -248,18 +245,10 @@ func RunCutter(g *graph.Graph, sources map[graph.NodeID]int64, w int64, epsNum, 
 			Tag: 1, StartRound: 0, Threshold: cut.Threshold, SourceOffset: cut.Offset(off),
 			WeightOf: func(i int) int64 { return cut.Weight(c.Weight(i)) },
 		})
-		c.SetOutput(cut.Dist(d))
+		return cut.Dist(d)
 	})
 	if err != nil {
 		return nil, simnet.Metrics{}, err
 	}
-	return collect(res), res.Metrics, nil
-}
-
-func collect(res *simnet.Result) []int64 {
-	out := make([]int64, len(res.Outputs))
-	for i, v := range res.Outputs {
-		out[i] = v.(int64)
-	}
-	return out
+	return dist, res.Metrics, nil
 }

@@ -167,8 +167,7 @@ func Run(g *graph.Graph, sources map[graph.NodeID]int64, opts Options, model sim
 	if model == simnet.Sleeping {
 		provider = newCoverProvider(pr.run)
 	}
-	eng := simnet.New(pr.run, cfg)
-	res, err := eng.Run(func(c *simnet.Ctx) {
+	outs, res, err := simnet.RunEach(pr.run, cfg, func(c *simnet.Ctx) output {
 		mb := proto.NewMailbox(c)
 		st := &cssp{mb: mb, epsNum: epsNum, epsDen: epsDen, provider: provider}
 		off := bfs.NotSource
@@ -176,11 +175,11 @@ func Run(g *graph.Graph, sources map[graph.NodeID]int64, opts Options, model sim
 			off = o * pr.scale
 		}
 		d := st.runCall(callParams{path: 1, d: pr.d0, offset: off, sizeBound: int64(c.N())})
-		c.SetOutput(output{Dist: d, Subproblems: st.subproblems})
+		return output{Dist: d, Subproblems: st.subproblems}
 	})
 	if err != nil {
 		return nil, Stats{}, simnet.Metrics{}, nil, err
 	}
-	dists, stats := collectOutputs(g, res, pr.scale, pr.levels)
+	dists, stats := collectOutputs(outs, pr.scale, pr.levels)
 	return dists, stats, res.Metrics, res.Trace, nil
 }

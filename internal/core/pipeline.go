@@ -29,7 +29,6 @@ import (
 	"dsssp/internal/graph"
 	"dsssp/internal/phase"
 	"dsssp/internal/proto"
-	"dsssp/internal/simnet"
 )
 
 // runCall executes one thresholded CSSP subproblem through the phase
@@ -311,11 +310,10 @@ func prepareProblem(g *graph.Graph, srcs []sourceOffset, epsNum, epsDen int64) (
 }
 
 // collectOutputs descales the per-node outputs into distances and stats.
-func collectOutputs(g *graph.Graph, res *simnet.Result, scale int64, levels int) ([]int64, Stats) {
-	dists := make([]int64, g.N())
-	stats := Stats{Subproblems: make([]int, g.N()), Levels: levels}
-	for v, o := range res.Outputs {
-		out := o.(output)
+func collectOutputs(outs []output, scale int64, levels int) ([]int64, Stats) {
+	dists := make([]int64, len(outs))
+	stats := Stats{Subproblems: make([]int, len(outs)), Levels: levels}
+	for v, out := range outs {
 		if out.Dist == graph.Inf {
 			dists[v] = graph.Inf
 		} else {

@@ -583,24 +583,18 @@ func RunBFS(g *graph.Graph, sources map[graph.NodeID]int64, threshold int64) ([]
 	if err != nil {
 		return nil, simnet.Metrics{}, err
 	}
-	eng := simnet.New(g, simnet.Config{Model: simnet.Sleeping})
-	res, err := eng.Run(func(c *simnet.Ctx) {
+	dist, res, err := simnet.RunEach(g, simnet.Config{Model: simnet.Sleeping}, func(c *simnet.Ctx) int64 {
 		mb := proto.NewMailbox(c)
 		off := NotSource
 		if o, ok := sources[c.ID()]; ok {
 			off = o
 		}
-		d := Run(mb, Params{
+		return Run(mb, Params{
 			Tag: 1, StartRound: 0, Cover: cv, Threshold: threshold, SourceOffset: off,
 		})
-		c.SetOutput(d)
 	})
 	if err != nil {
 		return nil, simnet.Metrics{}, err
 	}
-	out := make([]int64, g.N())
-	for i, v := range res.Outputs {
-		out[i] = v.(int64)
-	}
-	return out, res.Metrics, nil
+	return dist, res.Metrics, nil
 }

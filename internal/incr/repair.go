@@ -69,10 +69,10 @@ var RepairPhaseNames = [4]string{"carve", "seed", "settle", "witness"}
 // per-pair transitions (graph.NetChanges) between the trace's graph and g;
 // one that nets to no change is tolerated as a no-op. maxAffected > 0
 // bounds the region: when more than maxAffected vertices need rebuilding
-// the repair abandons ship and returns ok=false, telling the caller a
-// full recomputation is the better deal (and, in the serving layer, the
-// one that re-mints a cacheable canonical body). maxAffected <= 0 means
-// unbounded. ok=false is also returned for a malformed trace (wrong
+// the repair abandons it and returns ok=false, leaving the caller to
+// recompute. maxAffected <= 0 means unbounded, which the serving layer
+// uses: a repair that rebuilds every label still costs a fraction of a
+// simulation. ok=false is also returned for a malformed trace (wrong
 // lengths) — never a wrong answer.
 //
 // With an empty change set this degenerates to serving the trace itself

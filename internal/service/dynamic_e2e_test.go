@@ -332,6 +332,38 @@ func TestRepairServing(t *testing.T) {
 	}
 }
 
+// TestRepairUnbounded: a dirty source is repaired however much of the
+// graph its affected region covers. Raising both of source 0's tree edges
+// (and the chord) in ciGraph carves 3 of the 4 vertices; the re-query is
+// still repaired, with no fallback, and equals a fresh run.
+func TestRepairUnbounded(t *testing.T) {
+	s := testServer(t)
+	var info GraphInfo
+	decodeBody(t, do(t, s, "POST", "/v1/graphs", `{"graph":`+ciGraphJSON+`}`), http.StatusCreated, &info)
+	body := fmt.Sprintf(`{"graph":{"graph_id":%q},"source":0}`, info.ID)
+	if w := do(t, s, "POST", "/v1/sssp", body); w.Code != http.StatusOK {
+		t.Fatalf("seed query: %d", w.Code)
+	}
+	do(t, s, "PATCH", "/v1/graphs/"+info.ID+"/edges", `{"deltas":[`+
+		`{"op":"reweight","u":0,"v":1,"w":3},{"op":"reweight","u":0,"v":3,"w":3},{"op":"reweight","u":0,"v":2,"w":20}]}`)
+	before := pinIncr(t, s)
+	w := do(t, s, "POST", "/v1/sssp", body)
+	var resp SSSPResponse
+	decodeBody(t, w, http.StatusOK, &resp)
+	if w.Header().Get("X-Dsssp-Incr") != "repaired" || resp.Incr == nil || resp.Incr.AffectedVertices != 3 {
+		t.Fatalf("X-Dsssp-Incr=%q incr=%+v, want repaired with 3 affected vertices", w.Header().Get("X-Dsssp-Incr"), resp.Incr)
+	}
+	if after := pinIncr(t, s); after.RepairFallbacks != before.RepairFallbacks {
+		t.Fatalf("repair fell back: %+v → %+v", before, after)
+	}
+	var fresh SSSPResponse
+	decodeBody(t, do(t, s, "POST", "/v1/sssp",
+		`{"graph":{"n":4,"edges":[[0,1,3],[1,2,1],[2,3,1],[0,3,3],[0,2,20]]},"source":0}`), http.StatusOK, &fresh)
+	if !reflect.DeepEqual(resp.Dist, fresh.Dist) {
+		t.Fatalf("repaired %v, a fresh run gives %v", resp.Dist, fresh.Dist)
+	}
+}
+
 // TestRepairDisabled pins the -repair-max-affected=-1 escape hatch: the
 // dirty source recomputes from scratch, never touching the repair path.
 func TestRepairDisabled(t *testing.T) {

@@ -40,8 +40,8 @@ type serverMetrics struct {
 
 	// Affected-region repair: dirty sources rebuilt from their stale trace
 	// instead of recomputed from scratch, the fraction of the graph each
-	// repair touched, its wall time, and how often repair declined
-	// (no trace, or over the affected-fraction cutoff).
+	// repair touched, its wall time, and how often a stale trace could not
+	// be repaired and was recomputed instead.
 	incrSourcesRepaired    *obs.Counter
 	incrRepairFallbacks    *obs.Counter
 	repairAffectedFraction *obs.Histogram
@@ -84,7 +84,7 @@ func newServerMetrics(cfg *Config, cache *Cache, registry *GraphRegistry) *serve
 		incrSourcesRepaired: r.Counter("dsssp_incr_sources_repaired_total",
 			"Dirty sources served by affected-region repair of a stale trace (no full recomputation)."),
 		incrRepairFallbacks: r.Counter("dsssp_incr_repair_fallbacks_total",
-			"Repair attempts that fell back to full recomputation (affected region over the cutoff)."),
+			"Repair attempts that fell back to full recomputation (a trace that does not fit the graph)."),
 		repairAffectedFraction: r.Histogram("dsssp_incr_affected_fraction",
 			"Per-repair fraction of vertices whose label was rebuilt.",
 			[]float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 1}),

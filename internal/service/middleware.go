@@ -3,7 +3,6 @@ package service
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -104,40 +103,9 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return n, err
 }
 
-// Flush forwards http.Flusher to the underlying writer. The embedded
-// ResponseWriter hides optional interfaces behind the struct type, so
-// without this passthrough any handler that type-asserts for streaming
-// would silently lose flushing once instrumented.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// ReadFrom forwards io.ReaderFrom (the sendfile fast path) when the
-// underlying writer provides it, falling back to a plain copy otherwise,
-// with the same status/bytes/error accounting as Write.
-func (w *statusWriter) ReadFrom(r io.Reader) (int64, error) {
-	if w.intercepted {
-		// Match Write: the mux's plain-text error body is being suppressed.
-		return io.Copy(io.Discard, r)
-	}
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	var (
-		n   int64
-		err error
-	)
-	if rf, ok := w.ResponseWriter.(io.ReaderFrom); ok {
-		n, err = rf.ReadFrom(r)
-	} else {
-		n, err = io.Copy(w.ResponseWriter, r)
-	}
-	w.recordWriteErr(err)
-	w.bytes += n
-	return n, err
-}
+// Unwrap exposes the underlying writer, so http.ResponseController reaches
+// its optional methods (Flush, SetWriteDeadline, ...) through the wrapper.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // dssspRequestID is the interface writeError uses to recover the request
 // ID from whatever writer it was handed (the instrumented one in serving,

@@ -174,8 +174,7 @@ func (s *Server) rows(w http.ResponseWriter, sp *trace.Span, q rowQuery) (rowSet
 // remembered serves src from the head revision's traces when it can: an
 // exact trace as is (a reused row under an all-pairs query, a zero-change
 // repair otherwise), a stale one through incr.Repair. ok=false sends the
-// source to the engine: no trace, or a stale one with repair disabled or
-// an affected region that outgrew the cutoff.
+// source to the engine: no trace, or a stale one with repair disabled.
 func (s *Server) remembered(sp *trace.Span, q rowQuery, src graph.NodeID) (row, bool) {
 	if q.id == "" {
 		return row{}, false
@@ -192,11 +191,11 @@ func (s *Server) remembered(sp *trace.Span, q rowQuery, src graph.NodeID) (row, 
 	return s.repair(sp, q, src, tr, changes, exact)
 }
 
-// repair rebuilds one source's row from its remembered trace, bounding the
-// affected region by the configured fraction of n. An exact trace needs no
-// rebuild and is served from its shared slices; a repaired stale trace is
-// promoted to the head revision, so the next PATCH classifies it and the
-// next query serves it in O(n).
+// repair rebuilds one source's row from its remembered trace, whatever the
+// size of the affected region. An exact trace needs no rebuild and is
+// served from its shared slices; a repaired stale trace is promoted to the
+// head revision, so the next PATCH classifies it and the next query serves
+// it in O(n).
 //
 // A sampled request gets a repair span under sp, with the four repair
 // phases (carve/seed/settle/witness) grafted as children carrying their
@@ -210,9 +209,7 @@ func (s *Server) repair(sp *trace.Span, q rowQuery, src graph.NodeID, tr incr.Tr
 	start := time.Now()
 	rr, ok := &incr.RepairResult{Dist: tr.Dist, Parent: tr.Parent}, true
 	if !exact {
-		// remembered declined a stale trace under a negative cutoff, and
-		// applyDefaults turned 0 into 0.5, so the fraction here is positive.
-		rr, ok = incr.Repair(q.load(), src, tr, changes, max(1, int(s.cfg.RepairMaxAffected*float64(n))))
+		rr, ok = incr.Repair(q.load(), src, tr, changes, 0)
 	}
 	s.metrics.repairSeconds.Observe(time.Since(start).Seconds())
 	if !ok {

@@ -46,12 +46,10 @@ type Config struct {
 	// to disk on register/PATCH and reloads them on startup, so a redeploy
 	// doesn't forget every registered graph. Empty disables persistence.
 	RegistryDir string
-	// RepairMaxAffected is the affected-region repair cutoff as a fraction
-	// of n: a dirty source is repaired from its stale trace only while the
-	// affected region stays within the fraction; past it the repair
-	// abandons ship and the source recomputes from scratch (which also
-	// re-mints a cacheable canonical body). 0 defaults to 0.5, 1 means no
-	// cutoff, and negative disables repair entirely.
+	// RepairMaxAffected negative disables repairing stale traces: a dirty
+	// source recomputes from scratch. Any other value repairs it whatever
+	// the size of its affected region, since even a repair that rebuilds
+	// every label costs a fraction of a simulation.
 	RepairMaxAffected float64
 	// Workers bounds concurrently executing queries (default NumCPU).
 	Workers int
@@ -90,9 +88,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.GraphBytes == 0 {
 		c.GraphBytes = 256 << 20
-	}
-	if c.RepairMaxAffected == 0 {
-		c.RepairMaxAffected = 0.5
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.NumCPU()

@@ -277,18 +277,6 @@ func TestStatsAndHealthz(t *testing.T) {
 	}
 }
 
-// TestConfigDefaults pins applyDefaults on the repair cutoff: 0 means the
-// 0.5 default, while 1 (no cutoff) and negative (repair disabled) are kept.
-func TestConfigDefaults(t *testing.T) {
-	for _, tc := range []struct{ in, want float64 }{{0, 0.5}, {1, 1}, {-1, -1}, {0.25, 0.25}} {
-		c := Config{RepairMaxAffected: tc.in}
-		c.applyDefaults()
-		if c.RepairMaxAffected != tc.want {
-			t.Errorf("RepairMaxAffected %v defaults to %v, want %v", tc.in, c.RepairMaxAffected, tc.want)
-		}
-	}
-}
-
 // scrapeMetrics fetches /metrics through the instrumented handler and
 // parses sample lines into name{labels} → value.
 func scrapeMetrics(t *testing.T, s *Server) map[string]float64 {

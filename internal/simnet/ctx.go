@@ -53,7 +53,8 @@ func (c *Ctx) SendTagged(i int, tag uint64, body any) {
 	c.ns.outbox = append(c.ns.outbox, outMsg{nbIndex: int32(i), span: c.ns.curSpan(), tag: tag, msg: body})
 }
 
-// SetOutput records this node's output value, returned from Engine.Run.
+// SetOutput records this node's output value, returned from Engine.Run in
+// Result.Outputs. A program run by RunEach returns its answer instead.
 func (c *Ctx) SetOutput(v any) { c.ns.output = v }
 
 // Next ends the current round and resumes the node in the next round.

@@ -3,6 +3,11 @@
 // sleeping-model extension where nodes may sleep and messages sent to a
 // sleeping node are lost (Section 1.2 of the paper).
 //
+// RunEach is the entry for whole-graph runs: it runs one node program on
+// every node and returns each node's answer, indexed by node ID, with the
+// run's Result. Engine.Run, with Ctx.SetOutput and Result.Outputs, is the
+// untyped form underneath it.
+//
 // Each node runs a Program in its own coroutine and communicates with the
 // engine through a Ctx. Execution proceeds in lock-step rounds:
 //
@@ -228,7 +233,7 @@ type Program func(*Ctx)
 // Result is the outcome of a completed run.
 type Result struct {
 	// Outputs holds the value each node passed to Ctx.SetOutput (nil if
-	// none).
+	// none); RunEach returns its typed answers beside the Result instead.
 	Outputs []any
 	Metrics Metrics
 	// Trace holds per-message entries when Config.RecordTrace is set.
@@ -629,6 +634,21 @@ func (e *Engine) Run(p Program) (*Result, error) {
 		met.Spans = e.spans // creation order is first-open order
 	}
 	return res, nil
+}
+
+// RunEach runs p on every node of g in a fresh engine and returns each
+// node's answer — the value its program returns — indexed by node ID,
+// together with the run's Result. It is the entry for whole-graph runs:
+// every algorithm that runs one program on every node until each holds its
+// answer starts here. On error (a node panic, deadlock, round overflow or
+// a strict-CONGEST violation) the answers are nil.
+func RunEach[T any](g *graph.Graph, cfg Config, p func(*Ctx) T) ([]T, *Result, error) {
+	out := make([]T, g.N())
+	res, err := New(g, cfg).Run(func(c *Ctx) { out[c.ID()] = p(c) })
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, res, nil
 }
 
 // shutdown terminates any still-live node coroutines: stop makes the

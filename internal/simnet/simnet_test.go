@@ -217,6 +217,55 @@ func TestNodePanicPropagates(t *testing.T) {
 	}
 }
 
+func TestRunEach(t *testing.T) {
+	type answer struct {
+		id    graph.NodeID
+		round int64
+	}
+	const n = 5
+	g := graph.Path(n, graph.UnitWeights)
+	for _, model := range []Model{Congest, Sleeping} {
+		// Node v halts in round n-1-v: the highest ID answers first.
+		got, res, err := RunEach(g, Config{Model: model}, func(c *Ctx) answer {
+			if r := int64(n - 1 - int(c.ID())); r > 0 {
+				c.SleepUntil(r)
+			}
+			return answer{c.ID(), c.Round()}
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", model, err)
+		}
+		if len(got) != n || res.Metrics.Rounds != n {
+			t.Fatalf("%v: %d answers in %d rounds, want %d in %d", model, len(got), res.Metrics.Rounds, n, n)
+		}
+		for v, a := range got {
+			if want := (answer{graph.NodeID(v), int64(n - 1 - v)}); a != want {
+				t.Fatalf("%v: answers[%d] = %+v, want %+v", model, v, a, want)
+			}
+		}
+	}
+
+	// Node 4 answers in round 0, before node 1 panics in round 1: the run
+	// fails whole, with the engine's error and no answers.
+	got, res, err := RunEach(g, Config{Model: Congest}, func(c *Ctx) int64 {
+		switch c.ID() {
+		case 4:
+			return 4
+		case 1:
+			c.Next()
+			panic("boom")
+		}
+		c.SleepUntil(100)
+		return int64(c.ID())
+	})
+	if err == nil || err.Error() != "node 1 panicked: boom" {
+		t.Fatalf("got error %v, want node 1's panic", err)
+	}
+	if got != nil || res != nil {
+		t.Fatalf("failed run returned answers %v, result %v", got, res)
+	}
+}
+
 func TestMaxRoundsEnforced(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights)
 	e := New(g, Config{Model: Sleeping, MaxRounds: 10})

@@ -31,8 +31,7 @@ func CSSPTree(g *Graph, sources map[NodeID]int64, opts *Options) (*TreeResult, e
 	}
 	// One synchronized exchange round in a fresh engine run: every node
 	// announces its distance; each picks its witness parent.
-	eng := simnet.New(g, simnet.Config{Model: simnet.Congest})
-	res, err := eng.Run(func(c *simnet.Ctx) {
+	parents, res, err := simnet.RunEach(g, simnet.Config{Model: simnet.Congest}, func(c *simnet.Ctx) NodeID {
 		c.OpenSpan(phase.Tree.Key, 0) // open until the node halts
 		mb := proto.NewMailbox(c)
 		my := base.Dist[c.ID()]
@@ -56,15 +55,12 @@ func CSSPTree(g *Graph, sources map[NodeID]int64, opts *Options) (*TreeResult, e
 				panic(fmt.Sprintf("dsssp: node %d has distance %d but no witness neighbor", c.ID(), my))
 			}
 		}
-		c.SetOutput(parent)
+		return parent
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := &TreeResult{Result: *base, Parent: make([]NodeID, g.N())}
-	for v, p := range res.Outputs {
-		out.Parent[v] = p.(NodeID)
-	}
+	out := &TreeResult{Result: *base, Parent: parents}
 	out.Metrics.Append(res.Metrics)
 	return out, nil
 }
