@@ -181,15 +181,16 @@ type CompositionJSON struct {
 
 // APSPResponse is the POST /v1/apsp result. For registered graphs served
 // incrementally, Incr reports the per-source reuse split and Composition
-// covers only the recomputed instances (distance rows are byte-identical
-// to a from-scratch run either way; the composition of instances that were
-// never re-run is unknowable without re-running them).
+// covers only the incr.sources_recomputed instances; a reply that re-ran
+// none omits it (distance rows are byte-identical to a from-scratch run
+// either way; the composition of instances that were never re-run is
+// unknowable without re-running them).
 type APSPResponse struct {
-	N           int             `json:"n"`
-	M           int             `json:"m"`
-	Dist        [][]int64       `json:"dist"`
-	Composition CompositionJSON `json:"composition"`
-	Incr        *IncrJSON       `json:"incr,omitempty"`
+	N           int              `json:"n"`
+	M           int              `json:"m"`
+	Dist        [][]int64        `json:"dist"`
+	Composition *CompositionJSON `json:"composition,omitempty"`
+	Incr        *IncrJSON        `json:"incr,omitempty"`
 }
 
 // IncrJSON is the incremental-serving split of an APSP response: how many

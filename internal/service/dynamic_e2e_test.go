@@ -205,6 +205,10 @@ func TestDynamicAPSPIncremental(t *testing.T) {
 	if full.Incr == nil || full.Incr.SourcesReused != 4 || full.Incr.SourcesRecomputed != 0 {
 		t.Fatalf("all-reused APSP split = %+v", full.Incr)
 	}
+	// No instance ran, so there is no composition to report.
+	if bytes.Contains(w.Body.Bytes(), []byte(`"composition"`)) {
+		t.Fatalf("all-reused APSP reports a composition it did not measure: %s", w.Body.Bytes())
+	}
 	if !reflect.DeepEqual(full.Dist, scratch.Dist) {
 		t.Fatal("fully-reused APSP distances differ from scratch")
 	}

@@ -307,8 +307,9 @@ func (s *Server) handleAPSP(w http.ResponseWriter, r *http.Request) {
 	}
 	// Per-source SSSP instances are independent, so a reused or repaired row
 	// is byte-identical to what a re-run would produce; only the Composition
-	// (which describes the instances actually run this time) and the Incr
-	// split distinguish a partially-reused response from a from-scratch one.
+	// (which describes the instances actually run this time, and is omitted
+	// when none ran) and the Incr split distinguish a partially-reused
+	// response from a from-scratch one.
 	var res *dsssp.APSPResult
 	s.serveRows(w, r, rowQuery{
 		resolvedGraph: rg,
@@ -333,7 +334,7 @@ func (s *Server) handleAPSP(w http.ResponseWriter, r *http.Request) {
 		}
 		if res != nil {
 			comp := res.Composition
-			resp.Composition = CompositionJSON{
+			resp.Composition = &CompositionJSON{
 				Dilation: comp.Dilation, Congestion: comp.Congestion,
 				MakespanAligned: comp.MakespanAligned, MakespanRandom: comp.MakespanRandom,
 				MakespanSequential: comp.MakespanSequential, MaxMessageBits: comp.MaxMessageBits,

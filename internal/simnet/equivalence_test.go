@@ -58,8 +58,8 @@ func scriptProgram(seed int64, model Model, steps int) Program {
 			case 3:
 				consume(c.SleepUntil(c.Round() + 1 + int64(x>>5)%4))
 			case 4:
-				// Far-future jump: exercises the heap fallback behind the
-				// bucket window.
+				// Far-future jump: files the wake in a high radix-heap
+				// bucket, to be filed again on the way down.
 				consume(c.SleepUntil(c.Round() + 1 + int64(x>>5)%3000))
 			case 5:
 				if model == Congest {
@@ -120,7 +120,7 @@ func equivGraph(seed int64, n int) *graph.Graph {
 }
 
 // oracleDivergence runs one entry of the randomized differential corpus
-// through both the production scheduler (bucket queue, batched handshakes,
+// through both the production scheduler (radix heap, batched handshakes,
 // pooled buffers) and the frozen pre-rewrite oracle scheduler, and describes
 // the first difference in Metrics, Outputs, Trace or error text; it returns
 // "" when the two runs agree exactly.

@@ -8,7 +8,7 @@ import (
 
 // runOracle is a frozen port of the engine's original scheduler — a global
 // (round, id) binary heap popped one entry at a time — kept verbatim as a
-// differential-testing oracle for the bucket-queue scheduler in Run. It
+// differential-testing oracle for the radix-heap scheduler in Run. It
 // shares start, Ctx, and shutdown with the production path, so any
 // divergence in Metrics, Outputs, Trace, or error text is attributable to
 // the scheduler rewrite.
@@ -20,7 +20,8 @@ import (
 // the engine's one choice between a coroutine resume and a Drive step,
 // the reverse index moving from the Engine into oracleReverseIndex, and
 // the one-message-per-edge-direction check leaving with
-// Config.StrictCongest.)
+// Config.StrictCongest.) Its heap helpers, heapPushWake and heapPopWake,
+// are at the end of this file; production code does not use them.
 //
 // The oracle derives each arrival port from its own reverse index, never
 // from graph.Half.Rev, so a wrong Rev makes Run disagree with it.
@@ -219,4 +220,52 @@ func oracleReverseIndex(g *graph.Graph) (revOff, revFlat []int32) {
 		}
 	}
 	return revOff, revFlat
+}
+
+func wakeLess(a, b wakeEntry) bool {
+	if a.round != b.round {
+		return a.round < b.round
+	}
+	return a.id < b.id
+}
+
+// heapPushWake / heapPopWake implement a plain binary min-heap on a typed
+// slice: unlike container/heap there is no interface{} boxing, so pushing a
+// wake entry does not allocate.
+func heapPushWake(h []wakeEntry, e wakeEntry) []wakeEntry {
+	h = append(h, e)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !wakeLess(h[i], h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	return h
+}
+
+func heapPopWake(h []wakeEntry) (wakeEntry, []wakeEntry) {
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		s := i
+		if l < len(h) && wakeLess(h[l], h[s]) {
+			s = l
+		}
+		if r < len(h) && wakeLess(h[r], h[s]) {
+			s = r
+		}
+		if s == i {
+			break
+		}
+		h[i], h[s] = h[s], h[i]
+		i = s
+	}
+	return top, h
 }

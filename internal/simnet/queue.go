@@ -1,36 +1,31 @@
 package simnet
 
-import "dsssp/internal/graph"
+import (
+	"math/bits"
 
-// wakeQueue is the engine's round scheduler: a calendar/bucket queue. Wakes
-// inside the sliding window [base, base+bucketWindow) land in O(1) ring
-// buckets (one per round); only far-future deadlines — SleepUntil jumps
-// beyond the window, long WaitMessage deadlines — spill into a typed binary
-// min-heap. The common Next()/SleepUntil(+small) traffic therefore never
-// touches the heap, and nothing here boxes through interface{}.
+	"dsssp/internal/graph"
+)
+
+// wakeQueue is the engine's round scheduler: a monotone radix heap
+// (Ahuja, Mehlhorn, Orlin and Tarjan, J. ACM 1990). The engine only ever
+// schedules rounds at or after the one it is running, so one structure
+// serves both a CONGEST node that wakes next round and a sleeping-model node
+// that sleeps across thousands of rounds, with no window to tune.
+//
+// An entry for round r is filed in buckets[bits.Len64(r ^ last)]: bucket 0
+// holds round last itself, and bucket i > 0 holds the rounds that agree with
+// last above bit i-1 and differ from it there. occ has bit i set iff bucket
+// i is non-empty. Since last only grows, each entry is filed at most once
+// per bit position over its lifetime.
 //
 // Entries carry the owning node's seq at push time; an entry whose seq no
 // longer matches the node's is stale (the node was rescheduled, e.g. a
-// parked node woken by a message before its deadline) and is skipped at
-// drain time, exactly like the heap-only scheduler this replaces.
+// parked node woken by a message before its deadline) and the engine skips
+// it when the round is popped.
 type wakeQueue struct {
-	buckets [bucketWindow][]bucketWake
-	// inRing counts entries currently in the ring (including stale ones).
-	inRing int
-	// base is the smallest round the ring can currently hold; it only grows.
-	base int64
-	// far is a (round, id)-ordered min-heap for rounds >= base+bucketWindow.
-	far []wakeEntry
-}
-
-const (
-	bucketWindow = 1 << 10
-	bucketMask   = bucketWindow - 1
-)
-
-type bucketWake struct {
-	id  graph.NodeID
-	seq int64
+	buckets [64][]wakeEntry
+	occ     uint64
+	last    int64
 }
 
 type wakeEntry struct {
@@ -40,103 +35,39 @@ type wakeEntry struct {
 }
 
 // push schedules node id to wake at round (with the node's current seq).
-// round must be >= base; the engine only ever schedules future rounds.
+// round must be >= the last popped round.
 func (q *wakeQueue) push(round int64, id graph.NodeID, seq int64) {
-	if round < q.base+bucketWindow {
-		q.buckets[round&bucketMask] = append(q.buckets[round&bucketMask], bucketWake{id, seq})
-		q.inRing++
-		return
-	}
-	q.far = heapPushWake(q.far, wakeEntry{round, id, seq})
+	i := bits.Len64(uint64(round ^ q.last))
+	q.buckets[i] = append(q.buckets[i], wakeEntry{round, id, seq})
+	q.occ |= 1 << i
 }
 
-// next returns the earliest round holding at least one (possibly stale)
-// entry, or false when the queue is empty. Ring buckets between the old and
-// new base are scanned at most once over the whole run because base is
-// monotone; an empty ring jumps straight to the heap minimum, so idle
-// stretches cost O(log) rather than O(gap).
-func (q *wakeQueue) next() (int64, bool) {
-	if q.inRing == 0 && len(q.far) == 0 {
-		return 0, false
+// pop removes the earliest round holding at least one (possibly stale)
+// entry and returns it with that round's entries, in push order; ok is
+// false when the queue is empty. The returned slice aliases bucket 0's
+// backing array and is valid until the next pop, or a push at the same
+// round.
+func (q *wakeQueue) pop() (round int64, wakes []wakeEntry, ok bool) {
+	if q.occ == 0 {
+		return 0, nil, false
 	}
-	for {
-		if q.inRing > 0 {
-			for len(q.buckets[q.base&bucketMask]) == 0 {
-				q.base++
-				q.migrate()
-			}
-			return q.base, true
+	if q.occ&1 == 0 {
+		// Advance last to the minimum of the lowest non-empty bucket and
+		// file its entries again; each lands in a strictly lower bucket.
+		i := bits.TrailingZeros64(q.occ)
+		b := q.buckets[i]
+		q.last = b[0].round
+		for _, w := range b[1:] {
+			q.last = min(q.last, w.round)
 		}
-		q.base = q.far[0].round
-		q.migrate()
-	}
-}
-
-// take removes and returns round's bucket. The returned slice aliases the
-// bucket's backing array, which is reused for a later round only after base
-// has advanced a full window — i.e. well after the caller is done with it.
-func (q *wakeQueue) take(round int64) []bucketWake {
-	b := q.buckets[round&bucketMask]
-	q.buckets[round&bucketMask] = b[:0]
-	q.inRing -= len(b)
-	return b
-}
-
-// migrate moves heap entries that advancing base has brought inside the
-// window into their ring buckets.
-func (q *wakeQueue) migrate() {
-	for len(q.far) > 0 && q.far[0].round < q.base+bucketWindow {
-		var e wakeEntry
-		e, q.far = heapPopWake(q.far)
-		q.buckets[e.round&bucketMask] = append(q.buckets[e.round&bucketMask], bucketWake{e.id, e.seq})
-		q.inRing++
-	}
-}
-
-func wakeLess(a, b wakeEntry) bool {
-	if a.round != b.round {
-		return a.round < b.round
-	}
-	return a.id < b.id
-}
-
-// heapPushWake / heapPopWake implement a plain binary min-heap on a typed
-// slice: unlike container/heap there is no interface{} boxing, so pushing a
-// wake entry does not allocate.
-func heapPushWake(h []wakeEntry, e wakeEntry) []wakeEntry {
-	h = append(h, e)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !wakeLess(h[i], h[p]) {
-			break
+		q.buckets[i] = b[:0]
+		q.occ &^= 1 << i
+		for _, w := range b {
+			q.push(w.round, w.id, w.seq)
 		}
-		h[i], h[p] = h[p], h[i]
-		i = p
 	}
-	return h
-}
-
-func heapPopWake(h []wakeEntry) (wakeEntry, []wakeEntry) {
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < len(h) && wakeLess(h[l], h[s]) {
-			s = l
-		}
-		if r < len(h) && wakeLess(h[r], h[s]) {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		h[i], h[s] = h[s], h[i]
-		i = s
-	}
-	return top, h
+	wakes = q.buckets[0]
+	q.buckets[0] = wakes[:0]
+	q.occ &^= 1
+	return q.last, wakes, true
 }

@@ -32,9 +32,10 @@
 //
 // # Execution core
 //
-// The scheduler is a calendar (bucket) queue: wakes in the near window are
-// O(1) ring-bucket appends, and only far-future SleepUntil/WaitMessage
-// deadlines fall back to a typed binary heap (see wakeQueue).
+// The scheduler is one monotone radix heap (see wakeQueue): every wake, be
+// it next round or a SleepUntil/WaitMessage deadline thousands of rounds
+// ahead, is filed by the highest bit in which its round differs from the
+// current one, and each pop hands back one round's wakes as a slice.
 //
 // A wake takes one of two forms, chosen in one place (Engine.dispatch):
 //
@@ -70,8 +71,10 @@
 //
 // Per-node scheduling state (wake round, queue seq, yield kind, halted,
 // park deadline) lives in struct-of-arrays form on the Engine, so the hot
-// take/filter loops scan dense arrays instead of striding over the full
-// node structs. Buffers are pooled across rounds: each node's inbox is
+// pop/filter loops scan dense arrays instead of striding over the full
+// node structs. The wake queue holds 64 slices that grow with the wakes
+// pending and keep their backing arrays across rounds, so it allocates
+// nothing per round. Buffers are pooled across rounds: each node's inbox is
 // double-buffered (see Ctx.Next for the resulting ownership rule) and
 // outboxes are reused, with the initial buffers for all nodes carved from
 // three shared degree-proportional arenas — at n=10^5 that is three
@@ -480,7 +483,7 @@ func (e *Engine) Run(p Program) (*Result, error) {
 	spanPrev := int64(-1) // last round whose elapsed interval was attributed
 	batch := make([]graph.NodeID, 0, n)
 	for halted < n {
-		r, ok := q.next()
+		r, wakes, ok := q.pop()
 		if !ok {
 			if parked > 0 {
 				return nil, fmt.Errorf("simnet: deadlock at round %d: %d node(s) parked in WaitMessage with no pending wakeups", cur, parked)
@@ -492,18 +495,18 @@ func (e *Engine) Run(p Program) (*Result, error) {
 			return nil, fmt.Errorf("simnet: exceeded MaxRounds=%d", e.cfg.MaxRounds)
 		}
 		batch = batch[:0]
-		for _, bw := range q.take(cur) {
-			if e.halted[bw.id] || e.seq[bw.id] != bw.seq {
+		for _, w := range wakes {
+			if e.halted[w.id] || e.seq[w.id] != w.seq {
 				continue // stale entry
 			}
-			if e.kind[bw.id] == yieldPark {
+			if e.kind[w.id] == yieldPark {
 				// Deadline expiry of a parked node.
-				e.kind[bw.id] = yieldRun
+				e.kind[w.id] = yieldRun
 				parked--
 			}
-			batch = append(batch, bw.id)
+			batch = append(batch, w.id)
 		}
-		// Resume each awake node in ID order (bucket entries arrive in
+		// Resume each awake node in ID order (a round's wakes arrive in
 		// push order, so sort; singleton batches — the common case — skip
 		// it).
 		if len(batch) > 1 {
