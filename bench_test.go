@@ -28,11 +28,11 @@ func BenchmarkE1CongestCSSP(b *testing.B) {
 			b.ReportAllocs()
 			var met simnet.Metrics
 			for i := 0; i < b.N; i++ {
-				var err error
-				_, _, met, _, err = core.Run(g, map[graph.NodeID]int64{0: 0}, core.Options{}, simnet.Congest, false)
+				_, _, res, err := core.Run(g, map[graph.NodeID]int64{0: 0}, core.Options{}, simnet.Congest, false)
 				if err != nil {
 					b.Fatal(err)
 				}
+				met = res.Metrics
 			}
 			b.ReportMetric(float64(met.Rounds)/float64(n), "rounds/n")
 			b.ReportMetric(float64(met.MaxEdgeMessages), "maxEdgeMsgs")
@@ -180,11 +180,11 @@ func BenchmarkE7EnergySSSP(b *testing.B) {
 		b.ReportAllocs()
 		var met simnet.Metrics
 		for i := 0; i < b.N; i++ {
-			var err error
-			_, _, met, _, err = core.Run(g, map[graph.NodeID]int64{0: 0}, core.Options{}, simnet.Sleeping, false)
+			_, _, res, err := core.Run(g, map[graph.NodeID]int64{0: 0}, core.Options{}, simnet.Sleeping, false)
 			if err != nil {
 				b.Fatal(err)
 			}
+			met = res.Metrics
 		}
 		b.ReportMetric(float64(met.MaxAwake), "maxAwake")
 		b.ReportMetric(float64(met.Rounds), "rounds")
@@ -218,11 +218,11 @@ func BenchmarkE9Ablations(b *testing.B) {
 			b.ReportAllocs()
 			var met simnet.Metrics
 			for i := 0; i < b.N; i++ {
-				var err error
-				_, _, met, _, err = core.Run(g, map[graph.NodeID]int64{0: 0}, core.Options{EpsNum: eps[0], EpsDen: eps[1]}, simnet.Congest, false)
+				_, _, res, err := core.Run(g, map[graph.NodeID]int64{0: 0}, core.Options{EpsNum: eps[0], EpsDen: eps[1]}, simnet.Congest, false)
 				if err != nil {
 					b.Fatal(err)
 				}
+				met = res.Metrics
 			}
 			b.ReportMetric(float64(met.Rounds), "rounds")
 			b.ReportMetric(float64(met.MaxEdgeMessages), "maxEdgeMsgs")

@@ -198,11 +198,11 @@ func CSSP(g *Graph, sources map[NodeID]int64, opts *Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, st, met, _, err := core.Run(g, sources, copt, m, false)
+	d, st, run, err := core.Run(g, sources, copt, m, false)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Dist: d, Metrics: met}
+	res := &Result{Dist: d, Metrics: run.Metrics}
 	for _, k := range st.Subproblems {
 		if k > res.SubproblemsMax {
 			res.SubproblemsMax = k
@@ -277,9 +277,9 @@ type APSPResult struct {
 // rejected with an error.
 //
 // The per-source instances are independent simulations and are fanned out
-// over Options.Workers goroutines (default runtime.NumCPU()); traces are
-// composed in source order, so the result (and, if an instance fails, the
-// error) is identical to a sequential run.
+// over Options.Workers goroutines (default runtime.NumCPU()); their results
+// are composed in source order, so the result (and, if an instance fails,
+// the error) is identical to a sequential run.
 func APSP(g *Graph, opts *Options, seed int64) (*APSPResult, error) {
 	return APSPFrom(g, nil, opts, seed)
 }
@@ -309,16 +309,12 @@ func APSPFrom(g *Graph, sources []NodeID, opts *Options, seed int64) (*APSPResul
 	}
 	g = g.Canonical() // sort once here, not once per instance in core.Run
 	out := &APSPResult{Dist: make([][]int64, g.N())}
-	runner := func(g *Graph, s NodeID) (sched.Trace, error) {
-		d, _, met, tr, err := core.Run(g, map[NodeID]int64{s: 0}, copt, ModelCongest, true)
-		if err != nil {
-			return sched.Trace{}, err
+	runner := func(g *Graph, s NodeID) (*simnet.Result, error) {
+		d, _, res, err := core.Run(g, map[NodeID]int64{s: 0}, copt, ModelCongest, true)
+		if err == nil {
+			out.Dist[s] = d
 		}
-		out.Dist[s] = d
-		return sched.Trace{
-			Entries: tr, Rounds: met.Rounds, MaxMessageBits: met.MaxMessageBits,
-			MaxEdgeMessages: met.MaxEdgeMessages, Spans: met.Spans,
-		}, nil
+		return res, err
 	}
 	comp, err := sched.APSPParallel(g, sources, runner, seed, opts.workers())
 	if err != nil {

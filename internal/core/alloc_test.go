@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 
@@ -9,28 +10,28 @@ import (
 )
 
 // TestTracedRunDeterministic: a run is a pure function of its inputs, so
-// repeated traced runs must record the identical per-message trace — entry
-// order included, which follows every node's send order.
+// repeated traced runs must record identical send records, every directed
+// edge's rounds and per-round message counts included.
 func TestTracedRunDeterministic(t *testing.T) {
 	g := graph.RandomConnected(48, 96, graph.UniformWeights(48, 3), 3)
-	var first []simnet.TraceEntry
+	var first [][]byte
 	for run := 0; run < 3; run++ {
-		_, _, _, tr, err := Run(g, map[graph.NodeID]int64{0: 0}, Options{}, simnet.Congest, true)
+		_, _, res, err := Run(g, map[graph.NodeID]int64{0: 0}, Options{}, simnet.Congest, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if run == 0 {
-			first = tr
+			first = res.Sends
 			continue
 		}
-		if !slices.Equal(first, tr) {
-			diff := 0
-			for i := range min(len(first), len(tr)) {
-				if first[i] != tr[i] {
-					diff++
-				}
+		if len(res.Sends) != 2*g.M() {
+			t.Fatalf("run %d: %d send records, want %d", run, len(res.Sends), 2*g.M())
+		}
+		for di := range first {
+			if !bytes.Equal(first[di], res.Sends[di]) {
+				t.Fatalf("run %d: directed edge %d sent in rounds %v, run 0 in %v", run, di,
+					slices.Collect(simnet.SendRounds(res.Sends[di])), slices.Collect(simnet.SendRounds(first[di])))
 			}
-			t.Fatalf("run %d: trace differs from run 0 (%d vs %d entries, %d positions differ)", run, len(tr), len(first), diff)
 		}
 	}
 }
@@ -43,10 +44,11 @@ func TestCongestAllocsPerResume(t *testing.T) {
 	g := graph.RandomConnected(64, 128, graph.UniformWeights(64, 7), 7)
 	var met simnet.Metrics
 	allocs := testing.AllocsPerRun(1, func() {
-		var err error
-		if _, _, met, _, err = Run(g, map[graph.NodeID]int64{0: 0}, Options{}, simnet.Congest, false); err != nil {
+		_, _, res, err := Run(g, map[graph.NodeID]int64{0: 0}, Options{}, simnet.Congest, false)
+		if err != nil {
 			t.Fatal(err)
 		}
+		met = res.Metrics
 	})
 	perResume := allocs / float64(met.TotalAwake)
 	t.Logf("%.0f allocs over %d awake resumes = %.3f per resume", allocs, met.TotalAwake, perResume)
@@ -66,10 +68,11 @@ func TestSleepingAllocsPerResume(t *testing.T) {
 	g := sleepingGraph()
 	var met simnet.Metrics
 	allocs := testing.AllocsPerRun(1, func() {
-		var err error
-		if _, _, met, _, err = Run(g, map[graph.NodeID]int64{0: 0}, Options{}, simnet.Sleeping, false); err != nil {
+		_, _, res, err := Run(g, map[graph.NodeID]int64{0: 0}, Options{}, simnet.Sleeping, false)
+		if err != nil {
 			t.Fatal(err)
 		}
+		met = res.Metrics
 	})
 	perResume := allocs / float64(met.TotalAwake)
 	t.Logf("%.0f allocs over %d awake resumes = %.3f per resume", allocs, met.TotalAwake, perResume)
@@ -85,10 +88,11 @@ func BenchmarkSleepingSSSP(b *testing.B) {
 	b.ReportAllocs()
 	var met simnet.Metrics
 	for i := 0; i < b.N; i++ {
-		var err error
-		if _, _, met, _, err = Run(g, map[graph.NodeID]int64{0: 0}, Options{}, simnet.Sleeping, false); err != nil {
+		_, _, res, err := Run(g, map[graph.NodeID]int64{0: 0}, Options{}, simnet.Sleeping, false)
+		if err != nil {
 			b.Fatal(err)
 		}
+		met = res.Metrics
 	}
 	b.ReportMetric(float64(met.TotalAwake), "resumes")
 }

@@ -139,21 +139,22 @@ func (s *cssp) tag(path uint64, off int) uint64 { return path*tagBlock + uint64(
 // (graph.Canonical) runs as its sorted clone; g itself is never modified.
 //
 // The sleeping model gets a cover provider; a nil provider is what selects
-// the CONGEST cut and barrier in the pipeline. trace records one
-// simnet.TraceEntry per message, for the APSP scheduling composition.
-// Every run reports its per-(phase, depth) span ledger in Metrics.Spans.
-func Run(g *graph.Graph, sources map[graph.NodeID]int64, opts Options, model simnet.Model, trace bool) ([]int64, Stats, simnet.Metrics, []simnet.TraceEntry, error) {
+// the CONGEST cut and barrier in the pipeline. trace records every
+// directed edge's send rounds in the result's Sends, for the APSP
+// scheduling composition. Every run reports its per-(phase, depth) span
+// ledger in Metrics.Spans.
+func Run(g *graph.Graph, sources map[graph.NodeID]int64, opts Options, model simnet.Model, trace bool) ([]int64, Stats, *simnet.Result, error) {
 	epsNum, epsDen, err := opts.validEps()
 	if err != nil {
-		return nil, Stats{}, simnet.Metrics{}, nil, err
+		return nil, Stats{}, nil, err
 	}
 	if err := graph.CheckSources(g, sources); err != nil {
-		return nil, Stats{}, simnet.Metrics{}, nil, fmt.Errorf("core: %w", err)
+		return nil, Stats{}, nil, fmt.Errorf("core: %w", err)
 	}
 	g = g.Canonical()
 	pr, err := prepareProblem(g, sortedSources(sources), epsNum, epsDen)
 	if err != nil {
-		return nil, Stats{}, simnet.Metrics{}, nil, err
+		return nil, Stats{}, nil, err
 	}
 
 	cfg := simnet.Config{Model: model, MaxRounds: opts.MaxRounds, RecordTrace: trace}
@@ -178,8 +179,8 @@ func Run(g *graph.Graph, sources map[graph.NodeID]int64, opts Options, model sim
 		return output{Dist: d, Subproblems: st.subproblems}
 	})
 	if err != nil {
-		return nil, Stats{}, simnet.Metrics{}, nil, err
+		return nil, Stats{}, nil, err
 	}
 	dists, stats := collectOutputs(outs, pr.scale, pr.levels)
-	return dists, stats, res.Metrics, res.Trace, nil
+	return dists, stats, res, nil
 }

@@ -71,10 +71,10 @@ func TestEpsValidationBoundaries(t *testing.T) {
 			t.Errorf("Options %+v accepted", o)
 		}
 		// The boundary must hold at both public entrypoints.
-		if _, _, _, _, err := Run(g, map[graph.NodeID]int64{0: 0}, o, simnet.Congest, false); err == nil || !strings.Contains(err.Error(), "ε") {
+		if _, _, _, err := Run(g, map[graph.NodeID]int64{0: 0}, o, simnet.Congest, false); err == nil || !strings.Contains(err.Error(), "ε") {
 			t.Errorf("Run (congest) accepted Options %+v (err=%v)", o, err)
 		}
-		if _, _, _, _, err := Run(g, map[graph.NodeID]int64{0: 0}, o, simnet.Sleeping, false); err == nil || !strings.Contains(err.Error(), "ε") {
+		if _, _, _, err := Run(g, map[graph.NodeID]int64{0: 0}, o, simnet.Sleeping, false); err == nil || !strings.Contains(err.Error(), "ε") {
 			t.Errorf("Run (sleeping) accepted Options %+v (err=%v)", o, err)
 		}
 	}
@@ -86,7 +86,7 @@ func TestEpsExtremesRun(t *testing.T) {
 	g := graph.RandomConnected(12, 12, graph.UniformWeights(4, 5), 5)
 	want := graph.Dijkstra(g, 0)
 	for _, o := range []Options{{EpsNum: 1, EpsDen: 16}, {EpsNum: 15, EpsDen: 16}} {
-		got, _, _, _, err := Run(g, map[graph.NodeID]int64{0: 0}, o, simnet.Congest, false)
+		got, _, _, err := Run(g, map[graph.NodeID]int64{0: 0}, o, simnet.Congest, false)
 		if err != nil {
 			t.Fatalf("eps %d/%d: %v", o.EpsNum, o.EpsDen, err)
 		}
@@ -105,11 +105,11 @@ func TestSingleNodeBothRecursions(t *testing.T) {
 	g.SortAdj()
 	runs := map[string]func(map[graph.NodeID]int64) ([]int64, error){
 		"congest": func(src map[graph.NodeID]int64) ([]int64, error) {
-			d, _, _, _, err := Run(g, src, Options{}, simnet.Congest, false)
+			d, _, _, err := Run(g, src, Options{}, simnet.Congest, false)
 			return d, err
 		},
 		"energy": func(src map[graph.NodeID]int64) ([]int64, error) {
-			d, _, _, _, err := Run(g, src, Options{}, simnet.Sleeping, false)
+			d, _, _, err := Run(g, src, Options{}, simnet.Sleeping, false)
 			return d, err
 		},
 	}
@@ -131,11 +131,11 @@ func TestSingleNodeBothRecursions(t *testing.T) {
 // both models.
 func TestNoSourcesBothRecursions(t *testing.T) {
 	g := graph.Grid2D(3, 3, graph.UniformWeights(3, 11))
-	dc, _, _, _, err := Run(g, map[graph.NodeID]int64{}, Options{}, simnet.Congest, false)
+	dc, _, _, err := Run(g, map[graph.NodeID]int64{}, Options{}, simnet.Congest, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	de, _, _, _, err := Run(g, map[graph.NodeID]int64{}, Options{}, simnet.Sleeping, false)
+	de, _, _, err := Run(g, map[graph.NodeID]int64{}, Options{}, simnet.Sleeping, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +154,11 @@ func TestMaxOffsetBothRecursions(t *testing.T) {
 	const huge = int64(1) << 30
 	sources := map[graph.NodeID]int64{0: huge, 3: 0}
 	want := graph.MultiSourceDijkstra(g, sources)
-	dc, _, _, _, err := Run(g, sources, Options{}, simnet.Congest, false)
+	dc, _, _, err := Run(g, sources, Options{}, simnet.Congest, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	de, _, _, _, err := Run(g, sources, Options{}, simnet.Sleeping, false)
+	de, _, _, err := Run(g, sources, Options{}, simnet.Sleeping, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +179,11 @@ func TestZeroOffsetsAllSources(t *testing.T) {
 	}
 	for name, run := range map[string]func() ([]int64, error){
 		"congest": func() ([]int64, error) {
-			d, _, _, _, err := Run(g, sources, Options{}, simnet.Congest, false)
+			d, _, _, err := Run(g, sources, Options{}, simnet.Congest, false)
 			return d, err
 		},
 		"energy": func() ([]int64, error) {
-			d, _, _, _, err := Run(g, sources, Options{}, simnet.Sleeping, false)
+			d, _, _, err := Run(g, sources, Options{}, simnet.Sleeping, false)
 			return d, err
 		},
 	} {

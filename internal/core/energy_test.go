@@ -10,10 +10,11 @@ import (
 func checkEnergyExact(t *testing.T, g *graph.Graph, sources map[graph.NodeID]int64) {
 	t.Helper()
 	want := graph.MultiSourceDijkstra(g, sources)
-	got, _, met, _, err := Run(g, sources, Options{}, simnet.Sleeping, false)
+	got, _, res, err := Run(g, sources, Options{}, simnet.Sleeping, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	met := res.Metrics
 	for v := range want {
 		if got[v] != want[v] {
 			t.Fatalf("node %d: got %d, want %d", v, got[v], want[v])
@@ -51,7 +52,7 @@ func TestEnergyCSSPZeroWeights(t *testing.T) {
 func TestEnergyCSSPDisconnected(t *testing.T) {
 	g := graph.Disconnected(2, 6, 1, graph.UnitWeights, 3)
 	want := graph.MultiSourceDijkstra(g, map[graph.NodeID]int64{0: 0})
-	got, _, _, _, err := Run(g, map[graph.NodeID]int64{0: 0}, Options{}, simnet.Sleeping, false)
+	got, _, _, err := Run(g, map[graph.NodeID]int64{0: 0}, Options{}, simnet.Sleeping, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +65,11 @@ func TestEnergyCSSPDisconnected(t *testing.T) {
 
 func TestEnergySSSPMatchesCongestVariant(t *testing.T) {
 	g := graph.Cycle(12, graph.UniformWeights(3, 7))
-	a, _, _, _, err := Run(g, map[graph.NodeID]int64{3: 0}, Options{}, simnet.Congest, false)
+	a, _, _, err := Run(g, map[graph.NodeID]int64{3: 0}, Options{}, simnet.Congest, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, _, _, err := Run(g, map[graph.NodeID]int64{3: 0}, Options{}, simnet.Sleeping, false)
+	b, _, _, err := Run(g, map[graph.NodeID]int64{3: 0}, Options{}, simnet.Sleeping, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func TestCSSPAllSources(t *testing.T) {
 	for v := 0; v < g.N(); v++ {
 		sources[graph.NodeID(v)] = 0
 	}
-	got, _, _, _, err := Run(g, sources, Options{}, simnet.Congest, false)
+	got, _, _, err := Run(g, sources, Options{}, simnet.Congest, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +41,11 @@ func TestCSSPAllSources(t *testing.T) {
 // Determinism: two runs produce identical metrics and distances.
 func TestCSSPDeterministic(t *testing.T) {
 	g := graph.RandomConnected(40, 40, graph.UniformWeights(16, 11), 11)
-	d1, _, m1, _, err := Run(g, map[graph.NodeID]int64{0: 0}, Options{}, simnet.Congest, false)
+	d1, _, r1, err := Run(g, map[graph.NodeID]int64{0: 0}, Options{}, simnet.Congest, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, _, m2, _, err := Run(g, map[graph.NodeID]int64{0: 0}, Options{}, simnet.Congest, false)
+	d2, _, r2, err := Run(g, map[graph.NodeID]int64{0: 0}, Options{}, simnet.Congest, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,19 +54,20 @@ func TestCSSPDeterministic(t *testing.T) {
 			t.Fatalf("node %d distances differ", v)
 		}
 	}
-	if m1.Messages != m2.Messages || m1.Rounds != m2.Rounds {
+	if m1, m2 := &r1.Metrics, &r2.Metrics; m1.Messages != m2.Messages || m1.Rounds != m2.Rounds {
 		t.Fatalf("metrics differ: %s vs %s", m1.String(), m2.String())
 	}
 }
 
-// The traced variant must agree with the untraced one and actually record.
+// The traced variant must agree with the untraced one and actually record:
+// each edge's two send records hold as many rounds as it carried messages.
 func TestCSSPTracedConsistent(t *testing.T) {
 	g := graph.Cycle(10, graph.UniformWeights(3, 13))
-	d1, _, m1, _, err := Run(g, map[graph.NodeID]int64{0: 0}, Options{}, simnet.Congest, false)
+	d1, _, r1, err := Run(g, map[graph.NodeID]int64{0: 0}, Options{}, simnet.Congest, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, _, m2, tr, err := Run(g, map[graph.NodeID]int64{0: 0}, Options{}, simnet.Congest, true)
+	d2, _, r2, err := Run(g, map[graph.NodeID]int64{0: 0}, Options{}, simnet.Congest, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +76,19 @@ func TestCSSPTracedConsistent(t *testing.T) {
 			t.Fatalf("node %d distances differ", v)
 		}
 	}
-	if int64(len(tr)) != m2.Messages || m1.Messages != m2.Messages {
-		t.Fatalf("trace %d entries, messages %d/%d", len(tr), m1.Messages, m2.Messages)
+	if r1.Sends != nil || r1.Metrics.Messages != r2.Metrics.Messages {
+		t.Fatalf("untraced run recorded %d send records, messages %d/%d", len(r1.Sends), r1.Metrics.Messages, r2.Metrics.Messages)
+	}
+	for e, want := range r2.Metrics.PerEdgeMessages {
+		got := 0
+		for _, rec := range r2.Sends[2*e : 2*e+2] {
+			for range simnet.SendRounds(rec) {
+				got++
+			}
+		}
+		if int64(got) != want {
+			t.Fatalf("edge %d: send records hold %d rounds, it carried %d messages", e, got, want)
+		}
 	}
 }
 

@@ -37,10 +37,11 @@ func TestSleepingMetricsPinned(t *testing.T) {
 	var out strings.Builder
 	g := sleepingGraph()
 	for src := graph.NodeID(0); src < 4; src++ {
-		dist, _, met, _, err := Run(g, map[graph.NodeID]int64{src: 0}, Options{}, simnet.Sleeping, false)
+		dist, _, res, err := Run(g, map[graph.NodeID]int64{src: 0}, Options{}, simnet.Sleeping, false)
 		if err != nil {
 			t.Fatal(err)
 		}
+		met := res.Metrics
 		fmt.Fprintf(&out, "sssp random n=64 maxw=8 source=%d\n", src)
 		fmt.Fprintf(&out, "  dist %v\n", dist)
 		writeSleepingMetrics(&out, met)

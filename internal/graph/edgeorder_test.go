@@ -134,11 +134,12 @@ func TestMetricsIndependentOfInsertionOrder(t *testing.T) {
 	for _, f := range graph.Families() {
 		g := graph.Make(f, 20, graph.UniformWeights(20, 2), 2)
 		sg := scrambled(rng, g)
-		d1, s1, m1, _, err1 := core.Run(g, map[graph.NodeID]int64{0: 0}, core.Options{}, simnet.Congest, false)
-		d2, s2, m2, _, err2 := core.Run(sg, map[graph.NodeID]int64{0: 0}, core.Options{}, simnet.Congest, false)
+		d1, s1, r1, err1 := core.Run(g, map[graph.NodeID]int64{0: 0}, core.Options{}, simnet.Congest, false)
+		d2, s2, r2, err2 := core.Run(sg, map[graph.NodeID]int64{0: 0}, core.Options{}, simnet.Congest, false)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s: %v / %v", f, err1, err2)
 		}
+		m1, m2 := r1.Metrics, r2.Metrics
 		if !reflect.DeepEqual(d1, d2) || !reflect.DeepEqual(s1, s2) || !reflect.DeepEqual(m1, m2) {
 			t.Fatalf("%s: SSSP differs between generator and shuffled insertion:\n rounds %d vs %d, messages %d vs %d",
 				f, m1.Rounds, m2.Rounds, m1.Messages, m2.Messages)

@@ -12,23 +12,50 @@ import (
 	"dsssp/internal/simnet"
 )
 
+// send is one message of a hand-built instance: its round and its edge,
+// dir 0 when the smaller endpoint ID sends.
+type send struct {
+	round int64
+	edge  graph.EdgeID
+	dir   int
+}
+
+// instance builds the engine result of an instance that ran for rounds
+// rounds over a graph with m edges and sent the given messages, in
+// non-decreasing round order: its Sends are recorded through
+// simnet.AppendSend as the engine records them, and its Metrics count the
+// messages per edge as the engine counts them.
+func instance(m int, rounds int64, sends ...send) *simnet.Result {
+	res := &simnet.Result{Sends: make([][]byte, 2*m)}
+	met := &res.Metrics
+	met.Rounds = rounds
+	met.PerEdgeMessages = make([]int64, m)
+	last := make([]int64, 2*m)
+	for _, s := range sends {
+		di := 2*int(s.edge) + s.dir
+		res.Sends[di] = simnet.AppendSend(res.Sends[di], last[di], s.round)
+		last[di] = s.round
+		met.Messages++
+		met.PerEdgeMessages[s.edge]++
+		met.MaxEdgeMessages = max(met.MaxEdgeMessages, met.PerEdgeMessages[s.edge])
+	}
+	return res
+}
+
 // makespanRef is the pre-flat-array makespan (maps + sort.Slice), kept as
 // the reference the rewritten implementation is pinned against.
-func makespanRef(m int, traces []Trace, delays []int64) int64 {
-	type key struct {
-		edge graph.EdgeID
-		dir  byte
-	}
-	rounds := make(map[key][]int64)
+func makespanRef(m int, results []*simnet.Result, delays []int64) int64 {
+	rounds := make(map[int][]int64)
 	var horizon int64
-	for i, tr := range traces {
+	for i, res := range results {
 		d := delays[i]
-		if tr.Rounds+d > horizon {
-			horizon = tr.Rounds + d
+		if res.Metrics.Rounds+d > horizon {
+			horizon = res.Metrics.Rounds + d
 		}
-		for _, e := range tr.Entries {
-			k := key{e.Edge, e.Dir}
-			rounds[k] = append(rounds[k], e.Round+d)
+		for di := 0; di < 2*m; di++ {
+			for r := range simnet.SendRounds(res.Sends[di]) {
+				rounds[di] = append(rounds[di], r+d)
+			}
 		}
 	}
 	maxLoad := make(map[int64]int64)
@@ -53,30 +80,25 @@ func makespanRef(m int, traces []Trace, delays []int64) int64 {
 	return total
 }
 
-// TestMakespanPinnedFixedTraces pins makespan on hand-computed fixed traces
-// so the flat-array rewrite provably reproduces the map-based original.
+// TestMakespanPinnedFixedTraces pins makespan on hand-computed fixed
+// instances so the per-edge walk provably reproduces the map-based
+// original.
 func TestMakespanPinnedFixedTraces(t *testing.T) {
-	traces := []Trace{
-		{Rounds: 4, Entries: []simnet.TraceEntry{
-			{Round: 0, Edge: 0, Dir: 0}, {Round: 1, Edge: 0, Dir: 0}, {Round: 2, Edge: 1, Dir: 1},
-		}},
-		{Rounds: 3, Entries: []simnet.TraceEntry{
-			{Round: 0, Edge: 0, Dir: 0}, {Round: 1, Edge: 1, Dir: 1}, {Round: 2, Edge: 0, Dir: 0},
-		}},
-		{Rounds: 5, Entries: []simnet.TraceEntry{
-			{Round: 4, Edge: 1, Dir: 0},
-		}},
+	insts := []*simnet.Result{
+		instance(2, 4, send{0, 0, 0}, send{1, 0, 0}, send{2, 1, 1}),
+		instance(2, 3, send{0, 0, 0}, send{1, 1, 1}, send{2, 0, 0}),
+		instance(2, 5, send{4, 1, 0}),
 	}
-	aligned := makespan(2, traces, []int64{0, 0, 0})
+	aligned := makespan(2, insts, []int64{0, 0, 0})
 	if aligned != 6 { // horizon 5, edge0/dir0 carries load 2 in round 0
 		t.Fatalf("aligned makespan %d, want 6", aligned)
 	}
-	delayed := makespan(2, traces, []int64{0, 1, 2})
+	delayed := makespan(2, insts, []int64{0, 1, 2})
 	if delayed != 9 { // horizon 7, load 2 in rounds 1 (e0d0) and 2 (e1d1)
 		t.Fatalf("delayed makespan %d, want 9", delayed)
 	}
 	for _, delays := range [][]int64{{0, 0, 0}, {0, 1, 2}, {3, 0, 5}} {
-		if got, want := makespan(2, traces, delays), makespanRef(2, traces, delays); got != want {
+		if got, want := makespan(2, insts, delays), makespanRef(2, insts, delays); got != want {
 			t.Fatalf("delays %v: makespan %d, reference %d", delays, got, want)
 		}
 	}
@@ -85,33 +107,28 @@ func TestMakespanPinnedFixedTraces(t *testing.T) {
 	}
 }
 
-// TestMakespanMatchesReferenceRandom cross-checks the flat-array makespan
-// against the map-based reference on randomized traces and delays.
+// TestMakespanMatchesReferenceRandom cross-checks makespan against the
+// map-based reference on randomized instances and delays.
 func TestMakespanMatchesReferenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for it := 0; it < 200; it++ {
 		m := rng.Intn(8) + 1
 		nTr := rng.Intn(6) + 1
-		traces := make([]Trace, nTr)
+		insts := make([]*simnet.Result, nTr)
 		delays := make([]int64, nTr)
-		for i := range traces {
+		for i := range insts {
 			rounds := int64(rng.Intn(20) + 1)
-			k := rng.Intn(12)
-			es := make([]simnet.TraceEntry, 0, k)
-			for j := 0; j < k; j++ {
-				es = append(es, simnet.TraceEntry{
-					Round: rng.Int63n(rounds),
-					Edge:  graph.EdgeID(rng.Intn(m)),
-					Dir:   byte(rng.Intn(2)),
-				})
+			es := make([]send, rng.Intn(12))
+			for j := range es {
+				es[j] = send{rng.Int63n(rounds), graph.EdgeID(rng.Intn(m)), rng.Intn(2)}
 			}
-			sort.Slice(es, func(a, b int) bool { return es[a].Round < es[b].Round })
-			traces[i] = Trace{Rounds: rounds, Entries: es}
+			sort.Slice(es, func(a, b int) bool { return es[a].round < es[b].round })
+			insts[i] = instance(m, rounds, es...)
 			delays[i] = rng.Int63n(10)
 		}
-		if got, want := makespan(m, traces, delays), makespanRef(m, traces, delays); got != want {
-			t.Fatalf("iteration %d: makespan %d, reference %d (m=%d, traces=%+v, delays=%v)",
-				it, got, want, m, traces, delays)
+		if got, want := makespan(m, insts, delays), makespanRef(m, insts, delays); got != want {
+			t.Fatalf("iteration %d: makespan %d, reference %d (m=%d, delays=%v)",
+				it, got, want, m, delays)
 		}
 	}
 }
@@ -120,18 +137,16 @@ func TestMakespanMatchesReferenceRandom(t *testing.T) {
 // random-delay makespan) on a fixed input, guarding the Section 1.1
 // composition numbers across refactors.
 func TestComposePinned(t *testing.T) {
-	a := Trace{Rounds: 6, Entries: []simnet.TraceEntry{
-		{Round: 0, Edge: 0, Dir: 0}, {Round: 2, Edge: 1, Dir: 0}, {Round: 4, Edge: 2, Dir: 1},
-	}, MaxMessageBits: 48, MaxEdgeMessages: 1}
-	b := Trace{Rounds: 4, Entries: []simnet.TraceEntry{
-		{Round: 0, Edge: 0, Dir: 0}, {Round: 1, Edge: 1, Dir: 0}, {Round: 2, Edge: 2, Dir: 1},
-	}, MaxMessageBits: 32, MaxEdgeMessages: 1}
-	got := Compose(3, []Trace{a, b}, 42)
+	a := instance(3, 6, send{0, 0, 0}, send{2, 1, 0}, send{4, 2, 1})
+	a.Metrics.MaxMessageBits = 48
+	b := instance(3, 4, send{0, 0, 0}, send{1, 1, 0}, send{2, 2, 1})
+	b.Metrics.MaxMessageBits = 32
+	got := Compose(3, []*simnet.Result{a, b}, 42)
 	want := Composition{
 		Dilation:           6,
 		Congestion:         2,
 		MakespanAligned:    7, // horizon 6 + one serialization on edge 0
-		MakespanRandom:     makespanRef(3, []Trace{a, b}, composeDelays(2, 2, 42)),
+		MakespanRandom:     makespanRef(3, []*simnet.Result{a, b}, composeDelays(2, 2, 42)),
 		MakespanSequential: 10,
 		MaxMessageBits:     48,
 		Messages:           6,
@@ -160,9 +175,9 @@ func composeDelays(nTraces int, congestion int64, seed int64) []int64 {
 func TestComposeBasics(t *testing.T) {
 	// Two instances, both using edge 0 in round 0: aligned must serialize
 	// (+1), a delayed composition must not.
-	a := Trace{Rounds: 3, Entries: []simnet.TraceEntry{{Round: 0, Edge: 0, Dir: 0}}}
-	b := Trace{Rounds: 3, Entries: []simnet.TraceEntry{{Round: 0, Edge: 0, Dir: 0}}}
-	c := Compose(1, []Trace{a, b}, 1)
+	a := instance(1, 3, send{0, 0, 0})
+	b := instance(1, 3, send{0, 0, 0})
+	c := Compose(1, []*simnet.Result{a, b}, 1)
 	if c.Dilation != 3 || c.Congestion != 2 || c.MakespanSequential != 6 {
 		t.Fatalf("composition %+v", c)
 	}
@@ -172,9 +187,9 @@ func TestComposeBasics(t *testing.T) {
 }
 
 func TestComposeNoConflicts(t *testing.T) {
-	a := Trace{Rounds: 5, Entries: []simnet.TraceEntry{{Round: 0, Edge: 0, Dir: 0}}}
-	b := Trace{Rounds: 5, Entries: []simnet.TraceEntry{{Round: 1, Edge: 0, Dir: 0}}}
-	c := Compose(1, []Trace{a, b}, 1)
+	a := instance(1, 5, send{0, 0, 0})
+	b := instance(1, 5, send{1, 0, 0})
+	c := Compose(1, []*simnet.Result{a, b}, 1)
 	if c.MakespanAligned != 5 {
 		t.Fatalf("no-conflict aligned=%d, want 5", c.MakespanAligned)
 	}
@@ -183,9 +198,9 @@ func TestComposeNoConflicts(t *testing.T) {
 func TestComposeDirectionsIndependent(t *testing.T) {
 	// Same edge, opposite directions, same round: no serialization needed
 	// (CONGEST allows one message per direction).
-	a := Trace{Rounds: 2, Entries: []simnet.TraceEntry{{Round: 0, Edge: 0, Dir: 0}}}
-	b := Trace{Rounds: 2, Entries: []simnet.TraceEntry{{Round: 0, Edge: 0, Dir: 1}}}
-	c := Compose(1, []Trace{a, b}, 1)
+	a := instance(1, 2, send{0, 0, 0})
+	b := instance(1, 2, send{0, 0, 1})
+	c := Compose(1, []*simnet.Result{a, b}, 1)
 	if c.MakespanAligned != 2 {
 		t.Fatalf("aligned=%d, want 2", c.MakespanAligned)
 	}
@@ -196,15 +211,15 @@ func TestRandomDelaysBeatAligned(t *testing.T) {
 	// aligned stacks all 20 on the same edge every round (makespan ~ 20T),
 	// random delays spread them (makespan ~ C + T).
 	const m, nInst, rounds = 25, 20, 100
-	traces := make([]Trace, nInst)
-	for i := range traces {
-		es := make([]simnet.TraceEntry, rounds)
+	insts := make([]*simnet.Result, nInst)
+	for i := range insts {
+		es := make([]send, rounds)
 		for r := range es {
-			es[r] = simnet.TraceEntry{Round: int64(r), Edge: graph.EdgeID(r % m), Dir: 0}
+			es[r] = send{int64(r), graph.EdgeID(r % m), 0}
 		}
-		traces[i] = Trace{Rounds: rounds, Entries: es}
+		insts[i] = instance(m, rounds, es...)
 	}
-	c := Compose(m, traces, 7)
+	c := Compose(m, insts, 7)
 	if c.MakespanAligned < nInst*rounds/2 {
 		t.Fatalf("aligned %d unexpectedly small", c.MakespanAligned)
 	}
@@ -219,15 +234,15 @@ func TestRandomDelaysBeatAligned(t *testing.T) {
 func TestMakespanBoundHolds(t *testing.T) {
 	// The scheduling theorem shape: random-delay makespan = O(C + T) with
 	// modest constants, far below C*T for many bursty instances.
-	traces := make([]Trace, 40)
-	for i := range traces {
-		es := make([]simnet.TraceEntry, 10)
+	insts := make([]*simnet.Result, 40)
+	for i := range insts {
+		es := make([]send, 10)
 		for r := range es {
-			es[r] = simnet.TraceEntry{Round: int64(r * 3), Edge: 0, Dir: 0}
+			es[r] = send{int64(r * 3), 0, 0}
 		}
-		traces[i] = Trace{Rounds: 30, Entries: es}
+		insts[i] = instance(1, 30, es...)
 	}
-	c := Compose(1, traces, 3)
+	c := Compose(1, insts, 3)
 	bound := 4 * (c.Congestion + c.Dilation)
 	if c.MakespanRandom > bound {
 		t.Fatalf("random makespan %d exceeds 4(C+T)=%d", c.MakespanRandom, bound)
@@ -239,7 +254,7 @@ func TestAPSPWithRealTraces(t *testing.T) {
 	// compose. Uses a tiny flood program for speed.
 	g := graph.RandomConnected(24, 24, graph.UnitWeights, 5)
 	msgs := make([]int64, g.N())
-	run := func(g *graph.Graph, s graph.NodeID) (Trace, error) {
+	run := func(g *graph.Graph, s graph.NodeID) (*simnet.Result, error) {
 		eng := simnet.New(g, simnet.Config{Model: simnet.Congest, RecordTrace: true})
 		res, err := eng.Run(func(c *simnet.Ctx) {
 			d := int64(-1)
@@ -265,10 +280,15 @@ func TestAPSPWithRealTraces(t *testing.T) {
 			}
 		})
 		if err != nil {
-			return Trace{}, err
+			return nil, err
 		}
 		msgs[s] = res.Metrics.Messages
-		return Trace{Entries: res.Trace, Rounds: res.Metrics.Rounds, MaxEdgeMessages: res.Metrics.MaxEdgeMessages}, nil
+		// One undelayed instance serializes exactly as the engine's own
+		// megaround accounting does.
+		if one := Compose(g.M(), []*simnet.Result{res}, 1); one.MakespanAligned != res.Metrics.StrictRounds {
+			return nil, fmt.Errorf("aligned makespan %d of one instance, engine strict rounds %d", one.MakespanAligned, res.Metrics.StrictRounds)
+		}
+		return res, nil
 	}
 	comp, err := APSPParallel(g, nil, run, 11, 1)
 	if err != nil {
@@ -298,12 +318,12 @@ func TestAPSPWithRealTraces(t *testing.T) {
 // other workers race through the failing sources meanwhile.
 func TestAPSPParallelLowestSourceError(t *testing.T) {
 	g := graph.Path(16, graph.UnitWeights)
-	run := func(g *graph.Graph, s graph.NodeID) (Trace, error) {
+	run := func(g *graph.Graph, s graph.NodeID) (*simnet.Result, error) {
 		if s == 0 {
 			time.Sleep(time.Millisecond)
-			return Trace{}, nil
+			return instance(g.M(), 0), nil
 		}
-		return Trace{}, fmt.Errorf("instance %d failed", s)
+		return nil, fmt.Errorf("instance %d failed", s)
 	}
 	const want = "sched: SSSP from 1: instance 1 failed"
 	for trial := 0; trial < 50; trial++ {
@@ -312,4 +332,67 @@ func TestAPSPParallelLowestSourceError(t *testing.T) {
 			t.Fatalf("trial %d: error %v, want %q", trial, err, want)
 		}
 	}
+}
+
+// FuzzMakespan compares makespan with makespanRef on random compositions:
+// 1 to 8 edges and up to 6 instances, each with a random delay and up to
+// 16 sends, empty instances and repeated rounds included. Round gaps reach
+// two- and three-byte uvarints; both sides read results built by instance,
+// that is through simnet.AppendSend. makespan's arrays are horizon-sized,
+// so gaps up to 2^40 (six-byte uvarints) are checked on the record alone:
+// every instance's rounds, scaled by 2^26, must read back from
+// simnet.SendRounds.
+func FuzzMakespan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int64 {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int64(b)
+		}
+		m := int(next()%8) + 1
+		results := make([]*simnet.Result, next()%7)
+		delays := make([]int64, len(results))
+		for i := range results {
+			delays[i] = next()
+			sends := make([]send, next()%17)
+			var r int64
+			for j := range sends {
+				switch b := next(); b & 3 {
+				case 0: // a repeated round
+				case 1:
+					r += 1 + b>>2%8
+				case 2:
+					r += 128 + b>>2 // a two-byte gap
+				case 3:
+					r += 1<<14 + b>>2<<6 // a three-byte gap
+				}
+				e := next()
+				sends[j] = send{r, graph.EdgeID(e % int64(m)), int(e>>3) & 1}
+			}
+			results[i] = instance(m, r+1+next()%4, sends...)
+
+			var rec []byte
+			var prev int64
+			for _, s := range sends {
+				rec = simnet.AppendSend(rec, prev, s.round<<26)
+				prev = s.round << 26
+			}
+			j := 0
+			for got := range simnet.SendRounds(rec) {
+				if j == len(sends) || got != sends[j].round<<26 {
+					t.Fatalf("instance %d: record read back round %d at %d, want %v", i, got, j, sends)
+				}
+				j++
+			}
+			if j != len(sends) {
+				t.Fatalf("instance %d: record read back %d of %d rounds", i, j, len(sends))
+			}
+		}
+		if got, want := makespan(m, results, delays), makespanRef(m, results, delays); got != want {
+			t.Fatalf("makespan %d, reference %d (m=%d, delays=%v)", got, want, m, delays)
+		}
+	})
 }

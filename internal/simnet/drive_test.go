@@ -103,7 +103,7 @@ func driveScript(seed int64, model Model, driven bool) Program {
 
 // TestDriveMatchesCoroutine diffs Drive against the coroutine form of the
 // same logic: identical Metrics (per-node awake rounds, per-edge messages,
-// spans, strict rounds), Outputs and Trace, in both models. The frozen
+// spans, strict rounds), Outputs and Sends, in both models. The frozen
 // oracle scheduler, which shares the engine's dispatch, must agree as well.
 func TestDriveMatchesCoroutine(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
@@ -126,8 +126,8 @@ func TestDriveMatchesCoroutine(t *testing.T) {
 			if !reflect.DeepEqual(want.Outputs, got.Outputs) {
 				t.Fatalf("%s: outputs divergence", name)
 			}
-			if !reflect.DeepEqual(want.Trace, got.Trace) {
-				t.Fatalf("%s: trace divergence (%d vs %d entries)", name, len(want.Trace), len(got.Trace))
+			if d := sendsDiff(want.Sends, got.Sends); d != "" {
+				t.Fatalf("%s: sends divergence (coroutine, driven): %s", name, d)
 			}
 			ow, _ := New(g, cfg).runOracle(driveScript(seed, model, false))
 			og, err := New(g, cfg).runOracle(driveScript(seed, model, true))

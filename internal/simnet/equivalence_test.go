@@ -1,8 +1,10 @@
 package simnet
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -122,7 +124,7 @@ func equivGraph(seed int64, n int) *graph.Graph {
 // oracleDivergence runs one entry of the randomized differential corpus
 // through both the production scheduler (radix heap, batched handshakes,
 // pooled buffers) and the frozen pre-rewrite oracle scheduler, and describes
-// the first difference in Metrics, Outputs, Trace or error text; it returns
+// the first difference in Metrics, Outputs, Sends or error text; it returns
 // "" when the two runs agree exactly.
 func oracleDivergence(seed int64, model Model) string {
 	n := int(splitmix64(uint64(seed))%22) + 2
@@ -152,8 +154,23 @@ func oracleDivergence(seed int64, model Model) string {
 	if !reflect.DeepEqual(want.Outputs, got.Outputs) {
 		return fmt.Sprintf("%s: outputs divergence:\noracle: %v\nnew:    %v", name, want.Outputs, got.Outputs)
 	}
-	if !reflect.DeepEqual(want.Trace, got.Trace) {
-		return fmt.Sprintf("%s: trace divergence (oracle %d entries, new %d)", name, len(want.Trace), len(got.Trace))
+	if d := sendsDiff(want.Sends, got.Sends); d != "" {
+		return fmt.Sprintf("%s: sends divergence (oracle, new): %s", name, d)
+	}
+	return ""
+}
+
+// sendsDiff describes the first directed edge whose send records differ
+// between two Result.Sends, or returns "" when they are equal.
+func sendsDiff(want, got [][]byte) string {
+	if len(want) != len(got) {
+		return fmt.Sprintf("%d vs %d directed edges", len(want), len(got))
+	}
+	for di := range want {
+		if !bytes.Equal(want[di], got[di]) {
+			return fmt.Sprintf("directed edge %d sent in rounds %v vs %v",
+				di, slices.Collect(SendRounds(want[di])), slices.Collect(SendRounds(got[di])))
+		}
 	}
 	return ""
 }

@@ -10,7 +10,7 @@ import (
 // (round, id) binary heap popped one entry at a time — kept verbatim as a
 // differential-testing oracle for the radix-heap scheduler in Run. It
 // shares start, Ctx, and shutdown with the production path, so any
-// divergence in Metrics, Outputs, Trace, or error text is attributable to
+// divergence in Metrics, Outputs, Sends, or error text is attributable to
 // the scheduler rewrite.
 //
 // Do not "improve" this code: its value is being the old semantics. (The
@@ -18,9 +18,9 @@ import (
 // struct-of-arrays layout change — ns.kind → e.kind[id] and friends —,
 // carrying the message tag beside the body, ns.resume() → e.dispatch,
 // the engine's one choice between a coroutine resume and a Drive step,
-// the reverse index moving from the Engine into oracleReverseIndex, and
-// the one-message-per-edge-direction check leaving with
-// Config.StrictCongest.) Its heap helpers, heapPushWake and heapPopWake,
+// the reverse index moving from the Engine into oracleReverseIndex, the
+// one-message-per-edge-direction check leaving with Config.StrictCongest,
+// and the record line calling recordSend, which Run shares.) Its heap helpers, heapPushWake and heapPopWake,
 // are at the end of this file; production code does not use them.
 //
 // The oracle derives each arrival port from its own reverse index, never
@@ -144,7 +144,7 @@ func (e *Engine) runOracle(p Program) (*Result, error) {
 					maxLoad = dirLoad[di]
 				}
 				if e.cfg.RecordTrace {
-					res.Trace = append(res.Trace, TraceEntry{cur, h.ID, byte(dirBit)})
+					e.recordSend(res, di, cur)
 				}
 				switch {
 				case e.halted[h.To]:

@@ -54,7 +54,7 @@
 //     SSSP run.
 //
 // Both forms count the same awake rounds, see the same arrivals and follow
-// the same loss rules, so a program's Metrics, Outputs and Trace do not
+// the same loss rules, so a program's Metrics, Outputs and Sends do not
 // depend on which form it uses.
 //
 // # Round structure
@@ -79,12 +79,15 @@
 // outboxes are reused, with the initial buffers for all nodes carved from
 // three shared degree-proportional arenas — at n=10^5 that is three
 // allocations instead of ~3n, and growth past a node's carve falls back to
-// the heap transparently. The trace buffer is preallocated from the edge
-// count. A message's dispatch tag travels as a plain field beside its body
-// (Ctx.SendTagged → Inbound.Tag), so tagging a message allocates nothing.
+// the heap transparently. Under Config.RecordTrace a message costs about
+// two bytes: its round joins its directed edge's send record as a uvarint
+// gap (see AppendSend). A message's dispatch tag travels as a plain field
+// beside its body (Ctx.SendTagged → Inbound.Tag), so tagging a message
+// allocates nothing.
 package simnet
 
 import (
+	"encoding/binary"
 	"fmt"
 	"iter"
 	"slices"
@@ -122,8 +125,8 @@ type Config struct {
 	// MaxRounds aborts the run if the round counter exceeds it.
 	// 0 means a generous default of 1<<40.
 	MaxRounds int64
-	// RecordTrace records one TraceEntry per message (for the APSP
-	// scheduling analysis).
+	// RecordTrace records every directed edge's send rounds in
+	// Result.Sends (for the APSP scheduling analysis).
 	RecordTrace bool
 	// MessageBits, if non-nil, estimates the wire size of every sent
 	// message — its tag (0 for Ctx.Send) plus its body — in bits; the
@@ -151,14 +154,6 @@ type Inbound struct {
 	// Tag is the sender's dispatch tag (see Ctx.SendTagged; 0 for Send).
 	Tag  uint64
 	Body any
-}
-
-// TraceEntry records one message for scheduling analysis.
-type TraceEntry struct {
-	Round int64
-	Edge  graph.EdgeID
-	// Dir is 0 if sent by the canonical (smaller-ID) endpoint, 1 otherwise.
-	Dir byte
 }
 
 // Metrics aggregates the complexity measures the paper's theorems bound.
@@ -239,8 +234,37 @@ type Result struct {
 	// none); RunEach returns its typed answers beside the Result instead.
 	Outputs []any
 	Metrics Metrics
-	// Trace holds per-message entries when Config.RecordTrace is set.
-	Trace []TraceEntry
+	// Sends is nil unless Config.RecordTrace is set. Then Sends[2·e+dir]
+	// is the send record of edge e in one direction (dir 0 when the
+	// smaller endpoint ID sends): the round of each message it carried, in
+	// send order, so a round appears once per message. AppendSend writes a
+	// record and SendRounds reads it.
+	Sends [][]byte
+}
+
+// AppendSend appends a message sent in round to rec, the send record of
+// one directed edge whose previous message went in round prev (0 before
+// its first), as the uvarint of the gap round-prev. Rounds must not
+// decrease along a record. The engine records through it, and so does
+// any other builder of a Result.Sends.
+func AppendSend(rec []byte, prev, round int64) []byte {
+	return binary.AppendUvarint(rec, uint64(round-prev))
+}
+
+// SendRounds yields the rounds of a send record written by AppendSend, in
+// order.
+func SendRounds(rec []byte) iter.Seq[int64] {
+	return func(yield func(int64) bool) {
+		var r int64
+		for len(rec) > 0 {
+			gap, k := binary.Uvarint(rec)
+			rec = rec[k:]
+			r += int64(gap)
+			if !yield(r) {
+				return
+			}
+		}
+	}
 }
 
 const defaultMaxRounds = int64(1) << 40
@@ -331,6 +355,10 @@ type Engine struct {
 	// counters; index 0 is the root span every node starts in.
 	spanIDs map[spanKey]int32
 	spans   []SpanMetrics
+
+	// lastSend holds each directed edge's latest send round under
+	// Config.RecordTrace (see recordSend).
+	lastSend []int64
 }
 
 // New creates an engine for one run over g. The graph must have sorted
@@ -360,9 +388,8 @@ func (e *Engine) start(p Program) *Result {
 	res.Metrics.PerEdgeMessages = make([]int64, e.g.M())
 	res.Metrics.PerNodeAwake = make([]int64, n)
 	if e.cfg.RecordTrace {
-		// The paper's algorithms carry polylog messages per edge; a few
-		// multiples of m absorbs the common case without growth cascades.
-		res.Trace = make([]TraceEntry, 0, 4*e.g.M()+16)
+		res.Sends = make([][]byte, 2*e.g.M())
+		e.lastSend = make([]int64, 2*e.g.M())
 	}
 	e.spanIDs = make(map[spanKey]int32)
 	e.internSpan(RootSpanName, 0)
@@ -401,6 +428,13 @@ func (e *Engine) start(p Program) *Result {
 		})
 	}
 	return res
+}
+
+// recordSend adds a message sent over directed edge di in round to
+// res.Sends. Run and the frozen oracle both record through it.
+func (e *Engine) recordSend(res *Result, di, round int64) {
+	res.Sends[di] = AppendSend(res.Sends[di], e.lastSend[di], round)
+	e.lastSend[di] = round
 }
 
 // resumeOne performs the node-local half of one wake: epoch/awake counters,
@@ -592,7 +626,7 @@ func (e *Engine) Run(p Program) (*Result, error) {
 					maxLoad = dirLoad[di]
 				}
 				if e.cfg.RecordTrace {
-					res.Trace = append(res.Trace, TraceEntry{cur, h.ID, byte(dirBit)})
+					e.recordSend(res, di, cur)
 				}
 				switch {
 				case e.halted[h.To]:

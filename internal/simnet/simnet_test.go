@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -385,18 +386,29 @@ func TestTraceRecording(t *testing.T) {
 	res, err := e.Run(func(c *Ctx) {
 		if c.ID() == 1 {
 			c.Send(0, "a") // to node 0 over edge 0: dir=1 (1>0)
+			c.Send(0, "a")
 			c.Send(1, "b") // to node 2 over edge 1: dir=0
+			c.Next()
+			c.Send(0, "c")
+			c.SleepUntil(300)
+			c.Send(0, "d") // a gap of 299 rounds: a two-byte uvarint
 		}
 		c.Next()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Trace) != 2 {
-		t.Fatalf("trace len %d", len(res.Trace))
+	want := [][]int64{nil, {0, 0, 1, 300}, {0}, nil}
+	if len(res.Sends) != len(want) {
+		t.Fatalf("%d send records, want %d", len(res.Sends), len(want))
 	}
-	if res.Trace[0].Dir != 1 || res.Trace[1].Dir != 0 {
-		t.Fatalf("trace dirs: %+v", res.Trace)
+	for di, rounds := range want {
+		if got := slices.Collect(SendRounds(res.Sends[di])); !slices.Equal(got, rounds) {
+			t.Fatalf("directed edge %d sent in rounds %v, want %v", di, got, rounds)
+		}
+	}
+	if len(res.Sends[1]) != 5 {
+		t.Fatalf("record %v, want 5 bytes (gaps 0, 0, 1, 299)", res.Sends[1])
 	}
 }
 
