@@ -222,16 +222,22 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 			return []row{{dist: res.Dist}}, res.Metrics.Spans, nil
 		},
 	}, func(rs rowSet) ([]byte, error) {
-		g, rw := rg.load(), rs.rows[0]
-		resp := SSSPResponse{N: g.N(), M: g.M(), Dist: rw.dist, Unreachable: countUnreachable(rw.dist)}
-		if rw.served == rowRepaired {
-			resp.Incr = queryIncr(rw, g.N())
-		} else {
-			resp.SubproblemsMax = res.SubproblemsMax
-			resp.Metrics = metricsJSON(res.Metrics)
-		}
-		return json.Marshal(resp)
+		return renderSSSP(ssspResponse(rg.load(), rs.rows[0], res))
 	})
+}
+
+// ssspResponse is the /v1/sssp answer of one row: a repaired row's carries
+// its incr block, a computed row's the metrics of res, the run that
+// computed it.
+func ssspResponse(g *graph.Graph, rw row, res *dsssp.Result) SSSPResponse {
+	resp := SSSPResponse{N: g.N(), M: g.M(), Dist: rw.dist, Unreachable: countUnreachable(rw.dist)}
+	if rw.served == rowRepaired {
+		resp.Incr = queryIncr(rw, g.N())
+	} else {
+		resp.SubproblemsMax = res.SubproblemsMax
+		resp.Metrics = metricsJSON(res.Metrics)
+	}
+	return resp
 }
 
 func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
@@ -327,24 +333,30 @@ func (s *Server) handleAPSP(w http.ResponseWriter, r *http.Request) {
 			return rows, res.Composition.Spans, nil
 		},
 	}, func(rs rowSet) ([]byte, error) {
-		g := rg.load()
-		resp := APSPResponse{N: g.N(), M: g.M(), Dist: make([][]int64, g.N())}
-		for v, rw := range rs.rows {
-			resp.Dist[v] = rw.dist
-		}
-		if res != nil {
-			comp := res.Composition
-			resp.Composition = &CompositionJSON{
-				Dilation: comp.Dilation, Congestion: comp.Congestion,
-				MakespanAligned: comp.MakespanAligned, MakespanRandom: comp.MakespanRandom,
-				MakespanSequential: comp.MakespanSequential, MaxMessageBits: comp.MaxMessageBits,
-			}
-		}
-		if !rs.all(rowComputed) {
-			resp.Incr = &IncrJSON{SourcesReused: rs.count[rowReused], SourcesRepaired: rs.count[rowRepaired], SourcesRecomputed: rs.count[rowComputed]}
-		}
-		return json.Marshal(resp)
+		return renderAPSP(apspResponse(rg.load(), rs, res))
 	})
+}
+
+// apspResponse is the /v1/apsp answer of a row per source. res is the run
+// of the computed rows, nil when every row was reused or repaired; the
+// incr block appears unless every row was computed.
+func apspResponse(g *graph.Graph, rs rowSet, res *dsssp.APSPResult) APSPResponse {
+	resp := APSPResponse{N: g.N(), M: g.M(), Dist: make([][]int64, g.N())}
+	for v, rw := range rs.rows {
+		resp.Dist[v] = rw.dist
+	}
+	if res != nil {
+		comp := res.Composition
+		resp.Composition = &CompositionJSON{
+			Dilation: comp.Dilation, Congestion: comp.Congestion,
+			MakespanAligned: comp.MakespanAligned, MakespanRandom: comp.MakespanRandom,
+			MakespanSequential: comp.MakespanSequential, MaxMessageBits: comp.MaxMessageBits,
+		}
+	}
+	if !rs.all(rowComputed) {
+		resp.Incr = &IncrJSON{SourcesReused: rs.count[rowReused], SourcesRepaired: rs.count[rowRepaired], SourcesRecomputed: rs.count[rowComputed]}
+	}
+	return resp
 }
 
 // resolvedGraph is a query's graph as prepare resolved it. n and digest —

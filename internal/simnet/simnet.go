@@ -670,7 +670,29 @@ func (e *Engine) Run(p Program) (*Result, error) {
 	if len(e.spans) > 1 {
 		met.Spans = e.spans // creation order is first-open order
 	}
+	if e.cfg.RecordTrace {
+		compactSends(res.Sends)
+	}
 	return res, nil
+}
+
+// compactSends moves the send records, grown by append while the run
+// recorded them, into one exactly sized allocation. Each record is capped
+// at its length, so an AppendSend to one reallocates instead of
+// overwriting the next; a record that carried no message stays nil.
+func compactSends(sends [][]byte) {
+	total := 0
+	for _, rec := range sends {
+		total += len(rec)
+	}
+	arena := make([]byte, 0, total)
+	for di, rec := range sends {
+		if rec != nil {
+			start := len(arena)
+			arena = append(arena, rec...)
+			sends[di] = arena[start:len(arena):len(arena)]
+		}
+	}
 }
 
 // RunEach runs p on every node of g in a fresh engine and returns each

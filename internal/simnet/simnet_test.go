@@ -410,6 +410,18 @@ func TestTraceRecording(t *testing.T) {
 	if len(res.Sends[1]) != 5 {
 		t.Fatalf("record %v, want 5 bytes (gaps 0, 0, 1, 299)", res.Sends[1])
 	}
+	// The records share one allocation, each capped at its length, and an
+	// edge that carried nothing has no record.
+	for di, rec := range res.Sends {
+		if (rec == nil) != (want[di] == nil) || cap(rec) != len(rec) {
+			t.Fatalf("record %d: %v with cap %d", di, rec, cap(rec))
+		}
+	}
+	next := slices.Clone(res.Sends[2])
+	_ = AppendSend(res.Sends[1], 300, 301) // the write, not the record, is under test
+	if !slices.Equal(res.Sends[2], next) {
+		t.Fatalf("appending to record 1 changed record 2 to %v", res.Sends[2])
+	}
 }
 
 func TestDroppedAfterHalt(t *testing.T) {
