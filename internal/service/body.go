@@ -113,7 +113,9 @@ func putRow(out []byte, row []int64) {
 		if u < 1e8 && j >= 8 {
 			x := eightDigits(u)
 			binary.LittleEndian.PutUint64(out[j-8:], x|0x30303030_30303030)
-			j -= 8 - bits.TrailingZeros64(x|1<<63)/8 // the zero bytes lead
+			// The leading zeros are x's low zero bytes; bit 63 stands in
+			// for the last digit, so 0 keeps one.
+			j -= 8 - bits.TrailingZeros64(x|1<<63)/8
 		} else {
 			j = putDigits(out, j, u)
 		}
@@ -130,9 +132,9 @@ func putRow(out []byte, row []int64) {
 }
 
 // eightDigits is u < 10⁸ as eight decimal digits, one a byte, zero-padded,
-// the first in the lowest byte. Each step splits every lane in two in parallel:
-// 10⁴·hi + lo, then 100·q + r per half, then 10·q + r per quarter; the
-// multiply-and-shift quotients are exact below 10⁴ and 100.
+// the first in the lowest byte. Each step splits every lane in two at
+// once: 10⁴·hi + lo, then 100·q + r per half, then 10·q + r per quarter;
+// the multiply-and-shift quotients are exact below 10⁴ and 100.
 func eightDigits(u uint64) uint64 {
 	x := u/1e4 | u%1e4<<32
 	q := (x * 10486 >> 20) & 0x0000007f_0000007f
@@ -141,28 +143,18 @@ func eightDigits(u uint64) uint64 {
 	return q | (x-10*q)<<8
 }
 
-// putDigits writes u's digits to end at out[j-1], two at a time, and
-// returns the index of the first.
+// putDigits writes u's digits to end at out[j-1] and returns the index of
+// the first: the path of values from 10⁸ up (graph.Inf among them) and of
+// a row's first value when fewer than eight bytes precede it.
 func putDigits(out []byte, j int, u uint64) int {
-	for u >= 100 {
-		q := u / 100
-		r := 2 * (u - 100*q)
-		j -= 2
-		out[j], out[j+1] = digitPairs[r], digitPairs[r+1]
-		u = q
-	}
-	if u >= 10 {
-		j -= 2
-		out[j], out[j+1] = digitPairs[2*u], digitPairs[2*u+1]
-	} else {
+	for {
 		j--
-		out[j] = byte('0' + u)
+		out[j] = byte('0' + u%10)
+		if u /= 10; u == 0 {
+			return j
+		}
 	}
-	return j
 }
-
-// digitPairs holds 00, 01, …, 99 back to back.
-const digitPairs = "00010203040506070809101112131415161718192021222324252627282930313233343536373839404142434445464748495051525354555657585960616263646566676869707172737475767778798081828384858687888990919293949596979899"
 
 // pow10[k] is 10^k, up to the largest that fits a uint64.
 var pow10 = [20]uint64{
