@@ -13,9 +13,9 @@ import (
 // per-value buffer and its own buffer's growth, so the renderers marshal
 // the response with its dist field nil — field order, omitempty/omitzero
 // and every small field stay with encoding/json and the response structs
-// — and write the rows where encoding/json wrote "dist":null, digit by
-// digit into the body's one exactly sized allocation. The bytes are
-// encoding/json's (FuzzRowJSON, TestRenderMatchesMarshal).
+// — and write the rows where encoding/json wrote "dist":null, their
+// digits going straight into the body's one exactly sized allocation. The
+// bytes are encoding/json's (FuzzRowJSON, TestRenderMatchesMarshal).
 
 // distNull is what encoding/json writes for a nil dist field.
 var distNull = []byte(`"dist":null`)
