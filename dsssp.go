@@ -245,13 +245,13 @@ func BFS(g *Graph, sources map[NodeID]bool, threshold int64, opts *Options) (*Re
 	}
 	g = g.Canonical()
 	if m == ModelSleeping {
-		d, met, err := energybfs.RunBFS(g, src, threshold)
+		d, met, err := energybfs.BFS(g, src, threshold, simnet.Config{Model: simnet.Sleeping, MaxRounds: copt.MaxRounds})
 		if err != nil {
 			return nil, err
 		}
 		return &Result{Dist: d, Metrics: met}, nil
 	}
-	d, met, err := baseline.AlwaysAwakeBFS(g, sources, threshold)
+	d, met, err := baseline.AlwaysAwakeBFS(g, sources, threshold, copt.MaxRounds)
 	if err != nil {
 		return nil, err
 	}

@@ -328,3 +328,66 @@ func TestAPSPFromRejectsDuplicateSources(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMaxRoundsEveryEntry: every public entry honours Options.MaxRounds. A
+// cap of 1 fails each with the engine's round-overflow error, and a cap of
+// 0 leaves the engine's default and gives the exact answer in more than one
+// round.
+func TestMaxRoundsEveryEntry(t *testing.T) {
+	g := graph.Path(4, graph.UnitWeights)
+	one := func(r *Result, err error) ([][]int64, Metrics, error) {
+		if err != nil {
+			return nil, Metrics{}, err
+		}
+		return [][]int64{r.Dist}, r.Metrics, nil
+	}
+	entries := []struct {
+		name  string
+		model Model
+		run   func(*Options) ([][]int64, Metrics, error)
+		want  [][]int64
+	}{
+		{"SSSP", ModelCongest, func(o *Options) ([][]int64, Metrics, error) { return one(SSSP(g, 1, o)) }, nil},
+		{"SSSP", ModelSleeping, func(o *Options) ([][]int64, Metrics, error) { return one(SSSP(g, 1, o)) }, nil},
+		{"CSSP", ModelCongest, func(o *Options) ([][]int64, Metrics, error) {
+			return one(CSSP(g, map[NodeID]int64{1: 0}, o))
+		}, nil},
+		{"SSSPTree", ModelCongest, func(o *Options) ([][]int64, Metrics, error) {
+			r, err := SSSPTree(g, 1, o)
+			if err != nil {
+				return nil, Metrics{}, err
+			}
+			return [][]int64{r.Dist}, r.Metrics, nil
+		}, nil},
+		{"BFS", ModelCongest, func(o *Options) ([][]int64, Metrics, error) {
+			return one(BFS(g, map[NodeID]bool{1: true}, 3, o))
+		}, nil},
+		{"BFS", ModelSleeping, func(o *Options) ([][]int64, Metrics, error) {
+			return one(BFS(g, map[NodeID]bool{1: true}, 3, o))
+		}, nil},
+		{"APSP", ModelCongest, func(o *Options) ([][]int64, Metrics, error) {
+			r, err := APSP(g, o, 1)
+			if err != nil {
+				return nil, Metrics{}, err
+			}
+			return r.Dist, Metrics{Rounds: r.Composition.Dilation}, nil
+		}, [][]int64{graph.Dijkstra(g, 0), graph.Dijkstra(g, 1), graph.Dijkstra(g, 2), graph.Dijkstra(g, 3)}},
+	}
+	for _, e := range entries {
+		name := fmt.Sprintf("%s/%s", e.name, e.model)
+		want := e.want
+		if want == nil {
+			want = [][]int64{graph.Dijkstra(g, 1)}
+		}
+		if _, _, err := e.run(&Options{Model: e.model, MaxRounds: 1}); err == nil || !strings.Contains(err.Error(), "exceeded MaxRounds=1") {
+			t.Errorf("%s: MaxRounds 1 gave error %v, want the round-overflow error", name, err)
+		}
+		got, met, err := e.run(&Options{Model: e.model, MaxRounds: 0})
+		if err != nil {
+			t.Fatalf("%s: MaxRounds 0: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) || met.Rounds <= 1 {
+			t.Errorf("%s: MaxRounds 0 gave %v in %d rounds, want %v in more than one", name, got, met.Rounds, want)
+		}
+	}
+}

@@ -87,7 +87,7 @@ func Dijkstra(g *graph.Graph, source graph.NodeID) ([]int64, simnet.Metrics, err
 		if isRoot0 {
 			rv = agg0
 		}
-		maxDepth := proto.SweepDown(mb, tree, tagDepth+1, 3*n+7, rv, nil).(int64)
+		maxDepth := proto.SweepDown(mb, tree, tagDepth+1, 3*n+7, rv).(int64)
 
 		dist := graph.Inf
 		if c.ID() == source {
@@ -115,7 +115,7 @@ func Dijkstra(g *graph.Graph, source graph.NodeID) ([]int64, simnet.Metrics, err
 			if isRoot {
 				rootVal = agg
 			}
-			winner := proto.SweepDown(mb, tree, tag+1, t0+maxDepth+1, rootVal, nil).(djMin)
+			winner := proto.SweepDown(mb, tree, tag+1, t0+maxDepth+1, rootVal).(djMin)
 			if winner.Dist == graph.Inf {
 				break // all reachable nodes visited
 			}
@@ -186,9 +186,10 @@ func buildBFSTree(mb *proto.Mailbox, root graph.NodeID) (proto.Tree, bool) {
 
 // AlwaysAwakeBFS computes hop distances from the sources in the Sleeping
 // model with every node awake in every round — the energy-naive baseline:
-// MaxAwake equals the running time.
-func AlwaysAwakeBFS(g *graph.Graph, sources map[graph.NodeID]bool, threshold int64) ([]int64, simnet.Metrics, error) {
-	dists, res, err := simnet.RunEach(g, simnet.Config{Model: simnet.Sleeping}, func(c *simnet.Ctx) int64 {
+// MaxAwake equals the running time. maxRounds caps the run (0 = the
+// engine's default).
+func AlwaysAwakeBFS(g *graph.Graph, sources map[graph.NodeID]bool, threshold, maxRounds int64) ([]int64, simnet.Metrics, error) {
+	dists, res, err := simnet.RunEach(g, simnet.Config{Model: simnet.Sleeping, MaxRounds: maxRounds}, func(c *simnet.Ctx) int64 {
 		dist := graph.Inf
 		if sources[c.ID()] {
 			dist = 0

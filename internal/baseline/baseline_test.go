@@ -126,7 +126,7 @@ func TestDijkstraTimeScalesWithNTimesD(t *testing.T) {
 func TestAlwaysAwakeBFS(t *testing.T) {
 	g := graph.Grid2D(8, 8, graph.UnitWeights)
 	want := graph.BFSDist(g, 0)
-	got, met, err := AlwaysAwakeBFS(g, map[graph.NodeID]bool{0: true}, 64)
+	got, met, err := AlwaysAwakeBFS(g, map[graph.NodeID]bool{0: true}, 64, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,9 @@
 package bfs
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"dsssp/internal/graph"
 	"dsssp/internal/proto"
@@ -77,12 +79,15 @@ func Fragment(mb *proto.Mailbox, p FragmentParams) int64 {
 		best = p.SourceOffset
 	}
 	fired := false
-	// sched maps a future round to the relay values to send then.
+	// relays are the node's sends, listed once when it fires and ordered
+	// by send round, a round's in edge order; relays[sent:] are still due.
 	type relay struct {
+		at   int64
 		edge int
 		val  int64
 	}
-	sched := make(map[int64][]relay)
+	var relays []relay
+	sent := 0
 
 	for {
 		now := mb.Round()
@@ -97,6 +102,7 @@ func Fragment(mb *proto.Mailbox, p FragmentParams) int64 {
 				panic(fmt.Sprintf("bfs: node %d fired late: round %d > start %d + dist %d", c.ID(), now, p.StartRound, best))
 			}
 			fired = true
+			relays = make([]relay, 0, c.Degree())
 			for i := 0; i < c.Degree(); i++ {
 				if !eligible(i) {
 					continue
@@ -111,22 +117,19 @@ func Fragment(mb *proto.Mailbox, p FragmentParams) int64 {
 					// to keep congestion at O(1).
 					continue
 				}
-				sendAt := p.StartRound + nd - 1
-				sched[sendAt] = append(sched[sendAt], relay{i, nd})
+				relays = append(relays, relay{p.StartRound + nd - 1, i, nd})
 			}
+			slices.SortStableFunc(relays, func(a, b relay) int { return cmp.Compare(a.at, b.at) })
 		}
-		for _, r := range sched[now] {
-			mb.Send(r.edge, p.Tag, r.val)
+		for ; sent < len(relays) && relays[sent].at == now; sent++ {
+			mb.Send(relays[sent].edge, p.Tag, relays[sent].val)
 		}
-		delete(sched, now)
 		if now >= end {
 			break
 		}
 		next := end
-		for r := range sched {
-			if r < next {
-				next = r
-			}
+		if sent < len(relays) {
+			next = relays[sent].at // before end: nd <= Threshold
 		}
 		if !fired && best <= p.Threshold && p.StartRound+best < next {
 			next = p.StartRound + best

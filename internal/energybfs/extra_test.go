@@ -17,15 +17,13 @@ func TestCoverReuseAcrossSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, src := range []graph.NodeID{0, 35, 17} {
-		eng := simnet.New(g, simnet.Config{Model: simnet.Sleeping})
-		res, err := eng.Run(func(c *simnet.Ctx) {
+		out, res, err := simnet.RunEach(g, simnet.Config{Model: simnet.Sleeping}, func(c *simnet.Ctx) int64 {
 			mb := proto.NewMailbox(c)
 			off := NotSource
 			if c.ID() == src {
 				off = 0
 			}
-			d := Run(mb, Params{Tag: 1, StartRound: 0, Cover: cv, Threshold: 12, SourceOffset: off})
-			c.SetOutput(d)
+			return Run(mb, Params{Tag: 1, StartRound: 0, Cover: cv, Threshold: 12, SourceOffset: off})
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -36,8 +34,8 @@ func TestCoverReuseAcrossSources(t *testing.T) {
 			if want > 12 {
 				want = graph.Inf
 			}
-			if res.Outputs[v].(int64) != want {
-				t.Fatalf("src=%d node %d: got %v want %d", src, v, res.Outputs[v], want)
+			if out[v] != want {
+				t.Fatalf("src=%d node %d: got %d want %d", src, v, out[v], want)
 			}
 		}
 		if res.Metrics.LostMessages != 0 {

@@ -20,25 +20,19 @@ func buildWeighted(g *graph.Graph, maxDist int64) (*decomp.Cover, error) {
 
 func runWeighted(t *testing.T, g *graph.Graph, cv *decomp.Cover, threshold int64) ([]int64, simnet.Metrics) {
 	t.Helper()
-	eng := simnet.New(g, simnet.Config{Model: simnet.Sleeping})
-	res, err := eng.Run(func(c *simnet.Ctx) {
+	out, res, err := simnet.RunEach(g, simnet.Config{Model: simnet.Sleeping}, func(c *simnet.Ctx) int64 {
 		mb := proto.NewMailbox(c)
 		off := NotSource
 		if c.ID() == 0 {
 			off = 0
 		}
-		d := Run(mb, Params{
+		return Run(mb, Params{
 			Tag: 1, StartRound: 0, Cover: cv, Threshold: threshold,
 			SourceOffset: off, WeightOf: c.Weight,
 		})
-		c.SetOutput(d)
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	out := make([]int64, g.N())
-	for i, v := range res.Outputs {
-		out[i] = v.(int64)
 	}
 	return out, res.Metrics
 }
@@ -46,22 +40,17 @@ func runWeighted(t *testing.T, g *graph.Graph, cv *decomp.Cover, threshold int64
 // runWithRoundCheck returns each node's return round.
 func runWithRoundCheck(t *testing.T, g *graph.Graph, cv *decomp.Cover, threshold int64) ([]int64, simnet.Metrics) {
 	t.Helper()
-	eng := simnet.New(g, simnet.Config{Model: simnet.Sleeping})
-	res, err := eng.Run(func(c *simnet.Ctx) {
+	out, res, err := simnet.RunEach(g, simnet.Config{Model: simnet.Sleeping}, func(c *simnet.Ctx) int64 {
 		mb := proto.NewMailbox(c)
 		off := NotSource
 		if c.ID() == 0 {
 			off = 0
 		}
 		Run(mb, Params{Tag: 1, StartRound: 0, Cover: cv, Threshold: threshold, SourceOffset: off})
-		c.SetOutput(c.Round())
+		return c.Round()
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	out := make([]int64, g.N())
-	for i, v := range res.Outputs {
-		out[i] = v.(int64)
 	}
 	return out, res.Metrics
 }

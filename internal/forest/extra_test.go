@@ -41,18 +41,11 @@ func TestForestLargeRandom(t *testing.T) {
 func TestForestSizeBoundSlack(t *testing.T) {
 	g := graph.Cycle(12, graph.UnitWeights)
 	for _, bound := range []int64{12, 40} {
-		eng := simnet.New(g, simnet.Config{Model: simnet.Congest})
-		res, err := eng.Run(func(c *simnet.Ctx) {
-			mb := proto.NewMailbox(c)
-			r := Build(mb, Params{Tag: 1, StartRound: 0, SizeBound: bound})
-			c.SetOutput(r)
+		rs, _, err := simnet.RunEach(g, simnet.Config{Model: simnet.Congest}, func(c *simnet.Ctx) Result {
+			return Build(proto.NewMailbox(c), Params{Tag: 1, StartRound: 0, SizeBound: bound})
 		})
 		if err != nil {
 			t.Fatalf("bound %d: %v", bound, err)
-		}
-		rs := make([]Result, g.N())
-		for i, v := range res.Outputs {
-			rs[i] = v.(Result)
 		}
 		verifyForest(t, g, rs)
 	}

@@ -557,7 +557,7 @@ func (f *node) exec() (int64, bool) {
 		f.val, _ = proto.UpAct(mb, f.tree(), f.swTag, f.slot, f.val, f.combine)
 		return f.then(f.ret)
 	case stDownAct:
-		f.val = proto.DownAct(mb, f.tree(), f.swTag, f.slot, f.val, nil)
+		f.val = proto.DownAct(mb, f.tree(), f.swTag, f.slot, f.val)
 		return f.then(f.ret)
 	}
 	panic(fmt.Sprintf("forest: node %d: bad machine state %d", mb.C.ID(), f.st))

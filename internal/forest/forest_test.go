@@ -14,18 +14,11 @@ import (
 // returns per-node results plus metrics.
 func runForest(t *testing.T, g *graph.Graph, model simnet.Model) ([]Result, simnet.Metrics) {
 	t.Helper()
-	eng := simnet.New(g, simnet.Config{Model: model})
-	res, err := eng.Run(func(c *simnet.Ctx) {
-		mb := proto.NewMailbox(c)
-		r := Build(mb, Params{Tag: 1, StartRound: 0, SizeBound: int64(c.N())})
-		c.SetOutput(r)
+	out, res, err := simnet.RunEach(g, simnet.Config{Model: model}, func(c *simnet.Ctx) Result {
+		return Build(proto.NewMailbox(c), Params{Tag: 1, StartRound: 0, SizeBound: int64(c.N())})
 	})
 	if err != nil {
 		t.Fatalf("forest run failed: %v", err)
-	}
-	out := make([]Result, g.N())
-	for i, v := range res.Outputs {
-		out[i] = v.(Result)
 	}
 	return out, res.Metrics
 }
@@ -213,19 +206,16 @@ func TestForestEligibleSubgraph(t *testing.T) {
 	g.AddEdge(3, 4, 2)
 	g.AddEdge(4, 5, 2)
 	g.SortAdj()
-	eng := simnet.New(g, simnet.Config{Model: simnet.Congest})
-	res, err := eng.Run(func(c *simnet.Ctx) {
-		mb := proto.NewMailbox(c)
-		r := Build(mb, Params{
+	out, _, err := simnet.RunEach(g, simnet.Config{Model: simnet.Congest}, func(c *simnet.Ctx) Result {
+		return Build(proto.NewMailbox(c), Params{
 			Tag: 1, StartRound: 0, SizeBound: int64(c.N()),
 			Eligible: func(i int) bool { return c.Weight(i)%2 == 0 },
 		})
-		c.SetOutput(r)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	get := func(v int) Result { return res.Outputs[v].(Result) }
+	get := func(v int) Result { return out[v] }
 	if get(0).CompID != get(2).CompID || get(3).CompID != get(5).CompID {
 		t.Fatal("eligible components not merged")
 	}
@@ -240,20 +230,19 @@ func TestForestEligibleSubgraph(t *testing.T) {
 func TestDurationIsExact(t *testing.T) {
 	// Build must return exactly at StartRound+Duration for every node.
 	g := graph.Grid2D(4, 4, graph.UnitWeights)
-	eng := simnet.New(g, simnet.Config{Model: simnet.Congest})
 	want := int64(100) + Duration(16)
-	res, err := eng.Run(func(c *simnet.Ctx) {
+	out, _, err := simnet.RunEach(g, simnet.Config{Model: simnet.Congest}, func(c *simnet.Ctx) int64 {
 		mb := proto.NewMailbox(c)
 		mb.SleepUntilAtLeast(5)
 		Build(mb, Params{Tag: 1, StartRound: 100, SizeBound: 16})
-		c.SetOutput(c.Round())
+		return c.Round()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v, out := range res.Outputs {
-		if out.(int64) != want {
-			t.Fatalf("node %d returned at %v, want %d", v, out, want)
+	for v, r := range out {
+		if r != want {
+			t.Fatalf("node %d returned at %d, want %d", v, r, want)
 		}
 	}
 }

@@ -19,17 +19,16 @@ import (
 // open span, and the program goes on in the round Build returns — sending
 // over its new tree and receiving once more — so a machine that resumed
 // the coroutine in the wrong round, or lost a wake's arrivals, shows up in
-// the outputs, the metrics or the trace.
-func diffProgram(build func(*proto.Mailbox, Params) Result, p Params, enter int64, sitsOut func(graph.NodeID) bool) simnet.Program {
-	return func(c *simnet.Ctx) {
+// the answers, the metrics or the trace.
+func diffProgram(build func(*proto.Mailbox, Params) Result, p Params, enter int64, sitsOut func(graph.NodeID) bool) func(*simnet.Ctx) diffAnswer {
+	return func(c *simnet.Ctx) diffAnswer {
 		mb := proto.NewMailbox(c)
 		if enter > 0 {
 			mb.SleepUntil(enter)
 		}
 		if sitsOut != nil && sitsOut(c.ID()) {
 			mb.SleepUntil(p.StartRound + Duration(p.SizeBound))
-			c.SetOutput(c.Round())
-			return
+			return diffAnswer{returned: c.Round()}
 		}
 		c.OpenSpan("forest", 1)
 		r := build(mb, p)
@@ -39,8 +38,18 @@ func diffProgram(build func(*proto.Mailbox, Params) Result, p Params, enter int6
 			mb.Send(ch, 999, returned)
 		}
 		mb.Next()
-		c.SetOutput([]any{r, returned, len(mb.Take(999))})
+		return diffAnswer{r, returned, len(mb.Take(999))}
 	}
+}
+
+// diffAnswer is a node's answer in diffProgram: its build's Result, the
+// round the build returned in, and how many of its parent's post-build
+// messages it heard. A node that sat the build out answers only the round
+// it woke in.
+type diffAnswer struct {
+	r        Result
+	returned int64
+	heard    int
 }
 
 // TestBuildMatchesOracle diffs the step machine against the frozen
@@ -83,26 +92,24 @@ func TestBuildMatchesOracle(t *testing.T) {
 			if bound == 0 {
 				bound = int64(tc.g.N())
 			}
-			run := func(build func(*proto.Mailbox, Params) Result) (*simnet.Result, error) {
+			run := func(build func(*proto.Mailbox, Params) Result) ([]diffAnswer, *simnet.Result, error) {
 				cfg := simnet.Config{Model: model, RecordTrace: true}
-				return simnet.New(tc.g, cfg).Run(func(c *simnet.Ctx) {
+				return simnet.RunEach(tc.g, cfg, func(c *simnet.Ctx) diffAnswer {
 					p := Params{Tag: 7, StartRound: tc.start, SizeBound: bound}
 					if tc.eligible != nil {
 						p.Eligible = tc.eligible(c)
 					}
-					diffProgram(build, p, tc.enter, tc.sitsOut)(c)
+					return diffProgram(build, p, tc.enter, tc.sitsOut)(c)
 				})
 			}
-			want, werr := run(buildOracle)
-			got, gerr := run(Build)
+			wantOut, want, werr := run(buildOracle)
+			gotOut, got, gerr := run(Build)
 			if werr != nil || gerr != nil {
 				t.Fatalf("%s: oracle err %v, machine err %v", name, werr, gerr)
 			}
-			if !reflect.DeepEqual(want.Outputs, got.Outputs) {
-				for v := range want.Outputs {
-					if !reflect.DeepEqual(want.Outputs[v], got.Outputs[v]) {
-						t.Fatalf("%s: node %d output:\noracle:  %+v\nmachine: %+v", name, v, want.Outputs[v], got.Outputs[v])
-					}
+			for v := range wantOut {
+				if !reflect.DeepEqual(wantOut[v], gotOut[v]) {
+					t.Fatalf("%s: node %d answer:\noracle:  %+v\nmachine: %+v", name, v, wantOut[v], gotOut[v])
 				}
 			}
 			if !reflect.DeepEqual(want.Metrics, got.Metrics) {
@@ -151,7 +158,8 @@ func TestBuildAllocsPerResume(t *testing.T) {
 // Do not "improve" this code: its value is being the old semantics. (The
 // only edits since freezing are the renames that let it live beside the
 // machine: node → oracleNode, Build → buildOracle, cvStep → oracleCVStep,
-// pickNonNil → oraclePickNonNil.)
+// pickNonNil → oraclePickNonNil, and the SweepDown calls dropping the nil
+// transform argument SweepDown no longer takes.)
 
 // oracleNode is the per-node construction state.
 type oracleNode struct {
@@ -236,7 +244,7 @@ func buildOracle(mb *proto.Mailbox, p Params) Result {
 	if isRoot {
 		rv = agg
 	}
-	size := proto.SweepDown(mb, f.tree(), f.tag(tagSizeDown), fin+f.s+2, rv, nil).(int64)
+	size := proto.SweepDown(mb, f.tree(), f.tag(tagSizeDown), fin+f.s+2, rv).(int64)
 	mb.AdvanceTo(p.StartRound + Duration(f.s))
 	return Result{Tree: f.tree(), CompID: f.compID, Size: size}
 }
@@ -293,7 +301,7 @@ func (f *oracleNode) phase(r0 int64) {
 	if isRoot {
 		rv = agg
 	}
-	chosen := proto.SweepDown(mb, f.tree(), f.tag(tagMinDown), r0+s+4, rv, nil).(minVal)
+	chosen := proto.SweepDown(mb, f.tree(), f.tag(tagMinDown), r0+s+4, rv).(minVal)
 	f.hasOut = chosen.Valid
 	f.chosenEdge = -1
 	if chosen.Valid {
@@ -370,7 +378,7 @@ func (f *oracleNode) cvIter(b int64) {
 	if isRoot {
 		rv = up
 	}
-	f.color = proto.SweepDown(mb, f.tree(), f.tag(tagCVDown), b+s+4, rv, nil).(int64)
+	f.color = proto.SweepDown(mb, f.tree(), f.tag(tagCVDown), b+s+4, rv).(int64)
 }
 
 // oracleCVStep maps (mine, target) to the next color. When the colors coincide

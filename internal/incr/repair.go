@@ -67,13 +67,13 @@ var RepairPhaseNames = [4]string{"carve", "seed", "settle", "witness"}
 // source on g — the patched graph — from a trace that was exact before
 // the changes, touching only the affected region. changes are the net
 // per-pair transitions (graph.NetChanges) between the trace's graph and g;
-// one that nets to no change is tolerated as a no-op. maxAffected > 0
-// bounds the region: when more than maxAffected vertices need rebuilding
-// the repair abandons it and returns ok=false, leaving the caller to
-// recompute. maxAffected <= 0 means unbounded, which the serving layer
-// uses: a repair that rebuilds every label still costs a fraction of a
-// simulation. ok=false is also returned for a malformed trace (wrong
-// lengths) — never a wrong answer.
+// one that nets to no change is tolerated as a no-op. The region is never
+// bounded: a repair that rebuilds every label still costs a fraction of a
+// simulation. ok=false is returned only for a malformed trace (wrong
+// lengths) or an out-of-range source — never a wrong answer.
+//
+// maxAffected is ignored. It stays only because the benchmark harness
+// still passes it, and goes once a benchmark change stops passing it.
 //
 // With an empty change set this degenerates to serving the trace itself
 // (Affected == 0), which is how warm-started and just-promoted traces
@@ -89,9 +89,7 @@ func Repair(g *graph.Graph, source graph.NodeID, tr Trace, changes []graph.Weigh
 		return &RepairResult{Dist: dist, Parent: parent}, true
 	}
 
-	// Per-phase wall clocks for the repair breakdown (RepairResult.PhaseNS);
-	// abandoned repairs (ok=false) report nothing — the caller falls back to
-	// a full recomputation, which has its own engine-phase accounting.
+	// Per-phase wall clocks for the repair breakdown (RepairResult.PhaseNS).
 	var phaseNS [4]int64
 	phaseStart := time.Now()
 	markPhase := func(i int) {
@@ -108,7 +106,6 @@ func Repair(g *graph.Graph, source graph.NodeID, tr Trace, changes []graph.Weigh
 	// downstream part), and decreased edges only make paths shorter.
 	touched := make([]bool, n) // vertex is in the affected region
 	affected := 0
-	overBudget := func() bool { return maxAffected > 0 && affected > maxAffected }
 
 	var seeds []graph.NodeID
 	for _, ch := range changes {
@@ -152,9 +149,6 @@ func Repair(g *graph.Graph, source graph.NodeID, tr Trace, changes []graph.Weigh
 			dist[v] = graph.Inf
 			orphans = append(orphans, v)
 			affected++
-			if overBudget() {
-				return nil, false
-			}
 			for _, c := range children[childCount[v]:childCount[v+1]] {
 				if !touched[c] {
 					touched[c] = true
@@ -209,9 +203,6 @@ func Repair(g *graph.Graph, source graph.NodeID, tr Trace, changes []graph.Weigh
 		relax(ch.U, ch.V, ch.NewW)
 		relax(ch.V, ch.U, ch.NewW)
 	}
-	if overBudget() {
-		return nil, false
-	}
 	markPhase(1)
 
 	// Phase 3 — Dijkstra over the affected frontier, lazy deletion,
@@ -224,9 +215,6 @@ func Repair(g *graph.Graph, source graph.NodeID, tr Trace, changes []graph.Weigh
 		}
 		for _, h := range g.Adj(top.V) {
 			relax(top.V, h.To, h.W)
-		}
-		if overBudget() {
-			return nil, false
 		}
 	}
 

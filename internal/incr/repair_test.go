@@ -80,7 +80,7 @@ func checkRepair(t *testing.T, label string, g *graph.Graph, s graph.NodeID, tr 
 	changes := l.net(t, g)
 	rr, ok := incr.Repair(g, s, tr, changes, 0)
 	if !ok {
-		t.Fatalf("%s: repair bailed with unbounded budget", label)
+		t.Fatalf("%s: repair declined", label)
 	}
 	wantDist := graph.Dijkstra(g, s)
 	if !reflect.DeepEqual(rr.Dist, wantDist) {
@@ -319,9 +319,9 @@ func TestRepairTargeted(t *testing.T) {
 	})
 }
 
-// TestRepairBudget pins the fallback contract: a tiny affected budget
-// makes Repair decline (ok=false, nil result) rather than answer, and a
-// budget of n never declines.
+// TestRepairBudget pins that the affected region is never bounded: a
+// repair that orphans 31 of 32 vertices answers and counts them, and the
+// ignored maxAffected argument changes nothing, however small.
 func TestRepairBudget(t *testing.T) {
 	g := graph.Make(graph.FamilyPath, 32, graph.UnitWeights, 1)
 	tr := traceFor(g, 0)
@@ -334,15 +334,17 @@ func TestRepairBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	changes := ledger.net(t, ng)
-	if rr, ok := incr.Repair(ng, 0, tr, changes, 5); ok || rr != nil {
-		t.Fatalf("repair of 31 orphans under budget 5 should decline, got %+v", rr)
-	}
-	rr, ok := incr.Repair(ng, 0, tr, changes, 32)
+	rr, ok := incr.Repair(ng, 0, tr, changes, 0)
 	if !ok {
-		t.Fatal("repair under a budget of n declined")
+		t.Fatal("repair of 31 orphans declined")
 	}
 	if rr.Orphaned != 31 || rr.Affected != 31 {
 		t.Fatalf("expected 31 orphaned/affected, got %d/%d", rr.Orphaned, rr.Affected)
+	}
+	small, ok := incr.Repair(ng, 0, tr, changes, 5)
+	if !ok || !reflect.DeepEqual(small.Dist, rr.Dist) || !reflect.DeepEqual(small.Parent, rr.Parent) ||
+		small.Orphaned != rr.Orphaned || small.Affected != rr.Affected {
+		t.Fatalf("maxAffected 5 changed the repair: %+v", small)
 	}
 }
 

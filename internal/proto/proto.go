@@ -281,9 +281,8 @@ func UpAct(m *Mailbox, t Tree, tag uint64, s SweepSlot, mine any, combine Combin
 }
 
 // DownAct is a SweepDown node's act round: it takes its parent's value
-// (the root uses rootVal), applies transform if non-nil, sends the result
-// to its children and returns it.
-func DownAct(m *Mailbox, t Tree, tag uint64, s SweepSlot, rootVal any, transform func(any) any) any {
+// (the root uses rootVal), sends it to its children and returns it.
+func DownAct(m *Mailbox, t Tree, tag uint64, s SweepSlot, rootVal any) any {
 	val := rootVal
 	if s.Listen {
 		msgs := m.Take(tag)
@@ -291,9 +290,6 @@ func DownAct(m *Mailbox, t Tree, tag uint64, s SweepSlot, rootVal any, transform
 			panic(fmt.Sprintf("proto: node %d: SweepDown(tag=%d) missed parent message in round %d", m.C.ID(), tag, s.Act-1))
 		}
 		val = msgs[0].Body
-	}
-	if transform != nil {
-		val = transform(val)
 	}
 	for _, ch := range t.Children {
 		m.Send(ch, tag, val)
@@ -313,12 +309,10 @@ func SweepUp(m *Mailbox, t Tree, tag uint64, windowStart, depthBound int64, mine
 }
 
 // SweepDown performs a one-shot depth-indexed broadcast in the window
-// starting at windowStart, on DownSlot's schedule. The transform hook
-// (optional) rewrites the value as it descends: it receives the value from
-// the parent and returns the value to forward. Every node returns its
-// (possibly transformed) value.
-func SweepDown(m *Mailbox, t Tree, tag uint64, windowStart int64, rootVal any, transform func(any) any) any {
+// starting at windowStart, on DownSlot's schedule. Every node returns the
+// root's value.
+func SweepDown(m *Mailbox, t Tree, tag uint64, windowStart int64, rootVal any) any {
 	s := DownSlot(t, windowStart)
 	m.Reach(s)
-	return DownAct(m, t, tag, s, rootVal, transform)
+	return DownAct(m, t, tag, s, rootVal)
 }

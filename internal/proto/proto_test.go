@@ -54,8 +54,7 @@ func sum(a, b any) any { return a.(int64) + b.(int64) }
 func TestBarrierSynchronizes(t *testing.T) {
 	g := graph.Path(6, graph.UnitWeights)
 	tv := testTree(g, pathParents(6))
-	e := simnet.New(g, simnet.Config{Model: simnet.Congest})
-	res, err := e.Run(func(c *simnet.Ctx) {
+	out, _, err := simnet.RunEach(g, simnet.Config{Model: simnet.Congest}, func(c *simnet.Ctx) int64 {
 		m := NewMailbox(c)
 		// Nodes become "done" at very different times.
 		m.SleepUntilAtLeast(int64(c.ID()) * 13)
@@ -63,15 +62,15 @@ func TestBarrierSynchronizes(t *testing.T) {
 		if c.Round() != start {
 			t.Errorf("node %d resumed at %d, want %d", c.ID(), c.Round(), start)
 		}
-		c.SetOutput(start)
+		return start
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := res.Outputs[0].(int64)
-	for v, out := range res.Outputs {
-		if out.(int64) != first {
-			t.Fatalf("node %d start %v != %d", v, out, first)
+	first := out[0]
+	for v, start := range out {
+		if start != first {
+			t.Fatalf("node %d start %d != %d", v, start, first)
 		}
 	}
 	if first < 5*13 {
@@ -119,7 +118,7 @@ func TestBarrierBranchingTree(t *testing.T) {
 
 		var up, down int
 		tv := testTree(g, parent)
-		e := simnet.New(g, simnet.Config{Model: simnet.Congest, MessageBits: func(tg uint64, body any) int64 {
+		cfg := simnet.Config{Model: simnet.Congest, MessageBits: func(tg uint64, body any) int64 {
 			switch {
 			case tg == tag && body == nil:
 				up++
@@ -129,22 +128,22 @@ func TestBarrierBranchingTree(t *testing.T) {
 				t.Errorf("seed %d: unexpected message tag %d body %#v", seed, tg, body)
 			}
 			return MessageBits(tg, body)
-		}})
-		res, err := e.Run(func(c *simnet.Ctx) {
+		}}
+		out, res, err := simnet.RunEach(g, cfg, func(c *simnet.Ctx) int64 {
 			m := NewMailbox(c)
 			m.SleepUntilAtLeast(done[c.ID()])
 			start := Barrier(m, tv(c), tag, n)
 			if c.Round() != start {
 				t.Errorf("seed %d: node %d resumed at %d, want %d", seed, c.ID(), c.Round(), start)
 			}
-			c.SetOutput(start)
+			return start
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for v, out := range res.Outputs {
-			if out.(int64) != want {
-				t.Fatalf("seed %d: node %d start %v, want root check-in %d + %d + 2", seed, v, out, checkIn[root], n)
+		for v, start := range out {
+			if start != want {
+				t.Fatalf("seed %d: node %d start %d, want root check-in %d + %d + 2", seed, v, start, checkIn[root], n)
 			}
 		}
 		if up != n-1 || down != n-1 || res.Metrics.Messages != 2*(n-1) {
@@ -157,8 +156,7 @@ func TestSweepUpDownSleeping(t *testing.T) {
 	g := graph.Path(8, graph.UnitWeights)
 	tv := testTree(g, pathParents(8))
 	const windowStart, depthBound = 5, 8
-	e := simnet.New(g, simnet.Config{Model: simnet.Sleeping})
-	res, err := e.Run(func(c *simnet.Ctx) {
+	out, res, err := simnet.RunEach(g, simnet.Config{Model: simnet.Sleeping}, func(c *simnet.Ctx) any {
 		m := NewMailbox(c)
 		tr := tv(c)
 		agg, isRoot := SweepUp(m, tr, 30, windowStart, depthBound, int64(1), sum)
@@ -169,15 +167,14 @@ func TestSweepUpDownSleeping(t *testing.T) {
 			}
 			rootVal = int64(100)
 		}
-		down := SweepDown(m, tr, 31, windowStart+depthBound+1, rootVal, nil)
-		c.SetOutput(down)
+		return SweepDown(m, tr, 31, windowStart+depthBound+1, rootVal)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v, out := range res.Outputs {
-		if out.(int64) != 100 {
-			t.Fatalf("node %d got %v from sweep down", v, out)
+	for v, down := range out {
+		if down != int64(100) {
+			t.Fatalf("node %d got %v from sweep down", v, down)
 		}
 	}
 	// Energy: initial wake + at most 2 awake rounds per sweep (+1 slack).
@@ -189,36 +186,9 @@ func TestSweepUpDownSleeping(t *testing.T) {
 	}
 }
 
-func TestSweepDownTransform(t *testing.T) {
-	// Depth rebasing: each hop adds 1 to the value, so node at depth d
-	// receives base+d.
-	g := graph.Path(5, graph.UnitWeights)
-	tv := testTree(g, pathParents(5))
-	e := simnet.New(g, simnet.Config{Model: simnet.Sleeping})
-	res, err := e.Run(func(c *simnet.Ctx) {
-		m := NewMailbox(c)
-		tr := tv(c)
-		var rootVal any
-		if tr.Parent < 0 {
-			rootVal = int64(40)
-		}
-		v := SweepDown(m, tr, 9, 3, rootVal, func(x any) any { return x.(int64) + 1 })
-		c.SetOutput(v)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, out := range res.Outputs {
-		if out.(int64) != int64(41+v) {
-			t.Fatalf("node %d got %v, want %d", v, out, 41+v)
-		}
-	}
-}
-
 func TestMailboxBuffersOutOfPhaseMessages(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights)
-	e := simnet.New(g, simnet.Config{Model: simnet.Congest})
-	res, err := e.Run(func(c *simnet.Ctx) {
+	out, _, err := simnet.RunEach(g, simnet.Config{Model: simnet.Congest}, func(c *simnet.Ctx) int {
 		m := NewMailbox(c)
 		switch c.ID() {
 		case 0:
@@ -235,13 +205,14 @@ func TestMailboxBuffersOutOfPhaseMessages(t *testing.T) {
 			if len(msgs) != 1 || msgs[0].Body.(string) != "early" {
 				t.Errorf("buffered message missing: %v", msgs)
 			}
-			c.SetOutput(len(msgs))
+			return len(msgs)
 		}
+		return 0
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outputs[1].(int) != 1 {
+	if out[1] != 1 {
 		t.Fatal("tag buffering failed")
 	}
 }
@@ -262,21 +233,19 @@ func TestAdvanceToOverrunPanics(t *testing.T) {
 func TestSweepSingleton(t *testing.T) {
 	// A single-node tree: root is also a leaf.
 	g := graph.New(1)
-	e := simnet.New(g, simnet.Config{Model: simnet.Sleeping})
-	res, err := e.Run(func(c *simnet.Ctx) {
+	out, _, err := simnet.RunEach(g, simnet.Config{Model: simnet.Sleeping}, func(c *simnet.Ctx) any {
 		m := NewMailbox(c)
 		tr := Tree{Parent: -1}
 		agg, isRoot := SweepUp(m, tr, 1, 2, 3, int64(7), sum)
 		if !isRoot || agg.(int64) != 7 {
 			t.Errorf("singleton sweep: %v %v", agg, isRoot)
 		}
-		v := SweepDown(m, tr, 2, 7, int64(9), nil)
-		c.SetOutput(v)
+		return SweepDown(m, tr, 2, 7, int64(9))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outputs[0].(int64) != 9 {
-		t.Fatalf("got %v", res.Outputs[0])
+	if out[0] != int64(9) {
+		t.Fatalf("got %v", out[0])
 	}
 }

@@ -145,6 +145,11 @@ type SSSPResponse struct {
 	SubproblemsMax int            `json:"subproblems_max,omitempty"`
 	Metrics        MetricsJSON    `json:"metrics,omitzero"`
 	Incr           *QueryIncrJSON `json:"incr,omitempty"`
+
+	// distLen is the length of Dist's encoding when ssspResponse measured
+	// it in the walk that counted Unreachable, so that renderSSSP does not
+	// walk the row again to size it; 0 means not measured.
+	distLen int
 }
 
 // QueryIncrJSON is the incremental-serving block of a single-source
@@ -430,14 +435,4 @@ func resolveOptions(o QueryOptions, workers int) (*dsssp.Options, error) {
 		return nil, badf("max_rounds must be >= 0, got %d", o.MaxRounds)
 	}
 	return opts, nil
-}
-
-func countUnreachable(dist []int64) int {
-	n := 0
-	for _, d := range dist {
-		if d == graph.Inf {
-			n++
-		}
-	}
-	return n
 }

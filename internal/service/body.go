@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/bits"
+
+	"dsssp/internal/graph"
 )
 
 // Query bodies are mostly distance rows: one for /v1/sssp, n for /v1/apsp.
@@ -22,9 +24,12 @@ var distNull = []byte(`"dist":null`)
 
 // renderSSSP is json.Marshal(resp), its row written by putRow.
 func renderSSSP(resp SSSPResponse) ([]byte, error) {
-	row := resp.Dist
+	row, size := resp.Dist, resp.distLen
+	if size == 0 {
+		size, _ = rowSize(row)
+	}
 	resp.Dist = nil
-	return spliceDist(resp, rowLen(row), func(out []byte) { putRow(out, row) })
+	return spliceDist(resp, size, func(out []byte) { putRow(out, row) })
 }
 
 // renderAPSP is json.Marshal(resp), its rows written by putRow.
@@ -37,7 +42,7 @@ func renderAPSP(resp APSPResponse) ([]byte, error) {
 	lens := make([]int, len(rows))
 	size := 2 + max(len(rows)-1, 0) // brackets and commas
 	for i, row := range rows {
-		lens[i] = rowLen(row)
+		lens[i], _ = rowSize(row)
 		size += lens[i]
 	}
 	return spliceDist(resp, size, func(out []byte) {
@@ -74,14 +79,18 @@ func spliceDist(v any, size int, put func(out []byte)) ([]byte, error) {
 	return b, nil
 }
 
-// rowLen is the length of row's encoding as encoding/json writes a
-// []int64: null when nil, else the bracketed, comma-separated decimals.
-func rowLen(row []int64) int {
+// rowSize is the length of row's encoding as encoding/json writes a
+// []int64 (null when nil, else the bracketed, comma-separated decimals)
+// and, from the same walk, the number of row's graph.Inf entries.
+func rowSize(row []int64) (n, unreachable int) {
 	if row == nil {
-		return len("null")
+		return len("null"), 0
 	}
-	n := 2 + max(len(row)-1, 0)
+	n = 2 + max(len(row)-1, 0)
 	for _, v := range row {
+		if v == graph.Inf {
+			unreachable++
+		}
 		u := uint64(v)
 		if v < 0 {
 			n++ // the sign
@@ -89,10 +98,10 @@ func rowLen(row []int64) int {
 		}
 		n += decimalLen(u)
 	}
-	return n
+	return n, unreachable
 }
 
-// putRow writes row's encoding into out, which is rowLen(row) bytes long.
+// putRow writes row's encoding into out, which is rowSize(row) bytes long.
 // It fills out from the back, so each value's digits go straight to their
 // place without being formatted anywhere first. A value below 10⁸ is
 // stored as eight digits at once, its leading zeros landing on bytes that

@@ -125,6 +125,24 @@ func mustRender[R any](t testing.TB, render func(R) ([]byte, error), resp R) []b
 	return b
 }
 
+// rowLen is the length of row's encoding, the first result of rowSize.
+func rowLen(row []int64) int {
+	n, _ := rowSize(row)
+	return n
+}
+
+// countUnreachable is the number of row's graph.Inf entries, counted on
+// its own for the responses the tests build by hand.
+func countUnreachable(row []int64) int {
+	n := 0
+	for _, d := range row {
+		if d == graph.Inf {
+			n++
+		}
+	}
+	return n
+}
+
 func mustMarshal(t testing.TB, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)

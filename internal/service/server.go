@@ -230,7 +230,8 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 // its incr block, a computed row's the metrics of res, the run that
 // computed it.
 func ssspResponse(g *graph.Graph, rw row, res *dsssp.Result) SSSPResponse {
-	resp := SSSPResponse{N: g.N(), M: g.M(), Dist: rw.dist, Unreachable: countUnreachable(rw.dist)}
+	size, unreachable := rowSize(rw.dist)
+	resp := SSSPResponse{N: g.N(), M: g.M(), Dist: rw.dist, Unreachable: unreachable, distLen: size}
 	if rw.served == rowRepaired {
 		resp.Incr = queryIncr(rw, g.N())
 	} else {

@@ -53,9 +53,9 @@ func (c *Ctx) SendTagged(i int, tag uint64, body any) {
 	c.ns.outbox = append(c.ns.outbox, outMsg{nbIndex: int32(i), span: c.ns.curSpan(), tag: tag, msg: body})
 }
 
-// SetOutput records this node's output value, returned from Engine.Run in
-// Result.Outputs. A program run by RunEach returns its answer instead.
-func (c *Ctx) SetOutput(v any) { c.ns.output = v }
+// Deprecated: SetOutput does nothing; a node's answer is what its program
+// returns to RunEach. It stays only because the benchmark harness calls it.
+func (c *Ctx) SetOutput(any) {}
 
 // Next ends the current round and resumes the node in the next round.
 // It returns the messages received since the previous resume.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -18,14 +19,14 @@ func (f stepFunc) Step(in []Inbound) (int64, bool) { return f(in) }
 
 // driveScript returns one pseudo-random node program in two forms. Both
 // run a coroutine prologue, a middle section of sends and waits, and a
-// coroutine epilogue, folding every arrival into the output hash. With
+// coroutine epilogue, folding every arrival into the hash it answers. With
 // driven set the middle section runs as a Drive stepper; otherwise it is
 // the same logic as straight-line SleepUntil code. Waits mix "continue in
 // this wake" (the stepper loops inline), next-round, near and far-future
 // wakes (the heap fallback), and the section may be empty, so Drive
 // returns from its first inline call.
-func driveScript(seed int64, model Model, driven bool) Program {
-	return func(c *Ctx) {
+func driveScript(seed int64, model Model, driven bool) func(*Ctx) uint64 {
+	return func(c *Ctx) uint64 {
 		x := splitmix64(uint64(seed) ^ (uint64(c.ID())+1)*0x9e3779b97f4a7c15)
 		var h uint64 = 1469598103934665603
 		mix := func(v uint64) { h ^= v; h *= 1099511628211 }
@@ -97,13 +98,13 @@ func driveScript(seed int64, model Model, driven bool) Program {
 		} else {
 			consume(c.Next())
 		}
-		c.SetOutput(h ^ uint64(c.Round()))
+		return h ^ uint64(c.Round())
 	}
 }
 
 // TestDriveMatchesCoroutine diffs Drive against the coroutine form of the
 // same logic: identical Metrics (per-node awake rounds, per-edge messages,
-// spans, strict rounds), Outputs and Sends, in both models. The frozen
+// spans, strict rounds), answers and Sends, in both models. The frozen
 // oracle scheduler, which shares the engine's dispatch, must agree as well.
 func TestDriveMatchesCoroutine(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
@@ -111,11 +112,12 @@ func TestDriveMatchesCoroutine(t *testing.T) {
 			n := int(splitmix64(uint64(seed)+5)%22) + 3
 			g := equivGraph(seed, n)
 			cfg := Config{Model: model, RecordTrace: true, MaxRounds: 1 << 20}
-			want, werr := New(g, cfg).Run(driveScript(seed, model, false))
+			wantOut, gotOut := make([]uint64, n), make([]uint64, n)
+			want, werr := New(g, cfg).Run(recording(wantOut, driveScript(seed, model, false)))
 			if werr != nil {
 				t.Fatalf("seed=%d %s: coroutine run: %v", seed, model, werr)
 			}
-			got, gerr := New(g, cfg).Run(driveScript(seed, model, true))
+			got, gerr := New(g, cfg).Run(recording(gotOut, driveScript(seed, model, true)))
 			name := fmt.Sprintf("seed=%d model=%s n=%d", seed, model, n)
 			if gerr != nil {
 				t.Fatalf("%s: driven run: %v", name, gerr)
@@ -123,15 +125,16 @@ func TestDriveMatchesCoroutine(t *testing.T) {
 			if !reflect.DeepEqual(want.Metrics, got.Metrics) {
 				t.Fatalf("%s: metrics divergence:\ncoroutine: %+v\ndriven:    %+v", name, want.Metrics, got.Metrics)
 			}
-			if !reflect.DeepEqual(want.Outputs, got.Outputs) {
-				t.Fatalf("%s: outputs divergence", name)
+			if !slices.Equal(wantOut, gotOut) {
+				t.Fatalf("%s: answers divergence", name)
 			}
 			if d := sendsDiff(want.Sends, got.Sends); d != "" {
 				t.Fatalf("%s: sends divergence (coroutine, driven): %s", name, d)
 			}
-			ow, _ := New(g, cfg).runOracle(driveScript(seed, model, false))
-			og, err := New(g, cfg).runOracle(driveScript(seed, model, true))
-			if err != nil || !reflect.DeepEqual(ow, og) {
+			owOut, ogOut := make([]uint64, n), make([]uint64, n)
+			ow, _ := New(g, cfg).runOracle(recording(owOut, driveScript(seed, model, false)))
+			og, err := New(g, cfg).runOracle(recording(ogOut, driveScript(seed, model, true)))
+			if err != nil || !reflect.DeepEqual(ow, og) || !slices.Equal(owOut, ogOut) {
 				t.Fatalf("seed=%d %s: oracle scheduler diverges on Drive (err %v)", seed, model, err)
 			}
 		}
@@ -223,7 +226,7 @@ func TestDrivePanicText(t *testing.T) {
 func TestDriveDoneResumesSameRound(t *testing.T) {
 	g := graph.RandomConnected(30, 40, graph.UnitWeights, 2)
 	for _, model := range []Model{Congest, Sleeping} {
-		res, err := New(g, Config{Model: model}).Run(func(c *Ctx) {
+		out, res, err := RunEach(g, Config{Model: model}, func(c *Ctx) [3]int64 {
 			c.Drive(stepFunc(func([]Inbound) (int64, bool) { return 0, true }))
 			inline := c.Round()
 			woke := false
@@ -239,14 +242,14 @@ func TestDriveDoneResumesSameRound(t *testing.T) {
 				c.Send(i, uint64(returned))
 			}
 			got := len(c.Next())
-			c.SetOutput([3]int64{inline, returned, int64(c.Degree() - got)})
+			return [3]int64{inline, returned, int64(c.Degree() - got)}
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", model, err)
 		}
-		for v, out := range res.Outputs {
-			if out != [3]int64{0, 4, 0} {
-				t.Fatalf("%s: node %d (inline round, returned round, missing messages) = %v, want [0 4 0]", model, v, out)
+		for v, ans := range out {
+			if ans != [3]int64{0, 4, 0} {
+				t.Fatalf("%s: node %d (inline round, returned round, missing messages) = %v, want [0 4 0]", model, v, ans)
 			}
 			if a := res.Metrics.PerNodeAwake[v]; a != 3 {
 				t.Fatalf("%s: node %d awake %d rounds, want 3 (rounds 0, 4, 5)", model, v, a)

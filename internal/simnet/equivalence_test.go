@@ -20,15 +20,15 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// scriptProgram returns a deterministic pseudo-random Program: every node
-// derives an op stream (untagged and tagged sends, Next, SleepUntil jumps
-// near and far, WaitMessage with and without deadline, early halts) from
-// (seed, id) and folds everything it receives — tags included — into a
-// hash it outputs. The stream reacts to received payloads, so scheduling
-// divergences between engines cascade into different outputs, metrics,
+// scriptProgram returns a deterministic pseudo-random node program: every
+// node derives an op stream (untagged and tagged sends, Next, SleepUntil
+// jumps near and far, WaitMessage with and without deadline, early halts)
+// from (seed, id) and folds everything it receives — tags included — into
+// a hash it answers. The stream reacts to received payloads, so scheduling
+// divergences between engines cascade into different answers, metrics,
 // and traces.
-func scriptProgram(seed int64, model Model, steps int) Program {
-	return func(c *Ctx) {
+func scriptProgram(seed int64, model Model, steps int) func(*Ctx) uint64 {
+	return func(c *Ctx) uint64 {
 		x := splitmix64(uint64(seed) ^ (uint64(c.ID())+1)*0x9e3779b97f4a7c15)
 		var h uint64 = 1469598103934665603
 		mix := func(v uint64) { h ^= v; h *= 1099511628211 }
@@ -71,14 +71,20 @@ func scriptProgram(seed int64, model Model, steps int) Program {
 				}
 			case 6:
 				if x>>40%5 == 0 {
-					c.SetOutput(h)
-					return // early halt
+					return h // early halt
 				}
 				consume(c.Next())
 			}
 		}
-		c.SetOutput(h ^ uint64(c.Round()))
+		return h ^ uint64(c.Round())
 	}
+}
+
+// recording adapts a node program to a Program that stores each node's
+// answer in out, indexed by node ID, when the node halts. Run and runOracle
+// each get their own slice, so a test compares the two runs node by node.
+func recording[T any](out []T, p func(*Ctx) T) Program {
+	return func(c *Ctx) { out[c.ID()] = p(c) }
 }
 
 // spanScriptProgram wraps scriptProgram with pseudo-random span open/close
@@ -124,16 +130,17 @@ func equivGraph(seed int64, n int) *graph.Graph {
 // oracleDivergence runs one entry of the randomized differential corpus
 // through both the production scheduler (radix heap, batched handshakes,
 // pooled buffers) and the frozen pre-rewrite oracle scheduler, and describes
-// the first difference in Metrics, Outputs, Sends or error text; it returns
-// "" when the two runs agree exactly.
+// the first difference in Metrics, node answers, Sends or error text; it
+// returns "" when the two runs agree exactly.
 func oracleDivergence(seed int64, model Model) string {
 	n := int(splitmix64(uint64(seed))%22) + 2
 	g := equivGraph(seed, n)
 	cfg := Config{Model: model, RecordTrace: true, MaxRounds: 1 << 20}
 	p := scriptProgram(seed, model, 12)
 
-	want, werr := New(g, cfg).runOracle(p)
-	got, gerr := New(g, cfg).Run(p)
+	wantOut, gotOut := make([]uint64, n), make([]uint64, n)
+	want, werr := New(g, cfg).runOracle(recording(wantOut, p))
+	got, gerr := New(g, cfg).Run(recording(gotOut, p))
 
 	name := fmt.Sprintf("seed=%d model=%s n=%d", seed, model, n)
 	if (werr == nil) != (gerr == nil) {
@@ -151,8 +158,8 @@ func oracleDivergence(seed int64, model Model) string {
 	if !reflect.DeepEqual(want.Metrics, got.Metrics) {
 		return fmt.Sprintf("%s: metrics divergence:\noracle: %+v\nnew:    %+v", name, want.Metrics, got.Metrics)
 	}
-	if !reflect.DeepEqual(want.Outputs, got.Outputs) {
-		return fmt.Sprintf("%s: outputs divergence:\noracle: %v\nnew:    %v", name, want.Outputs, got.Outputs)
+	if !slices.Equal(wantOut, gotOut) {
+		return fmt.Sprintf("%s: answers divergence:\noracle: %v\nnew:    %v", name, wantOut, gotOut)
 	}
 	if d := sendsDiff(want.Sends, got.Sends); d != "" {
 		return fmt.Sprintf("%s: sends divergence (oracle, new): %s", name, d)

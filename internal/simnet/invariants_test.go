@@ -29,7 +29,6 @@ func TestMessageConservation(t *testing.T) {
 					c.Next()
 				}
 			}
-			c.SetOutput(int64(0))
 		})
 		if err != nil {
 			return false
@@ -126,15 +125,14 @@ func TestAwakeAccounting(t *testing.T) {
 // An empty graph (no edges, one node) runs and halts cleanly.
 func TestMinimalGraph(t *testing.T) {
 	g := graph.New(1)
-	eng := New(g, Config{Model: Congest})
-	res, err := eng.Run(func(c *Ctx) {
+	out, res, err := RunEach(g, Config{Model: Congest}, func(c *Ctx) string {
 		c.Next()
-		c.SetOutput("done")
+		return "done"
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outputs[0] != "done" || res.Metrics.Rounds != 2 {
-		t.Fatalf("outputs=%v rounds=%d", res.Outputs, res.Metrics.Rounds)
+	if out[0] != "done" || res.Metrics.Rounds != 2 {
+		t.Fatalf("answers=%v rounds=%d", out, res.Metrics.Rounds)
 	}
 }

@@ -10,7 +10,7 @@ import (
 // (round, id) binary heap popped one entry at a time — kept verbatim as a
 // differential-testing oracle for the radix-heap scheduler in Run. It
 // shares start, Ctx, and shutdown with the production path, so any
-// divergence in Metrics, Outputs, Sends, or error text is attributable to
+// divergence in Metrics, Sends, node answers or error text is attributable to
 // the scheduler rewrite.
 //
 // Do not "improve" this code: its value is being the old semantics. (The
@@ -20,8 +20,10 @@ import (
 // the engine's one choice between a coroutine resume and a Drive step,
 // the reverse index moving from the Engine into oracleReverseIndex, the
 // one-message-per-edge-direction check leaving with Config.StrictCongest,
-// and the record line calling recordSend, which Run shares.) Its heap helpers, heapPushWake and heapPopWake,
-// are at the end of this file; production code does not use them.
+// the record line calling recordSend, which Run shares, and the halt-time
+// store leaving with Result.Outputs.) Its heap helpers, heapPushWake and
+// heapPopWake, are at the end of this file; production code does not use
+// them.
 //
 // The oracle derives each arrival port from its own reverse index, never
 // from graph.Half.Rev, so a wrong Rev makes Run disagree with it.
@@ -95,7 +97,6 @@ func (e *Engine) runOracle(p Program) (*Result, error) {
 			case yieldHalt:
 				e.halted[id] = true
 				halted++
-				res.Outputs[id] = ns.output
 			case yieldPark:
 				parked++
 				if e.parkDeadline[id] >= 0 {

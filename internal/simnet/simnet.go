@@ -5,8 +5,9 @@
 //
 // RunEach is the entry for whole-graph runs: it runs one node program on
 // every node and returns each node's answer, indexed by node ID, with the
-// run's Result. Engine.Run, with Ctx.SetOutput and Result.Outputs, is the
-// untyped form underneath it.
+// run's Result. That is the one way a node's answer leaves the engine: the
+// Result holds only what the engine measured. Engine.Run, which RunEach
+// calls, runs a program that returns nothing.
 //
 // Each node runs a Program in its own coroutine and communicates with the
 // engine through a Ctx. Execution proceeds in lock-step rounds:
@@ -54,7 +55,7 @@
 //     SSSP run.
 //
 // Both forms count the same awake rounds, see the same arrivals and follow
-// the same loss rules, so a program's Metrics, Outputs and Sends do not
+// the same loss rules, so a program's Metrics, Sends and answers do not
 // depend on which form it uses.
 //
 // # Round structure
@@ -228,11 +229,8 @@ func (m *Metrics) String() string {
 // when it returns, the node halts.
 type Program func(*Ctx)
 
-// Result is the outcome of a completed run.
+// Result is what the engine measured in a completed run.
 type Result struct {
-	// Outputs holds the value each node passed to Ctx.SetOutput (nil if
-	// none); RunEach returns its typed answers beside the Result instead.
-	Outputs []any
 	Metrics Metrics
 	// Sends is nil unless Config.RecordTrace is set. Then Sends[2·e+dir]
 	// is the send record of edge e in one direction (dir 0 when the
@@ -288,7 +286,7 @@ type outMsg struct {
 }
 
 // nodeState holds the per-node state the scheduler does not scan per entry:
-// the coroutine handles, the message buffers, and the (cold) output/error/
+// the coroutine handles, the message buffers, and the (cold) error and
 // span fields. The hot scheduling scalars — kind, halted, wake round, park
 // deadline, queue seq — live in struct-of-arrays form on the Engine, so the
 // stale-entry filter and batch loops touch dense arrays only.
@@ -319,8 +317,7 @@ type nodeState struct {
 	spare  []Inbound
 	outbox []outMsg
 
-	output any
-	perr   error
+	perr error
 
 	// spanStack holds the node's open ledger spans (innermost last); empty
 	// means the root span.
@@ -384,7 +381,7 @@ func (e *Engine) start(p Program) *Result {
 	e.wakeRound = make([]int64, n)
 	e.parkDeadline = make([]int64, n)
 	e.seq = make([]int64, n)
-	res := &Result{Outputs: make([]any, n)}
+	res := &Result{}
 	res.Metrics.PerEdgeMessages = make([]int64, e.g.M())
 	res.Metrics.PerNodeAwake = make([]int64, n)
 	if e.cfg.RecordTrace {
@@ -573,7 +570,6 @@ func (e *Engine) Run(p Program) (*Result, error) {
 			case yieldHalt:
 				e.halted[id] = true
 				halted++
-				res.Outputs[id] = ns.output
 			case yieldPark:
 				parked++
 				if e.parkDeadline[id] >= 0 {

@@ -11,16 +11,14 @@ import (
 func TestFloodCongest(t *testing.T) {
 	// Simple BFS flood on a path: node 0 starts, everyone learns distance.
 	g := graph.Path(6, graph.UnitWeights)
-	e := New(g, Config{Model: Congest})
-	res, err := e.Run(func(c *Ctx) {
+	out, res, err := RunEach(g, Config{Model: Congest}, func(c *Ctx) int64 {
 		dist := int64(-1)
 		if c.ID() == 0 {
 			dist = 0
 			for i := 0; i < c.Degree(); i++ {
 				c.Send(i, int64(1))
 			}
-			c.SetOutput(dist)
-			return
+			return dist
 		}
 		for {
 			msgs := c.WaitMessage(100)
@@ -35,13 +33,8 @@ func TestFloodCongest(t *testing.T) {
 					}
 				}
 			}
-			if dist >= 0 {
-				c.SetOutput(dist)
-				return
-			}
-			if c.Round() >= 99 {
-				c.SetOutput(dist)
-				return
+			if dist >= 0 || c.Round() >= 99 {
+				return dist
 			}
 		}
 	})
@@ -49,8 +42,8 @@ func TestFloodCongest(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v := 0; v < 6; v++ {
-		if res.Outputs[v].(int64) != int64(v) {
-			t.Fatalf("node %d output %v, want %d", v, res.Outputs[v], v)
+		if out[v] != int64(v) {
+			t.Fatalf("node %d answer %d, want %d", v, out[v], v)
 		}
 	}
 	if res.Metrics.Messages != 5 {
@@ -66,8 +59,7 @@ func TestFloodCongest(t *testing.T) {
 
 func TestSleepingLosesMessages(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights)
-	e := New(g, Config{Model: Sleeping})
-	res, err := e.Run(func(c *Ctx) {
+	out, res, err := RunEach(g, Config{Model: Sleeping}, func(c *Ctx) string {
 		switch c.ID() {
 		case 0:
 			c.Next()           // round 0 -> 1
@@ -85,14 +77,15 @@ func TestSleepingLosesMessages(t *testing.T) {
 			for _, m := range msgs {
 				got = append(got, m.Body.(string))
 			}
-			c.SetOutput(strings.Join(got, ","))
+			return strings.Join(got, ",")
 		}
+		return ""
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outputs[1].(string) != "heard" {
-		t.Fatalf("node 1 got %q, want \"heard\"", res.Outputs[1])
+	if out[1] != "heard" {
+		t.Fatalf("node 1 got %q, want \"heard\"", out[1])
 	}
 	if res.Metrics.LostMessages != 1 {
 		t.Fatalf("lost=%d, want 1", res.Metrics.LostMessages)
@@ -133,16 +126,15 @@ func TestCongestNeverLoses(t *testing.T) {
 func TestRoundSkipping(t *testing.T) {
 	// Two nodes sleeping for a long time: the engine must jump, not iterate.
 	g := graph.Path(2, graph.UnitWeights)
-	e := New(g, Config{Model: Sleeping})
-	res, err := e.Run(func(c *Ctx) {
+	out, res, err := RunEach(g, Config{Model: Sleeping}, func(c *Ctx) int64 {
 		c.SleepUntil(1 << 30)
-		c.SetOutput(c.Round())
+		return c.Round()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outputs[0].(int64) != 1<<30 {
-		t.Fatalf("woke at %v", res.Outputs[0])
+	if out[0] != 1<<30 {
+		t.Fatalf("woke at %d", out[0])
 	}
 	if res.Metrics.MaxAwake != 2 {
 		t.Fatalf("awake=%d, want 2", res.Metrics.MaxAwake)
@@ -151,26 +143,28 @@ func TestRoundSkipping(t *testing.T) {
 
 func TestWaitMessageDeadline(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights)
-	e := New(g, Config{Model: Congest})
-	res, err := e.Run(func(c *Ctx) {
+	out, _, err := RunEach(g, Config{Model: Congest}, func(c *Ctx) [2]int64 {
 		if c.ID() == 1 {
 			msgs := c.WaitMessage(50)
-			c.SetOutput([]any{c.Round(), len(msgs)})
+			return [2]int64{c.Round(), int64(len(msgs))}
 		}
+		return [2]int64{}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := res.Outputs[1].([]any)
-	if out[0].(int64) != 50 || out[1].(int) != 0 {
-		t.Fatalf("got %v, want round 50 with 0 msgs", out)
+	if out[1] != [2]int64{50, 0} {
+		t.Fatalf("got %v, want round 50 with 0 msgs", out[1])
 	}
 }
 
 func TestWaitMessageWokenByArrival(t *testing.T) {
+	type arrival struct {
+		round int64
+		body  string
+	}
 	g := graph.Path(2, graph.UnitWeights)
-	e := New(g, Config{Model: Congest})
-	res, err := e.Run(func(c *Ctx) {
+	out, _, err := RunEach(g, Config{Model: Congest}, func(c *Ctx) arrival {
 		switch c.ID() {
 		case 0:
 			c.SleepUntil(7)
@@ -178,15 +172,15 @@ func TestWaitMessageWokenByArrival(t *testing.T) {
 			c.Next()
 		case 1:
 			msgs := c.WaitMessage(1000)
-			c.SetOutput([]any{c.Round(), msgs[0].Body.(string)})
+			return arrival{c.Round(), msgs[0].Body.(string)}
 		}
+		return arrival{}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := res.Outputs[1].([]any)
-	if out[0].(int64) != 8 || out[1].(string) != "ping" {
-		t.Fatalf("got %v, want [8 ping]", out)
+	if out[1] != (arrival{8, "ping"}) {
+		t.Fatalf("got %v, want {8 ping}", out[1])
 	}
 }
 
@@ -327,31 +321,30 @@ func TestMegaroundAccounting(t *testing.T) {
 
 func TestNeighborIndexAndReverse(t *testing.T) {
 	g := graph.Star(4, graph.UnitWeights)
-	e := New(g, Config{Model: Congest})
-	res, err := e.Run(func(c *Ctx) {
+	out, _, err := RunEach(g, Config{Model: Congest}, func(c *Ctx) graph.NodeID {
 		if c.ID() == 2 {
 			// A leaf's only edge, index 0, leads to the center.
 			c.Send(0, "hi")
 		}
-		msgs := c.Next()
-		for _, m := range msgs {
+		from := graph.NodeID(-1)
+		for _, m := range c.Next() {
 			// The center's NbIndex must point back at node 2.
-			c.SetOutput(c.NeighborID(m.NbIndex))
+			from = c.NeighborID(m.NbIndex)
 		}
+		return from
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outputs[0].(graph.NodeID) != 2 {
-		t.Fatalf("reverse index broken: %v", res.Outputs[0])
+	if out[0] != 2 {
+		t.Fatalf("reverse index broken: %d", out[0])
 	}
 }
 
 func TestDeterminism(t *testing.T) {
 	g := graph.RandomConnected(40, 60, graph.UnitWeights, 5)
-	run := func() []any {
-		e := New(g, Config{Model: Congest})
-		res, err := e.Run(func(c *Ctx) {
+	run := func() []uint64 {
+		out, _, err := RunEach(g, Config{Model: Congest}, func(c *Ctx) uint64 {
 			// Everyone floods its ID for 3 rounds; output = sorted digest of
 			// all received (from, round) pairs via a running hash.
 			var h uint64 = 1469598103934665603
@@ -365,12 +358,12 @@ func TestDeterminism(t *testing.T) {
 					mix(uint64(m.From))
 				}
 			}
-			c.SetOutput(h)
+			return h
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Outputs
+		return out
 	}
 	a, b := run(), run()
 	for i := range a {
@@ -456,16 +449,15 @@ func TestSleepUntilPastPanics(t *testing.T) {
 
 func TestSleepUntilAtLeastClamps(t *testing.T) {
 	g := graph.Path(1, graph.UnitWeights)
-	e := New(g, Config{Model: Sleeping})
-	res, err := e.Run(func(c *Ctx) {
+	out, _, err := RunEach(g, Config{Model: Sleeping}, func(c *Ctx) int64 {
 		c.SleepUntilAtLeast(0)
-		c.SetOutput(c.Round())
+		return c.Round()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outputs[0].(int64) != 1 {
-		t.Fatalf("round %v, want 1", res.Outputs[0])
+	if out[0] != 1 {
+		t.Fatalf("round %d, want 1", out[0])
 	}
 }
 
@@ -483,9 +475,8 @@ func TestWaitMessageInSleepingPanics(t *testing.T) {
 func TestManyNodesStress(t *testing.T) {
 	// A quick scale smoke test: flood on a 2000-node random graph.
 	g := graph.RandomConnected(2000, 3000, graph.UnitWeights, 9)
-	e := New(g, Config{Model: Congest})
 	ref := graph.BFSDist(g, 0)
-	res, err := e.Run(func(c *Ctx) {
+	out, _, err := RunEach(g, Config{Model: Congest}, func(c *Ctx) int64 {
 		dist := int64(-1)
 		deadline := int64(c.N() + 10)
 		if c.ID() == 0 {
@@ -508,29 +499,28 @@ func TestManyNodesStress(t *testing.T) {
 				break
 			}
 		}
-		c.SetOutput(dist)
+		return dist
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < g.N(); v++ {
-		if int64(res.Outputs[v].(int64)) != ref[v] {
-			t.Fatalf("node %d: got %v want %d", v, res.Outputs[v], ref[v])
+		if out[v] != ref[v] {
+			t.Fatalf("node %d: got %d want %d", v, out[v], ref[v])
 		}
 	}
 }
 
 // floodProgram is an O(m) broadcast: node 0 seeds a token, every other
 // node parks until one arrives, forwards it once with the hop count
-// raised, and halts with the hop count it received as its output.
-func floodProgram(c *Ctx) {
+// raised, and halts with the hop count it received as its answer.
+func floodProgram(c *Ctx) int64 {
 	if c.ID() == 0 {
 		for i := 0; i < c.Degree(); i++ {
 			c.Send(i, uint64(1))
 		}
 		c.Next()
-		c.SetOutput(int64(0))
-		return
+		return 0
 	}
 	in := c.WaitMessage(-1)
 	hops := in[0].Body.(uint64)
@@ -538,7 +528,7 @@ func floodProgram(c *Ctx) {
 		c.Send(i, hops+1)
 	}
 	c.Next()
-	c.SetOutput(int64(hops))
+	return int64(hops)
 }
 
 // TestLargeNFloodSmoke floods n=10^5 path, random and star graphs — n
@@ -557,14 +547,14 @@ func TestLargeNFloodSmoke(t *testing.T) {
 		"star":   graph.Star(n, graph.UnitWeights),
 	}
 	for name, g := range graphs {
-		res, err := New(g, Config{Model: Congest, MaxRounds: 1 << 20}).Run(floodProgram)
+		out, _, err := RunEach(g, Config{Model: Congest, MaxRounds: 1 << 20}, floodProgram)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		ref := graph.BFSDist(g, 0)
-		for v, out := range res.Outputs {
-			if out.(int64) != ref[v] {
-				t.Fatalf("%s: node %d output %v, want hop distance %d", name, v, out, ref[v])
+		for v, hops := range out {
+			if hops != ref[v] {
+				t.Fatalf("%s: node %d answered %d, want hop distance %d", name, v, hops, ref[v])
 			}
 		}
 	}
