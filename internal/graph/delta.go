@@ -177,26 +177,37 @@ func ApplyDeltas(g *Graph, deltas []EdgeDelta) (*Graph, error) {
 // two delta paths reaching the same edge set produce identical graphs,
 // which is what lets the serving layer content-address patched revisions.
 //
-// Cost is O(n + m + k log k) for k changes: NetChanges sorts them by pair,
-// the net changes are merged with g's edges in pair order, and the merged
-// list is handed to the builder in pair order.
+// Cost is O(n + m + k log k) for k changes: MergeChanges patches g's edges
+// and the merged list is handed to the builder in pair order.
 func ApplyChanges(g *Graph, changes []WeightChange) *Graph {
-	base := g.Edges()
+	return build(g.n, MergeChanges(g.Edges(), changes))
+}
+
+// MergeChanges returns edges, an edge list in pair order, with changes —
+// chained weight changes on it, in order — applied, still in pair order.
+// NetChanges sorts the changes by pair and the net ones are merged with
+// the edges in O(m + k log k) for k changes. When no pair's weight moves
+// it returns edges itself; otherwise a fresh slice, leaving edges
+// untouched.
+func MergeChanges(edges []EdgeTriple, changes []WeightChange) []EdgeTriple {
 	net := NetChanges(changes)
-	out := make([]EdgeTriple, 0, len(base)+len(net))
+	if len(net) == 0 {
+		return edges
+	}
+	out := make([]EdgeTriple, 0, len(edges)+len(net))
 	i := 0
 	for _, c := range net {
 		key := PairKey(c.U, c.V)
-		for i < len(base) && PairKey(base[i].U, base[i].V) < key {
-			out = append(out, base[i])
+		for i < len(edges) && PairKey(edges[i].U, edges[i].V) < key {
+			out = append(out, edges[i])
 			i++
 		}
-		if i < len(base) && PairKey(base[i].U, base[i].V) == key {
+		if i < len(edges) && PairKey(edges[i].U, edges[i].V) == key {
 			i++
 		}
 		if c.NewW >= 0 {
 			out = append(out, EdgeTriple{U: c.U, V: c.V, W: c.NewW})
 		}
 	}
-	return build(g.n, append(out, base[i:]...))
+	return append(out, edges[i:]...)
 }

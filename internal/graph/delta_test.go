@@ -198,6 +198,24 @@ func TestNetChanges(t *testing.T) {
 	}
 }
 
+// TestMergeChanges pins that MergeChanges returns its own input when the
+// changes cancel, and otherwise a fresh list in pair order that leaves the
+// input as it was.
+func TestMergeChanges(t *testing.T) {
+	edges := []EdgeTriple{{U: 0, V: 1, W: 5}, {U: 1, V: 2, W: 3}}
+	orig := slices.Clone(edges)
+	if got := MergeChanges(edges, []WeightChange{{0, 1, 5, 7}, {1, 0, 7, 5}}); &got[0] != &edges[0] {
+		t.Fatal("cancelling changes did not return the input list itself")
+	}
+	got := MergeChanges(edges, []WeightChange{{2, 1, 3, -1}, {0, 2, -1, 4}, {0, 1, 5, 6}})
+	if want := []EdgeTriple{{U: 0, V: 1, W: 6}, {U: 0, V: 2, W: 4}}; !slices.Equal(got, want) {
+		t.Fatalf("merged %v, want %v", got, want)
+	}
+	if !slices.Equal(edges, orig) {
+		t.Fatalf("MergeChanges wrote its input: %v", edges)
+	}
+}
+
 // FuzzNetChanges checks NetChanges against a map that keeps each pair's
 // first old weight and last new weight. Every 4 input bytes are one
 // change on 6 nodes with weights in [-1, 3], so pairs repeat, flip

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -64,10 +63,10 @@ import (
 // then every field, checking each count against the bytes left before it
 // allocates. It replays the journal through regGraph.advance, the live
 // PATCH's step: each record must carry the next revision and chain each
-// pair's weights on from the base, and each trace joins when the replay
-// reaches its revision, which must lie between the base's and the last
-// record's. The head snapshot and its digest are built once, from all the
-// changes.
+// pair's weights on from the base, and a trace is classified from the
+// record after its revision on, which must lie between the base's and the
+// last record's. The head snapshot and its digest are built once, from all
+// the changes.
 //
 // A final record that is cut short or fails its checksum was never
 // acknowledged to a client (the PATCH replies after the fsync): boot drops
@@ -152,8 +151,9 @@ func (r *GraphRegistry) EnablePersistence(dir string) (int, error) {
 			return 0, fmt.Errorf("spill of %s: graph already registered", rg.id)
 		}
 	}
+	used := r.usedLocked()
 	for i, rg := range loaded {
-		if i > 0 && r.budget > 0 && r.bytes+rg.charge() > r.budget {
+		if used += rg.charge(); i > 0 && r.budget > 0 && used > r.budget {
 			return i, nil
 		}
 		// A tail that cannot be cut off would sit before the next record:
@@ -177,7 +177,6 @@ func recencyNS(rg *regGraph) int64 {
 func (r *GraphRegistry) restoreLocked(rg *regGraph) {
 	rg.el = r.lru.PushBack(rg)
 	r.graphs[rg.id] = rg
-	r.bytes += rg.charge()
 }
 
 // Flush rewrites every resident graph's spill whole (traces accumulated
@@ -330,7 +329,7 @@ func appendSpill(b []byte, rg *regGraph) []byte {
 	b = le.AppendUint64(b, uint64(rg.createdAt.UnixNano()))
 	b = le.AppendUint64(b, uint64(patched))
 
-	edges := rg.baseGraph().Edges()
+	edges := rg.baseEdges()
 	b = le.AppendUint32(b, uint32(len(edges)))
 	for _, e := range edges {
 		b = le.AppendUint32(b, uint32(e.U))
@@ -358,19 +357,17 @@ func appendSpill(b []byte, rg *regGraph) []byte {
 	return b
 }
 
-// baseGraph is rg's graph at the revision before its change log: the head
-// with every logged change undone, the last one first.
-func (rg *regGraph) baseGraph() *graph.Graph {
-	if len(rg.log) == 0 {
-		return rg.g
-	}
+// baseEdges lists rg's edges at the revision before its change log, in
+// pair order: the head's with every logged change undone, the last one
+// first.
+func (rg *regGraph) baseEdges() []graph.EdgeTriple {
 	var undo []graph.WeightChange
 	for i := len(rg.log) - 1; i >= 0; i-- {
 		for _, c := range slices.Backward(rg.log[i].changes) {
 			undo = append(undo, graph.WeightChange{U: c.U, V: c.V, OldW: c.NewW, NewW: c.OldW})
 		}
 	}
-	return graph.ApplyChanges(rg.g, undo)
+	return graph.MergeChanges(rg.g.Edges(), undo)
 }
 
 // appendRecord appends batch's journal record to b.
@@ -554,15 +551,14 @@ func decodeSpill(data []byte) (*regGraph, int, error) {
 	}
 	rg := &regGraph{
 		id: id, createdAt: time.Unix(0, created), num: int(rev), g: g,
-		traces: make(map[graph.NodeID]*sourceTrace), held: []int{0},
+		traces: make(map[graph.NodeID]*sourceTrace),
 	}
 	if patched != 0 {
 		rg.patchedAt = time.Unix(0, patched)
 	}
 
-	traces := make([]spillTrace, r.count("trace", 12+12*n))
 	prev := int64(-1)
-	for i := range traces {
+	for i := range r.count("trace", 12+12*n) {
 		src, trev := r.u32(), r.u64()
 		if r.err == nil && (int64(src) <= prev || int(src) >= n || trev < rev || trev > math.MaxInt64) {
 			return nil, 0, fmt.Errorf("trace %d: source %d out of order or outside [0,%d), or revision %d outside [%d,2^63)", i, src, n, trev, rev)
@@ -575,7 +571,7 @@ func decodeSpill(data []byte) (*regGraph, int, error) {
 		if err != nil {
 			return nil, 0, fmt.Errorf("trace for source %d: %w", src, err)
 		}
-		traces[i] = spillTrace{graph.NodeID(src), tr}
+		rg.traces[graph.NodeID(src)] = tr
 	}
 	if r.err != nil {
 		return nil, 0, r.err
@@ -584,18 +580,12 @@ func decodeSpill(data []byte) (*regGraph, int, error) {
 		return nil, 0, fmt.Errorf("%d trailing bytes", len(r.b))
 	}
 
-	size, err := replayJournal(rg, traces, data[bl:])
+	size, err := replayJournal(rg, data[bl:])
 	if err != nil {
 		return nil, 0, err
 	}
 	rg.digest = canonicalGraphDigest(rg.g)
 	return rg, int(bl) + size, nil
-}
-
-// spillTrace is one trace of a spill's base, with its source.
-type spillTrace struct {
-	src graph.NodeID
-	tr  *sourceTrace
 }
 
 // change reads one journal change and checks it on its own: u < v < n,
@@ -609,21 +599,14 @@ func (r *spillReader) change(n int) graph.WeightChange {
 	return c
 }
 
-// replayJournal advances rg, decoded from a spill's base, over the journal
-// records in j: each goes through regGraph.advance, as its PATCH did, with
-// the snapshot's charge taken from the edge count its changes leave, and
-// each of the base's traces joins when the replay reaches its revision.
-// The head snapshot is built once at the end, from every record's changes.
-// It returns the bytes of the whole records; a torn final record is left
-// out.
-func replayJournal(rg *regGraph, traces []spillTrace, j []byte) (int, error) {
-	slices.SortStableFunc(traces, func(a, b spillTrace) int { return cmp.Compare(a.tr.rev, b.tr.rev) })
-	join := func() {
-		for ; len(traces) > 0 && traces[0].tr.rev == rg.num; traces = traces[1:] {
-			rg.traces[traces[0].src] = traces[0].tr
-			rg.held[len(rg.log)]++
-		}
-	}
+// replayJournal advances rg, decoded from a spill's base with all its
+// traces, over the journal records in j: each goes through
+// regGraph.advance, as its PATCH did, with the snapshot's charge taken from
+// the edge count its changes leave; advance classifies a trace only once
+// the replay has reached its revision. The head snapshot is built once at
+// the end, from every record's changes. It returns the bytes of the whole
+// records; a torn final record is left out.
+func replayJournal(rg *regGraph, j []byte) (int, error) {
 	n, m := rg.g.N(), rg.g.M()
 	weight := make(map[uint64]int64) // pair → its weight after the records so far
 	var all []graph.WeightChange
@@ -665,14 +648,18 @@ func replayJournal(rg *regGraph, traces []spillTrace, j []byte) (int, error) {
 		if r.err != nil {
 			return 0, fmt.Errorf("journal record %d (at byte %d after the base): %w", i, off, r.err)
 		}
-		join()
 		rg.advance(logBatch{rev: int(rev), at: time.Unix(0, int64(patched)), changes: changes}, snapshotBytes(n, m))
 		all = append(all, changes...)
 		off += recordHead + len(body) + 4
 	}
-	join()
-	if len(traces) > 0 {
-		return 0, fmt.Errorf("trace for source %d at revision %d, past the journal's head %d", traces[0].src, traces[0].tr.rev, rg.num)
+	past := graph.NodeID(-1) // the least source whose trace lies past the head
+	for src, tr := range rg.traces {
+		if tr.rev > rg.num && (past < 0 || src < past) {
+			past = src
+		}
+	}
+	if past >= 0 {
+		return 0, fmt.Errorf("trace for source %d at revision %d, past the journal's head %d", past, rg.traces[past].rev, rg.num)
 	}
 	if len(all) > 0 {
 		rg.g = graph.ApplyChanges(rg.g, all)

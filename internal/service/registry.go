@@ -34,7 +34,6 @@ import (
 type GraphRegistry struct {
 	mu     sync.Mutex
 	budget int64
-	bytes  int64
 	graphs map[string]*regGraph
 	lru    *list.List // of *regGraph; front = most recently used
 	now    func() time.Time
@@ -73,13 +72,11 @@ type regGraph struct {
 	// exact; an older one is stale, and log holds every batch since.
 	traces map[graph.NodeID]*sourceTrace
 	// log is the change log: one batch per PATCH after the oldest trace's
-	// revision, in revision order, ending at the head. Empty when every
-	// trace is exact. held[i] counts the traces at revision
-	// num-len(log)+i, so held has one entry more than log and its last
-	// counts the exact traces. logBytes is what the log is charged, at
-	// most graphBytes(g) after every PATCH (see capLog).
+	// revision, in revision order, ending at the head, so a trace at
+	// revision rev needs its last num-rev batches. Empty when every trace
+	// is exact. logBytes is what the log is charged, at most graphBytes(g)
+	// after every PATCH (see capLog).
 	log      []logBatch
-	held     []int
 	logBytes int64
 	// journal counts the bytes of the journal records in the graph's
 	// spill, the change log a rewrite wrote and every record appended
@@ -170,10 +167,18 @@ func (rg *regGraph) charge() int64 {
 }
 
 // staleCount counts rg's traces older than the head.
-func (rg *regGraph) staleCount() int { return len(rg.traces) - rg.held[len(rg.log)] }
+func (rg *regGraph) staleCount() int {
+	stale := 0
+	for _, tr := range rg.traces {
+		if tr.rev != rg.num {
+			stale++
+		}
+	}
+	return stale
+}
 
-// at is the index in held of revision rev, which must lie between the
-// oldest trace's revision and the head.
+// at is the index in the log of the first batch a trace at revision rev
+// needs, rev lying between the oldest trace's revision and the head.
 func (rg *regGraph) at(rev int) int { return rev - rg.num + len(rg.log) }
 
 // Register adds the graph under a content-derived handle and returns its
@@ -206,11 +211,9 @@ func (r *GraphRegistry) Register(g *graph.Graph) (GraphInfo, bool) {
 		digest:    digest,
 		g:         g,
 		traces:    make(map[graph.NodeID]*sourceTrace),
-		held:      []int{0},
 	}
 	rg.el = r.lru.PushFront(rg)
 	r.graphs[id] = rg
-	r.bytes += rg.charge()
 	r.revisions++
 	r.evictLocked(rg)
 	r.spillLocked(rg)
@@ -311,12 +314,10 @@ func (r *GraphRegistry) Patch(id string, deltas []graph.EdgeDelta) (PatchInfo, e
 	if err != nil {
 		return PatchInfo{}, badRequest{err}
 	}
-	ng := graph.ApplyChanges(rg.g, changes)
-	before, head := rg.charge(), rg.num
+	ng, head := graph.ApplyChanges(rg.g, changes), rg.num
 	batch := logBatch{rev: head + 1, at: r.now(), changes: changes}
 	kept, dropped := rg.advance(batch, graphBytes(ng))
 	rg.digest, rg.g = canonicalGraphDigest(ng), ng
-	r.bytes += rg.charge() - before
 
 	info := PatchInfo{
 		ID: id, Revision: rg.num, ParentRevision: head,
@@ -354,7 +355,7 @@ func (rg *regGraph) advance(batch logBatch, snap int64) (kept, dropped int) {
 	rg.logBytes += logBatchBytes(batch)
 	for _, tr := range rg.traces {
 		switch {
-		case tr.rev != head: // stale since an earlier PATCH
+		case tr.rev != head: // stale since an earlier PATCH, or a replay has yet to reach its revision
 		case incr.SourceDirty(batch.changes, tr.dist):
 			dropped++
 		default:
@@ -362,8 +363,6 @@ func (rg *regGraph) advance(batch logBatch, snap int64) (kept, dropped int) {
 			tr.rev = rg.num
 		}
 	}
-	rg.held[len(rg.held)-1] = dropped
-	rg.held = append(rg.held, kept)
 	rg.trim()
 	rg.capLog(snap)
 	return kept, dropped
@@ -372,12 +371,16 @@ func (rg *regGraph) advance(batch logBatch, snap int64) (kept, dropped int) {
 // trim drops the log batches no trace needs — those at or below the
 // oldest trace's revision — and uncharges them.
 func (rg *regGraph) trim() {
+	oldest := rg.num
+	for _, tr := range rg.traces {
+		oldest = min(oldest, tr.rev)
+	}
 	k := 0
-	for ; k < len(rg.log) && rg.held[k] == 0; k++ {
+	for ; k < len(rg.log) && rg.log[k].rev <= oldest; k++ {
 		rg.logBytes -= logBatchBytes(rg.log[k])
 	}
 	clear(rg.log[:k])
-	rg.log, rg.held = rg.log[k:], rg.held[k:]
+	rg.log = rg.log[k:]
 }
 
 // capLog bounds the change log by the snapshot it leads to, charged snap:
@@ -394,7 +397,6 @@ func (rg *regGraph) capLog(snap int64) {
 				delete(rg.traces, src)
 			}
 		}
-		rg.held[0] = 0
 		rg.trim()
 	}
 }
@@ -425,12 +427,8 @@ func (r *GraphRegistry) Record(id string, digest [32]byte, src graph.NodeID, dis
 		// The exact row replaces the stale one it was repaired from, and the
 		// log may no longer need its oldest batches. The spill keeps the
 		// stale trace: after a crash the source is repaired again.
-		rg.held[rg.at(tr.rev)]--
-		rg.held[len(rg.log)]++
 		*tr = sourceTrace{rev: rg.num, dist: dist, parent: parent}
-		before := rg.charge()
 		rg.trim()
-		r.bytes += rg.charge() - before
 	default:
 		// Respect the byte budget at admission: traces are an accelerator,
 		// not a correctness requirement, so an over-budget graph simply
@@ -440,8 +438,6 @@ func (r *GraphRegistry) Record(id string, digest [32]byte, src graph.NodeID, dis
 			return
 		}
 		rg.traces[src] = &sourceTrace{rev: rg.num, dist: dist, parent: parent}
-		rg.held[len(rg.log)]++
-		r.bytes += cost
 		// A new row could cost minutes to recompute: the next PATCH
 		// rewrites the spill whole rather than journaling past it.
 		rg.rewrite = true
@@ -489,24 +485,30 @@ func (r *GraphRegistry) evictLocked(keep *regGraph) {
 	if r.budget <= 0 {
 		return
 	}
-	for r.bytes > r.budget {
-		back := r.lru.Back()
-		if back == nil {
-			break
-		}
-		rg := back.Value.(*regGraph)
+	used := r.usedLocked()
+	for used > r.budget {
+		rg := r.lru.Back().Value.(*regGraph)
 		if rg == keep {
 			break
 		}
+		used -= rg.charge()
 		r.dropLocked(rg)
 		r.evictions++
 	}
 }
 
+// usedLocked is what the registered graphs are charged in all.
+func (r *GraphRegistry) usedLocked() int64 {
+	var used int64
+	for _, rg := range r.graphs {
+		used += rg.charge()
+	}
+	return used
+}
+
 func (r *GraphRegistry) dropLocked(rg *regGraph) {
 	r.lru.Remove(rg.el)
 	delete(r.graphs, rg.id)
-	r.bytes -= rg.charge()
 	r.unspillLocked(rg.id)
 }
 
@@ -558,7 +560,7 @@ func (r *GraphRegistry) Stats() RegistryStats {
 		Graphs:      len(r.graphs),
 		Revisions:   r.revisions,
 		Evictions:   r.evictions,
-		BytesUsed:   r.bytes,
+		BytesUsed:   r.usedLocked(),
 		StaleTraces: stale,
 		SpillErrors: r.spillErrors,
 	}

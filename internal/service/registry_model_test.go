@@ -379,7 +379,7 @@ func checkLedgerModel(t *testing.T, seed int64, flush bool) bool {
 
 // checkBooted boots a fresh registry from dir, just after a Flush, and
 // requires the live graph exactly: the head's edges and digest, every
-// trace's revision, dist and parent, held, the log with its batch times,
+// trace's revision, dist and parent, the log with its batch times,
 // logBytes, the charge, patchedAt and the journal's byte count.
 func checkBooted(t *testing.T, live *GraphRegistry, id, dir string) {
 	t.Helper()
@@ -391,8 +391,8 @@ func checkBooted(t *testing.T, live *GraphRegistry, id, dir string) {
 	switch {
 	case got.num != want.num || got.digest != want.digest || !reflect.DeepEqual(got.g.Edges(), want.g.Edges()):
 		t.Fatalf("booted head: revision %d (live %d), digest equal %v, or its edges differ", got.num, want.num, got.digest == want.digest)
-	case !reflect.DeepEqual(got.traces, want.traces) || !reflect.DeepEqual(got.held, want.held):
-		t.Fatalf("booted traces differ from the live ones, or held %v (live %v)", got.held, want.held)
+	case !reflect.DeepEqual(got.traces, want.traces):
+		t.Fatal("booted traces differ from the live ones")
 	case !sameLog(got.log, want.log):
 		t.Fatalf("booted log %+v, live %+v", got.log, want.log)
 	case got.logBytes != want.logBytes || got.charge() != want.charge() || !got.patchedAt.Equal(want.patchedAt) || got.journal != want.journal:

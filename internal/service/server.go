@@ -622,12 +622,12 @@ func (s *Server) handleGraphPatch(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	info, ok := s.registry.Get(id)
-	if !ok {
-		s.replyError(w, notfoundf("no registered graph %q (evicted or never registered)", id))
+	g, _, _, err := s.registry.Resolve(id)
+	if err != nil {
+		s.replyError(w, err)
 		return
 	}
-	deltas, err := parseDeltas(req.Deltas, info.N)
+	deltas, err := parseDeltas(req.Deltas, g.N())
 	if err != nil {
 		s.replyError(w, err)
 		return
