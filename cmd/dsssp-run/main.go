@@ -31,7 +31,7 @@ func run() error {
 		family    = flag.String("family", "random", "graph family (path|cycle|tree|grid|random|cluster|star|expander|barbell|powerlaw|bfgadget|disconnected)")
 		n         = flag.Int("n", 128, "number of nodes")
 		maxw      = flag.Int64("maxw", 8, "max edge weight (1 = unweighted)")
-		seed      = flag.Int64("seed", 1, "generator / scheduling seed")
+		seed      = flag.Int64("seed", 1, "graph generator and weight seed")
 		source    = flag.Int("source", 0, "SSSP source")
 		threshold = flag.Int64("threshold", -1, "BFS threshold (-1: n-1)")
 		printDist = flag.Bool("dist", false, "print distances")
@@ -104,15 +104,15 @@ func run() error {
 			fmt.Println(res.Dist)
 		}
 	case "apsp":
-		res, err := dsssp.APSP(g, opts, *seed)
+		res, err := dsssp.APSP(g, opts)
 		if err != nil {
 			return err
 		}
 		c := res.Composition
 		fmt.Printf("n=%d m=%d instances=%d\n", g.N(), g.M(), g.N())
 		fmt.Printf("dilation=%d congestion=%d\n", c.Dilation, c.Congestion)
-		fmt.Printf("makespan: aligned=%d random=%d sequential=%d\n",
-			c.MakespanAligned, c.MakespanRandom, c.MakespanSequential)
+		fmt.Printf("makespan: aligned=%d staggered=%d sequential=%d\n",
+			c.MakespanAligned, c.Makespan, c.MakespanSequential)
 	default:
 		return fmt.Errorf("unknown algorithm %q", *alg)
 	}

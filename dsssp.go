@@ -264,15 +264,15 @@ type APSPResult struct {
 	// Dist[s][v] is the exact distance from s to v.
 	Dist [][]int64
 	// Composition holds dilation, congestion, and makespans (aligned,
-	// random-delay, sequential), plus the instances' message total and
-	// the heaviest instance's own congestion.
+	// staggered, sequential), plus the instances' message total and the
+	// heaviest instance's own congestion.
 	Composition sched.Composition
 }
 
 // APSP computes all-pairs shortest paths by running one CONGEST CSSP
 // instance per source, recording each instance's edge usage, and composing
-// the traces under random-delay scheduling (seeded). The per-instance
-// polylog congestion is what makes the random-delay makespan Õ(n).
+// the traces with fixed staggered delays, so the result is deterministic.
+// The per-instance polylog congestion keeps the makespan near Õ(n).
 // Section 1.1's composition is a CONGEST result, so ModelSleeping is
 // rejected with an error.
 //
@@ -280,20 +280,20 @@ type APSPResult struct {
 // over Options.Workers goroutines (default runtime.NumCPU()); their results
 // are composed in source order, so the result (and, if an instance fails,
 // the error) is identical to a sequential run.
-func APSP(g *Graph, opts *Options, seed int64) (*APSPResult, error) {
-	return APSPFrom(g, nil, opts, seed)
+func APSP(g *Graph, opts *Options) (*APSPResult, error) {
+	return APSPFrom(g, nil, opts)
 }
 
 // APSPFrom is APSP restricted to the given sources (nil means all n). The
-// per-source instances run and compose exactly as in APSP, so for the same
-// seed a source's distance row is identical whether it was computed in a
-// full or a partial fan-out — which is what lets the serving layer's
-// incremental path recompute only the sources an edge delta dirtied and
-// reuse every other cached row verbatim. Dist rows for sources outside the
-// set stay nil, and Composition covers only the instances actually run.
-// A source listed twice is an error naming the lowest such source. Like
-// APSP it runs in ModelCongest only.
-func APSPFrom(g *Graph, sources []NodeID, opts *Options, seed int64) (*APSPResult, error) {
+// per-source instances run exactly as in APSP, so a source's distance row
+// is identical whether it was computed in a full or a partial fan-out —
+// which is what lets the serving layer's incremental path recompute only
+// the sources an edge delta dirtied and reuse every other cached row
+// verbatim. Dist rows for sources outside the set stay nil, and
+// Composition covers only the instances actually run, in ascending source
+// order whatever the order of sources. A source listed twice is an error
+// naming the lowest such source. Like APSP it runs in ModelCongest only.
+func APSPFrom(g *Graph, sources []NodeID, opts *Options) (*APSPResult, error) {
 	m, copt, err := opts.resolved()
 	if err != nil {
 		return nil, err
@@ -316,7 +316,7 @@ func APSPFrom(g *Graph, sources []NodeID, opts *Options, seed int64) (*APSPResul
 		}
 		return res, err
 	}
-	comp, err := sched.APSPParallel(g, sources, runner, seed, opts.workers())
+	comp, err := sched.APSPParallel(g, sorted, runner, opts.workers())
 	if err != nil {
 		return nil, err
 	}

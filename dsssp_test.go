@@ -75,7 +75,7 @@ func TestBFSBothModels(t *testing.T) {
 
 func TestAPSPEndToEnd(t *testing.T) {
 	g := graph.RandomConnected(16, 16, graph.UniformWeights(5, 9), 9)
-	res, err := APSP(g, nil, 42)
+	res, err := APSP(g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +88,8 @@ func TestAPSPEndToEnd(t *testing.T) {
 		}
 	}
 	c := res.Composition
-	if c.MakespanRandom > c.MakespanSequential {
-		t.Fatalf("random-delay makespan %d worse than sequential %d", c.MakespanRandom, c.MakespanSequential)
+	if c.Makespan > c.MakespanSequential {
+		t.Fatalf("staggered makespan %d worse than sequential %d", c.Makespan, c.MakespanSequential)
 	}
 	if c.Congestion <= 0 || c.Dilation <= 0 {
 		t.Fatalf("bad composition %+v", c)
@@ -101,7 +101,7 @@ func TestAPSPEndToEnd(t *testing.T) {
 // message counters conserving against the merged instances.
 func TestAPSPRecordPhases(t *testing.T) {
 	g := graph.RandomConnected(12, 12, graph.UniformWeights(4, 9), 9)
-	res, err := APSP(g, &Options{Workers: 1}, 42)
+	res, err := APSP(g, &Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestInvalidModelErrorConsistent(t *testing.T) {
 	_, errS := SSSP(g, 0, bad)
 	_, errC := CSSP(g, map[NodeID]int64{0: 0}, bad)
 	_, errB := BFS(g, map[NodeID]bool{0: true}, 2, bad)
-	_, errA := APSP(g, bad, 1)
+	_, errA := APSP(g, bad)
 	for name, err := range map[string]error{"SSSP": errS, "CSSP": errC, "BFS": errB, "APSP": errA} {
 		if err == nil {
 			t.Fatalf("%s accepted Model(99)", name)
@@ -185,11 +185,11 @@ func TestAPSPParallelDeterministic(t *testing.T) {
 	g.AddEdge(0, 6, 2)
 	g.AddEdge(3, 11, 5)
 	g.SortAdj()
-	seq, err := APSP(g, &Options{Workers: 1}, 42)
+	seq, err := APSP(g, &Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := APSP(g, &Options{Workers: 8}, 42)
+	par, err := APSP(g, &Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestAPSPRejectsSleeping(t *testing.T) {
 	g.SortAdj()
 	sleeping := &Options{Model: ModelSleeping}
 	for name, sources := range map[string][]NodeID{"all": nil, "partial": {1}} {
-		res, err := APSPFrom(g, sources, sleeping, 1)
+		res, err := APSPFrom(g, sources, sleeping)
 		if err == nil {
 			t.Fatalf("%s: APSPFrom accepted ModelSleeping: %+v", name, res)
 		}
@@ -217,7 +217,7 @@ func TestAPSPRejectsSleeping(t *testing.T) {
 			t.Errorf("%s: error not descriptive: %v", name, err)
 		}
 	}
-	if _, err := APSP(g, &Options{Model: ModelCongest}, 1); err != nil {
+	if _, err := APSP(g, &Options{Model: ModelCongest}); err != nil {
 		t.Fatalf("ModelCongest rejected: %v", err)
 	}
 }
@@ -240,7 +240,7 @@ func TestOutOfRangeSourcesRejected(t *testing.T) {
 		{"CSSP", -2, func(o *Options) error { _, err := CSSP(g, map[NodeID]int64{1: 0, -2: 0, 9: 0}, o); return err }},
 		{"SSSPTree", 9, func(o *Options) error { _, err := SSSPTree(g, 9, o); return err }},
 		{"BFS", 6, func(o *Options) error { _, err := BFS(g, map[NodeID]bool{0: true, 6: true, 8: true}, 3, o); return err }},
-		{"APSPFrom", 5, func(o *Options) error { _, err := APSPFrom(g, []NodeID{0, 5, 6}, o, 1); return err }},
+		{"APSPFrom", 5, func(o *Options) error { _, err := APSPFrom(g, []NodeID{0, 5, 6}, o); return err }},
 	}
 	for _, m := range []Model{ModelCongest, ModelSleeping} {
 		for _, c := range calls {
@@ -319,13 +319,34 @@ func TestAPSPFromRejectsDuplicateSources(t *testing.T) {
 		{[]NodeID{1, 1}, 1},
 		{[]NodeID{3, 2, 3, 0, 2}, 2},
 	} {
-		_, err := APSPFrom(g, c.sources, nil, 1)
+		_, err := APSPFrom(g, c.sources, nil)
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("source %d more than once", c.dup)) {
 			t.Errorf("APSPFrom(%v) = %v, want an error naming source %d", c.sources, err, c.dup)
 		}
 	}
-	if _, err := APSPFrom(g, []NodeID{3, 1}, nil, 1); err != nil {
+	if _, err := APSPFrom(g, []NodeID{3, 1}, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAPSPFromIgnoresSourceOrder: the composition depends on the set of
+// sources, not on the order the caller lists them in, so a descending list
+// answers exactly as the ascending one.
+func TestAPSPFromIgnoresSourceOrder(t *testing.T) {
+	g := graph.Make(graph.FamilyRandom, 24, graph.UniformWeights(24, 3), 3)
+	up := []NodeID{1, 2, 3, 7, 11}
+	down := slices.Clone(up)
+	slices.Reverse(down)
+	a, err := APSPFrom(g, up, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := APSPFrom(g, down, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("sources %v compose to %+v, sources %v to %+v", up, a.Composition, down, b.Composition)
 	}
 }
 
@@ -366,7 +387,7 @@ func TestMaxRoundsEveryEntry(t *testing.T) {
 			return one(BFS(g, map[NodeID]bool{1: true}, 3, o))
 		}, nil},
 		{"APSP", ModelCongest, func(o *Options) ([][]int64, Metrics, error) {
-			r, err := APSP(g, o, 1)
+			r, err := APSP(g, o)
 			if err != nil {
 				return nil, Metrics{}, err
 			}

@@ -38,7 +38,7 @@ func TestIncrementalServingDifferential(t *testing.T) {
 				// in the sleeping model, which APSP rejects.
 				rows := func(g *Graph, sources []NodeID) ([][]int64, error) {
 					if model == ModelCongest {
-						res, err := APSPFrom(g, sources, opts, 7)
+						res, err := APSPFrom(g, sources, opts)
 						if err != nil {
 							return nil, err
 						}
@@ -234,12 +234,12 @@ func ledgerNetChanges(pre, head *graph.Graph, deltas []graph.EdgeDelta) []graph.
 func TestAPSPFromMatchesFullRun(t *testing.T) {
 	g := graph.Make(graph.FamilyCluster, 20, graph.UniformWeights(6, 3), 3)
 	opts := &Options{}
-	full, err := APSP(g, opts, 11)
+	full, err := APSP(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	subset := []graph.NodeID{2, 7, 13}
-	part, err := APSPFrom(g, subset, opts, 11)
+	part, err := APSPFrom(g, subset, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

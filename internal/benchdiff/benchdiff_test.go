@@ -125,7 +125,7 @@ func TestCompareCompositionMetrics(t *testing.T) {
 		r := res("apsp", 1000, 10000)
 		r.Alg = "apsp"
 		r.Dilation, r.Congestion = 500, 300
-		r.MakespanRandom = makespan
+		r.Makespan = makespan
 		return r
 	}
 	d, err := Compare(report(mk(700)), report(mk(900)))
@@ -139,7 +139,7 @@ func TestCompareCompositionMetrics(t *testing.T) {
 	if err := WriteMarkdown(&buf, d); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "makespan_random 700 → 900") {
+	if !strings.Contains(buf.String(), "makespan 700 → 900") {
 		t.Errorf("markdown hides the drifted composition metric:\n%s", buf.String())
 	}
 }

@@ -255,7 +255,7 @@ func Expander(n, d int, w WeightFn, seed int64) *Graph {
 // Barbell returns the classic barbell on ~n nodes: two cliques of size n/3
 // joined by a path of the remaining nodes. It maximizes the bottleneck-edge
 // congestion of any all-pairs workload and is a standard worst case for
-// random-delay scheduling.
+// delay scheduling.
 func Barbell(n int, w WeightFn) *Graph {
 	k := n / 3
 	if k < 2 {

@@ -299,30 +299,39 @@ type EdgeTriple struct {
 // self-loop, endpoints not in canonical order, a negative weight, or two
 // neighbouring edges out of pair order or repeating a pair.
 func FromEdges(n int, edges []EdgeTriple) (*Graph, error) {
+	if err := CheckEdges(n, edges); err != nil {
+		return nil, err
+	}
+	return build(n, edges), nil
+}
+
+// CheckEdges returns the error FromEdges(n, edges) would, without building
+// the graph: nil exactly for an n-node edge list in strict pair order.
+func CheckEdges(n int, edges []EdgeTriple) error {
 	if n < 0 {
-		return nil, fmt.Errorf("graph: negative node count %d", n)
+		return fmt.Errorf("graph: negative node count %d", n)
 	}
 	var prev uint64
 	for i, e := range edges {
 		switch k := PairKey(e.U, e.V); {
 		case e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n:
-			return nil, fmt.Errorf("graph: edge %d {%d,%d} out of range (n=%d)", i, e.U, e.V, n)
+			return fmt.Errorf("graph: edge %d {%d,%d} out of range (n=%d)", i, e.U, e.V, n)
 		case e.U == e.V:
-			return nil, fmt.Errorf("graph: edge %d is a self-loop at node %d", i, e.U)
+			return fmt.Errorf("graph: edge %d is a self-loop at node %d", i, e.U)
 		case e.U > e.V:
-			return nil, fmt.Errorf("graph: edge %d {%d,%d} not in canonical order u < v", i, e.U, e.V)
+			return fmt.Errorf("graph: edge %d {%d,%d} not in canonical order u < v", i, e.U, e.V)
 		case e.W < 0:
-			return nil, fmt.Errorf("graph: edge %d {%d,%d} has negative weight %d", i, e.U, e.V, e.W)
+			return fmt.Errorf("graph: edge %d {%d,%d} has negative weight %d", i, e.U, e.V, e.W)
 		case i > 0 && k == prev:
-			return nil, fmt.Errorf("graph: edges %d and %d repeat the pair {%d,%d}", i-1, i, e.U, e.V)
+			return fmt.Errorf("graph: edges %d and %d repeat the pair {%d,%d}", i-1, i, e.U, e.V)
 		case i > 0 && k < prev:
 			p := edges[i-1]
-			return nil, fmt.Errorf("graph: edges %d {%d,%d} and %d {%d,%d} are out of pair order", i-1, p.U, p.V, i, e.U, e.V)
+			return fmt.Errorf("graph: edges %d {%d,%d} and %d {%d,%d} are out of pair order", i-1, p.U, p.V, i, e.U, e.V)
 		default:
 			prev = k
 		}
 	}
-	return build(n, edges), nil
+	return nil
 }
 
 // build returns the n-node graph whose edge i is edges[i], without

@@ -267,7 +267,7 @@ func Default(quick bool) *Registry {
 		for _, n := range apspSizes {
 			r.MustRegister(Scenario{
 				Name:        name(ModelCongest, AlgAPSP, fam, n),
-				Description: "Sec 1.1: n CSSP instances under random-delay scheduling",
+				Description: "Sec 1.1: n CSSP instances under staggered-delay scheduling",
 				Family:      fam, N: n,
 				Weights: WeightSpec{Kind: WeightUniform, MaxW: int64(n)},
 				Model:   ModelCongest, Alg: AlgAPSP, Seed: 42,

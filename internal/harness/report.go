@@ -85,7 +85,7 @@ func (rep Report) check() error {
 			failures++
 		}
 		if min(r.Rounds, r.StrictRounds, r.Messages, r.MaxEdgeMessages, r.MaxMessageBits, r.MaxAwake, r.TotalAwake,
-			int64(r.Unreachable), r.Dilation, r.Congestion, r.MakespanAligned, r.MakespanRandom, r.MakespanSequential) < 0 {
+			int64(r.Unreachable), r.Dilation, r.Congestion, r.MakespanAligned, r.Makespan, r.MakespanSequential) < 0 {
 			return fmt.Errorf("scenario %q has a negative count", r.Scenario)
 		}
 		phases := make(map[string]bool, len(r.Phases))
@@ -149,17 +149,17 @@ func WriteMarkdown(w io.Writer, rep Report) error {
 		rs := groups[k]
 		fmt.Fprintf(&b, "\n## %s\n\n", k)
 		if rs[0].Alg == string(AlgAPSP) {
-			b.WriteString("| scenario | n | m | dilation | congestion | aligned | random | sequential | random/(C+T) | r(bits) | ok |\n")
+			b.WriteString("| scenario | n | m | dilation | congestion | aligned | makespan | sequential | makespan/(C+T) | r(bits) | ok |\n")
 			b.WriteString("|---|---|---|---|---|---|---|---|---|---|---|\n")
 			for _, r := range rs {
 				ct := r.Congestion + r.Dilation
 				rct := "-"
 				if ct > 0 {
-					rct = fmt.Sprintf("%.2f", float64(r.MakespanRandom)/float64(ct))
+					rct = fmt.Sprintf("%.2f", float64(r.Makespan)/float64(ct))
 				}
 				fmt.Fprintf(&b, "| %s | %d | %d | %d | %d | %d | %d | %d | %s | %s | %s |\n",
 					r.Scenario, r.N, r.M, r.Dilation, r.Congestion,
-					r.MakespanAligned, r.MakespanRandom, r.MakespanSequential, rct,
+					r.MakespanAligned, r.Makespan, r.MakespanSequential, rct,
 					ratio(r.MaxMessageBits, r.Envelope.MessageBits), okMark(r))
 			}
 			continue

@@ -51,7 +51,7 @@ type Result struct {
 	Dilation           int64 `json:"dilation,omitempty"`
 	Congestion         int64 `json:"congestion,omitempty"`
 	MakespanAligned    int64 `json:"makespan_aligned,omitempty"`
-	MakespanRandom     int64 `json:"makespan_random,omitempty"`
+	Makespan           int64 `json:"makespan,omitempty"`
 	MakespanSequential int64 `json:"makespan_sequential,omitempty"`
 
 	// Phases is the per-phase breakdown of the run (CSSP-pipeline
@@ -270,7 +270,7 @@ func executeUnvalidated(s Scenario) (r Result) {
 		return r
 
 	case AlgAPSP:
-		res, err := dsssp.APSPFrom(g, nil, opts, s.Seed)
+		res, err := dsssp.APSPFrom(g, nil, opts)
 		if err != nil {
 			r.Err = err.Error()
 			return r
@@ -285,8 +285,7 @@ func executeUnvalidated(s Scenario) (r Result) {
 		// totals; rounds are per-instance sums, not the heaviest instance.
 		r.Phases = PhasesFromSpans(comp.Spans)
 		r.Dilation, r.Congestion = comp.Dilation, comp.Congestion
-		r.MakespanAligned, r.MakespanRandom = comp.MakespanAligned, comp.MakespanRandom
-		r.MakespanSequential = comp.MakespanSequential
+		r.MakespanAligned, r.Makespan, r.MakespanSequential = comp.MakespanAligned, comp.Makespan, comp.MakespanSequential
 		h := fnv.New64a()
 		ok := true
 		for src := 0; src < g.N(); src++ {

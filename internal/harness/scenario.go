@@ -36,7 +36,7 @@ const (
 	// CONGEST.
 	AlgBFS Algorithm = "bfs"
 	// AlgAPSP is the Section 1.1 composition: one CSSP instance per source
-	// under random-delay scheduling.
+	// under staggered-delay scheduling.
 	AlgAPSP Algorithm = "apsp"
 	// AlgBellmanFord is the classic distributed Bellman-Ford baseline.
 	AlgBellmanFord Algorithm = "bellman-ford"
@@ -287,7 +287,7 @@ func (s *Scenario) PredictedEnvelope() Envelope {
 		return Envelope{Rounds: 4 * n, Congestion: 8}
 	case AlgAPSP:
 		// Per-instance bounds; the composition metrics get their own
-		// columns (random-delay makespan vs C+T) in the report.
+		// columns (staggered makespan vs C+T) in the report.
 		return Envelope{Rounds: 64 * epsFactor * n * l * ld * ld, Congestion: 8 * n * l * l * ld * ld, MessageBits: bits}
 	default:
 		return Envelope{}

@@ -1,7 +1,7 @@
 // Package sched demonstrates the paper's APSP implication (Section 1.1):
 // because the CSSP algorithm has poly(log n) congestion per edge, n
-// independent SSSP instances — one per source — can run concurrently under
-// random-delay scheduling [LMR94, Gha15] with near-optimal makespan Õ(n).
+// independent SSSP instances — one per source — can run concurrently with
+// staggered start delays and near-optimal makespan Õ(n), deterministically.
 //
 // The composition works on each instance's own engine result, recorded
 // with simnet.Config.RecordTrace: SSSP instances are oblivious to each
@@ -13,8 +13,9 @@
 //   - dilation T (the longest single instance),
 //   - congestion C (max total messages through an edge over all instances),
 //   - the makespan of the aligned composition (all delays zero),
-//   - the makespan of the random-delay composition (delays uniform in
-//     [0, C)), which the scheduling theorem bounds by Õ(C + T),
+//   - the makespan of the staggered composition (instance i of k delayed
+//     ⌊i·C/k⌋ rounds), the fixed counterpart of random delays in [0, C)
+//     [LMR94, Gha15], which the scheduling theorem bounds by Õ(C + T),
 //   - the trivial sequential composition (Σ of instance durations),
 //   - the total messages and the heaviest single instance's congestion.
 //
@@ -27,8 +28,8 @@ package sched
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"dsssp/internal/graph"
 	"dsssp/internal/simnet"
@@ -42,8 +43,8 @@ type Composition struct {
 	Congestion int64
 	// MakespanAligned is the serialized length with all delays zero.
 	MakespanAligned int64
-	// MakespanRandom is the serialized length under seeded random delays.
-	MakespanRandom int64
+	// Makespan is the serialized length under the staggered delays.
+	Makespan int64
 	// MakespanSequential is the sum of instance durations.
 	MakespanSequential int64
 	// MaxMessageBits is the largest message any instance sent (0 when the
@@ -65,9 +66,9 @@ type Composition struct {
 
 // Compose computes the composition metrics for the given instance results
 // over a graph with m edges; each result must have been recorded with
-// simnet.Config.RecordTrace. Random delays are drawn uniformly from [0, C)
-// with the given seed, where C is the measured congestion.
-func Compose(m int, results []*simnet.Result, seed int64) Composition {
+// simnet.Config.RecordTrace. Instance i of k is delayed ⌊i·C/k⌋ rounds,
+// where C is the measured congestion.
+func Compose(m int, results []*simnet.Result) Composition {
 	var comp Composition
 	perEdge := make([]int64, m)
 	spanLists := make([][]simnet.SpanMetrics, 0, len(results))
@@ -89,15 +90,12 @@ func Compose(m int, results []*simnet.Result, seed int64) Composition {
 	for _, c := range perEdge {
 		comp.Congestion = max(comp.Congestion, c)
 	}
-	zero := make([]int64, len(results))
-	comp.MakespanAligned = makespan(m, results, zero)
 	delays := make([]int64, len(results))
-	rng := rand.New(rand.NewSource(seed))
-	span := max(comp.Congestion, 1)
+	comp.MakespanAligned = makespan(m, results, delays)
 	for i := range delays {
-		delays[i] = rng.Int63n(span)
+		delays[i] = int64(i) * comp.Congestion / int64(len(delays))
 	}
-	comp.MakespanRandom = makespan(m, results, delays)
+	comp.Makespan = makespan(m, results, delays)
 	return comp
 }
 
@@ -149,13 +147,12 @@ type SSSPRunner func(g *graph.Graph, source graph.NodeID) (*simnet.Result, error
 // sources is non-nil) over a pool of `workers` goroutines (at least one)
 // and composes their results. The instances are independent simulations
 // sharing nothing, so this is safe and near-linear; a pool of one runs
-// them in source order. Results are collected in source order and the
-// random delays are seeded, so the composition does not depend on the
-// pool size. If any instance fails, the error is the lowest-indexed
-// failing source's, equally independent of the pool size and of
-// goroutine scheduling. The runner is invoked concurrently and must only
-// touch per-source state.
-func APSPParallel(g *graph.Graph, sources []graph.NodeID, run SSSPRunner, seed int64, workers int) (Composition, error) {
+// them in list order. Results are collected and composed in list order,
+// so the composition does not depend on the pool size. If any instance
+// fails, the error is the lowest-indexed failing source's, equally
+// independent of the pool size and of goroutine scheduling. The runner is
+// invoked concurrently and must only touch per-source state.
+func APSPParallel(g *graph.Graph, sources []graph.NodeID, run SSSPRunner, workers int) (Composition, error) {
 	if sources == nil {
 		sources = make([]graph.NodeID, g.N())
 		for i := range sources {
@@ -164,14 +161,11 @@ func APSPParallel(g *graph.Graph, sources []graph.NodeID, run SSSPRunner, seed i
 	}
 	workers = max(min(workers, len(sources)), 1)
 	results := make([]*simnet.Result, len(sources))
-	var (
-		mu sync.Mutex
-		// first is the lowest failing index so far and firstErr its error;
-		// a source above it cannot change the returned error, so it is
-		// skipped.
-		first    = len(sources)
-		firstErr error
-	)
+	errs := make([]error, len(sources))
+	// failed is some failing index (len(sources) before any fails); a
+	// source above it cannot be the lowest failing one, so it is skipped.
+	var failed atomic.Int64
+	failed.Store(int64(len(sources)))
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -179,22 +173,12 @@ func APSPParallel(g *graph.Graph, sources []graph.NodeID, run SSSPRunner, seed i
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				mu.Lock()
-				skip := i > first
-				mu.Unlock()
-				if skip {
+				if int64(i) > failed.Load() {
 					continue // keep draining so the producer never blocks
 				}
-				res, err := run(g, sources[i])
-				if err == nil {
-					results[i] = res
-					continue
+				if results[i], errs[i] = run(g, sources[i]); errs[i] != nil {
+					failed.Store(int64(i))
 				}
-				mu.Lock()
-				if i < first {
-					first, firstErr = i, fmt.Errorf("sched: SSSP from %d: %w", sources[i], err)
-				}
-				mu.Unlock()
 			}
 		}()
 	}
@@ -203,8 +187,10 @@ func APSPParallel(g *graph.Graph, sources []graph.NodeID, run SSSPRunner, seed i
 	}
 	close(idx)
 	wg.Wait()
-	if firstErr != nil {
-		return Composition{}, firstErr
+	for i, err := range errs {
+		if err != nil {
+			return Composition{}, fmt.Errorf("sched: SSSP from %d: %w", sources[i], err)
+		}
 	}
-	return Compose(g.M(), results, seed), nil
+	return Compose(g.M(), results), nil
 }

@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
+	"dsssp/internal/core"
 	"dsssp/internal/graph"
 	"dsssp/internal/simnet"
 )
@@ -133,20 +136,22 @@ func TestMakespanMatchesReferenceRandom(t *testing.T) {
 	}
 }
 
-// TestComposePinned pins the full Compose output (including the seeded
-// random-delay makespan) on a fixed input, guarding the Section 1.1
-// composition numbers across refactors.
+// TestComposePinned pins the full Compose output (including the staggered
+// makespan) on a fixed input, guarding the Section 1.1 composition numbers
+// across refactors.
 func TestComposePinned(t *testing.T) {
 	a := instance(3, 6, send{0, 0, 0}, send{2, 1, 0}, send{4, 2, 1})
 	a.Metrics.MaxMessageBits = 48
 	b := instance(3, 4, send{0, 0, 0}, send{1, 1, 0}, send{2, 2, 1})
 	b.Metrics.MaxMessageBits = 32
-	got := Compose(3, []*simnet.Result{a, b}, 42)
+	got := Compose(3, []*simnet.Result{a, b})
 	want := Composition{
-		Dilation:           6,
-		Congestion:         2,
-		MakespanAligned:    7, // horizon 6 + one serialization on edge 0
-		MakespanRandom:     makespanRef(3, []*simnet.Result{a, b}, composeDelays(2, 2, 42)),
+		Dilation:        6,
+		Congestion:      2,
+		MakespanAligned: 7, // horizon 6 + one serialization on edge 0
+		// Delays ⌊i·C/k⌋ = 0 and 1: b's edge-0 send moves off a's, its
+		// edge-1 send lands on a's in round 2, and the horizon stays 6.
+		Makespan:           7,
 		MakespanSequential: 10,
 		MaxMessageBits:     48,
 		Messages:           6,
@@ -155,21 +160,9 @@ func TestComposePinned(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Compose = %+v, want %+v", got, want)
 	}
-}
-
-// composeDelays replays Compose's seeded delay draw so pins stay honest if
-// the congestion value ever changes.
-func composeDelays(nTraces int, congestion int64, seed int64) []int64 {
-	rng := rand.New(rand.NewSource(seed))
-	span := congestion
-	if span < 1 {
-		span = 1
+	if ref := makespanRef(3, []*simnet.Result{a, b}, []int64{0, 1}); got.Makespan != ref {
+		t.Fatalf("staggered makespan %d, reference %d", got.Makespan, ref)
 	}
-	delays := make([]int64, nTraces)
-	for i := range delays {
-		delays[i] = rng.Int63n(span)
-	}
-	return delays
 }
 
 func TestComposeBasics(t *testing.T) {
@@ -177,7 +170,7 @@ func TestComposeBasics(t *testing.T) {
 	// (+1), a delayed composition must not.
 	a := instance(1, 3, send{0, 0, 0})
 	b := instance(1, 3, send{0, 0, 0})
-	c := Compose(1, []*simnet.Result{a, b}, 1)
+	c := Compose(1, []*simnet.Result{a, b})
 	if c.Dilation != 3 || c.Congestion != 2 || c.MakespanSequential != 6 {
 		t.Fatalf("composition %+v", c)
 	}
@@ -189,7 +182,7 @@ func TestComposeBasics(t *testing.T) {
 func TestComposeNoConflicts(t *testing.T) {
 	a := instance(1, 5, send{0, 0, 0})
 	b := instance(1, 5, send{1, 0, 0})
-	c := Compose(1, []*simnet.Result{a, b}, 1)
+	c := Compose(1, []*simnet.Result{a, b})
 	if c.MakespanAligned != 5 {
 		t.Fatalf("no-conflict aligned=%d, want 5", c.MakespanAligned)
 	}
@@ -200,16 +193,16 @@ func TestComposeDirectionsIndependent(t *testing.T) {
 	// (CONGEST allows one message per direction).
 	a := instance(1, 2, send{0, 0, 0})
 	b := instance(1, 2, send{0, 0, 1})
-	c := Compose(1, []*simnet.Result{a, b}, 1)
+	c := Compose(1, []*simnet.Result{a, b})
 	if c.MakespanAligned != 2 {
 		t.Fatalf("aligned=%d, want 2", c.MakespanAligned)
 	}
 }
 
-func TestRandomDelaysBeatAligned(t *testing.T) {
+func TestStaggeredDelaysBeatAligned(t *testing.T) {
 	// 20 identical wave instances sweeping across 25 edges for 100 rounds:
 	// aligned stacks all 20 on the same edge every round (makespan ~ 20T),
-	// random delays spread them (makespan ~ C + T).
+	// staggered delays spread them (makespan ~ C + T).
 	const m, nInst, rounds = 25, 20, 100
 	insts := make([]*simnet.Result, nInst)
 	for i := range insts {
@@ -219,20 +212,20 @@ func TestRandomDelaysBeatAligned(t *testing.T) {
 		}
 		insts[i] = instance(m, rounds, es...)
 	}
-	c := Compose(m, insts, 7)
+	c := Compose(m, insts)
 	if c.MakespanAligned < nInst*rounds/2 {
 		t.Fatalf("aligned %d unexpectedly small", c.MakespanAligned)
 	}
-	if c.MakespanRandom*3 >= c.MakespanAligned {
-		t.Fatalf("random %d not far better than aligned %d", c.MakespanRandom, c.MakespanAligned)
+	if c.Makespan*3 >= c.MakespanAligned {
+		t.Fatalf("staggered %d not far better than aligned %d", c.Makespan, c.MakespanAligned)
 	}
-	if c.MakespanRandom >= c.MakespanSequential {
-		t.Fatalf("random %d not better than sequential %d", c.MakespanRandom, c.MakespanSequential)
+	if c.Makespan >= c.MakespanSequential {
+		t.Fatalf("staggered %d not better than sequential %d", c.Makespan, c.MakespanSequential)
 	}
 }
 
-func TestMakespanBoundHolds(t *testing.T) {
-	// The scheduling theorem shape: random-delay makespan = O(C + T) with
+func TestStaggeredMakespanBoundHolds(t *testing.T) {
+	// The scheduling theorem shape: staggered makespan = O(C + T) with
 	// modest constants, far below C*T for many bursty instances.
 	insts := make([]*simnet.Result, 40)
 	for i := range insts {
@@ -242,10 +235,10 @@ func TestMakespanBoundHolds(t *testing.T) {
 		}
 		insts[i] = instance(1, 30, es...)
 	}
-	c := Compose(1, insts, 3)
+	c := Compose(1, insts)
 	bound := 4 * (c.Congestion + c.Dilation)
-	if c.MakespanRandom > bound {
-		t.Fatalf("random makespan %d exceeds 4(C+T)=%d", c.MakespanRandom, bound)
+	if c.Makespan > bound {
+		t.Fatalf("staggered makespan %d exceeds 4(C+T)=%d", c.Makespan, bound)
 	}
 }
 
@@ -285,12 +278,12 @@ func TestAPSPWithRealTraces(t *testing.T) {
 		msgs[s] = res.Metrics.Messages
 		// One undelayed instance serializes exactly as the engine's own
 		// megaround accounting does.
-		if one := Compose(g.M(), []*simnet.Result{res}, 1); one.MakespanAligned != res.Metrics.StrictRounds {
+		if one := Compose(g.M(), []*simnet.Result{res}); one.MakespanAligned != res.Metrics.StrictRounds {
 			return nil, fmt.Errorf("aligned makespan %d of one instance, engine strict rounds %d", one.MakespanAligned, res.Metrics.StrictRounds)
 		}
 		return res, nil
 	}
-	comp, err := APSPParallel(g, nil, run, 11, 1)
+	comp, err := APSPParallel(g, nil, run, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,8 +297,8 @@ func TestAPSPWithRealTraces(t *testing.T) {
 	if comp.InstanceCongestion < 1 || comp.InstanceCongestion > comp.Congestion {
 		t.Fatalf("instance congestion %d outside [1, congestion %d]", comp.InstanceCongestion, comp.Congestion)
 	}
-	if comp.MakespanRandom > comp.MakespanSequential {
-		t.Fatalf("random %d worse than sequential %d", comp.MakespanRandom, comp.MakespanSequential)
+	if comp.Makespan > comp.MakespanSequential {
+		t.Fatalf("staggered %d worse than sequential %d", comp.Makespan, comp.MakespanSequential)
 	}
 	if comp.Congestion < 2 {
 		t.Fatalf("expected overlapping edge usage, congestion=%d", comp.Congestion)
@@ -327,7 +320,7 @@ func TestAPSPParallelLowestSourceError(t *testing.T) {
 	}
 	const want = "sched: SSSP from 1: instance 1 failed"
 	for trial := 0; trial < 50; trial++ {
-		_, err := APSPParallel(g, nil, run, 1, 4)
+		_, err := APSPParallel(g, nil, run, 4)
 		if err == nil || err.Error() != want {
 			t.Fatalf("trial %d: error %v, want %q", trial, err, want)
 		}
@@ -395,4 +388,54 @@ func FuzzMakespan(f *testing.F) {
 			t.Fatalf("makespan %d, reference %d (m=%d, delays=%v)", got, want, m, delays)
 		}
 	})
+}
+
+// BenchmarkStaggeredVsRandom sets the staggered makespan beside the
+// random-delay rule it replaced [LMR94, Gha15], delays drawn uniformly
+// from [0, C) with seeds 1 to 5: one CONGEST APSP per graph, weights ≤ n,
+// graph and weight seed 42. It reports the dilation T and congestion C,
+// every makespan as a multiple of T, and the staggered one also against
+// the random median.
+// The figures are deterministic; run it once per graph:
+//
+//	go test ./internal/sched -run '^$' -bench StaggeredVsRandom -benchtime 1x
+func BenchmarkStaggeredVsRandom(b *testing.B) {
+	for _, fam := range []graph.Family{graph.FamilyRandom, graph.FamilyBarbell} {
+		for _, n := range []int{32, 64, 128} {
+			b.Run(fmt.Sprintf("%s/n=%d", fam, n), func(b *testing.B) {
+				g := graph.Make(fam, n, graph.UniformWeights(int64(n), 42), 42).Canonical()
+				results := make([]*simnet.Result, n)
+				run := func(g *graph.Graph, s graph.NodeID) (*simnet.Result, error) {
+					_, _, res, err := core.Run(g, map[graph.NodeID]int64{s: 0}, core.Options{}, simnet.Congest, true)
+					results[s] = res
+					return res, err
+				}
+				for range b.N {
+					comp, err := APSPParallel(g, nil, run, runtime.NumCPU())
+					if err != nil {
+						b.Fatal(err)
+					}
+					random := make([]float64, 5)
+					for k := range random {
+						rng := rand.New(rand.NewSource(int64(k) + 1))
+						delays := make([]int64, n)
+						for i := range delays {
+							delays[i] = rng.Int63n(max(comp.Congestion, 1))
+						}
+						random[k] = float64(makespan(g.M(), results, delays))
+					}
+					slices.Sort(random)
+					t := float64(comp.Dilation)
+					b.ReportMetric(t, "T")
+					b.ReportMetric(float64(comp.Congestion), "C")
+					b.ReportMetric(float64(comp.MakespanAligned)/t, "aligned/T")
+					b.ReportMetric(random[0]/t, "random-min/T")
+					b.ReportMetric(random[2]/t, "random-median/T")
+					b.ReportMetric(random[4]/t, "random-max/T")
+					b.ReportMetric(float64(comp.Makespan)/t, "staggered/T")
+					b.ReportMetric(float64(comp.Makespan)/random[2], "staggered/median")
+				}
+			})
+		}
+	}
 }

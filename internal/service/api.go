@@ -104,8 +104,8 @@ type PathRequest struct {
 	Options QueryOptions `json:"options"`
 }
 
-// APSPRequest is the POST /v1/apsp body; Seed seeds the random-delay
-// composition (Section 1.1).
+// APSPRequest is the POST /v1/apsp body. Seed is accepted and ignored:
+// the composition's delays are fixed (Section 1.1), so it keys no cache.
 type APSPRequest struct {
 	Graph   GraphSpec    `json:"graph"`
 	Seed    int64        `json:"seed"`
@@ -179,7 +179,7 @@ type CompositionJSON struct {
 	Dilation           int64 `json:"dilation"`
 	Congestion         int64 `json:"congestion"`
 	MakespanAligned    int64 `json:"makespan_aligned"`
-	MakespanRandom     int64 `json:"makespan_random"`
+	Makespan           int64 `json:"makespan"`
 	MakespanSequential int64 `json:"makespan_sequential"`
 	MaxMessageBits     int64 `json:"max_message_bits,omitempty"`
 }

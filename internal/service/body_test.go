@@ -77,7 +77,7 @@ func TestRenderMatchesMarshal(t *testing.T) {
 		t.Fatal("the APSP rows have no unreachable node")
 	}
 	comp := &dsssp.APSPResult{Composition: sched.Composition{
-		Dilation: 4000, Congestion: 512, MakespanAligned: 9000, MakespanRandom: 7000,
+		Dilation: 4000, Congestion: 512, MakespanAligned: 9000, Makespan: 7000,
 		MakespanSequential: 1 << 40, MaxMessageBits: 40,
 	}}
 	for _, tc := range []struct {

@@ -197,10 +197,10 @@ func TestDynamicAPSPIncremental(t *testing.T) {
 		t.Fatalf("content-shared APSP: cache=%s incr=%+v", w.Header().Get("X-Dsssp-Cache"), shared.Incr)
 	}
 
-	// A different seed misses the body cache but finds every row traced:
-	// the pure all-reused path (distances are seed-independent).
+	// A different ε misses the body cache but finds every row traced: the
+	// pure all-reused path (distances are exact whatever ε).
 	var full APSPResponse
-	w = do(t, s, "POST", "/v1/apsp", fmt.Sprintf(`{"graph":{"graph_id":%q},"seed":5}`, info.ID))
+	w = do(t, s, "POST", "/v1/apsp", fmt.Sprintf(`{"graph":{"graph_id":%q},"options":{"eps_num":1,"eps_den":3}}`, info.ID))
 	decodeBody(t, w, http.StatusOK, &full)
 	if full.Incr == nil || full.Incr.SourcesReused != 4 || full.Incr.SourcesRecomputed != 0 {
 		t.Fatalf("all-reused APSP split = %+v", full.Incr)

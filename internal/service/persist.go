@@ -545,12 +545,11 @@ func decodeSpill(data []byte) (*regGraph, int, error) {
 	if r.err != nil {
 		return nil, 0, fmt.Errorf("edges: %w", r.err)
 	}
-	g, err := graph.FromEdges(n, edges)
-	if err != nil {
+	if err := graph.CheckEdges(n, edges); err != nil {
 		return nil, 0, err
 	}
 	rg := &regGraph{
-		id: id, createdAt: time.Unix(0, created), num: int(rev), g: g,
+		id: id, createdAt: time.Unix(0, created), num: int(rev),
 		traces: make(map[graph.NodeID]*sourceTrace),
 	}
 	if patched != 0 {
@@ -565,6 +564,7 @@ func decodeSpill(data []byte) (*regGraph, int, error) {
 		}
 		prev = int64(src)
 		tr := &sourceTrace{rev: int(trev)}
+		var err error
 		if tr.dist, err = r.dist(n); err == nil {
 			tr.parent, err = r.parent(n)
 		}
@@ -580,7 +580,7 @@ func decodeSpill(data []byte) (*regGraph, int, error) {
 		return nil, 0, fmt.Errorf("%d trailing bytes", len(r.b))
 	}
 
-	size, err := replayJournal(rg, data[bl:])
+	size, err := replayJournal(rg, n, edges, data[bl:])
 	if err != nil {
 		return nil, 0, err
 	}
@@ -603,11 +603,13 @@ func (r *spillReader) change(n int) graph.WeightChange {
 // traces, over the journal records in j: each goes through
 // regGraph.advance, as its PATCH did, with the snapshot's charge taken from
 // the edge count its changes leave; advance classifies a trace only once
-// the replay has reached its revision. The head snapshot is built once at
-// the end, from every record's changes. It returns the bytes of the whole
+// the replay has reached its revision. A change's first weight is chained
+// to the base's edges, a checked n-node list in pair order, by binary
+// search. The head snapshot rg.g is built once at the end, from the base
+// edges and every record's changes. It returns the bytes of the whole
 // records; a torn final record is left out.
-func replayJournal(rg *regGraph, j []byte) (int, error) {
-	n, m := rg.g.N(), rg.g.M()
+func replayJournal(rg *regGraph, n int, edges []graph.EdgeTriple, j []byte) (int, error) {
+	m := len(edges)
 	weight := make(map[uint64]int64) // pair → its weight after the records so far
 	var all []graph.WeightChange
 	off := 0
@@ -629,9 +631,10 @@ func replayJournal(rg *regGraph, j []byte) (int, error) {
 			}
 			key := graph.PairKey(c.U, c.V)
 			w, ok := weight[key]
-			if !ok {
-				if w, ok = rg.g.Weight(c.U, c.V); !ok {
-					w = -1 // absent from the base
+			if !ok { // the base's weight, -1 if absent
+				e := sort.Search(len(edges), func(e int) bool { return graph.PairKey(edges[e].U, edges[e].V) >= key })
+				if w = -1; e < len(edges) && graph.PairKey(edges[e].U, edges[e].V) == key {
+					w = edges[e].W
 				}
 			}
 			if c.OldW != w {
@@ -661,10 +664,11 @@ func replayJournal(rg *regGraph, j []byte) (int, error) {
 	if past >= 0 {
 		return 0, fmt.Errorf("trace for source %d at revision %d, past the journal's head %d", past, rg.traces[past].rev, rg.num)
 	}
-	if len(all) > 0 {
-		rg.g = graph.ApplyChanges(rg.g, all)
+	g, err := graph.FromEdges(n, graph.MergeChanges(edges, all))
+	if err != nil {
+		return 0, err
 	}
-	rg.journal = int64(off)
+	rg.g, rg.journal = g, int64(off)
 	return off, nil
 }
 

@@ -85,7 +85,7 @@ func pinEndpoint(t *testing.T, out *strings.Builder, ep string, repairMax float6
 		alt = `{"graph":` + g + `,"source":0,"target":3}`
 	case "apsp":
 		base = `{"graph":` + g + `}`
-		alt = `{"graph":` + g + `,"seed":5}`
+		alt = `{"graph":` + g + `,"options":{"max_rounds":1000000000}}`
 	}
 	patch := func(w int) {
 		body := fmt.Sprintf(`{"deltas":[{"op":"reweight","u":0,"v":2,"w":%d}]}`, w)

@@ -320,11 +320,11 @@ func (s *Server) handleAPSP(w http.ResponseWriter, r *http.Request) {
 	var res *dsssp.APSPResult
 	s.serveRows(w, r, rowQuery{
 		resolvedGraph: rg,
-		parts:         queryKeyParts("apsp", req.Options, fmt.Sprintf("seed=%d", req.Seed)),
+		parts:         queryKeyParts("apsp", req.Options, ""),
 		allPairs:      true,
 		engine: func(missing []graph.NodeID) ([]row, []simnet.SpanMetrics, error) {
 			var err error
-			if res, err = dsssp.APSPFrom(rg.load(), missing, opts, req.Seed); err != nil {
+			if res, err = dsssp.APSPFrom(rg.load(), missing, opts); err != nil {
 				return nil, nil, err
 			}
 			rows := make([]row, len(missing))
@@ -350,7 +350,7 @@ func apspResponse(g *graph.Graph, rs rowSet, res *dsssp.APSPResult) APSPResponse
 		comp := res.Composition
 		resp.Composition = &CompositionJSON{
 			Dilation: comp.Dilation, Congestion: comp.Congestion,
-			MakespanAligned: comp.MakespanAligned, MakespanRandom: comp.MakespanRandom,
+			MakespanAligned: comp.MakespanAligned, Makespan: comp.Makespan,
 			MakespanSequential: comp.MakespanSequential, MaxMessageBits: comp.MaxMessageBits,
 		}
 	}

@@ -249,13 +249,29 @@ func TestAPSPQuery(t *testing.T) {
 			t.Fatalf("dist[%d][%d] = %d", i, i, resp.Dist[i][i])
 		}
 	}
-	if resp.Composition.MakespanRandom <= 0 || resp.Composition.Congestion <= 0 {
+	if resp.Composition.Makespan <= 0 || resp.Composition.Congestion <= 0 {
 		t.Fatalf("composition = %+v", resp.Composition)
 	}
 	// Same request → cached bytes.
 	w2 := do(t, s, "POST", "/v1/apsp", `{"graph":{"family":"random","n":12,"seed":3},"seed":42}`)
 	if w2.Header().Get("X-Dsssp-Cache") != "hit" || !bytes.Equal(w.Body.Bytes(), w2.Body.Bytes()) {
 		t.Fatal("identical APSP request did not hit the cache byte-identically")
+	}
+}
+
+// TestAPSPSeedIgnored: "seed" is still accepted on /v1/apsp but no longer
+// part of the computation, so a request that differs only in it is a cache
+// hit with the same bytes.
+func TestAPSPSeedIgnored(t *testing.T) {
+	s := testServer(t)
+	w := do(t, s, "POST", "/v1/apsp", `{"graph":{"family":"random","n":12,"seed":3},"seed":1}`)
+	if w.Code != 200 || w.Header().Get("X-Dsssp-Cache") != "miss" {
+		t.Fatalf("status %d, cache %q: %s", w.Code, w.Header().Get("X-Dsssp-Cache"), w.Body.String())
+	}
+	w2 := do(t, s, "POST", "/v1/apsp", `{"graph":{"family":"random","n":12,"seed":3},"seed":2}`)
+	if w2.Code != 200 || w2.Header().Get("X-Dsssp-Cache") != "hit" || !bytes.Equal(w.Body.Bytes(), w2.Body.Bytes()) {
+		t.Fatalf("a request differing only in seed: status %d, cache %q, bodies equal %v",
+			w2.Code, w2.Header().Get("X-Dsssp-Cache"), bytes.Equal(w.Body.Bytes(), w2.Body.Bytes()))
 	}
 }
 

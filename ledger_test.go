@@ -87,7 +87,7 @@ func TestLedgerPartitionsPublicResults(t *testing.T) {
 		}
 	}
 
-	apsp, err := APSP(g, nil, 7)
+	apsp, err := APSP(g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

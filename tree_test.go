@@ -180,11 +180,11 @@ func TestUnsortedGraphRunsAsSorted(t *testing.T) {
 			t.Errorf("%s: unsorted BFS differs from sorted:\n got %+v\nwant %+v", m, gotB, wantB)
 		}
 	}
-	gotA, err := APSP(g, nil, 1)
+	gotA, err := APSP(g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantA, err := APSP(sorted, nil, 1)
+	wantA, err := APSP(sorted, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
