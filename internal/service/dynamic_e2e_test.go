@@ -7,9 +7,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 
+	"dsssp"
 	"dsssp/internal/graph"
 )
 
@@ -549,25 +551,41 @@ func TestWarmStartKeepsBytes(t *testing.T) {
 
 // TestPatchQueryRace hammers PATCH (toggling one edge weight between two
 // contents) against concurrent queries on the same handle; under -race
-// this exercises the registry/cache locking, and every response must be
-// exactly the answer for one of the two revisions in flight — never a mix,
-// never a stale third value.
+// this exercises the registry/cache locking and the kept bodies, and every
+// reply must equal, byte for byte, a fresh render at the revision in its
+// X-Dsssp-Graph-Revision header — never a mix, never a stale body.
 func TestPatchQueryRace(t *testing.T) {
 	s := testServer(t)
 	var info GraphInfo
 	decodeBody(t, do(t, s, "POST", "/v1/graphs", `{"graph":`+ciGraphJSON+`}`), http.StatusCreated, &info)
 
-	// The two legal answers from source 3: chord at 10 (dist [0 1 2 1]
-	// from 0 ⇒ from 3: [1 2 1 0]) and chord at 1.
+	// Odd revisions hold ciGraph, the chord {0,2} at 10; even ones the chord
+	// at 1. replies[rev%2] renders each reply a revision may get: computed
+	// (key -1, with the engine run's metrics) or repaired, keyed by the
+	// vertices the repair rebuilt.
 	gA := ciGraph()
 	gB, err := graph.ApplyDeltas(gA, []graph.EdgeDelta{{Op: graph.DeltaReweight, U: 0, V: 2, W: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	legal := map[string]bool{}
-	for _, g := range []*graph.Graph{gA, gB} {
-		b, _ := json.Marshal(graph.Dijkstra(g, 0))
-		legal[string(b)] = true
+	opts, err := resolveOptions(QueryOptions{}, s.cfg.Workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var replies [2]map[int][]byte
+	for i, g := range []*graph.Graph{gB, gA} {
+		res, err := dsssp.SSSP(g, 0, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dist := graph.Dijkstra(g, 0)
+		if !reflect.DeepEqual(res.Dist, dist) {
+			t.Fatalf("engine distances %v, Dijkstra %v", res.Dist, dist)
+		}
+		replies[i] = map[int][]byte{-1: append(mustRender(t, renderSSSP, ssspResponse(g, row{dist: dist}, res)), '\n')}
+		for k := 0; k <= g.N(); k++ {
+			replies[i][k] = append(mustRender(t, renderSSSP, ssspResponse(g, row{dist: dist, served: rowRepaired, affected: k}, nil)), '\n')
+		}
 	}
 
 	const patches = 40
@@ -592,9 +610,13 @@ func TestPatchQueryRace(t *testing.T) {
 				w := do(t, s, "POST", "/v1/sssp", fmt.Sprintf(`{"graph":{"graph_id":%q},"source":0}`, info.ID))
 				var resp SSSPResponse
 				decodeBody(t, w, http.StatusOK, &resp)
-				b, _ := json.Marshal(resp.Dist)
-				if !legal[string(b)] {
-					t.Errorf("query saw distances %s, not a legal revision's answer", b)
+				rev, err := strconv.Atoi(w.Header().Get("X-Dsssp-Graph-Revision"))
+				key := -1
+				if resp.Incr != nil {
+					key = resp.Incr.AffectedVertices
+				}
+				if want, ok := replies[rev%2][key]; err != nil || !ok || !bytes.Equal(w.Body.Bytes(), want) {
+					t.Errorf("revision %q replied %s, not a fresh render of that revision", w.Header().Get("X-Dsssp-Graph-Revision"), w.Body.Bytes())
 					return
 				}
 			}

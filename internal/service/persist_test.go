@@ -26,7 +26,7 @@ func TestRegistryRepairableLifecycle(t *testing.T) {
 	r.Record(info.ID, digest, 0, dist, parent, "sssp|src=0")
 
 	// Exact head trace: repairable with zero changes.
-	tr, changes, _, ok := r.sourceTrace(info.ID, digest, 0)
+	tr, changes, _, _, ok := r.sourceTrace(info.ID, digest, 0)
 	if !ok || len(changes) != 0 {
 		t.Fatalf("exact trace: ok=%v changes=%v", ok, changes)
 	}
@@ -43,7 +43,7 @@ func TestRegistryRepairableLifecycle(t *testing.T) {
 		t.Fatalf("patch info = %+v", pi)
 	}
 	ng, d2, _, _ := r.Resolve(info.ID)
-	tr2, changes2, _, ok := r.sourceTrace(info.ID, d2, 0)
+	tr2, changes2, _, _, ok := r.sourceTrace(info.ID, d2, 0)
 	if !ok || len(changes2) != 1 {
 		t.Fatalf("stale trace: ok=%v changes=%v", ok, changes2)
 	}
@@ -51,7 +51,7 @@ func TestRegistryRepairableLifecycle(t *testing.T) {
 		t.Fatalf("ledger resolved to %+v, want 10→1 on {0,2}", changes2[0])
 	}
 	// The old digest must not resolve anything.
-	if _, _, _, ok := r.sourceTrace(info.ID, digest, 0); ok {
+	if _, _, _, _, ok := r.sourceTrace(info.ID, digest, 0); ok {
 		t.Fatal("stale digest accepted")
 	}
 
@@ -116,7 +116,7 @@ func TestRegistryStaleLedgerStacks(t *testing.T) {
 	ng, d4, _, _ := r.Resolve(info.ID)
 	repair := func(src graph.NodeID, want []graph.WeightChange) {
 		t.Helper()
-		tr, changes, exact, ok := r.sourceTrace(info.ID, d4, src)
+		tr, changes, _, exact, ok := r.sourceTrace(info.ID, d4, src)
 		if !ok || exact || !reflect.DeepEqual(changes, want) {
 			t.Fatalf("source %d: ok=%v exact=%v changes=%+v, want %+v", src, ok, exact, changes, want)
 		}
@@ -198,7 +198,7 @@ func TestRegistryPersistenceRoundTrip(t *testing.T) {
 		t.Fatalf("restored trace census = %+v", gi)
 	}
 	// The restored stale trace repairs to the oracle.
-	tr, changes, _, ok := r2.sourceTrace(info.ID, d2b, 0)
+	tr, changes, _, _, ok := r2.sourceTrace(info.ID, d2b, 0)
 	if !ok || len(changes) != 1 {
 		t.Fatalf("restored stale: ok=%v changes=%v", ok, changes)
 	}
@@ -207,7 +207,7 @@ func TestRegistryPersistenceRoundTrip(t *testing.T) {
 		t.Fatalf("restored repair diverges (ok=%v)", ok)
 	}
 	// The restored exact trace serves with zero changes.
-	if _, changes, _, ok := r2.sourceTrace(info.ID, d2b, 1); !ok || len(changes) != 0 {
+	if _, changes, _, _, ok := r2.sourceTrace(info.ID, d2b, 1); !ok || len(changes) != 0 {
 		t.Fatalf("restored exact trace: ok=%v changes=%v", ok, changes)
 	}
 }
@@ -345,7 +345,7 @@ func TestSpillJournalTriggers(t *testing.T) {
 	}
 	record := func(src graph.NodeID) {
 		g, digest, _, _ := r.Resolve(info.ID)
-		tr, changes, exact, ok := r.sourceTrace(info.ID, digest, src)
+		tr, changes, _, exact, ok := r.sourceTrace(info.ID, digest, src)
 		if ok && exact {
 			return
 		}

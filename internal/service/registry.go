@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
@@ -28,9 +29,13 @@ import (
 // and never on the server's history. Old revisions' entries stay valid for
 // their digest and age out of the cache's LRU.
 //
-// The registry is byte-budgeted: graphs (and their traces and logs) are
-// charged an approximate resident footprint and whole graphs are evicted
-// LRU when the budget overflows.
+// An exact trace may also keep its /v1/sssp body, rendered once by the
+// first query that served it, so that a repeat query writes those bytes
+// as they are (see keepBody).
+//
+// The registry is byte-budgeted: graphs (and their traces, kept bodies and
+// logs) are charged an approximate resident footprint and whole graphs are
+// evicted LRU when the budget overflows, after every kept body is shed.
 type GraphRegistry struct {
 	mu     sync.Mutex
 	budget int64
@@ -78,6 +83,8 @@ type regGraph struct {
 	// after every PATCH (see capLog).
 	log      []logBatch
 	logBytes int64
+	// bodyBytes is the length of every kept body in all.
+	bodyBytes int64
 	// journal counts the bytes of the journal records in the graph's
 	// spill, the change log a rewrite wrote and every record appended
 	// since; rewrite makes the next spill rewrite the file whole (see
@@ -87,11 +94,15 @@ type regGraph struct {
 }
 
 // sourceTrace is one source's remembered structure: the distance row and
-// min-ID witness tree that were exact at revision rev.
+// min-ID witness tree that were exact at revision rev. body, when not nil,
+// is the /v1/sssp body an exact trace answers with: n, the head's m, dist
+// and the zero-change incr block. Only an exact trace keeps one; a PATCH
+// that dirties the trace or changes m drops it, and it is never spilled.
 type sourceTrace struct {
 	rev    int
 	dist   []int64
 	parent []graph.NodeID
+	body   []byte
 }
 
 // logBatch is one PATCH's resolved weight changes, in batch order; rev is
@@ -134,7 +145,7 @@ type GraphInfo struct {
 	N      int    `json:"n"`
 	M      int    `json:"m"`
 	// Bytes is the approximate resident footprint charged against the
-	// registry budget (graph, traces and change log).
+	// registry budget (graph, traces, kept bodies and change log).
 	Bytes int64 `json:"bytes"`
 	// TracedSources counts sources holding an exact distance trace.
 	TracedSources int `json:"traced_sources"`
@@ -161,9 +172,15 @@ func logBatchBytes(b logBatch) int64 {
 }
 
 // charge is what rg holds against the registry's budget: the head
-// snapshot, its traces and its change log.
+// snapshot, its traces, their kept bodies and its change log.
 func (rg *regGraph) charge() int64 {
-	return graphBytes(rg.g) + int64(len(rg.traces))*traceBytes(rg.g.N()) + rg.logBytes
+	return graphBytes(rg.g) + int64(len(rg.traces))*traceBytes(rg.g.N()) + rg.bodyBytes + rg.logBytes
+}
+
+// dropBody uncharges and forgets tr's kept body, if any.
+func (rg *regGraph) dropBody(tr *sourceTrace) {
+	rg.bodyBytes -= int64(len(tr.body))
+	tr.body = nil
 }
 
 // staleCount counts rg's traces older than the head.
@@ -353,14 +370,20 @@ func (rg *regGraph) advance(batch logBatch, snap int64) (kept, dropped int) {
 	rg.num, rg.patchedAt = batch.rev, batch.at
 	rg.log = append(rg.log, batch)
 	rg.logBytes += logBatchBytes(batch)
+	// A kept body states m, which an insert or a delete changes.
+	resized := slices.ContainsFunc(batch.changes, func(c graph.WeightChange) bool { return c.OldW < 0 || c.NewW < 0 })
 	for _, tr := range rg.traces {
 		switch {
 		case tr.rev != head: // stale since an earlier PATCH, or a replay has yet to reach its revision
 		case incr.SourceDirty(batch.changes, tr.dist):
 			dropped++
+			rg.dropBody(tr)
 		default:
 			kept++
 			tr.rev = rg.num
+			if resized {
+				rg.dropBody(tr)
+			}
 		}
 	}
 	rg.trim()
@@ -433,8 +456,9 @@ func (r *GraphRegistry) Record(id string, digest [32]byte, src graph.NodeID, dis
 		// Respect the byte budget at admission: traces are an accelerator,
 		// not a correctness requirement, so an over-budget graph simply
 		// stops accumulating them (queries still work, just without reuse).
+		// Kept bodies do not count: the eviction below sheds them first.
 		cost := traceBytes(len(dist))
-		if r.budget > 0 && rg.charge()+cost > r.budget {
+		if r.budget > 0 && rg.charge()-rg.bodyBytes+cost > r.budget {
 			return
 		}
 		rg.traces[src] = &sourceTrace{rev: rg.num, dist: dist, parent: parent}
@@ -445,25 +469,49 @@ func (r *GraphRegistry) Record(id string, digest [32]byte, src graph.NodeID, dis
 	}
 }
 
+// keepBody offers body, the /v1/sssp body rendered from src's exact trace
+// whose row is dist on a revision with m edges, to be kept with the trace.
+// It is kept only if the trace is still exact and still holds that very
+// dist slice, m is still the head's, no body is kept yet and the bytes fit
+// the budget as it stands: a render never causes an eviction.
+func (r *GraphRegistry) keepBody(id string, src graph.NodeID, dist []int64, m int, body []byte) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	rg, ok := r.graphs[id]
+	if !ok || rg.g.M() != m {
+		return
+	}
+	tr, ok := rg.traces[src]
+	switch {
+	case !ok || tr.rev != rg.num || tr.body != nil,
+		len(tr.dist) != len(dist) || len(dist) == 0 || &tr.dist[0] != &dist[0],
+		r.budget > 0 && r.usedLocked()+int64(len(body)) > r.budget:
+		return
+	}
+	tr.body = body
+	rg.bodyBytes += int64(len(body))
+}
+
 // sourceTrace returns what the head revision at digest remembers about
-// src: its exact trace (exact=true, no changes), or its stale trace plus
-// the net changes separating the trace's revision from the head. ok=false
-// means no trace. The returned slices are shared immutable state — callers
-// must not write through them (incr.Repair copies before writing).
-func (r *GraphRegistry) sourceTrace(id string, digest [32]byte, src graph.NodeID) (tr incr.Trace, changes []graph.WeightChange, exact, ok bool) {
+// src: its exact trace (exact=true, no changes) and the body it keeps, if
+// any, or its stale trace plus the net changes separating the trace's
+// revision from the head. ok=false means no trace. The returned slices are
+// shared immutable state — callers must not write through them
+// (incr.Repair copies before writing).
+func (r *GraphRegistry) sourceTrace(id string, digest [32]byte, src graph.NodeID) (tr incr.Trace, changes []graph.WeightChange, body []byte, exact, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rg, found := r.graphs[id]
 	if !found || rg.digest != digest {
-		return incr.Trace{}, nil, false, false
+		return incr.Trace{}, nil, nil, false, false
 	}
 	t, found := rg.traces[src]
 	if !found {
-		return incr.Trace{}, nil, false, false
+		return incr.Trace{}, nil, nil, false, false
 	}
 	tr = incr.Trace{Dist: t.dist, Parent: t.parent}
 	if t.rev == rg.num {
-		return tr, nil, true, true
+		return tr, nil, t.body, true, true
 	}
 	// The log runs one batch per revision from just after the oldest
 	// trace to the head, so the batches after t.rev chain the trace's
@@ -472,7 +520,7 @@ func (r *GraphRegistry) sourceTrace(id string, digest [32]byte, src graph.NodeID
 	for _, b := range rg.log[rg.at(t.rev):] {
 		since = append(since, b.changes...)
 	}
-	return tr, graph.NetChanges(since), false, true
+	return tr, graph.NetChanges(since), nil, false, true
 }
 
 // touchLocked marks a graph most-recently-used.
@@ -480,12 +528,21 @@ func (r *GraphRegistry) touchLocked(rg *regGraph) { r.lru.MoveToFront(rg.el) }
 
 // evictLocked drops least-recently-used graphs until the budget holds,
 // never evicting the graph that triggered the sweep (keep, at minimum,
-// what the caller is actively using).
+// what the caller is actively using). Kept bodies go first, all of them:
+// a query renders one again in microseconds.
 func (r *GraphRegistry) evictLocked(keep *regGraph) {
 	if r.budget <= 0 {
 		return
 	}
 	used := r.usedLocked()
+	if used > r.budget {
+		for _, rg := range r.graphs {
+			used -= rg.bodyBytes
+			for _, tr := range rg.traces {
+				rg.dropBody(tr)
+			}
+		}
+	}
 	for used > r.budget {
 		rg := r.lru.Back().Value.(*regGraph)
 		if rg == keep {

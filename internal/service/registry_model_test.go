@@ -1,10 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dsssp/internal/graph"
@@ -166,6 +168,14 @@ func (m *ledgerRegistry) sourceTrace(digest [32]byte, src graph.NodeID) (incr.Tr
 // batches after it outweigh the head snapshot, exactly as the registry
 // must. The registry's own counters are rechecked after every step.
 //
+// Nor does the model keep bodies. After every step the test offers one,
+// drawn from a second generator so the histories stay as they were: the
+// body of a random source's exact trace, offered for the trace's own row,
+// for a copy of it, or for a wrong m. It books the bodies the registry
+// must keep, drops them where a PATCH dirties their trace or inserts or
+// deletes an edge, and requires the registry to keep exactly those, each
+// equal to a fresh render at the head and counted in its charge.
+//
 // The registry spills to a directory throughout. Each history runs twice.
 // The first time, a fresh registry boots from the directory after the
 // last step without a Flush, as after a crash: its journal replay must
@@ -207,6 +217,9 @@ func checkLedgerModel(t *testing.T, seed int64, flush bool) bool {
 	}
 	info, _ := r.Register(g0)
 	model := newLedgerRegistry(g0)
+	orng := rand.New(rand.NewSource(^seed)) // draws the body offers
+	bodies := make(map[graph.NodeID][]byte) // the bodies the registry must keep
+
 	var undo []graph.EdgeDelta        // the inverse of the last applied batch
 	rev := make(map[graph.NodeID]int) // the revision each model trace is exact at
 	batchBytes := map[int]int64{}     // revision → the bytes its batch is charged
@@ -304,7 +317,7 @@ func checkLedgerModel(t *testing.T, seed int64, flush bool) bool {
 			model.record(digest, src, d, p)
 		case op < 5: // a repaired record, as the row provider makes them
 			src := graph.NodeID(rng.Intn(n))
-			tr, changes, exact, ok := r.sourceTrace(info.ID, digest, src)
+			tr, changes, _, exact, ok := r.sourceTrace(info.ID, digest, src)
 			if !ok || exact {
 				continue
 			}
@@ -335,6 +348,12 @@ func checkLedgerModel(t *testing.T, seed int64, flush bool) bool {
 			}
 			if gerr == nil {
 				undo = inv
+				resized := slices.ContainsFunc(changes, func(c graph.WeightChange) bool { return c.OldW < 0 || c.NewW < 0 })
+				for src := range bodies {
+					if _, ok := model.head.traces[src]; !ok || resized {
+						delete(bodies, src)
+					}
+				}
 				// A record that raced this PATCH names the old digest: both drop it.
 				src := graph.NodeID(rng.Intn(n))
 				d := graph.Dijkstra(g, src)
@@ -343,14 +362,34 @@ func checkLedgerModel(t *testing.T, seed int64, flush bool) bool {
 			}
 		}
 
-		_, digest, _, _ = r.Resolve(info.ID)
+		g, digest, _, _ = r.Resolve(info.ID)
+		fresh := func(dist []int64) []byte {
+			return mustRender(t, renderSSSP, ssspResponse(g, row{dist: dist, served: rowRepaired}, nil))
+		}
+		osrc := graph.NodeID(orng.Intn(n))
+		otr, _, obody, exact, ok := r.sourceTrace(info.ID, digest, osrc)
+		switch offer := orng.Intn(3); {
+		case !ok || !exact:
+		case offer == 0:
+			r.keepBody(info.ID, osrc, otr.Dist, g.M(), fresh(otr.Dist))
+			if obody == nil {
+				bodies[osrc] = fresh(otr.Dist)
+			}
+		case offer == 1:
+			r.keepBody(info.ID, osrc, slices.Clone(otr.Dist), g.M(), fresh(otr.Dist))
+		default:
+			r.keepBody(info.ID, osrc, otr.Dist, g.M()+1, fresh(otr.Dist))
+		}
 		traced, stale := 0, 0
 		for v := 0; v < n; v++ {
 			src := graph.NodeID(v)
-			gt, gc, gx, gok := r.sourceTrace(info.ID, digest, src)
+			gt, gc, gb, gx, gok := r.sourceTrace(info.ID, digest, src)
 			mt, mc, mx, mok := model.sourceTrace(digest, src)
 			if gok != mok || gx != mx || !reflect.DeepEqual(gt, mt) || !reflect.DeepEqual(gc, mc) {
 				t.Fatalf("step %d, source %d:\n got ok=%v exact=%v %+v %+v\nwant ok=%v exact=%v %+v %+v", step, src, gok, gx, gt, gc, mok, mx, mt, mc)
+			}
+			if !bytes.Equal(gb, bodies[src]) || gb != nil && !bytes.Equal(gb, fresh(gt.Dist)) {
+				t.Fatalf("step %d, source %d: kept body %s\nwant %s, a fresh render of the head", step, src, gb, bodies[src])
 			}
 			if gok && gx {
 				traced++
@@ -378,9 +417,10 @@ func checkLedgerModel(t *testing.T, seed int64, flush bool) bool {
 }
 
 // checkBooted boots a fresh registry from dir, just after a Flush, and
-// requires the live graph exactly: the head's edges and digest, every
-// trace's revision, dist and parent, the log with its batch times,
-// logBytes, the charge, patchedAt and the journal's byte count.
+// requires the live graph exactly, less its kept bodies, which are never
+// spilled: the head's edges and digest, every trace's revision, dist and
+// parent, the log with its batch times, logBytes, the charge, patchedAt
+// and the journal's byte count.
 func checkBooted(t *testing.T, live *GraphRegistry, id, dir string) {
 	t.Helper()
 	booted := NewGraphRegistry(1<<40, nil, nil)
@@ -388,16 +428,20 @@ func checkBooted(t *testing.T, live *GraphRegistry, id, dir string) {
 		t.Fatal(err)
 	}
 	got, want := booted.graphs[id], live.graphs[id]
+	bare := make(map[graph.NodeID]*sourceTrace, len(want.traces))
+	for src, tr := range want.traces {
+		bare[src] = &sourceTrace{rev: tr.rev, dist: tr.dist, parent: tr.parent}
+	}
 	switch {
 	case got.num != want.num || got.digest != want.digest || !reflect.DeepEqual(got.g.Edges(), want.g.Edges()):
 		t.Fatalf("booted head: revision %d (live %d), digest equal %v, or its edges differ", got.num, want.num, got.digest == want.digest)
-	case !reflect.DeepEqual(got.traces, want.traces):
+	case !reflect.DeepEqual(got.traces, bare):
 		t.Fatal("booted traces differ from the live ones")
 	case !sameLog(got.log, want.log):
 		t.Fatalf("booted log %+v, live %+v", got.log, want.log)
-	case got.logBytes != want.logBytes || got.charge() != want.charge() || !got.patchedAt.Equal(want.patchedAt) || got.journal != want.journal:
-		t.Fatalf("booted: log %d bytes, charge %d, patched %v, journal %d; live %d, %d, %v, %d",
-			got.logBytes, got.charge(), got.patchedAt, got.journal, want.logBytes, want.charge(), want.patchedAt, want.journal)
+	case got.logBytes != want.logBytes || got.bodyBytes != 0 || got.charge() != want.charge()-want.bodyBytes || !got.patchedAt.Equal(want.patchedAt) || got.journal != want.journal:
+		t.Fatalf("booted: log %d bytes, bodies %d, charge %d, patched %v, journal %d; live %d, %d, %d, %v, %d",
+			got.logBytes, got.bodyBytes, got.charge(), got.patchedAt, got.journal, want.logBytes, want.bodyBytes, want.charge(), want.patchedAt, want.journal)
 	}
 }
 
@@ -442,7 +486,7 @@ func checkReplayed(t *testing.T, live *GraphRegistry, id, dir string) {
 	}
 	checkLogInvariants(t, booted.graphs[id])
 	row := func(r *GraphRegistry, g *graph.Graph, src graph.NodeID) (*incr.RepairResult, bool) {
-		tr, changes, exact, ok := r.sourceTrace(id, digest, src)
+		tr, changes, _, exact, ok := r.sourceTrace(id, digest, src)
 		switch {
 		case !ok:
 			return nil, false

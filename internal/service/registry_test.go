@@ -100,7 +100,7 @@ func TestRegistryPatchClassifiesTraces(t *testing.T) {
 		t.Fatalf("dirty fraction = %v, want 2/3", pi.DirtyFraction)
 	}
 	ng, d2, _, _ := r.Resolve(info.ID)
-	tr, changes, exact, ok := r.sourceTrace(info.ID, d2, 1)
+	tr, changes, _, exact, ok := r.sourceTrace(info.ID, d2, 1)
 	if !ok || !exact || len(changes) != 0 || &tr.Dist[0] != &dist[1][0] {
 		t.Fatalf("untouched source 1: ok=%v exact=%v changes=%v, or its row was not carried as is", ok, exact, changes)
 	}
@@ -108,7 +108,7 @@ func TestRegistryPatchClassifiesTraces(t *testing.T) {
 		t.Fatal("the carried trace is not exact on the new revision")
 	}
 	for _, src := range []graph.NodeID{0, 2} {
-		if _, changes, exact, ok := r.sourceTrace(info.ID, d2, src); !ok || exact || len(changes) != 1 {
+		if _, changes, _, exact, ok := r.sourceTrace(info.ID, d2, src); !ok || exact || len(changes) != 1 {
 			t.Fatalf("dirty source %d: ok=%v exact=%v changes=%v, want a stale trace with one change", src, ok, exact, changes)
 		}
 	}
@@ -169,10 +169,10 @@ func TestRegistryLogCapped(t *testing.T) {
 		t.Fatalf("revision 8: %+v with %d log batches", pi, len(rg.log))
 	}
 	ng, d8, _, _ := r.Resolve(info.ID)
-	if _, _, _, ok := r.sourceTrace(info.ID, d8, 0); ok {
+	if _, _, _, _, ok := r.sourceTrace(info.ID, d8, 0); ok {
 		t.Fatal("source 0 survived the log cap")
 	}
-	tr, changes, exact, ok := r.sourceTrace(info.ID, d8, 1)
+	tr, changes, _, exact, ok := r.sourceTrace(info.ID, d8, 1)
 	if !ok || exact {
 		t.Fatalf("source 1: ok=%v exact=%v, want its stale trace", ok, exact)
 	}
@@ -191,15 +191,16 @@ func TestRegistryLogCapped(t *testing.T) {
 	}
 }
 
-// checkLogInvariants recounts rg's traces per revision, its log and its
-// charges, and requires them to match logBytes and charge(): one
-// batch per revision after the oldest trace up to the head, none the
-// oldest trace does not need, a row and a tree of n entries per trace, and
-// a log no heavier than the snapshot.
+// checkLogInvariants recounts rg's traces per revision, its kept bodies,
+// its log and its charges, and requires them to match bodyBytes, logBytes
+// and charge(): one batch per revision after the oldest trace up to the
+// head, none the oldest trace does not need, a row and a tree of n entries
+// per trace, bodies kept by exact traces only, and a log no heavier than
+// the snapshot.
 func checkLogInvariants(t *testing.T, rg *regGraph) {
 	t.Helper()
 	held := make([]int, len(rg.log)+1)
-	bytes, logBytes := graphBytes(rg.g), int64(0)
+	bytes, logBytes, bodyBytes := graphBytes(rg.g), int64(0), int64(0)
 	for src, tr := range rg.traces {
 		i := rg.at(tr.rev)
 		if i < 0 || i >= len(held) {
@@ -209,7 +210,11 @@ func checkLogInvariants(t *testing.T, rg *regGraph) {
 		if len(tr.dist) != rg.g.N() || len(tr.parent) != rg.g.N() {
 			t.Fatalf("source %d's trace holds %d distances and %d parents for %d nodes", src, len(tr.dist), len(tr.parent), rg.g.N())
 		}
-		bytes += traceBytes(rg.g.N())
+		if tr.body != nil && tr.rev != rg.num {
+			t.Fatalf("source %d's stale trace at revision %d keeps a body", src, tr.rev)
+		}
+		bytes += traceBytes(rg.g.N()) + int64(len(tr.body))
+		bodyBytes += int64(len(tr.body))
 	}
 	for i, b := range rg.log {
 		if b.rev != rg.num-len(rg.log)+1+i {
@@ -220,8 +225,9 @@ func checkLogInvariants(t *testing.T, rg *regGraph) {
 	switch {
 	case len(rg.log) > 0 && held[0] == 0:
 		t.Fatalf("untrimmed log: no trace at revision %d", rg.num-len(rg.log))
-	case logBytes != rg.logBytes || bytes+logBytes != rg.charge():
-		t.Fatalf("charged %d bytes, log %d; recounted %d, log %d", rg.charge(), rg.logBytes, bytes+logBytes, logBytes)
+	case logBytes != rg.logBytes || bodyBytes != rg.bodyBytes || bytes+logBytes != rg.charge():
+		t.Fatalf("charged %d bytes, log %d, bodies %d; recounted %d, log %d, bodies %d",
+			rg.charge(), rg.logBytes, rg.bodyBytes, bytes+logBytes, logBytes, bodyBytes)
 	case logBytes > graphBytes(rg.g):
 		t.Fatalf("log of %d bytes outweighs the %d-byte snapshot", logBytes, graphBytes(rg.g))
 	}

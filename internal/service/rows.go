@@ -38,6 +38,9 @@ type row struct {
 	parent   []graph.NodeID
 	served   rowServed
 	affected int // vertices incr.Repair rebuilt (repaired rows)
+	// body is the /v1/sssp body the registry keeps with the row's exact
+	// trace; nil when none is kept (see GraphRegistry.keepBody).
+	body []byte
 }
 
 // rowQuery is one query's demand on the provider.
@@ -74,6 +77,9 @@ func (rs rowSet) all(how rowServed) bool { return rs.count[how] == len(rs.rows) 
 // body from them. Only an all-computed body is cached — it is the key's
 // canonical bytes; a reused or repaired one carries the incr block and
 // lacks simulation metrics, so a later recompute or hit re-mints those.
+// A /v1/sssp body served from an exact trace is kept with the trace
+// instead (GraphRegistry.keepBody), and render returns those bytes until
+// a PATCH changes the trace or m.
 func (s *Server) serveRows(w http.ResponseWriter, r *http.Request, q rowQuery, render func(rowSet) ([]byte, error)) {
 	var rs rowSet
 	hit, ok := s.finishQuery(w, r, keyFromDigest(q.digest, q.parts), func(sp *trace.Span) ([]byte, bool, error) {
@@ -179,7 +185,7 @@ func (s *Server) remembered(sp *trace.Span, q rowQuery, src graph.NodeID) (row, 
 	if q.id == "" {
 		return row{}, false
 	}
-	tr, changes, exact, ok := s.registry.sourceTrace(q.id, q.digest, src)
+	tr, changes, body, exact, ok := s.registry.sourceTrace(q.id, q.digest, src)
 	switch {
 	case !ok:
 		return row{}, false
@@ -188,7 +194,9 @@ func (s *Server) remembered(sp *trace.Span, q rowQuery, src graph.NodeID) (row, 
 	case !exact && s.cfg.RepairMaxAffected < 0:
 		return row{}, false
 	}
-	return s.repair(sp, q, src, tr, changes, exact)
+	rw, ok := s.repair(sp, q, src, tr, changes, exact)
+	rw.body = body
+	return rw, ok
 }
 
 // repair rebuilds one source's row from its remembered trace, whatever the

@@ -39,8 +39,8 @@ type Config struct {
 	// after defaulting disables storage but keeps request deduplication).
 	CacheBytes int64
 	// GraphBytes is the dynamic-graph registry's byte budget: registered
-	// graphs plus their per-source result traces, evicted whole-graph LRU
-	// (default 256 MiB).
+	// graphs plus their per-source result traces and the bodies those keep,
+	// evicted whole-graph LRU once every kept body is shed (default 256 MiB).
 	GraphBytes int64
 	// RegistryDir, when set, persists registered graphs (and their traces)
 	// to disk on register/PATCH and reloads them on startup, so a redeploy
@@ -210,9 +210,10 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var res *dsssp.Result
+	src := graph.NodeID(req.Source)
 	s.serveRows(w, r, rowQuery{
 		resolvedGraph: rg,
-		sources:       []graph.NodeID{graph.NodeID(req.Source)},
+		sources:       []graph.NodeID{src},
 		parts:         queryKeyParts("sssp", req.Options, fmt.Sprintf("src=%d", req.Source)),
 		engine: func(missing []graph.NodeID) ([]row, []simnet.SpanMetrics, error) {
 			var err error
@@ -222,7 +223,18 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 			return []row{{dist: res.Dist}}, res.Metrics.Spans, nil
 		},
 	}, func(rs rowSet) ([]byte, error) {
-		return renderSSSP(ssspResponse(rg.load(), rs.rows[0], res))
+		rw := rs.rows[0]
+		if rw.body != nil {
+			return rw.body, nil
+		}
+		g := rg.load()
+		b, err := renderSSSP(ssspResponse(g, rw, res))
+		// A zero-change row's body depends on n, m and the row alone: offer
+		// it to the row's trace.
+		if err == nil && rw.served == rowRepaired && rw.affected == 0 {
+			s.registry.keepBody(rg.id, src, rw.dist, g.M(), b)
+		}
+		return b, err
 	})
 }
 
@@ -523,6 +535,7 @@ func (s *Server) finishQuery(w http.ResponseWriter, r *http.Request, key string,
 		return false, false
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)+1))
 	if hit {
 		w.Header().Set("X-Dsssp-Cache", "hit")
 	} else {

@@ -601,7 +601,7 @@ func checkDecode(t *testing.T, data []byte) {
 	r.restoreLocked(rg)
 	r.mu.Unlock()
 	for src := range rg.traces {
-		if _, _, _, ok := r.sourceTrace(rg.id, rg.digest, src); !ok {
+		if _, _, _, _, ok := r.sourceTrace(rg.id, rg.digest, src); !ok {
 			t.Fatalf("restored trace for %d does not serve", src)
 		}
 	}
