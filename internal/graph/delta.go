@@ -171,16 +171,49 @@ func ApplyDeltas(g *Graph, deltas []EdgeDelta) (*Graph, error) {
 }
 
 // ApplyChanges returns a new graph equal to g with changes — the output of
-// ResolveDeltas on g — applied, leaving g untouched. The result is rebuilt
-// from the patched edge set in pair order, so — like every built graph —
-// it is a pure function of its edge set: EdgeIDs are the pair ranks and
-// two delta paths reaching the same edge set produce identical graphs,
-// which is what lets the serving layer content-address patched revisions.
+// ResolveDeltas on g — applied, leaving g untouched. Like every built graph
+// the result is a pure function of its edge set: EdgeIDs are the pair
+// ranks and two delta paths reaching the same edge set produce identical
+// graphs, which is what lets the serving layer content-address patched
+// revisions.
 //
-// Cost is O(n + m + k log k) for k changes: MergeChanges patches g's edges
-// and the merged list is handed to the builder in pair order.
+// A batch that only reweights pairs of a canonical g moves no pair rank
+// and no Rev port, so the result is built copy-on-write: it shares g's
+// adjacency lists except the changed pairs' endpoint lists, which it
+// copies. That costs O(n + Σ deg + k log k) for k changes on those
+// endpoints — the n is the outer slice. Any other batch, or a g that
+// is not canonical, rebuilds the graph from its patched edge list in
+// O(n + m + k log k).
 func ApplyChanges(g *Graph, changes []WeightChange) *Graph {
-	return build(g.n, MergeChanges(g.Edges(), changes))
+	net := NetChanges(changes)
+	if ng := reweighted(g, net); ng != nil {
+		return ng
+	}
+	return build(g.n, mergeNet(g.Edges(), net))
+}
+
+// reweighted is ApplyChanges' copy-on-write path: g with net, netted
+// changes, applied, or nil when g is not canonical or a change is not a
+// reweight of a pair g has.
+func reweighted(g *Graph, net []WeightChange) *Graph {
+	if !g.canonical || slices.ContainsFunc(net, func(c WeightChange) bool { return c.OldW < 0 || c.NewW < 0 }) {
+		return nil
+	}
+	ng := &Graph{n: g.n, m: g.m, adj: slices.Clone(g.adj), canonical: true}
+	for _, c := range net {
+		i, found := slices.BinarySearchFunc(g.adj[c.U], c.V, func(h Half, v NodeID) int { return cmp.Compare(h.To, v) })
+		if !found {
+			return nil
+		}
+		for _, u := range [2]NodeID{c.U, c.V} {
+			if &ng.adj[u][0] == &g.adj[u][0] { // still g's list
+				ng.adj[u] = ownList(g.adj[u])
+			}
+		}
+		ng.adj[c.U][i].W = c.NewW
+		ng.adj[c.V][ng.adj[c.U][i].Rev].W = c.NewW
+	}
+	return ng
 }
 
 // MergeChanges returns edges, an edge list in pair order, with changes —
@@ -190,7 +223,11 @@ func ApplyChanges(g *Graph, changes []WeightChange) *Graph {
 // it returns edges itself; otherwise a fresh slice, leaving edges
 // untouched.
 func MergeChanges(edges []EdgeTriple, changes []WeightChange) []EdgeTriple {
-	net := NetChanges(changes)
+	return mergeNet(edges, NetChanges(changes))
+}
+
+// mergeNet is MergeChanges on changes NetChanges has netted.
+func mergeNet(edges []EdgeTriple, net []WeightChange) []EdgeTriple {
 	if len(net) == 0 {
 		return edges
 	}

@@ -148,6 +148,9 @@ func TestApplyDeltasMatchesOracle(t *testing.T) {
 			return g
 		}
 		ok++
+		if got.Canonical() != got || got.Validate() != nil {
+			t.Fatalf("%s %v: the patched graph is not canonical, or fails Validate: %v", name, ds, got.Validate())
+		}
 		if got.M() != want.M() || !reflect.DeepEqual(got.Edges(), want.Edges()) {
 			t.Fatalf("%s %v: edges differ:\n got %v\nwant %v", name, ds, got.Edges(), want.Edges())
 		}
@@ -180,6 +183,146 @@ func TestApplyDeltasMatchesOracle(t *testing.T) {
 		t.Fatalf("batches: %d applied, %d rejected; want at least 1000 of each", ok, failed)
 	}
 	t.Logf("%d batches applied, %d rejected, no differences", ok, failed)
+}
+
+// applyChangesOracle is ApplyChanges' rebuild: build on the patched edge
+// list, whatever the batch.
+func applyChangesOracle(g *Graph, changes []WeightChange) *Graph {
+	return build(g.n, MergeChanges(g.Edges(), changes))
+}
+
+// checkApplyChanges applies changes to g and requires the result to equal
+// the rebuild oracle field for field — n, m, the canonical mark and every
+// list's To, W, ID and Rev — with each list it does not share with g
+// exactly as long as its capacity, to pass Validate, and g to stay
+// deep-equal to a clone taken before the call.
+func checkApplyChanges(t *testing.T, g *Graph, changes []WeightChange) *Graph {
+	t.Helper()
+	before := g.Clone()
+	got, want := ApplyChanges(g, changes), applyChangesOracle(g, changes)
+	if got.n != want.n || got.m != want.m || got.canonical != want.canonical || !reflect.DeepEqual(got.adj, want.adj) {
+		t.Fatalf("ApplyChanges(%v, %v):\n got %+v\nwant %+v", g.Edges(), changes, got, want)
+	}
+	for u, a := range got.adj {
+		if shared := len(a) > 0 && len(g.adj[u]) > 0 && &a[0] == &g.adj[u][0]; !shared && cap(a) != len(a) {
+			t.Fatalf("ApplyChanges(%v, %v): list %d has capacity %d for %d halves", g.Edges(), changes, u, cap(a), len(a))
+		}
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatalf("ApplyChanges(%v, %v): %v", g.Edges(), changes, err)
+	}
+	if !reflect.DeepEqual(g, before) {
+		t.Fatalf("ApplyChanges(%v, %v) wrote its input: %+v, was %+v", g.Edges(), changes, g, before)
+	}
+	return got
+}
+
+// FuzzApplyChanges drives ApplyChanges over chains of batches on small
+// canonical graphs (see checkApplyChanges). data[0] picks n in [2,12) and
+// data[1] the number of base edges, each 3 bytes (u, v, w) added by AddEdge
+// before SortAdj. The rest is deltas, 4 bytes each: an op byte, where 0
+// ends the batch, 1 inserts {u,v} at w, 2 deletes and 3 reweights the
+// u-th edge of the current graph to w. Each batch goes through
+// ResolveDeltas on the graph the previous one left, so the chain mixes
+// copy-on-write reweights of patched graphs with rebuilds. The checked-in
+// corpus (testdata/fuzz/FuzzApplyChanges) holds reweight-only, mixed and
+// chained shapes.
+func FuzzApplyChanges(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n := 2 + int(data[0]%10)
+		g := New(n)
+		k := int(data[1] % 24)
+		for data = data[2:]; k > 0 && len(data) >= 3; k, data = k-1, data[3:] {
+			if u, v := NodeID(data[0])%NodeID(n), NodeID(data[1])%NodeID(n); u != v {
+				g.AddEdge(u, v, int64(data[2]%8))
+			}
+		}
+		g.SortAdj()
+		var batch []EdgeDelta
+		flush := func() {
+			if changes, err := ResolveDeltas(g, batch); err == nil {
+				g = checkApplyChanges(t, g, changes)
+			}
+			batch = batch[:0]
+		}
+		for ; len(data) >= 4; data = data[4:] {
+			u, v, w := NodeID(data[1])%NodeID(n), NodeID(data[2])%NodeID(n), int64(data[3]%8)
+			es := g.Edges()
+			switch op := data[0] % 4; {
+			case op == 0:
+				flush()
+			case op == 1:
+				batch = append(batch, EdgeDelta{Op: DeltaInsert, U: u, V: v, W: w})
+			case len(es) > 0:
+				e := es[int(data[1])%len(es)]
+				batch = append(batch, EdgeDelta{Op: []DeltaOp{2: DeltaDelete, 3: DeltaReweight}[op], U: e.U, V: e.V, W: w})
+			}
+		}
+		flush()
+	})
+}
+
+// TestApplyChangesCopyOnWrite: a reweight-only batch on a canonical graph
+// copies just its endpoints' lists and shares the rest with its parent,
+// and no later write to either graph — AddEdge's keep-min write on a
+// shared pair, an insert and SortAdj — shows in the other.
+func TestApplyChangesCopyOnWrite(t *testing.T) {
+	g := Make(FamilyRandom, 40, UniformWeights(20, 3), 3) // weights from 1
+	es := g.Edges()
+	e, far := es[0], es[len(es)-1]
+	if e.U == far.U || e.U == far.V || e.V == far.U || e.V == far.V {
+		t.Fatal("the test needs two disjoint edges")
+	}
+	reweight := []WeightChange{{U: e.U, V: e.V, OldW: e.W, NewW: e.W + 5}}
+	ng := checkApplyChanges(t, g, reweight)
+	for u := range g.adj {
+		shared := len(g.adj[u]) > 0 && &ng.adj[u][0] == &g.adj[u][0]
+		if endpoint := NodeID(u) == e.U || NodeID(u) == e.V; shared == endpoint && len(g.adj[u]) > 0 {
+			t.Fatalf("node %d: list shared %v, endpoint of the reweight %v", u, shared, endpoint)
+		}
+	}
+
+	// Keep-min on the child, on lists it shares with the parent.
+	before := g.Clone()
+	ng.AddEdge(far.V, far.U, 0)
+	if !reflect.DeepEqual(g, before) {
+		t.Fatal("keep-min on the patched graph wrote into its parent")
+	}
+	if w, _ := ng.Weight(far.U, far.V); w != 0 || ng.Validate() != nil || !ng.canonical {
+		t.Fatalf("patched graph after keep-min: weight %d, %v, canonical %v", w, ng.Validate(), ng.canonical)
+	}
+
+	// Keep-min on the parent, on lists it shares with a child.
+	ng = checkApplyChanges(t, g, reweight)
+	child := ng.Clone()
+	g.AddEdge(far.U, far.V, 0)
+	if !reflect.DeepEqual(ng, child) {
+		t.Fatal("keep-min on the parent wrote into the patched graph")
+	}
+
+	// An insert and SortAdj renumber edges in lists the graph holds alone,
+	// on the child and on the parent alike.
+	v := NodeID(1)
+	for g.HasEdge(0, v) {
+		v++
+	}
+	before = g.Clone()
+	ng = checkApplyChanges(t, g, reweight)
+	ng.AddEdge(0, v, 1)
+	ng.SortAdj()
+	if err := ng.Validate(); err != nil || !reflect.DeepEqual(g, before) {
+		t.Fatalf("insert and SortAdj on a patched graph: %v, or its parent changed", err)
+	}
+	ng = checkApplyChanges(t, g, reweight)
+	child = ng.Clone()
+	g.AddEdge(0, v, 1)
+	g.SortAdj()
+	if err := g.Validate(); err != nil || !reflect.DeepEqual(ng, child) {
+		t.Fatalf("insert and SortAdj on the parent: %v, or the patched graph changed", err)
+	}
 }
 
 func TestFromEdgesRoundTrip(t *testing.T) {

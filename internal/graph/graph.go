@@ -60,10 +60,19 @@ type Half struct {
 // the shorter endpoint list (Weight, AddEdge), so a repeat costs O(min
 // degree). Bulk callers hand a whole edge list to FromEdges instead.
 // The zero value is an empty graph; use New.
+//
+// A canonical graph's adjacency lists may be shared with the graphs
+// ApplyChanges derives from it, or it from (copy-on-write), so AddEdge
+// copies before it writes one; a graph that is not canonical holds all its
+// lists alone.
 type Graph struct {
 	n   int
 	m   int
 	adj [][]Half
+	// canonical records that every list is sorted and the edges are
+	// numbered in pair order: what build, SortAdj and ApplyChanges leave,
+	// and an AddEdge insert undoes.
+	canonical bool
 }
 
 // New returns an empty graph with n nodes and no edges.
@@ -102,7 +111,9 @@ func (g *Graph) M() int { return g.m }
 // which shortest paths are preserved), which is what lets the serving
 // layer's content-addressed cache key on a canonical edge list. The repeat
 // check scans the shorter endpoint list, so an insert costs O(min degree):
-// a caller with a whole edge list uses FromEdges.
+// a caller with a whole edge list uses FromEdges. The first insert into a
+// canonical graph copies every list (O(n + m)), and a keep-min write into
+// one copies both endpoint lists, since they may be shared.
 func (g *Graph) AddEdge(u, v NodeID, w int64) EdgeID {
 	if u == v {
 		panic(fmt.Sprintf("graph: self-loop at node %d", u))
@@ -120,16 +131,30 @@ func (g *Graph) AddEdge(u, v NodeID, w int64) EdgeID {
 	for i, h := range g.adj[a] {
 		if h.To == b {
 			if w < h.W {
+				if g.canonical {
+					g.adj[a], g.adj[b] = ownList(g.adj[a]), ownList(g.adj[b])
+				}
 				g.adj[a][i].W = w
 				g.adj[b][h.Rev].W = w
 			}
 			return h.ID
 		}
 	}
+	if g.canonical { // SortAdj will renumber every list
+		g.adj, g.canonical = ownLists(g.adj), false
+	}
 	id := EdgeID(g.m)
 	g.appendEdge(u, v, w, id)
 	g.m++
 	return id
+}
+
+// ownList returns a copy of a whose capacity is its length.
+func ownList(a []Half) []Half {
+	if len(a) == 0 {
+		return a
+	}
+	return append(make([]Half, 0, len(a)), a...)
 }
 
 // appendEdge appends both halves of edge id, each pointing at the other.
@@ -188,8 +213,12 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 // u < v, sorted by (u, v). The simulator relies on a canonical neighbor
 // order for deterministic message scheduling, and forest.Build breaks ties
 // by EdgeID, so a sorted graph — every generator's and builder's output —
-// is a pure function of its edge set, EdgeIDs included.
+// is a pure function of its edge set, EdgeIDs included. A graph already
+// canonical is left as it is.
 func (g *Graph) SortAdj() {
+	if g.canonical {
+		return
+	}
 	for _, a := range g.adj {
 		slices.SortFunc(a, func(x, y Half) int { return cmp.Compare(x.To, y.To) })
 	}
@@ -211,6 +240,27 @@ func (g *Graph) SortAdj() {
 			id++
 		}
 	}
+	g.canonical = true
+}
+
+// ownLists copies every list of adj into one fresh allocation, each list's
+// capacity its length; an empty list becomes nil, as New leaves it.
+func ownLists(adj [][]Half) [][]Half {
+	total := 0
+	for _, a := range adj {
+		total += len(a)
+	}
+	flat := make([]Half, total)
+	out := make([][]Half, len(adj))
+	off := 0
+	for u, a := range adj {
+		if len(a) > 0 {
+			out[u] = flat[off : off+len(a) : off+len(a)]
+			copy(out[u], a)
+			off += len(a)
+		}
+	}
+	return out
 }
 
 // Canonical returns g if it is in canonical form — every adjacency list
@@ -219,6 +269,9 @@ func (g *Graph) SortAdj() {
 // simulator's message order and forest.Build's EdgeID tie-break follow
 // the adjacency, so a run on Canonical(g) is a function of g's edge set.
 func (g *Graph) Canonical() *Graph {
+	if g.canonical {
+		return g
+	}
 	id := EdgeID(0)
 	for u, a := range g.adj {
 		for i, h := range a {
@@ -366,19 +419,14 @@ func build(n int, edges []EdgeTriple) *Graph {
 	for i, e := range edges {
 		g.appendEdge(e.U, e.V, e.W, EdgeID(i))
 	}
-	if !pairOrder {
-		g.SortAdj()
-	}
+	g.canonical = pairOrder
+	g.SortAdj()
 	return g
 }
 
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
-	ng := &Graph{n: g.n, m: g.m, adj: make([][]Half, g.n)}
-	for u := range g.adj {
-		ng.adj[u] = append([]Half(nil), g.adj[u]...)
-	}
-	return ng
+	return &Graph{n: g.n, m: g.m, adj: ownLists(g.adj), canonical: g.canonical}
 }
 
 // Reweight returns a copy of the graph with every edge weight mapped through

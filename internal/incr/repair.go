@@ -105,58 +105,38 @@ func Repair(g *graph.Graph, source graph.NodeID, tr Trace, changes []graph.Weigh
 	// every increased edge (an increased tree edge would have orphaned the
 	// downstream part), and decreased edges only make paths shorter.
 	touched := make([]bool, n) // vertex is in the affected region
-	affected := 0
+	var region []graph.NodeID  // the touched vertices, in the order touched
+	touch := func(v graph.NodeID) {
+		if !touched[v] {
+			touched[v] = true
+			region = append(region, v)
+		}
+	}
 
-	var seeds []graph.NodeID
 	for _, ch := range changes {
 		if !ch.Raised() {
 			continue
 		}
-		if tr.Parent[ch.V] == ch.U && !touched[ch.V] {
-			touched[ch.V] = true
-			seeds = append(seeds, ch.V)
+		if tr.Parent[ch.V] == ch.U {
+			touch(ch.V)
 		}
-		if tr.Parent[ch.U] == ch.V && !touched[ch.U] {
-			touched[ch.U] = true
-			seeds = append(seeds, ch.U)
+		if tr.Parent[ch.U] == ch.V {
+			touch(ch.U)
 		}
 	}
-	var orphans []graph.NodeID
-	if len(seeds) > 0 {
-		// Children index of the old tree, CSR-shaped: one O(n) counting
-		// pass, no per-node allocation.
-		childCount := make([]int32, n+1)
-		for _, p := range tr.Parent {
-			if p >= 0 {
-				childCount[p+1]++
-			}
-		}
-		for v := 0; v < n; v++ {
-			childCount[v+1] += childCount[v]
-		}
-		children := make([]graph.NodeID, childCount[n])
-		fill := append([]int32(nil), childCount[:n]...)
-		for v, p := range tr.Parent {
-			if p >= 0 {
-				children[fill[p]] = graph.NodeID(v)
-				fill[p]++
-			}
-		}
-		stack := append([]graph.NodeID(nil), seeds...)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			dist[v] = graph.Inf
-			orphans = append(orphans, v)
-			affected++
-			for _, c := range children[childCount[v]:childCount[v+1]] {
-				if !touched[c] {
-					touched[c] = true
-					stack = append(stack, c)
-				}
+	// The carve: so far the region holds only orphans. An orphan's old-tree
+	// children are its neighbours in g whose old parent it is; a child
+	// whose tree edge g lacks had it deleted, and is a seed already.
+	for k := 0; k < len(region); k++ {
+		v := region[k]
+		dist[v] = graph.Inf
+		for _, h := range g.Adj(v) {
+			if tr.Parent[h.To] == v {
+				touch(h.To)
 			}
 		}
 	}
+	orphaned := len(region)
 
 	markPhase(0)
 
@@ -172,14 +152,11 @@ func Repair(g *graph.Graph, source graph.NodeID, tr Trace, changes []graph.Weigh
 		}
 		if nd := satSum(df, w); nd < dist[to] {
 			dist[to] = nd
-			if !touched[to] {
-				touched[to] = true
-				affected++
-			}
+			touch(to)
 			pq.Push(to, nd)
 		}
 	}
-	for _, v := range orphans {
+	for _, v := range region[:orphaned] {
 		best := graph.Inf
 		for _, h := range g.Adj(v) {
 			// Fellow orphans sit at Inf right now and are excluded by the
@@ -223,37 +200,35 @@ func Repair(g *graph.Graph, source graph.NodeID, tr Trace, changes []graph.Weigh
 	// Phase 4 — parents. The witness predicate at v (∃ neighbor u:
 	// dist[u]+w(u,v) == dist[v], min ID wins) can flip only where an input
 	// changed: v's own label, a neighbor's label, or an incident edge.
-	// Everything else keeps its old parent verbatim.
-	suspect := make([]bool, n)
-	for _, ch := range changes {
-		suspect[ch.U], suspect[ch.V] = true, true
+	// Everything else keeps its old parent verbatim, so only the batch's
+	// endpoints, the region and the neighbours of every vertex whose label
+	// moved are visited.
+	rederived := make([]bool, n)
+	rederive := func(v graph.NodeID) {
+		switch {
+		case rederived[v]:
+		case v == source:
+			parent[v] = -1
+		default:
+			parent[v] = graph.WitnessParent(g, v, dist)
+		}
+		rederived[v] = true
 	}
-	for v := 0; v < n; v++ {
+	for _, ch := range changes {
+		rederive(ch.U)
+		rederive(ch.V)
+	}
+	for _, v := range region {
+		rederive(v)
 		if dist[v] == tr.Dist[v] {
 			continue
 		}
-		suspect[v] = true
-		for _, h := range g.Adj(graph.NodeID(v)) {
-			suspect[h.To] = true
+		for _, h := range g.Adj(v) {
+			rederive(h.To)
 		}
-	}
-	for v := 0; v < n; v++ {
-		if touched[v] {
-			suspect[v] = true
-		}
-	}
-	for v := 0; v < n; v++ {
-		if !suspect[v] {
-			continue
-		}
-		if graph.NodeID(v) == source {
-			parent[v] = -1
-			continue
-		}
-		parent[v] = graph.WitnessParent(g, graph.NodeID(v), dist)
 	}
 	markPhase(3)
-	return &RepairResult{Dist: dist, Parent: parent, Affected: affected, Orphaned: len(orphans), PhaseNS: phaseNS}, true
+	return &RepairResult{Dist: dist, Parent: parent, Affected: len(region), Orphaned: orphaned, PhaseNS: phaseNS}, true
 }
 
 // satSum is d+w saturating at graph.Inf (shared semantics with minSum,

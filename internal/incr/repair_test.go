@@ -295,6 +295,68 @@ func TestRepairTargeted(t *testing.T) {
 		checkRepair(t, "same-edge", cur, 3, tr, ledger)
 	})
 
+	// build returns the n-node graph of the (u, v, w) triples.
+	build := func(n int, es [][3]int64) *graph.Graph {
+		g := graph.New(n)
+		for _, e := range es {
+			g.AddEdge(graph.NodeID(e[0]), graph.NodeID(e[1]), e[2])
+		}
+		g.SortAdj()
+		return g
+	}
+
+	t.Run("deleted-tree-edge-holds-raised-tree-edge", func(t *testing.T) {
+		// Path 0-1-2-3-4 and a detour 0-5-4, where 5 hangs off 4 in the
+		// tree. One batch deletes the tree edge {1,2} and raises or deletes
+		// {3,4}, which lies in the subtree {2,3,4,5} the delete carves: 4
+		// is a seed of its own, and the carve from 3 must not lose it when
+		// g no longer holds {3,4}.
+		for _, inner := range []graph.EdgeDelta{
+			{Op: graph.DeltaReweight, U: 3, V: 4, W: 3},
+			{Op: graph.DeltaDelete, U: 4, V: 3},
+		} {
+			g := build(6, [][3]int64{{0, 1, 1}, {1, 2, 1}, {2, 3, 1}, {3, 4, 1}, {0, 5, 10}, {4, 5, 1}})
+			tr := traceFor(g, 0)
+			if tr.Parent[4] != 3 || tr.Parent[5] != 4 {
+				t.Fatalf("trace %v: want 4 under 3 and 5 under 4", tr.Parent)
+			}
+			deltas := []graph.EdgeDelta{{Op: graph.DeltaDelete, U: 1, V: 2}, inner}
+			ledger := &patchLog{}
+			ledger.record(g, deltas)
+			ng, err := graph.ApplyDeltas(g, deltas)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rr := checkRepair(t, inner.Op.String(), ng, 0, tr, ledger)
+			if rr.Orphaned != 4 || rr.Affected != 4 {
+				t.Fatalf("%s: %d orphaned, %d affected; want the subtree's 4", inner.Op, rr.Orphaned, rr.Affected)
+			}
+		}
+	})
+
+	t.Run("zero-weight-tie-across-carve", func(t *testing.T) {
+		// 2 hangs off 1 and 4 off 2, while 3 outside the carve reaches 2,
+		// 4 and 5 over zero-weight edges at the same distance 2. Raising
+		// {1,2} carves {2,4}; both keep distance 2 through 3, 2's witness
+		// flips to 3, and 4 and 5 keep theirs (2 and 3).
+		g := build(6, [][3]int64{{0, 1, 1}, {1, 2, 1}, {0, 3, 2}, {2, 3, 0}, {2, 4, 0}, {3, 4, 0}, {3, 5, 0}, {4, 5, 0}})
+		tr := traceFor(g, 0)
+		if tr.Parent[2] != 1 || tr.Parent[4] != 2 || tr.Parent[5] != 3 {
+			t.Fatalf("trace %v: want 2 under 1, 4 under 2, 5 under 3", tr.Parent)
+		}
+		deltas := []graph.EdgeDelta{{Op: graph.DeltaReweight, U: 1, V: 2, W: 5}}
+		ledger := &patchLog{}
+		ledger.record(g, deltas)
+		ng, err := graph.ApplyDeltas(g, deltas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr := checkRepair(t, "zero-tie", ng, 0, tr, ledger)
+		if rr.Orphaned != 2 || rr.Parent[2] != 3 || rr.Parent[4] != 2 || rr.Parent[5] != 3 || !slices.Equal(rr.Dist, tr.Dist) {
+			t.Fatalf("%d orphaned, parents %v, dist %v", rr.Orphaned, rr.Parent, rr.Dist)
+		}
+	})
+
 	t.Run("zero-weight-ties", func(t *testing.T) {
 		// Zero-weight edges create dist-0 non-sources; repair must keep the
 		// min-ID discipline through them.

@@ -68,6 +68,9 @@ type centry struct {
 type flight struct {
 	done chan struct{}
 	body []byte
+	// incr is the leader's X-Dsssp-Incr, which its followers reply with:
+	// they serve the rows the leader served.
+	incr string
 	err  error
 }
 
@@ -117,14 +120,17 @@ func (o cacheOutcome) String() string {
 // instead of inheriting the 499. Genuine compute errors propagate to
 // every waiter unretried.
 func (c *Cache) GetOrCompute(key string, compute func() ([]byte, error)) (body []byte, hit bool, err error) {
-	body, out, err := c.getOrCompute(key, func() ([]byte, bool, error) {
+	body, _, out, err := c.getOrCompute(key, func() ([]byte, string, bool, error) {
 		b, err := compute()
-		return b, true, err
+		return b, "", true, err
 	})
 	return body, out != cacheMiss, err
 }
 
-func (c *Cache) getOrCompute(key string, compute func() ([]byte, bool, error)) (body []byte, out cacheOutcome, err error) {
+// getOrCompute is GetOrCompute whose compute also returns the reply's
+// X-Dsssp-Incr, handed to every follower of the flight, and whether to
+// store the body. A resident entry has no X-Dsssp-Incr.
+func (c *Cache) getOrCompute(key string, compute func() ([]byte, string, bool, error)) (body []byte, incr string, out cacheOutcome, err error) {
 	for {
 		c.mu.Lock()
 		if el, ok := c.items[key]; ok {
@@ -132,7 +138,7 @@ func (c *Cache) getOrCompute(key string, compute func() ([]byte, bool, error)) (
 			c.hits++
 			body = el.Value.(*centry).body
 			c.mu.Unlock()
-			return body, cacheHit, nil
+			return body, "", cacheHit, nil
 		}
 		if f, ok := c.flights[key]; ok {
 			c.mu.Unlock()
@@ -141,20 +147,20 @@ func (c *Cache) getOrCompute(key string, compute func() ([]byte, bool, error)) (
 				if errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
 					continue // the leader's client died, not the computation
 				}
-				return nil, cacheMiss, f.err
+				return nil, "", cacheMiss, f.err
 			}
 			c.mu.Lock()
 			c.hits++ // served by the leader's computation, not our own
 			c.shared++
 			c.mu.Unlock()
-			return f.body, cacheShared, nil
+			return f.body, f.incr, cacheShared, nil
 		}
 		f := &flight{done: make(chan struct{})}
 		c.flights[key] = f
 		c.misses++
 		c.mu.Unlock()
 		c.lead(key, f, compute)
-		return f.body, cacheMiss, f.err
+		return f.body, f.incr, cacheMiss, f.err
 	}
 }
 
@@ -163,7 +169,7 @@ func (c *Cache) getOrCompute(key string, compute func() ([]byte, bool, error)) (
 // panics into a 500, so a panicking input must not leave followers parked
 // on f.done forever and the key permanently poisoned). The panic
 // propagates to the leader after cleanup; followers see a plain error.
-func (c *Cache) lead(key string, f *flight, compute func() ([]byte, bool, error)) {
+func (c *Cache) lead(key string, f *flight, compute func() ([]byte, string, bool, error)) {
 	completed := false
 	store := false
 	defer func() {
@@ -178,7 +184,7 @@ func (c *Cache) lead(key string, f *flight, compute func() ([]byte, bool, error)
 		}
 		close(f.done)
 	}()
-	f.body, store, f.err = compute()
+	f.body, f.incr, store, f.err = compute()
 	completed = true
 }
 

@@ -5,6 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -248,5 +253,75 @@ func TestCacheSingleflight(t *testing.T) {
 	}
 	if leaderMisses != 1 || followerHits != waiters-1 {
 		t.Fatalf("misses=%d hits=%d, want 1/%d", leaderMisses, followerHits, waiters-1)
+	}
+}
+
+// TestSharedFlightCarriesIncr parks the leader of a registered-graph
+// /v1/sssp flight on the only worker slot, lets a second identical query
+// join the flight as a follower, and requires the follower's reply to
+// carry the leader's body and headers, X-Dsssp-Incr included; only its
+// own request ID, trace context and X-Dsssp-Cache differ.
+func TestSharedFlightCarriesIncr(t *testing.T) {
+	s, err := New(Config{Workers: 1, TraceSampleRate: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	id, _ := registerTraced(t, s, 200, 3)
+	q := ssspQuery(id, 3)
+
+	// inFlight waits until k queries are inside the cache's flight: the
+	// leader parked on the worker slot, a follower on the leader.
+	inFlight := func(k int) {
+		t.Helper()
+		buf := make([]byte, 1<<20)
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			if strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*Cache).getOrCompute(") >= k {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d queries never reached the flight", k)
+			}
+		}
+	}
+	s.querySem <- struct{}{} // the only worker slot: the leader waits for it
+	replies := make([]*httptest.ResponseRecorder, 2)
+	var wg sync.WaitGroup
+	for i := range replies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			replies[i] = do(t, s, "POST", "/v1/sssp", q)
+		}()
+		inFlight(i + 1)
+	}
+	<-s.querySem
+	wg.Wait()
+
+	if replies[0].Header().Get("X-Dsssp-Cache") != "miss" {
+		replies[0], replies[1] = replies[1], replies[0]
+	}
+	leader, follower := replies[0], replies[1]
+	own := func(h http.Header) http.Header {
+		h = h.Clone()
+		for _, k := range []string{RequestIDHeader, TraceparentHeader, "X-Dsssp-Cache"} {
+			h.Del(k)
+		}
+		return h
+	}
+	switch {
+	case leader.Code != http.StatusOK || follower.Code != http.StatusOK:
+		t.Fatalf("status %d and %d", leader.Code, follower.Code)
+	case leader.Header().Get("X-Dsssp-Cache") != "miss" || follower.Header().Get("X-Dsssp-Cache") != "hit":
+		t.Fatalf("X-Dsssp-Cache %q and %q, want a miss and a hit", leader.Header().Get("X-Dsssp-Cache"), follower.Header().Get("X-Dsssp-Cache"))
+	case leader.Header().Get("X-Dsssp-Incr") != "repaired":
+		t.Fatalf("leader's X-Dsssp-Incr %q, want repaired", leader.Header().Get("X-Dsssp-Incr"))
+	case !reflect.DeepEqual(own(follower.Header()), own(leader.Header())):
+		t.Fatalf("follower's headers %v, leader's %v", follower.Header(), leader.Header())
+	case !bytes.Equal(follower.Body.Bytes(), leader.Body.Bytes()):
+		t.Fatal("follower's body differs from the leader's")
+	}
+	if st := s.cache.Stats(); st.SingleflightDedup != 1 {
+		t.Fatalf("cache stats %+v, want one shared hit", st)
 	}
 }

@@ -499,8 +499,10 @@ func TestRepairWarmStart(t *testing.T) {
 }
 
 // TestWarmStartKeepsBytes: a graph's charged bytes are a function of the
-// traces it holds, so a warm start that reloads them reports the same
-// bytes as the live registry that recorded them from queries.
+// traces it holds and the bodies they keep, so a warm start that reloads
+// the traces reports the bytes of the live registry that recorded them
+// from queries, less the kept bodies, which are never spilled. The live
+// registry keeps one: the body the repaired query's trace answers with.
 func TestWarmStartKeepsBytes(t *testing.T) {
 	dir := t.TempDir()
 	mk := func() *Server {
@@ -539,12 +541,18 @@ func TestWarmStartKeepsBytes(t *testing.T) {
 	if live.TracedSources == 0 || live.StaleSources == 0 {
 		t.Fatalf("live graph = %+v, want exact and stale traces", live)
 	}
+	s1.registry.mu.Lock()
+	kept := s1.registry.graphs[info.ID].bodyBytes
+	s1.registry.mu.Unlock()
+	if kept == 0 {
+		t.Fatal("the repaired query's trace keeps no body")
+	}
 	s1.Close() // the SIGTERM path: flush query-accumulated traces to disk
 
 	s2 := mk()
 	t.Cleanup(s2.Close)
 	warm := get(s2, info.ID)
-	if warm.Bytes != live.Bytes || warm.TracedSources != live.TracedSources || warm.StaleSources != live.StaleSources {
+	if warm.Bytes != live.Bytes-kept || warm.TracedSources != live.TracedSources || warm.StaleSources != live.StaleSources {
 		t.Fatalf("warm start = %+v, live = %+v", warm, live)
 	}
 }

@@ -5,44 +5,112 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"strconv"
 
 	"dsssp/internal/graph"
 	"dsssp/internal/harness"
 )
 
+// digestBlock is the number of consecutive smaller endpoints whose pairs
+// one leaf of the content digest hashes.
+const digestBlock = 64
+
+// Domain tags of the digest's two levels, so that no leaf's input can be
+// read as a root's.
+var (
+	leafTag = []byte("dsssp-digest-leaf\x00")
+	rootTag = []byte("dsssp-digest-root\x00")
+)
+
 // canonicalGraphDigest hashes the graph's canonical content: node count,
-// edge count, then the edge set as (u,v,w) triples with u<v in pair order,
+// edge count and the edge set as (u,v,w) triples with u<v in pair order,
 // each number 8 bytes little-endian. Thanks to the keep-min AddEdge policy
 // the edge set is duplicate-free, so two graphs hash equal iff they are
 // the same weighted graph — regardless of how (inline vs generator, in
 // which insertion order) they were described. Every built graph numbers
 // its edges in pair order, so equal digests also mean equal EdgeIDs and
-// equal simulations. g must be built (its adjacency sorted, as
-// FromEdges, the generators and ApplyChanges leave it): the pairs are
-// read off it — each u's halves toward higher nodes, u ascending —
-// without listing the edges.
+// equal simulations.
+//
+// The hash has two levels of SHA-256 (see digestLeaves and digestRoot): a
+// leaf per block of digestBlock smaller endpoints over that block's
+// triples, and a root over n, m and the leaves. A PATCH rehashes only the
+// leaves of the blocks it changes (patchLeaves) and then the root.
 func canonicalGraphDigest(g *graph.Graph) [32]byte {
-	// Fed to the hash in 4 KiB chunks, so a digest never holds a second
-	// copy of a large graph's edge list.
-	h := sha256.New()
+	return digestRoot(g.N(), g.M(), digestLeaves(g))
+}
+
+// digestLeaves returns g's leaf hashes, one per block of digestBlock
+// smaller endpoints. g must be built (its adjacency sorted, as FromEdges,
+// the generators and ApplyChanges leave it): the pairs are read off it —
+// each u's halves toward higher nodes, u ascending — without listing the
+// edges.
+func digestLeaves(g *graph.Graph) [][32]byte {
+	leaves := make([][32]byte, (g.N()+digestBlock-1)/digestBlock)
+	lh := newLeafHasher()
+	for b := range leaves {
+		leaves[b] = lh.leaf(g, b)
+	}
+	return leaves
+}
+
+// patchLeaves rehashes, in leaves, the blocks of g that hold a pair of
+// changes: leaves are the digest leaves of the graph changes led to g.
+func patchLeaves(g *graph.Graph, leaves [][32]byte, changes []graph.WeightChange) {
+	lh := newLeafHasher()
+	done := make(map[int]bool, len(changes))
+	for _, c := range changes {
+		if b := int(min(c.U, c.V)) / digestBlock; !done[b] {
+			done[b] = true
+			leaves[b] = lh.leaf(g, b)
+		}
+	}
+}
+
+// digestRoot is the content digest of an n-node, m-edge graph whose leaf
+// hashes are leaves.
+func digestRoot(n, m int, leaves [][32]byte) [32]byte {
 	le := binary.LittleEndian
-	buf := le.AppendUint64(le.AppendUint64(make([]byte, 0, 4096), uint64(g.N())), uint64(g.M()))
-	for u := range g.N() {
+	buf := make([]byte, 0, len(rootTag)+16+32*len(leaves))
+	buf = le.AppendUint64(le.AppendUint64(append(buf, rootTag...), uint64(n)), uint64(m))
+	for _, l := range leaves {
+		buf = append(buf, l[:]...)
+	}
+	return sha256.Sum256(buf)
+}
+
+// leafHasher hashes digest leaves through one reused hash and buffer.
+type leafHasher struct {
+	h   hash.Hash
+	buf []byte
+}
+
+func newLeafHasher() *leafHasher {
+	return &leafHasher{h: sha256.New(), buf: make([]byte, 0, 4096)}
+}
+
+// leaf hashes block b of g: the leaf tag, then the (u,v,w) triples of the
+// pairs whose smaller endpoint u lies in the block, in pair order. They are
+// fed to the hash in 4 KiB chunks, so a hub's block is never held whole.
+func (lh *leafHasher) leaf(g *graph.Graph, b int) [32]byte {
+	le := binary.LittleEndian
+	lh.h.Reset()
+	buf := append(lh.buf[:0], leafTag...)
+	for u := b * digestBlock; u < min((b+1)*digestBlock, g.N()); u++ {
 		for _, e := range g.Adj(graph.NodeID(u)) {
 			if e.To <= graph.NodeID(u) {
 				continue
 			}
 			if len(buf)+24 > cap(buf) {
-				h.Write(buf)
+				lh.h.Write(buf)
 				buf = buf[:0]
 			}
 			buf = le.AppendUint64(le.AppendUint64(le.AppendUint64(buf, uint64(u)), uint64(e.To)), uint64(e.W))
 		}
 	}
-	h.Write(buf)
+	lh.h.Write(buf)
 	var out [32]byte
-	h.Sum(out[:0])
+	lh.h.Sum(out[:0])
 	return out
 }
 

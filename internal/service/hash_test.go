@@ -2,9 +2,14 @@ package service
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,7 +20,7 @@ import (
 // digest bytes name every registered handle (g-<first 8 bytes>) and key
 // every cached result, so a change to them orphans every spill's handle
 // and every cache entry: it must be deliberate.
-const pinnedDigest = "6a753b32160028964ed972b046485eac32a2a1b96166587bd26e29b45a371d8b"
+const pinnedDigest = "8a1e281548a7d55f796c9c3e4aea84a6d8eaa16fd8f74d83e241067f21cd5a68"
 
 // digestPinEdges is a small weighted graph in pair order, with a zero
 // weight and an isolated node (6).
@@ -24,11 +29,13 @@ var digestPinEdges = [][3]int64{
 	{2, 3, 3}, {2, 5, 12}, {3, 4, 2}, {4, 5, 6},
 }
 
-// TestCanonicalDigestPinned builds one graph five ways — an inline spec
+// TestCanonicalDigestPinned builds one graph six ways — an inline spec
 // with shuffled, reversed and repeated edges; FromEdges; AddEdge in a
 // scrambled order with repeats; a generator graph patched to the same edge
-// set; a spill round trip — and requires every one to hash to the pinned
-// digest and to register under the handle it names.
+// set; a spill round trip; a registered graph PATCHed to it — and requires
+// every one to hash to the pinned digest and to register under the handle
+// it names. The PATCHed one must also reach the pinned digest through the
+// registry's own leaf update.
 func TestCanonicalDigestPinned(t *testing.T) {
 	const n = 7
 	ways := map[string]*graph.Graph{}
@@ -106,6 +113,25 @@ func TestCanonicalDigestPinned(t *testing.T) {
 	}
 	ways["spill"] = rg.g
 
+	// Registered with {1,4} at another weight, then PATCHed to the pinned
+	// one: the registry rehashes only the changed block's leaf.
+	off := slices.Clone(es)
+	off[4].W = 3
+	r := NewGraphRegistry(1<<20, nil, nil)
+	offG, err := graph.FromEdges(n, off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, _ := r.Register(offG)
+	pi, err := r.Patch(info.ID, []graph.EdgeDelta{{Op: graph.DeltaReweight, U: 4, V: 1, W: es[4].W}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pi.Digest != pinnedDigest {
+		t.Errorf("registry-patched: PATCH digest %s, pinned %s", pi.Digest, pinnedDigest)
+	}
+	ways["registry-patched"], _, _, _ = r.Resolve(info.ID)
+
 	for name, g := range ways {
 		d := canonicalGraphDigest(g)
 		if got := hex.EncodeToString(d[:]); got != pinnedDigest {
@@ -115,6 +141,72 @@ func TestCanonicalDigestPinned(t *testing.T) {
 		if info.ID != "g-"+pinnedDigest[:16] {
 			t.Errorf("%s: registered as %s, want g-%s", name, info.ID, pinnedDigest[:16])
 		}
+	}
+}
+
+// TestDigestDefinition recomputes the digest from its definition — a
+// tagged SHA-256 leaf per block of 64 smaller endpoints over the block's
+// (u,v,w) triples in pair order, and a tagged root over n, m and the
+// leaves — from Edges(), on graphs of one block, several and none.
+func TestDigestDefinition(t *testing.T) {
+	le := binary.LittleEndian
+	for _, n := range []int{0, 7, 64, 65, 300} {
+		g := graph.Make(graph.FamilyRandom, n, graph.UniformWeights(50, 2), 2)
+		blocks := make([][]byte, (n+63)/64)
+		for b := range blocks {
+			blocks[b] = []byte("dsssp-digest-leaf\x00")
+		}
+		for _, e := range g.Edges() {
+			b := &blocks[e.U/64]
+			*b = le.AppendUint64(le.AppendUint64(le.AppendUint64(*b, uint64(e.U)), uint64(e.V)), uint64(e.W))
+		}
+		root := le.AppendUint64(le.AppendUint64([]byte("dsssp-digest-root\x00"), uint64(n)), uint64(g.M()))
+		for _, b := range blocks {
+			leaf := sha256.Sum256(b)
+			root = append(root, leaf[:]...)
+		}
+		if got, want := canonicalGraphDigest(g), sha256.Sum256(root); got != want {
+			t.Errorf("n=%d: digest %x, by definition %x", n, got, want)
+		}
+	}
+}
+
+// TestPatchedDigestMatchesWhole PATCHes a registered 300-node graph (five
+// leaf blocks) with batches that reweight, insert and delete pairs in one
+// block or across several, and requires the registry's digest and leaves,
+// which it updates block by block, to be those of the head hashed whole
+// after every PATCH.
+func TestPatchedDigestMatchesWhole(t *testing.T) {
+	const n = 300
+	rng := rand.New(rand.NewSource(5))
+	r := NewGraphRegistry(1<<30, nil, nil)
+	info, _ := r.Register(graph.Make(graph.FamilyRandom, n, graph.UniformWeights(50, 5), 5))
+	applied := 0
+	for step := range 200 {
+		g, _, _, _ := r.Resolve(info.ID)
+		es := g.Edges()
+		var batch []graph.EdgeDelta
+		for k := 1 + rng.Intn(4); k > 0; k-- {
+			e := es[rng.Intn(len(es))]
+			switch rng.Intn(4) {
+			case 0:
+				if u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)); u != v {
+					batch = append(batch, graph.EdgeDelta{Op: graph.DeltaInsert, U: u, V: v, W: rng.Int63n(50)})
+				}
+			case 1:
+				batch = append(batch, graph.EdgeDelta{Op: graph.DeltaDelete, U: e.V, V: e.U})
+			default:
+				batch = append(batch, graph.EdgeDelta{Op: graph.DeltaReweight, U: e.U, V: e.V, W: e.W + 1 - rng.Int63n(3)})
+			}
+		}
+		if _, err := r.Patch(info.ID, batch); err != nil {
+			continue // a pair named twice, deleted first
+		}
+		applied++
+		checkDigest(t, fmt.Sprint("step ", step), r.graphs[info.ID])
+	}
+	if applied < 150 {
+		t.Fatalf("only %d of 200 batches applied", applied)
 	}
 }
 

@@ -104,10 +104,11 @@ func leafEdge(g *graph.Graph, src graph.NodeID) (u, v graph.NodeID, w int64) {
 // the events that may change it. Every reply must equal a fresh render of
 // the revision it was served at, and the body is kept only where the
 // trace is exact: a repeat query writes the kept bytes without allocating
-// a row-sized buffer; an insert that leaves the trace clean, a reweight
-// that dirties it and the repair that replaces it each drop the body, and
-// a body offered for an old m or for a replaced row is refused; a restart
-// from the spill keeps none.
+// a row-sized buffer; an insert that leaves the trace clean and a
+// reweight that dirties it each drop the body, and a body offered for an
+// old m or for a replaced row is refused; the repair that makes the trace
+// exact again keeps the zero-change body derived from its reply, which
+// the next query writes as it is; a restart from the spill keeps none.
 func TestExactTraceBodyKept(t *testing.T) {
 	const n, src = 10_000, graph.NodeID(0)
 	dir := t.TempDir()
@@ -194,9 +195,10 @@ func TestExactTraceBodyKept(t *testing.T) {
 	dropped("a body for the old m")
 	query("after the insert", head())
 
-	// A reweight of a leaf's tree edge dirties the trace: the body
-	// goes, the repair's reply is not kept, and neither is a body rendered
-	// from the row it replaced.
+	// A reweight of a leaf's tree edge dirties the trace: the body goes.
+	// The repair keeps the body of the exact trace it leaves, derived from
+	// its own reply, and a body rendered from the row it replaced is
+	// refused.
 	lu, lv, lw := leafEdge(g, src)
 	old := trace().dist
 	pi = patch("reweight", fmt.Sprintf(`{"op":"reweight","u":%d,"v":%d,"w":%d}`, lu, lv, lw+1))
@@ -213,10 +215,21 @@ func TestExactTraceBodyKept(t *testing.T) {
 	if want := repairedReply(t, head(), src, resp.Incr.AffectedVertices); !bytes.Equal(w.Body.Bytes(), want) {
 		t.Fatal("repair: the reply differs from a fresh render")
 	}
-	dropped("repair")
+	exact := repairedReply(t, head(), src, 0)
+	kept = trace().body
+	if !bytes.Equal(kept, exact[:len(exact)-1]) {
+		t.Fatalf("repair: kept %d bytes, want the %d-byte reply of the exact trace", len(kept), len(exact)-1)
+	}
 	stale := mustRender(t, renderSSSP, ssspResponse(head(), row{dist: old, served: rowRepaired}, nil))
 	s.registry.keepBody(id, src, old, head().M(), stale)
-	dropped("a body for the replaced row")
+	if &trace().body[0] != &kept[0] {
+		t.Fatal("a body for the replaced row displaced the repair's")
+	}
+	sink := &sinkWriter{}
+	h.ServeHTTP(sink, httptest.NewRequest("POST", "/v1/sssp", strings.NewReader(q)))
+	if sink.status != http.StatusOK || &sink.first[0] != &kept[0] || !bytes.Equal(sink.first, exact[:len(exact)-1]) {
+		t.Fatalf("after the repair: %d, or the body is not the kept one", sink.status)
+	}
 	query("after the repair", head())
 
 	// Kept bodies are derived state: the spill holds none.

@@ -584,7 +584,8 @@ func decodeSpill(data []byte) (*regGraph, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	rg.digest = canonicalGraphDigest(rg.g)
+	rg.leaves = digestLeaves(rg.g)
+	rg.digest = digestRoot(n, rg.g.M(), rg.leaves)
 	return rg, int(bl) + size, nil
 }
 

@@ -30,8 +30,9 @@ import (
 // their digest and age out of the cache's LRU.
 //
 // An exact trace may also keep its /v1/sssp body, rendered once by the
-// first query that served it, so that a repeat query writes those bytes
-// as they are (see keepBody).
+// first query that served it or derived from the reply of the repair that
+// made it exact, so that a repeat query writes those bytes as they are
+// (see keepBody).
 //
 // The registry is byte-budgeted: graphs (and their traces, kept bodies and
 // logs) are charged an approximate resident footprint and whole graphs are
@@ -68,10 +69,13 @@ type regGraph struct {
 	createdAt time.Time
 	patchedAt time.Time
 	// num is the head revision, counted from 1 at registration; digest and
-	// g are its content digest and snapshot. g is never mutated — PATCH
-	// builds a fresh one — so a query holding it simulates lock-free.
+	// g are its content digest and snapshot, and leaves the digest's leaf
+	// hashes, which a PATCH rehashes where it changes g. g is never
+	// mutated — PATCH derives a fresh one (graph.ApplyChanges) — so a
+	// query holding it simulates lock-free.
 	num    int
 	digest [32]byte
+	leaves [][32]byte
 	g      *graph.Graph
 	// traces maps source → its trace. A trace at the head revision is
 	// exact; an older one is stale, and log holds every batch since.
@@ -156,12 +160,15 @@ type GraphInfo struct {
 }
 
 // graphBytes approximates a snapshot's resident footprint: 48 bytes an
-// edge (its two 24-byte adjacency halves) and a slice header per node.
+// edge (its two 24-byte adjacency halves), a slice header per node and
+// the digest's 32-byte leaf per block of digestBlock nodes.
 func graphBytes(g *graph.Graph) int64 { return snapshotBytes(g.N(), g.M()) }
 
 // snapshotBytes is graphBytes of a snapshot with n nodes and m edges; a
 // journal replay charges revisions it never builds.
-func snapshotBytes(n, m int) int64 { return int64(n)*24 + int64(m)*48 }
+func snapshotBytes(n, m int) int64 {
+	return int64(n)*24 + int64(m)*48 + int64((n+digestBlock-1)/digestBlock)*32
+}
 
 // traceBytes is what one trace of an n-node graph is charged: its distance
 // row, its witness tree and a header.
@@ -205,7 +212,8 @@ func (rg *regGraph) at(rev int) int { return rev - rg.num + len(rg.log) }
 // disambiguated handle is minted — handles are stable names for histories,
 // not for contents.
 func (r *GraphRegistry) Register(g *graph.Graph) (GraphInfo, bool) {
-	digest := canonicalGraphDigest(g)
+	leaves := digestLeaves(g)
+	digest := digestRoot(g.N(), g.M(), leaves)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	base := "g-" + hex.EncodeToString(digest[:8])
@@ -226,6 +234,7 @@ func (r *GraphRegistry) Register(g *graph.Graph) (GraphInfo, bool) {
 		createdAt: r.now(),
 		num:       1,
 		digest:    digest,
+		leaves:    leaves,
 		g:         g,
 		traces:    make(map[graph.NodeID]*sourceTrace),
 	}
@@ -334,7 +343,8 @@ func (r *GraphRegistry) Patch(id string, deltas []graph.EdgeDelta) (PatchInfo, e
 	ng, head := graph.ApplyChanges(rg.g, changes), rg.num
 	batch := logBatch{rev: head + 1, at: r.now(), changes: changes}
 	kept, dropped := rg.advance(batch, graphBytes(ng))
-	rg.digest, rg.g = canonicalGraphDigest(ng), ng
+	patchLeaves(ng, rg.leaves, changes)
+	rg.digest, rg.g = digestRoot(ng.N(), ng.M(), rg.leaves), ng
 
 	info := PatchInfo{
 		ID: id, Revision: rg.num, ParentRevision: head,

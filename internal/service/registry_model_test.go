@@ -398,6 +398,7 @@ func checkLedgerModel(t *testing.T, seed int64, flush bool) bool {
 			}
 		}
 		checkLogInvariants(t, r.graphs[info.ID])
+		checkDigest(t, fmt.Sprint("step ", step), r.graphs[info.ID])
 		gi, _ := r.Get(info.ID)
 		if gi.TracedSources != len(model.head.traces) || gi.StaleSources != len(model.head.stale) ||
 			gi.TracedSources != traced || gi.StaleSources != stale {
@@ -428,6 +429,7 @@ func checkBooted(t *testing.T, live *GraphRegistry, id, dir string) {
 		t.Fatal(err)
 	}
 	got, want := booted.graphs[id], live.graphs[id]
+	checkDigest(t, "booted", got)
 	bare := make(map[graph.NodeID]*sourceTrace, len(want.traces))
 	for src, tr := range want.traces {
 		bare[src] = &sourceTrace{rev: tr.rev, dist: tr.dist, parent: tr.parent}
@@ -442,6 +444,15 @@ func checkBooted(t *testing.T, live *GraphRegistry, id, dir string) {
 	case got.logBytes != want.logBytes || got.bodyBytes != 0 || got.charge() != want.charge()-want.bodyBytes || !got.patchedAt.Equal(want.patchedAt) || got.journal != want.journal:
 		t.Fatalf("booted: log %d bytes, bodies %d, charge %d, patched %v, journal %d; live %d, %d, %d, %v, %d",
 			got.logBytes, got.bodyBytes, got.charge(), got.patchedAt, got.journal, want.logBytes, want.bodyBytes, want.charge(), want.patchedAt, want.journal)
+	}
+}
+
+// checkDigest requires rg's digest and leaves to be those of its head
+// snapshot hashed whole.
+func checkDigest(t *testing.T, step string, rg *regGraph) {
+	t.Helper()
+	if !slices.Equal(rg.leaves, digestLeaves(rg.g)) || rg.digest != canonicalGraphDigest(rg.g) {
+		t.Fatalf("%s: the registry's digest or leaves differ from its head's", step)
 	}
 }
 
@@ -485,6 +496,7 @@ func checkReplayed(t *testing.T, live *GraphRegistry, id, dir string) {
 		t.Fatalf("replayed head: revision %d (live %d), digest equal %v, err %v", brev, rev, bdigest == digest, err)
 	}
 	checkLogInvariants(t, booted.graphs[id])
+	checkDigest(t, "replayed", booted.graphs[id])
 	row := func(r *GraphRegistry, g *graph.Graph, src graph.NodeID) (*incr.RepairResult, bool) {
 		tr, changes, _, exact, ok := r.sourceTrace(id, digest, src)
 		switch {

@@ -327,18 +327,24 @@ func TestRegistryRecordStaleDigestDropped(t *testing.T) {
 // repairs the traces, so the log grows by a batch per PATCH until it
 // outweighs the snapshot (about 3 000 PATCHes here) and the cap forgets
 // them; the log-batches and stale metrics report where the run ended.
-func BenchmarkRegistryPatchStacked(b *testing.B) { benchPatchStacked(b, "") }
+func BenchmarkRegistryPatchStacked(b *testing.B) { benchPatchStacked(b, 10_000, "") }
+
+// BenchmarkRegistryPatchStacked100k is BenchmarkRegistryPatchStacked on a
+// random n=10⁵ graph: what a reweight still pays per node — the copy of
+// the snapshot's outer adjacency slice and the digest's root over n/64
+// leaves — shows as the gap to n=10⁴.
+func BenchmarkRegistryPatchStacked100k(b *testing.B) { benchPatchStacked(b, 100_000, "") }
 
 // BenchmarkRegistryPatchStackedSpill is BenchmarkRegistryPatchStacked with
 // the registry spilling to a directory, as dsssp-serve -registry-dir does:
 // each PATCH appends a journal record of its batch to the graph's spill
 // and fsyncs it; the spill is rewritten whole only when the journal
 // outweighs the snapshot.
-func BenchmarkRegistryPatchStackedSpill(b *testing.B) { benchPatchStacked(b, b.TempDir()) }
+func BenchmarkRegistryPatchStackedSpill(b *testing.B) { benchPatchStacked(b, 10_000, b.TempDir()) }
 
-func benchPatchStacked(b *testing.B, dir string) {
-	const n, traced, batch = 10000, 32, 16
-	g := graph.Make(graph.FamilyRandom, n, graph.UniformWeights(n, 1), 1)
+func benchPatchStacked(b *testing.B, n int, dir string) {
+	const traced, batch = 32, 16
+	g := graph.Make(graph.FamilyRandom, n, graph.UniformWeights(int64(n), 1), 1)
 	r := NewGraphRegistry(1<<40, nil, nil)
 	if dir != "" {
 		if _, err := r.EnablePersistence(dir); err != nil {
@@ -353,7 +359,7 @@ func benchPatchStacked(b *testing.B, dir string) {
 		d := graph.Dijkstra(g, src)
 		r.Record(info.ID, digest, src, d, graph.WitnessParents(g, src, d), "")
 		// A zero-weight edge out of the source shortens a distance.
-		dirty = append(dirty, graph.EdgeDelta{Op: graph.DeltaInsert, U: src, V: (src + n/2) % n, W: 0})
+		dirty = append(dirty, graph.EdgeDelta{Op: graph.DeltaInsert, U: src, V: (src + graph.NodeID(n/2)) % graph.NodeID(n), W: 0})
 	}
 	if pi, err := r.Patch(info.ID, dirty); err != nil || pi.SourcesDropped != traced {
 		b.Fatalf("setup patch: %+v, %v; want all %d sources stale", pi, err, traced)

@@ -77,9 +77,10 @@ func (rs rowSet) all(how rowServed) bool { return rs.count[how] == len(rs.rows) 
 // body from them. Only an all-computed body is cached — it is the key's
 // canonical bytes; a reused or repaired one carries the incr block and
 // lacks simulation metrics, so a later recompute or hit re-mints those.
-// A /v1/sssp body served from an exact trace is kept with the trace
-// instead (GraphRegistry.keepBody), and render returns those bytes until
-// a PATCH changes the trace or m.
+// The /v1/sssp body of an exact trace is kept with the trace instead
+// (GraphRegistry.keepBody) — rendered by its first query, or derived from
+// the reply of the repair that made the trace — and render returns those
+// bytes until a PATCH changes the trace or m.
 func (s *Server) serveRows(w http.ResponseWriter, r *http.Request, q rowQuery, render func(rowSet) ([]byte, error)) {
 	var rs rowSet
 	hit, ok := s.finishQuery(w, r, keyFromDigest(q.digest, q.parts), func(sp *trace.Span) ([]byte, bool, error) {

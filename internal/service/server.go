@@ -9,6 +9,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -229,13 +230,36 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 		}
 		g := rg.load()
 		b, err := renderSSSP(ssspResponse(g, rw, res))
-		// A zero-change row's body depends on n, m and the row alone: offer
-		// it to the row's trace.
-		if err == nil && rw.served == rowRepaired && rw.affected == 0 {
-			s.registry.keepBody(rg.id, src, rw.dist, g.M(), b)
+		// A repaired row is its trace's exact row from now on, and a
+		// zero-change body depends on n, m and the row alone: offer one
+		// to the trace.
+		if err == nil && rw.served == rowRepaired {
+			kept := b
+			if rw.affected != 0 {
+				kept = zeroChangeBody(b)
+			}
+			s.registry.keepBody(rg.id, src, rw.dist, g.M(), kept)
 		}
 		return b, err
 	})
+}
+
+// zeroIncr is the incr block, and the body's closing brace, of a /v1/sssp
+// body served from an exact trace.
+var zeroIncr = func() []byte {
+	b, err := json.Marshal(queryIncr(row{}, 1))
+	if err != nil {
+		panic(err)
+	}
+	return append(b, '}')
+}()
+
+// zeroChangeBody returns the body of an exact trace's row from b, the
+// body that served the same row repaired: the two differ only in the incr
+// block, the body's last field.
+func zeroChangeBody(b []byte) []byte {
+	i := bytes.LastIndex(b, []byte(`"incr":`)) + len(`"incr":`)
+	return append(append(make([]byte, 0, i+len(zeroIncr)), b[:i]...), zeroIncr...)
 }
 
 // ssspResponse is the /v1/sssp answer of one row: a repaired row's carries
@@ -499,7 +523,7 @@ func (s *Server) resolveGenerator(spec GraphSpec) (*resolvedGraph, error) {
 func (s *Server) finishQuery(w http.ResponseWriter, r *http.Request, key string, compute func(sp *trace.Span) ([]byte, bool, error)) (hit, ok bool) {
 	root := trace.FromContext(r.Context())
 	cacheSp := root.StartChild("cache.lookup")
-	body, outcome, err := s.cache.getOrCompute(key, func() ([]byte, bool, error) {
+	body, incr, outcome, err := s.cache.getOrCompute(key, func() ([]byte, string, bool, error) {
 		qsp := root.StartChild("queue.wait")
 		s.metrics.queueDepth.Inc()
 		queued := time.Now()
@@ -517,7 +541,7 @@ func (s *Server) finishQuery(w http.ResponseWriter, r *http.Request, key string,
 			s.metrics.queueDepth.Dec()
 			qsp.SetError("cancelled while queued")
 			qsp.End()
-			return nil, false, r.Context().Err()
+			return nil, "", false, r.Context().Err()
 		}
 		execSp := root.StartChild("exec")
 		b, cacheable, err := compute(execSp)
@@ -525,7 +549,7 @@ func (s *Server) finishQuery(w http.ResponseWriter, r *http.Request, key string,
 			execSp.SetError(err.Error())
 		}
 		execSp.End()
-		return b, cacheable, err
+		return b, w.Header().Get("X-Dsssp-Incr"), cacheable, err
 	})
 	cacheSp.SetAttr("result", outcome.String())
 	cacheSp.End()
@@ -536,6 +560,9 @@ func (s *Server) finishQuery(w http.ResponseWriter, r *http.Request, key string,
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)+1))
+	if outcome == cacheShared && incr != "" {
+		w.Header().Set("X-Dsssp-Incr", incr)
+	}
 	if hit {
 		w.Header().Set("X-Dsssp-Cache", "hit")
 	} else {
