@@ -146,8 +146,8 @@ type SSSPResponse struct {
 	Metrics        MetricsJSON    `json:"metrics,omitzero"`
 	Incr           *QueryIncrJSON `json:"incr,omitempty"`
 
-	// distLen is the length of Dist's encoding when ssspResponse measured
-	// it in the walk that counted Unreachable, so that renderSSSP does not
+	// distLen is the length of Dist's encoding when spliceSSSP measured it
+	// in the walk that counted Unreachable, so that renderSSSP does not
 	// walk the row again to size it; 0 means not measured.
 	distLen int
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"math"
+	"slices"
 	"testing"
 
 	"dsssp"
@@ -40,9 +42,86 @@ func FuzzRowJSON(f *testing.F) {
 	})
 }
 
+// FuzzSpliceRow holds spliceSSSP to renderSSSP: the body rendered for a
+// row prior, spliced into a row that differs from it at some entries, must
+// be the full render of the new row byte for byte, and json.Marshal's, its
+// m, unreachable count and incr block included. raw is read as prior's
+// little-endian int64s, edits as 10-byte records, each an entry index
+// (little-endian uint16, modulo the row's length) and that entry's new
+// value (int64); m0 is the base's m, m1 and affected the new body's.
+func FuzzSpliceRow(f *testing.F) {
+	type edit struct {
+		at int
+		v  int64
+	}
+	seed := func(prior []int64, m0, m1 uint32, edits ...edit) {
+		raw := make([]byte, 0, 8*len(prior))
+		for _, v := range prior {
+			raw = binary.LittleEndian.AppendUint64(raw, uint64(v))
+		}
+		var e []byte
+		for _, ed := range edits {
+			e = binary.LittleEndian.AppendUint16(e, uint16(ed.at))
+			e = binary.LittleEndian.AppendUint64(e, uint64(ed.v))
+		}
+		f.Add(raw, e, m0, m1, uint16(len(edits)))
+	}
+	const inf = graph.Inf
+	seed([]int64{9, 10, 5}, 4, 4, edit{0, 10}, edit{1, 9})
+	seed([]int64{7, 99_999_999, 100_000_000, 3}, 6, 6, edit{1, 100_000_000}, edit{2, 99_999_999})
+	seed([]int64{0, inf, 3, 4, inf}, 5, 5, edit{1, 7}, edit{2, inf})
+	seed([]int64{1, 2, 3, 4, 5}, 5, 5, edit{0, 12}, edit{4, 0})
+	seed([]int64{3, 1, 4, 1, 5, 9}, 7, 7, edit{0, 2}, edit{1, 7}, edit{2, 1}, edit{3, 8}, edit{4, 2}, edit{5, 8})
+	seed([]int64{42}, 0, 0, edit{0, 43})
+	seed([]int64{inf}, 0, 1, edit{0, 0})
+	seed([]int64{5, 6, 7}, 3, 12_345)
+	seed([]int64{-1, math.MinInt64, 8}, 2, 2, edit{0, 1}, edit{2, -8})
+	seed([]int64{}, 0, 1)
+	// A long row: unchanged runs of 8 and 9 entries, copied, one of 7,
+	// written anew with the entries around it, and one of hundreds of
+	// bytes that the skip counts a block at a time.
+	long := make([]int64, 400)
+	for i := range long {
+		long[i] = int64(i) * 7_919 % int64(pow10[i%10])
+	}
+	long[300] = inf
+	seed(long, 2_000, 2_001, edit{3, 4}, edit{12, 1e9}, edit{22, 5}, edit{30, 6}, edit{200, inf}, edit{300, 2}, edit{399, 99})
+	seed(long, 2_000, 2_000)
+
+	f.Fuzz(func(t *testing.T, raw, edits []byte, m0, m1 uint32, affected uint16) {
+		prior := make([]int64, len(raw)/8)
+		for i := range prior {
+			prior[i] = int64(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		next := slices.Clone(prior)
+		for ; len(edits) >= 10 && len(next) > 0; edits = edits[10:] {
+			next[int(binary.LittleEndian.Uint16(edits))%len(next)] = int64(binary.LittleEndian.Uint64(edits[2:]))
+		}
+		n := len(next)
+		base := mustRender(t, renderSSSP, SSSPResponse{N: n, M: int(m0), Dist: prior, Unreachable: countUnreachable(prior), Incr: queryIncr(row{}, 1)})
+		resp := SSSPResponse{N: n, M: int(m1), Dist: next, Incr: queryIncr(row{affected: int(affected)}, max(n, 1))}
+		got, err := spliceSSSP(resp, base, prior)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Unreachable = countUnreachable(next)
+		if want := mustMarshal(t, resp); !bytes.Equal(got, want) || !bytes.Equal(got, mustRender(t, renderSSSP, resp)) {
+			t.Fatalf("prior %v, next %v:\nspliced:       %s\nencoding/json: %s", prior, next, got, want)
+		}
+	})
+}
+
+// ssspResponse is ssspHead with Unreachable counted: the response
+// renderSSSP renders to the body a handler serves.
+func ssspResponse(g *graph.Graph, rw row, res *dsssp.Result) SSSPResponse {
+	resp := ssspHead(g, rw, res)
+	resp.distLen, resp.Unreachable = rowSize(rw.dist)
+	return resp
+}
+
 // TestRenderMatchesMarshal renders bodies as the handlers do — the
 // response built by ssspResponse or apspResponse, the bytes by renderSSSP
-// or renderAPSP — and requires json.Marshal's bytes for the same response:
+// or renderAPSP (which spliceSSSP falls back to) — and requires json.Marshal's bytes for the same response:
 // computed bodies with metrics and subproblems_max, repaired ones with an
 // incr block, APSP with and without a composition, and rows holding
 // unreachable (graph.Inf) entries, SSSP at n=10⁴.
@@ -160,6 +239,46 @@ func BenchmarkRenderSSSP(b *testing.B) {
 	g := graph.Make(graph.FamilyRandom, n, graph.UniformWeights(n, 1), 1)
 	resp := ssspResponse(g, row{dist: graph.Dijkstra(g, 0), served: rowRepaired, affected: 17}, nil)
 	benchRender(b, renderSSSP, resp)
+}
+
+// BenchmarkSpliceSSSP splices serve-dynamic's body, a repaired row on the
+// random n=10⁴ graph with uniform weights up to n, from the body of the
+// row it was repaired from, where the two rows differ in one entry
+// (narrow), in every other entry (alternate) and in every entry (all).
+// full is renderSSSP of the same response, the cost a splice of many
+// changes should stay near: it writes what a full render writes, plus the
+// diff.
+func BenchmarkSpliceSSSP(b *testing.B) {
+	const n = 10_000
+	g := graph.Make(graph.FamilyRandom, n, graph.UniformWeights(n, 1), 1)
+	prior := graph.Dijkstra(g, 0)
+	base := mustRender(b, renderSSSP, ssspResponse(g, row{dist: prior, served: rowRepaired}, nil))
+	for _, bc := range []struct {
+		name  string
+		every int // the stride of the changed entries; 0 renders in full
+	}{{"narrow", n}, {"alternate", 2}, {"all", 1}, {"full", 0}} {
+		next := slices.Clone(prior)
+		for i := n / 2 % max(bc.every, 1); bc.every > 0 && i < n; i += bc.every {
+			next[i]++
+		}
+		resp := ssspHead(g, row{dist: next, served: rowRepaired, affected: 17}, nil)
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				var err error
+				if bc.every == 0 {
+					r := resp
+					r.distLen, r.Unreachable = rowSize(next)
+					_, err = renderSSSP(r)
+				} else {
+					_, err = spliceSSSP(resp, base, prior)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkRenderAPSP renders a from-scratch APSP body on a random n=256

@@ -2,12 +2,14 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -102,13 +104,15 @@ func leafEdge(g *graph.Graph, src graph.NodeID) (u, v graph.NodeID, w int64) {
 
 // TestExactTraceBodyKept follows one source's kept /v1/sssp body through
 // the events that may change it. Every reply must equal a fresh render of
-// the revision it was served at, and the body is kept only where the
+// the revision it was served at, and a body is served only where the
 // trace is exact: a repeat query writes the kept bytes without allocating
-// a row-sized buffer; an insert that leaves the trace clean and a
-// reweight that dirties it each drop the body, and a body offered for an
-// old m or for a replaced row is refused; the repair that makes the trace
-// exact again keeps the zero-change body derived from its reply, which
-// the next query writes as it is; a restart from the spill keeps none.
+// a row-sized buffer; an insert that leaves the trace clean drops the
+// body, and a body offered for an old m or for a replaced row is refused;
+// a reweight that dirties the trace keeps the body as the stale trace's
+// splice base, never served; the repair splices its reply from the base
+// and keeps the zero-change body derived from its reply, which the next
+// query writes as it is; a restart from the spill keeps none, so the
+// repair of a trace dirtied after it renders its reply in full.
 func TestExactTraceBodyKept(t *testing.T) {
 	const n, src = 10_000, graph.NodeID(0)
 	dir := t.TempDir()
@@ -195,26 +199,33 @@ func TestExactTraceBodyKept(t *testing.T) {
 	dropped("a body for the old m")
 	query("after the insert", head())
 
-	// A reweight of a leaf's tree edge dirties the trace: the body goes.
-	// The repair keeps the body of the exact trace it leaves, derived from
-	// its own reply, and a body rendered from the row it replaced is
-	// refused.
+	// A reweight of a leaf's tree edge dirties the trace: the body stays
+	// as its splice base. The repair's reply is spliced from the base, not
+	// the base itself; the repair keeps the body of the exact trace it
+	// leaves, derived from its own reply, and a body rendered from the row
+	// it replaced is refused.
 	lu, lv, lw := leafEdge(g, src)
-	old := trace().dist
+	old, base := trace().dist, trace().body
 	pi = patch("reweight", fmt.Sprintf(`{"op":"reweight","u":%d,"v":%d,"w":%d}`, lu, lv, lw+1))
 	if pi.SourcesDropped != 1 {
 		t.Fatalf("reweight: %+v, want the trace dirty", pi)
 	}
-	dropped("reweight")
+	if tr := trace(); tr.body == nil || &tr.body[0] != &base[0] {
+		t.Fatal("reweight: the dirtied trace did not keep its body as a base")
+	}
 	w := do(t, s, "POST", "/v1/sssp", q)
 	var resp SSSPResponse
 	decodeBody(t, w, http.StatusOK, &resp)
 	if resp.Incr == nil || resp.Incr.AffectedVertices == 0 {
 		t.Fatalf("repair: incr %+v, want a rebuilt region", resp.Incr)
 	}
-	if want := repairedReply(t, head(), src, resp.Incr.AffectedVertices); !bytes.Equal(w.Body.Bytes(), want) {
+	switch want := repairedReply(t, head(), src, resp.Incr.AffectedVertices); {
+	case bytes.Equal(w.Body.Bytes()[:w.Body.Len()-1], base):
+		t.Fatal("repair: the base was served as is")
+	case !bytes.Equal(w.Body.Bytes(), want):
 		t.Fatal("repair: the reply differs from a fresh render")
 	}
+	repairBodies(t, s, 1, 0)
 	exact := repairedReply(t, head(), src, 0)
 	kept = trace().body
 	if !bytes.Equal(kept, exact[:len(exact)-1]) {
@@ -242,7 +253,28 @@ func TestExactTraceBodyKept(t *testing.T) {
 		t.Fatal("the restarted registry lost the graph or kept a body")
 	}
 	dropped("restart")
+	lu, lv, lw = leafEdge(head(), src)
+	if pi = patch("reweight after the restart", fmt.Sprintf(`{"op":"reweight","u":%d,"v":%d,"w":%d}`, lu, lv, lw+1)); pi.SourcesDropped != 1 {
+		t.Fatalf("reweight after the restart: %+v, want the trace dirty", pi)
+	}
+	dropped("reweight after the restart")
+	w = do(t, s, "POST", "/v1/sssp", q)
+	decodeBody(t, w, http.StatusOK, &resp)
+	if want := repairedReply(t, head(), src, resp.Incr.AffectedVertices); !bytes.Equal(w.Body.Bytes(), want) {
+		t.Fatal("repair after the restart: the reply differs from a fresh render")
+	}
+	repairBodies(t, s, 0, 1)
 	query("after the restart", head())
+}
+
+// repairBodies requires s's dsssp_repair_bodies_total to read spliced and
+// full.
+func repairBodies(t *testing.T, s *Server, spliced, full float64) {
+	t.Helper()
+	m := scrapeMetrics(t, s)
+	if got, gotFull := m[`dsssp_repair_bodies_total{render="spliced"}`], m[`dsssp_repair_bodies_total{render="full"}`]; got != spliced || gotFull != full {
+		t.Fatalf("repair bodies spliced %v, full %v; want %v, %v", got, gotFull, spliced, full)
+	}
 }
 
 // TestQueryReplyContentLength: a query reply states its length, so an
@@ -321,12 +353,54 @@ func TestKeptBodyBudget(t *testing.T) {
 	}
 }
 
+// wideEdge is the tree edge {u,v} of src's witness tree on g that reaches
+// v by no other shortest path and roots the largest subtree of all such
+// edges: a change of its weight moves the distances of much of the row.
+func wideEdge(g *graph.Graph, src graph.NodeID) (u, v graph.NodeID, w int64) {
+	d := graph.Dijkstra(g, src)
+	parent := graph.WitnessParents(g, src, d)
+	order := make([]graph.NodeID, 0, g.N())
+	for x := range graph.NodeID(g.N()) {
+		if d[x] != graph.Inf {
+			order = append(order, x)
+		}
+	}
+	// Weights are positive, so a parent is nearer than its children.
+	slices.SortFunc(order, func(a, b graph.NodeID) int { return cmp.Compare(d[b], d[a]) })
+	size := make([]int, g.N())
+	best := 0
+	for _, x := range order {
+		size[x]++
+		if parent[x] < 0 {
+			continue
+		}
+		size[parent[x]] += size[x]
+		tight, tw := 0, int64(0)
+		for _, h := range g.Adj(x) {
+			if d[h.To]+h.W == d[x] {
+				tight++
+				tw = h.W
+			}
+		}
+		if tight == 1 && size[x] > best {
+			best, u, v, w = size[x], parent[x], x, tw
+		}
+	}
+	if best == 0 {
+		panic("service: no tree edge with a single shortest path")
+	}
+	return u, v, w
+}
+
 // BenchmarkServeSSSPTraced times a /v1/sssp query through the handler, in
 // process, on a registered random n=10⁴ graph (uniform weights up to n)
 // with an exact trace of the source, as serve-dynamic's queries are
 // served. exact repeats the query on the unchanged trace. repaired first
 // raises or restores, untimed, the weight of a leaf's edge in the source's
-// tree (see leafEdge), so that every query repairs a stale trace.
+// tree (see leafEdge), so that every query repairs a stale trace and its
+// reply changes in one entry; repaired-wide does the same to the tree edge
+// that roots the largest subtree (see wideEdge), so that much of the row
+// changes. Each reports the rebuilt share of the graph as affected/n.
 func BenchmarkServeSSSPTraced(b *testing.B) {
 	const n, src = 10_000, graph.NodeID(0)
 	s, err := New(Config{Workers: 2, TraceSampleRate: -1})
@@ -334,7 +408,7 @@ func BenchmarkServeSSSPTraced(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer s.Close()
-	id, g := registerTraced(b, s, n, src)
+	id, _ := registerTraced(b, s, n, src)
 	h, q := s.Handler(), ssspQuery(id, src)
 	serve := func(b *testing.B) *sinkWriter {
 		w := &sinkWriter{}
@@ -351,30 +425,45 @@ func BenchmarkServeSSSPTraced(b *testing.B) {
 			serve(b)
 		}
 	})
-	u, v, w := leafEdge(g, src)
-	raised := false // the toggle outlives each run of b.N
-	b.Run("repaired", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			weight := w
-			if raised = !raised; raised {
-				weight++
-			}
-			delta := fmt.Sprintf(`{"deltas":[{"op":"reweight","u":%d,"v":%d,"w":%d}]}`, u, v, weight)
-			w := httptest.NewRecorder()
-			if h.ServeHTTP(w, httptest.NewRequest("PATCH", "/v1/graphs/"+id+"/edges", strings.NewReader(delta))); w.Code != http.StatusOK {
-				b.Fatalf("patch: %d %s", w.Code, w.Body.Bytes())
-			}
-			b.StartTimer()
-			reply := serve(b)
-			b.StopTimer()
-			var resp SSSPResponse
-			if err := json.Unmarshal(reply.first, &resp); err != nil || resp.Incr == nil || resp.Incr.AffectedVertices == 0 {
-				b.Fatalf("query %d was not a repair of a stale trace: %v %+v", i, err, resp.Incr)
-			}
-			b.StartTimer()
+	for _, bc := range []struct {
+		name string
+		edge func(*graph.Graph, graph.NodeID) (u, v graph.NodeID, w int64)
+	}{
+		{"repaired", leafEdge},
+		{"repaired-wide", wideEdge},
+	} {
+		g, _, _, err := s.registry.Resolve(id)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
+		u, v, w := bc.edge(g, src)
+		raised := false // the toggle outlives each run of b.N
+		b.Run(bc.name, func(b *testing.B) {
+			affected := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				weight := w
+				if raised = !raised; raised {
+					weight++
+				}
+				delta := fmt.Sprintf(`{"deltas":[{"op":"reweight","u":%d,"v":%d,"w":%d}]}`, u, v, weight)
+				w := httptest.NewRecorder()
+				if h.ServeHTTP(w, httptest.NewRequest("PATCH", "/v1/graphs/"+id+"/edges", strings.NewReader(delta))); w.Code != http.StatusOK {
+					b.Fatalf("patch: %d %s", w.Code, w.Body.Bytes())
+				}
+				b.StartTimer()
+				reply := serve(b)
+				b.StopTimer()
+				var resp SSSPResponse
+				if err := json.Unmarshal(reply.first, &resp); err != nil || resp.Incr == nil || resp.Incr.AffectedVertices == 0 {
+					b.Fatalf("query %d was not a repair of a stale trace: %v %+v", i, err, resp.Incr)
+				}
+				affected += resp.Incr.AffectedVertices
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(affected)/float64(b.N)/n, "affected/n")
+		})
+	}
 }

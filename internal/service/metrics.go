@@ -46,6 +46,10 @@ type serverMetrics struct {
 	incrRepairFallbacks    *obs.Counter
 	repairAffectedFraction *obs.Histogram
 	repairSeconds          *obs.Histogram
+	// repairBodies counts the /v1/sssp replies of rows repaired from a
+	// stale trace by how they were rendered: spliced from the body the
+	// trace kept, or in full when it kept none.
+	repairBodies *obs.CounterVec // render
 
 	// Per-phase wall-time split of successful repairs (carve/seed/settle/
 	// witness) — the served:"repaired" counterpart of phaseRounds, so a
@@ -91,6 +95,9 @@ func newServerMetrics(cfg *Config, cache *Cache, registry *GraphRegistry) *serve
 		repairSeconds: r.Histogram("dsssp_incr_repair_seconds",
 			"Wall seconds spent in affected-region repair (successful or abandoned).",
 			obs.LatencyBuckets),
+		repairBodies: r.CounterVec("dsssp_repair_bodies_total",
+			"/v1/sssp replies of rows repaired from a stale trace, by render: spliced from the body the trace kept, or full.",
+			"render"),
 		repairPhaseSeconds: r.HistogramVec("dsssp_repair_phase_seconds",
 			"Wall seconds a successful repair spent in each phase (carve, seed, settle, witness).",
 			obs.ExpBuckets(1e-6, 4, 12), "phase"),

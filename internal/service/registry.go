@@ -32,7 +32,10 @@ import (
 // An exact trace may also keep its /v1/sssp body, rendered once by the
 // first query that served it or derived from the reply of the repair that
 // made it exact, so that a repeat query writes those bytes as they are
-// (see keepBody).
+// (see keepBody). A PATCH that dirties the trace leaves the body with it,
+// never to be served again: it is the base the repaired row's reply is
+// spliced from (spliceSSSP), and the repaired row that replaces the stale
+// trace drops it.
 //
 // The registry is byte-budgeted: graphs (and their traces, kept bodies and
 // logs) are charged an approximate resident footprint and whole graphs are
@@ -99,9 +102,11 @@ type regGraph struct {
 
 // sourceTrace is one source's remembered structure: the distance row and
 // min-ID witness tree that were exact at revision rev. body, when not nil,
-// is the /v1/sssp body an exact trace answers with: n, the head's m, dist
-// and the zero-change incr block. Only an exact trace keeps one; a PATCH
-// that dirties the trace or changes m drops it, and it is never spilled.
+// is a /v1/sssp body of dist: n, an m, dist and the zero-change incr block.
+// An exact trace's states the head's m and is its reply; a PATCH that
+// changes m and leaves the trace exact drops it. A stale trace's is the
+// body it kept while exact, kept on as the base of its repaired row's
+// reply and never served. Bodies are never spilled.
 type sourceTrace struct {
 	rev    int
 	dist   []int64
@@ -372,22 +377,22 @@ func (r *GraphRegistry) Patch(id string, deltas []graph.EdgeDelta) (PatchInfo, e
 // snap is what that revision's snapshot is charged. It appends the batch
 // to the log, classifies every exact trace against it (internal/incr) —
 // an untouched one moves forward to the new revision, a dirty one stays
-// behind as a stale trace — trims the log to what stale traces need and
-// caps it at snap. A live PATCH and a spill's journal replay both take
+// behind as a stale trace, its kept body with it as a splice base — trims
+// the log to what stale traces need and caps it at snap. A live PATCH and a spill's journal replay both take
 // this step; the snapshot and its digest are the caller's.
 func (rg *regGraph) advance(batch logBatch, snap int64) (kept, dropped int) {
 	head := rg.num
 	rg.num, rg.patchedAt = batch.rev, batch.at
 	rg.log = append(rg.log, batch)
 	rg.logBytes += logBatchBytes(batch)
-	// A kept body states m, which an insert or a delete changes.
+	// An exact trace's body states m, which an insert or a delete changes;
+	// a splice base's m is rewritten.
 	resized := slices.ContainsFunc(batch.changes, func(c graph.WeightChange) bool { return c.OldW < 0 || c.NewW < 0 })
 	for _, tr := range rg.traces {
 		switch {
 		case tr.rev != head: // stale since an earlier PATCH, or a replay has yet to reach its revision
 		case incr.SourceDirty(batch.changes, tr.dist):
 			dropped++
-			rg.dropBody(tr)
 		default:
 			kept++
 			tr.rev = rg.num
@@ -427,6 +432,7 @@ func (rg *regGraph) capLog(snap int64) {
 		oldest := rg.num - len(rg.log)
 		for src, tr := range rg.traces {
 			if tr.rev == oldest {
+				rg.dropBody(tr)
 				delete(rg.traces, src)
 			}
 		}
@@ -457,9 +463,11 @@ func (r *GraphRegistry) Record(id string, digest [32]byte, src graph.NodeID, dis
 	case ok && tr.rev == rg.num:
 		return
 	case ok:
-		// The exact row replaces the stale one it was repaired from, and the
-		// log may no longer need its oldest batches. The spill keeps the
-		// stale trace: after a crash the source is repaired again.
+		// The exact row replaces the stale one it was repaired from, with
+		// the stale row's body, and the log may no longer need its oldest
+		// batches. The spill keeps the stale trace: after a crash the
+		// source is repaired again.
+		rg.dropBody(tr)
 		*tr = sourceTrace{rev: rg.num, dist: dist, parent: parent}
 		rg.trim()
 	default:
@@ -503,9 +511,10 @@ func (r *GraphRegistry) keepBody(id string, src graph.NodeID, dist []int64, m in
 }
 
 // sourceTrace returns what the head revision at digest remembers about
-// src: its exact trace (exact=true, no changes) and the body it keeps, if
-// any, or its stale trace plus the net changes separating the trace's
-// revision from the head. ok=false means no trace. The returned slices are
+// src: its exact trace (exact=true, no changes), or its stale trace plus
+// the net changes separating the trace's revision from the head, and the
+// body the trace keeps, if any: the reply of an exact trace, the splice
+// base of a stale one. ok=false means no trace. The returned slices are
 // shared immutable state — callers must not write through them
 // (incr.Repair copies before writing).
 func (r *GraphRegistry) sourceTrace(id string, digest [32]byte, src graph.NodeID) (tr incr.Trace, changes []graph.WeightChange, body []byte, exact, ok bool) {
@@ -530,7 +539,7 @@ func (r *GraphRegistry) sourceTrace(id string, digest [32]byte, src graph.NodeID
 	for _, b := range rg.log[rg.at(t.rev):] {
 		since = append(since, b.changes...)
 	}
-	return tr, graph.NetChanges(since), nil, false, true
+	return tr, graph.NetChanges(since), t.body, false, true
 }
 
 // touchLocked marks a graph most-recently-used.

@@ -172,9 +172,13 @@ func (m *ledgerRegistry) sourceTrace(digest [32]byte, src graph.NodeID) (incr.Tr
 // drawn from a second generator so the histories stay as they were: the
 // body of a random source's exact trace, offered for the trace's own row,
 // for a copy of it, or for a wrong m. It books the bodies the registry
-// must keep, drops them where a PATCH dirties their trace or inserts or
-// deletes an edge, and requires the registry to keep exactly those, each
-// equal to a fresh render at the head and counted in its charge.
+// must keep: a body survives the PATCH that dirties its trace, as the
+// stale trace's splice base, and goes where an insert or a delete leaves
+// its trace exact, where the log cap forgets its trace and where a record
+// replaces its stale trace. The registry must keep exactly those, an
+// exact trace's equal to a fresh render at the head, every one counted in
+// its charge (see checkLogInvariants), and a repaired row's reply spliced
+// from its trace's base must equal the row's full render.
 //
 // The registry spills to a directory throughout. Each history runs twice.
 // The first time, a fresh registry boots from the directory after the
@@ -219,6 +223,16 @@ func checkLedgerModel(t *testing.T, seed int64, flush bool) bool {
 	model := newLedgerRegistry(g0)
 	orng := rand.New(rand.NewSource(^seed)) // draws the body offers
 	bodies := make(map[graph.NodeID][]byte) // the bodies the registry must keep
+
+	// record records a row in the model as in the registry, where a
+	// record that replaces a stale trace drops the base it kept.
+	record := func(digest [32]byte, src graph.NodeID, dist []int64, parent []graph.NodeID) {
+		_, stale := model.head.stale[src]
+		model.record(digest, src, dist, parent)
+		if _, still := model.head.stale[src]; stale && !still {
+			delete(bodies, src)
+		}
+	}
 
 	var undo []graph.EdgeDelta        // the inverse of the last applied batch
 	rev := make(map[graph.NodeID]int) // the revision each model trace is exact at
@@ -314,10 +328,10 @@ func checkLedgerModel(t *testing.T, seed int64, flush bool) bool {
 			d := graph.Dijkstra(g, src)
 			p := graph.WitnessParents(g, src, d)
 			r.Record(info.ID, digest, src, d, p, "")
-			model.record(digest, src, d, p)
+			record(digest, src, d, p)
 		case op < 5: // a repaired record, as the row provider makes them
 			src := graph.NodeID(rng.Intn(n))
-			tr, changes, _, exact, ok := r.sourceTrace(info.ID, digest, src)
+			tr, changes, base, exact, ok := r.sourceTrace(info.ID, digest, src)
 			if !ok || exact {
 				continue
 			}
@@ -325,8 +339,15 @@ func checkLedgerModel(t *testing.T, seed int64, flush bool) bool {
 			if !ok {
 				t.Fatalf("step %d: repair of source %d declined", step, src)
 			}
+			if base != nil {
+				rw := row{dist: rr.Dist, served: rowRepaired, affected: rr.Affected}
+				spliced := mustRender(t, func(r SSSPResponse) ([]byte, error) { return spliceSSSP(r, base, tr.Dist) }, ssspHead(g, rw, nil))
+				if want := mustRender(t, renderSSSP, ssspResponse(g, rw, nil)); !bytes.Equal(spliced, want) {
+					t.Fatalf("step %d, source %d: spliced reply %s\nwant %s", step, src, spliced, want)
+				}
+			}
 			r.Record(info.ID, digest, src, rr.Dist, rr.Parent, "")
-			model.record(digest, src, rr.Dist, rr.Parent)
+			record(digest, src, rr.Dist, rr.Parent)
 		default:
 			batch := randomBatch(g)
 			if rng.Intn(4) == 0 && undo != nil {
@@ -350,7 +371,8 @@ func checkLedgerModel(t *testing.T, seed int64, flush bool) bool {
 				undo = inv
 				resized := slices.ContainsFunc(changes, func(c graph.WeightChange) bool { return c.OldW < 0 || c.NewW < 0 })
 				for src := range bodies {
-					if _, ok := model.head.traces[src]; !ok || resized {
+					_, exact := model.head.traces[src]
+					if _, stale := model.head.stale[src]; !stale && (!exact || resized) {
 						delete(bodies, src)
 					}
 				}
@@ -358,7 +380,7 @@ func checkLedgerModel(t *testing.T, seed int64, flush bool) bool {
 				src := graph.NodeID(rng.Intn(n))
 				d := graph.Dijkstra(g, src)
 				r.Record(info.ID, digest, src, d, graph.WitnessParents(g, src, d), "")
-				model.record(digest, src, d, graph.WitnessParents(g, src, d))
+				record(digest, src, d, graph.WitnessParents(g, src, d))
 			}
 		}
 
@@ -388,8 +410,8 @@ func checkLedgerModel(t *testing.T, seed int64, flush bool) bool {
 			if gok != mok || gx != mx || !reflect.DeepEqual(gt, mt) || !reflect.DeepEqual(gc, mc) {
 				t.Fatalf("step %d, source %d:\n got ok=%v exact=%v %+v %+v\nwant ok=%v exact=%v %+v %+v", step, src, gok, gx, gt, gc, mok, mx, mt, mc)
 			}
-			if !bytes.Equal(gb, bodies[src]) || gb != nil && !bytes.Equal(gb, fresh(gt.Dist)) {
-				t.Fatalf("step %d, source %d: kept body %s\nwant %s, a fresh render of the head", step, src, gb, bodies[src])
+			if !bytes.Equal(gb, bodies[src]) || gb != nil && gx && !bytes.Equal(gb, fresh(gt.Dist)) {
+				t.Fatalf("step %d, source %d (exact %v): kept body %s\nwant %s", step, src, gx, gb, bodies[src])
 			}
 			if gok && gx {
 				traced++

@@ -41,6 +41,11 @@ type row struct {
 	// body is the /v1/sssp body the registry keeps with the row's exact
 	// trace; nil when none is kept (see GraphRegistry.keepBody).
 	body []byte
+	// prior is, for a row repaired from a stale trace, that trace's row,
+	// and base the body the stale trace kept, nil when it kept none: the
+	// row's /v1/sssp reply is spliced from them (spliceSSSP).
+	prior []int64
+	base  []byte
 }
 
 // rowQuery is one query's demand on the provider.
@@ -80,7 +85,8 @@ func (rs rowSet) all(how rowServed) bool { return rs.count[how] == len(rs.rows) 
 // The /v1/sssp body of an exact trace is kept with the trace instead
 // (GraphRegistry.keepBody) — rendered by its first query, or derived from
 // the reply of the repair that made the trace — and render returns those
-// bytes until a PATCH changes the trace or m.
+// bytes until a PATCH changes the trace or m; once a PATCH dirties the
+// trace, render splices the repaired row's reply from them.
 func (s *Server) serveRows(w http.ResponseWriter, r *http.Request, q rowQuery, render func(rowSet) ([]byte, error)) {
 	var rs rowSet
 	hit, ok := s.finishQuery(w, r, keyFromDigest(q.digest, q.parts), func(sp *trace.Span) ([]byte, bool, error) {
@@ -196,7 +202,11 @@ func (s *Server) remembered(sp *trace.Span, q rowQuery, src graph.NodeID) (row, 
 		return row{}, false
 	}
 	rw, ok := s.repair(sp, q, src, tr, changes, exact)
-	rw.body = body
+	if exact {
+		rw.body = body
+	} else {
+		rw.prior, rw.base = tr.Dist, body
+	}
 	return rw, ok
 }
 

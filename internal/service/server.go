@@ -229,7 +229,7 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 			return rw.body, nil
 		}
 		g := rg.load()
-		b, err := renderSSSP(ssspResponse(g, rw, res))
+		b, err := s.renderSSSPRow(g, rw, res)
 		// A repaired row is its trace's exact row from now on, and a
 		// zero-change body depends on n, m and the row alone: offer one
 		// to the trace.
@@ -262,12 +262,25 @@ func zeroChangeBody(b []byte) []byte {
 	return append(append(make([]byte, 0, i+len(zeroIncr)), b[:i]...), zeroIncr...)
 }
 
-// ssspResponse is the /v1/sssp answer of one row: a repaired row's carries
-// its incr block, a computed row's the metrics of res, the run that
-// computed it.
-func ssspResponse(g *graph.Graph, rw row, res *dsssp.Result) SSSPResponse {
-	size, unreachable := rowSize(rw.dist)
-	resp := SSSPResponse{N: g.N(), M: g.M(), Dist: rw.dist, Unreachable: unreachable, distLen: size}
+// renderSSSPRow renders the /v1/sssp body of one row: spliced from the
+// body its stale trace kept when the row was repaired from one, else in
+// full.
+func (s *Server) renderSSSPRow(g *graph.Graph, rw row, res *dsssp.Result) ([]byte, error) {
+	if rw.prior != nil {
+		how := "spliced"
+		if rw.base == nil {
+			how = "full" // a trace loaded from a spill, or its body shed
+		}
+		s.metrics.repairBodies.With(how).Inc()
+	}
+	return spliceSSSP(ssspHead(g, rw, res), rw.base, rw.prior)
+}
+
+// ssspHead is the /v1/sssp answer of one row, Unreachable not yet counted:
+// a repaired row's carries its incr block, a computed row's the metrics of
+// res, the run that computed it.
+func ssspHead(g *graph.Graph, rw row, res *dsssp.Result) SSSPResponse {
+	resp := SSSPResponse{N: g.N(), M: g.M(), Dist: rw.dist}
 	if rw.served == rowRepaired {
 		resp.Incr = queryIncr(rw, g.N())
 	} else {
